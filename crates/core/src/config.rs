@@ -155,7 +155,6 @@ pub struct CacheConfig {
     eviction_order: EvictionOrder,
     stall_timeout: Duration,
     backoff: BackoffPolicy,
-    tree_layout: Option<TreeLayout>,
     checkpoint_every: u64,
     checkpoint_generations: usize,
     journal_fsync: bool,
@@ -184,7 +183,6 @@ impl Default for CacheConfig {
             eviction_order: EvictionOrder::BucketSequential,
             stall_timeout: DEFAULT_STALL_TIMEOUT,
             backoff: BackoffPolicy::default(),
-            tree_layout: None,
             checkpoint_every: 64,
             checkpoint_generations: 3,
             journal_fsync: true,
@@ -281,22 +279,10 @@ impl CacheConfig {
         self.shed_deadline
     }
 
-    /// The explicit octree storage layout, if one was requested. `None`
-    /// means "use the ambient default" — see
-    /// [`CacheConfig::resolved_tree_layout`].
-    #[inline]
-    pub fn tree_layout(&self) -> Option<TreeLayout> {
-        self.tree_layout
-    }
-
-    /// The octree storage layout every backend built from this config will
-    /// use: the explicit choice when set, otherwise
-    /// [`TreeLayout::default_from_env`] (the `OCTO_TREE_LAYOUT` environment
-    /// variable, falling back to the pointer layout).
-    #[inline]
+    /// Frozen-benchmark shim (`benchmark/` is its only caller); the next `benchmark` PR deletes it.
+    #[doc(hidden)]
     pub fn resolved_tree_layout(&self) -> TreeLayout {
-        self.tree_layout
-            .unwrap_or_else(TreeLayout::default_from_env)
+        TreeLayout
     }
 
     /// How many journaled scans may accumulate before
@@ -396,7 +382,6 @@ pub struct CacheConfigBuilder {
     eviction_order: EvictionOrder,
     stall_timeout: Duration,
     backoff: BackoffPolicy,
-    tree_layout: Option<TreeLayout>,
     checkpoint_every: u64,
     checkpoint_generations: usize,
     journal_fsync: bool,
@@ -418,7 +403,6 @@ impl CacheConfigBuilder {
             eviction_order: d.eviction_order,
             stall_timeout: d.stall_timeout,
             backoff: d.backoff,
-            tree_layout: d.tree_layout,
             checkpoint_every: d.checkpoint_every,
             checkpoint_generations: d.checkpoint_generations,
             journal_fsync: d.journal_fsync,
@@ -494,13 +478,6 @@ impl CacheConfigBuilder {
     /// [`CacheConfig::shed_deadline`].
     pub fn shed_deadline(&mut self, deadline: Duration) -> &mut Self {
         self.shed_deadline = Some(deadline);
-        self
-    }
-
-    /// Pins the octree storage layout for every backend built from this
-    /// config; see [`CacheConfig::resolved_tree_layout`].
-    pub fn tree_layout(&mut self, layout: TreeLayout) -> &mut Self {
-        self.tree_layout = Some(layout);
         self
     }
 
@@ -584,7 +561,6 @@ impl CacheConfigBuilder {
             eviction_order: self.eviction_order,
             stall_timeout: self.stall_timeout,
             backoff: self.backoff,
-            tree_layout: self.tree_layout,
             checkpoint_every: self.checkpoint_every,
             checkpoint_generations: self.checkpoint_generations,
             journal_fsync: self.journal_fsync,
@@ -730,21 +706,16 @@ mod tests {
     }
 
     #[test]
-    fn tree_layout_round_trips_and_resolves() {
-        // No explicit layout: resolves to the ambient default.
-        let d = CacheConfig::default();
-        assert_eq!(d.tree_layout(), None);
-        assert_eq!(d.resolved_tree_layout(), TreeLayout::default_from_env());
-        // Explicit layout wins and survives serialisation.
-        let c = CacheConfig::builder()
-            .num_buckets(64)
-            .tree_layout(TreeLayout::Arena)
-            .build()
-            .unwrap();
-        assert_eq!(c.tree_layout(), Some(TreeLayout::Arena));
-        assert_eq!(c.resolved_tree_layout(), TreeLayout::Arena);
-        let back: CacheConfig = serde::json::from_str(&serde::json::to_string(&c)).unwrap();
-        assert_eq!(back.tree_layout(), Some(TreeLayout::Arena));
+    fn serialised_config_carrying_a_tree_layout_field_still_parses() {
+        // What `serde::json::to_string(&config)` wrote before the field was
+        // removed: the extra key is ignored, every other knob survives.
+        let c = CacheConfig::builder().num_buckets(64).build().unwrap();
+        let json = serde::json::to_string(&c);
+        for old in ["\"tree_layout\":null,", "\"tree_layout\":\"Arena\","] {
+            let legacy = json.replacen('{', &format!("{{{old}"), 1);
+            let back: CacheConfig = serde::json::from_str(&legacy).unwrap();
+            assert_eq!(back, c, "{legacy}");
+        }
     }
 
     #[test]

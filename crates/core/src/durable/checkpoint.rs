@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut};
 use octocache_octomap::checksum::crc32;
-use octocache_octomap::{io as tree_io, OccupancyOcTree, TreeLayout};
+use octocache_octomap::{io as tree_io, OccupancyOcTree};
 
 use super::iofault::{io_err, Vfs};
 use super::DurableError;
@@ -150,7 +150,7 @@ impl CheckpointStore {
     /// generation in descending epoch order. Candidates that fail are
     /// reported in the second return value, never fatal; `None` means no
     /// usable checkpoint exists (recovery then replays the whole journal).
-    pub fn load_latest(&self, layout: TreeLayout) -> (Option<LoadedCheckpoint>, Vec<String>) {
+    pub fn load_latest(&self) -> (Option<LoadedCheckpoint>, Vec<String>) {
         let mut skipped = Vec::new();
         let mut candidates: Vec<u64> = Vec::new();
         if let Some(e) = self.manifest_epoch() {
@@ -172,7 +172,7 @@ impl CheckpointStore {
                 skipped.push(format!("{name}: {e}"));
                 continue;
             }
-            match tree_io::read_tree_with_meta(&bytes, layout) {
+            match tree_io::read_tree_with_meta(&bytes) {
                 Ok((tree, Some(meta))) => {
                     if meta.epoch != epoch {
                         skipped.push(format!(

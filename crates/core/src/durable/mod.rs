@@ -22,9 +22,8 @@
 //!   generation), then replay journal records after its epoch through the
 //!   exact baseline insert path. The recovered map bit-matches (leaf
 //!   checksum) a never-crashed run over the durably recorded scans, on
-//!   every backend and both storage layouts — proven by the crash-torture
-//!   suite under deterministic [`IoFaultPlan`] kills, short writes and bit
-//!   flips.
+//!   every backend — proven by the crash-torture suite under deterministic
+//!   [`IoFaultPlan`] kills, short writes and bit flips.
 //!
 //! The write-ahead ordering ("journaled before applied") means a scan is
 //! either durably recorded or reported as a typed
@@ -69,7 +68,7 @@ use std::time::Instant;
 
 use octocache_geom::{GeomError, Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
-use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams, TreeLayout};
+use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams};
 use octocache_telemetry::{EventLog, PhaseHistograms, PhaseTimes, Recorder};
 
 use crate::cache::CacheStats;
@@ -233,8 +232,7 @@ impl RecoveryReport {
     }
 }
 
-/// Reconstructs the map persisted in `dir`, storing it in the ambient
-/// default layout ([`TreeLayout::default_from_env`]).
+/// Reconstructs the map persisted in `dir`.
 ///
 /// # Errors
 ///
@@ -244,25 +242,12 @@ impl RecoveryReport {
 /// generations and journal tails are *not* errors — they are skipped or
 /// truncated and reported in the [`RecoveryReport`].
 pub fn recover(dir: impl AsRef<Path>) -> Result<(OccupancyOcTree, RecoveryReport), DurableError> {
-    recover_with_layout(dir, TreeLayout::default_from_env())
-}
-
-/// As [`recover`], with an explicit storage layout for the recovered tree.
-///
-/// # Errors
-///
-/// See [`recover`].
-pub fn recover_with_layout(
-    dir: impl AsRef<Path>,
-    layout: TreeLayout,
-) -> Result<(OccupancyOcTree, RecoveryReport), DurableError> {
-    let (tree, report, _, _) = recover_internal(dir.as_ref(), layout)?;
+    let (tree, report, _, _) = recover_internal(dir.as_ref())?;
     Ok((tree, report))
 }
 
 fn recover_internal(
     dir: &Path,
-    layout: TreeLayout,
 ) -> Result<(OccupancyOcTree, RecoveryReport, JournalHeader, u64), DurableError> {
     let journal_path = dir.join(JOURNAL_FILE);
     if !journal_path.exists() {
@@ -278,13 +263,10 @@ fn recover_internal(
             reason: format!("invalid grid in journal header: {e}"),
         })?;
     let store = CheckpointStore::new(dir, 1);
-    let (loaded, checkpoints_skipped) = store.load_latest(layout);
+    let (loaded, checkpoints_skipped) = store.load_latest();
     let (mut tree, checkpoint_epoch) = match loaded {
         Some(c) => (c.tree, Some(c.epoch)),
-        None => (
-            OccupancyOcTree::with_layout(grid, header.params, layout),
-            None,
-        ),
+        None => (OccupancyOcTree::new(grid, header.params), None),
     };
     let replay_from = checkpoint_epoch.unwrap_or(0);
     let mut batch = insert::VoxelBatch::new();
@@ -445,9 +427,8 @@ impl DurableMap {
     /// Recovers the map persisted in `dir` and resumes durable mapping on
     /// it: the damaged journal tail (if any) is truncated away, appends
     /// continue at the recovered epoch, and the mapping backend is the
-    /// OctoMap baseline seeded with the recovered tree (in
-    /// `config.resolved_tree_layout()`), using the ray tracer recorded in
-    /// the journal header.
+    /// OctoMap baseline seeded with the recovered tree, using the ray
+    /// tracer recorded in the journal header.
     ///
     /// # Errors
     ///
@@ -458,8 +439,7 @@ impl DurableMap {
         config: &CacheConfig,
     ) -> Result<(DurableMap, RecoveryReport), DurableError> {
         let dir = dir.as_ref();
-        let layout = config.resolved_tree_layout();
-        let (tree, report, header, valid_bytes) = recover_internal(dir, layout)?;
+        let (tree, report, header, valid_bytes) = recover_internal(dir)?;
         let journal = Journal::open_truncated(
             dir.join(JOURNAL_FILE),
             valid_bytes,

@@ -850,12 +850,6 @@ pub(crate) fn stamp_cache_delta(metrics: &mut ScanMetrics, delta: &CacheStats) {
     metrics.cache_evictions = delta.evictions;
 }
 
-/// Stamps the tree-shape fields (resident bytes, storage layout).
-pub(crate) fn stamp_tree_shape(metrics: &mut ScanMetrics, memory_bytes: u64, layout: &str) {
-    metrics.memory_bytes = memory_bytes;
-    metrics.tree_layout = layout.to_string();
-}
-
 /// Overlays the cache's accumulated cells onto a read tree. Cells hold
 /// absolute log-odds — the same values eviction would write — so the
 /// overlaid tree answers exactly what the live cache→tree fall-through
@@ -879,7 +873,7 @@ pub(crate) fn merge_shards<'a>(
 ) -> OccupancyOcTree {
     let mut iter = shards.into_iter();
     let first = iter.next().expect("at least one shard");
-    let mut merged = OccupancyOcTree::with_layout(*first.grid(), *first.params(), first.layout());
+    let mut merged = OccupancyOcTree::new(*first.grid(), *first.params());
     for shard in std::iter::once(first).chain(iter) {
         merged
             .merge_disjoint_top_level(shard)

@@ -81,9 +81,6 @@ pub use routing::OctantRouter;
 pub use serial::SerialOctoCache;
 pub use sharded::ShardedOctoMap;
 pub use supervisor::{PressureLevel, RestartPolicy, ScanOutcome, ShedReason, SupervisorParams};
-// The octree storage-layout selector is re-exported so consumers picking a
-// layout through `CacheConfig` need only this crate.
-pub use octocache_octomap::{ParseLayoutError, TreeLayout};
 // Telemetry primitives live in `octocache-telemetry`; `PhaseTimes` is
 // re-exported here because it predates that crate and every downstream
 // consumer imports it from `octocache`.

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use octocache_geom::{Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
-use octocache_octomap::{insert, OccupancyOcTree, OccupancyParams, TreeLayout};
+use octocache_octomap::{insert, OccupancyOcTree, OccupancyParams};
 use octocache_telemetry::{EventBuffer, EventKind, EventLog, EventSink, PhaseTimes, ScanMetrics};
 
 use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
@@ -72,29 +72,12 @@ impl OctoMapSystem {
 
     /// Creates the baseline with a chosen ray-tracing front-end.
     pub fn with_ray_tracer(grid: VoxelGrid, params: OccupancyParams, rt: RayTracer) -> Self {
-        Self::with_layout(grid, params, rt, TreeLayout::default_from_env())
-    }
-
-    /// Creates the baseline with a chosen ray tracer and octree storage
-    /// layout.
-    pub fn with_layout(
-        grid: VoxelGrid,
-        params: OccupancyParams,
-        rt: RayTracer,
-        layout: TreeLayout,
-    ) -> Self {
-        Engine::from_executor(BaselineExecutor {
-            tree: OccupancyOcTree::with_layout(grid, params, layout),
-            ray_tracer: rt,
-            batch: insert::VoxelBatch::new(),
-            event_sink: None,
-            events: None,
-        })
+        Self::from_tree(OccupancyOcTree::new(grid, params), rt)
     }
 
     /// Resumes the baseline on an existing octree — e.g. one reconstructed
     /// by crash recovery ([`crate::durable::recover`]) — keeping the tree's
-    /// grid, params and storage layout. Telemetry restarts from scan 0;
+    /// grid and params. Telemetry restarts from scan 0;
     /// durable scan epochs are tracked by [`crate::durable::DurableMap`].
     pub fn from_tree(tree: OccupancyOcTree, rt: RayTracer) -> Self {
         Engine::from_executor(BaselineExecutor {
@@ -175,11 +158,7 @@ impl ScanExecutor for BaselineExecutor {
         };
         metrics.observations = observations as u64;
         engine::stamp_tree_delta(metrics, &self.tree.stats().snapshot().since(&tree_before));
-        engine::stamp_tree_shape(
-            metrics,
-            self.tree.memory_usage() as u64,
-            self.tree.layout().name(),
-        );
+        metrics.memory_bytes = self.tree.memory_usage() as u64;
         Ok(ScanOutput {
             cache_hits: 0,
             octree_updates: observations,

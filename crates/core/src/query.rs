@@ -49,8 +49,7 @@ use crate::pipeline::MappingSystem;
 /// any synchronisation at all — `OccupancyOcTree` reads are `&self` and the
 /// tree is `Sync`. Values are bit-identical to what the owning backend's
 /// locked query path would return at the same scan boundary (verified by
-/// `tests/query_consistency.rs` across every backend × layout × worker
-/// count).
+/// `tests/query_consistency.rs` across every backend × worker count).
 #[derive(Debug)]
 pub struct MapSnapshot {
     tree: OccupancyOcTree,
@@ -181,8 +180,8 @@ impl MapSnapshot {
     /// FNV-1a digest over every leaf (key, level, log-odds bits), delegating
     /// to [`OccupancyOcTree::leaf_checksum`].
     ///
-    /// Two snapshots of the same logical map hash identically regardless of
-    /// storage layout; the concurrent stress tests use this to prove a
+    /// Two snapshots of the same logical map hash identically however each
+    /// tree was built; the concurrent stress tests use this to prove a
     /// published snapshot is exactly one scan boundary, never a torn blend
     /// of two, and crash recovery (`crate::durable`) uses it as the
     /// bit-match oracle against the v2 map footer.

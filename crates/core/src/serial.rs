@@ -89,7 +89,6 @@ impl SerialOctoCache {
         config: CacheConfig,
         ray_tracer: RayTracer,
     ) -> Self {
-        let layout = config.resolved_tree_layout();
         let mut cache = VoxelCache::new(config, params);
         let event_sink = if config.events() {
             let sink = EventSink::new();
@@ -100,7 +99,7 @@ impl SerialOctoCache {
         };
         Engine::from_executor(SerialExecutor {
             cache,
-            tree: OccupancyOcTree::with_layout(grid, params, layout),
+            tree: OccupancyOcTree::new(grid, params),
             ray_tracer,
             batch: insert::VoxelBatch::new(),
             evict_buf: Vec::new(),
@@ -191,11 +190,7 @@ impl SerialExecutor {
         let cache_delta = self.cache.stats().since(cache_before);
         engine::stamp_cache_delta(metrics, &cache_delta);
         engine::stamp_tree_delta(metrics, &self.tree.stats().snapshot().since(tree_before));
-        engine::stamp_tree_shape(
-            metrics,
-            self.tree.memory_usage() as u64,
-            self.tree.layout().name(),
-        );
+        metrics.memory_bytes = self.tree.memory_usage() as u64;
         ScanOutput {
             cache_hits: cache_delta.hits,
             octree_updates: self.evict_buf.len(),

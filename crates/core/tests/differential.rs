@@ -15,9 +15,9 @@
 
 mod common;
 
-use common::{backends, backends_with, build_tree, cache, grid, num_scenarios, scenario};
+use common::{backends, build_tree, cache, grid, num_scenarios, scenario};
 use octocache::pipeline::{OctoMapSystem, RayTracer};
-use octocache::{ParallelOctoCache, TreeLayout};
+use octocache::ParallelOctoCache;
 use octocache_octomap::{compare, OccupancyParams};
 
 #[test]
@@ -78,56 +78,6 @@ fn pruned_trees_stay_equivalent_and_structurally_equal() {
             baseline.num_leaves(),
             "pruned leaf count differs for {label}"
         );
-    }
-}
-
-#[test]
-fn arena_layout_matches_pointer_layout_on_every_backend() {
-    // The arena node pool must be observationally indistinguishable from the
-    // pointer tree: the same backend built twice — once per layout — over the
-    // same scenario must produce bit-for-bit identical maps (tolerance 0.0),
-    // and identical structure after pruning. This covers the serial cache,
-    // the octant-sharded baseline (whose `take_tree` exercises the arena's
-    // child-block splice merge), the plain octomap pipeline, and the
-    // N-worker parallel pipeline at N ∈ {1, 2, 4, 8}.
-    for seed in 0..num_scenarios() {
-        let scans = scenario(seed * 6151 + 13);
-        let pointer = backends_with(TreeLayout::Pointer);
-        let arena = backends_with(TreeLayout::Arena);
-        for ((label, pb), (_, ab)) in pointer.into_iter().zip(arena) {
-            let mut ptree = build_tree(pb, &scans);
-            let mut atree = build_tree(ab, &scans);
-            assert_eq!(ptree.layout(), TreeLayout::Pointer, "{label}");
-            assert_eq!(atree.layout(), TreeLayout::Arena, "{label}");
-            let d = compare::diff(&ptree, &atree, 0.0);
-            assert!(
-                d.is_identical(),
-                "seed {seed}, backend {label}: pointer vs arena differ — {} value / \
-                 {} coverage mismatches of {} voxels (max |diff| {})",
-                d.value_mismatches,
-                d.coverage_mismatches,
-                d.known_voxels,
-                d.max_abs_diff
-            );
-            // Identical maps must also prune identically across layouts.
-            ptree.prune();
-            atree.prune();
-            let dp = compare::diff(&ptree, &atree, 0.0);
-            assert!(
-                dp.is_identical(),
-                "seed {seed}, backend {label}: layouts diverge after prune"
-            );
-            assert_eq!(
-                ptree.num_nodes(),
-                atree.num_nodes(),
-                "seed {seed}, backend {label}: pruned node count differs across layouts"
-            );
-            assert_eq!(
-                ptree.num_leaves(),
-                atree.num_leaves(),
-                "seed {seed}, backend {label}: pruned leaf count differs across layouts"
-            );
-        }
     }
 }
 

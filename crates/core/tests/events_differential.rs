@@ -1,20 +1,20 @@
 //! Event tracing must be *observationally invisible*: a backend built with
 //! sub-scan event recording on must produce a voxel-for-voxel identical map
-//! to the same backend with recording off — on every backend, every octree
-//! storage layout, and every parallel worker count.
+//! to the same backend with recording off — on every backend and every
+//! parallel worker count.
 //!
 //! Two layers of evidence:
 //!
 //! 1. A scenario differential (seeded synthetic scans, tolerance 0.0)
-//!    across octomap / serial / sharded / parallel N ∈ {1, 2, 4, 8} ×
-//!    {Pointer, Arena} layouts, which also checks the recorded stream is
-//!    non-empty and structurally sane (spans pair up per lane).
+//!    across octomap / serial / sharded / parallel N ∈ {1, 2, 4, 8}, which
+//!    also checks the recorded stream is non-empty and structurally sane
+//!    (spans pair up per lane).
 //! 2. A proptest at the `VoxelCache` level: under arbitrary interleavings
 //!    of insertions and eviction passes, the eviction stream with events
 //!    attached is bit-identical to the stream without.
 
 use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
-use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap, TreeLayout};
+use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap};
 use octocache_geom::{Point3, VoxelGrid};
 use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
 use octocache_telemetry::{EventKind, EventLog, EventSink};
@@ -64,24 +64,23 @@ fn grid() -> VoxelGrid {
 
 /// A small cache so τ-eviction fires constantly — event traffic on every
 /// path (hit, miss, evict, enqueue, dequeue, span).
-fn cache(layout: TreeLayout, events: bool) -> CacheConfig {
+fn cache(events: bool) -> CacheConfig {
     CacheConfig::builder()
         .num_buckets(1 << 7)
         .tau(2)
-        .tree_layout(layout)
         .events(events)
         .build()
         .unwrap()
 }
 
 /// Every backend under test, built with event recording on or off.
-fn backends(layout: TreeLayout, events: bool) -> Vec<(String, Box<dyn MappingSystem>)> {
+fn backends(events: bool) -> Vec<(String, Box<dyn MappingSystem>)> {
     let params = OccupancyParams::default();
-    let mut octomap = OctoMapSystem::with_layout(grid(), params, RayTracer::Standard, layout);
+    let mut octomap = OctoMapSystem::new(grid(), params);
     if events {
         octomap.enable_events();
     }
-    let mut sharded = ShardedOctoMap::with_layout(grid(), params, 8, RayTracer::Standard, layout);
+    let mut sharded = ShardedOctoMap::new(grid(), params, 8);
     if events {
         sharded.enable_events();
     }
@@ -89,7 +88,7 @@ fn backends(layout: TreeLayout, events: bool) -> Vec<(String, Box<dyn MappingSys
         ("octomap".to_string(), Box::new(octomap)),
         (
             "serial".to_string(),
-            Box::new(SerialOctoCache::new(grid(), params, cache(layout, events))),
+            Box::new(SerialOctoCache::new(grid(), params, cache(events))),
         ),
         ("sharded-x8".to_string(), Box::new(sharded)),
     ];
@@ -99,7 +98,7 @@ fn backends(layout: TreeLayout, events: bool) -> Vec<(String, Box<dyn MappingSys
             Box::new(ParallelOctoCache::with_workers(
                 grid(),
                 params,
-                cache(layout, events),
+                cache(events),
                 RayTracer::Standard,
                 n,
             )),
@@ -149,32 +148,29 @@ fn check_stream(label: &str, log: &EventLog) {
 }
 
 #[test]
-fn event_recording_is_invisible_on_every_backend_and_layout() {
-    for layout in [TreeLayout::Pointer, TreeLayout::Arena] {
-        let scans = scenario(0xC0FFEE ^ layout as u64);
-        let plain = backends(layout, false);
-        let recorded = backends(layout, true);
-        for ((label, pb), (_, rb)) in plain.into_iter().zip(recorded) {
-            let (ptree, pevents) = build(pb, &scans);
-            let (rtree, revents) = build(rb, &scans);
-            assert!(
-                pevents.is_none(),
-                "{label}/{layout:?}: events recorded with the switch off"
-            );
-            let log = revents
-                .unwrap_or_else(|| panic!("{label}/{layout:?}: no event log with the switch on"));
-            check_stream(&format!("{label}/{layout:?}"), &log);
-            let d = compare::diff(&ptree, &rtree, 0.0);
-            assert!(
-                d.is_identical(),
-                "{label}/{layout:?}: event recording changed the map — {} value / {} \
-                 coverage mismatches of {} voxels (max |diff| {})",
-                d.value_mismatches,
-                d.coverage_mismatches,
-                d.known_voxels,
-                d.max_abs_diff
-            );
-        }
+fn event_recording_is_invisible_on_every_backend() {
+    let scans = scenario(0xC0FFEE);
+    let plain = backends(false);
+    let recorded = backends(true);
+    for ((label, pb), (_, rb)) in plain.into_iter().zip(recorded) {
+        let (ptree, pevents) = build(pb, &scans);
+        let (rtree, revents) = build(rb, &scans);
+        assert!(
+            pevents.is_none(),
+            "{label}: events recorded with the switch off"
+        );
+        let log = revents.unwrap_or_else(|| panic!("{label}: no event log with the switch on"));
+        check_stream(&label, &log);
+        let d = compare::diff(&ptree, &rtree, 0.0);
+        assert!(
+            d.is_identical(),
+            "{label}: event recording changed the map — {} value / {} \
+             coverage mismatches of {} voxels (max |diff| {})",
+            d.value_mismatches,
+            d.coverage_mismatches,
+            d.known_voxels,
+            d.max_abs_diff
+        );
     }
 }
 
@@ -185,7 +181,7 @@ fn parallel_event_stream_covers_every_worker_lane() {
     let backend: Box<dyn MappingSystem> = Box::new(ParallelOctoCache::with_workers(
         grid(),
         OccupancyParams::default(),
-        cache(TreeLayout::Pointer, true),
+        cache(true),
         RayTracer::Standard,
         n,
     ));

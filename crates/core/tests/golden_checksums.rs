@@ -1,16 +1,23 @@
-//! Golden-checksum regression fixtures: every backend × octree layout
-//! replays the shared seeded scenarios (blob-walk and the three tiny
-//! synthetic datasets) and the resulting [`leaf_checksum`] — an FNV-1a
-//! digest over the sorted leaf set, independent of storage layout and
-//! insertion order — must equal the value committed in
-//! `tests/golden/checksums.txt`.
+//! Golden regression fixtures: the shared seeded scenarios (blob-walk and
+//! the three tiny synthetic datasets) replayed against two committed
+//! tables.
 //!
-//! The fixture was generated at the pre-engine-refactor commit, so this
-//! suite bit-verifies the unified scan-lifecycle engine (and any future
-//! refactor) against history: a single flipped voxel anywhere in the
-//! ray-tracing → cache → eviction → octree path changes the digest.
+//! * `tests/golden/checksums.txt` — every backend's [`leaf_checksum`] (an
+//!   FNV-1a digest over the sorted leaf set, independent of insertion
+//!   order). Generated at the pre-engine-refactor commit, so this
+//!   bit-verifies the unified scan-lifecycle engine (and any future
+//!   refactor) against history: a single flipped voxel anywhere in the
+//!   ray-tracing → cache → eviction → octree path changes the digest.
+//! * `tests/golden/structure.txt` plus three map files — the answers of
+//!   the boxed-node pointer octree that the node pool replaced, frozen at
+//!   the last commit that had both (37f50be): pruned node and leaf counts,
+//!   node visits of the octomap and serial backends, CRC-32 of the `.ot`
+//!   and `.bt` serialisations, and `.ot` (v1, v2) / `.bt` files the pointer
+//!   tree wrote. The pointer tree was the differential oracle; this table
+//!   is what remains of it.
 //!
-//! Regenerate (after an *intentional* mapping-behaviour change only) with:
+//! Regenerate the two tables (after an *intentional* mapping-behaviour
+//! change only) with:
 //!
 //! ```text
 //! OCTO_GOLDEN_WRITE=1 cargo test -p octocache --test golden_checksums
@@ -22,12 +29,12 @@ mod common;
 
 use std::fmt::Write as _;
 
-use octocache::TreeLayout;
+use octocache::pipeline::{MappingSystem, OctoMapSystem};
+use octocache::SerialOctoCache;
 use octocache_datasets::{scenario, Dataset, DatasetConfig, Scan};
 use octocache_geom::VoxelGrid;
-
-/// The committed pre-refactor fixture.
-const GOLDEN: &str = include_str!("golden/checksums.txt");
+use octocache_octomap::checksum::crc32;
+use octocache_octomap::{io, io_bt, OccupancyOcTree, OccupancyParams};
 
 /// One replayable scan source: a name, its scans, the sensor range to
 /// insert with, and the grid it fits in.
@@ -44,7 +51,7 @@ struct Source {
 fn sources() -> Vec<Source> {
     // Dataset scans span ±50 m; 0.4 m leaves over a 16-level grid cover
     // that with margin to spare (coarse enough to keep the full
-    // source × backend × layout matrix inside a debug-build test budget).
+    // source × backend matrix inside a debug-build test budget).
     let dataset_grid = VoxelGrid::new(0.4, 16).unwrap();
     let mut v: Vec<Source> = vec![
         Source {
@@ -72,56 +79,116 @@ fn sources() -> Vec<Source> {
     v
 }
 
-/// Renders one layout's source × backend checksum lines in fixture
-/// format: one `source backend layout 0x<checksum>` line per combination.
-fn layout_table(layout: TreeLayout) -> String {
+impl Source {
+    /// Replays the source through `backend`; returns the octree node visits
+    /// the run cost and the flushed tree.
+    fn replay(&self, mut backend: Box<dyn MappingSystem>) -> (u64, OccupancyOcTree) {
+        for scan in &self.scans {
+            backend
+                .insert_scan(scan.origin, &scan.points, self.max_range)
+                .expect("scan within grid");
+        }
+        backend.finish();
+        let visits = backend.tree_stats().expect("tree stats").node_visits;
+        (visits, backend.take_tree())
+    }
+}
+
+/// The checksum fixture: one `source backend 0x<checksum>` line per
+/// combination.
+fn checksum_table() -> String {
     let mut out = String::new();
     for src in sources() {
-        for (label, mut backend) in common::backends_with_grid(src.grid, layout) {
-            for scan in &src.scans {
-                backend
-                    .insert_scan(scan.origin, &scan.points, src.max_range)
-                    .expect("scan within grid");
-            }
-            backend.finish();
-            let checksum = backend.take_tree().leaf_checksum();
-            writeln!(
-                out,
-                "{} {} {} {:#018x}",
-                src.name,
-                label,
-                layout.name(),
-                checksum
-            )
-            .unwrap();
+        for (label, backend) in common::backends_with_grid(src.grid) {
+            let (_, tree) = src.replay(backend);
+            writeln!(out, "{} {} {:#018x}", src.name, label, tree.leaf_checksum()).unwrap();
         }
     }
     out
 }
 
-/// The full fixture table, the two layouts replayed concurrently.
-fn checksum_table() -> String {
-    let (pointer, arena) = std::thread::scope(|scope| {
-        let arena = scope.spawn(|| layout_table(TreeLayout::Arena));
-        let pointer = layout_table(TreeLayout::Pointer);
-        (pointer, arena.join().expect("arena table"))
-    });
-    pointer + &arena
+/// The map files the pointer tree wrote (the first two blob-walk-1 scans,
+/// range-limited to 6 m, through the OctoMap baseline; the v2 footer
+/// carries epoch 2).
+const POINTER_FILES: [(&str, &[u8]); 3] = [
+    ("pointer_v1.ot", include_bytes!("golden/pointer_v1.ot")),
+    ("pointer_v2.ot", include_bytes!("golden/pointer_v2.ot")),
+    ("pointer.bt", include_bytes!("golden/pointer.bt")),
+];
+
+/// Decodes one of [`POINTER_FILES`] and checks that writing the decoded
+/// tree back reproduces the file byte for byte.
+fn read_pointer_file(name: &str, bytes: &[u8]) -> OccupancyOcTree {
+    let (tree, rewritten) = if name.ends_with(".bt") {
+        let tree = io_bt::read_binary_tree(bytes).expect(name);
+        let rewritten = io_bt::write_binary_tree(&tree);
+        (tree, rewritten)
+    } else {
+        let (tree, footer) = io::read_tree_with_meta(bytes).expect(name);
+        let rewritten = match footer {
+            Some(footer) => io::write_tree_v2(&tree, footer.epoch),
+            None => io::write_tree(&tree),
+        };
+        (tree, rewritten)
+    };
+    tree.check_invariants().expect(name);
+    assert!(
+        rewritten[..] == *bytes,
+        "{name} does not re-serialise byte-identically"
+    );
+    tree
 }
 
-#[test]
-fn golden_checksums_match_pre_refactor() {
-    let actual = checksum_table();
+/// The structure fixture: per source the pruned tree's shape, what the
+/// octomap and serial backends paid in node visits, and the CRC-32 of both
+/// serialisations; then the leaf checksum each pointer-written file decodes
+/// to.
+fn structure_table() -> String {
+    let params = OccupancyParams::default();
+    let mut out = String::from(
+        "# source nodes leaves visits_octomap visits_serial crc32(.ot) crc32(.bt) — post-prune()\n",
+    );
+    for src in sources() {
+        let (visits_octomap, mut tree) = src.replay(Box::new(OctoMapSystem::new(src.grid, params)));
+        let (visits_serial, _) = src.replay(Box::new(SerialOctoCache::new(
+            src.grid,
+            params,
+            common::cache(),
+        )));
+        tree.prune();
+        writeln!(
+            out,
+            "{} {} {} {} {} {:#010x} {:#010x}",
+            src.name,
+            tree.num_nodes(),
+            tree.num_leaves(),
+            visits_octomap,
+            visits_serial,
+            crc32(&io::write_tree(&tree)),
+            crc32(&io_bt::write_binary_tree(&tree)),
+        )
+        .unwrap();
+    }
+    out.push_str("# file leaf_checksum — written by the pointer tree at 37f50be\n");
+    for (name, bytes) in POINTER_FILES {
+        let tree = read_pointer_file(name, bytes);
+        writeln!(out, "{name} {:#018x}", tree.leaf_checksum()).unwrap();
+    }
+    out
+}
 
+/// Compares `actual` line by line with the committed `fixture` file (or,
+/// under `OCTO_GOLDEN_WRITE`, rewrites the file instead).
+fn check_against(fixture: &str, golden: &str, actual: &str) {
     if std::env::var("OCTO_GOLDEN_WRITE").is_ok() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/checksums.txt");
-        std::fs::write(path, &actual).expect("write golden fixture");
+        let path = format!("{}/tests/golden/{fixture}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(&path, actual).expect("write golden fixture");
         eprintln!("wrote {path}");
         return;
     }
 
     let mut mismatches = Vec::new();
-    let mut expected_lines = GOLDEN.lines();
+    let mut expected_lines = golden.lines();
     for actual_line in actual.lines() {
         match expected_lines.next() {
             Some(expected_line) if expected_line == actual_line => {}
@@ -136,8 +203,25 @@ fn golden_checksums_match_pre_refactor() {
     }
     assert!(
         mismatches.is_empty(),
-        "golden checksum drift — mapping output differs from the \
-         pre-refactor fixture:\n{}",
+        "golden drift — output differs from {fixture}:\n{}",
         mismatches.join("\n")
+    );
+}
+
+#[test]
+fn golden_checksums_match_pre_refactor() {
+    check_against(
+        "checksums.txt",
+        include_str!("golden/checksums.txt"),
+        &checksum_table(),
+    );
+}
+
+#[test]
+fn structure_visits_and_bytes_match_the_pointer_tree() {
+    check_against(
+        "structure.txt",
+        include_str!("golden/structure.txt"),
+        &structure_table(),
     );
 }

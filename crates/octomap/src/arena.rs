@@ -1,10 +1,11 @@
 //! Index-based node-pool storage for the occupancy octree.
 //!
-//! The pointer tree ([`crate::node::OcTreeNode`]) reproduces reference
-//! OctoMap's layout — and with it the root-to-leaf pointer chase the paper
-//! costs out in §3.2. This module is the alternative the related work
-//! advocates (OpenVDB-style occupancy mapping, VoxelCache): all nodes live
-//! in one `Vec`-backed pool addressed by `u32` indices.
+//! Reference OctoMap boxes every node and chases a pointer per level — the
+//! root-to-leaf walk the paper costs out in §3.2. This module is the layout
+//! the related work advocates (OpenVDB-style occupancy mapping, VoxelCache):
+//! all nodes live in one `Vec`-backed pool addressed by `u32` indices. The
+//! walk visits the same nodes in the same order; only the bytes per node
+//! and the cost per visit differ.
 //!
 //! Layout rules:
 //!
@@ -24,7 +25,6 @@
 
 use octocache_geom::VoxelKey;
 
-use crate::node::OcTreeNode;
 use crate::occupancy::OccupancyParams;
 use crate::stats::TreeStats;
 use crate::tree::LeafOp;
@@ -55,8 +55,8 @@ impl ArenaNode {
     }
 }
 
-/// A `Vec`-backed occupancy octree: the [`crate::TreeLayout::Arena`]
-/// storage behind [`crate::OccupancyOcTree`].
+/// A `Vec`-backed occupancy octree: the storage behind
+/// [`crate::OccupancyOcTree`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ArenaTree {
     nodes: Vec<ArenaNode>,
@@ -115,6 +115,12 @@ impl ArenaTree {
         if let Some(b) = self.free_blocks.pop() {
             return b;
         }
+        // Map streams grow the pool too, so the index space is checked
+        // rather than wrapped: `b + 7` must stay below `NO_BLOCK`.
+        assert!(
+            self.nodes.len() < (NO_BLOCK - 8) as usize,
+            "octree pool exceeds the u32 index space"
+        );
         let b = self.nodes.len() as u32;
         self.nodes
             .resize(self.nodes.len() + 8, ArenaNode::leaf(0.0));
@@ -124,9 +130,10 @@ impl ArenaTree {
     /// The iterative root-to-leaf round trip: descend (expanding pruned
     /// aggregates, creating missing children), apply `op` at the leaf, then
     /// unwind the recorded path — prune equal-valued sibling sets, refresh
-    /// inner values to the max of their children. Visit counting mirrors the
-    /// pointer layout's recursion exactly, so node-visit telemetry is
-    /// layout-independent.
+    /// inner values to the max of their children. Visits are counted as
+    /// reference OctoMap's recursion makes them (one per node on the way
+    /// down, one per inner node on the way up, eight per expansion), which
+    /// `core/tests/golden/structure.txt` pins.
     pub(crate) fn apply_at_leaf(
         &mut self,
         key: VoxelKey,
@@ -200,8 +207,8 @@ impl ArenaTree {
             if auto_prune && self.is_prunable(p) {
                 self.prune_node(p);
                 stats.count_prune();
-            } else if let Some(max) = self.max_child(p) {
-                self.nodes[p as usize].log_odds = max;
+            } else {
+                self.refresh_from_children(p);
             }
         }
         new
@@ -254,8 +261,8 @@ impl ArenaTree {
             } else if self.is_prunable(idx) {
                 self.prune_node(idx);
                 stats.count_prune();
-            } else if let Some(max) = self.max_child(idx) {
-                self.nodes[idx as usize].log_odds = max;
+            } else {
+                self.refresh_from_children(idx);
             }
         }
     }
@@ -294,7 +301,8 @@ impl ArenaTree {
         n.mask = 0;
     }
 
-    fn max_child(&self, idx: u32) -> Option<f32> {
+    /// The maximum value over the children of `idx`, if it has any.
+    pub(crate) fn max_child(&self, idx: u32) -> Option<f32> {
         let n = self.nodes[idx as usize];
         if n.mask == 0 {
             return None;
@@ -308,23 +316,30 @@ impl ArenaTree {
         Some(max)
     }
 
+    /// Refreshes inner node `idx` to the maximum over its children (no-op on
+    /// a childless node).
+    pub(crate) fn refresh_from_children(&mut self, idx: u32) {
+        if let Some(max) = self.max_child(idx) {
+            self.nodes[idx as usize].log_odds = max;
+        }
+    }
+
     pub(crate) fn count_nodes(&self) -> usize {
-        self.walk(|_| ()).0
+        self.walk().0
     }
 
     pub(crate) fn count_leaves(&self) -> usize {
-        self.walk(|_| ()).1
+        self.walk().1
     }
 
-    /// Visits every live node; returns (nodes, leaves).
-    fn walk(&self, mut f: impl FnMut(u32)) -> (usize, usize) {
+    /// Counts the live nodes: `(nodes, leaves)`.
+    fn walk(&self) -> (usize, usize) {
         if self.nodes.is_empty() {
             return (0, 0);
         }
         let (mut nodes, mut leaves) = (0usize, 0usize);
         let mut stack = vec![0u32];
         while let Some(idx) = stack.pop() {
-            f(idx);
             nodes += 1;
             let n = self.nodes[idx as usize];
             if n.mask == 0 {
@@ -344,9 +359,8 @@ impl ArenaTree {
     /// reindexing: whole eight-child blocks are copied and only their `block`
     /// indices rewritten — no per-voxel re-insertion, no value recomputation.
     ///
-    /// Mirrors the pointer layout's merge contract: errors when both trees
-    /// populate the same top octant or either root is childless while both
-    /// hold data.
+    /// Errors when both trees populate the same top octant or either root is
+    /// childless while both hold data.
     pub(crate) fn merge_disjoint_top_level(&mut self, other: &ArenaTree) -> Result<(), String> {
         if other.nodes.is_empty() {
             return Ok(());
@@ -376,9 +390,7 @@ impl ArenaTree {
             self.nodes[0].mask |= 1 << c;
             self.splice_children(other, o_root.block + c, dst);
         }
-        if let Some(max) = self.max_child(0) {
-            self.nodes[0].log_odds = max;
-        }
+        self.refresh_from_children(0);
         Ok(())
     }
 
@@ -412,55 +424,28 @@ impl ArenaTree {
         }
     }
 
-    /// Builds an arena from a pointer tree (same structure, same values).
-    pub(crate) fn from_pointer(root: Option<&OcTreeNode>) -> ArenaTree {
-        let mut t = ArenaTree::new();
-        let Some(root) = root else {
-            return t;
-        };
-        t.nodes.push(ArenaNode::leaf(root.log_odds()));
-        let mut stack: Vec<(&OcTreeNode, u32)> = vec![(root, 0)];
-        while let Some((n, d)) = stack.pop() {
-            if !n.has_children() {
-                continue;
-            }
-            let b = t.alloc_block();
-            t.nodes[d as usize].block = b;
-            t.nodes[d as usize].mask = n.child_mask();
-            for (i, c) in n.children() {
-                let di = b + i.as_usize() as u32;
-                t.nodes[di as usize] = ArenaNode::leaf(c.log_odds());
-                stack.push((c, di));
-            }
-        }
-        t
+    /// Decoder primitive: starts an empty pool with a childless root.
+    pub(crate) fn push_root(&mut self, log_odds: f32) {
+        debug_assert!(self.nodes.is_empty());
+        self.nodes.push(ArenaNode::leaf(log_odds));
     }
 
-    /// Materialises the pool as a pointer tree (same structure, same
-    /// values).
-    #[cfg(test)]
-    pub(crate) fn to_pointer(&self) -> Option<Box<OcTreeNode>> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        Some(Box::new(self.node_to_pointer(0)))
+    /// Decoder primitive: gives childless node `idx` a child block holding
+    /// the children named in `mask` and returns the block's base index. The
+    /// caller sets every named child's value; the slots start childless
+    /// because a pool being decoded has never freed a block.
+    pub(crate) fn add_children(&mut self, idx: u32, mask: u8) -> u32 {
+        debug_assert!(self.free_blocks.is_empty());
+        let block = self.alloc_block();
+        let n = &mut self.nodes[idx as usize];
+        n.block = block;
+        n.mask = mask;
+        block
     }
 
-    #[cfg(test)]
-    fn node_to_pointer(&self, idx: u32) -> OcTreeNode {
-        let n = self.nodes[idx as usize];
-        let mut out = OcTreeNode::new(n.log_odds);
-        if n.mask != 0 {
-            for c in 0..8u8 {
-                if n.mask & (1 << c) != 0 {
-                    let child = self.node_to_pointer(n.block + c as u32);
-                    let (slot, _) =
-                        out.child_or_create(octocache_geom::ChildIndex::new(c), child.log_odds());
-                    *slot = child;
-                }
-            }
-        }
-        out
+    /// Decoder primitive: overwrites one node's value.
+    pub(crate) fn set_log_odds(&mut self, idx: u32, log_odds: f32) {
+        self.nodes[idx as usize].log_odds = log_odds;
     }
 
     /// Structural self-check: every reachable childless node holds no block,
@@ -573,32 +558,6 @@ mod tests {
         observe(&mut t, VoxelKey::new(0, 0, 0), false, &stats);
         assert_eq!(t.nodes.len(), len_before);
         t.check_structure().unwrap();
-    }
-
-    #[test]
-    fn pointer_round_trip_preserves_structure() {
-        let mut t = ArenaTree::new();
-        let stats = TreeStats::new();
-        for (i, k) in [
-            VoxelKey::new(0, 0, 0),
-            VoxelKey::new(15, 15, 15),
-            VoxelKey::new(7, 8, 9),
-            VoxelKey::new(7, 8, 10),
-        ]
-        .iter()
-        .enumerate()
-        {
-            observe(&mut t, *k, i % 2 == 0, &stats);
-        }
-        let ptr = t.to_pointer().unwrap();
-        let back = ArenaTree::from_pointer(Some(&ptr));
-        assert_eq!(back.count_nodes(), t.count_nodes());
-        assert_eq!(back.count_leaves(), t.count_leaves());
-        back.check_structure().unwrap();
-        for x in 0..16u16 {
-            let k = VoxelKey::new(x, x % 9, x % 11);
-            assert_eq!(back.search(k, 4, &stats), t.search(k, 4, &stats));
-        }
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //!   vendors no compression/CRC crate.
 //! * [`OccupancyOcTree::leaf_checksum`](crate::OccupancyOcTree::leaf_checksum)
 //!   — an FNV-1a fold over the *decoded* leaf set `(key, level, log-odds)`,
-//!   guarding semantic round-trip fidelity. It is storage-layout independent,
-//!   so a map written from a pointer tree and re-read into an arena tree (or
-//!   vice versa) keeps the same sum.
+//!   guarding semantic round-trip fidelity. It does not depend on where nodes
+//!   sit in the pool, so a map keeps its sum across a write and a re-read.
 
 /// Streaming CRC-32 (IEEE) state.
 ///

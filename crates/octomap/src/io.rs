@@ -24,11 +24,10 @@
 use std::fmt;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use octocache_geom::{ChildIndex, VoxelGrid};
+use octocache_geom::VoxelGrid;
 
+use crate::arena::ArenaTree;
 use crate::checksum::crc32;
-use crate::layout::TreeLayout;
-use crate::node::OcTreeNode;
 use crate::occupancy::OccupancyParams;
 use crate::tree::{NodeRef, OccupancyOcTree};
 
@@ -137,7 +136,7 @@ pub(crate) fn append_footer(buf: &mut BytesMut, leaf_checksum: u64, epoch: u64) 
 /// Splits `bytes` into `(payload, footer)`, verifying the payload CRC when a
 /// v2 footer is present. v1 streams (no trailing footer magic) pass through
 /// untouched with `None`.
-pub(crate) fn split_footer(bytes: &[u8]) -> Result<(&[u8], Option<MapFooter>), ReadError> {
+fn split_footer(bytes: &[u8]) -> Result<(&[u8], Option<MapFooter>), ReadError> {
     if bytes.len() < 4 || &bytes[bytes.len() - 4..] != FOOTER_MAGIC {
         return Ok((bytes, None));
     }
@@ -222,11 +221,8 @@ fn write_node(node: NodeRef<'_>, buf: &mut BytesMut) {
 }
 
 /// Deserialises a tree from bytes produced by [`write_tree`] or
-/// [`write_tree_v2`], storing it in the ambient default layout
-/// ([`TreeLayout::default_from_env`]).
+/// [`write_tree_v2`].
 ///
-/// The byte stream is layout-independent: a map written from a pointer tree
-/// reads back into an arena tree bit-for-bit equivalently, and vice versa.
 /// When a v2 footer is present, both the payload CRC and the decoded leaf
 /// checksum are verified.
 ///
@@ -235,23 +231,11 @@ fn write_node(node: NodeRef<'_>, buf: &mut BytesMut) {
 /// Returns a [`ReadError`] on malformed input; never panics on untrusted
 /// bytes.
 pub fn read_tree(bytes: &[u8]) -> Result<OccupancyOcTree, ReadError> {
-    read_tree_with_layout(bytes, TreeLayout::default_from_env())
+    read_tree_with_meta(bytes).map(|(tree, _)| tree)
 }
 
-/// As [`read_tree`], but stores the decoded tree in an explicit layout.
-///
-/// # Errors
-///
-/// Returns a [`ReadError`] on malformed input.
-pub fn read_tree_with_layout(
-    bytes: &[u8],
-    layout: TreeLayout,
-) -> Result<OccupancyOcTree, ReadError> {
-    read_tree_with_meta(bytes, layout).map(|(tree, _)| tree)
-}
-
-/// As [`read_tree_with_layout`], additionally returning the v2 footer when
-/// the stream carries one (`None` for legacy v1 streams).
+/// As [`read_tree`], additionally returning the v2 footer when the stream
+/// carries one (`None` for legacy v1 streams).
 ///
 /// # Errors
 ///
@@ -260,10 +244,19 @@ pub fn read_tree_with_layout(
 /// when a v2 stream fails its integrity checks.
 pub fn read_tree_with_meta(
     bytes: &[u8],
-    layout: TreeLayout,
+) -> Result<(OccupancyOcTree, Option<MapFooter>), ReadError> {
+    read_verified(bytes, read_payload)
+}
+
+/// Decodes a v1 or v2 stream of either format: splits off the v2 footer if
+/// there is one (verifying the payload CRC), decodes the payload with
+/// `decode`, then verifies the decoded tree's leaf checksum.
+pub(crate) fn read_verified(
+    bytes: &[u8],
+    decode: fn(&[u8]) -> Result<OccupancyOcTree, ReadError>,
 ) -> Result<(OccupancyOcTree, Option<MapFooter>), ReadError> {
     let (payload, meta) = split_footer(bytes)?;
-    let tree = read_payload(payload, layout)?;
+    let tree = decode(payload)?;
     if let Some(meta) = &meta {
         let actual = tree.leaf_checksum();
         if actual != meta.leaf_checksum {
@@ -276,7 +269,7 @@ pub fn read_tree_with_meta(
     Ok((tree, meta))
 }
 
-fn read_payload(bytes: &[u8], layout: TreeLayout) -> Result<OccupancyOcTree, ReadError> {
+fn read_payload(bytes: &[u8]) -> Result<OccupancyOcTree, ReadError> {
     let mut buf = bytes;
     if buf.remaining() < 4 || &buf[..4] != MAGIC {
         return Err(ReadError::BadMagic);
@@ -299,20 +292,25 @@ fn read_payload(bytes: &[u8], layout: TreeLayout) -> Result<OccupancyOcTree, Rea
         return Err(ReadError::BadGrid("inconsistent occupancy params".into()));
     }
     let has_root = buf.get_u8() == 1;
-    let mut tree = OccupancyOcTree::with_layout(grid, params, layout);
+    let mut pool = ArenaTree::new();
     if has_root {
-        let root = read_node(&mut buf, depth)?;
-        if buf.has_remaining() {
-            return Err(ReadError::TrailingBytes(buf.remaining()));
-        }
-        tree.install_root(Some(Box::new(root)));
-    } else if buf.has_remaining() {
+        pool.push_root(0.0);
+        read_node(&mut buf, &mut pool, 0, depth)?;
+    }
+    if buf.has_remaining() {
         return Err(ReadError::TrailingBytes(buf.remaining()));
     }
-    Ok(tree)
+    Ok(OccupancyOcTree::from_pool(grid, params, pool))
 }
 
-fn read_node(buf: &mut &[u8], levels_left: u8) -> Result<OcTreeNode, ReadError> {
+/// Decodes the depth-first node stream straight into pool slot `idx`. The
+/// recursion is bounded by the header's tree depth (at most 16 levels).
+fn read_node(
+    buf: &mut &[u8],
+    pool: &mut ArenaTree,
+    idx: u32,
+    levels_left: u8,
+) -> Result<(), ReadError> {
     if buf.remaining() < 5 {
         return Err(ReadError::Truncated);
     }
@@ -321,20 +319,19 @@ fn read_node(buf: &mut &[u8], levels_left: u8) -> Result<OcTreeNode, ReadError> 
         return Err(ReadError::NotFinite);
     }
     let mask = buf.get_u8();
-    let mut node = OcTreeNode::new(log_odds);
+    pool.set_log_odds(idx, log_odds);
     if mask != 0 {
         if levels_left == 0 {
             return Err(ReadError::DepthOverflow);
         }
-        for i in 0..8u8 {
+        let block = pool.add_children(idx, mask);
+        for i in 0..8u32 {
             if mask & (1 << i) != 0 {
-                let child = read_node(buf, levels_left - 1)?;
-                let (slot, _) = node.child_or_create(ChildIndex::new(i), 0.0);
-                *slot = child;
+                read_node(buf, pool, block + i, levels_left - 1)?;
             }
         }
     }
-    Ok(node)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -476,7 +473,7 @@ mod tests {
         let meta = peek_footer(&bytes).unwrap().expect("footer present");
         assert_eq!(meta.epoch, 42);
         assert_eq!(meta.leaf_checksum, tree.leaf_checksum());
-        let (restored, meta2) = read_tree_with_meta(&bytes, tree.layout()).unwrap();
+        let (restored, meta2) = read_tree_with_meta(&bytes).unwrap();
         assert_eq!(meta2, Some(meta));
         assert_eq!(restored.leaf_checksum(), tree.leaf_checksum());
     }
@@ -486,7 +483,7 @@ mod tests {
         let tree = sample_tree();
         let bytes = write_tree(&tree);
         assert_eq!(peek_footer(&bytes).unwrap(), None);
-        let (restored, meta) = read_tree_with_meta(&bytes, tree.layout()).unwrap();
+        let (restored, meta) = read_tree_with_meta(&bytes).unwrap();
         assert!(meta.is_none());
         assert_eq!(restored.leaf_checksum(), tree.leaf_checksum());
     }

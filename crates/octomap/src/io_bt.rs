@@ -17,9 +17,8 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use octocache_geom::{ChildIndex, VoxelGrid};
 
-use crate::io::{append_footer, split_footer, MapFooter, ReadError};
-use crate::layout::TreeLayout;
-use crate::node::OcTreeNode;
+use crate::arena::ArenaTree;
+use crate::io::{append_footer, read_verified, MapFooter, ReadError};
 use crate::occupancy::OccupancyParams;
 use crate::tree::{NodeRef, OccupancyOcTree};
 
@@ -42,8 +41,7 @@ pub fn write_binary_tree(tree: &OccupancyOcTree) -> Bytes {
 /// tree — that is the only tree whose sum the reader can recompute.
 pub fn write_binary_tree_v2(tree: &OccupancyOcTree, epoch: u64) -> Bytes {
     let mut buf = write_payload(tree);
-    let ml =
-        read_payload(&buf[..], tree.layout()).expect("freshly written .bt payload must decode");
+    let ml = read_payload(&buf[..]).expect("freshly written .bt payload must decode");
     append_footer(&mut buf, ml.leaf_checksum(), epoch);
     buf.freeze()
 }
@@ -90,57 +88,30 @@ fn write_node(node: NodeRef<'_>, params: &OccupancyParams, buf: &mut BytesMut) {
 }
 
 /// Deserialises a `.bt`-style stream (v1 or v2) into a maximum-likelihood
-/// tree stored in the ambient default layout
-/// ([`TreeLayout::default_from_env`]). The stream itself is
-/// layout-independent.
+/// tree.
 ///
 /// # Errors
 ///
 /// Returns a [`ReadError`] for malformed input; never panics on untrusted
 /// bytes.
 pub fn read_binary_tree(bytes: &[u8]) -> Result<OccupancyOcTree, ReadError> {
-    read_binary_tree_with_layout(bytes, TreeLayout::default_from_env())
+    read_binary_tree_with_meta(bytes).map(|(tree, _)| tree)
 }
 
-/// As [`read_binary_tree`], but stores the decoded tree in an explicit
-/// layout.
-///
-/// # Errors
-///
-/// Returns a [`ReadError`] for malformed input.
-pub fn read_binary_tree_with_layout(
-    bytes: &[u8],
-    layout: TreeLayout,
-) -> Result<OccupancyOcTree, ReadError> {
-    read_binary_tree_with_meta(bytes, layout).map(|(tree, _)| tree)
-}
-
-/// As [`read_binary_tree_with_layout`], additionally returning the v2
-/// footer when the stream carries one (`None` for legacy v1 streams). The
-/// footer's payload CRC and reconstructed-tree leaf checksum are verified.
+/// As [`read_binary_tree`], additionally returning the v2 footer when the
+/// stream carries one (`None` for legacy v1 streams). The footer's payload
+/// CRC and reconstructed-tree leaf checksum are verified.
 ///
 /// # Errors
 ///
 /// Returns a [`ReadError`] for malformed input or failed integrity checks.
 pub fn read_binary_tree_with_meta(
     bytes: &[u8],
-    layout: TreeLayout,
 ) -> Result<(OccupancyOcTree, Option<MapFooter>), ReadError> {
-    let (payload, meta) = split_footer(bytes)?;
-    let tree = read_payload(payload, layout)?;
-    if let Some(meta) = &meta {
-        let actual = tree.leaf_checksum();
-        if actual != meta.leaf_checksum {
-            return Err(ReadError::LeafChecksumMismatch {
-                expected: meta.leaf_checksum,
-                actual,
-            });
-        }
-    }
-    Ok((tree, meta))
+    read_verified(bytes, read_payload)
 }
 
-fn read_payload(bytes: &[u8], layout: TreeLayout) -> Result<OccupancyOcTree, ReadError> {
+fn read_payload(bytes: &[u8]) -> Result<OccupancyOcTree, ReadError> {
     let mut buf = bytes;
     if buf.remaining() < 4 || &buf[..4] != MAGIC {
         return Err(ReadError::BadMagic);
@@ -162,68 +133,54 @@ fn read_payload(bytes: &[u8], layout: TreeLayout) -> Result<OccupancyOcTree, Rea
         return Err(ReadError::BadGrid("inconsistent occupancy params".into()));
     }
     let has_root = buf.get_u8() == 1;
-    let mut tree = OccupancyOcTree::with_layout(grid, params, layout);
+    let mut pool = ArenaTree::new();
     if has_root {
-        let mut root = OcTreeNode::new(params.threshold);
-        read_node(&mut buf, &mut root, &params, depth)?;
-        fixup_inner(&mut root);
-        if buf.has_remaining() {
-            return Err(ReadError::TrailingBytes(buf.remaining()));
-        }
-        tree.install_root(Some(Box::new(root)));
-    } else if buf.has_remaining() {
+        pool.push_root(params.threshold);
+        read_node(&mut buf, &mut pool, 0, &params, depth)?;
+    }
+    if buf.has_remaining() {
         return Err(ReadError::TrailingBytes(buf.remaining()));
     }
-    Ok(tree)
+    Ok(OccupancyOcTree::from_pool(grid, params, pool))
 }
 
+/// Decodes one node's child codes straight into the pool: leaf children get
+/// their maximum-likelihood value, inner children recurse (bounded by the
+/// header's tree depth), and the node is then refreshed to the maximum over
+/// its children.
 fn read_node(
     buf: &mut &[u8],
-    node: &mut OcTreeNode,
+    pool: &mut ArenaTree,
+    idx: u32,
     params: &OccupancyParams,
     levels_left: u8,
 ) -> Result<(), ReadError> {
     if buf.remaining() < 2 {
         return Err(ReadError::Truncated);
     }
-    let mask = buf.get_u16();
-    for i in ChildIndex::all() {
-        let code = (mask >> (2 * i.as_usize())) & 0b11;
-        match code {
+    let codes = buf.get_u16();
+    let code = |i: u32| (codes >> (2 * i)) & 0b11;
+    let mask = (0..8u32).fold(0u8, |m, i| m | (u8::from(code(i) != 0) << i));
+    if mask == 0 {
+        return Ok(());
+    }
+    let block = pool.add_children(idx, mask);
+    for i in 0..8u32 {
+        match code(i) {
             0b00 => {}
-            0b01 => {
-                let (child, _) = node.child_or_create(i, params.clamp_min);
-                child.set_log_odds(params.clamp_min);
-            }
-            0b10 => {
-                let (child, _) = node.child_or_create(i, params.clamp_max);
-                child.set_log_odds(params.clamp_max);
-            }
+            0b01 => pool.set_log_odds(block + i, params.clamp_min),
+            0b10 => pool.set_log_odds(block + i, params.clamp_max),
             _ => {
                 if levels_left <= 1 {
                     return Err(ReadError::DepthOverflow);
                 }
-                let (child, _) = node.child_or_create(i, params.threshold);
-                read_node(buf, child, params, levels_left - 1)?;
+                pool.set_log_odds(block + i, params.threshold);
+                read_node(buf, pool, block + i, params, levels_left - 1)?;
             }
         }
     }
+    pool.refresh_from_children(idx);
     Ok(())
-}
-
-/// Recomputes inner-node values bottom-up (max of children).
-fn fixup_inner(node: &mut OcTreeNode) {
-    let indices: Vec<ChildIndex> = node.children().map(|(i, _)| i).collect();
-    for i in indices {
-        if let Some(child) = node.child_mut(i) {
-            if child.has_children() {
-                fixup_inner(child);
-            }
-        }
-    }
-    if let Some(max) = node.max_child_log_odds() {
-        node.set_log_odds(max);
-    }
 }
 
 #[cfg(test)]
@@ -306,7 +263,7 @@ mod tests {
     fn v2_roundtrip_checksums_ml_tree() {
         let tree = sample_tree();
         let bytes = write_binary_tree_v2(&tree, 9);
-        let (restored, meta) = read_binary_tree_with_meta(&bytes, tree.layout()).unwrap();
+        let (restored, meta) = read_binary_tree_with_meta(&bytes).unwrap();
         let meta = meta.expect("footer present");
         assert_eq!(meta.epoch, 9);
         // The footer checksums the reconstructed ML tree, not the source.

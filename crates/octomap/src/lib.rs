@@ -2,7 +2,7 @@
 //!
 //! This crate is the *substrate* under the OctoCache reproduction: the paper
 //! accelerates OctoMap, so an OctoMap that faithfully exhibits the same
-//! bottlenecks (root-to-leaf pointer chasing on every voxel update, duplicated
+//! bottlenecks (a root-to-leaf round trip on every voxel update, duplicated
 //! voxel updates from ray tracing) has to exist first. The implementation
 //! follows Hornung et al., "OctoMap: an efficient probabilistic 3D mapping
 //! framework based on octrees" (Autonomous Robots 2013):
@@ -10,9 +10,9 @@
 //! * [`OccupancyOcTree`] — an octree storing clamped log-odds occupancy per
 //!   node; inner nodes hold the **maximum** of their children (the
 //!   conservative policy the paper assumes in §2.2); equal-valued leaf sets
-//!   are pruned. Two interchangeable storage layouts ([`TreeLayout`]): the
-//!   paper's pointer-chasing node tree, and an index-addressed arena pool
-//!   in the style of the related flat-layout work.
+//!   are pruned. Nodes live in an index-addressed arena pool in the style
+//!   of the related flat-layout work: the same root-to-leaf walk and visit
+//!   counts as reference OctoMap's boxed nodes, at 12 bytes per node.
 //! * [`OccupancyParams`] — the sensor model: per-hit/per-miss log-odds deltas
 //!   (`δ_occupied` / `δ_free`), clamping bounds and the occupancy threshold.
 //! * [`insert`] — point-cloud insertion: ray tracing each beam into free and
@@ -51,15 +51,11 @@ pub mod compare;
 pub mod insert;
 pub mod io;
 pub mod io_bt;
-mod layout;
-mod node;
 mod occupancy;
 pub mod query;
 pub mod rt;
 pub mod stats;
 mod tree;
 
-pub use layout::{ParseLayoutError, TreeLayout};
-pub use node::OcTreeNode;
 pub use occupancy::{logodds_to_prob, prob_to_logodds, OccupancyParams};
-pub use tree::{LeafEntry, OccupancyOcTree};
+pub use tree::{LeafEntry, OccupancyOcTree, TreeLayout};

@@ -40,12 +40,8 @@ pub struct ScanRecord {
     pub octree_nodes_created: u64,
     /// Bytes resident in the backend's octree storage after this scan
     /// (summed across shards on the sharded/parallel backends). O(1) to
-    /// sample: every layout maintains its allocation counters
-    /// incrementally.
+    /// sample: it is the node pool's allocated capacity.
     pub memory_bytes: u64,
-    /// Octree storage layout the backend runs on (`"pointer"` or
-    /// `"arena"`; empty on records from before this field existed).
-    pub tree_layout: String,
     /// SPSC queue depth sampled right after this scan's enqueue
     /// (parallel backend only).
     pub queue_depth_enqueue: u64,
@@ -163,7 +159,6 @@ impl ScanRecord {
             octree_leaf_updates: scan.octree_leaf_updates,
             octree_nodes_created: scan.octree_nodes_created,
             memory_bytes: scan.memory_bytes,
-            tree_layout: scan.tree_layout,
             queue_depth_enqueue: scan.queue_depth_enqueue,
             queue_depth_dequeue: scan.queue_depth_dequeue,
             mutex_wait: scan.mutex_wait,
@@ -226,8 +221,6 @@ pub struct ScanMetrics {
     pub octree_nodes_created: u64,
     /// Bytes resident in the backend's octree storage after this scan.
     pub memory_bytes: u64,
-    /// Octree storage layout the backend runs on.
-    pub tree_layout: String,
     /// SPSC queue depth sampled right after this scan's enqueue.
     pub queue_depth_enqueue: u64,
     /// SPSC queue depth sampled by the worker at the first dequeue.
@@ -328,7 +321,6 @@ mod tests {
             octree_leaf_updates: 800,
             octree_nodes_created: 20,
             memory_bytes: 1_234_567,
-            tree_layout: "arena".to_string(),
             queue_depth_enqueue: 3,
             queue_depth_dequeue: 1,
             mutex_wait: Duration::from_nanos(90),
@@ -384,7 +376,6 @@ mod tests {
             octree_leaf_updates: 12,
             octree_nodes_created: 3,
             memory_bytes: 4096,
-            tree_layout: "pointer".to_string(),
             queue_depth_enqueue: 2,
             queue_depth_dequeue: 1,
             mutex_wait: Duration::from_nanos(7),
@@ -424,7 +415,7 @@ mod tests {
         assert_eq!(r.times, scan.times);
         assert_eq!(r.observations, 100);
         assert_eq!(r.cache_hits, 60);
-        assert_eq!(r.tree_layout, "pointer");
+        assert_eq!(r.memory_bytes, 4096);
         assert_eq!(r.worker_busy_ns, vec![500]);
         assert_eq!(r.snapshot_publish_ns, 900);
         assert_eq!(r.batch_nodes_reused, 16);

@@ -141,9 +141,6 @@ pub struct HitRatioPoint {
 pub struct TraceSummary {
     /// Backend name (from the first record; traces are per-run).
     pub backend: String,
-    /// Octree storage layout (from the first record carrying one; empty
-    /// for traces recorded before the layout tag existed).
-    pub tree_layout: String,
     /// Largest octree-storage footprint sampled across the trace, bytes.
     pub peak_memory_bytes: u64,
     /// Scans in the trace.
@@ -246,9 +243,6 @@ impl TraceSummary {
             s.cache_evictions += r.cache_evictions;
             s.octree_node_visits += r.octree_node_visits;
             s.octree_leaf_updates += r.octree_leaf_updates;
-            if s.tree_layout.is_empty() && !r.tree_layout.is_empty() {
-                s.tree_layout = r.tree_layout.clone();
-            }
             s.peak_memory_bytes = s.peak_memory_bytes.max(r.memory_bytes);
             s.max_queue_depth = s.max_queue_depth.max(r.queue_depth_enqueue);
             s.max_shard_skew = s.max_shard_skew.max(r.shard_skew);
@@ -423,7 +417,6 @@ impl TraceSummary {
         );
         let doc = obj(vec![
             ("backend", Value::Str(self.backend.clone())),
-            ("tree_layout", Value::Str(self.tree_layout.clone())),
             ("scans", Value::U64(self.scans)),
             ("observations", Value::U64(self.observations)),
             ("cache_hits", Value::U64(self.cache_hits)),
@@ -499,11 +492,10 @@ impl TraceSummary {
             self.octree_leaf_updates,
             self.visits_per_update()
         );
-        if !self.tree_layout.is_empty() {
+        if self.peak_memory_bytes > 0 {
             let _ = writeln!(
                 out,
-                "  storage: {} layout, peak {:.1} KiB",
-                self.tree_layout,
+                "  storage: peak {:.1} KiB",
                 self.peak_memory_bytes as f64 / 1024.0
             );
         }
@@ -877,22 +869,32 @@ mod tests {
     }
 
     #[test]
-    fn summary_tracks_layout_and_peak_memory() {
+    fn summary_tracks_peak_memory_and_ignores_a_legacy_layout_tag() {
         let mut recs = records(4);
         for (i, r) in recs.iter_mut().enumerate() {
-            r.tree_layout = "arena".to_string();
             r.memory_bytes = 1000 * (i as u64 + 1);
         }
         recs[2].memory_bytes = 9000; // peak mid-trace (e.g. before a prune)
-        let s = TraceSummary::from_records(&recs);
-        assert_eq!(s.tree_layout, "arena");
+
+        // Traces written while the octree had two storage layouts tagged
+        // every line with a `tree_layout`; the key is ignored on read.
+        let mut buf = Vec::new();
+        write_jsonl(&mut buf, &recs).unwrap();
+        let legacy: String = String::from_utf8(buf)
+            .unwrap()
+            .lines()
+            .map(|l| l.replacen('{', "{\"tree_layout\":\"pointer\",", 1) + "\n")
+            .collect();
+        let back = read_jsonl(std::io::BufReader::new(legacy.as_bytes())).unwrap();
+        assert_eq!(back, recs);
+
+        let s = TraceSummary::from_records(&back);
         assert_eq!(s.peak_memory_bytes, 9000);
         let text = s.render();
-        assert!(text.contains("storage: arena layout"), "{text}");
-        // Legacy traces without the tag render no storage line.
-        let legacy = TraceSummary::from_records(&records(4));
-        assert_eq!(legacy.tree_layout, "");
-        assert!(!legacy.render().contains("storage:"));
+        assert!(text.contains("storage: peak 8.8 KiB"), "{text}");
+        // Records without a memory sample render no storage line.
+        let unsampled = TraceSummary::from_records(&records(4));
+        assert!(!unsampled.render().contains("storage:"));
     }
 
     #[test]
