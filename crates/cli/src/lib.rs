@@ -1136,9 +1136,10 @@ mod tests {
         };
         assert_eq!(digest(&info), digest(&info_par));
         // The default geometry's digest, pinned: it folds the serialised
-        // `CacheConfig`, so removing the `tree_layout` field moved it (it
-        // was bca0ef2a64112b2c with the field at `null`).
-        assert_eq!(digest(&info), "9a3791cc85b0a686");
+        // `CacheConfig`, so the default eviction order becoming
+        // `FullMortonSort` moved it (it was 9a3791cc85b0a686 with
+        // `BucketSequential`).
+        assert_eq!(digest(&info), "19a050a5c72dd581");
         // Different cache geometry changes the digest.
         let info_big = run(&s(&["info", &map_a, "--buckets", "32768"])).unwrap();
         assert_ne!(digest(&info), digest(&info_big));

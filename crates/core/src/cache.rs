@@ -10,9 +10,10 @@
 //!
 //! Eviction (paper §4.2.2) bounds memory: after processing a batch, any
 //! bucket holding more than `τ` cells evicts its oldest cells until `τ`
-//! remain. Scanning buckets in index order under Morton indexing emits the
-//! evicted voxels in a Morton-aligned order, which is what makes the
-//! subsequent octree update fast (§4.3).
+//! remain. Each evicted run is then sorted by full Morton code (the default
+//! [`EvictionOrder`]): the octree applies a run with its root-to-leaf path
+//! held open between consecutive cells, so Morton order — the minimiser of
+//! the paper's locality functional 𝓕 (§4.3) — is the cheapest to apply.
 
 use octocache_geom::{morton, VoxelKey};
 use octocache_octomap::OccupancyParams;
@@ -350,7 +351,7 @@ impl VoxelCache {
                     }
                 }
                 if order == EvictionOrder::FullMortonSort {
-                    out[start..].sort_by_key(|c| morton::encode(c.key));
+                    sort_morton(&mut out[start..]);
                 }
             }
             EvictionOrder::InsertionFifo => {
@@ -384,9 +385,9 @@ impl VoxelCache {
         out
     }
 
-    /// Drains *every* cell (bucket-sequential order), leaving the cache
-    /// empty. Used to flush pending state into the octree at the end of a
-    /// run.
+    /// Drains *every* cell, in the configured [`EvictionOrder`] (FIFO
+    /// drains bucket-sequentially), leaving the cache empty. Used to flush
+    /// pending state into the octree at the end of a run.
     pub fn drain_all(&mut self) -> Vec<EvictedCell> {
         let mut out = Vec::with_capacity(self.len);
         let events = &mut self.events;
@@ -400,7 +401,7 @@ impl VoxelCache {
             }));
         }
         if self.config.eviction_order() == EvictionOrder::FullMortonSort {
-            out.sort_by_key(|c| morton::encode(c.key));
+            sort_morton(&mut out);
         }
         self.stats.evictions += out.len() as u64;
         self.len = 0;
@@ -463,6 +464,14 @@ impl VoxelCache {
             .build()
             .expect("doubling a valid config stays valid");
     }
+}
+
+/// Sorts one eviction run into ascending Morton order, in place: a cache
+/// holds a voxel once, so the keys of a run are unique and an unstable sort
+/// loses nothing — and a stable one would allocate half the run again as
+/// scratch, which at a full-cache flush is megabytes of peak RSS.
+fn sort_morton(cells: &mut [EvictedCell]) {
+    cells.sort_unstable_by(|a, b| morton::cmp_keys(a.key, b.key));
 }
 
 /// Policy for growing the cache online when the hit rate underperforms.

@@ -28,19 +28,28 @@ impl fmt::Display for IndexPolicy {
 }
 
 /// The order in which evicted voxels are emitted toward the octree.
+///
+/// The order never changes the map — the batch apply
+/// (`OccupancyOcTree::set_log_odds_batch`) is exact for any order — only
+/// what the apply costs: its node visits are the summed tree distance 𝓕(S)
+/// between consecutive cells, which Morton order minimises (paper §4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EvictionOrder {
     /// Scan buckets sequentially and pop the oldest cells of each
     /// over-full bucket — the paper's design (§4.2.2). With
-    /// [`IndexPolicy::Morton`] this yields a Morton-aligned stream.
-    #[default]
+    /// [`IndexPolicy::Morton`] the stream is Morton-aligned in its low
+    /// bits only (the bucket index), so neighbouring cells still sit far
+    /// apart in the tree; kept as the ablation's middle point.
     BucketSequential,
-    /// Additionally sort the evicted batch by full Morton code. Used by the
-    /// ablation `abl_eviction_order` to bound how much locality the
-    /// bucket-sequential approximation gives up.
+    /// Sort each evicted run by full Morton code, in place — the default:
+    /// it is the order the paper's theorem names optimal, and now that the
+    /// octree keeps its path open between consecutive cells the sort costs
+    /// less than the node visits it saves.
+    #[default]
     FullMortonSort,
     /// Emit in global insertion (FIFO) order, ignoring bucket structure —
-    /// a deliberately locality-free baseline for the same ablation.
+    /// a deliberately locality-free baseline for the ablation
+    /// `abl_eviction_order`.
     InsertionFifo,
 }
 
@@ -180,7 +189,7 @@ impl Default for CacheConfig {
             num_buckets: 1 << 16,
             tau: 4,
             index_policy: IndexPolicy::Morton,
-            eviction_order: EvictionOrder::BucketSequential,
+            eviction_order: EvictionOrder::default(),
             stall_timeout: DEFAULT_STALL_TIMEOUT,
             backoff: BackoffPolicy::default(),
             checkpoint_every: 64,
@@ -579,11 +588,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_valid_morton_bucket_sequential() {
+    fn default_is_valid_morton_full_sort() {
         let c = CacheConfig::default();
         assert!(c.num_buckets().is_power_of_two());
         assert_eq!(c.index_policy(), IndexPolicy::Morton);
-        assert_eq!(c.eviction_order(), EvictionOrder::BucketSequential);
+        assert_eq!(c.eviction_order(), EvictionOrder::FullMortonSort);
         assert_eq!(c.tau(), 4);
     }
 

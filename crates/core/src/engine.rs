@@ -882,6 +882,18 @@ pub(crate) fn merge_shards<'a>(
     merged
 }
 
+/// Writes evicted cells to the tree — the one way an eviction reaches an
+/// octree, on the serial path, the workers and every fail-over. Cells hold
+/// absolute log-odds, so re-applying a share is idempotent; they arrive in
+/// Morton order ([`crate::EvictionOrder`]), which is what makes the batch
+/// cheap, not what makes it correct.
+pub(crate) fn apply_cells<'a>(
+    tree: &mut OccupancyOcTree,
+    cells: impl IntoIterator<Item = &'a EvictedCell>,
+) {
+    tree.set_log_odds_batch(cells.into_iter().map(|c| (c.key, c.log_odds)));
+}
+
 /// Applies evicted cells to the tree, wrapped in a lane-0 batch span
 /// (and a buffer drain) when the cache has event recording attached.
 pub(crate) fn apply_evictions(
@@ -893,9 +905,7 @@ pub(crate) fn apply_evictions(
     if let Some(buf) = cache.events_mut() {
         buf.emit_plain(EventKind::BatchBegin, count);
     }
-    for cell in cells {
-        tree.set_node_log_odds(cell.key, cell.log_odds);
-    }
+    apply_cells(tree, cells);
     if let Some(buf) = cache.events_mut() {
         buf.emit_plain(EventKind::BatchEnd, count);
         buf.drain();

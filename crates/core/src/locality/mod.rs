@@ -167,6 +167,8 @@ pub fn order_report(keys: &[VoxelKey], depth: u8) -> OrderReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use octocache_geom::VoxelGrid;
+    use octocache_octomap::{OccupancyOcTree, OccupancyParams};
     use proptest::prelude::*;
 
     fn keys_from(coords: &[(u16, u16, u16)]) -> Vec<VoxelKey> {
@@ -284,6 +286,36 @@ mod tests {
             let keys = keys_from(&coords.into_iter().collect::<Vec<_>>());
             let (morton_f, best) = morton_is_optimal_for(&keys, 16);
             prop_assert_eq!(morton_f, best);
+        }
+
+        /// The theorem against the real octree, not only the functional:
+        /// on a fresh tree where nothing expands or prunes (distinct values,
+        /// so no eight siblings ever agree), one eviction batch costs
+        /// exactly 𝓕(S) plus one root-to-leaf round trip in node visits —
+        /// so the Morton order of a key set is the cheapest of the six
+        /// orders to apply.
+        #[test]
+        fn prop_batch_visits_are_f_plus_one_round_trip(
+            coords in proptest::collection::hash_set((0u16..64, 0u16..64, 0u16..64), 2..80)
+        ) {
+            let grid = VoxelGrid::new(0.1, 16).unwrap();
+            let keys = keys_from(&coords.into_iter().collect::<Vec<_>>());
+            let visits = |order: VoxelOrder| {
+                let mut ordered = keys.clone();
+                order.apply(&mut ordered);
+                let mut tree = OccupancyOcTree::new(grid, OccupancyParams::default());
+                let cells = ordered.iter().enumerate().map(|(i, k)| (*k, i as f32 * 0.01));
+                tree.set_log_odds_batch(cells);
+                let stats = tree.stats().snapshot();
+                assert_eq!((stats.expansions, stats.prunes), (0, 0));
+                (stats.node_visits, locality_f(&ordered, grid.depth()))
+            };
+            let (morton_visits, _) = visits(VoxelOrder::Morton);
+            for order in VoxelOrder::ALL {
+                let (node_visits, f) = visits(order);
+                prop_assert_eq!(node_visits, f + 2 * grid.depth() as u64 + 1, "{}", order.label());
+                prop_assert!(morton_visits <= node_visits, "{} beats morton", order.label());
+            }
         }
 
         /// 𝓕 is invariant under sequence reversal.

@@ -322,14 +322,12 @@ fn push_guarded(
 }
 
 /// Re-applies `share` to `tree` under its mutex. Evicted cells carry the
-/// voxel's absolute accumulated log-odds and `set_node_log_odds` overwrites,
+/// voxel's absolute accumulated log-odds and the batch apply overwrites,
 /// so this restores exactly the state a healthy worker would have produced,
-/// whatever prefix of the batch was already applied.
+/// whatever prefix of the batch was already applied (a worker that died
+/// mid-chunk closed its open path on unwind, so the shard is a valid tree).
 fn reapply_share(tree: &Mutex<OccupancyOcTree>, share: &[EvictedCell]) {
-    let mut guard = tree.lock();
-    for cell in share {
-        guard.set_node_log_odds(cell.key, cell.log_odds);
-    }
+    engine::apply_cells(&mut tree.lock(), share);
 }
 
 /// Takes a dead worker out of rotation: joins the thread, classifies the
@@ -409,9 +407,7 @@ fn fail_stalled_worker(
     };
     match w.tree.try_lock() {
         Some(mut guard) => {
-            for cell in share {
-                guard.set_node_log_odds(cell.key, cell.log_odds);
-            }
+            engine::apply_cells(&mut guard, share);
             drop(guard);
             faults.cells_reapplied += share.len() as u64;
             if !share.is_empty() {
@@ -461,11 +457,7 @@ fn apply_inline(
         return;
     }
     match w.tree.try_lock() {
-        Some(mut guard) => {
-            for cell in share {
-                guard.set_node_log_odds(cell.key, cell.log_odds);
-            }
-        }
+        Some(mut guard) => engine::apply_cells(&mut guard, share),
         None => {
             // The wedged worker holds the shard mutex; these cells cannot
             // be applied at all.
@@ -1411,7 +1403,7 @@ impl ScanExecutor for ParallelExecutor {
         // Runs between scans (queues drained, retained batch already
         // applied), so applying drained cells inline under the shard
         // mutexes is race-free and map-neutral: cells carry absolute
-        // log-odds and `set_node_log_odds` overwrites. The retained batch
+        // log-odds and the batch apply overwrites. The retained batch
         // share predates this drain, but a later re-apply only ever uses
         // the share of the batch in flight at failure time, which
         // post-dates it.
@@ -1426,9 +1418,8 @@ impl ScanExecutor for ParallelExecutor {
                 // A wedged worker's cells are undeliverable; the map is
                 // already Compromised by the wedge itself.
                 if let Some(mut g) = guard {
-                    for cell in cells.iter().filter(|c| self.router.shard_of(c.key) == i) {
-                        g.set_node_log_odds(cell.key, cell.log_odds);
-                    }
+                    let share = cells.iter().filter(|c| self.router.shard_of(c.key) == i);
+                    engine::apply_cells(&mut g, share);
                 }
             }
         }
@@ -1611,18 +1602,14 @@ fn worker_loop(
                 let mut abandoned_mid_batch = false;
                 let guard_start = Instant::now();
                 let mut guard = tree.lock();
-                for cell in &chunk {
-                    guard.set_node_log_odds(cell.key, cell.log_odds);
-                }
+                engine::apply_cells(&mut guard, &chunk);
                 loop {
                     match consumer.try_pop() {
                         Some(Item::Chunk(chunk)) => {
                             if let Some(buf) = &mut events {
                                 buf.emit_plain(EventKind::QueueDequeue, consumer.len() as u64 + 1);
                             }
-                            for cell in &chunk {
-                                guard.set_node_log_odds(cell.key, cell.log_odds);
-                            }
+                            engine::apply_cells(&mut guard, &chunk);
                             cells += chunk.len() as u64;
                             pops += 1;
                         }

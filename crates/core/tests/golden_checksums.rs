@@ -11,10 +11,14 @@
 //! * `tests/golden/structure.txt` plus three map files — the answers of
 //!   the boxed-node pointer octree that the node pool replaced, frozen at
 //!   the last commit that had both (37f50be): pruned node and leaf counts,
-//!   node visits of the octomap and serial backends, CRC-32 of the `.ot`
-//!   and `.bt` serialisations, and `.ot` (v1, v2) / `.bt` files the pointer
-//!   tree wrote. The pointer tree was the differential oracle; this table
-//!   is what remains of it.
+//!   node visits of the octomap backend, CRC-32 of the `.ot` and `.bt`
+//!   serialisations, and `.ot` (v1, v2) / `.bt` files the pointer tree
+//!   wrote. The pointer tree was the differential oracle; this table is
+//!   what remains of it. One column is younger: `visits_serial` is what
+//!   the serial backend pays since evictions are Morton-sorted and applied
+//!   through `set_log_odds_batch` (𝓕(S) plus one round trip per eviction
+//!   run, 2.3–3.0× fewer than the pointer tree's one round trip per cell);
+//!   every other column is byte-identical to the pointer tree's.
 //!
 //! Regenerate the two tables (after an *intentional* mapping-behaviour
 //! change only) with:

@@ -127,91 +127,80 @@ impl ArenaTree {
         b
     }
 
-    /// The iterative root-to-leaf round trip: descend (expanding pruned
-    /// aggregates, creating missing children), apply `op` at the leaf, then
-    /// unwind the recorded path — prune equal-valued sibling sets, refresh
-    /// inner values to the max of their children. Visits are counted as
-    /// reference OctoMap's recursion makes them (one per node on the way
-    /// down, one per inner node on the way up, eight per expansion), which
-    /// `core/tests/golden/structure.txt` pins.
-    pub(crate) fn apply_at_leaf(
-        &mut self,
-        key: VoxelKey,
+    /// Opens a write path on the tree: see [`OpenPath`].
+    pub(crate) fn open_path<'a>(
+        &'a mut self,
         depth: u8,
+        params: &'a OccupancyParams,
+        stats: &'a TreeStats,
+        auto_prune: bool,
+    ) -> OpenPath<'a> {
+        debug_assert!(depth as usize <= 16);
+        OpenPath {
+            tree: self,
+            params,
+            stats,
+            depth,
+            auto_prune,
+            path: [0; 17],
+            level: depth + 1,
+            key: VoxelKey::new(0, 0, 0),
+        }
+    }
+
+    /// One level of the descent: from inner node `idx` into child `child`,
+    /// expanding `idx` first when it is a pruned aggregate (childless and
+    /// not `fresh`, i.e. not created by this very descent) so the sibling
+    /// octants keep their value, and creating the child when it is missing.
+    /// Returns the child's index and whether it was just created.
+    #[inline]
+    fn step_down(
+        &mut self,
+        idx: u32,
+        child: usize,
+        fresh: bool,
         params: &OccupancyParams,
         stats: &TreeStats,
-        auto_prune: bool,
-        op: LeafOp,
-    ) -> f32 {
-        let mut fresh = false;
-        if self.nodes.is_empty() {
-            self.nodes.push(ArenaNode::leaf(params.threshold));
+    ) -> (u32, bool) {
+        let bit = 1u8 << child;
+        let node = self.nodes[idx as usize];
+        if !fresh && node.mask == 0 {
+            let block = self.alloc_block();
+            for s in 0..8u32 {
+                self.nodes[(block + s) as usize] = ArenaNode::leaf(node.log_odds);
+            }
+            let n = &mut self.nodes[idx as usize];
+            n.block = block;
+            n.mask = 0xff;
+            stats.count_expansion();
+            stats.count_visits(8);
+        }
+        let mut created = false;
+        if self.nodes[idx as usize].mask & bit == 0 {
+            if self.nodes[idx as usize].block == NO_BLOCK {
+                let b = self.alloc_block();
+                self.nodes[idx as usize].block = b;
+            }
+            let b = self.nodes[idx as usize].block;
+            self.nodes[(b + child as u32) as usize] = ArenaNode::leaf(params.threshold);
+            self.nodes[idx as usize].mask |= bit;
             stats.count_created();
-            fresh = true;
+            created = true;
         }
-        debug_assert!(depth as usize <= 16);
-        let mut path = [0u32; 16];
-        let mut idx = 0u32;
-        let mut level = depth;
-        while level > 0 {
-            stats.count_visit();
-            let child = key.child_index(level - 1).as_usize();
-            let bit = 1u8 << child;
-            let node = self.nodes[idx as usize];
-            if !fresh && node.mask == 0 {
-                // Childless non-fresh node: a pruned aggregate. Expand it so
-                // the sibling octants keep their value.
-                let block = self.alloc_block();
-                for s in 0..8u32 {
-                    self.nodes[(block + s) as usize] = ArenaNode::leaf(node.log_odds);
-                }
-                let n = &mut self.nodes[idx as usize];
-                n.block = block;
-                n.mask = 0xff;
-                stats.count_expansion();
-                stats.count_visits(8);
-            }
-            let mut created = false;
-            if self.nodes[idx as usize].mask & bit == 0 {
-                if self.nodes[idx as usize].block == NO_BLOCK {
-                    let b = self.alloc_block();
-                    self.nodes[idx as usize].block = b;
-                }
-                let b = self.nodes[idx as usize].block;
-                self.nodes[(b + child as u32) as usize] = ArenaNode::leaf(params.threshold);
-                self.nodes[idx as usize].mask |= bit;
-                stats.count_created();
-                created = true;
-            }
-            path[(depth - level) as usize] = idx;
-            idx = self.nodes[idx as usize].block + child as u32;
-            fresh = created;
-            level -= 1;
-        }
+        (self.nodes[idx as usize].block + child as u32, created)
+    }
 
-        stats.count_visit();
-        let leaf = &mut self.nodes[idx as usize];
-        let new = match op {
-            LeafOp::Observe { occupied } => params.apply(leaf.log_odds, occupied),
-            LeafOp::Add { delta } => params.clamp(leaf.log_odds + delta),
-            LeafOp::Set { value } => params.clamp(value),
-        };
-        leaf.log_odds = new;
-        stats.count_leaf_update();
-
-        // Unwind: indices are stable (the pool never compacts), so the path
-        // recorded on the way down stays valid while descendants prune.
-        for d in (0..depth).rev() {
-            let p = path[d as usize];
-            stats.count_visit();
-            if auto_prune && self.is_prunable(p) {
-                self.prune_node(p);
-                stats.count_prune();
-            } else {
-                self.refresh_from_children(p);
-            }
+    /// Closes inner node `idx` once everything below it is final: merges
+    /// eight equal childless children into it, else refreshes its value to
+    /// the max of its children.
+    #[inline]
+    fn close_node(&mut self, idx: u32, auto_prune: bool, stats: &TreeStats) {
+        if auto_prune && self.is_prunable(idx) {
+            self.prune_node(idx);
+            stats.count_prune();
+        } else {
+            self.refresh_from_children(idx);
         }
-        new
     }
 
     /// Iterative lookup: one index add per level, no pointer dereference.
@@ -258,11 +247,8 @@ impl ArenaTree {
                         stack.push((n.block + c, level - 1, false));
                     }
                 }
-            } else if self.is_prunable(idx) {
-                self.prune_node(idx);
-                stats.count_prune();
             } else {
-                self.refresh_from_children(idx);
+                self.close_node(idx, true, stats);
             }
         }
     }
@@ -513,6 +499,112 @@ impl ArenaTree {
     }
 }
 
+/// A root-to-leaf write path kept open between consecutive leaf updates —
+/// the cursor behind every tree write, one cell or a whole eviction batch.
+///
+/// Moving to the next key closes (prune-or-refresh, once) only the nodes
+/// below its common ancestor with the previous key and descends only from
+/// there; [`close`](Self::close) closes what is still open, and the tree is
+/// valid again. Nodes above the common ancestor are thus closed after every
+/// write beneath them instead of after each, which leaves the same leaves
+/// and the same pruned structure as one full round trip per key, for any
+/// key order.
+///
+/// Visits are counted as reference OctoMap's recursion makes them — one per
+/// node on the way down, one per inner node closed, eight per expansion —
+/// so a single update costs `2·depth + 1` (`core/tests/golden/structure.txt`
+/// pins it) and each further distinct key adds its tree distance to the
+/// previous one: the paper's 𝓕(S) (§4.3) is the batch's cost.
+pub(crate) struct OpenPath<'a> {
+    tree: &'a mut ArenaTree,
+    params: &'a OccupancyParams,
+    stats: &'a TreeStats,
+    depth: u8,
+    auto_prune: bool,
+    /// `path[depth - l]` is the open node at level `l` (the root is level
+    /// `depth`, a leaf level 0). Indices are stable (the pool never
+    /// compacts), so entries stay valid while nodes below them prune.
+    path: [u32; 17],
+    /// Level of the deepest open node; `depth + 1` while nothing is open.
+    level: u8,
+    /// The leaf the path ends at, once `level` has reached 0.
+    key: VoxelKey,
+}
+
+impl OpenPath<'_> {
+    /// Moves the path to `key`'s leaf, applies `op` there and returns the
+    /// new value.
+    #[inline]
+    pub(crate) fn apply(&mut self, key: VoxelKey, op: LeafOp) -> f32 {
+        let depth = self.depth;
+        let mut fresh = false;
+        if self.level > depth {
+            if self.tree.nodes.is_empty() {
+                self.tree.nodes.push(ArenaNode::leaf(self.params.threshold));
+                self.stats.count_created();
+                fresh = true;
+            }
+            self.path[0] = 0;
+            self.level = depth;
+        } else {
+            self.close_below(self.key.common_ancestor_level(key, depth));
+        }
+        let mut idx = self.path[(depth - self.level) as usize];
+        while self.level > 0 {
+            self.stats.count_visit();
+            let child = key.child_index(self.level - 1).as_usize();
+            (idx, fresh) = self
+                .tree
+                .step_down(idx, child, fresh, self.params, self.stats);
+            self.level -= 1;
+            self.path[(depth - self.level) as usize] = idx;
+        }
+        self.key = key;
+
+        self.stats.count_visit();
+        let leaf = &mut self.tree.nodes[idx as usize];
+        let new = match op {
+            LeafOp::Observe { occupied } => self.params.apply(leaf.log_odds, occupied),
+            LeafOp::Add { delta } => self.params.clamp(leaf.log_odds + delta),
+            LeafOp::Set { value } => self.params.clamp(value),
+        };
+        leaf.log_odds = new;
+        self.stats.count_leaf_update();
+        new
+    }
+
+    /// Closes every node still open, deepest first.
+    #[inline]
+    pub(crate) fn close(&mut self) {
+        self.close_below(self.depth + 1);
+    }
+
+    /// Closes the open inner nodes below level `upto`, deepest first.
+    #[inline]
+    fn close_below(&mut self, upto: u8) {
+        while self.level < upto {
+            if self.level > 0 {
+                self.stats.count_visit();
+                let idx = self.path[(self.depth - self.level) as usize];
+                self.tree.close_node(idx, self.auto_prune, self.stats);
+            }
+            self.level += 1;
+        }
+    }
+}
+
+/// An [`OpenPath`] that is closed when dropped, so a batch whose cell
+/// iterator panics still leaves a valid tree. A single update closes its
+/// path itself instead: keeping the path where an unwind could find it cost
+/// the per-observation update 7 %.
+pub(crate) struct ClosedOnDrop<'a>(pub(crate) OpenPath<'a>);
+
+impl Drop for ClosedOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,7 +614,11 @@ mod tests {
     }
 
     fn observe(t: &mut ArenaTree, key: VoxelKey, occupied: bool, stats: &TreeStats) -> f32 {
-        t.apply_at_leaf(key, 4, &params(), stats, true, LeafOp::Observe { occupied })
+        let params = params();
+        let mut path = t.open_path(4, &params, stats, true);
+        let new = path.apply(key, LeafOp::Observe { occupied });
+        path.close();
+        new
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use octocache_geom::{ChildIndex, GeomError, Point3, VoxelGrid, VoxelKey};
 
-use crate::arena::ArenaTree;
+use crate::arena::{ArenaTree, ClosedOnDrop, OpenPath};
 use crate::occupancy::OccupancyParams;
 use crate::stats::TreeStats;
 
@@ -34,11 +34,13 @@ impl LeafEntry {
 /// The OctoMap occupancy octree.
 ///
 /// Stores clamped log-odds occupancy in an octree of depth
-/// [`VoxelGrid::depth`]. Every update is a root-to-leaf round trip: descend
-/// to the leaf (expanding pruned aggregates on the way), apply the update,
-/// then propagate values back up (inner value = max of children) and prune
-/// equal-valued sibling sets — the exact workflow of reference OctoMap and
-/// the cost model of the paper's §2.2/Figure 5.
+/// [`VoxelGrid::depth`]. Every single update is a root-to-leaf round trip:
+/// descend to the leaf (expanding pruned aggregates on the way), apply the
+/// update, then propagate values back up (inner value = max of children)
+/// and prune equal-valued sibling sets — the exact workflow of reference
+/// OctoMap and the cost model of the paper's §2.2/Figure 5. Only
+/// [`set_log_odds_batch`](Self::set_log_odds_batch) shares that trip
+/// between consecutive cells.
 ///
 /// Nodes live in a `Vec`-backed pool addressed by `u32` indices: the eight
 /// children of a node sit in one contiguous block, and pruning recycles
@@ -199,14 +201,36 @@ impl OccupancyOcTree {
         self.apply_at_leaf(key, LeafOp::Set { value })
     }
 
+    /// Overwrites the log-odds of every `(key, value)` in `cells`, in the
+    /// order given, leaving exactly the tree one
+    /// [`set_node_log_odds`](Self::set_node_log_odds) per cell would leave
+    /// (a repeated key keeps its last value) — but holding the root-to-leaf
+    /// path open from one cell to the next, so a cell pays only for the
+    /// nodes below its common ancestor with the previous one. The node
+    /// visits of a batch of distinct keys are their summed tree distance
+    /// 𝓕(S) plus one round trip, which is why evictions arrive in Morton
+    /// order (paper §4.3). If `cells` panics the path is closed on unwind
+    /// and the tree stays valid.
+    pub fn set_log_odds_batch(&mut self, cells: impl IntoIterator<Item = (VoxelKey, f32)>) {
+        let mut path = ClosedOnDrop(self.open_path());
+        for (key, value) in cells {
+            path.0.apply(key, LeafOp::Set { value });
+        }
+    }
+
     fn apply_at_leaf(&mut self, key: VoxelKey, op: LeafOp) -> f32 {
-        self.nodes.apply_at_leaf(
-            key,
+        let mut path = self.open_path();
+        let new = path.apply(key, op);
+        path.close();
+        new
+    }
+
+    fn open_path(&mut self) -> OpenPath<'_> {
+        self.nodes.open_path(
             self.grid.depth(),
             &self.params,
             &self.stats,
             self.auto_prune,
-            op,
         )
     }
 
@@ -886,6 +910,78 @@ mod tests {
         assert_eq!(tree.is_occupied(VoxelKey::new(1, 0, 1)), Some(true));
     }
 
+    #[test]
+    fn batch_on_an_empty_tree() {
+        let mut tree = small_tree();
+        tree.set_log_odds_batch([]);
+        assert!(tree.is_empty(), "an empty batch creates no root");
+        tree.check_invariants().unwrap();
+
+        let cells = [
+            (VoxelKey::new(9, 1, 4), 1.5),
+            (VoxelKey::new(0, 0, 0), -0.5),
+            (VoxelKey::new(9, 1, 5), 0.25),
+            (VoxelKey::new(9, 1, 4), 100.0), // repeated: the last value wins, clamped
+        ];
+        tree.set_log_odds_batch(cells);
+        tree.check_invariants().unwrap();
+        let mut twin = small_tree();
+        for (key, value) in cells {
+            twin.set_node_log_odds(key, value);
+        }
+        assert_eq!(tree.search(cells[0].0), Some(tree.params().clamp_max));
+        assert_eq!(tree.leaf_checksum(), twin.leaf_checksum());
+        assert_eq!(tree.num_nodes(), twin.num_nodes());
+        assert_eq!(tree.stats().leaf_updates(), 4);
+    }
+
+    #[test]
+    fn batch_visits_are_one_round_trip_plus_the_tree_distances() {
+        let mut tree = small_tree();
+        // (key, tree distance to the previous key)
+        let keys = [
+            (VoxelKey::new(0, 0, 0), 0),
+            (VoxelKey::new(1, 0, 0), 2),                 // sibling
+            (VoxelKey::new(1, 0, 0), 0),                 // same leaf: one visit to rewrite it
+            (VoxelKey::new(3, 3, 3), 4),                 // level-2 ancestor
+            (VoxelKey::new(15, 0, 9), 2 * DEPTH as u64), // only the root in common
+        ];
+        let cells = keys.iter().enumerate();
+        tree.set_log_odds_batch(cells.map(|(i, (k, _))| (*k, i as f32 * 0.1)));
+        let distances: u64 = keys.iter().map(|(_, d)| d).sum();
+        assert_eq!(
+            tree.stats().node_visits(),
+            2 * DEPTH as u64 + 1 + distances + 1
+        );
+    }
+
+    #[test]
+    fn batch_closes_its_path_when_the_cells_panic() {
+        let mut tree = small_tree();
+        tree.set_node_log_odds(VoxelKey::new(2, 2, 2), -1.0);
+        let cells = [
+            (VoxelKey::new(12, 3, 7), 2.0),
+            (VoxelKey::new(12, 3, 6), 3.0),
+            (VoxelKey::new(1, 1, 1), 1.0),
+        ];
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tree.set_log_odds_batch(cells.iter().map(|&(key, value)| {
+                assert!(value != 1.0, "the producer died mid-batch");
+                (key, value)
+            }));
+        }));
+        assert!(unwound.is_err());
+        // The two cells that were written stay written, under inner nodes
+        // that were refreshed on the way out: a valid tree to re-apply to.
+        tree.check_invariants().unwrap();
+        assert_eq!(tree.root_log_odds(), Some(3.0));
+        assert_eq!(tree.search(cells[1].0), Some(3.0));
+        assert_eq!(tree.search(cells[2].0), None);
+        tree.set_log_odds_batch(cells);
+        tree.check_invariants().unwrap();
+        assert_eq!(tree.search(cells[2].0), Some(1.0));
+    }
+
     /// Depth of [`small_tree`]'s grid.
     const DEPTH: u8 = 4;
 
@@ -948,50 +1044,102 @@ mod tests {
         /// whole tree contract. Steps are leaf updates (observe / add /
         /// set), octant saturations (eight equal siblings, which prune to
         /// one aggregate that later updates expand again from the
-        /// free-list) and whole-tree prunes, with auto-prune on or off. The
-        /// pool invariants hold after every step; at the end every voxel of
-        /// the grid, touched or not, reads as the model says, the pruned
+        /// free-list), whole-tree prunes and `set_log_odds_batch` calls
+        /// (cells as drawn, Morton-sorted, with every key repeated, or
+        /// around an octant that saturates — and prunes — mid-batch and is
+        /// written into again; often empty, or first on an empty tree),
+        /// with auto-prune on or off. After every step the pool invariants
+        /// hold and the tree equals a twin that takes each batch one
+        /// `set_node_log_odds` at a time; at the end every voxel of the
+        /// grid, touched or not, reads as the model says, the pruned
         /// structure has the model's node and leaf counts, per-octant shards
         /// merge to the same tree, and `.ot` / `.bt` streams re-serialise
         /// byte-identically.
         #[test]
         fn prop_matches_flat_reference(
             steps in proptest::collection::vec(
-                ((0u16..16, 0u16..16, 0u16..16), 0u8..5, -3.0f32..3.0),
+                (
+                    (0u16..16, 0u16..16, 0u16..16),
+                    0u8..9,
+                    -3.0f32..3.0,
+                    proptest::collection::vec(((0u16..16, 0u16..16, 0u16..16), -3.0f32..3.0), 0..24),
+                ),
                 1..200
             ),
             lazy in proptest::bool::ANY,
         ) {
             let mut tree = small_tree();
             tree.set_auto_prune(!lazy);
+            let mut twin = small_tree();
+            twin.set_auto_prune(!lazy);
             // One shard per top-level octant, as the sharded backends keep.
             let mut shards: Vec<OccupancyOcTree> = (0..8).map(|_| small_tree()).collect();
             let params = *tree.params();
             let mut reference: HashMap<VoxelKey, f32> = HashMap::new();
-            for ((x, y, z), kind, value) in steps {
+            for ((x, y, z), kind, value, cells) in steps {
                 let key = VoxelKey::new(x, y, z);
+                let octant = |value: f32| {
+                    (0..8u16).map(move |c| {
+                        let sibling =
+                            VoxelKey::new(x & !1 | c & 1, y & !1 | (c >> 1) & 1, z & !1 | c >> 2);
+                        (sibling, value)
+                    })
+                };
+                let set = |(k, value): (VoxelKey, f32)| (k, LeafOp::Set { value });
+                let mut cells: Vec<(VoxelKey, f32)> = cells
+                    .into_iter()
+                    .map(|((x, y, z), v)| (VoxelKey::new(x, y, z), v))
+                    .collect();
                 let updates: Vec<(VoxelKey, LeafOp)> = match kind {
                     0 => vec![(key, LeafOp::Observe { occupied: value > 0.0 })],
                     1 => vec![(key, LeafOp::Add { delta: value })],
                     2 => vec![(key, LeafOp::Set { value })],
-                    3 => (0..8u16)
-                        .map(|c| {
-                            let sibling =
-                                VoxelKey::new(x & !1 | c & 1, y & !1 | (c >> 1) & 1, z & !1 | c >> 2);
-                            (sibling, LeafOp::Set { value: params.clamp_max })
-                        })
-                        .collect(),
-                    _ => {
+                    3 => octant(params.clamp_max).map(set).collect(),
+                    4 => {
                         tree.prune();
+                        twin.prune();
+                        Vec::new()
+                    }
+                    _ => {
+                        match kind {
+                            5 => {}
+                            6 => cells.sort_by_key(|c| morton::encode(c.0)),
+                            // Every key again, in reverse, with another value.
+                            7 => cells.extend(cells.clone().into_iter().rev().map(|(k, v)| (k, -v))),
+                            _ => {
+                                let rest = cells.split_off(cells.len() / 2);
+                                cells.extend(octant(params.clamp_max));
+                                cells.extend(rest);
+                                cells.push((key, value));
+                            }
+                        }
+                        tree.set_log_odds_batch(cells.iter().copied());
+                        for &(k, value) in &cells {
+                            let expected = model_apply(&mut reference, &params, k, LeafOp::Set { value });
+                            prop_assert_eq!(twin.set_node_log_odds(k, value), expected);
+                            shards[k.child_index(DEPTH - 1).as_usize()].set_node_log_odds(k, value);
+                        }
                         Vec::new()
                     }
                 };
                 for (k, op) in updates {
                     let expected = model_apply(&mut reference, &params, k, op);
                     prop_assert_eq!(tree.apply_at_leaf(k, op), expected);
+                    twin.apply_at_leaf(k, op);
                     shards[k.child_index(DEPTH - 1).as_usize()].apply_at_leaf(k, op);
                 }
                 tree.check_invariants().unwrap();
+                twin.check_invariants().unwrap();
+                prop_assert_eq!(tree.leaf_checksum(), twin.leaf_checksum());
+                prop_assert_eq!(
+                    (tree.num_nodes(), tree.num_leaves()),
+                    (twin.num_nodes(), twin.num_leaves())
+                );
+                prop_assert_eq!(crate::io::write_tree(&tree), crate::io::write_tree(&twin));
+                prop_assert_eq!(
+                    crate::io_bt::write_binary_tree(&tree),
+                    crate::io_bt::write_binary_tree(&twin)
+                );
                 if kind == 3 {
                     // With auto-prune on this lands on the pruned aggregate.
                     prop_assert_eq!(tree.search(key), Some(params.clamp_max));
