@@ -326,7 +326,7 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     };
     let mut cache_builder = CacheConfig::builder();
     cache_builder
-        .num_buckets(buckets.next_power_of_two())
+        .num_buckets(buckets.checked_next_power_of_two().unwrap_or(usize::MAX))
         .tau(tau);
     // Supervisor knobs: a resident-memory budget for the pressure governor,
     // a worker-respawn budget, and the admission gate's latency deadline.
@@ -839,7 +839,7 @@ fn engine_line(flags: &[(&str, &str)]) -> Result<String, CliError> {
     };
     let mut cache_builder = CacheConfig::builder();
     cache_builder
-        .num_buckets(buckets.next_power_of_two())
+        .num_buckets(buckets.checked_next_power_of_two().unwrap_or(usize::MAX))
         .tau(tau);
     let cache = cache_builder.build().map_err(|e| e.to_string())?;
     Ok(format!(
@@ -1498,6 +1498,22 @@ mod tests {
         // Usage errors stay exit code 2.
         let err = run(&s(&["frobnicate"])).unwrap_err();
         assert_eq!(err.exit_code(), 2);
+
+        // A cache geometry no machine could allocate is one of them, not an
+        // allocation request: the cache reserves `buckets × tau` cells up
+        // front.
+        run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
+        for geometry in [
+            ["--tau", "1000000", "--buckets", "65536"],
+            ["--tau", "4", "--buckets", "18446744073709551615"],
+            ["--tau", "18446744073709551615", "--buckets", "16"],
+        ] {
+            let mut args = s(&["build", &log, &map_out]);
+            args.extend(s(&geometry));
+            let err = run(&args).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{geometry:?}: {err}");
+            assert_eq!(err.exit_code(), 2);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The flattened, table-based voxel cache (paper §4.2–4.3).
 //!
-//! The cache is an array of `w` buckets, each a small vector of cells
-//! `(voxel key, accumulated log-odds)` in insertion order. A voxel maps to a
-//! bucket by `hash(v) & (w-1)` or `morton(v) & (w-1)` depending on the
+//! The cache is one slab of `w × τ` cells `(voxel key, accumulated
+//! log-odds)`, allocated once: bucket `b` owns slots `b·τ .. (b+1)·τ`,
+//! oldest first, and an 8-byte header (cell count, spill head). A voxel maps
+//! to a bucket by `hash(v) & (w-1)` or `morton(v) & (w-1)` depending on the
 //! [`IndexPolicy`]. Because cells store the *accumulated* occupancy — seeded
 //! from the octree on a miss — a cache hit answers queries with exactly the
 //! value vanilla OctoMap would return, which is the paper's query-consistency
@@ -10,10 +11,16 @@
 //!
 //! Eviction (paper §4.2.2) bounds memory: after processing a batch, any
 //! bucket holding more than `τ` cells evicts its oldest cells until `τ`
-//! remain. Each evicted run is then sorted by full Morton code (the default
-//! [`EvictionOrder`]): the octree applies a run with its root-to-leaf path
-//! held open between consecutive cells, so Morton order — the minimiser of
-//! the paper's locality functional 𝓕 (§4.3) — is the cheapest to apply.
+//! remain. Between two passes a bucket may therefore exceed `τ` (the paper's
+//! one-batch overshoot); the cells past its `τ`-th go to one shared spill
+//! vector, chained per bucket in insertion order. A pass trims every bucket
+//! to `τ`, so it rewrites each spilled bucket's newest `τ` cells into the
+//! inline slots and leaves the spill empty — there is no free list and no
+//! per-bucket heap block. Each evicted run is then sorted by full Morton
+//! code (the default [`EvictionOrder`]): the octree applies a run with its
+//! root-to-leaf path held open between consecutive cells, so Morton order —
+//! the minimiser of the paper's locality functional 𝓕 (§4.3) — is the
+//! cheapest to apply.
 
 use octocache_geom::{morton, VoxelKey};
 use octocache_octomap::OccupancyParams;
@@ -34,17 +41,46 @@ pub struct EvictedCell {
     pub log_odds: f32,
 }
 
+/// A resident cell: exactly what eviction hands to the octree.
+type Cell = EvictedCell;
+
+/// The slab's footprint is `w × τ` of these ([`CacheConfig::resident_bytes`]).
+const _: () = assert!(std::mem::size_of::<Cell>() == 12);
+
+/// End of a spill chain.
+const NIL: u32 = u32::MAX;
+
+/// Per-bucket header: the bucket's first `min(len, τ)` cells are inline,
+/// the rest hang off `spill` in insertion order.
 #[derive(Debug, Clone, Copy)]
-struct Cell {
-    key: VoxelKey,
-    log_odds: f32,
-    /// Global insertion sequence number (for the FIFO ablation order).
+struct Header {
+    len: u32,
+    spill: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Spilled {
+    cell: Cell,
+    next: u32,
+}
+
+/// What only the FIFO ablation and the event layer read of a cell, kept
+/// out of the slab.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cold {
+    /// Global insertion sequence number (the FIFO ablation order).
     seq: u64,
-    /// Hits absorbed while resident (reported on the eviction event; only
-    /// maintained when event recording is on).
-    hits: u32,
     /// Scan index on which the cell was inserted (event recording only).
     born_scan: u64,
+    /// Hits absorbed while resident (reported on the eviction event).
+    hits: u32,
+}
+
+/// Where a resident cell lives: an index into the slab or into the spill.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Inline(usize),
+    Spill(usize),
 }
 
 /// Running counters of cache behaviour.
@@ -104,6 +140,182 @@ impl CacheStats {
     }
 }
 
+/// The cache's storage: the slab, the bucket headers and the spill.
+#[derive(Debug)]
+struct Table {
+    tau: usize,
+    /// `w × τ` slots; bucket `b` owns `b·τ .. (b+1)·τ`, oldest first.
+    cells: Vec<Cell>,
+    heads: Vec<Header>,
+    /// Cells past their bucket's `τ`-th since the last eviction pass.
+    spill: Vec<Spilled>,
+    /// The buckets that own a spill chain.
+    spilled: Vec<u32>,
+    /// Parallel to `cells` and `spill`; both empty unless tracked.
+    cold_cells: Vec<Cold>,
+    cold_spill: Vec<Cold>,
+}
+
+impl Table {
+    fn new(config: &CacheConfig, tracked: bool) -> Self {
+        let empty = Cell {
+            key: VoxelKey::default(),
+            log_odds: 0.0,
+        };
+        let mut table = Table {
+            tau: config.tau(),
+            cells: vec![empty; config.capacity_after_eviction()],
+            heads: vec![Header { len: 0, spill: NIL }; config.num_buckets()],
+            spill: Vec::new(),
+            spilled: Vec::new(),
+            cold_cells: Vec::new(),
+            cold_spill: Vec::new(),
+        };
+        if tracked {
+            table.track();
+        }
+        table
+    }
+
+    fn tracked(&self) -> bool {
+        !self.cold_cells.is_empty()
+    }
+
+    /// Starts keeping the cold fields (cells already resident read as
+    /// never hit, born on scan 0).
+    fn track(&mut self) {
+        if !self.tracked() {
+            self.cold_cells = vec![Cold::default(); self.cells.len()];
+            self.cold_spill = vec![Cold::default(); self.spill.len()];
+        }
+    }
+
+    /// The slot holding `key` in `bucket`, or the tail of the bucket's spill
+    /// chain (`NIL` without one) for [`Table::push`] to append after.
+    #[inline]
+    fn find(&self, bucket: usize, key: VoxelKey) -> Result<Slot, u32> {
+        let head = self.heads[bucket];
+        let base = bucket * self.tau;
+        let inline = &self.cells[base..base + (head.len as usize).min(self.tau)];
+        if let Some(i) = inline.iter().position(|c| c.key == key) {
+            return Ok(Slot::Inline(base + i));
+        }
+        let (mut tail, mut next) = (NIL, head.spill);
+        while next != NIL {
+            let spilled = &self.spill[next as usize];
+            if spilled.cell.key == key {
+                return Ok(Slot::Spill(next as usize));
+            }
+            (tail, next) = (next, spilled.next);
+        }
+        Err(tail)
+    }
+
+    /// The cell in `slot` and its cold fields (all zero when untracked).
+    #[inline]
+    fn at(&self, slot: Slot) -> (Cell, Cold) {
+        let (cell, cold) = match slot {
+            Slot::Inline(i) => (self.cells[i], self.cold_cells.get(i)),
+            Slot::Spill(i) => (self.spill[i].cell, self.cold_spill.get(i)),
+        };
+        (cell, cold.copied().unwrap_or_default())
+    }
+
+    #[inline]
+    fn at_mut(&mut self, slot: Slot) -> (&mut Cell, Option<&mut Cold>) {
+        match slot {
+            Slot::Inline(i) => (&mut self.cells[i], self.cold_cells.get_mut(i)),
+            Slot::Spill(i) => (&mut self.spill[i].cell, self.cold_spill.get_mut(i)),
+        }
+    }
+
+    /// Appends a cell as `bucket`'s newest; `tail` is what
+    /// [`Table::find`] returned for its key.
+    #[inline]
+    fn push(&mut self, bucket: usize, tail: u32, cell: Cell, cold: Cold) {
+        let tracked = self.tracked();
+        let head = &mut self.heads[bucket];
+        let len = head.len as usize;
+        head.len += 1;
+        if len < self.tau {
+            self.cells[bucket * self.tau + len] = cell;
+            if tracked {
+                self.cold_cells[bucket * self.tau + len] = cold;
+            }
+            return;
+        }
+        // Chains index with `u32`, and a bucket's length (≤ τ + the spill's)
+        // must fit one too.
+        let at = self.spill.len();
+        assert!(at < NIL as usize - CacheConfig::MAX_CELLS, "spill overflow");
+        let at = at as u32;
+        self.spill.push(Spilled { cell, next: NIL });
+        if tracked {
+            self.cold_spill.push(cold);
+        }
+        if tail == NIL {
+            head.spill = at;
+            self.spilled.push(bucket as u32);
+        } else {
+            self.spill[tail as usize].next = at;
+        }
+    }
+
+    /// Takes `bucket`'s oldest cells down to `keep` (at most `τ`), handing
+    /// each to `taken`, and moves the cells it keeps to the front of the
+    /// inline slots. The bucket's chain is dead afterwards: the caller ends
+    /// its pass with [`Table::clear_spill`].
+    fn trim(&mut self, bucket: usize, keep: usize, mut taken: impl FnMut(Cell, Cold)) {
+        let head = self.heads[bucket];
+        let excess = (head.len as usize).saturating_sub(keep);
+        let base = bucket * self.tau;
+        for (age, slot) in slots(self.tau, bucket, head, &self.spill).enumerate() {
+            let (cell, cold) = self.at(slot);
+            match age.checked_sub(excess) {
+                None => taken(cell, cold),
+                Some(kept) => {
+                    self.cells[base + kept] = cell;
+                    if let Some(slot) = self.cold_cells.get_mut(base + kept) {
+                        *slot = cold;
+                    }
+                }
+            }
+        }
+        self.heads[bucket] = Header {
+            len: head.len - excess as u32,
+            spill: NIL,
+        };
+    }
+
+    /// Forgets every spill chain once a pass has trimmed the buckets that
+    /// owned one; the capacity stays for the next batch.
+    fn clear_spill(&mut self) {
+        self.spill.clear();
+        self.cold_spill.clear();
+        self.spilled.clear();
+    }
+}
+
+/// The one bucket walk: the slots of `bucket`, oldest cell first. Borrows
+/// only the spill, so an eviction pass can rewrite the inline slots while it
+/// walks.
+#[inline]
+fn slots(
+    tau: usize,
+    bucket: usize,
+    head: Header,
+    spill: &[Spilled],
+) -> impl Iterator<Item = Slot> + '_ {
+    let mut next = head.spill;
+    let chain = std::iter::from_fn(move || {
+        let at = (next != NIL).then_some(next as usize)?;
+        next = spill[at].next;
+        Some(Slot::Spill(at))
+    });
+    let inline = bucket * tau..bucket * tau + (head.len as usize).min(tau);
+    inline.map(Slot::Inline).chain(chain)
+}
+
 /// The OctoCache voxel cache.
 ///
 /// # Example
@@ -125,7 +337,7 @@ impl CacheStats {
 pub struct VoxelCache {
     config: CacheConfig,
     params: OccupancyParams,
-    buckets: Vec<Vec<Cell>>,
+    table: Table,
     mask: u64,
     len: usize,
     peak_len: usize,
@@ -137,12 +349,14 @@ pub struct VoxelCache {
 }
 
 impl VoxelCache {
-    /// Creates an empty cache.
+    /// Creates an empty cache, allocating its whole `w × τ` slab
+    /// ([`CacheConfig::resident_bytes`]).
     pub fn new(config: CacheConfig, params: OccupancyParams) -> Self {
+        let fifo = config.eviction_order() == EvictionOrder::InsertionFifo;
         VoxelCache {
             config,
             params,
-            buckets: vec![Vec::new(); config.num_buckets()],
+            table: Table::new(&config, fifo),
             mask: (config.num_buckets() - 1) as u64,
             len: 0,
             peak_len: 0,
@@ -163,6 +377,7 @@ impl VoxelCache {
     /// [`CacheEvict`](EventKind::CacheEvict) event into it. Recording never
     /// changes cache behaviour.
     pub fn attach_events(&mut self, buffer: EventBuffer) {
+        self.table.track();
         self.events = Some(buffer);
     }
 
@@ -200,23 +415,34 @@ impl VoxelCache {
         self.peak_len
     }
 
-    /// Approximate heap bytes used by cells right now.
+    /// Heap bytes the cache owns right now: the slab and the headers
+    /// ([`CacheConfig::resident_bytes`], fixed at construction), the
+    /// largest spill any batch has needed so far, and the cold arrays when
+    /// events or the FIFO order keep them.
     pub fn memory_usage(&self) -> usize {
-        self.buckets
-            .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<Cell>())
-            .sum::<usize>()
-            + self.buckets.capacity() * std::mem::size_of::<Vec<Cell>>()
+        use std::mem::size_of;
+        let t = &self.table;
+        t.cells.capacity() * size_of::<Cell>()
+            + t.heads.capacity() * size_of::<Header>()
+            + t.spill.capacity() * size_of::<Spilled>()
+            + t.spilled.capacity() * size_of::<u32>()
+            + (t.cold_cells.capacity() + t.cold_spill.capacity()) * size_of::<Cold>()
+    }
+
+    /// The index code of a key under the configured indexing policy (its low
+    /// bits are the bucket).
+    #[inline]
+    fn code(&self, key: VoxelKey) -> u64 {
+        match self.config.index_policy() {
+            IndexPolicy::Morton => morton::encode(key),
+            IndexPolicy::Hash => hash_key(key),
+        }
     }
 
     /// The bucket a key maps to under the configured indexing policy.
     #[inline]
     pub fn bucket_index(&self, key: VoxelKey) -> usize {
-        let code = match self.config.index_policy() {
-            IndexPolicy::Morton => morton::encode(key),
-            IndexPolicy::Hash => hash_key(key),
-        };
-        (code & self.mask) as usize
+        (self.code(key) & self.mask) as usize
     }
 
     /// Offers one occupancy observation to the cache (paper §4.2.1).
@@ -237,32 +463,31 @@ impl VoxelCache {
         // interleave per emitted event is measurable at millions of events
         // per second.
         let policy = self.config.index_policy();
-        let code = match policy {
-            IndexPolicy::Morton => morton::encode(key),
-            IndexPolicy::Hash => hash_key(key),
-        };
-        let bucket_idx = (code & self.mask) as usize;
+        let code = self.code(key);
+        let bucket = (code & self.mask) as usize;
         let event_key = |code: u64| match policy {
             IndexPolicy::Morton => code,
             IndexPolicy::Hash => morton::encode(key),
         };
-        let bucket = &mut self.buckets[bucket_idx];
-        if let Some(cell) = bucket.iter_mut().find(|c| c.key == key) {
-            cell.log_odds = self.params.apply(cell.log_odds, occupied);
-            self.stats.hits += 1;
-            if let Some(buf) = &mut self.events {
-                cell.hits += 1;
-                let hits = cell.hits;
-                buf.emit_cache(
-                    EventKind::CacheHit,
-                    event_key(code),
-                    bucket_idx as u32,
-                    hits,
-                    0,
-                );
+        let tail = match self.table.find(bucket, key) {
+            Ok(slot) => {
+                let (cell, cold) = self.table.at_mut(slot);
+                cell.log_odds = self.params.apply(cell.log_odds, occupied);
+                self.stats.hits += 1;
+                if let (Some(buf), Some(cold)) = (&mut self.events, cold) {
+                    cold.hits += 1;
+                    buf.emit_cache(
+                        EventKind::CacheHit,
+                        event_key(code),
+                        bucket as u32,
+                        cold.hits,
+                        0,
+                    );
+                }
+                return true;
             }
-            return true;
-        }
+            Err(tail) => tail,
+        };
         self.stats.misses += 1;
         let seed = match octree_lookup(key) {
             Some(v) => {
@@ -271,27 +496,20 @@ impl VoxelCache {
             }
             None => self.params.threshold,
         };
-        let value = self.params.apply(seed, occupied);
+        let log_odds = self.params.apply(seed, occupied);
         let born_scan = match &mut self.events {
             Some(buf) => {
-                buf.emit_cache(
-                    EventKind::CacheMiss,
-                    event_key(code),
-                    bucket_idx as u32,
-                    0,
-                    0,
-                );
+                buf.emit_cache(EventKind::CacheMiss, event_key(code), bucket as u32, 0, 0);
                 buf.scan()
             }
             None => 0,
         };
-        bucket.push(Cell {
-            key,
-            log_odds: value,
+        let cold = Cold {
             seq: self.next_seq,
-            hits: 0,
             born_scan,
-        });
+            hits: 0,
+        };
+        self.table.push(bucket, tail, Cell { key, log_odds }, cold);
         self.next_seq += 1;
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
@@ -301,74 +519,56 @@ impl VoxelCache {
     /// Looks up the accumulated log-odds for a voxel. `None` means the
     /// caller must fall through to the octree (cache miss).
     pub fn get(&mut self, key: VoxelKey) -> Option<f32> {
-        let bucket_idx = self.bucket_index(key);
-        let found = self.buckets[bucket_idx]
-            .iter()
-            .find(|c| c.key == key)
-            .map(|c| c.log_odds);
+        let found = self.peek(key);
         match found {
-            Some(v) => {
-                self.stats.query_hits += 1;
-                Some(v)
-            }
-            None => {
-                self.stats.query_misses += 1;
-                None
-            }
+            Some(_) => self.stats.query_hits += 1,
+            None => self.stats.query_misses += 1,
         }
+        found
     }
 
     /// Read-only lookup that does not touch the query counters.
     pub fn peek(&self, key: VoxelKey) -> Option<f32> {
-        let bucket_idx = self.bucket_index(key);
-        self.buckets[bucket_idx]
-            .iter()
-            .find(|c| c.key == key)
-            .map(|c| c.log_odds)
+        let slot = self.table.find(self.bucket_index(key), key).ok()?;
+        Some(self.table.at(slot).0.log_odds)
     }
 
     /// Evicts the oldest cells of every over-full bucket down to `τ`
     /// (paper §4.2.2), appending them to `out` in the configured
     /// [`EvictionOrder`]. Returns the number of cells evicted.
+    ///
+    /// Only the buckets that spilled are over-full, and each one's chain is
+    /// as long as its excess: the pass emits a bucket's oldest cells, moves
+    /// its newest `τ` into the inline slots and ends with an empty spill.
     pub fn evict_into(&mut self, out: &mut Vec<EvictedCell>) -> usize {
-        let tau = self.config.tau();
         let order = self.config.eviction_order();
         let start = out.len();
         let events = &mut self.events;
-        let buckets = &mut self.buckets;
+        let t = &mut self.table;
+        // Ascending, so the bucket-sequential and event orders are those of
+        // a scan over every bucket.
+        t.spilled.sort_unstable();
+        let mut staged: Vec<(u32, Cell, Cold)> = Vec::new();
+        for i in 0..t.spilled.len() {
+            let bucket = t.spilled[i];
+            t.trim(bucket as usize, t.tau, |cell, cold| {
+                if order == EvictionOrder::InsertionFifo {
+                    staged.push((bucket, cell, cold));
+                } else {
+                    emit_evict(events, &cell, &cold, bucket);
+                    out.push(cell);
+                }
+            });
+        }
+        t.clear_spill();
         match order {
-            EvictionOrder::BucketSequential | EvictionOrder::FullMortonSort => {
-                for (bi, bucket) in buckets.iter_mut().enumerate() {
-                    if bucket.len() > tau {
-                        let n = bucket.len() - tau;
-                        out.extend(bucket.drain(..n).map(|c| {
-                            emit_evict(events, &c, bi as u32);
-                            EvictedCell {
-                                key: c.key,
-                                log_odds: c.log_odds,
-                            }
-                        }));
-                    }
-                }
-                if order == EvictionOrder::FullMortonSort {
-                    sort_morton(&mut out[start..]);
-                }
-            }
+            EvictionOrder::BucketSequential => {}
+            EvictionOrder::FullMortonSort => sort_morton(&mut out[start..]),
             EvictionOrder::InsertionFifo => {
-                let mut staged: Vec<(u32, Cell)> = Vec::new();
-                for (bi, bucket) in buckets.iter_mut().enumerate() {
-                    if bucket.len() > tau {
-                        let n = bucket.len() - tau;
-                        staged.extend(bucket.drain(..n).map(|c| (bi as u32, c)));
-                    }
-                }
-                staged.sort_by_key(|(_, c)| c.seq);
-                out.extend(staged.into_iter().map(|(bi, c)| {
-                    emit_evict(events, &c, bi);
-                    EvictedCell {
-                        key: c.key,
-                        log_odds: c.log_odds,
-                    }
+                staged.sort_by_key(|(_, _, cold)| cold.seq);
+                out.extend(staged.into_iter().map(|(bucket, cell, cold)| {
+                    emit_evict(events, &cell, &cold, bucket);
+                    cell
                 }));
             }
         }
@@ -390,16 +590,13 @@ impl VoxelCache {
     /// pending state into the octree at the end of a run.
     pub fn drain_all(&mut self) -> Vec<EvictedCell> {
         let mut out = Vec::with_capacity(self.len);
-        let events = &mut self.events;
-        for (bi, bucket) in self.buckets.iter_mut().enumerate() {
-            out.extend(bucket.drain(..).map(|c| {
-                emit_evict(events, &c, bi as u32);
-                EvictedCell {
-                    key: c.key,
-                    log_odds: c.log_odds,
-                }
-            }));
+        for bucket in 0..self.table.heads.len() {
+            self.table.trim(bucket, 0, |cell, cold| {
+                emit_evict(&mut self.events, &cell, &cold, bucket as u32);
+                out.push(cell);
+            });
         }
+        self.table.clear_spill();
         if self.config.eviction_order() == EvictionOrder::FullMortonSort {
             sort_morton(&mut out);
         }
@@ -411,58 +608,56 @@ impl VoxelCache {
     /// Histogram of bucket occupancies (index = cell count, value = number
     /// of buckets with that count). Useful for τ tuning (paper §6.2.4).
     pub fn bucket_occupancy_histogram(&self) -> Vec<usize> {
-        let max = self.buckets.iter().map(Vec::len).max().unwrap_or(0);
-        let mut hist = vec![0usize; max + 1];
-        for b in &self.buckets {
-            hist[b.len()] += 1;
+        let heads = &self.table.heads;
+        let max = heads.iter().map(|h| h.len).max().unwrap_or(0);
+        let mut hist = vec![0usize; max as usize + 1];
+        for head in heads {
+            hist[head.len as usize] += 1;
         }
         hist
     }
 
     /// Iterates over all cached voxels (bucket order) without removing them.
     pub fn iter(&self) -> impl Iterator<Item = EvictedCell> + '_ {
-        self.buckets.iter().flatten().map(|c| EvictedCell {
-            key: c.key,
-            log_odds: c.log_odds,
-        })
+        let t = &self.table;
+        t.heads
+            .iter()
+            .enumerate()
+            .flat_map(move |(bucket, &head)| slots(t.tau, bucket, head, &t.spill))
+            .map(move |slot| t.at(slot).0)
     }
 
     /// Doubles the bucket count, redistributing every cell (an online
     /// rehash). Contents, accumulated values and per-bucket insertion order
-    /// are preserved; statistics keep accumulating.
+    /// are preserved; statistics keep accumulating. Does nothing when the
+    /// doubled slab would pass the capacity [`CacheConfig`] accepts.
     ///
     /// This is the mechanism behind adaptive sizing: the paper observes that
     /// a too-small cache caps the hit rate and inflates the thread-1 wait
     /// (§6.2.2–6.2.3, "indicating a need for a larger cache").
     pub fn grow(&mut self) {
-        let old_w = self.buckets.len();
-        let new_w = old_w * 2;
+        let Some(config) = self.config.doubled() else {
+            return;
+        };
+        let old_w = self.config.num_buckets();
+        self.config = config;
+        self.mask = (config.num_buckets() - 1) as u64;
+        let mut grown = Table::new(&config, self.table.tracked());
         // With power-of-two masking, each old bucket splits into exactly two
         // new buckets (i and i + old_w), preserving relative order.
-        let mut new_buckets: Vec<Vec<Cell>> = vec![Vec::new(); new_w];
-        self.mask = (new_w - 1) as u64;
-        for (i, bucket) in self.buckets.drain(..).enumerate() {
-            for cell in bucket {
-                let idx = {
-                    let code = match self.config.index_policy() {
-                        IndexPolicy::Morton => morton::encode(cell.key),
-                        IndexPolicy::Hash => hash_key(cell.key),
-                    };
-                    (code & self.mask) as usize
-                };
-                debug_assert!(idx == i || idx == i + old_w);
-                new_buckets[idx].push(cell);
+        let old = &self.table;
+        for (i, &head) in old.heads.iter().enumerate() {
+            for slot in slots(old.tau, i, head, &old.spill) {
+                let (cell, cold) = old.at(slot);
+                let bucket = self.bucket_index(cell.key);
+                debug_assert!(bucket == i || bucket == i + old_w);
+                let tail = grown
+                    .find(bucket, cell.key)
+                    .expect_err("a cache holds a voxel once");
+                grown.push(bucket, tail, cell, cold);
             }
         }
-        self.buckets = new_buckets;
-        self.config = CacheConfig::builder()
-            .num_buckets(new_w)
-            .tau(self.config.tau())
-            .index_policy(self.config.index_policy())
-            .eviction_order(self.config.eviction_order())
-            .events(self.config.events())
-            .build()
-            .expect("doubling a valid config stays valid");
+        self.table = grown;
     }
 }
 
@@ -537,7 +732,9 @@ impl AdaptiveController {
         let window_hits = now.hits - self.window_start.hits;
         let rate = window_hits as f64 / window_insertions as f64;
         self.window_start = now;
-        if rate < policy.target_hit_rate && cache.config().num_buckets() * 2 <= policy.max_buckets {
+        let may_double = cache.config().doubled().is_some()
+            && cache.config().num_buckets() * 2 <= policy.max_buckets;
+        if rate < policy.target_hit_rate && may_double {
             cache.grow();
             self.growths += 1;
             true
@@ -550,14 +747,14 @@ impl AdaptiveController {
 /// Emits a `CacheEvict` event for one cell leaving the cache (no-op when
 /// recording is off).
 #[inline]
-fn emit_evict(events: &mut Option<EventBuffer>, c: &Cell, bucket: u32) {
+fn emit_evict(events: &mut Option<EventBuffer>, cell: &Cell, cold: &Cold, bucket: u32) {
     if let Some(buf) = events {
         buf.emit_cache(
             EventKind::CacheEvict,
-            morton::encode(c.key),
+            morton::encode(cell.key),
             bucket,
-            c.hits,
-            c.born_scan,
+            cold.hits,
+            cold.born_scan,
         );
     }
 }
@@ -811,6 +1008,172 @@ mod tests {
         let mut c = cache(16, 2);
         c.insert(k(1, 2, 3), true, |_| None);
         assert!(c.memory_usage() > 0);
+    }
+
+    #[test]
+    fn fresh_cache_owns_exactly_the_configured_resident_bytes() {
+        let mut c = cache(16, 2);
+        let resident = c.config().resident_bytes();
+        assert_eq!(resident, 16 * 2 * 12 + 16 * 8);
+        assert_eq!(c.memory_usage(), resident);
+        // Filling the inline slots allocates nothing…
+        for x in 0..2u16 {
+            c.insert(k(16 * x, 0, 0), true, |_| None);
+        }
+        assert_eq!(c.memory_usage(), resident);
+        // …only cells past a bucket's τ-th do, and only in the spill.
+        c.insert(k(32, 0, 0), true, |_| None);
+        let t = &c.table;
+        let spill = t.spill.capacity() * 16 + t.spilled.capacity() * 4;
+        assert!(spill > 0);
+        assert_eq!(c.memory_usage(), resident + spill);
+        // The cold arrays exist only once events (or the FIFO order) ask.
+        c.attach_events(octocache_telemetry::EventSink::new().buffer(0));
+        let t = &c.table;
+        let cold = (t.cold_cells.capacity() + t.cold_spill.capacity()) * 24;
+        assert!(cold >= 16 * 2 * 24);
+        assert_eq!(c.memory_usage(), resident + spill + cold);
+    }
+
+    #[test]
+    fn hit_on_a_spilled_cell_accumulates_in_place() {
+        let mut c = cache(1, 2);
+        let params = OccupancyParams::default();
+        for x in 0..4u16 {
+            assert!(!c.insert(k(x, 0, 0), true, |_| None));
+        }
+        // k(3) sits second in the chain.
+        assert!(c.insert(k(3, 0, 0), true, |_| None));
+        let twice = params.apply(params.apply(params.threshold, true), true);
+        assert_eq!(c.peek(k(3, 0, 0)), Some(twice));
+        assert_eq!(c.get(k(3, 0, 0)), Some(twice));
+        assert_eq!(c.len(), 4);
+        let evicted: Vec<u16> = c.evict().iter().map(|e| e.key.x).collect();
+        assert_eq!(evicted, vec![0, 1]);
+        // The pass moved it inline with its value.
+        assert_eq!(c.peek(k(3, 0, 0)), Some(twice));
+        assert!(c.insert(k(3, 0, 0), false, |_| None));
+    }
+
+    #[test]
+    fn a_pass_evicts_fewer_exactly_and_more_than_tau_cells_from_one_bucket() {
+        let tau = 3u16;
+        for excess in [1, tau, tau + 4] {
+            let mut c = cache(1, tau as usize);
+            // Keys are offered in x order; `oldest` is the oldest resident.
+            let (mut next, mut oldest) = (0u16, 0u16);
+            // The second batch evicts cells the first pass moved inline.
+            for batch in [tau + excess, excess] {
+                for x in next..next + batch {
+                    c.insert(k(x, 0, 0), true, |_| None);
+                }
+                next += batch;
+                let evicted: Vec<u16> = c.evict().iter().map(|e| e.key.x).collect();
+                let expected: Vec<u16> = (oldest..oldest + excess).collect();
+                assert_eq!(evicted, expected, "excess {excess}");
+                oldest += excess;
+                let kept: Vec<u16> = c.iter().map(|e| e.key.x).collect();
+                assert_eq!(
+                    kept,
+                    (oldest..next).collect::<Vec<u16>>(),
+                    "excess {excess}"
+                );
+                assert_eq!(c.len(), tau as usize);
+                assert!(c.table.spill.is_empty() && c.table.spilled.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn drain_all_and_grow_walk_live_chains() {
+        let build = || {
+            let cfg = CacheConfig::builder()
+                .num_buckets(2)
+                .tau(1)
+                .eviction_order(EvictionOrder::BucketSequential)
+                .build()
+                .unwrap();
+            let mut c = VoxelCache::new(cfg, OccupancyParams::default());
+            for x in 0..8u16 {
+                c.insert(k(x, x / 2, 0), x % 3 == 0, |_| None);
+            }
+            c
+        };
+        // Bucket 0 (even x) oldest first, then bucket 1.
+        let mut c = build();
+        let drained: Vec<u16> = c.drain_all().iter().map(|e| e.key.x).collect();
+        assert_eq!(drained, vec![0, 2, 4, 6, 1, 3, 5, 7]);
+        assert!(c.is_empty() && c.table.spill.is_empty());
+        assert_eq!(c.iter().count(), 0);
+        assert!(
+            !c.insert(k(0, 0, 0), true, |_| None),
+            "drained cells are gone"
+        );
+        assert_eq!(c.len(), 1);
+
+        // Growing with chains alive keeps every cell, value and the order
+        // within each destination bucket; the new buckets spill in turn.
+        let mut c = build();
+        let before: Vec<EvictedCell> = c.iter().collect();
+        c.grow();
+        assert_eq!(c.len(), 8);
+        for cell in &before {
+            assert_eq!(c.peek(cell.key), Some(cell.log_odds));
+        }
+        // x & 3 is the bucket now: 4 buckets of two cells, τ = 1.
+        let after: Vec<u16> = c.iter().map(|e| e.key.x).collect();
+        assert_eq!(after, vec![0, 4, 1, 5, 2, 6, 3, 7]);
+        let evicted: Vec<u16> = c.evict().iter().map(|e| e.key.x).collect();
+        assert_eq!(evicted, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn spill_is_empty_and_its_capacity_reused_after_every_pass() {
+        let mut c = cache(4, 2);
+        let mut footprint = None;
+        for round in 0..5u16 {
+            for x in 0..40u16 {
+                c.insert(k(x, x / 2, round), true, |_| None);
+            }
+            assert!(!c.table.spill.is_empty());
+            c.evict();
+            assert!(c.table.spill.is_empty() && c.table.spilled.is_empty());
+            assert_eq!(c.len(), 8);
+            // From the second batch on (full buckets) every batch overshoots
+            // by the same 40 cells: that one sized the spill for all.
+            if round >= 1 {
+                assert_eq!(*footprint.get_or_insert(c.memory_usage()), c.memory_usage());
+            }
+        }
+    }
+
+    #[test]
+    fn grow_changes_only_the_bucket_count_of_its_config() {
+        use std::time::Duration;
+        let mut b = CacheConfig::builder();
+        b.num_buckets(2)
+            .tau(3)
+            .index_policy(IndexPolicy::Hash)
+            .eviction_order(EvictionOrder::BucketSequential)
+            .stall_timeout(Duration::from_millis(70))
+            .backoff(crate::config::BackoffPolicy {
+                spin_iters: 5,
+                yields_per_check: 3,
+            })
+            .checkpoint_every(9)
+            .checkpoint_generations(5)
+            .journal_fsync(false)
+            .mem_budget(1 << 30)
+            .max_restarts(4)
+            .restart_backoff(Duration::from_millis(2))
+            .shed_deadline(Duration::from_millis(40))
+            .fault_plan(crate::fault::FaultPlan::from_seed(3))
+            .events(true);
+        let mut c = VoxelCache::new(b.build().unwrap(), OccupancyParams::default());
+        for _ in 0..3 {
+            c.grow();
+        }
+        assert_eq!(*c.config(), b.num_buckets(16).build().unwrap());
     }
 
     #[test]

@@ -113,6 +113,14 @@ pub enum ConfigError {
     /// `mem_budget` must be non-zero when set (a zero budget would reject
     /// every scan; use a small budget to test pressure, `None` to disable).
     ZeroMemBudget,
+    /// `num_buckets × tau` must not exceed [`CacheConfig::MAX_CELLS`]: the
+    /// cache allocates that many cells when it is built.
+    CapacityTooLarge {
+        /// The rejected bucket count.
+        num_buckets: usize,
+        /// The rejected `tau`.
+        tau: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -135,6 +143,11 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroMemBudget => {
                 write!(f, "mem_budget must be non-zero when set")
             }
+            ConfigError::CapacityTooLarge { num_buckets, tau } => write!(
+                f,
+                "num_buckets {num_buckets} × tau {tau} exceeds the {} cells a cache may allocate",
+                CacheConfig::MAX_CELLS
+            ),
         }
     }
 }
@@ -206,6 +219,10 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
+    /// The largest `num_buckets × tau` a config accepts: 2²⁸ cells, a 3 GiB
+    /// slab (the paper's 512 K × 4 table is 2²¹ cells).
+    pub const MAX_CELLS: usize = 1 << 28;
+
     /// Starts building a config.
     pub fn builder() -> CacheConfigBuilder {
         CacheConfigBuilder::new()
@@ -352,18 +369,41 @@ impl CacheConfig {
     /// The paper's memory accounting: 7 bytes per cell (three `u8`-packed
     /// coordinates + one `f32`), times `w × τ` (§6.2.4: `M = 7wτ`).
     ///
-    /// Note our cells physically store three `u16` coordinates (10 bytes) to
-    /// cover 16-level trees; this method reports the paper's figure for
-    /// comparability, [`CacheConfig::resident_bytes`] the real one.
+    /// Note our cells store three `u16` coordinates to cover 16-level trees
+    /// and align the `f32`, 12 bytes in all; this method reports the paper's
+    /// figure for comparability, [`CacheConfig::resident_bytes`] the real
+    /// one.
     #[inline]
     pub fn paper_bytes(&self) -> usize {
         7 * self.capacity_after_eviction()
     }
 
-    /// Actual bytes held by cells after eviction in this implementation.
+    /// The bytes a [`VoxelCache`](crate::VoxelCache) of this geometry
+    /// allocates when it is built and keeps for life: `w × τ` 12-byte cells
+    /// plus one 8-byte header per bucket. Exactly its
+    /// [`memory_usage`](crate::VoxelCache::memory_usage) until a batch
+    /// overshoots `τ` somewhere (the spill) or events are recorded.
     #[inline]
     pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<crate::cache::EvictedCell>() * self.capacity_after_eviction()
+        12 * self.capacity_after_eviction() + 8 * self.num_buckets
+    }
+
+    /// This config with twice the buckets and every other field as it is,
+    /// or `None` when that passes [`CacheConfig::MAX_CELLS`] (adaptive
+    /// growth stops there).
+    pub(crate) fn doubled(&self) -> Option<CacheConfig> {
+        let num_buckets = self.num_buckets.checked_mul(2)?;
+        Self::fits(num_buckets, self.tau).then_some(CacheConfig {
+            num_buckets,
+            ..*self
+        })
+    }
+
+    /// Whether a `num_buckets × tau` slab is within [`CacheConfig::MAX_CELLS`].
+    fn fits(num_buckets: usize, tau: usize) -> bool {
+        num_buckets
+            .checked_mul(tau)
+            .is_some_and(|cells| cells <= Self::MAX_CELLS)
     }
 
     /// A short, stable digest of the cache geometry (FNV-1a over the
@@ -540,7 +580,8 @@ impl CacheConfigBuilder {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when `num_buckets` is zero or not a power
-    /// of two, or `tau` is zero.
+    /// of two, `tau` is zero, their product passes
+    /// [`CacheConfig::MAX_CELLS`], or a runtime knob is out of range.
     pub fn build(&self) -> Result<CacheConfig, ConfigError> {
         if self.num_buckets == 0 {
             return Err(ConfigError::NoBuckets);
@@ -550,6 +591,12 @@ impl CacheConfigBuilder {
         }
         if self.tau == 0 {
             return Err(ConfigError::ZeroTau);
+        }
+        if !CacheConfig::fits(self.num_buckets, self.tau) {
+            return Err(ConfigError::CapacityTooLarge {
+                num_buckets: self.num_buckets,
+                tau: self.tau,
+            });
         }
         if self.stall_timeout.is_zero() {
             return Err(ConfigError::ZeroStallTimeout);
@@ -622,6 +669,36 @@ mod tests {
     }
 
     #[test]
+    fn capacity_the_slab_cannot_allocate_is_rejected() {
+        let too_large = |num_buckets: usize, tau: usize| {
+            assert_eq!(
+                CacheConfig::builder()
+                    .num_buckets(num_buckets)
+                    .tau(tau)
+                    .build(),
+                Err(ConfigError::CapacityTooLarge { num_buckets, tau })
+            );
+        };
+        too_large(1 << 16, 1_000_000); // `--tau 1000000` at the default w
+        too_large(1 << 28, 2);
+        too_large(1 << 40, usize::MAX); // the product overflows
+        let largest = CacheConfig::builder()
+            .num_buckets(1 << 26)
+            .tau(4)
+            .build()
+            .unwrap();
+        assert_eq!(largest.capacity_after_eviction(), CacheConfig::MAX_CELLS);
+        // Growth stops where the builder would.
+        assert_eq!(largest.doubled(), None);
+        let half = CacheConfig::builder()
+            .num_buckets(1 << 25)
+            .tau(4)
+            .build()
+            .unwrap();
+        assert_eq!(half.doubled(), Some(largest));
+    }
+
+    #[test]
     fn paper_memory_accounting() {
         // Paper §5.1: 512K buckets x tau 4 x 7 bytes = 14 MB.
         let c = CacheConfig::builder()
@@ -630,7 +707,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.paper_bytes(), 14 * 1024 * 1024);
-        assert!(c.resident_bytes() >= c.paper_bytes());
+        // Ours: 12-byte cells and an 8-byte header per bucket, 28 MiB.
+        assert_eq!(c.resident_bytes(), (24 + 4) * 1024 * 1024);
     }
 
     #[test]
@@ -813,6 +891,10 @@ mod tests {
             ConfigError::ZeroCheckpointGenerations,
             ConfigError::ZeroYieldsPerCheck,
             ConfigError::ZeroMemBudget,
+            ConfigError::CapacityTooLarge {
+                num_buckets: 1 << 16,
+                tau: 1 << 20,
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -8,12 +8,16 @@
 //! 3. Hash and Morton indexing agree on bucket membership: both place a
 //!    key in exactly one in-range bucket, find it again, and account for
 //!    every resident cell in the occupancy histogram.
+//! 4. The slab-and-spill storage behaves exactly as the bucket-of-vectors
+//!    layout it replaced ([`ModelCache`]): same hits, values, evicted
+//!    sequences, iteration order and event stream.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
-use octocache::{CacheConfig, CacheStats, EvictedCell, IndexPolicy, VoxelCache};
-use octocache_geom::VoxelKey;
+use octocache::{CacheConfig, CacheStats, EvictedCell, EvictionOrder, IndexPolicy, VoxelCache};
+use octocache_geom::{morton, VoxelKey};
 use octocache_octomap::OccupancyParams;
+use octocache_telemetry::{EventKind, EventSink};
 use proptest::prelude::*;
 
 /// Ops driving the eviction-loss property.
@@ -30,6 +34,105 @@ fn arb_op() -> impl Strategy<Value = Op> {
         8 => (0u16..20, 0u16..20, 0u16..20, any::<bool>())
             .prop_map(|(x, y, z, o)| Op::Insert(x, y, z, o)),
         1 => Just(Op::Evict),
+    ]
+}
+
+/// The layout `VoxelCache` had before the slab, as the reference: one
+/// deque of `(key, value, seq)` per bucket, oldest first, evicted from the
+/// front down to `τ`. Bucket indices come from the cache under test.
+struct ModelCache {
+    buckets: Vec<VecDeque<(VoxelKey, f32, u64)>>,
+    next_seq: u64,
+    peak_len: usize,
+}
+
+impl ModelCache {
+    fn len(&self) -> usize {
+        self.buckets.iter().map(VecDeque::len).sum()
+    }
+
+    fn peek(&self, bucket: usize, key: VoxelKey) -> Option<f32> {
+        let cell = self.buckets[bucket].iter().find(|c| c.0 == key)?;
+        Some(cell.1)
+    }
+
+    fn insert(&mut self, bucket: usize, key: VoxelKey, occupied: bool, seed: Option<f32>) -> bool {
+        let params = OccupancyParams::default();
+        if let Some(cell) = self.buckets[bucket].iter_mut().find(|c| c.0 == key) {
+            cell.1 = params.apply(cell.1, occupied);
+            return true;
+        }
+        let value = params.apply(seed.unwrap_or(params.threshold), occupied);
+        self.buckets[bucket].push_back((key, value, self.next_seq));
+        self.next_seq += 1;
+        self.peak_len = self.peak_len.max(self.len());
+        false
+    }
+
+    /// Pops every bucket's oldest cells down to `keep`, in `order`.
+    fn evict(&mut self, keep: usize, order: EvictionOrder) -> Vec<EvictedCell> {
+        let mut out = Vec::new();
+        for bucket in &mut self.buckets {
+            let excess = bucket.len().saturating_sub(keep);
+            out.extend(bucket.drain(..excess));
+        }
+        match order {
+            EvictionOrder::BucketSequential => {}
+            EvictionOrder::FullMortonSort => out.sort_by(|a, b| morton::cmp_keys(a.0, b.0)),
+            EvictionOrder::InsertionFifo => out.sort_by_key(|c| c.2),
+        }
+        let cell = |(key, log_odds, _)| EvictedCell { key, log_odds };
+        out.into_iter().map(cell).collect()
+    }
+
+    /// `drain_all` ignores the FIFO order (it drains bucket-sequentially).
+    fn drain_all(&mut self, order: EvictionOrder) -> Vec<EvictedCell> {
+        let order = match order {
+            EvictionOrder::InsertionFifo => EvictionOrder::BucketSequential,
+            order => order,
+        };
+        self.evict(0, order)
+    }
+
+    fn grow(&mut self, bucket_of: impl Fn(VoxelKey) -> usize) {
+        let old = std::mem::take(&mut self.buckets);
+        self.buckets = vec![VecDeque::new(); old.len() * 2];
+        for cell in old.into_iter().flatten() {
+            self.buckets[bucket_of(cell.0)].push_back(cell);
+        }
+    }
+
+    fn iter(&self) -> Vec<EvictedCell> {
+        let cell = |&(key, log_odds, _): &(VoxelKey, f32, u64)| EvictedCell { key, log_odds };
+        self.buckets.iter().flatten().map(cell).collect()
+    }
+
+    fn histogram(&self) -> Vec<usize> {
+        let max = self.buckets.iter().map(VecDeque::len).max().unwrap_or(0);
+        let mut hist = vec![0; max + 1];
+        for bucket in &self.buckets {
+            hist[bucket.len()] += 1;
+        }
+        hist
+    }
+}
+
+/// Ops driving the storage-exactness property.
+#[derive(Debug, Clone)]
+enum StorageOp {
+    Insert(VoxelKey, bool),
+    Evict,
+    Grow,
+    DrainAll,
+}
+
+fn arb_storage_op() -> impl Strategy<Value = StorageOp> {
+    prop_oneof![
+        40 => (0u16..6, 0u16..6, 0u16..4, any::<bool>())
+            .prop_map(|(x, y, z, o)| StorageOp::Insert(VoxelKey::new(x, y, z), o)),
+        4 => Just(StorageOp::Evict),
+        1 => Just(StorageOp::Grow),
+        1 => Just(StorageOp::DrainAll),
     ]
 }
 
@@ -112,6 +215,80 @@ proptest! {
         }
     }
 
+    /// The slab behaves exactly as the layout it replaced: under any
+    /// interleaving of insert / evict / grow / drain_all, every answer the
+    /// cache gives equals the reference model's, order included.
+    #[test]
+    fn slab_storage_matches_the_bucket_of_vectors_model(
+        ops in proptest::collection::vec(arb_storage_op(), 1..250),
+        tau in 1usize..5,
+        buckets in prop_oneof![Just(1usize), Just(2), Just(16)],
+    ) {
+        let policies = [IndexPolicy::Hash, IndexPolicy::Morton];
+        let orders = [
+            EvictionOrder::BucketSequential,
+            EvictionOrder::FullMortonSort,
+            EvictionOrder::InsertionFifo,
+        ];
+        for (policy, order) in policies.into_iter().flat_map(|p| orders.map(|o| (p, o))) {
+            let cfg = CacheConfig::builder()
+                .num_buckets(buckets)
+                .tau(tau)
+                .index_policy(policy)
+                .eviction_order(order)
+                .build()
+                .unwrap();
+            let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
+            let mut model = ModelCache {
+                buckets: vec![VecDeque::new(); buckets],
+                next_seq: 0,
+                peak_len: 0,
+            };
+            // The stand-in octree both sides seed their misses from.
+            let mut flushed: HashMap<VoxelKey, f32> = HashMap::new();
+            let mut offered: Vec<VoxelKey> = Vec::new();
+
+            for op in &ops {
+                let at = format!("{policy:?} {order:?} {op:?}");
+                let evicted = match *op {
+                    StorageOp::Insert(key, occupied) => {
+                        offered.push(key);
+                        let seed = flushed.get(&key).copied();
+                        let hit = cache.insert(key, occupied, |_| seed);
+                        let bucket = cache.bucket_index(key);
+                        assert_eq!(hit, model.insert(bucket, key, occupied, seed), "{at}");
+                        Vec::new()
+                    }
+                    StorageOp::Evict => {
+                        let evicted = cache.evict();
+                        assert_eq!(evicted, model.evict(tau, order), "{at}");
+                        evicted
+                    }
+                    StorageOp::Grow if cache.config().num_buckets() < 128 => {
+                        cache.grow();
+                        model.grow(|key| cache.bucket_index(key));
+                        Vec::new()
+                    }
+                    StorageOp::Grow => Vec::new(),
+                    StorageOp::DrainAll => {
+                        let drained = cache.drain_all();
+                        assert_eq!(drained, model.drain_all(order), "{at}");
+                        drained
+                    }
+                };
+                flushed.extend(evicted.iter().map(|c| (c.key, c.log_odds)));
+                assert_eq!(cache.len(), model.len(), "{at}");
+                assert_eq!(cache.peak_len(), model.peak_len, "{at}");
+                assert_eq!(cache.bucket_occupancy_histogram(), model.histogram(), "{at}");
+                assert_eq!(cache.iter().collect::<Vec<_>>(), model.iter(), "{at}");
+                for &key in &offered {
+                    let bucket = cache.bucket_index(key);
+                    assert_eq!(cache.peek(key), model.peek(bucket, key), "{at}: {key}");
+                }
+            }
+        }
+    }
+
     /// `merge` is associative with `CacheStats::default()` as the zero.
     #[test]
     fn stats_merge_algebra(
@@ -158,7 +335,7 @@ proptest! {
         for policy in [IndexPolicy::Hash, IndexPolicy::Morton] {
             let cfg = CacheConfig::builder()
                 .num_buckets(1usize << buckets_log2)
-                .tau(1 << 20) // effectively infinite: membership stays put
+                .tau(80) // no bucket can overflow: membership stays put
                 .index_policy(policy)
                 .build()
                 .unwrap();
@@ -187,4 +364,102 @@ proptest! {
             );
         }
     }
+}
+
+/// The event stream of a scripted run, one `kind key bucket hits value` line
+/// per event, followed by the evicted sequence — recorded at the commit
+/// before the slab and required of every storage since.
+const GOLDEN_EVENT_STREAM: &str = "\
+miss 0 0 0 0\n\
+miss 3 1 0 0\n\
+miss 24 0 0 0\n\
+miss 9 1 0 0\n\
+miss 66 0 0 0\n\
+miss 81 1 0 0\n\
+miss 72 0 0 0\n\
+miss 75 1 0 0\n\
+miss 528 0 0 0\n\
+hit 528 0 1 0\n\
+hit 3 1 1 0\n\
+evict 0 0 0 1\n\
+evict 24 0 0 1\n\
+evict 66 0 0 1\n\
+evict 3 1 1 1\n\
+evict 9 1 0 1\n\
+miss 9 1 0 0\n\
+miss 66 0 0 0\n\
+hit 81 1 1 0\n\
+hit 72 0 1 0\n\
+hit 75 1 1 0\n\
+hit 528 0 2 0\n\
+miss 513 1 0 0\n\
+miss 522 0 0 0\n\
+miss 537 1 0 0\n\
+hit 537 1 1 0\n\
+hit 66 0 1 0\n\
+evict 72 0 1 1\n\
+evict 528 0 2 1\n\
+evict 81 1 1 1\n\
+evict 75 1 1 1\n\
+evict 9 1 0 2\n\
+evict 66 0 1 2\n\
+evict 522 0 0 2\n\
+evict 513 1 0 2\n\
+evict 537 1 1 2\n\
+out [0, 0, 0] 0.84729785\n\
+out [1, 1, 0] -0.8109302\n\
+out [3, 0, 0] -0.4054651\n\
+out [2, 2, 0] 0.84729785\n\
+out [4, 1, 0] 0.84729785\n\
+out [3, 0, 0] -0.4054651\n\
+out [6, 0, 0] 1.6945957\n\
+out [7, 1, 0] -0.8109302\n\
+out [5, 2, 0] -0.8109302\n\
+out [8, 2, 0] 2.5418935\n\
+out [4, 1, 0] 0.44183275\n\
+out [9, 0, 0] -0.4054651\n\
+out [10, 1, 0] 0.84729785\n\
+out [11, 2, 0] 0.44183275\n\
+";
+
+#[test]
+fn events_attached_evicts_and_emits_the_golden_stream() {
+    let sink = EventSink::new();
+    let cfg = CacheConfig::builder()
+        .num_buckets(2)
+        .tau(2)
+        .build()
+        .unwrap();
+    let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
+    cache.attach_events(sink.buffer(0));
+    let mut evicted = Vec::new();
+    // Two "scans": each offers a sliding window of keys (old ones hit, new
+    // ones miss and spill), re-hits a spilled cell, then runs a pass.
+    for scan in 0..2u16 {
+        cache.events_mut().unwrap().set_scan(u64::from(scan) + 1);
+        let key = |x: u16| VoxelKey::new(x, x % 3, 0);
+        for x in 3 * scan..3 * scan + 9 {
+            cache.insert(key(x), x % 2 == 0, |_| None);
+        }
+        cache.insert(key(3 * scan + 8), true, |_| None); // spilled
+        cache.insert(key(3 * scan + 1), false, |_| None);
+        cache.evict_into(&mut evicted);
+    }
+    evicted.extend(cache.drain_all());
+    cache.events_mut().unwrap().drain();
+
+    let mut stream = String::new();
+    for e in sink.take().events {
+        let kind = match e.kind {
+            EventKind::CacheHit => "hit",
+            EventKind::CacheMiss => "miss",
+            EventKind::CacheEvict => "evict",
+            other => panic!("unexpected {other:?}"),
+        };
+        stream += &format!("{kind} {} {} {} {}\n", e.key, e.bucket, e.hits, e.value);
+    }
+    for cell in &evicted {
+        stream += &format!("out {} {}\n", cell.key, cell.log_odds);
+    }
+    assert_eq!(stream, GOLDEN_EVENT_STREAM, "\n{stream}");
 }
