@@ -16,13 +16,24 @@
 //! vector, chained per bucket in insertion order. A pass trims every bucket
 //! to `τ`, so it rewrites each spilled bucket's newest `τ` cells into the
 //! inline slots and leaves the spill empty — there is no free list and no
-//! per-bucket heap block. Each evicted run is then sorted by full Morton
-//! code (the default [`EvictionOrder`]): the octree applies a run with its
+//! per-bucket heap block. Each evicted run leaves in full Morton order (the
+//! default [`EvictionOrder`]): the octree applies a run with its
 //! root-to-leaf path held open between consecutive cells, so Morton order —
 //! the minimiser of the paper's locality functional 𝓕 (§4.3) — is the
-//! cheapest to apply.
+//! cheapest to apply. Under Morton indexing that order costs no sort: the
+//! bucket walk is already ascending in the code's low bits, and a counting
+//! pass over the high parts places every cell at its final index.
+//!
+//! Insertion has the same shape on the way in: a scan's observations are
+//! offered as one batch ([`VoxelCache::insert_batch`]), which computes the
+//! index codes a block ahead and prefetches the lines their probes will
+//! touch, then runs the one insertion body with the staged codes.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use octocache_geom::{morton, VoxelKey};
+use octocache_octomap::insert::VoxelUpdate;
 use octocache_octomap::OccupancyParams;
 use octocache_telemetry::{EventBuffer, EventKind};
 use serde::{Deserialize, Serialize};
@@ -44,11 +55,24 @@ pub struct EvictedCell {
 /// A resident cell: exactly what eviction hands to the octree.
 type Cell = EvictedCell;
 
+impl Cell {
+    /// What an unoccupied slot holds.
+    const EMPTY: Cell = Cell {
+        key: VoxelKey::new(0, 0, 0),
+        log_odds: 0.0,
+    };
+}
+
 /// The slab's footprint is `w × τ` of these ([`CacheConfig::resident_bytes`]).
 const _: () = assert!(std::mem::size_of::<Cell>() == 12);
 
 /// End of a spill chain.
 const NIL: u32 = u32::MAX;
+
+/// Observations [`VoxelCache::insert_batch`] stages ahead of the ones it is
+/// inserting: enough probes in flight to cover a memory round trip, few
+/// enough that the prefetched lines are still in L1 when their turn comes.
+const STAGE: usize = 16;
 
 /// Per-bucket header: the bucket's first `min(len, τ)` cells are inline,
 /// the rest hang off `spill` in insertion order.
@@ -92,7 +116,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Insertions that missed.
     pub misses: u64,
-    /// Misses whose voxel had a prior value in the octree (seeded reads).
+    /// Misses whose octree lookup *found* a prior value to seed from. Every
+    /// miss walks the octree whether or not it finds one: what those walks
+    /// cost is `ScanMetrics::octree_seed_visits`, not this counter.
     pub octree_seeds: u64,
     /// Cells evicted toward the octree.
     pub evictions: u64,
@@ -158,13 +184,9 @@ struct Table {
 
 impl Table {
     fn new(config: &CacheConfig, tracked: bool) -> Self {
-        let empty = Cell {
-            key: VoxelKey::default(),
-            log_odds: 0.0,
-        };
         let mut table = Table {
             tau: config.tau(),
-            cells: vec![empty; config.capacity_after_eviction()],
+            cells: vec![Cell::EMPTY; config.capacity_after_eviction()],
             heads: vec![Header { len: 0, spill: NIL }; config.num_buckets()],
             spill: Vec::new(),
             spilled: Vec::new(),
@@ -457,13 +479,67 @@ impl VoxelCache {
     where
         F: FnOnce(VoxelKey) -> Option<f32>,
     {
+        self.insert_coded(key, occupied, self.code(key), octree_lookup)
+    }
+
+    /// Offers a run of observations, in order — one [`insert`](Self::insert)
+    /// each, with `octree_lookup` seeding the misses — but with the memory
+    /// latency of the probes overlapped: while a block of 16
+    /// observations is inserted, the index codes of the next block are
+    /// computed once and their bucket header and slot lines prefetched. A
+    /// scan's observations are known before any is inserted, and a probe of
+    /// a slab far larger than the last-level cache is otherwise two
+    /// dependent misses. Contents, statistics, eviction order and events are
+    /// those of the per-observation loop.
+    pub fn insert_batch<F>(&mut self, batch: &[VoxelUpdate], mut octree_lookup: F)
+    where
+        F: FnMut(VoxelKey) -> Option<f32>,
+    {
+        let mut blocks = batch.chunks(STAGE);
+        let mut codes = [0u64; STAGE];
+        let mut block = blocks.next().unwrap_or_default();
+        self.stage(block, &mut codes);
+        while !block.is_empty() {
+            let staged = codes;
+            let next = blocks.next().unwrap_or_default();
+            self.stage(next, &mut codes);
+            for (u, code) in block.iter().zip(staged) {
+                self.insert_coded(u.key, u.occupied, code, &mut octree_lookup);
+            }
+            block = next;
+        }
+    }
+
+    /// Computes the index codes of `block` into `codes` and prefetches the
+    /// lines their probes will read.
+    #[inline]
+    fn stage(&self, block: &[VoxelUpdate], codes: &mut [u64; STAGE]) {
+        for (u, code) in block.iter().zip(codes) {
+            *code = self.code(u.key);
+            let bucket = (*code & self.mask) as usize;
+            prefetch(&self.table.heads[bucket]);
+            prefetch(&self.table.cells[bucket * self.table.tau]);
+        }
+    }
+
+    /// The one insertion body: `code` is [`VoxelCache::code`] of `key`.
+    #[inline]
+    fn insert_coded<F>(
+        &mut self,
+        key: VoxelKey,
+        occupied: bool,
+        code: u64,
+        octree_lookup: F,
+    ) -> bool
+    where
+        F: FnOnce(VoxelKey) -> Option<f32>,
+    {
         self.stats.insertions += 1;
         // One code computation serves both the bucket index and (under the
         // Morton policy, the default) the event key — recomputing the
         // interleave per emitted event is measurable at millions of events
         // per second.
         let policy = self.config.index_policy();
-        let code = self.code(key);
         let bucket = (code & self.mask) as usize;
         let event_key = |code: u64| match policy {
             IndexPolicy::Morton => code,
@@ -541,37 +617,16 @@ impl VoxelCache {
     /// as long as its excess: the pass emits a bucket's oldest cells, moves
     /// its newest `τ` into the inline slots and ends with an empty spill.
     pub fn evict_into(&mut self, out: &mut Vec<EvictedCell>) -> usize {
-        let order = self.config.eviction_order();
         let start = out.len();
-        let events = &mut self.events;
-        let t = &mut self.table;
         // Ascending, so the bucket-sequential and event orders are those of
         // a scan over every bucket.
-        t.spilled.sort_unstable();
-        let mut staged: Vec<(u32, Cell, Cold)> = Vec::new();
-        for i in 0..t.spilled.len() {
-            let bucket = t.spilled[i];
-            t.trim(bucket as usize, t.tau, |cell, cold| {
-                if order == EvictionOrder::InsertionFifo {
-                    staged.push((bucket, cell, cold));
-                } else {
-                    emit_evict(events, &cell, &cold, bucket);
-                    out.push(cell);
-                }
-            });
-        }
-        t.clear_spill();
-        match order {
-            EvictionOrder::BucketSequential => {}
-            EvictionOrder::FullMortonSort => sort_morton(&mut out[start..]),
-            EvictionOrder::InsertionFifo => {
-                staged.sort_by_key(|(_, _, cold)| cold.seq);
-                out.extend(staged.into_iter().map(|(bucket, cell, cold)| {
-                    emit_evict(events, &cell, &cold, bucket);
-                    cell
-                }));
-            }
-        }
+        self.table.spilled.sort_unstable();
+        let spilled = std::mem::take(&mut self.table.spilled);
+        let over_full = spilled.iter().map(|&bucket| bucket as usize);
+        self.take_oldest(over_full, self.table.tau, self.config.eviction_order(), out);
+        // Emptied with the chains below; its capacity serves the next batch.
+        self.table.spilled = spilled;
+        self.table.clear_spill();
         let evicted = out.len() - start;
         self.len -= evicted;
         self.stats.evictions += evicted as u64;
@@ -589,20 +644,118 @@ impl VoxelCache {
     /// drains bucket-sequentially), leaving the cache empty. Used to flush
     /// pending state into the octree at the end of a run.
     pub fn drain_all(&mut self) -> Vec<EvictedCell> {
+        let order = match self.config.eviction_order() {
+            EvictionOrder::InsertionFifo => EvictionOrder::BucketSequential,
+            order => order,
+        };
         let mut out = Vec::with_capacity(self.len);
-        for bucket in 0..self.table.heads.len() {
-            self.table.trim(bucket, 0, |cell, cold| {
-                emit_evict(&mut self.events, &cell, &cold, bucket as u32);
-                out.push(cell);
-            });
-        }
+        self.take_oldest(0..self.table.heads.len(), 0, order, &mut out);
         self.table.clear_spill();
-        if self.config.eviction_order() == EvictionOrder::FullMortonSort {
-            sort_morton(&mut out);
-        }
         self.stats.evictions += out.len() as u64;
         self.len = 0;
         out
+    }
+
+    /// Takes the cells of each of `buckets` (ascending) older than its
+    /// newest `keep` and appends them to `out` in `order`, emitting their
+    /// `CacheEvict` events bucket by bucket. The chains of `buckets` are
+    /// dead afterwards ([`Table::trim`]).
+    fn take_oldest(
+        &mut self,
+        buckets: impl Iterator<Item = usize> + Clone,
+        keep: usize,
+        order: EvictionOrder,
+        out: &mut Vec<EvictedCell>,
+    ) {
+        if order == EvictionOrder::FullMortonSort
+            && self.config.index_policy() == IndexPolicy::Morton
+        {
+            return self.take_oldest_counted(buckets, keep, out);
+        }
+        let start = out.len();
+        let events = &mut self.events;
+        let mut staged: Vec<(u32, Cell, Cold)> = Vec::new();
+        for bucket in buckets {
+            self.table.trim(bucket, keep, |cell, cold| {
+                if order == EvictionOrder::InsertionFifo {
+                    staged.push((bucket as u32, cell, cold));
+                } else {
+                    emit_evict(events, &cell, &cold, bucket as u32);
+                    out.push(cell);
+                }
+            });
+        }
+        match order {
+            EvictionOrder::BucketSequential => {}
+            // Hash indexing scatters a code's neighbours over the buckets:
+            // there is nothing to count on.
+            EvictionOrder::FullMortonSort => sort_morton(&mut out[start..]),
+            EvictionOrder::InsertionFifo => {
+                staged.sort_by_key(|(_, _, cold)| cold.seq);
+                out.extend(staged.into_iter().map(|(bucket, cell, cold)| {
+                    emit_evict(events, &cell, &cold, bucket);
+                    cell
+                }));
+            }
+        }
+    }
+
+    /// [`take_oldest`](Self::take_oldest) in Morton order for a
+    /// Morton-indexed cache, without a sort. The bucket is the code's low
+    /// log₂w bits, so the walk meets the cells in ascending order of those
+    /// bits, and the cells of one bucket differ in the high part: placing
+    /// each cell, in walk order, into the run of its high part *is* the
+    /// sorted order. A first walk only counts the runs (and emits the
+    /// events, in today's bucket order); the second fills them straight from
+    /// the slab — no comparisons, and no scratch the size of the run to show
+    /// up in peak RSS at a full-cache flush.
+    fn take_oldest_counted(
+        &mut self,
+        buckets: impl Iterator<Item = usize> + Clone,
+        keep: usize,
+        out: &mut Vec<EvictedCell>,
+    ) {
+        let events = &mut self.events;
+        let t = &mut self.table;
+        let shift = self.mask.count_ones();
+        let high = |cell: &Cell| morton::encode(cell.key) >> shift;
+        // Next free index of each high part's run. The parts are few (one
+        // per 128 × 64 × 64 voxels at 2¹⁹ buckets) but up to 48 − log₂w bits
+        // wide, so they key a map instead of indexing a table.
+        let mut runs: HashMap<u64, usize, BuildHasherDefault<HighPartHasher>> = HashMap::default();
+        for bucket in buckets.clone() {
+            let head = t.heads[bucket];
+            let excess = (head.len as usize).saturating_sub(keep);
+            for slot in slots(t.tau, bucket, head, &t.spill).take(excess) {
+                let (cell, cold) = t.at(slot);
+                emit_evict(events, &cell, &cold, bucket as u32);
+                *runs.entry(high(&cell)).or_default() += 1;
+            }
+        }
+        let mut parts: Vec<u64> = runs.keys().copied().collect();
+        parts.sort_unstable();
+        let mut end = out.len();
+        for part in parts {
+            let run = runs.get_mut(&part).expect("a key of the map");
+            let count = std::mem::replace(run, end);
+            end += count;
+        }
+        if out.capacity() < end {
+            // The capacity a push loop would have grown to. Backends reuse
+            // `out` from scan to scan and build it anew every run; buffers
+            // of exactly each scan's size fragmented the heap (glibc, peak
+            // RSS +11 % on `corridor_hot` after 15 back-to-back runs) where
+            // power-of-two ones are recycled.
+            out.reserve_exact(end.next_power_of_two() - out.len());
+        }
+        out.resize(end, Cell::EMPTY);
+        for bucket in buckets {
+            t.trim(bucket, keep, |cell, _| {
+                let next = runs.get_mut(&high(&cell)).expect("counted above");
+                out[*next] = cell;
+                *next += 1;
+            });
+        }
     }
 
     /// Histogram of bucket occupancies (index = cell count, value = number
@@ -661,10 +814,11 @@ impl VoxelCache {
     }
 }
 
-/// Sorts one eviction run into ascending Morton order, in place: a cache
-/// holds a voxel once, so the keys of a run are unique and an unstable sort
-/// loses nothing — and a stable one would allocate half the run again as
-/// scratch, which at a full-cache flush is megabytes of peak RSS.
+/// Sorts one eviction run of a Hash-indexed cache into ascending Morton
+/// order, in place: a cache holds a voxel once, so the keys of a run are
+/// unique and an unstable sort loses nothing — and a stable one would
+/// allocate half the run again as scratch, which at a full-cache flush is
+/// megabytes of peak RSS.
 fn sort_morton(cells: &mut [EvictedCell]) {
     cells.sort_unstable_by(|a, b| morton::cmp_keys(a.key, b.key));
 }
@@ -725,12 +879,13 @@ impl AdaptiveController {
             return false;
         };
         let now = *cache.stats();
-        let window_insertions = now.insertions - self.window_start.insertions;
-        if window_insertions < policy.min_window {
+        // Saturating: after a `reset_stats()` the counters restart below the
+        // window's base, and the window just takes longer to fill.
+        let window = now.since(&self.window_start);
+        if window.insertions < policy.min_window {
             return false;
         }
-        let window_hits = now.hits - self.window_start.hits;
-        let rate = window_hits as f64 / window_insertions as f64;
+        let rate = window.hit_rate();
         self.window_start = now;
         let may_double = cache.config().doubled().is_some()
             && cache.config().num_buckets() * 2 <= policy.max_buckets;
@@ -757,6 +912,44 @@ fn emit_evict(events: &mut Option<EventBuffer>, cell: &Cell, cold: &Cold, bucket
             cold.born_scan,
         );
     }
+}
+
+/// Hashes the one `u64` a counting drain keys its runs by — the high part of
+/// a Morton code — with a multiply and a fold. The default SipHash costs
+/// more than the rest of the drain per cell, and guards nothing here: the
+/// cache's own bucket index is the same code's low bits, unkeyed.
+#[derive(Default)]
+struct HighPartHasher(u64);
+
+impl Hasher for HighPartHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a high part is hashed as one u64");
+    }
+
+    fn write_u64(&mut self, part: u64) {
+        let mixed = part.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = mixed ^ (mixed >> 32);
+    }
+}
+
+/// Asks the memory system for the cache line holding `target`; a hint with
+/// no effect on what any later read returns.
+#[inline(always)]
+fn prefetch<T>(target: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: PREFETCHT0 never faults and never changes architectural
+        // state, whatever the address; this one comes from a live reference
+        // anyway. SSE is part of the x86_64 baseline.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(target).cast()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = target;
 }
 
 /// A fast 3×u16 → u64 mixer (SplitMix64 finalizer over the packed key) for
@@ -1242,6 +1435,35 @@ mod tests {
         assert!(ctl.growths() >= 1, "controller never grew the cache");
         assert!(c.config().num_buckets() > 2);
         assert!(c.config().num_buckets() <= 64);
+    }
+
+    #[test]
+    fn adaptive_controller_survives_a_stats_reset_between_batches() {
+        let mut c = cache(2, 1);
+        let mut ctl = AdaptiveController::new(Some(AdaptivePolicy {
+            target_hit_rate: 0.9,
+            max_buckets: 64,
+            min_window: 16,
+        }));
+        // Every key is new, so every insertion misses.
+        let mut next = 0u16;
+        let mut batch = |c: &mut VoxelCache, n: u16| {
+            for x in next..next + n {
+                c.insert(k(x, 0, 0), true, |_| None);
+            }
+            next += n;
+        };
+        batch(&mut c, 32);
+        assert!(ctl.after_batch(&mut c), "32 misses: the window is full");
+        // The window now starts at 32 insertions; the reset puts the
+        // counters below it.
+        c.reset_stats();
+        batch(&mut c, 8);
+        assert!(!ctl.after_batch(&mut c), "8 insertions since the reset");
+        // Once the counters pass the old base the window fills again.
+        batch(&mut c, 64);
+        assert!(ctl.after_batch(&mut c));
+        assert_eq!(ctl.growths(), 2);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use octocache_geom::{GeomError, Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
-use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams};
+use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams, ReadCursor};
 use octocache_telemetry::{EventBuffer, EventKind, EventLog, EventSink, PhaseTimes, ScanMetrics};
 use parking_lot::{Mutex, MutexGuard};
 
@@ -1195,7 +1195,7 @@ impl ScanExecutor for ParallelExecutor {
         // uncontended — except a wedged worker's, which is skipped (its
         // shard seeds as unknown; the map is already Compromised).
         let t2 = Instant::now();
-        let (mutex_wait, tree_after, memory_bytes) = {
+        let (mutex_wait, tree_after, memory_bytes, octree_seed_visits) = {
             let guards: Vec<Option<MutexGuard<'_, OccupancyOcTree>>> = self
                 .workers
                 .iter()
@@ -1212,21 +1212,28 @@ impl ScanExecutor for ParallelExecutor {
             }
             let mutex_wait = t2.elapsed();
             let router = self.router;
-            let cache = &mut self.cache;
-            for u in batch.iter() {
-                cache.insert(u.key, u.occupied, |k| {
-                    guards[router.shard_of(k)]
-                        .as_ref()
-                        .and_then(|g| g.search(k))
-                });
-            }
+            // One read cursor per shard: a ray's misses stay in one shard
+            // for long runs, so each cursor keeps its own path warm.
+            let mut seeds: Vec<Option<ReadCursor<'_>>> = guards
+                .iter()
+                .map(|g| g.as_ref().map(|g| g.read_cursor()))
+                .collect();
+            self.cache.insert_batch(batch.updates(), |k| {
+                seeds[router.shard_of(k)]
+                    .as_mut()
+                    .and_then(|cursor| cursor.search(k))
+            });
+            let seed_visits = seeds.iter().flatten().map(|c| c.nodes_visited()).sum();
+            // Dropped before the shard stats are read: the cursors add
+            // their visits to them on the way out.
+            drop(seeds);
             let mut tree_after = StatsSnapshot::default();
             let mut memory_bytes = 0u64;
             for g in guards.iter().flatten() {
                 tree_after.merge(&g.stats().snapshot());
                 memory_bytes += g.memory_usage() as u64;
             }
-            (mutex_wait, tree_after, memory_bytes)
+            (mutex_wait, tree_after, memory_bytes, seed_visits)
         };
         let cache_insert = t2.elapsed();
         let observations = batch.len();
@@ -1261,6 +1268,7 @@ impl ScanExecutor for ParallelExecutor {
                 .max()
                 .unwrap_or(0),
             mutex_wait,
+            octree_seed_visits,
             shard_skew: routing::skew(&enq.shard_sizes),
             worker_queue_depths: enq.queue_depths,
             shard_batch_sizes: enq.shard_sizes,

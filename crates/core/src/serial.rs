@@ -48,21 +48,23 @@ pub struct SerialExecutor {
 }
 
 /// The timed post-ray-tracing workflow for one pre-traced batch: cache
-/// insertion → τ-eviction into `evict_buf` → octree update, filling the
-/// three phase times. Free-standing so callers can pass a batch that
-/// borrows a sibling field of the executor.
+/// insertion (misses seeded through one read cursor on the tree) →
+/// τ-eviction into `evict_buf` → octree update, filling the three phase
+/// times and the cursor's node visits. Free-standing so callers can pass a
+/// batch that borrows a sibling field of the executor.
 fn integrate(
     cache: &mut VoxelCache,
     tree: &mut OccupancyOcTree,
     evict_buf: &mut Vec<EvictedCell>,
     batch: &insert::VoxelBatch,
-    times: &mut PhaseTimes,
+    metrics: &mut ScanMetrics,
 ) {
+    let times = &mut metrics.times;
     let t1 = Instant::now();
-    let lookup: &OccupancyOcTree = tree;
-    for u in batch.iter() {
-        cache.insert(u.key, u.occupied, |k| lookup.search(k));
-    }
+    let mut seeds = tree.read_cursor();
+    cache.insert_batch(batch.updates(), |k| seeds.search(k));
+    metrics.octree_seed_visits = seeds.nodes_visited();
+    drop(seeds);
     times.cache_insert = t1.elapsed();
 
     let t2 = Instant::now();
@@ -173,7 +175,7 @@ impl SerialExecutor {
             &mut self.tree,
             &mut self.evict_buf,
             batch,
-            &mut metrics.times,
+            metrics,
         );
         metrics.observations = batch.len() as u64;
         self.finish_metrics(metrics, &cache_before, &tree_before)
@@ -238,7 +240,7 @@ impl ScanExecutor for SerialExecutor {
             &mut self.tree,
             &mut self.evict_buf,
             &batch,
-            &mut metrics.times,
+            metrics,
         );
         self.adaptive.after_batch(&mut self.cache);
         Ok(self.finish_metrics(metrics, &cache_before, &tree_before))

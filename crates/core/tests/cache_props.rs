@@ -10,14 +10,18 @@
 //!    every resident cell in the occupancy histogram.
 //! 4. The slab-and-spill storage behaves exactly as the bucket-of-vectors
 //!    layout it replaced ([`ModelCache`]): same hits, values, evicted
-//!    sequences, iteration order and event stream.
+//!    sequences, iteration order and event stream — whether observations
+//!    arrive one `insert` at a time or through `insert_batch`.
+//! 5. Under Morton indexing the counting drain hands out exactly the run a
+//!    comparison sort by Morton code would.
 
 use std::collections::{HashMap, VecDeque};
 
 use octocache::{CacheConfig, CacheStats, EvictedCell, EvictionOrder, IndexPolicy, VoxelCache};
 use octocache_geom::{morton, VoxelKey};
+use octocache_octomap::insert::VoxelUpdate;
 use octocache_octomap::OccupancyParams;
-use octocache_telemetry::{EventKind, EventSink};
+use octocache_telemetry::{Event, EventKind, EventSink};
 use proptest::prelude::*;
 
 /// Ops driving the eviction-loss property.
@@ -136,6 +140,12 @@ fn arb_storage_op() -> impl Strategy<Value = StorageOp> {
     ]
 }
 
+/// What an event says, without when it was emitted.
+fn untimed(events: Vec<Event>) -> Vec<(u64, EventKind, u64, u32, u32, u64)> {
+    let untimed = |e: Event| (e.scan, e.kind, e.key, e.bucket, e.hits, e.value);
+    events.into_iter().map(untimed).collect()
+}
+
 /// An arbitrary stats snapshot with fields small enough that merged sums
 /// never overflow.
 fn arb_stats() -> impl Strategy<Value = CacheStats> {
@@ -217,12 +227,26 @@ proptest! {
 
     /// The slab behaves exactly as the layout it replaced: under any
     /// interleaving of insert / evict / grow / drain_all, every answer the
-    /// cache gives equals the reference model's, order included.
+    /// cache gives equals the reference model's, order included. Half the
+    /// cases offer their observations through `insert_batch`, in batches of
+    /// `batch` (0: an empty batch before every single `insert`), and must
+    /// end with the statistics and the event stream of a twin cache that
+    /// took them one `insert` at a time.
     #[test]
     fn slab_storage_matches_the_bucket_of_vectors_model(
         ops in proptest::collection::vec(arb_storage_op(), 1..250),
         tau in 1usize..5,
         buckets in prop_oneof![Just(1usize), Just(2), Just(16)],
+        batch in prop_oneof![
+            6 => Just(None),
+            1 => Just(Some(0usize)),
+            1 => Just(Some(1)),
+            1 => Just(Some(15)),
+            1 => Just(Some(16)),
+            1 => Just(Some(17)),
+            1 => Just(Some(33)),
+        ],
+        events in any::<bool>(),
     ) {
         let policies = [IndexPolicy::Hash, IndexPolicy::Morton];
         let orders = [
@@ -239,33 +263,61 @@ proptest! {
                 .build()
                 .unwrap();
             let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
+            let mut twin = VoxelCache::new(cfg, OccupancyParams::default());
+            let sinks = [EventSink::new(), EventSink::new()];
+            if events {
+                cache.attach_events(sinks[0].buffer(0));
+                twin.attach_events(sinks[1].buffer(0));
+            }
             let mut model = ModelCache {
                 buckets: vec![VecDeque::new(); buckets],
                 next_seq: 0,
                 peak_len: 0,
             };
-            // The stand-in octree both sides seed their misses from.
+            // The stand-in octree all sides seed their misses from.
             let mut flushed: HashMap<VoxelKey, f32> = HashMap::new();
             let mut offered: Vec<VoxelKey> = Vec::new();
+            // Observations not yet offered to the caches.
+            let mut pending: Vec<VoxelUpdate> = Vec::new();
 
-            for op in &ops {
-                let at = format!("{policy:?} {order:?} {op:?}");
-                let evicted = match *op {
-                    StorageOp::Insert(key, occupied) => {
-                        offered.push(key);
-                        let seed = flushed.get(&key).copied();
-                        let hit = cache.insert(key, occupied, |_| seed);
-                        let bucket = cache.bucket_index(key);
-                        assert_eq!(hit, model.insert(bucket, key, occupied, seed), "{at}");
-                        Vec::new()
+            // The pass at the end offers what is left of the last batch.
+            for op in ops.iter().chain([&StorageOp::Evict]) {
+                let at = format!("{policy:?} {order:?} {batch:?} {op:?}");
+                if let StorageOp::Insert(key, occupied) = *op {
+                    offered.push(key);
+                    pending.push(VoxelUpdate { key, occupied });
+                    if pending.len() < batch.unwrap_or(1) {
+                        continue;
                     }
+                }
+                let seed = |key: VoxelKey| flushed.get(&key).copied();
+                match batch {
+                    Some(n) if n > 0 => cache.insert_batch(&pending, seed),
+                    _ => {
+                        for u in &pending {
+                            if batch.is_some() {
+                                cache.insert_batch(&[], |_| panic!("nothing to seed"));
+                            }
+                            cache.insert(u.key, u.occupied, seed);
+                        }
+                    }
+                }
+                for u in pending.drain(..) {
+                    let hit = twin.insert(u.key, u.occupied, seed);
+                    let bucket = cache.bucket_index(u.key);
+                    assert_eq!(hit, model.insert(bucket, u.key, u.occupied, seed(u.key)), "{at}");
+                }
+                let evicted = match *op {
+                    StorageOp::Insert(..) => Vec::new(),
                     StorageOp::Evict => {
                         let evicted = cache.evict();
                         assert_eq!(evicted, model.evict(tau, order), "{at}");
+                        assert_eq!(evicted, twin.evict(), "{at}");
                         evicted
                     }
                     StorageOp::Grow if cache.config().num_buckets() < 128 => {
                         cache.grow();
+                        twin.grow();
                         model.grow(|key| cache.bucket_index(key));
                         Vec::new()
                     }
@@ -273,10 +325,12 @@ proptest! {
                     StorageOp::DrainAll => {
                         let drained = cache.drain_all();
                         assert_eq!(drained, model.drain_all(order), "{at}");
+                        assert_eq!(drained, twin.drain_all(), "{at}");
                         drained
                     }
                 };
                 flushed.extend(evicted.iter().map(|c| (c.key, c.log_odds)));
+                assert_eq!(cache.stats(), twin.stats(), "{at}");
                 assert_eq!(cache.len(), model.len(), "{at}");
                 assert_eq!(cache.peak_len(), model.peak_len, "{at}");
                 assert_eq!(cache.bucket_occupancy_histogram(), model.histogram(), "{at}");
@@ -286,7 +340,68 @@ proptest! {
                     assert_eq!(cache.peek(key), model.peek(bucket, key), "{at}: {key}");
                 }
             }
+            if events {
+                cache.events_mut().unwrap().drain();
+                twin.events_mut().unwrap().drain();
+                let [batched, single] = sinks.map(|sink| untimed(sink.take().events));
+                assert_eq!(batched, single, "{policy:?} {order:?} {batch:?}");
+            }
         }
+    }
+
+    /// Under Morton indexing the sorted eviction order is produced by
+    /// counting, not comparing: for any keys — high parts past 32 bits at
+    /// the small `w`s, no low bits at all at `w = 1` — a pass and the final
+    /// drain hand out the bucket-sequential run sorted by Morton code, and
+    /// emit their `CacheEvict` events in bucket-sequential order.
+    #[test]
+    fn counting_drain_equals_the_morton_comparison_sort(
+        keys in proptest::collection::vec(
+            // Few low parts, many high parts: buckets fill at every `w`.
+            ((0u16..4, 0u16..512), (0u16..4, 0u16..512), (0u16..2, 0u16..512))
+                .prop_map(|((x, i), (y, j), (z, k))| VoxelKey::new(x + 128 * i, y + 128 * j, z + 128 * k)),
+            1..200,
+        ),
+        buckets in prop_oneof![Just(1usize), Just(2), Just(64), Just(1 << 19)],
+        tau in 1usize..3,
+        split in 0usize..200,
+    ) {
+        let build = |order| {
+            let cfg = CacheConfig::builder()
+                .num_buckets(buckets)
+                .tau(tau)
+                .eviction_order(order)
+                .build()
+                .unwrap();
+            let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
+            let sink = EventSink::new();
+            cache.attach_events(sink.buffer(0));
+            (cache, sink)
+        };
+        let (mut counted, counted_sink) = build(EvictionOrder::FullMortonSort);
+        let (mut walked, walked_sink) = build(EvictionOrder::BucketSequential);
+        // One pass part-way, one at the end, then the drain of what is left.
+        let (head, tail) = keys.split_at(split.min(keys.len()));
+        for part in [head, tail] {
+            for (i, &key) in part.iter().enumerate() {
+                counted.insert(key, i % 2 == 0, |_| None);
+                walked.insert(key, i % 2 == 0, |_| None);
+            }
+            let mut sorted = walked.evict();
+            sorted.sort_unstable_by(|a, b| morton::cmp_keys(a.key, b.key));
+            assert_eq!(counted.evict(), sorted);
+        }
+        let mut sorted = walked.drain_all();
+        sorted.sort_unstable_by(|a, b| morton::cmp_keys(a.key, b.key));
+        assert_eq!(counted.drain_all(), sorted);
+        assert!(counted.is_empty());
+
+        counted.events_mut().unwrap().drain();
+        walked.events_mut().unwrap().drain();
+        assert_eq!(
+            untimed(counted_sink.take().events),
+            untimed(walked_sink.take().events)
+        );
     }
 
     /// `merge` is associative with `CacheStats::default()` as the zero.

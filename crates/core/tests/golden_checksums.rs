@@ -15,10 +15,13 @@
 //!   serialisations, and `.ot` (v1, v2) / `.bt` files the pointer tree
 //!   wrote. The pointer tree was the differential oracle; this table is
 //!   what remains of it. One column is younger: `visits_serial` is what
-//!   the serial backend pays since evictions are Morton-sorted and applied
-//!   through `set_log_odds_batch` (𝓕(S) plus one round trip per eviction
-//!   run, 2.3–3.0× fewer than the pointer tree's one round trip per cell);
-//!   every other column is byte-identical to the pointer tree's.
+//!   the serial backend pays with both of its octree paths keeping a
+//!   root-to-leaf path between consecutive keys — evictions Morton-sorted
+//!   and applied through `set_log_odds_batch` (𝓕(S) plus one round trip per
+//!   eviction run), cache misses seeded through one `read_cursor` per scan
+//!   (the nodes it descends into; a kept node is not a visit, which made
+//!   the column 2.3–3.7× smaller than with one `search` per miss); every
+//!   other column is byte-identical to the pointer tree's.
 //!
 //! Regenerate the two tables (after an *intentional* mapping-behaviour
 //! change only) with:

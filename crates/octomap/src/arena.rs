@@ -203,29 +203,20 @@ impl ArenaTree {
         }
     }
 
-    /// Iterative lookup: one index add per level, no pointer dereference.
-    pub(crate) fn search(&self, key: VoxelKey, depth: u8, stats: &TreeStats) -> Option<f32> {
-        if self.nodes.is_empty() {
-            return None;
+    /// Opens a read cursor on the tree: see [`ReadCursor`].
+    pub(crate) fn read_cursor<'a>(&'a self, depth: u8, stats: &'a TreeStats) -> ReadCursor<'a> {
+        debug_assert!(depth as usize <= 16);
+        ReadCursor {
+            tree: self,
+            stats,
+            depth,
+            path: [0; 17],
+            len: 0,
+            key: VoxelKey::new(0, 0, 0),
+            queries: 0,
+            visited: 0,
+            reused: 0,
         }
-        let mut idx = 0u32;
-        stats.count_visit();
-        let mut level = depth;
-        while level > 0 {
-            let n = self.nodes[idx as usize];
-            if n.mask == 0 {
-                // Pruned aggregate covering this voxel.
-                return Some(n.log_odds);
-            }
-            let c = key.child_index(level - 1).as_usize();
-            if n.mask & (1 << c) == 0 {
-                return None;
-            }
-            idx = n.block + c as u32;
-            stats.count_visit();
-            level -= 1;
-        }
-        Some(self.nodes[idx as usize].log_odds)
     }
 
     /// Full bottom-up prune (iterative post-order): freed child blocks go to
@@ -605,6 +596,101 @@ impl Drop for ClosedOnDrop<'_> {
     }
 }
 
+/// A root-to-leaf read path kept between consecutive lookups — the
+/// read-only twin of the write path (`OpenPath`), created by
+/// [`OccupancyOcTree::read_cursor`](crate::OccupancyOcTree::read_cursor).
+///
+/// A lookup keeps the nodes of the previous descent above its common
+/// ancestor with the previous key and descends only from there, so a run of
+/// nearby keys (the voxels of one ray, a Morton-sorted probe batch) pays for
+/// the few levels in which neighbours differ instead of the whole depth.
+/// Every answer is exactly
+/// [`OccupancyOcTree::search`](crate::OccupancyOcTree::search)'s; the cursor
+/// borrows the tree, so nothing can change beneath its path.
+///
+/// Lookups and the nodes they descend into are counted in the cursor and
+/// added to the tree's [`TreeStats`] once, when it is dropped: a reused node
+/// is not a visit.
+#[derive(Debug)]
+pub struct ReadCursor<'a> {
+    tree: &'a ArenaTree,
+    stats: &'a TreeStats,
+    depth: u8,
+    /// `path[i]` is the node at level `depth - i` along the last lookup's
+    /// descent (`path[0]` the root), for `i < len`. A descent that met a
+    /// missing child or a pruned aggregate leaves a shorter path.
+    path: [u32; 17],
+    len: u8,
+    /// The last key looked up, once `len > 0`.
+    key: VoxelKey,
+    queries: u64,
+    visited: u64,
+    reused: u64,
+}
+
+impl ReadCursor<'_> {
+    /// The log-odds at `key`, or `None` in unknown space.
+    #[inline]
+    pub fn search(&mut self, key: VoxelKey) -> Option<f32> {
+        self.queries += 1;
+        let nodes = &self.tree.nodes;
+        if nodes.is_empty() {
+            return None;
+        }
+        let depth = self.depth;
+        if self.len == 0 {
+            self.path[0] = 0;
+            self.len = 1;
+            self.visited += 1;
+        } else {
+            // Levels `depth ..= common` hold the same nodes for both keys.
+            let common = self.key.common_ancestor_level(key, depth);
+            self.len = self.len.min(depth - common + 1);
+            self.reused += u64::from(self.len);
+        }
+        self.key = key;
+        let mut idx = self.path[self.len as usize - 1];
+        let mut level = depth + 1 - self.len;
+        // One index add per level, no pointer dereference.
+        while level > 0 {
+            let n = nodes[idx as usize];
+            if n.mask == 0 {
+                // Pruned aggregate covering this voxel.
+                return Some(n.log_odds);
+            }
+            let c = key.child_index(level - 1).as_usize();
+            if n.mask & (1 << c) == 0 {
+                return None;
+            }
+            idx = n.block + c as u32;
+            self.path[self.len as usize] = idx;
+            self.len += 1;
+            self.visited += 1;
+            level -= 1;
+        }
+        Some(nodes[idx as usize].log_odds)
+    }
+
+    /// Nodes descended into so far (what the drop adds to
+    /// [`TreeStats::node_visits`]).
+    pub fn nodes_visited(&self) -> u64 {
+        self.visited
+    }
+
+    /// Path nodes kept from the previous lookup instead of being fetched
+    /// again, summed over the lookups so far.
+    pub fn nodes_reused(&self) -> u64 {
+        self.reused
+    }
+}
+
+impl Drop for ReadCursor<'_> {
+    fn drop(&mut self) {
+        self.stats.count_queries(self.queries);
+        self.stats.count_visits(self.visited);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,8 +713,11 @@ mod tests {
         let stats = TreeStats::new();
         let key = VoxelKey::new(3, 7, 11);
         let v = observe(&mut t, key, true, &stats);
-        assert_eq!(t.search(key, 4, &stats), Some(v));
-        assert_eq!(t.search(VoxelKey::new(0, 0, 0), 4, &stats), None);
+        assert_eq!(t.read_cursor(4, &stats).search(key), Some(v));
+        assert_eq!(
+            t.read_cursor(4, &stats).search(VoxelKey::new(0, 0, 0)),
+            None
+        );
         t.check_structure().unwrap();
     }
 
@@ -680,14 +769,19 @@ mod tests {
         merged.merge_disjoint_top_level(&b).unwrap();
         merged.check_structure().unwrap();
         assert_eq!(
-            merged.search(VoxelKey::new(1, 2, 3), 4, &stats),
-            a.search(VoxelKey::new(1, 2, 3), 4, &stats)
+            merged.read_cursor(4, &stats).search(VoxelKey::new(1, 2, 3)),
+            a.read_cursor(4, &stats).search(VoxelKey::new(1, 2, 3))
         );
         assert_eq!(
-            merged.search(VoxelKey::new(12, 13, 14), 4, &stats),
-            b.search(VoxelKey::new(12, 13, 14), 4, &stats)
+            merged
+                .read_cursor(4, &stats)
+                .search(VoxelKey::new(12, 13, 14)),
+            b.read_cursor(4, &stats).search(VoxelKey::new(12, 13, 14))
         );
-        assert_eq!(merged.search(VoxelKey::new(9, 1, 1), 4, &stats), None);
+        assert_eq!(
+            merged.read_cursor(4, &stats).search(VoxelKey::new(9, 1, 1)),
+            None
+        );
 
         let mut conflict = ArenaTree::new();
         observe(&mut conflict, VoxelKey::new(2, 2, 2), true, &stats);

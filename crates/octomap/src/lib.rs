@@ -57,5 +57,6 @@ pub mod rt;
 pub mod stats;
 mod tree;
 
+pub use arena::ReadCursor;
 pub use occupancy::{logodds_to_prob, prob_to_logodds, OccupancyParams};
 pub use tree::{LeafEntry, OccupancyOcTree, TreeLayout};

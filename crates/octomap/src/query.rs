@@ -147,69 +147,24 @@ impl BatchStats {
 /// Looks up the log-odds of every key in `keys`, reusing root-to-leaf
 /// traversal prefixes across Morton-adjacent queries.
 ///
-/// The queries are answered in ascending Morton order internally — two
-/// consecutive keys in that order share every ancestor at or above their
-/// common-ancestor level, so the descent restarts from the deepest shared
-/// path node instead of the root — but results are returned in **input
-/// order**: `out[i]` is exactly `tree.search(keys[i])`. Duplicate keys cost
-/// a single descent.
+/// The queries are answered through one
+/// [`read_cursor`](OccupancyOcTree::read_cursor) in ascending Morton order —
+/// two consecutive keys in that order share every ancestor at or above
+/// their common-ancestor level, so the descent restarts from the deepest
+/// shared path node instead of the root — but results are returned in
+/// **input order**: `out[i]` is exactly `tree.search(keys[i])`. Duplicate
+/// keys cost a single descent.
 pub fn batch_search(tree: &OccupancyOcTree, keys: &[VoxelKey]) -> (Vec<Option<f32>>, BatchStats) {
     let mut values: Vec<Option<f32>> = vec![None; keys.len()];
-    let mut stats = BatchStats {
-        queries: keys.len() as u64,
-        ..BatchStats::default()
-    };
-    tree.stats().count_queries(keys.len() as u64);
-    let Some(root) = tree.root_ref() else {
-        return (values, stats);
-    };
-    let depth = tree.grid().depth();
-    let order = morton::sort_index(keys);
-    // path[i] is the node at level `depth - i` along the previous key's
-    // descent; path[0] is the root.
-    let mut path = Vec::with_capacity(depth as usize + 1);
-    let mut prev: Option<VoxelKey> = None;
-    for &qi in &order {
-        let key = keys[qi as usize];
-        // Nodes at levels depth ..= common_ancestor_level are identical for
-        // both keys: keep that prefix of the previous path.
-        let keep = match prev {
-            Some(p) if p == key => path.len(),
-            Some(p) => {
-                let common = key.common_ancestor_level(p, depth);
-                path.len().min((depth - common) as usize + 1)
-            }
-            None => 0,
-        };
-        path.truncate(keep);
-        stats.nodes_reused += keep as u64;
-        if path.is_empty() {
-            path.push(root);
-            stats.nodes_visited += 1;
-            tree.stats().count_visit();
-        }
-        let mut node = *path.last().expect("path holds at least the root");
-        let mut level = depth - (path.len() as u8 - 1);
-        // Same stopping rules as `OccupancyOcTree::search`: a childless
-        // node covers the key as a pruned aggregate; a missing child means
-        // unknown space.
-        values[qi as usize] = loop {
-            if level == 0 || !node.has_children() {
-                break Some(node.log_odds());
-            }
-            match node.child(key.child_index(level - 1)) {
-                Some(c) => {
-                    path.push(c);
-                    stats.nodes_visited += 1;
-                    tree.stats().count_visit();
-                    node = c;
-                    level -= 1;
-                }
-                None => break None,
-            }
-        };
-        prev = Some(key);
+    let mut cursor = tree.read_cursor();
+    for qi in morton::sort_index(keys) {
+        values[qi as usize] = cursor.search(keys[qi as usize]);
     }
+    let stats = BatchStats {
+        queries: keys.len() as u64,
+        nodes_visited: cursor.nodes_visited(),
+        nodes_reused: cursor.nodes_reused(),
+    };
     (values, stats)
 }
 

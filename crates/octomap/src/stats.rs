@@ -110,11 +110,6 @@ impl TreeStats {
     }
 
     #[inline]
-    pub(crate) fn count_query(&self) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
     pub(crate) fn count_queries(&self, n: u64) {
         self.queries.fetch_add(n, Ordering::Relaxed);
     }
@@ -208,7 +203,7 @@ mod tests {
         s.count_visits(4);
         s.count_created();
         s.count_leaf_update();
-        s.count_query();
+        s.count_queries(1);
         s.count_prune();
         s.count_expansion();
         assert_eq!(s.node_visits(), 5);

@@ -1,6 +1,6 @@
 use octocache_geom::{ChildIndex, GeomError, Point3, VoxelGrid, VoxelKey};
 
-use crate::arena::{ArenaTree, ClosedOnDrop, OpenPath};
+use crate::arena::{ArenaTree, ClosedOnDrop, OpenPath, ReadCursor};
 use crate::occupancy::OccupancyParams;
 use crate::stats::TreeStats;
 
@@ -237,8 +237,19 @@ impl OccupancyOcTree {
     /// Looks up the log-odds at `key`, descending until a leaf or pruned
     /// aggregate covers it. `None` means the voxel is in unknown space.
     pub fn search(&self, key: VoxelKey) -> Option<f32> {
-        self.stats.count_query();
-        self.nodes.search(key, self.grid.depth(), &self.stats)
+        self.read_cursor().search(key)
+    }
+
+    /// A cursor for a run of lookups: each answers exactly what
+    /// [`search`](Self::search) answers, but restarts below its common
+    /// ancestor with the previous key instead of at the root, and the run's
+    /// queries and node visits reach [`stats`](Self::stats) when the cursor
+    /// is dropped. Cache misses are seeded through one (consecutive voxels
+    /// of a ray share almost their whole root path) and
+    /// [`query::batch_search`](crate::query::batch_search) is a Morton-sorted
+    /// loop over one.
+    pub fn read_cursor(&self) -> ReadCursor<'_> {
+        self.nodes.read_cursor(self.grid.depth(), &self.stats)
     }
 
     /// Occupancy decision at `key`: `Some(true)` occupied, `Some(false)`

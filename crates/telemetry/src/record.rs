@@ -34,6 +34,10 @@ pub struct ScanRecord {
     pub cache_evictions: u64,
     /// Octree nodes visited (descents) this scan.
     pub octree_node_visits: u64,
+    /// The share of `octree_node_visits` paid seeding cache misses from the
+    /// octree: nodes the seeding read cursor descended into, whether or not
+    /// the walk found a value (0 on the cache-less baselines).
+    pub octree_seed_visits: u64,
     /// Octree leaf log-odds updates this scan.
     pub octree_leaf_updates: u64,
     /// Octree nodes created this scan.
@@ -156,6 +160,7 @@ impl ScanRecord {
             cache_insertions: scan.cache_insertions,
             cache_evictions: scan.cache_evictions,
             octree_node_visits: scan.octree_node_visits,
+            octree_seed_visits: scan.octree_seed_visits,
             octree_leaf_updates: scan.octree_leaf_updates,
             octree_nodes_created: scan.octree_nodes_created,
             memory_bytes: scan.memory_bytes,
@@ -215,6 +220,8 @@ pub struct ScanMetrics {
     pub cache_evictions: u64,
     /// Octree nodes visited (descents) this scan.
     pub octree_node_visits: u64,
+    /// Of those, the nodes the miss-seeding read cursor descended into.
+    pub octree_seed_visits: u64,
     /// Octree leaf log-odds updates this scan.
     pub octree_leaf_updates: u64,
     /// Octree nodes created this scan.
@@ -318,6 +325,7 @@ mod tests {
             cache_insertions: 4096,
             cache_evictions: 800,
             octree_node_visits: 12_000,
+            octree_seed_visits: 4_000,
             octree_leaf_updates: 800,
             octree_nodes_created: 20,
             memory_bytes: 1_234_567,
@@ -373,6 +381,7 @@ mod tests {
             cache_insertions: 100,
             cache_evictions: 12,
             octree_node_visits: 320,
+            octree_seed_visits: 110,
             octree_leaf_updates: 12,
             octree_nodes_created: 3,
             memory_bytes: 4096,
@@ -415,6 +424,7 @@ mod tests {
         assert_eq!(r.times, scan.times);
         assert_eq!(r.observations, 100);
         assert_eq!(r.cache_hits, 60);
+        assert_eq!(r.octree_seed_visits, 110);
         assert_eq!(r.memory_bytes, 4096);
         assert_eq!(r.worker_busy_ns, vec![500]);
         assert_eq!(r.snapshot_publish_ns, 900);

@@ -153,6 +153,8 @@ pub struct TraceSummary {
     pub cache_evictions: u64,
     /// Total octree node visits.
     pub octree_node_visits: u64,
+    /// Of those, the visits paid seeding cache misses from the octree.
+    pub octree_seed_visits: u64,
     /// Total octree leaf updates.
     pub octree_leaf_updates: u64,
     /// Largest SPSC queue depth seen at enqueue.
@@ -242,6 +244,7 @@ impl TraceSummary {
             s.cache_hits += r.cache_hits;
             s.cache_evictions += r.cache_evictions;
             s.octree_node_visits += r.octree_node_visits;
+            s.octree_seed_visits += r.octree_seed_visits;
             s.octree_leaf_updates += r.octree_leaf_updates;
             s.peak_memory_bytes = s.peak_memory_bytes.max(r.memory_bytes);
             s.max_queue_depth = s.max_queue_depth.max(r.queue_depth_enqueue);
@@ -423,6 +426,7 @@ impl TraceSummary {
             ("hit_ratio", Value::F64(self.hit_ratio())),
             ("cache_evictions", Value::U64(self.cache_evictions)),
             ("octree_node_visits", Value::U64(self.octree_node_visits)),
+            ("octree_seed_visits", Value::U64(self.octree_seed_visits)),
             ("octree_leaf_updates", Value::U64(self.octree_leaf_updates)),
             ("visits_per_update", Value::F64(self.visits_per_update())),
             ("peak_memory_bytes", Value::U64(self.peak_memory_bytes)),
@@ -487,8 +491,9 @@ impl TraceSummary {
         );
         let _ = writeln!(
             out,
-            "  octree: {} node visits, {} leaf updates ({:.2} visits/update)",
+            "  octree: {} node visits ({} to seed misses), {} leaf updates ({:.2} visits/update)",
             self.octree_node_visits,
+            self.octree_seed_visits,
             self.octree_leaf_updates,
             self.visits_per_update()
         );
@@ -604,6 +609,7 @@ mod tests {
                 cache_hits: i.min(90),
                 cache_evictions: 7,
                 octree_node_visits: 50,
+                octree_seed_visits: 20,
                 octree_leaf_updates: 10,
                 ..Default::default()
             })
