@@ -1,6 +1,6 @@
 //! Concurrent snapshot-query benchmark: reader threads hammer a
 //! [`QueryHandle`] while the parallel pipeline keeps mapping, sweeping
-//! reader count × octree-update worker count. The headline numbers are
+//! the reader count. The headline numbers are
 //! aggregate reader throughput (lock-free reads must scale with reader
 //! count instead of serialising on the octree mutex), the mapping
 //! throughput it costs (snapshot publish overhead), and the Morton-sweep
@@ -11,7 +11,6 @@
 //! `batch-vs-single` microbenchmark of the batch API against one-at-a-time
 //! lookups on the same snapshot.
 
-use octocache::pipeline::RayTracer;
 use octocache::{MappingSystem, ParallelOctoCache, QueryHandle};
 use octocache_bench::{
     cache_for, cache_with, grid, load_dataset, print_table, reference_resolution, scenario_smoke,
@@ -24,9 +23,6 @@ use serde::Value;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Octree-update worker counts swept.
-const WORKER_COUNTS: [usize; 2] = [1, 4];
-
 /// Concurrent reader counts swept (0 = mapping alone, the baseline the
 /// publish overhead is measured against).
 const READER_COUNTS: [usize; 4] = [0, 1, 4, 8];
@@ -37,7 +33,6 @@ const BATCH: usize = 256;
 
 struct Run {
     dataset: &'static str,
-    workers: usize,
     readers: usize,
     scans: u64,
     map_total_s: f64,
@@ -52,7 +47,6 @@ struct Run {
 fn run_value(r: &Run) -> Value {
     Value::Map(vec![
         ("dataset".to_string(), Value::Str(r.dataset.to_string())),
-        ("workers".to_string(), Value::U64(r.workers as u64)),
         ("readers".to_string(), Value::U64(r.readers as u64)),
         ("scans".to_string(), Value::U64(r.scans)),
         ("map_total_s".to_string(), Value::F64(r.map_total_s)),
@@ -106,12 +100,10 @@ fn main() {
 
     // Shared-scenario smoke check (same seeded generator as the
     // integration suites) before committing minutes to the sweep.
-    let smoke = scenario_smoke(Box::new(ParallelOctoCache::with_workers(
+    let smoke = scenario_smoke(Box::new(ParallelOctoCache::new(
         grid(0.5),
         OccupancyParams::default(),
         cache_with(1 << 7, 2),
-        RayTracer::Standard,
-        2,
     )));
     println!("# scenario smoke checksum {smoke:#018x}");
 
@@ -133,94 +125,84 @@ fn main() {
 
     let mut runs: Vec<Run> = Vec::new();
     let mut rows = Vec::new();
-    for workers in WORKER_COUNTS {
-        for readers in READER_COUNTS {
-            let recorder = SharedRecorder::new();
-            let mut system: Box<dyn MappingSystem> = Box::new(ParallelOctoCache::with_workers(
-                g,
-                OccupancyParams::default(),
-                cache,
-                RayTracer::Standard,
-                workers,
-            ));
-            system.set_recorder(Box::new(recorder.clone()));
-            let handle = system.query_handle();
+    for readers in READER_COUNTS {
+        let recorder = SharedRecorder::new();
+        let mut system: Box<dyn MappingSystem> =
+            Box::new(ParallelOctoCache::new(g, OccupancyParams::default(), cache));
+        system.set_recorder(Box::new(recorder.clone()));
+        let handle = system.query_handle();
 
-            let stop = AtomicBool::new(false);
-            let reader_queries = AtomicU64::new(0);
-            let epochs_observed = AtomicU64::new(0);
-            let (scan_count, map_total_s, reader_s) = std::thread::scope(|scope| {
-                for _ in 0..readers {
-                    let h = handle.clone();
-                    let (probes, stop) = (&probes[..], &stop);
-                    let (q, e) = (&reader_queries, &epochs_observed);
-                    scope.spawn(move || reader_loop(h, probes, stop, q, e));
-                }
-                let t0 = Instant::now();
-                let mut scan_count = 0u64;
-                for scan in seq.scans() {
-                    system
-                        .insert_scan(scan.origin, &scan.points, seq.max_range())
-                        .expect("scan within grid");
-                    scan_count += 1;
-                }
-                let map_total_s = t0.elapsed().as_secs_f64();
-                stop.store(true, Ordering::Release);
-                // Readers stop on their own; the scope joins them.
-                (scan_count, map_total_s, t0.elapsed().as_secs_f64())
-            });
-            system.finish();
+        let stop = AtomicBool::new(false);
+        let reader_queries = AtomicU64::new(0);
+        let epochs_observed = AtomicU64::new(0);
+        let (scan_count, map_total_s, reader_s) = std::thread::scope(|scope| {
+            for _ in 0..readers {
+                let h = handle.clone();
+                let (probes, stop) = (&probes[..], &stop);
+                let (q, e) = (&reader_queries, &epochs_observed);
+                scope.spawn(move || reader_loop(h, probes, stop, q, e));
+            }
+            let t0 = Instant::now();
+            let mut scan_count = 0u64;
+            for scan in seq.scans() {
+                system
+                    .insert_scan(scan.origin, &scan.points, seq.max_range())
+                    .expect("scan within grid");
+                scan_count += 1;
+            }
+            let map_total_s = t0.elapsed().as_secs_f64();
+            stop.store(true, Ordering::Release);
+            // Readers stop on their own; the scope joins them.
+            (scan_count, map_total_s, t0.elapsed().as_secs_f64())
+        });
+        system.finish();
 
-            let records = recorder.records();
-            let publishes: Vec<u64> = records
-                .iter()
-                .map(|r| r.snapshot_publish_ns)
-                .filter(|&n| n > 0)
-                .collect();
-            let avg_publish_ms = if publishes.is_empty() {
-                0.0
-            } else {
-                publishes.iter().sum::<u64>() as f64 / publishes.len() as f64 / 1e6
-            };
-            // Reader batch stats are drained into the per-scan records at
-            // each republish; sum them, plus whatever accrued since the
-            // last publish.
-            let residual = handle.batch_stats();
-            let visited =
-                records.iter().map(|r| r.batch_nodes_visited).sum::<u64>() + residual.nodes_visited;
-            let reused =
-                records.iter().map(|r| r.batch_nodes_reused).sum::<u64>() + residual.nodes_reused;
-            let q = reader_queries.load(Ordering::Relaxed);
-            let run = Run {
-                dataset: dataset.name(),
-                workers,
-                readers,
-                scans: scan_count,
-                map_total_s,
-                scans_per_s: scan_count as f64 / map_total_s.max(1e-9),
-                reader_queries: q,
-                reader_queries_per_s: q as f64 / reader_s.max(1e-9),
-                snapshots_observed: epochs_observed.load(Ordering::Relaxed),
-                avg_publish_ms,
-                batch_reuse: reused as f64 / (visited + reused).max(1) as f64,
-            };
-            rows.push(vec![
-                format!("{}", run.workers),
-                format!("{}", run.readers),
-                format!("{:.1}", run.scans_per_s),
-                format!("{:.0}", run.reader_queries_per_s / 1e3),
-                format!("{}", run.snapshots_observed),
-                format!("{:.2}", run.avg_publish_ms),
-                format!("{:.3}", run.batch_reuse),
-            ]);
-            runs.push(run);
-        }
+        let records = recorder.records();
+        let publishes: Vec<u64> = records
+            .iter()
+            .map(|r| r.snapshot_publish_ns)
+            .filter(|&n| n > 0)
+            .collect();
+        let avg_publish_ms = if publishes.is_empty() {
+            0.0
+        } else {
+            publishes.iter().sum::<u64>() as f64 / publishes.len() as f64 / 1e6
+        };
+        // Reader batch stats are drained into the per-scan records at
+        // each republish; sum them, plus whatever accrued since the
+        // last publish.
+        let residual = handle.batch_stats();
+        let visited =
+            records.iter().map(|r| r.batch_nodes_visited).sum::<u64>() + residual.nodes_visited;
+        let reused =
+            records.iter().map(|r| r.batch_nodes_reused).sum::<u64>() + residual.nodes_reused;
+        let q = reader_queries.load(Ordering::Relaxed);
+        let run = Run {
+            dataset: dataset.name(),
+            readers,
+            scans: scan_count,
+            map_total_s,
+            scans_per_s: scan_count as f64 / map_total_s.max(1e-9),
+            reader_queries: q,
+            reader_queries_per_s: q as f64 / reader_s.max(1e-9),
+            snapshots_observed: epochs_observed.load(Ordering::Relaxed),
+            avg_publish_ms,
+            batch_reuse: reused as f64 / (visited + reused).max(1) as f64,
+        };
+        rows.push(vec![
+            format!("{}", run.readers),
+            format!("{:.1}", run.scans_per_s),
+            format!("{:.0}", run.reader_queries_per_s / 1e3),
+            format!("{}", run.snapshots_observed),
+            format!("{:.2}", run.avg_publish_ms),
+            format!("{:.3}", run.batch_reuse),
+        ]);
+        runs.push(run);
     }
 
     print_table(
-        "Concurrent snapshot queries — readers × octree-update workers",
+        "Concurrent snapshot queries by reader count",
         &[
-            "workers",
             "readers",
             "scans/s",
             "kqueries/s",
@@ -232,27 +214,20 @@ fn main() {
     );
 
     // The scaling headline: aggregate reader throughput, 8 readers vs 1.
-    for workers in WORKER_COUNTS {
-        let tput = |r: usize| {
-            runs.iter()
-                .find(|x| x.workers == workers && x.readers == r)
-                .map(|x| x.reader_queries_per_s)
-                .unwrap_or(0.0)
-        };
-        println!(
-            "workers={workers}: 8-reader vs 1-reader throughput ratio {:.2}",
-            tput(8) / tput(1).max(1e-9)
-        );
-    }
+    let tput = |r: usize| {
+        runs.iter()
+            .find(|x| x.readers == r)
+            .map(|x| x.reader_queries_per_s)
+            .unwrap_or(0.0)
+    };
+    println!(
+        "8-reader vs 1-reader throughput ratio {:.2}",
+        tput(8) / tput(1).max(1e-9)
+    );
 
     // Batch-vs-single microbenchmark on a settled snapshot.
-    let mut system: Box<dyn MappingSystem> = Box::new(ParallelOctoCache::with_workers(
-        g,
-        OccupancyParams::default(),
-        cache,
-        RayTracer::Standard,
-        4,
-    ));
+    let mut system: Box<dyn MappingSystem> =
+        Box::new(ParallelOctoCache::new(g, OccupancyParams::default(), cache));
     for scan in seq.scans() {
         system
             .insert_scan(scan.origin, &scan.points, seq.max_range())

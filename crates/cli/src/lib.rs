@@ -6,11 +6,10 @@
 //!   synthetic scan log (datasets: `fr079-corridor`, `freiburg-campus`,
 //!   `new-college`).
 //! * `build <in.scanlog> <out.map> [--backend B] [--resolution R]
-//!   [--buckets N] [--tau T] [--workers N] [--trace out.jsonl]` — build an occupancy map (backends: `octomap`,
+//!   [--buckets N] [--tau T] [--trace out.jsonl]` — build an occupancy map (backends: `octomap`,
 //!   `octomap-rt`, `serial`, `serial-rt`, `parallel`, `parallel-rt`),
-//!   printing per-phase timings and cache statistics; `--workers N` (1, 2,
-//!   4 or 8; parallel backends only) selects the number of octree-update
-//!   workers; `--trace` streams one JSON scan record per line to a file;
+//!   printing per-phase timings and cache statistics; `--trace` streams
+//!   one JSON scan record per line to a file;
 //!   `--events` records the sub-scan event stream (cache
 //!   hit/miss/evict, queue traffic, worker batch spans) to a JSONL file
 //!   for `analyze`.
@@ -22,7 +21,7 @@
 //!   recorded event stream, plus a Chrome Trace Event Format export
 //!   loadable in `chrome://tracing` or Perfetto.
 //! * `info <map>` — structural statistics of a serialised map, plus an
-//!   `engine` line (executor, workers, config digest)
+//!   `engine` line (executor, config digest)
 //!   identifying the execution configuration the backend flags select.
 //! * `query <map> [<x> <y> <z>] [--ray O:D] [--batch points.txt]
 //!   [--box MIN:MAX]` — read queries answered through the snapshot query
@@ -157,10 +156,10 @@ fn usage() -> String {
 
 USAGE:
   octocache generate <dataset> <out.scanlog> [--scale S] [--seed N]
-  octocache build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T] [--workers N] [--format ot|bt] [--trace out.jsonl] [--events out.jsonl] [--strict] [--fault SPEC] [--journal DIR] [--checkpoint-every N] [--mem-budget BYTES] [--max-restarts N] [--shed-deadline MS]
+  octocache build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T] [--format ot|bt] [--trace out.jsonl] [--events out.jsonl] [--strict] [--fault SPEC] [--journal DIR] [--checkpoint-every N] [--mem-budget BYTES] [--max-restarts N] [--shed-deadline MS]
   octocache report <trace.jsonl> [--json]
   octocache analyze <events.jsonl> [--trace-out trace.json]
-  octocache info <map> [--backend B] [--workers N] [--buckets N] [--tau T]
+  octocache info <map> [--backend B] [--buckets N] [--tau T]
   octocache query <map> [<x> <y> <z>] [--ray OX,OY,OZ:DX,DY,DZ] [--max-range R] [--ignore-unknown] [--batch points.txt] [--box MINX,MINY,MINZ:MAXX,MAXY,MAXZ]
   octocache diff <map_a> <map_b>
   octocache recover <journal-dir> [<out.map>] [--format ot|bt]
@@ -288,7 +287,6 @@ const BUILD_FLAGS: &[&str] = &[
     "resolution",
     "buckets",
     "tau",
-    "workers",
     "format",
     "trace",
     "events",
@@ -306,7 +304,7 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     reject_unknown_flags(&flags, "build", BUILD_FLAGS)?;
     let [in_path, out_path] = pos.as_slice() else {
         return Err(
-            "usage: build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T] [--workers N]"
+            "usage: build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T]"
                 .into(),
         );
     };
@@ -391,23 +389,6 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     }
     let cache = cache_builder.build().map_err(|e| e.to_string())?;
     let backend_name = flag(&flags, "backend").unwrap_or("serial");
-    let workers = match flag(&flags, "workers") {
-        Some(s) => {
-            let n = parse_usize(s, "--workers")?;
-            if !matches!(n, 1 | 2 | 4 | 8) {
-                return Err(CliError::Usage(format!(
-                    "--workers must be 1, 2, 4 or 8, got {n}"
-                )));
-            }
-            if !matches!(backend_name, "parallel" | "parallel-rt") {
-                return Err(CliError::Usage(format!(
-                    "--workers only applies to the parallel backends, not `{backend_name}`"
-                )));
-            }
-            n
-        }
-        None => 1,
-    };
     let params = OccupancyParams::default();
     // OctoMapSystem takes no CacheConfig, so its event switch is a method.
     let octomap_with = |rt: RayTracer| {
@@ -427,19 +408,12 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
             cache,
             RayTracer::Dedup,
         )),
-        "parallel" => Box::new(ParallelOctoCache::with_workers(
-            grid,
-            params,
-            cache,
-            RayTracer::Standard,
-            workers,
-        )),
-        "parallel-rt" => Box::new(ParallelOctoCache::with_workers(
+        "parallel" => Box::new(ParallelOctoCache::new(grid, params, cache)),
+        "parallel-rt" => Box::new(ParallelOctoCache::with_ray_tracer(
             grid,
             params,
             cache,
             RayTracer::Dedup,
-            workers,
         )),
         other => return Err(CliError::Usage(format!("unknown backend `{other}`"))),
     };
@@ -775,9 +749,9 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
 
 fn cmd_info(args: &[String]) -> Result<String, CliError> {
     let (pos, flags) = parse_flags(args)?;
-    reject_unknown_flags(&flags, "info", &["backend", "workers", "buckets", "tau"])?;
+    reject_unknown_flags(&flags, "info", &["backend", "buckets", "tau"])?;
     let [path] = pos.as_slice() else {
-        return Err("usage: info <map> [--backend B] [--workers N] [--buckets N] [--tau T]".into());
+        return Err("usage: info <map> [--backend B] [--buckets N] [--tau T]".into());
     };
     let tree = load_map(path)?;
     let mut out = String::new();
@@ -797,7 +771,7 @@ fn cmd_info(args: &[String]) -> Result<String, CliError> {
 }
 
 /// Describes the scan-lifecycle engine a `build` with the same flags would
-/// run: the executor driven by `core::engine`, its worker count and the
+/// run: the executor driven by `core::engine` and the
 /// cache-geometry digest — enough for a trace or a bug report to pin down the exact execution configuration. Flags and
 /// defaults mirror `cmd_build`.
 fn engine_line(flags: &[(&str, &str)]) -> Result<String, CliError> {
@@ -811,23 +785,6 @@ fn engine_line(flags: &[(&str, &str)]) -> Result<String, CliError> {
             "unknown backend `{other}` (octomap|octomap-rt|serial|serial-rt|parallel|parallel-rt)"
         )))
         }
-    };
-    let workers = match flag(flags, "workers") {
-        Some(s) => {
-            let n = parse_usize(s, "--workers")?;
-            if !matches!(n, 1 | 2 | 4 | 8) {
-                return Err(CliError::Usage(format!(
-                    "--workers must be 1, 2, 4 or 8, got {n}"
-                )));
-            }
-            if !matches!(backend_name, "parallel" | "parallel-rt") {
-                return Err(CliError::Usage(format!(
-                    "--workers only applies to the parallel backends, not `{backend_name}`"
-                )));
-            }
-            n
-        }
-        None => 1,
     };
     let buckets = match flag(flags, "buckets") {
         Some(s) => parse_usize(s, "--buckets")?,
@@ -843,7 +800,7 @@ fn engine_line(flags: &[(&str, &str)]) -> Result<String, CliError> {
         .tau(tau);
     let cache = cache_builder.build().map_err(|e| e.to_string())?;
     Ok(format!(
-        "executor={executor} workers={workers} config-digest={:016x}",
+        "executor={executor} config-digest={:016x}",
         cache.digest()
     ))
 }
@@ -1104,26 +1061,17 @@ mod tests {
         let info = run(&s(&["info", &map_a])).unwrap();
         assert!(info.contains("nodes:"), "{info}");
         assert!(info.contains("resolution: 0.4"), "{info}");
-        // Default engine description: serial executor, one worker, and a
-        // config digest pinning the cache geometry.
+        // Default engine description: serial executor and a config digest
+        // pinning the cache geometry.
         assert!(
-            info.contains("engine: executor=SerialExecutor workers=1"),
+            info.contains("engine: executor=SerialExecutor config-digest="),
             "{info}"
         );
-        assert!(info.contains("config-digest="), "{info}");
 
         // The engine line mirrors `build`'s backend flags.
-        let info_par = run(&s(&[
-            "info",
-            &map_a,
-            "--backend",
-            "parallel",
-            "--workers",
-            "4",
-        ]))
-        .unwrap();
+        let info_par = run(&s(&["info", &map_a, "--backend", "parallel"])).unwrap();
         assert!(
-            info_par.contains("engine: executor=ParallelExecutor workers=4"),
+            info_par.contains("engine: executor=ParallelExecutor config-digest="),
             "{info_par}"
         );
         // Same geometry, same digest — regardless of backend choice.
@@ -1143,10 +1091,6 @@ mod tests {
         // Different cache geometry changes the digest.
         let info_big = run(&s(&["info", &map_a, "--buckets", "32768"])).unwrap();
         assert_ne!(digest(&info), digest(&info_big));
-        // `--workers` stays parallel-only, as in `build`.
-        let err = run(&s(&["info", &map_a, "--workers", "4"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-
         // A corridor interior point is free.
         let q = run(&s(&["query", &map_a, "1.0", "0.0", "1.4"])).unwrap();
         assert!(q.contains("free"), "{q}");
@@ -1273,58 +1217,6 @@ mod tests {
     }
 
     #[test]
-    fn build_with_workers_sweeps_and_matches_serial() {
-        let log = temp_path("workers.scanlog");
-        run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
-        let map_serial = temp_path("workers-serial.map");
-        run(&s(&[
-            "build",
-            &log,
-            &map_serial,
-            "--backend",
-            "serial",
-            "--resolution",
-            "0.4",
-        ]))
-        .unwrap();
-        for n in ["1", "2", "4"] {
-            let map = temp_path(&format!("workers-{n}.map"));
-            let trace = temp_path(&format!("workers-{n}.jsonl"));
-            let out = run(&s(&[
-                "build",
-                &log,
-                &map,
-                "--backend",
-                "parallel",
-                "--workers",
-                n,
-                "--resolution",
-                "0.4",
-                "--trace",
-                &trace,
-            ]))
-            .unwrap();
-            assert!(out.contains("built"), "{out}");
-            // The trace carries one queue-depth / shard-size entry per
-            // worker, and the merged map matches the serial build exactly.
-            let records = octocache_telemetry::read_jsonl_path(&trace).unwrap();
-            let workers: usize = n.parse().unwrap();
-            assert!(records
-                .iter()
-                .all(|r| r.worker_queue_depths.len() == workers
-                    && r.shard_batch_sizes.len() == workers));
-            let expected = if workers == 1 {
-                "octocache-parallel".to_string()
-            } else {
-                format!("octocache-parallelx{workers}")
-            };
-            assert!(records.iter().all(|r| r.backend == expected));
-            let d = run(&s(&["diff", &map_serial, &map])).unwrap();
-            assert!(d.contains("identical: yes"), "workers={n}: {d}");
-        }
-    }
-
-    #[test]
     fn removed_tree_layout_knob_is_refused_or_inert() {
         let log = temp_path("layout.scanlog");
         run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
@@ -1395,32 +1287,57 @@ mod tests {
     }
 
     #[test]
-    fn build_rejects_bad_worker_counts() {
-        let log = temp_path("badworkers.scanlog");
+    fn build_and_info_refuse_the_removed_workers_flag() {
+        let log = temp_path("workers.scanlog");
         run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
-        let map = temp_path("badworkers.map");
-        let err = run(&s(&[
-            "build",
-            &log,
-            &map,
-            "--backend",
-            "parallel",
-            "--workers",
-            "3",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("must be 1, 2, 4 or 8"), "{err}");
-        let err = run(&s(&[
-            "build",
-            &log,
-            &map,
-            "--backend",
-            "serial",
-            "--workers",
-            "2",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("parallel backends"), "{err}");
+        let map = temp_path("workers.map");
+        for args in [
+            vec![
+                "build",
+                &log,
+                &map,
+                "--backend",
+                "parallel",
+                "--workers",
+                "4",
+            ],
+            vec!["info", &map, "--backend", "parallel", "--workers", "1"],
+        ] {
+            let err = run(&s(&args)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{args:?}: {err}");
+            assert!(err.to_string().contains("--workers"), "{err}");
+        }
+    }
+
+    #[test]
+    fn report_loads_a_trace_written_by_the_n_worker_pipeline() {
+        // One line of a `build --backend parallel --workers 4 --trace` run at
+        // the last commit that had the flag: per-shard fields the record no
+        // longer carries, four-element worker vectors, an `xN` backend name.
+        let line = concat!(
+            r#"{"seq":0,"backend":"octocache-parallelx4","times":{"ray_tracing":{"secs":0,"nanos":201377},"#,
+            r#""cache_insert":{"secs":0,"nanos":4236635},"cache_evict":{"secs":0,"nanos":153388},"#,
+            r#""octree_update":{"secs":0,"nanos":289581},"enqueue":{"secs":0,"nanos":43645},"#,
+            r#""dequeue":{"secs":0,"nanos":32},"wait":{"secs":0,"nanos":299688}},"observations":20820,"#,
+            r#""cache_hits":15373,"cache_misses":5447,"cache_insertions":20820,"cache_evictions":5441,"#,
+            r#""octree_node_visits":29486,"octree_seed_visits":14684,"octree_leaf_updates":5441,"#,
+            r#""octree_nodes_created":1392,"memory_bytes":221440,"queue_depth_enqueue":4,"#,
+            r#""queue_depth_dequeue":4,"mutex_wait":{"secs":0,"nanos":287},"worker_queue_depths":[1,4,1,4],"#,
+            r#""shard_batch_sizes":[0,2679,0,2762],"shard_skew":2.0305090975923545,"#,
+            r#""worker_busy_ns":[0,141013,0,148600],"worker_idle_ns":[7628528,5497353,5339439,5149517],"#,
+            r#""worker_panics":0,"spawn_failures":0,"stall_timeouts":0,"partial_batches":0,"#,
+            r#""batches_rerouted":0,"degraded":false,"restarts":0,"heals":0,"restart_ns":0,"sheds":0,"#,
+            r#""pressure_level":"","snapshot_publish_ns":0,"snapshot_age_ns":0,"batch_queries":0,"#,
+            r#""batch_nodes_visited":0,"batch_nodes_reused":0,"journal_append_ns":0,"#,
+            r#""checkpoint_write_ns":0,"checkpoint_epoch":0}"#,
+            "\n"
+        );
+        let trace = temp_path("nworker.jsonl");
+        std::fs::write(&trace, line).unwrap();
+        let report = run(&s(&["report", &trace])).unwrap();
+        assert!(report.contains("octocache-parallelx4"), "{report}");
+        assert!(report.contains("worker utilization: w0"), "{report}");
+        assert!(report.contains("w3"), "{report}");
     }
 
     #[test]
@@ -1669,8 +1586,6 @@ mod tests {
             &map,
             "--backend",
             "parallel",
-            "--workers",
-            "2",
             "--resolution",
             "0.4",
             "--buckets",
@@ -1700,7 +1615,7 @@ mod tests {
         }
 
         // The exported file is valid Chrome Trace Event Format JSON with at
-        // least one complete ("X") span on every worker lane plus thread
+        // least one complete ("X") span on the worker lane plus thread
         // metadata.
         let json = std::fs::read_to_string(&chrome).unwrap();
         let doc: serde::Value = serde::json::from_str(&json).unwrap();
@@ -1714,22 +1629,20 @@ mod tests {
                 .any(|e| e.get("ph").and_then(serde::Value::as_str) == Some("M")),
             "no metadata events"
         );
-        for lane in [1u64, 2] {
-            assert!(
-                entries.iter().any(|e| {
-                    e.get("ph").and_then(serde::Value::as_str) == Some("X")
-                        && e.get("tid").and_then(serde::Value::as_u64) == Some(lane)
-                }),
-                "no complete span for worker lane {lane}"
-            );
-        }
+        assert!(
+            entries.iter().any(|e| {
+                e.get("ph").and_then(serde::Value::as_str) == Some("X")
+                    && e.get("tid").and_then(serde::Value::as_u64) == Some(1)
+            }),
+            "no complete span for the worker lane"
+        );
 
         // `report --json` on the scan trace is machine-readable.
         let out = run(&s(&["report", &trace, "--json"])).unwrap();
         let doc: serde::Value = serde::json::from_str(&out).unwrap();
         assert_eq!(
             doc.get("backend").and_then(serde::Value::as_str),
-            Some("octocache-parallelx2")
+            Some("octocache-parallel")
         );
         assert!(doc
             .get("hit_ratio")

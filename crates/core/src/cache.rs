@@ -153,8 +153,8 @@ impl CacheStats {
         }
     }
 
-    /// Adds another stats block's counters into `self` (aggregating shards
-    /// or runs).
+    /// Adds another stats block's counters into `self` (aggregating
+    /// runs).
     pub fn merge(&mut self, other: &CacheStats) {
         self.insertions += other.insertions;
         self.hits += other.hits;

@@ -1,8 +1,7 @@
 //! The unified scan-lifecycle engine shared by every mapping backend.
 //!
-//! Historically each backend (OctoMap baseline, serial OctoCache, octant-
-//! sharded OctoMap, N-worker parallel OctoCache) carried its own copy of
-//! the scan lifecycle: telemetry sequencing, snapshot republish, per-scan
+//! Historically each backend (OctoMap baseline, serial OctoCache,
+//! parallel OctoCache) carried its own copy of the scan lifecycle: telemetry sequencing, snapshot republish, per-scan
 //! [`ScanRecord`] assembly, durable-latency stamping and the final flush.
 //! This module owns that lifecycle once. A backend now only implements
 //! [`ScanExecutor`] — *how* one scan's voxel work is executed — and
@@ -193,8 +192,8 @@ pub trait MappingSystem {
         None
     }
 
-    /// Octree instrumentation counters (summed across shards or read
-    /// through the pipeline mutex), when the backend can reach them.
+    /// Octree instrumentation counters (read through the pipeline mutex
+    /// on the parallel backend), when the backend can reach them.
     fn tree_stats(&self) -> Option<StatsSnapshot> {
         None
     }
@@ -388,7 +387,7 @@ pub struct FlushTimes {
 
 /// One backend's scan-execution strategy.
 ///
-/// Implementations own the mapping state (cache, octree/shards, worker
+/// Implementations own the mapping state (cache, octree, worker
 /// pipeline) and the per-scan voxel work; the [`Engine`] owns everything
 /// around it (telemetry sequencing, snapshot republish, record assembly,
 /// durable stamping, the final flush ordering). Executors never construct
@@ -424,8 +423,7 @@ pub trait ScanExecutor {
     ) -> Result<ScanOutput, PipelineError>;
 
     /// Builds a self-contained read tree of the current map state:
-    /// octree (merged across shards) with any pending cache contents
-    /// overlaid, answering exactly what the live query path answers at
+    /// octree with any pending cache contents overlaid, answering exactly what the live query path answers at
     /// this scan boundary. Called by the engine at publish points.
     fn snapshot_tree(&self) -> OccupancyOcTree;
 
@@ -489,7 +487,7 @@ pub trait ScanExecutor {
     }
 
     /// Bytes resident in the executor's mapping state (octree storage
-    /// summed across shards, plus the cache). Only called when a memory
+    /// plus the cache). Only called when a memory
     /// budget is configured, once per scan; executors without governor
     /// support report 0 (never over any budget).
     fn resident_bytes(&self) -> u64 {
@@ -858,28 +856,6 @@ pub(crate) fn overlay_cache(tree: &mut OccupancyOcTree, cache: &VoxelCache) {
     for cell in cache.iter() {
         tree.set_node_log_odds(cell.key, cell.log_odds);
     }
-}
-
-/// Reassembles disjoint octant shards into one self-contained read tree
-/// (the shards partition the key space, so the structural merge is
-/// conflict-free by construction).
-///
-/// # Panics
-///
-/// Panics when `shards` is empty or the shards are not top-level
-/// disjoint.
-pub(crate) fn merge_shards<'a>(
-    shards: impl IntoIterator<Item = &'a OccupancyOcTree>,
-) -> OccupancyOcTree {
-    let mut iter = shards.into_iter();
-    let first = iter.next().expect("at least one shard");
-    let mut merged = OccupancyOcTree::new(*first.grid(), *first.params());
-    for shard in std::iter::once(first).chain(iter) {
-        merged
-            .merge_disjoint_top_level(shard)
-            .expect("shards partition key space disjointly");
-    }
-    merged
 }
 
 /// Writes evicted cells to the tree — the one way an eviction reaches an

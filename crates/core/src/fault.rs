@@ -1,9 +1,9 @@
 //! Typed pipeline failures, map-integrity reporting, and deterministic
 //! fault injection for the parallel pipeline.
 //!
-//! The parallel OctoCache moves octree updates onto worker threads, which
-//! introduces failure modes the serial backends cannot have: a worker can
-//! panic mid-batch, wedge while holding its shard mutex, or never spawn at
+//! The parallel OctoCache moves octree updates onto a worker thread, which
+//! introduces failure modes the serial backends cannot have: the worker can
+//! panic mid-batch, wedge while holding the octree mutex, or never spawn at
 //! all. This module gives those failures names ([`PipelineError`]), gives
 //! the map a verdict after they happen ([`Integrity`]), counts them
 //! ([`FaultCounters`]), and — under `cfg(any(test, feature =
@@ -34,16 +34,16 @@ pub enum PipelineError {
     /// The scan itself was invalid (non-finite or out-of-grid origin).
     /// The scan was not applied; the map is unchanged by it.
     Geom(GeomError),
-    /// An octree-update worker panicked while processing `batch`. The
+    /// The octree-update worker panicked while processing `batch`. The
     /// producer re-applied the retained batch inline, so the map stays
-    /// consistent; the worker's octants are served inline from now on.
+    /// consistent; evictions are applied inline from now on.
     WorkerPanicked {
-        /// Index of the dead worker.
+        /// Index of the dead worker (always 0: there is one worker).
         worker: usize,
         /// 0-based batch index the worker died on.
         batch: u64,
     },
-    /// A worker thread could not be spawned; its octant share is applied
+    /// The worker thread could not be spawned; evictions are applied
     /// inline on the producer thread instead.
     WorkerSpawn {
         /// Index of the worker that failed to spawn.
@@ -213,8 +213,7 @@ pub struct FaultCounters {
     pub stall_timeouts: u64,
     /// Batches a worker abandoned midway.
     pub partial_batches: u64,
-    /// Batch shares applied inline because their worker was out of
-    /// rotation.
+    /// Batches applied inline because the worker was out of rotation.
     pub batches_rerouted: u64,
     /// Evicted cells re-applied (or applied inline) by the producer.
     pub cells_reapplied: u64,
@@ -341,7 +340,7 @@ impl IntegrityState {
 /// Kill coordinates: which worker dies, and on which batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultAt {
-    /// Worker index (taken modulo the actual worker count).
+    /// Worker index (taken modulo the worker count, which is one).
     pub worker: usize,
     /// 0-based batch index at which the fault fires.
     pub batch: u64,
@@ -350,7 +349,7 @@ pub struct FaultAt {
 /// Stall coordinates: which worker sleeps, when, and for how long.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallAt {
-    /// Worker index (taken modulo the actual worker count).
+    /// Worker index (taken modulo the worker count, which is one).
     pub worker: usize,
     /// 0-based batch index at which the stall fires.
     pub batch: u64,
@@ -363,7 +362,7 @@ pub struct StallAt {
 /// exercising [`RestartPolicy`](crate::supervisor::RestartPolicy) budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillEvery {
-    /// Worker index (taken modulo the actual worker count).
+    /// Worker index (taken modulo the worker count, which is one).
     pub worker: usize,
     /// Panic once every `every` batches (the fault fires when
     /// `(batch + 1) % every == 0`, so a freshly respawned thread — whose
@@ -378,7 +377,7 @@ pub struct KillEvery {
 /// [`crate::CacheConfigBuilder::fault_plan`]); the hooks that act on it
 /// are compiled only under `cfg(any(test, feature = "fault-injection"))`
 /// and are zero-cost no-ops otherwise. Worker indices are taken modulo the
-/// actual worker count, so one plan is meaningful at every N ∈ {1,2,4,8}.
+/// worker count — one — so every index names the same worker.
 ///
 /// The CLI derives a plan from the `OCTO_FAULT` environment variable (or
 /// `--fault`); embedders can call [`FaultPlan::from_env`] themselves.
@@ -389,7 +388,7 @@ pub struct FaultPlan {
     /// Sleep worker `stall.worker` for `stall.micros` µs at the start of
     /// batch `stall.batch`.
     pub stall: Option<StallAt>,
-    /// Fail the spawn of this worker index (modulo worker count).
+    /// Fail the spawn of this worker index (modulo the worker count, which is one).
     pub fail_spawn: Option<usize>,
     /// Shrink this worker's ring to near-zero capacity so back-pressure
     /// fires on every chunk.

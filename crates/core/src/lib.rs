@@ -57,9 +57,8 @@ pub mod locality;
 pub mod parallel;
 pub mod pipeline;
 pub mod query;
-pub mod routing;
+mod routing;
 pub mod serial;
-pub mod sharded;
 pub mod spsc;
 pub mod supervisor;
 
@@ -72,14 +71,14 @@ pub use engine::{Engine, FlushTimes, ScanExecutor, ScanOutput};
 pub use fault::{
     FaultCounters, FaultPlan, Integrity, IntegrityState, IntegrityTransition, PipelineError,
 };
-pub use parallel::{ParallelOctoCache, ShardView};
+pub use parallel::ParallelOctoCache;
 pub use pipeline::MappingSystem;
 pub use query::{
     LiveMap, MapSnapshot, OccupancyView, PublishStats, QueryHandle, SnapshotPublisher,
 };
+#[doc(hidden)]
 pub use routing::OctantRouter;
 pub use serial::SerialOctoCache;
-pub use sharded::ShardedOctoMap;
 pub use supervisor::{PressureLevel, RestartPolicy, ScanOutcome, ShedReason, SupervisorParams};
 // Telemetry primitives live in `octocache-telemetry`; `PhaseTimes` is
 // re-exported here because it predates that crate and every downstream

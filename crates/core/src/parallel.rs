@@ -1,43 +1,36 @@
-//! The parallel OctoCache pipeline (paper §4.4, Figures 13(b)/14),
-//! generalised to N octree-update workers.
+//! The parallel OctoCache pipeline (paper §4.4, Figures 13(b)/14): two
+//! threads, one SPSC ring, one octree.
 //!
 //! Thread 1 (the caller's thread) runs ray tracing, cache insertion, queries
-//! and cache eviction; each of the N workers dequeues evicted voxels from
-//! its own SPSC buffer and applies them to its own octree shard. Evicted
-//! batches are split by top-level octant ([`OctantRouter`], the same
-//! routing as [`crate::sharded::ShardedOctoMap`]), so shards are disjoint
-//! and each worker's octree needs no cross-worker synchronisation — one
-//! mutex per shard serialises that shard's reads (cache-miss seeding,
-//! queries) against its worker's batch updates. With `N = 1` this is
-//! exactly the paper's two-thread layout.
+//! and cache eviction; the octree worker dequeues evicted voxels from the
+//! SPSC buffer and applies them to the octree. One mutex serialises the
+//! octree's reads (cache-miss seeding, queries) against the worker's batch
+//! updates.
 //!
-//! The paper dismisses naive octree sharding because a sensor's scan cone
-//! is spatially local, so per-scan batches are skewed and most shards idle
-//! (§4.4). Sharding the *eviction stream* evades that objection: the cache
-//! accumulates updates across many scans before τ-eviction, and the evicted
-//! batch covers everything the sensor swept since the last eviction — a far
-//! wider, better-balanced footprint. Per-scan skew is still measurable here
-//! (`shard_skew` in the trace records) so the claim can be checked.
+//! The paper fixes the pipeline at two threads and dismisses octree
+//! sharding "due to data imbalance" (§4.4); DESIGN.md §5.1 holds the
+//! N-worker sweep that agrees with it (N = 1 fastest on every dataset,
+//! half the workers idle at N = 4).
 //!
 //! ## Phase ordering and consistency
 //!
 //! The paper's timeline runs, per batch: ray tracing → cache insertion →
-//! *queries* → cache eviction → (workers: octree update, overlapping the
+//! *queries* → cache eviction → (worker: octree update, overlapping the
 //! next batch's ray tracing). Queries therefore always execute when the
-//! shared buffers are empty: everything evicted earlier has been applied to
-//! the shards, and everything newer is in the cache. To expose the same
+//! shared buffer is empty: everything evicted earlier has been applied to
+//! the octree, and everything newer is in the cache. To expose the same
 //! guarantee through a call-based API, the parallel executor's scan path
 //! ([`MappingSystem::insert_scan`] on [`ParallelOctoCache`]) **defers the
 //! eviction of the just-inserted batch to the start of the next call**:
 //!
-//! 1. evict the previous batch, route it by octant, enqueue per worker,
-//! 2. ray-trace the new scan — concurrently with the workers' updates,
-//! 3. wait for every worker (the paper's thread-1 "gap", reported as
+//! 1. evict the previous batch and enqueue it for the worker,
+//! 2. ray-trace the new scan — concurrently with the worker's update,
+//! 3. wait for the worker (the paper's thread-1 "gap", reported as
 //!    [`PhaseTimes::wait`]),
-//! 4. insert the new batch into the cache (octree reads are safe: all
-//!    queues are empty and the shard mutexes are free).
+//! 4. insert the new batch into the cache (octree reads are safe: the
+//!    queue is empty and the octree mutex is free).
 //!
-//! Between `insert_scan` calls the queues are thus always drained, so
+//! Between `insert_scan` calls the queue is thus always drained, so
 //! queries are OctoMap-consistent at every point the caller can observe.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,9 +38,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use octocache_geom::{GeomError, Point3, VoxelGrid, VoxelKey};
+use octocache_geom::{Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
-use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams, ReadCursor};
+use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams};
 use octocache_telemetry::{EventBuffer, EventKind, EventLog, EventSink, PhaseTimes, ScanMetrics};
 use parking_lot::{Mutex, MutexGuard};
 
@@ -58,11 +51,10 @@ use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
 use crate::fault::FaultPlan;
 use crate::fault::{FaultCounters, Integrity, IntegrityState, IntegrityTransition, PipelineError};
 use crate::pipeline::{MappingSystem, RayTracer};
-use crate::routing::{self, OctantRouter};
 use crate::spsc::{self, Backoff, Producer};
 use crate::supervisor::{PressureLevel, RestartPolicy, SupervisorParams};
 
-/// Items flowing through a worker's buffer.
+/// Items flowing through the worker's buffer.
 ///
 /// Evicted voxels travel in chunks — the C++ `readerwriterqueue` the paper
 /// uses is itself a block-based ring, so chunking preserves its behaviour
@@ -72,14 +64,20 @@ use crate::supervisor::{PressureLevel, RestartPolicy, SupervisorParams};
 enum Item {
     /// A run of evicted voxels with their accumulated log-odds.
     Chunk(Vec<EvictedCell>),
-    /// Marks the end of a batch; the worker releases its shard mutex here.
+    /// Marks the end of a batch; the worker releases the octree mutex here.
     BatchEnd,
 }
 
 /// Evicted voxels per queue message.
 const CHUNK_CELLS: usize = 1024;
 
-/// Counters shared with one worker thread.
+/// The worker's index in [`PipelineError`] reports (there is one worker).
+const WORKER: usize = 0;
+
+/// The worker's event lane; lane 0 is the producer.
+const WORKER_LANE: u32 = 1;
+
+/// Counters shared with the worker thread.
 #[derive(Debug, Default)]
 struct WorkerShared {
     batches_done: AtomicU64,
@@ -108,68 +106,76 @@ struct WorkerShared {
     partial_batch_index: AtomicU64,
 }
 
-/// Thread-1 state for one octree-update worker: its queue producer, its
-/// octree shard, the shared counters, and the attribution bookmarks.
+/// Thread-1 state for the octree-update worker: its queue producer, the
+/// octree, the shared counters, and the attribution bookmarks.
 #[derive(Debug)]
 struct Worker {
     producer: Producer<Item>,
     tree: Arc<Mutex<OccupancyOcTree>>,
     shared: Arc<WorkerShared>,
     handle: Option<JoinHandle<()>>,
-    /// Batches fully enqueued (closed with `BatchEnd`) to this worker.
+    /// Batches fully enqueued (closed with `BatchEnd`) to the worker.
     batches_sent: u64,
     /// `partial_batches` already folded into the pipeline counters.
     partials_seen: u64,
-    /// Why this worker left the rotation; `Some` means its octant share is
-    /// now applied inline on the producer thread.
+    /// Why the worker left the rotation; `Some` means evictions are now
+    /// applied inline on the producer thread.
     failed: Option<PipelineError>,
     /// Worker nanos already attributed to recorded scans; the difference to
     /// the live atomics is the not-yet-attributed residual.
     dequeue_seen: u64,
     octree_seen: u64,
     idle_seen: u64,
-    /// This worker's generation-0 fault schedule; respawned generations
-    /// keep only the periodic component ([`WorkerFaults::respawned`]).
+    /// The generation-0 fault schedule; respawned generations keep only the
+    /// periodic component ([`WorkerFaults::respawned`]).
     faults: WorkerFaults,
-    /// Times this worker has been respawned (counts against
+    /// Times the worker has been respawned (counts against
     /// [`RestartPolicy::max_restarts`]).
     restarts: u32,
 }
 
-/// Capacity of each worker's buffer in chunk messages (≥ a million voxels
+impl Worker {
+    /// Locks the octree for the producer thread. A worker out of rotation
+    /// may be wedged holding the mutex, so its octree is only ever tried —
+    /// `None` means "skip it": the map is already
+    /// [`Integrity::Compromised`] by the wedge itself.
+    fn lock_tree(&self) -> Option<MutexGuard<'_, OccupancyOcTree>> {
+        if self.failed.is_some() {
+            self.tree.try_lock()
+        } else {
+            Some(self.tree.lock())
+        }
+    }
+}
+
+/// Capacity of the worker's buffer in chunk messages (≥ a million voxels
 /// in flight before the producer ever blocks — the paper reports enqueue
 /// overhead as negligible, and a full queue would violate that).
 const QUEUE_CAPACITY: usize = 1 << 12;
 
-/// The parallel OctoCache mapping system: one mapping thread plus N
-/// octree-update workers over octant shards, run through the shared
-/// scan-lifecycle [`Engine`].
+/// The parallel OctoCache mapping system: one mapping thread plus one
+/// octree-update worker, run through the shared scan-lifecycle [`Engine`].
 ///
 /// See the [module docs](self) for the phase ordering; the public API is the
 /// same [`MappingSystem`] as every other backend.
 pub type ParallelOctoCache = Engine<ParallelExecutor>;
 
 /// The parallel scan-execution strategy behind [`ParallelOctoCache`]: the
-/// voxel cache, the octant router and the N-worker octree pipeline,
-/// including all fault detection and degraded-mode machinery. The scan
-/// lifecycle around it (telemetry sequencing, snapshot republish, record
-/// assembly) lives in the [`Engine`].
+/// voxel cache and the octree worker behind its SPSC ring, including all
+/// fault detection and degraded-mode machinery. The scan lifecycle around
+/// it (telemetry sequencing, snapshot republish, record assembly) lives in
+/// the [`Engine`].
 #[derive(Debug)]
 pub struct ParallelExecutor {
     cache: VoxelCache,
-    workers: Vec<Worker>,
-    router: OctantRouter,
+    worker: Worker,
     grid: VoxelGrid,
     params: OccupancyParams,
     ray_tracer: RayTracer,
     batch: insert::VoxelBatch,
-    /// Reusable per-shard partition buffers for batch routing. The previous
-    /// batch's shares are retained until the next send, so a dead worker's
-    /// share can be re-applied inline (cells carry absolute log-odds, so
-    /// re-application is idempotent).
-    route_bufs: Vec<Vec<EvictedCell>>,
-    /// The whole retained batch (the single-worker share, and the routing
-    /// source for `route_bufs`).
+    /// The batch in flight, retained until the next send so a dead
+    /// worker's batch can be re-applied inline (cells carry absolute
+    /// log-odds, so re-application is idempotent).
     evict_buf: Vec<EvictedCell>,
     /// Deadline for every producer-side bounded wait
     /// ([`CacheConfig::stall_timeout`]).
@@ -184,23 +190,23 @@ pub struct ParallelExecutor {
     /// Worker-respawn budget and backoff
     /// ([`CacheConfig::max_restarts`], [`CacheConfig::restart_backoff`]).
     restart_policy: RestartPolicy,
-    /// Nanos spent respawning workers, not yet attributed to a scan.
+    /// Nanos spent respawning the worker, not yet attributed to a scan.
     restart_ns_pending: u64,
     /// First pipeline fault observed during the current scan, surfaced by
     /// `insert_scan` exactly once ([`ScanOutput::deferred`]).
     scan_error: Option<PipelineError>,
-    /// Summed shard counters at the end of the previous scan, for per-scan
+    /// Octree counters at the end of the previous scan, for per-scan
     /// deltas.
     last_tree_stats: StatsSnapshot,
     /// Shared sub-scan event sink when built with `CacheConfig::events(true)`.
-    /// Lane 0 (the producer) is the cache's buffer; worker `i` owns lane
-    /// `i + 1` and drains per batch.
+    /// Lane 0 (the producer) is the cache's buffer; the worker owns
+    /// [`WORKER_LANE`] and drains per batch.
     event_sink: Option<Arc<EventSink>>,
 }
 
 /// What `evict_and_enqueue` produced.
 ///
-/// Back-pressure — waiting for a worker to make room in a full queue — is
+/// Back-pressure — waiting for the worker to make room in a full queue — is
 /// reported separately from the enqueue cost proper, matching the paper's
 /// Table 3 where enqueue is the pure buffer-write overhead.
 struct EnqueueOutcome {
@@ -209,66 +215,9 @@ struct EnqueueOutcome {
     evict: Duration,
     enqueue: Duration,
     backpressure: Duration,
-    /// Largest producer-side queue depth seen per worker while enqueueing,
-    /// in chunk messages.
-    queue_depths: Vec<u64>,
-    /// Evicted cells routed to each worker's shard.
-    shard_sizes: Vec<u64>,
-}
-
-/// A consistent read view over every octree shard, returned by
-/// `ParallelOctoCache::with_tree`: all shard mutexes are held for the
-/// view's lifetime, and point queries route through the same
-/// [`OctantRouter`] the writers use.
-pub struct ShardView<'a> {
-    guards: Vec<MutexGuard<'a, OccupancyOcTree>>,
-    router: OctantRouter,
-    grid: VoxelGrid,
-    params: OccupancyParams,
-}
-
-impl ShardView<'_> {
-    /// Number of octree shards in the view.
-    pub fn num_shards(&self) -> usize {
-        self.guards.len()
-    }
-
-    /// Direct access to shard `i`'s octree.
-    pub fn shard(&self, i: usize) -> &OccupancyOcTree {
-        &self.guards[i]
-    }
-
-    /// Accumulated log-odds of a voxel, from the shard that owns it.
-    pub fn search(&self, key: VoxelKey) -> Option<f32> {
-        self.guards[self.router.shard_of(key)].search(key)
-    }
-
-    /// Occupancy decision for a voxel key.
-    pub fn is_occupied(&self, key: VoxelKey) -> Option<bool> {
-        self.search(key).map(|l| self.params.is_occupied(l))
-    }
-
-    /// Occupancy decision at a world point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GeomError`] when the point is outside the grid.
-    pub fn is_occupied_at(&self, p: Point3) -> Result<Option<bool>, GeomError> {
-        Ok(self.is_occupied(self.grid.key_of(p)?))
-    }
-
-    /// Total allocated nodes across all shards.
-    pub fn num_nodes(&self) -> usize {
-        self.guards.iter().map(|g| g.num_nodes()).sum()
-    }
-}
-
-impl std::fmt::Debug for ShardView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardView")
-            .field("num_shards", &self.guards.len())
-            .finish_non_exhaustive()
-    }
+    /// Largest producer-side queue depth seen while enqueueing, in chunk
+    /// messages.
+    queue_depth: u64,
 }
 
 /// How a guarded push ended.
@@ -321,164 +270,28 @@ fn push_guarded(
     }
 }
 
-/// Re-applies `share` to `tree` under its mutex. Evicted cells carry the
-/// voxel's absolute accumulated log-odds and the batch apply overwrites,
-/// so this restores exactly the state a healthy worker would have produced,
-/// whatever prefix of the batch was already applied (a worker that died
-/// mid-chunk closed its open path on unwind, so the shard is a valid tree).
-fn reapply_share(tree: &Mutex<OccupancyOcTree>, share: &[EvictedCell]) {
-    engine::apply_cells(&mut tree.lock(), share);
-}
-
-/// Takes a dead worker out of rotation: joins the thread, classifies the
-/// death (panic vs mid-batch abandonment), re-applies the retained batch
-/// share inline, and records the first error of the scan.
-fn fail_dead_worker(
-    w: &mut Worker,
-    index: usize,
-    share: &[EvictedCell],
-    faults: &mut FaultCounters,
-    integrity: &mut IntegrityState,
-    scan_error: &mut Option<PipelineError>,
-) {
-    if let Some(handle) = w.handle.take() {
-        let _ = handle.join();
-    }
-    let batch = w.shared.batches_done.load(Ordering::Acquire);
-    let partials = w.shared.partial_batches.load(Ordering::Acquire);
-    let err = if w.shared.panicked.load(Ordering::Acquire) {
-        faults.worker_panics += 1;
-        PipelineError::WorkerPanicked {
-            worker: index,
-            batch,
-        }
-    } else if partials > w.partials_seen {
-        faults.partial_batches += partials - w.partials_seen;
-        let applied = w.shared.partial_cells_applied.load(Ordering::Acquire);
-        PipelineError::PartialScan {
-            worker: index,
-            batch: w.shared.partial_batch_index.load(Ordering::Acquire),
-            cells_dropped: (share.len() as u64).saturating_sub(applied),
-        }
-    } else {
-        // Exited without a panic or a recorded partial (it saw shutdown
-        // between batches); report the in-flight batch.
-        PipelineError::WorkerPanicked {
-            worker: index,
-            batch,
-        }
-    };
-    w.partials_seen = partials;
-    // The thread has exited, so the shard mutex is free (parking_lot does
-    // not poison) and nothing races the inline re-apply.
-    reapply_share(&w.tree, share);
-    faults.cells_reapplied += share.len() as u64;
-    if !share.is_empty() {
-        faults.batches_rerouted += 1;
-    }
-    integrity.escalate(Integrity::Degraded);
-    if scan_error.is_none() {
-        *scan_error = Some(err.clone());
-    }
-    w.failed = Some(err);
-}
-
-/// Takes a stalled worker out of rotation after a bounded wait expired. The
-/// thread may be wedged (it cannot be joined here), so the re-apply is
-/// best-effort: if its shard mutex is unavailable the share is unconfirmed
-/// and the map is [`Integrity::Compromised`].
-fn fail_stalled_worker(
-    w: &mut Worker,
-    index: usize,
-    share: &[EvictedCell],
-    waited: Duration,
-    faults: &mut FaultCounters,
-    integrity: &mut IntegrityState,
-    scan_error: &mut Option<PipelineError>,
-) {
-    faults.stall_timeouts += 1;
-    // Ask the worker to exit whenever it wakes; the handle is joined later
-    // only once the worker is observed dead (a wedged thread must never
-    // hang the producer).
-    w.shared.shutdown.store(true, Ordering::Release);
-    let err = PipelineError::QueueStalled {
-        worker: index,
-        waited,
-    };
-    match w.tree.try_lock() {
-        Some(mut guard) => {
-            engine::apply_cells(&mut guard, share);
-            drop(guard);
-            faults.cells_reapplied += share.len() as u64;
-            if !share.is_empty() {
-                faults.batches_rerouted += 1;
-            }
-            integrity.escalate(Integrity::Degraded);
-        }
-        // The wedged worker holds the shard mutex; the share could not be
-        // confirmed applied.
-        None => integrity.escalate(Integrity::Compromised),
-    }
-    if scan_error.is_none() {
-        *scan_error = Some(err.clone());
-    }
-    w.failed = Some(err);
-}
-
-/// Applies a batch share inline for a worker that is out of rotation
-/// (degraded mode). If the worker may still be alive (a stalled thread that
-/// never exited), it gets a bounded window to die; applying newer values
-/// while it could still write stale ones compromises the map.
-fn apply_inline(
-    w: &mut Worker,
-    index: usize,
-    share: &[EvictedCell],
+/// Spawns the octree worker thread over `tree`.
+fn spawn_worker(
+    consumer: spsc::Consumer<Item>,
+    tree: &Arc<Mutex<OccupancyOcTree>>,
+    shared: &Arc<WorkerShared>,
     stall_timeout: Duration,
-    faults: &mut FaultCounters,
-    integrity: &mut IntegrityState,
-    scan_error: &mut Option<PipelineError>,
-) {
-    if w.handle.is_some() {
-        let mut backoff = Backoff::new(stall_timeout);
-        while !w.shared.dead.load(Ordering::Acquire) {
-            if !backoff.snooze() {
-                break;
-            }
-        }
-        if w.shared.dead.load(Ordering::Acquire) {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
-        } else {
-            integrity.escalate(Integrity::Compromised);
-        }
-    }
-    if share.is_empty() {
-        return;
-    }
-    match w.tree.try_lock() {
-        Some(mut guard) => engine::apply_cells(&mut guard, share),
-        None => {
-            // The wedged worker holds the shard mutex; these cells cannot
-            // be applied at all.
-            faults.partial_batches += 1;
-            integrity.escalate(Integrity::Compromised);
-            let err = PipelineError::PartialScan {
-                worker: index,
-                batch: w.batches_sent,
-                cells_dropped: share.len() as u64,
-            };
-            if scan_error.is_none() {
-                *scan_error = Some(err);
-            }
-            return;
-        }
-    }
-    faults.batches_rerouted += 1;
-    faults.cells_reapplied += share.len() as u64;
+    faults: WorkerFaults,
+    event_sink: Option<&Arc<EventSink>>,
+) -> std::io::Result<JoinHandle<()>> {
+    // The worker gives a silent producer 4x the producer's own stall budget
+    // before abandoning a mid-batch wait, so under a producer failure the
+    // producer-side deadline always fires first.
+    let mid_batch_deadline = stall_timeout.saturating_mul(4);
+    let tree = Arc::clone(tree);
+    let shared = Arc::clone(shared);
+    let events = event_sink.map(|s| s.buffer(WORKER_LANE));
+    std::thread::Builder::new()
+        .name("octocache-octree-0".to_string())
+        .spawn(move || worker_thread(consumer, tree, shared, mid_batch_deadline, faults, events))
 }
 
-/// Per-worker fault-injection schedule, derived from the instance's
+/// The worker's fault-injection schedule, derived from the instance's
 /// [`FaultPlan`]. Without `cfg(any(test, feature = "fault-injection"))`
 /// this is a fieldless no-op and [`WorkerFaults::at_batch_start`] compiles
 /// to nothing.
@@ -500,25 +313,15 @@ struct WorkerFaults {
 struct WorkerFaults;
 
 impl WorkerFaults {
+    /// The schedule a plan gives the worker. A plan's worker indices are
+    /// reduced modulo the worker count — one — so every entry applies.
     #[cfg(any(test, feature = "fault-injection"))]
-    fn for_worker(plan: &FaultPlan, index: usize, num_workers: usize) -> Self {
-        let mut wf = WorkerFaults::default();
-        if let Some(k) = plan.kill {
-            if k.worker % num_workers == index {
-                wf.kill_at = Some(k.batch);
-            }
+    fn from_plan(plan: &FaultPlan) -> Self {
+        WorkerFaults {
+            kill_at: plan.kill.map(|k| k.batch),
+            stall_at: plan.stall.map(|s| (s.batch, s.micros)),
+            kill_every: plan.kill_every.map(|k| k.every),
         }
-        if let Some(s) = plan.stall {
-            if s.worker % num_workers == index {
-                wf.stall_at = Some((s.batch, s.micros));
-            }
-        }
-        if let Some(k) = plan.kill_every {
-            if k.worker % num_workers == index {
-                wf.kill_every = Some(k.every);
-            }
-        }
-        wf
     }
 
     /// The schedule for a respawned generation: one-shot faults already
@@ -564,52 +367,25 @@ impl WorkerFaults {
 }
 
 impl ParallelOctoCache {
-    /// Creates a parallel OctoCache with the standard ray tracer and one
-    /// octree-update worker (the paper's two-thread layout).
+    /// Creates a parallel OctoCache with the standard ray tracer.
     pub fn new(grid: VoxelGrid, params: OccupancyParams, config: CacheConfig) -> Self {
         Self::with_ray_tracer(grid, params, config, RayTracer::Standard)
     }
 
     /// Creates a parallel OctoCache with a chosen ray-tracing front-end
-    /// (`RayTracer::Dedup` gives the paper's parallel OctoCache-RT) and one
-    /// worker.
+    /// (`RayTracer::Dedup` gives the paper's parallel OctoCache-RT).
+    ///
+    /// A worker thread that cannot be spawned does not abort construction:
+    /// evictions are applied inline on the producer thread, the downgrade
+    /// is counted ([`FaultCounters::spawn_failures`]) and the instance
+    /// starts [`Integrity::Degraded`].
     pub fn with_ray_tracer(
         grid: VoxelGrid,
         params: OccupancyParams,
         config: CacheConfig,
         ray_tracer: RayTracer,
     ) -> Self {
-        Self::with_workers(grid, params, config, ray_tracer, 1)
-    }
-
-    /// Creates a parallel OctoCache with `num_workers` ∈ {1, 2, 4, 8}
-    /// octree-update workers, each owning one octant shard of the key
-    /// space.
-    ///
-    /// A worker whose thread cannot be spawned does not abort construction:
-    /// its octant share is applied inline on the producer thread, the
-    /// downgrade is counted ([`FaultCounters::spawn_failures`]) and the
-    /// instance starts [`Integrity::Degraded`].
-    ///
-    /// # Panics
-    ///
-    /// Panics for worker counts other than 1, 2, 4 or 8 (the
-    /// [`OctantRouter`] validity rule).
-    pub fn with_workers(
-        grid: VoxelGrid,
-        params: OccupancyParams,
-        config: CacheConfig,
-        ray_tracer: RayTracer,
-        num_workers: usize,
-    ) -> Self {
-        let router = OctantRouter::new(num_workers, &grid);
         let stall_timeout = config.stall_timeout();
-        // Workers give a silent producer 4x the producer's own stall budget
-        // before abandoning a mid-batch wait, so under a producer failure
-        // the producer-side deadline always fires first.
-        let mid_batch_deadline = stall_timeout.saturating_mul(4);
-        #[cfg(any(test, feature = "fault-injection"))]
-        let plan = config.fault_plan().unwrap_or_default();
         let event_sink: Option<Arc<EventSink>> = if config.events() {
             Some(EventSink::new())
         } else {
@@ -617,90 +393,70 @@ impl ParallelOctoCache {
         };
         let mut faults = FaultCounters::default();
         let mut integrity = IntegrityState::default();
-        let workers: Vec<Worker> = (0..num_workers)
-            .map(|i| {
-                let tree = Arc::new(Mutex::new(OccupancyOcTree::new(grid, params)));
-                let shared = Arc::new(WorkerShared::default());
-                let capacity = QUEUE_CAPACITY;
-                #[cfg(any(test, feature = "fault-injection"))]
-                let capacity = if plan.fill_ring.map(|w| w % num_workers) == Some(i) {
-                    // Near-zero ring: back-pressure fires on every chunk,
-                    // exercising the bounded backoff without any failure.
-                    2
-                } else {
-                    capacity
+        let tree = Arc::new(Mutex::new(OccupancyOcTree::new(grid, params)));
+        let shared = Arc::new(WorkerShared::default());
+        #[cfg(any(test, feature = "fault-injection"))]
+        let (wf, inject_spawn_fail, capacity) = {
+            let plan = config.fault_plan().unwrap_or_default();
+            // `fill_ring` shrinks the ring to near zero: back-pressure fires
+            // on every chunk, exercising the bounded backoff without any
+            // failure.
+            let capacity = if plan.fill_ring.is_some() {
+                2
+            } else {
+                QUEUE_CAPACITY
+            };
+            (
+                WorkerFaults::from_plan(&plan),
+                plan.fail_spawn.is_some(),
+                capacity,
+            )
+        };
+        #[cfg(not(any(test, feature = "fault-injection")))]
+        let (wf, inject_spawn_fail, capacity) = (WorkerFaults, false, QUEUE_CAPACITY);
+        let (producer, consumer) = spsc::channel::<Item>(capacity);
+        let spawned = if inject_spawn_fail {
+            Err(std::io::Error::other(
+                "fault injection: forced spawn failure",
+            ))
+        } else {
+            spawn_worker(
+                consumer,
+                &tree,
+                &shared,
+                stall_timeout,
+                wf,
+                event_sink.as_ref(),
+            )
+        };
+        let (handle, failed) = match spawned {
+            Ok(handle) => (Some(handle), None),
+            Err(e) => {
+                // Degrade instead of panicking: evictions are served
+                // inline from the start.
+                faults.spawn_failures += 1;
+                integrity.escalate(Integrity::Degraded);
+                let err = PipelineError::WorkerSpawn {
+                    worker: WORKER,
+                    reason: e.to_string(),
                 };
-                let (producer, consumer) = spsc::channel::<Item>(capacity);
-                #[cfg(any(test, feature = "fault-injection"))]
-                let wf = WorkerFaults::for_worker(&plan, i, num_workers);
-                #[cfg(not(any(test, feature = "fault-injection")))]
-                let wf = WorkerFaults;
-                let inject_spawn_fail = {
-                    #[cfg(any(test, feature = "fault-injection"))]
-                    {
-                        plan.fail_spawn.map(|w| w % num_workers) == Some(i)
-                    }
-                    #[cfg(not(any(test, feature = "fault-injection")))]
-                    {
-                        false
-                    }
-                };
-                let spawned = if inject_spawn_fail {
-                    Err(std::io::Error::other(
-                        "fault injection: forced spawn failure",
-                    ))
-                } else {
-                    let tree = Arc::clone(&tree);
-                    let shared = Arc::clone(&shared);
-                    // Worker lanes are 1-based; lane 0 is the producer.
-                    let events = event_sink.as_ref().map(|s| s.buffer(i as u32 + 1));
-                    std::thread::Builder::new()
-                        .name(format!("octocache-octree-{i}"))
-                        .spawn(move || {
-                            worker_thread(consumer, tree, shared, mid_batch_deadline, wf, events)
-                        })
-                };
-                match spawned {
-                    Ok(handle) => Worker {
-                        producer,
-                        tree,
-                        shared,
-                        handle: Some(handle),
-                        batches_sent: 0,
-                        partials_seen: 0,
-                        failed: None,
-                        dequeue_seen: 0,
-                        octree_seen: 0,
-                        idle_seen: 0,
-                        faults: wf,
-                        restarts: 0,
-                    },
-                    Err(e) => {
-                        // Degrade instead of panicking: this worker's
-                        // octants are served inline from the start.
-                        faults.spawn_failures += 1;
-                        integrity.escalate(Integrity::Degraded);
-                        Worker {
-                            producer,
-                            tree,
-                            shared,
-                            handle: None,
-                            batches_sent: 0,
-                            partials_seen: 0,
-                            failed: Some(PipelineError::WorkerSpawn {
-                                worker: i,
-                                reason: e.to_string(),
-                            }),
-                            dequeue_seen: 0,
-                            octree_seen: 0,
-                            idle_seen: 0,
-                            faults: wf,
-                            restarts: 0,
-                        }
-                    }
-                }
-            })
-            .collect();
+                (None, Some(err))
+            }
+        };
+        let worker = Worker {
+            producer,
+            tree,
+            shared,
+            handle,
+            batches_sent: 0,
+            partials_seen: 0,
+            failed,
+            dequeue_seen: 0,
+            octree_seen: 0,
+            idle_seen: 0,
+            faults: wf,
+            restarts: 0,
+        };
         let mut cache = VoxelCache::new(config, params);
         if let Some(sink) = &event_sink {
             cache.attach_events(sink.buffer(0));
@@ -708,13 +464,11 @@ impl ParallelOctoCache {
         let restart_policy = RestartPolicy::from_config(cache.config());
         Engine::from_executor(ParallelExecutor {
             cache,
-            workers,
-            router,
+            worker,
             grid,
             params,
             ray_tracer,
             batch: insert::VoxelBatch::new(),
-            route_bufs: vec![Vec::new(); num_workers],
             evict_buf: Vec::new(),
             stall_timeout,
             faults,
@@ -738,14 +492,10 @@ impl ParallelOctoCache {
         self.exec.cache.stats()
     }
 
-    /// Number of octree-update workers (= octree shards).
-    pub fn num_workers(&self) -> usize {
-        self.exec.workers.len()
-    }
-
-    /// Workers still in rotation (alive and feeding their own shard).
+    /// Workers still in rotation: 1 while the octree worker is alive and
+    /// fed through its queue, 0 once evictions are applied inline.
     pub fn live_workers(&self) -> usize {
-        self.exec.live_workers()
+        usize::from(self.exec.worker.failed.is_none())
     }
 
     /// The map-consistency verdict after any faults. [`Integrity::Degraded`]
@@ -767,53 +517,164 @@ impl ParallelOctoCache {
         self.exec.faults
     }
 
-    /// Runs `f` with shared access to the backing octree shards (every
-    /// shard mutex is held for the duration). Pending cache contents are
-    /// not included; call [`MappingSystem::finish`] first for a complete
-    /// tree.
-    pub fn with_tree<R>(&self, f: impl FnOnce(&ShardView<'_>) -> R) -> R {
-        let view = ShardView {
-            guards: self.exec.workers.iter().map(|w| w.tree.lock()).collect(),
-            router: self.exec.router,
-            grid: self.exec.grid,
-            params: self.exec.params,
-        };
-        f(&view)
+    /// Runs `f` with shared access to the backing octree (its mutex is held
+    /// for the duration). Pending cache contents are not included; call
+    /// [`MappingSystem::finish`] first for a complete tree.
+    pub fn with_tree<R>(&self, f: impl FnOnce(&OccupancyOcTree) -> R) -> R {
+        f(&self.exec.worker.tree.lock())
     }
 
-    /// Shuts the workers down and returns the merged octree (flushing the
-    /// cache first, so the tree is complete). Shards populate disjoint
-    /// top-level octant groups, so the merge is structural.
+    /// Shuts the worker down and returns the octree (flushing the cache
+    /// first, so the tree is complete).
     pub fn into_tree(mut self) -> OccupancyOcTree {
         self.finish();
         self.exec.take_tree()
     }
 }
 
-/// The backend display name: `octocache-parallel[-rt][xN]` (the `xN`
-/// suffix only for N > 1, so the single-worker layout keeps its
-/// historical name).
-fn backend_name(ray_tracer: RayTracer, num_workers: usize) -> String {
-    let mut name = format!("octocache-parallel{}", ray_tracer.suffix());
-    if num_workers > 1 {
-        name.push_str(&format!("x{num_workers}"));
-    }
-    name
-}
-
 impl ParallelExecutor {
-    /// Workers still in rotation (alive and feeding their own shard).
-    fn live_workers(&self) -> usize {
-        self.workers.iter().filter(|w| w.failed.is_none()).count()
+    /// Takes the dead worker out of rotation: joins the thread, classifies
+    /// the death (panic vs mid-batch abandonment), re-applies the retained
+    /// batch inline, and records the first error of the scan.
+    fn fail_dead_worker(&mut self) {
+        let w = &mut self.worker;
+        if let Some(handle) = w.handle.take() {
+            let _ = handle.join();
+        }
+        let batch = w.shared.batches_done.load(Ordering::Acquire);
+        let partials = w.shared.partial_batches.load(Ordering::Acquire);
+        let err = if w.shared.panicked.load(Ordering::Acquire) {
+            self.faults.worker_panics += 1;
+            PipelineError::WorkerPanicked {
+                worker: WORKER,
+                batch,
+            }
+        } else if partials > w.partials_seen {
+            self.faults.partial_batches += partials - w.partials_seen;
+            let applied = w.shared.partial_cells_applied.load(Ordering::Acquire);
+            PipelineError::PartialScan {
+                worker: WORKER,
+                batch: w.shared.partial_batch_index.load(Ordering::Acquire),
+                cells_dropped: (self.evict_buf.len() as u64).saturating_sub(applied),
+            }
+        } else {
+            // Exited without a panic or a recorded partial (it saw shutdown
+            // between batches); report the in-flight batch.
+            PipelineError::WorkerPanicked {
+                worker: WORKER,
+                batch,
+            }
+        };
+        w.partials_seen = partials;
+        // The thread has exited, so the octree mutex is free (parking_lot
+        // does not poison) and nothing races the inline re-apply. Evicted
+        // cells carry the voxel's absolute accumulated log-odds and the
+        // batch apply overwrites, so this restores exactly the state a
+        // healthy worker would have produced, whatever prefix of the batch
+        // was already applied (a worker that died mid-chunk closed its open
+        // path on unwind, so the octree is a valid tree).
+        engine::apply_cells(&mut w.tree.lock(), &self.evict_buf);
+        self.note_reapplied();
+        self.integrity.escalate(Integrity::Degraded);
+        self.fail_worker(err);
     }
 
-    /// Whether the supervisor may respawn this worker: its thread must have
+    /// Takes the stalled worker out of rotation after a bounded wait
+    /// expired. The thread may be wedged (it cannot be joined here), so the
+    /// re-apply is best-effort: if the octree mutex is unavailable the
+    /// batch is unconfirmed and the map is [`Integrity::Compromised`].
+    fn fail_stalled_worker(&mut self, waited: Duration) {
+        self.faults.stall_timeouts += 1;
+        // Ask the worker to exit whenever it wakes; the handle is joined later
+        // only once the worker is observed dead (a wedged thread must never
+        // hang the producer).
+        self.worker.shared.shutdown.store(true, Ordering::Release);
+        let applied = match self.worker.tree.try_lock() {
+            Some(mut tree) => {
+                engine::apply_cells(&mut tree, &self.evict_buf);
+                true
+            }
+            None => false,
+        };
+        if applied {
+            self.note_reapplied();
+            self.integrity.escalate(Integrity::Degraded);
+        } else {
+            // The wedged worker holds the octree mutex; the batch could not
+            // be confirmed applied.
+            self.integrity.escalate(Integrity::Compromised);
+        }
+        self.fail_worker(PipelineError::QueueStalled {
+            worker: WORKER,
+            waited,
+        });
+    }
+
+    /// Counts the retained batch as applied inline by the producer.
+    fn note_reapplied(&mut self) {
+        self.faults.cells_reapplied += self.evict_buf.len() as u64;
+        if !self.evict_buf.is_empty() {
+            self.faults.batches_rerouted += 1;
+        }
+    }
+
+    /// Marks the worker out of rotation and keeps the scan's first error.
+    fn fail_worker(&mut self, err: PipelineError) {
+        self.scan_error.get_or_insert_with(|| err.clone());
+        self.worker.failed = Some(err);
+    }
+
+    /// Applies the retained batch inline while the worker is out of
+    /// rotation (degraded mode). If the worker may still be alive (a
+    /// stalled thread that never exited), it gets a bounded window to die;
+    /// applying newer values while it could still write stale ones
+    /// compromises the map.
+    fn apply_inline(&mut self) {
+        let w = &mut self.worker;
+        if w.handle.is_some() {
+            let mut backoff = Backoff::new(self.stall_timeout);
+            while !w.shared.dead.load(Ordering::Acquire) {
+                if !backoff.snooze() {
+                    break;
+                }
+            }
+            if w.shared.dead.load(Ordering::Acquire) {
+                if let Some(handle) = w.handle.take() {
+                    let _ = handle.join();
+                }
+            } else {
+                self.integrity.escalate(Integrity::Compromised);
+            }
+        }
+        if self.evict_buf.is_empty() {
+            return;
+        }
+        match w.tree.try_lock() {
+            Some(mut guard) => engine::apply_cells(&mut guard, &self.evict_buf),
+            None => {
+                // The wedged worker holds the octree mutex; these cells
+                // cannot be applied at all.
+                self.faults.partial_batches += 1;
+                self.integrity.escalate(Integrity::Compromised);
+                self.scan_error.get_or_insert(PipelineError::PartialScan {
+                    worker: WORKER,
+                    batch: w.batches_sent,
+                    cells_dropped: self.evict_buf.len() as u64,
+                });
+                return;
+            }
+        }
+        self.note_reapplied();
+    }
+
+    /// Whether the supervisor may respawn the worker: its thread must have
     /// provably exited (`handle` is `None` — a stalled worker's wedged
     /// thread keeps its handle and could still write stale values), its
-    /// failure must be a clean-exit class, and its per-worker restart
-    /// budget must not be exhausted.
-    fn respawn_eligible(w: &Worker, policy: &RestartPolicy) -> bool {
-        if w.handle.is_some() || w.restarts >= policy.max_restarts {
+    /// failure must be a clean-exit class, and its restart budget must not
+    /// be exhausted.
+    fn respawn_eligible(&self) -> bool {
+        let w = &self.worker;
+        if w.handle.is_some() || w.restarts >= self.restart_policy.max_restarts {
             return false;
         }
         matches!(
@@ -826,40 +687,31 @@ impl ParallelExecutor {
         )
     }
 
-    /// Supervisor pass: respawn dead workers whose restart budget allows
-    /// it, then heal the integrity verdict once every worker is back in
-    /// rotation. Runs at the top of each scan, when all queues are drained
-    /// and the retained batch share has already been re-applied inline —
-    /// so the fresh thread starts from an exact shard and an empty ring.
+    /// Supervisor pass: respawn the dead worker if its restart budget
+    /// allows it, then heal the integrity verdict once it is back in
+    /// rotation. Runs at the top of each scan, when the queue is drained
+    /// and the retained batch has already been re-applied inline — so the
+    /// fresh thread starts from an exact octree and an empty ring.
     fn try_respawn(&mut self) {
         if !self.restart_policy.enabled() {
             return;
         }
-        let policy = self.restart_policy;
-        let mid_batch_deadline = self.stall_timeout.saturating_mul(4);
-        for i in 0..self.workers.len() {
-            if !Self::respawn_eligible(&self.workers[i], &policy) {
-                continue;
-            }
+        if self.respawn_eligible() {
             let t0 = Instant::now();
-            if !policy.backoff.is_zero() {
-                std::thread::sleep(policy.backoff);
+            if !self.restart_policy.backoff.is_zero() {
+                std::thread::sleep(self.restart_policy.backoff);
             }
-            let w = &mut self.workers[i];
+            let w = &mut self.worker;
             let shared = Arc::new(WorkerShared::default());
             let (producer, consumer) = spsc::channel::<Item>(QUEUE_CAPACITY);
-            let wf = w.faults.respawned();
-            let spawned = {
-                let tree = Arc::clone(&w.tree);
-                let shared = Arc::clone(&shared);
-                let events = self.event_sink.as_ref().map(|s| s.buffer(i as u32 + 1));
-                std::thread::Builder::new()
-                    .name(format!("octocache-octree-{i}"))
-                    .spawn(move || {
-                        worker_thread(consumer, tree, shared, mid_batch_deadline, wf, events)
-                    })
-            };
-            let w = &mut self.workers[i];
+            let spawned = spawn_worker(
+                consumer,
+                &w.tree,
+                &shared,
+                self.stall_timeout,
+                w.faults.respawned(),
+                self.event_sink.as_ref(),
+            );
             match spawned {
                 Ok(handle) => {
                     // Fresh ring, fresh counters: the new generation's
@@ -888,167 +740,93 @@ impl ParallelExecutor {
             }
             self.restart_ns_pending += t0.elapsed().as_nanos() as u64;
         }
-        if self.workers.iter().all(|w| w.failed.is_none()) && self.integrity.heal() {
+        if self.worker.failed.is_none() && self.integrity.heal() {
             self.faults.heals += 1;
         }
     }
 
-    /// Waits (bounded) until every live worker has applied every batch
-    /// enqueued to it — the thread-1 "gap" of the paper's Figure 13(b),
-    /// extended to the worker set. A worker that dies here has its retained
-    /// batch share re-applied inline; one that exceeds [`Self::stall_timeout`]
-    /// is taken out of rotation as stalled.
-    fn wait_for_workers(&mut self) {
-        let n = self.workers.len();
-        let stall_timeout = self.stall_timeout;
-        let ParallelExecutor {
-            workers,
-            route_bufs,
-            evict_buf,
-            faults,
-            integrity,
-            scan_error,
-            ..
-        } = self;
-        for (i, w) in workers.iter_mut().enumerate() {
-            if w.failed.is_some() {
-                continue;
+    /// Waits (bounded) until the worker has applied every batch enqueued to
+    /// it — the thread-1 "gap" of the paper's Figure 13(b). A worker that
+    /// dies here has the retained batch re-applied inline; one that exceeds
+    /// [`Self::stall_timeout`] is taken out of rotation as stalled.
+    fn wait_for_worker(&mut self) {
+        if self.worker.failed.is_some() {
+            return;
+        }
+        let mut backoff = Backoff::new(self.stall_timeout);
+        loop {
+            let shared = &self.worker.shared;
+            if shared.batches_done.load(Ordering::Acquire) >= self.worker.batches_sent {
+                break;
             }
-            let share: &[EvictedCell] = if n == 1 { evict_buf } else { &route_bufs[i] };
-            let mut backoff = Backoff::new(stall_timeout);
-            loop {
-                if w.shared.batches_done.load(Ordering::Acquire) >= w.batches_sent {
-                    break;
-                }
-                if w.shared.dead.load(Ordering::Acquire) {
-                    fail_dead_worker(w, i, share, faults, integrity, scan_error);
-                    break;
-                }
-                if !backoff.snooze() {
-                    fail_stalled_worker(
-                        w,
-                        i,
-                        share,
-                        backoff.waited(),
-                        faults,
-                        integrity,
-                        scan_error,
-                    );
-                    break;
-                }
+            if shared.dead.load(Ordering::Acquire) {
+                self.fail_dead_worker();
+                break;
+            }
+            if !backoff.snooze() {
+                self.fail_stalled_worker(backoff.waited());
+                break;
             }
         }
     }
 
-    /// Routes the retained batch ([`Self::evict_buf`]) by octant and
-    /// enqueues each shard's share to its worker, closing the batch with a
-    /// `BatchEnd` on **every** live queue (even empty shares) so
-    /// `batches_done` stays aligned. Shares of workers out of rotation are
-    /// applied inline; a worker that dies or stalls mid-send is failed over
-    /// the same way.
+    /// Enqueues the retained batch ([`Self::evict_buf`]) to the worker in
+    /// chunks, closing it with a `BatchEnd` (even when empty) so
+    /// `batches_done` stays aligned. While the worker is out of rotation
+    /// the batch is applied inline; a worker that dies or stalls mid-send
+    /// is failed over the same way.
     fn send_batch(&mut self) -> EnqueueOutcome {
         let t1 = Instant::now();
-        let n = self.workers.len();
         let mut backpressure = Duration::ZERO;
-        let mut queue_depths = vec![0u64; n];
-        let mut shard_sizes = vec![0u64; n];
-
-        if n > 1 {
-            let ParallelExecutor {
-                route_bufs,
-                evict_buf,
-                router,
-                ..
-            } = self;
-            for buf in route_bufs.iter_mut() {
-                buf.clear();
-            }
-            for cell in evict_buf.iter() {
-                route_bufs[router.shard_of(cell.key)].push(*cell);
-            }
-        }
-
-        let count = self.evict_buf.len();
-        let stall_timeout = self.stall_timeout;
-        let ParallelExecutor {
-            cache,
-            workers,
-            route_bufs,
-            evict_buf,
-            faults,
-            integrity,
-            scan_error,
-            ..
-        } = self;
-        for (i, w) in workers.iter_mut().enumerate() {
-            let share: &[EvictedCell] = if n == 1 { evict_buf } else { &route_bufs[i] };
-            shard_sizes[i] = share.len() as u64;
-            if w.failed.is_some() {
-                apply_inline(w, i, share, stall_timeout, faults, integrity, scan_error);
-                continue;
-            }
-            if w.shared.dead.load(Ordering::Acquire) {
-                fail_dead_worker(w, i, share, faults, integrity, scan_error);
-                continue;
-            }
-            let mut failed_mid_send = false;
-            for chunk in share.chunks(CHUNK_CELLS) {
-                match push_guarded(
-                    w,
-                    Item::Chunk(chunk.to_vec()),
-                    &mut backpressure,
-                    stall_timeout,
-                ) {
-                    PushOutcome::Pushed(depth) => {
-                        queue_depths[i] = queue_depths[i].max(depth);
-                        if let Some(buf) = cache.events_mut() {
-                            buf.emit_for(i as u32 + 1, EventKind::QueueEnqueue, depth);
-                        }
-                    }
-                    PushOutcome::Dead => {
-                        fail_dead_worker(w, i, share, faults, integrity, scan_error);
-                        failed_mid_send = true;
-                        break;
-                    }
-                    PushOutcome::Stalled(waited) => {
-                        fail_stalled_worker(w, i, share, waited, faults, integrity, scan_error);
-                        failed_mid_send = true;
-                        break;
-                    }
+        let mut queue_depth = 0u64;
+        if self.worker.failed.is_some() {
+            self.apply_inline();
+        } else if self.worker.shared.dead.load(Ordering::Acquire) {
+            self.fail_dead_worker();
+        } else {
+            let stall_timeout = self.stall_timeout;
+            let mut outcome = PushOutcome::Pushed(0);
+            for chunk in self.evict_buf.chunks(CHUNK_CELLS) {
+                let item = Item::Chunk(chunk.to_vec());
+                outcome = push_guarded(&mut self.worker, item, &mut backpressure, stall_timeout);
+                let PushOutcome::Pushed(depth) = outcome else {
+                    break;
+                };
+                queue_depth = queue_depth.max(depth);
+                if let Some(buf) = self.cache.events_mut() {
+                    buf.emit_for(WORKER_LANE, EventKind::QueueEnqueue, depth);
                 }
             }
-            if failed_mid_send {
-                continue;
+            if let PushOutcome::Pushed(_) = outcome {
+                let end = Item::BatchEnd;
+                outcome = push_guarded(&mut self.worker, end, &mut backpressure, stall_timeout);
             }
-            match push_guarded(w, Item::BatchEnd, &mut backpressure, stall_timeout) {
+            match outcome {
                 PushOutcome::Pushed(depth) => {
-                    queue_depths[i] = queue_depths[i].max(depth);
-                    w.batches_sent += 1;
+                    queue_depth = queue_depth.max(depth);
+                    self.worker.batches_sent += 1;
                 }
-                PushOutcome::Dead => fail_dead_worker(w, i, share, faults, integrity, scan_error),
-                PushOutcome::Stalled(waited) => {
-                    fail_stalled_worker(w, i, share, waited, faults, integrity, scan_error)
-                }
+                PushOutcome::Dead => self.fail_dead_worker(),
+                PushOutcome::Stalled(waited) => self.fail_stalled_worker(waited),
             }
         }
         if !backpressure.is_zero() {
-            if let Some(buf) = cache.events_mut() {
+            if let Some(buf) = self.cache.events_mut() {
                 buf.emit_plain(EventKind::QueueStall, backpressure.as_nanos() as u64);
             }
         }
         let enqueue = t1.elapsed().saturating_sub(backpressure);
         EnqueueOutcome {
-            count,
+            count: self.evict_buf.len(),
             evict: Duration::ZERO,
             enqueue,
             backpressure,
-            queue_depths,
-            shard_sizes,
+            queue_depth,
         }
     }
 
     /// Evicts the pending batch into the retained buffer and enqueues it
-    /// for the workers, sampling the producer-side queue depths along the
+    /// for the worker, sampling the producer-side queue depth along the
     /// way.
     fn evict_and_enqueue(&mut self) -> EnqueueOutcome {
         let t0 = Instant::now();
@@ -1060,91 +838,54 @@ impl ParallelExecutor {
         out
     }
 
-    fn shutdown_workers(&mut self) {
-        for w in &self.workers {
-            if w.handle.is_some() {
-                w.shared.shutdown.store(true, Ordering::Release);
+    fn shutdown_worker(&mut self) {
+        let w = &mut self.worker;
+        if let Some(handle) = w.handle.take() {
+            w.shared.shutdown.store(true, Ordering::Release);
+            if w.failed.is_none() || w.shared.dead.load(Ordering::Acquire) {
+                let _ = handle.join();
             }
+            // else: detach — a wedged worker must never hang shutdown;
+            // it exits on its own when (if) it wakes and sees the flag.
         }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                if w.failed.is_none() || w.shared.dead.load(Ordering::Acquire) {
-                    let _ = handle.join();
-                }
-                // else: detach — a wedged worker must never hang shutdown;
-                // it exits on its own when (if) it wakes and sees the flag.
-            }
-            // Fold any mid-batch abandonment observed during shutdown into
-            // the counters: an abandoned batch is reported, never silent.
-            let partials = w.shared.partial_batches.load(Ordering::Acquire);
-            if partials > w.partials_seen {
-                self.faults.partial_batches += partials - w.partials_seen;
-                w.partials_seen = partials;
-                self.integrity.escalate(Integrity::Compromised);
-            }
+        // Fold any mid-batch abandonment observed during shutdown into
+        // the counters: an abandoned batch is reported, never silent.
+        let partials = w.shared.partial_batches.load(Ordering::Acquire);
+        if partials > w.partials_seen {
+            self.faults.partial_batches += partials - w.partials_seen;
+            w.partials_seen = partials;
+            self.integrity.escalate(Integrity::Compromised);
         }
     }
 
     /// Worker time accumulated since the last attribution, folded into a
-    /// [`PhaseTimes`] plus per-worker busy/idle nanos, and marked as
+    /// [`PhaseTimes`] plus the worker's busy/idle nanos, and marked as
     /// attributed. Called once per scan, so each scan's record carries the
     /// worker time of the batch it waited on (the batch evicted one scan
     /// earlier — the pipeline offset of the paper's Figure 13(b)).
-    fn take_worker_delta(&mut self) -> (PhaseTimes, Vec<u64>, Vec<u64>) {
-        let mut times = PhaseTimes::default();
-        let mut busy = Vec::with_capacity(self.workers.len());
-        let mut idle = Vec::with_capacity(self.workers.len());
-        for w in &mut self.workers {
-            let dq = w.shared.dequeue_nanos.load(Ordering::Relaxed);
-            let oc = w.shared.octree_nanos.load(Ordering::Relaxed);
-            let id = w.shared.idle_nanos.load(Ordering::Relaxed);
-            let d_dq = dq.saturating_sub(w.dequeue_seen);
-            let d_oc = oc.saturating_sub(w.octree_seen);
-            let d_id = id.saturating_sub(w.idle_seen);
-            w.dequeue_seen = dq;
-            w.octree_seen = oc;
-            w.idle_seen = id;
-            times.dequeue += Duration::from_nanos(d_dq);
-            times.octree_update += Duration::from_nanos(d_oc);
-            busy.push(d_dq + d_oc);
-            idle.push(d_id);
-        }
-        (times, busy, idle)
-    }
-
-    /// Worker time not yet attributed to any scan.
-    fn worker_residual(&self) -> PhaseTimes {
-        let mut times = PhaseTimes::default();
-        for w in &self.workers {
-            let dq = w.shared.dequeue_nanos.load(Ordering::Relaxed);
-            let oc = w.shared.octree_nanos.load(Ordering::Relaxed);
-            times.dequeue += Duration::from_nanos(dq.saturating_sub(w.dequeue_seen));
-            times.octree_update += Duration::from_nanos(oc.saturating_sub(w.octree_seen));
-        }
-        times
-    }
-
-    /// Sums the instrumentation counters of every shard (locking each; a
-    /// wedged worker's shard is skipped rather than risking a hang).
-    fn summed_tree_stats(&self) -> StatsSnapshot {
-        let mut total = StatsSnapshot::default();
-        for w in &self.workers {
-            let guard = if w.failed.is_some() {
-                w.tree.try_lock()
-            } else {
-                Some(w.tree.lock())
-            };
-            if let Some(g) = guard {
-                total.merge(&g.stats().snapshot());
-            }
-        }
-        total
+    fn take_worker_delta(&mut self) -> (PhaseTimes, u64, u64) {
+        let w = &mut self.worker;
+        let dq = w.shared.dequeue_nanos.load(Ordering::Relaxed);
+        let oc = w.shared.octree_nanos.load(Ordering::Relaxed);
+        let id = w.shared.idle_nanos.load(Ordering::Relaxed);
+        let d_dq = dq.saturating_sub(w.dequeue_seen);
+        let d_oc = oc.saturating_sub(w.octree_seen);
+        let d_id = id.saturating_sub(w.idle_seen);
+        w.dequeue_seen = dq;
+        w.octree_seen = oc;
+        w.idle_seen = id;
+        let times = PhaseTimes {
+            dequeue: Duration::from_nanos(d_dq),
+            octree_update: Duration::from_nanos(d_oc),
+            ..Default::default()
+        };
+        (times, d_dq + d_oc, d_id)
     }
 }
 
 impl ScanExecutor for ParallelExecutor {
     fn backend_name(&self) -> String {
-        backend_name(self.ray_tracer, self.workers.len())
+        format!("octocache-parallel{}", self.ray_tracer.suffix())
     }
 
     fn grid(&self) -> &VoxelGrid {
@@ -1165,15 +906,15 @@ impl ScanExecutor for ParallelExecutor {
             buf.set_scan(scan_seq);
         }
 
-        // Phase 0: the supervisor pass — respawn any dead worker whose
-        // restart budget allows it, healing the integrity verdict if the
-        // whole rotation recovers. A no-op unless `max_restarts > 0`.
+        // Phase 0: the supervisor pass — respawn the dead worker if its
+        // restart budget allows it, healing the integrity verdict once it
+        // is back. A no-op unless `max_restarts > 0`.
         self.try_respawn();
 
-        // Phase 1: evict the previous batch and hand it to the workers.
+        // Phase 1: evict the previous batch and hand it to the worker.
         let enq = self.evict_and_enqueue();
 
-        // Phase 2: ray-trace the new scan, overlapping the workers' update.
+        // Phase 2: ray-trace the new scan, overlapping the worker's update.
         let grid = self.grid;
         let t0 = Instant::now();
         insert::compute_update(&grid, origin, cloud, max_range, &mut self.batch)?;
@@ -1183,56 +924,36 @@ impl ScanExecutor for ParallelExecutor {
         };
         let ray_tracing = t0.elapsed();
 
-        // Phase 3: wait for every worker — the paper's thread-1 gap
+        // Phase 3: wait for the worker — the paper's thread-1 gap
         // (including any back-pressure absorbed during enqueue).
         let t1 = Instant::now();
-        self.wait_for_workers();
+        self.wait_for_worker();
         let wait = t1.elapsed() + enq.backpressure;
         let batch: &insert::VoxelBatch = deduped.as_ref().unwrap_or(&self.batch);
 
-        // Phase 4: cache insertion under the shard mutexes (seeding misses
-        // from the owning shard). All queues are drained, so the locks are
-        // uncontended — except a wedged worker's, which is skipped (its
-        // shard seeds as unknown; the map is already Compromised).
+        // Phase 4: cache insertion under the octree mutex (seeding misses
+        // from the octree). The queue is drained, so the lock is
+        // uncontended — except a wedged worker's, which is skipped (misses
+        // seed as unknown; the map is already Compromised).
         let t2 = Instant::now();
         let (mutex_wait, tree_after, memory_bytes, octree_seed_visits) = {
-            let guards: Vec<Option<MutexGuard<'_, OccupancyOcTree>>> = self
-                .workers
-                .iter()
-                .map(|w| {
-                    if w.failed.is_some() {
-                        w.tree.try_lock()
-                    } else {
-                        Some(w.tree.lock())
-                    }
-                })
-                .collect();
-            if guards.iter().any(|g| g.is_none()) {
+            let guard = self.worker.lock_tree();
+            if guard.is_none() {
                 self.integrity.escalate(Integrity::Compromised);
             }
             let mutex_wait = t2.elapsed();
-            let router = self.router;
-            // One read cursor per shard: a ray's misses stay in one shard
-            // for long runs, so each cursor keeps its own path warm.
-            let mut seeds: Vec<Option<ReadCursor<'_>>> = guards
-                .iter()
-                .map(|g| g.as_ref().map(|g| g.read_cursor()))
-                .collect();
+            let mut seed = guard.as_ref().map(|g| g.read_cursor());
             self.cache.insert_batch(batch.updates(), |k| {
-                seeds[router.shard_of(k)]
-                    .as_mut()
-                    .and_then(|cursor| cursor.search(k))
+                seed.as_mut().and_then(|cursor| cursor.search(k))
             });
-            let seed_visits = seeds.iter().flatten().map(|c| c.nodes_visited()).sum();
-            // Dropped before the shard stats are read: the cursors add
-            // their visits to them on the way out.
-            drop(seeds);
-            let mut tree_after = StatsSnapshot::default();
-            let mut memory_bytes = 0u64;
-            for g in guards.iter().flatten() {
-                tree_after.merge(&g.stats().snapshot());
-                memory_bytes += g.memory_usage() as u64;
-            }
+            let seed_visits = seed.as_ref().map_or(0, |c| c.nodes_visited());
+            // Dropped before the octree stats are read: the cursor adds
+            // its visits to them on the way out.
+            drop(seed);
+            let (tree_after, memory_bytes) = guard
+                .as_ref()
+                .map(|g| (g.stats().snapshot(), g.memory_usage() as u64))
+                .unwrap_or_default();
             (mutex_wait, tree_after, memory_bytes, seed_visits)
         };
         let cache_insert = t2.elapsed();
@@ -1253,27 +974,21 @@ impl ScanExecutor for ParallelExecutor {
         let tree_delta = tree_after.since(&self.last_tree_stats);
         self.last_tree_stats = tree_after;
         let cache_delta = self.cache.stats().since(&cache_before);
-        // Fault counters accrued since the last record (including
-        // construction-time spawn failures, which land on scan 0).
+        // Fault counters accrued since the last record (including a
+        // construction-time spawn failure, which lands on scan 0).
         let fault_delta = self.faults.since(&self.faults_reported);
         self.faults_reported = self.faults;
+        let shared = &self.worker.shared;
         *metrics = ScanMetrics {
             times,
             observations: observations as u64,
-            queue_depth_enqueue: enq.queue_depths.iter().copied().max().unwrap_or(0),
-            queue_depth_dequeue: self
-                .workers
-                .iter()
-                .map(|w| w.shared.queue_depth_dequeue.load(Ordering::Relaxed))
-                .max()
-                .unwrap_or(0),
+            queue_depth_enqueue: enq.queue_depth,
+            queue_depth_dequeue: shared.queue_depth_dequeue.load(Ordering::Relaxed),
             mutex_wait,
             octree_seed_visits,
-            shard_skew: routing::skew(&enq.shard_sizes),
-            worker_queue_depths: enq.queue_depths,
-            shard_batch_sizes: enq.shard_sizes,
-            worker_busy_ns,
-            worker_idle_ns,
+            worker_queue_depths: vec![enq.queue_depth],
+            worker_busy_ns: vec![worker_busy_ns],
+            worker_idle_ns: vec![worker_idle_ns],
             worker_panics: fault_delta.worker_panics,
             spawn_failures: fault_delta.spawn_failures,
             stall_timeouts: fault_delta.stall_timeouts,
@@ -1307,15 +1022,8 @@ impl ScanExecutor for ParallelExecutor {
     fn occupancy(&mut self, key: VoxelKey) -> Option<f32> {
         match self.cache.get(key) {
             Some(v) => Some(v),
-            None => {
-                let w = &self.workers[self.router.shard_of(key)];
-                if w.failed.is_some() {
-                    // Never block on a possibly-wedged worker's mutex.
-                    w.tree.try_lock().and_then(|g| g.search(key))
-                } else {
-                    w.tree.lock().search(key)
-                }
-            }
+            // Never blocks on a possibly-wedged worker's mutex.
+            None => self.worker.lock_tree().and_then(|g| g.search(key)),
         }
     }
 
@@ -1330,7 +1038,7 @@ impl ScanExecutor for ParallelExecutor {
         // time is what makes dead-worker re-application exact).
         let enq1 = self.evict_and_enqueue();
         let t_w = Instant::now();
-        self.wait_for_workers();
+        self.wait_for_worker();
         let wait1 = t_w.elapsed();
         // …then drain everything left in the cache as a final batch.
         let t0 = Instant::now();
@@ -1339,7 +1047,7 @@ impl ScanExecutor for ParallelExecutor {
         let enq2 = self.send_batch();
 
         let t1 = Instant::now();
-        self.wait_for_workers();
+        self.wait_for_worker();
         let wait = wait1 + t1.elapsed() + enq1.backpressure + enq2.backpressure;
 
         let times = PhaseTimes {
@@ -1361,8 +1069,16 @@ impl ScanExecutor for ParallelExecutor {
         }
     }
 
+    /// Worker time not yet attributed to any scan.
     fn residual_times(&self) -> PhaseTimes {
-        self.worker_residual()
+        let w = &self.worker;
+        let dq = w.shared.dequeue_nanos.load(Ordering::Relaxed);
+        let oc = w.shared.octree_nanos.load(Ordering::Relaxed);
+        PhaseTimes {
+            dequeue: Duration::from_nanos(dq.saturating_sub(w.dequeue_seen)),
+            octree_update: Duration::from_nanos(oc.saturating_sub(w.octree_seen)),
+            ..Default::default()
+        }
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
@@ -1370,7 +1086,9 @@ impl ScanExecutor for ParallelExecutor {
     }
 
     fn tree_stats(&self) -> Option<StatsSnapshot> {
-        Some(self.summed_tree_stats())
+        // A wedged worker's octree is skipped rather than risking a hang.
+        let guard = self.worker.lock_tree();
+        Some(guard.map(|g| g.stats().snapshot()).unwrap_or_default())
     }
 
     fn integrity(&self) -> Integrity {
@@ -1390,108 +1108,69 @@ impl ScanExecutor for ParallelExecutor {
     }
 
     fn resident_bytes(&self) -> u64 {
-        // Between scans every queue is drained, so the shard mutexes are
-        // free — except a wedged worker's, whose shard is skipped (its
-        // size is frozen anyway: nothing can be applied to it).
-        let mut total = self.cache.memory_usage() as u64;
-        for w in &self.workers {
-            let guard = if w.failed.is_some() {
-                w.tree.try_lock()
-            } else {
-                Some(w.tree.lock())
-            };
-            if let Some(g) = guard {
-                total += g.memory_usage() as u64;
-            }
-        }
-        total
+        // Between scans the queue is drained, so the octree mutex is free —
+        // except a wedged worker's, whose octree is skipped (its size is
+        // frozen anyway: nothing can be applied to it).
+        let tree = self.worker.lock_tree();
+        self.cache.memory_usage() as u64 + tree.map_or(0, |g| g.memory_usage() as u64)
     }
 
     fn relieve_memory(&mut self, level: PressureLevel) {
-        // Runs between scans (queues drained, retained batch already
-        // applied), so applying drained cells inline under the shard
-        // mutexes is race-free and map-neutral: cells carry absolute
+        // Runs between scans (queue drained, retained batch already
+        // applied), so applying drained cells inline under the octree
+        // mutex is race-free and map-neutral: cells carry absolute
         // log-odds and the batch apply overwrites. The retained batch
-        // share predates this drain, but a later re-apply only ever uses
-        // the share of the batch in flight at failure time, which
-        // post-dates it.
-        if level >= PressureLevel::Critical {
-            let cells = self.cache.drain_all();
-            for (i, w) in self.workers.iter().enumerate() {
-                let guard = if w.failed.is_some() {
-                    w.tree.try_lock()
-                } else {
-                    Some(w.tree.lock())
-                };
-                // A wedged worker's cells are undeliverable; the map is
-                // already Compromised by the wedge itself.
-                if let Some(mut g) = guard {
-                    let share = cells.iter().filter(|c| self.router.shard_of(c.key) == i);
-                    engine::apply_cells(&mut g, share);
-                }
+        // predates this drain, but a later re-apply only ever uses the
+        // batch in flight at failure time, which post-dates it.
+        let drained = (level >= PressureLevel::Critical).then(|| self.cache.drain_all());
+        // A wedged worker's cells are undeliverable; the map is already
+        // Compromised by the wedge itself.
+        if let Some(mut g) = self.worker.lock_tree() {
+            if let Some(cells) = &drained {
+                engine::apply_cells(&mut g, cells);
             }
-        }
-        // Pruning the shards is the step that durably shrinks resident
-        // bytes; merged-away nodes re-expand on demand.
-        for w in &self.workers {
-            let guard = if w.failed.is_some() {
-                w.tree.try_lock()
-            } else {
-                Some(w.tree.lock())
-            };
-            if let Some(mut g) = guard {
-                g.prune();
-            }
+            // Pruning the octree is the step that durably shrinks resident
+            // bytes; merged-away nodes re-expand on demand.
+            g.prune();
         }
     }
 
-    /// Builds a self-contained read tree: every shard merged (structural,
-    /// disjoint octant groups) with the cache's accumulated values overlaid
-    /// on top. Called between scans, when all queues are drained and the
-    /// shard mutexes are free; a wedged worker's shard is skipped via
-    /// `try_lock` (matching the degraded [`MappingSystem::occupancy`] path —
-    /// the map is already [`Integrity::Compromised`] by then).
+    /// Builds a self-contained read tree: a deep copy of the octree with
+    /// the cache's accumulated values overlaid on top. Called between
+    /// scans, when the queue is drained and the octree mutex is free; a
+    /// wedged worker's octree is skipped via `try_lock` (matching the
+    /// degraded [`MappingSystem::occupancy`] path — the map is already
+    /// [`Integrity::Compromised`] by then).
     fn snapshot_tree(&self) -> OccupancyOcTree {
-        let mut merged = OccupancyOcTree::new(self.grid, self.params);
-        for w in &self.workers {
-            let guard = if w.failed.is_some() {
-                w.tree.try_lock()
-            } else {
-                Some(w.tree.lock())
-            };
-            if let Some(g) = guard {
-                merged
-                    .merge_disjoint_top_level(&g)
-                    .expect("workers partition key space disjointly");
-            }
-        }
-        engine::overlay_cache(&mut merged, &self.cache);
-        merged
+        let mut tree = match self.worker.lock_tree() {
+            Some(g) => g.deep_clone(),
+            None => OccupancyOcTree::new(self.grid, self.params),
+        };
+        engine::overlay_cache(&mut tree, &self.cache);
+        tree
     }
 
     fn take_events(&mut self) -> Option<EventLog> {
-        // Worker buffers drain at every batch boundary and queues are empty
-        // between `insert_scan` calls, so the sink already holds everything
-        // once the producer buffer is flushed.
+        // The worker's buffer drains at every batch boundary and the queue
+        // is empty between `insert_scan` calls, so the sink already holds
+        // everything once the producer buffer is flushed.
         if let Some(buf) = self.cache.events_mut() {
             buf.drain();
         }
         self.event_sink.as_ref().map(|s| s.take())
     }
 
-    /// Shuts the workers down and merges the shards (the engine has already
-    /// flushed the cache through [`ScanExecutor::flush`]). Shards populate
-    /// disjoint top-level octant groups, so the merge is structural.
+    /// Shuts the worker down and takes the octree (the engine has already
+    /// flushed the cache through [`ScanExecutor::flush`]).
     fn take_tree(mut self) -> OccupancyOcTree {
-        self.shutdown_workers();
-        let grid = self.grid;
-        let params = self.params;
-        let workers = std::mem::take(&mut self.workers);
-        drop(self); // drops the producers & our Arc clones
-        let mut trees = workers.into_iter().map(|w| match Arc::try_unwrap(w.tree) {
+        self.shutdown_worker();
+        let (grid, params) = (self.grid, self.params);
+        let tree = Arc::clone(&self.worker.tree);
+        drop(self); // drops the producer & our other Arc clone
+        match Arc::try_unwrap(tree) {
             Ok(mutex) => mutex.into_inner(),
             // A wedged (unjoinable) worker still holds an Arc clone; take
-            // its shard without risking a hang on its mutex. The map was
+            // the octree without risking a hang on its mutex. The map was
             // already flagged Compromised when the worker wedged.
             Err(arc) => match arc.try_lock() {
                 Some(mut guard) => {
@@ -1499,22 +1178,13 @@ impl ScanExecutor for ParallelExecutor {
                 }
                 None => OccupancyOcTree::new(grid, params),
             },
-        });
-        let first = trees
-            .next()
-            .unwrap_or_else(|| OccupancyOcTree::new(grid, params));
-        trees.fold(first, |mut merged, tree| {
-            merged
-                .merge_disjoint_top_level(&tree)
-                .expect("workers partition key space disjointly");
-            merged
-        })
+        }
     }
 }
 
 impl Drop for ParallelExecutor {
     fn drop(&mut self) {
-        self.shutdown_workers();
+        self.shutdown_worker();
     }
 }
 
@@ -1542,8 +1212,8 @@ fn worker_thread(
     shared.dead.store(true, Ordering::Release);
 }
 
-/// An octree-update worker: dequeue evicted voxels and apply them to this
-/// worker's octree shard, holding the shard mutex per batch.
+/// The octree-update worker: dequeue evicted voxels and apply them to the
+/// octree, holding its mutex per batch.
 fn worker_loop(
     mut consumer: spsc::Consumer<Item>,
     tree: &Mutex<OccupancyOcTree>,
@@ -1729,22 +1399,6 @@ mod tests {
         ParallelOctoCache::new(grid, OccupancyParams::default(), config)
     }
 
-    fn system_n(workers: usize, w: usize, tau: usize) -> ParallelOctoCache {
-        let grid = VoxelGrid::new(0.5, 8).unwrap();
-        let config = CacheConfig::builder()
-            .num_buckets(w)
-            .tau(tau)
-            .build()
-            .unwrap();
-        ParallelOctoCache::with_workers(
-            grid,
-            OccupancyParams::default(),
-            config,
-            RayTracer::Standard,
-            workers,
-        )
-    }
-
     fn wall_cloud(offset: f64) -> Vec<Point3> {
         (0..50)
             .map(|i| Point3::new(6.0, -1.5 + offset + i as f64 * 0.05, 0.25))
@@ -1752,7 +1406,7 @@ mod tests {
     }
 
     /// A cloud spanning several octants (both sides of the grid centre on
-    /// every axis), so multi-worker runs exercise more than one shard.
+    /// every axis).
     fn spread_cloud(offset: f64) -> Vec<Point3> {
         (0..60)
             .map(|i| {
@@ -1771,9 +1425,6 @@ mod tests {
         let mut s = system(64, 4);
         assert_eq!(s.name(), "octocache-parallel");
         s.finish();
-        let mut s4 = system_n(4, 64, 4);
-        assert_eq!(s4.name(), "octocache-parallelx4");
-        s4.finish();
     }
 
     #[test]
@@ -1795,8 +1446,8 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_query_with_four_workers() {
-        let mut s = system_n(4, 1 << 6, 1); // tiny cache: constant eviction
+    fn insert_and_query_across_octants() {
+        let mut s = system(1 << 6, 1); // tiny cache: constant eviction
         let mut last = Vec::new();
         for i in 0..6 {
             let origin = Point3::new(0.0, 0.0, if i % 2 == 0 { 1.0 } else { -1.0 });
@@ -1804,8 +1455,8 @@ mod tests {
             s.insert_scan(origin, &last, 40.0).unwrap();
         }
         // The latest scan's endpoints span several octants, so these
-        // queries exercise every shard's cache-miss fall-through. All of
-        // them are known to the map, and most were just hit.
+        // queries exercise the cache-miss fall-through all over the octree.
+        // All of them are known to the map, and most were just hit.
         let mut occupied = 0;
         for p in &last {
             match s.is_occupied_at(*p).unwrap() {
@@ -1875,42 +1526,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_worker_into_tree_matches_single_worker() {
-        let grid = VoxelGrid::new(0.5, 8).unwrap();
-        let params = OccupancyParams::default();
-        let cfg = CacheConfig::builder()
-            .num_buckets(1 << 6)
-            .tau(1)
-            .build()
-            .unwrap();
-        let build = |n: usize| {
-            let mut s = ParallelOctoCache::with_workers(grid, params, cfg, RayTracer::Standard, n);
-            for i in 0..5 {
-                s.insert_scan(Point3::ZERO, &spread_cloud(i as f64 * 0.29), 40.0)
-                    .unwrap();
-            }
-            s.into_tree()
-        };
-        let t1 = build(1);
-        for n in [2, 4, 8] {
-            let tn = build(n);
-            assert_eq!(tn.num_nodes(), t1.num_nodes(), "{n} workers");
-            for x in (0..256u16).step_by(7) {
-                for y in (0..256u16).step_by(11) {
-                    let key = VoxelKey::new(x, y, 136);
-                    match (t1.search(key), tn.search(key)) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            assert!((a - b).abs() < 1e-6, "{key} ({n} workers)")
-                        }
-                        other => panic!("{key} ({n} workers): {other:?}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn worker_times_are_recorded() {
         let mut s = system(1 << 6, 1); // tiny cache: lots of evictions
         for i in 0..8 {
@@ -1920,20 +1535,14 @@ mod tests {
         s.finish();
         let t = s.phase_times();
         assert!(t.octree_update > std::time::Duration::ZERO);
-        assert!(
-            s.exec.workers[0]
-                .shared
-                .cells_applied
-                .load(Ordering::Relaxed)
-                > 0
-        );
+        assert!(s.exec.worker.shared.cells_applied.load(Ordering::Relaxed) > 0);
     }
 
     #[test]
     fn per_worker_telemetry_is_recorded() {
         use octocache_telemetry::SharedRecorder;
         let recorder = SharedRecorder::new();
-        let mut s = system_n(4, 1 << 6, 1);
+        let mut s = system(1 << 6, 1);
         s.set_recorder(Box::new(recorder.clone()));
         for i in 0..6 {
             s.insert_scan(Point3::ZERO, &spread_cloud(i as f64 * 0.17), 40.0)
@@ -1942,31 +1551,21 @@ mod tests {
         s.finish();
         let records = recorder.records();
         assert!(!records.is_empty());
+        // One worker: the per-worker vectors carry exactly one element.
         for r in &records {
-            assert_eq!(r.worker_queue_depths.len(), 4);
-            assert_eq!(r.shard_batch_sizes.len(), 4);
-            assert_eq!(r.worker_busy_ns.len(), 4);
-            assert_eq!(r.worker_idle_ns.len(), 4);
-            assert!(r.shard_skew >= 1.0, "skew {}", r.shard_skew);
+            assert_eq!(r.worker_queue_depths.len(), 1);
+            assert_eq!(r.worker_busy_ns.len(), 1);
+            assert_eq!(r.worker_idle_ns.len(), 1);
         }
-        // The spread cloud reaches several octants, so after the first
-        // couple of evictions more than one shard must have received cells.
-        let active: usize = (0..4)
-            .filter(|&i| records.iter().any(|r| r.shard_batch_sizes[i] > 0))
-            .count();
-        assert!(active > 1, "expected >1 active shard, got {active}");
-        // Busy time must have accrued on every active shard's worker.
-        assert!(records
-            .iter()
-            .any(|r| r.worker_busy_ns.iter().any(|&b| b > 0)));
+        assert!(records.iter().any(|r| r.worker_busy_ns[0] > 0));
     }
 
     #[test]
     fn drop_without_finish_is_clean() {
-        let mut s = system_n(4, 1 << 6, 2);
+        let mut s = system(1 << 6, 2);
         s.insert_scan(Point3::ZERO, &spread_cloud(0.0), 40.0)
             .unwrap();
-        drop(s); // must join every worker without hanging or panicking
+        drop(s); // must join the worker without hanging or panicking
     }
 
     #[test]
@@ -1988,22 +1587,6 @@ mod tests {
         // Dedup front-end: observations are distinct.
         assert!(report.observations > 0);
         s.finish();
-
-        let mut s2 = ParallelOctoCache::with_workers(
-            grid,
-            OccupancyParams::default(),
-            cfg,
-            RayTracer::Dedup,
-            2,
-        );
-        assert_eq!(s2.name(), "octocache-parallel-rtx2");
-        s2.finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "must be 1, 2, 4 or 8")]
-    fn rejects_invalid_worker_counts() {
-        system_n(3, 64, 4);
     }
 
     // ---- fault injection (hooks are active under cfg(test)) ----
@@ -2013,7 +1596,7 @@ mod tests {
 
     /// A pipeline with a fault plan, a tiny cache (constant eviction) and a
     /// short stall budget so stall tests converge quickly.
-    fn faulty_system(workers: usize, plan: FaultPlan, stall_ms: u64) -> ParallelOctoCache {
+    fn faulty_system(plan: FaultPlan, stall_ms: u64) -> ParallelOctoCache {
         let grid = VoxelGrid::new(0.5, 8).unwrap();
         let config = CacheConfig::builder()
             .num_buckets(1 << 6)
@@ -2022,13 +1605,7 @@ mod tests {
             .fault_plan(plan)
             .build()
             .unwrap();
-        ParallelOctoCache::with_workers(
-            grid,
-            OccupancyParams::default(),
-            config,
-            RayTracer::Standard,
-            workers,
-        )
+        ParallelOctoCache::new(grid, OccupancyParams::default(), config)
     }
 
     /// Replays the standard fault-test scan sequence, collecting errors.
@@ -2044,8 +1621,8 @@ mod tests {
     }
 
     /// The no-fault reference tree for [`run_scans`]'s sequence.
-    fn reference_tree(workers: usize) -> OccupancyOcTree {
-        let mut s = faulty_system(workers, FaultPlan::default(), 5_000);
+    fn reference_tree() -> OccupancyOcTree {
+        let mut s = faulty_system(FaultPlan::default(), 5_000);
         assert!(run_scans(&mut s).is_empty());
         s.into_tree()
     }
@@ -2053,19 +1630,19 @@ mod tests {
     #[test]
     fn spawn_failure_degrades_to_inline_apply() {
         let plan = FaultPlan {
-            fail_spawn: Some(1),
+            fail_spawn: Some(1), // any index names the one worker
             ..Default::default()
         };
-        let mut s = faulty_system(4, plan, 1_000);
-        assert_eq!(s.live_workers(), 3);
-        // Scans succeed throughout: the failed worker's share is applied
-        // inline, so degraded mode is not an error the caller must handle.
+        let mut s = faulty_system(plan, 1_000);
+        assert_eq!(s.live_workers(), 0);
+        // Scans succeed throughout: evictions are applied inline, so
+        // degraded mode is not an error the caller must handle.
         assert!(run_scans(&mut s).is_empty());
         assert_eq!(s.integrity(), Integrity::Degraded);
         let f = s.fault_counters();
         assert_eq!(f.spawn_failures, 1);
         assert_eq!(f.worker_panics, 0);
-        let d = compare::diff(&reference_tree(4), &s.into_tree(), 0.0);
+        let d = compare::diff(&reference_tree(), &s.into_tree(), 0.0);
         assert!(
             d.is_identical(),
             "inline apply diverged: {} value / {} coverage mismatches",
@@ -2083,22 +1660,22 @@ mod tests {
             }),
             ..Default::default()
         };
-        let mut s = faulty_system(4, plan, 1_000);
+        let mut s = faulty_system(plan, 1_000);
         let errors = run_scans(&mut s);
         // Exactly one scan surfaces the fault; subsequent scans run in
         // degraded mode and succeed.
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(
-            matches!(errors[0], PipelineError::WorkerPanicked { worker: 1, .. }),
+            matches!(errors[0], PipelineError::WorkerPanicked { worker: 0, .. }),
             "{:?}",
             errors[0]
         );
-        assert_eq!(s.live_workers(), 3);
+        assert_eq!(s.live_workers(), 0);
         assert_eq!(s.integrity(), Integrity::Degraded);
         let f = s.fault_counters();
         assert_eq!(f.worker_panics, 1);
         // The retained batch was re-applied: the map must be exact.
-        let d = compare::diff(&reference_tree(4), &s.into_tree(), 0.0);
+        let d = compare::diff(&reference_tree(), &s.into_tree(), 0.0);
         assert!(
             d.is_identical(),
             "re-apply diverged: {} value / {} coverage mismatches",
@@ -2116,12 +1693,12 @@ mod tests {
             }),
             ..Default::default()
         };
-        let mut s = faulty_system(1, plan, 1_000);
+        let mut s = faulty_system(plan, 1_000);
         let errors = run_scans(&mut s);
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert_eq!(s.live_workers(), 0);
         assert_eq!(s.integrity(), Integrity::Degraded);
-        let d = compare::diff(&reference_tree(1), &s.into_tree(), 0.0);
+        let d = compare::diff(&reference_tree(), &s.into_tree(), 0.0);
         assert!(d.is_identical());
     }
 
@@ -2137,7 +1714,7 @@ mod tests {
             }),
             ..Default::default()
         };
-        let mut s = faulty_system(2, plan, 20);
+        let mut s = faulty_system(plan, 20);
         let errors = run_scans(&mut s);
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(
@@ -2147,11 +1724,11 @@ mod tests {
         );
         assert!(s.fault_counters().stall_timeouts >= 1);
         assert!(s.integrity().is_degraded());
-        // The sleeping worker does not hold its shard mutex, so the share
+        // The sleeping worker does not hold the octree mutex, so the batch
         // was re-applied inline and the map stays exact (Degraded, not
         // Compromised); its stale writes after waking are idempotent.
         let integrity = s.integrity();
-        let d = compare::diff(&reference_tree(2), &s.into_tree(), 0.0);
+        let d = compare::diff(&reference_tree(), &s.into_tree(), 0.0);
         if integrity == Integrity::Degraded {
             assert!(
                 d.is_identical(),
@@ -2168,11 +1745,11 @@ mod tests {
             fill_ring: Some(0),
             ..Default::default()
         };
-        let mut s = faulty_system(1, plan, 5_000);
+        let mut s = faulty_system(plan, 5_000);
         assert!(run_scans(&mut s).is_empty());
         assert_eq!(s.integrity(), Integrity::Intact);
         assert!(!s.fault_counters().any());
-        let d = compare::diff(&reference_tree(1), &s.into_tree(), 0.0);
+        let d = compare::diff(&reference_tree(), &s.into_tree(), 0.0);
         assert!(d.is_identical());
     }
 
@@ -2232,7 +1809,7 @@ mod tests {
             }),
             ..Default::default()
         };
-        let mut s = faulty_system(2, plan, 1_000);
+        let mut s = faulty_system(plan, 1_000);
         let recorder = SharedRecorder::new();
         s.set_recorder(Box::new(recorder.clone()));
         let _ = run_scans(&mut s);

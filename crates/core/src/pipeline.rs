@@ -54,7 +54,7 @@ pub type OctoMapSystem = Engine<BaselineExecutor>;
 
 /// Scan execution for the vanilla OctoMap baseline: ray-trace, optionally
 /// dedup, and apply every observation straight to the octree — no cache,
-/// no shards, no workers.
+/// no worker.
 #[derive(Debug)]
 pub struct BaselineExecutor {
     tree: OccupancyOcTree,

@@ -49,7 +49,7 @@ use crate::pipeline::MappingSystem;
 /// any synchronisation at all — `OccupancyOcTree` reads are `&self` and the
 /// tree is `Sync`. Values are bit-identical to what the owning backend's
 /// locked query path would return at the same scan boundary (verified by
-/// `tests/query_consistency.rs` across every backend × worker count).
+/// `tests/query_consistency.rs` on every backend).
 #[derive(Debug)]
 pub struct MapSnapshot {
     tree: OccupancyOcTree,
@@ -257,8 +257,8 @@ impl SnapshotPublisher {
     /// Builds a tree with `build`, wraps it as the next-epoch snapshot and
     /// swaps it in. Readers holding the previous `Arc` finish their queries
     /// against it undisturbed; new [`QueryHandle::snapshot`] calls see the
-    /// new one. The reported latency covers the build (the deep copy / shard
-    /// merge dominates) plus the O(1) swap.
+    /// new one. The reported latency covers the build (the deep copy
+    /// dominates) plus the O(1) swap.
     pub fn publish_with(
         &mut self,
         scans: u64,

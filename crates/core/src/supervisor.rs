@@ -3,13 +3,13 @@
 //!
 //! PR 3 gave the parallel pipeline a *failure* model — typed faults, an
 //! integrity verdict, deterministic injection — whose answer to every
-//! fault was to degrade and limp: a dead worker's octants are served
+//! fault was to degrade and limp: a dead worker's evictions are applied
 //! inline for the rest of the run. This module adds the *recovery* model
 //! (DESIGN.md §7):
 //!
 //! * [`RestartPolicy`] bounds how often the pipeline may respawn a dead
 //!   worker. The respawn itself lives in `parallel.rs` (it needs the
-//!   retained per-shard trees); the policy and the healed-integrity
+//!   retained batch and the octree); the policy and the healed-integrity
 //!   bookkeeping live here.
 //! * [`MemoryGovernor`] walks a graduated pressure ladder against the
 //!   configured memory budget ([`CacheConfig::mem_budget`]): tighten

@@ -1,5 +1,5 @@
-//! Property tests for the voxel-cache invariants that the N-worker
-//! pipeline's correctness rests on:
+//! Property tests for the voxel-cache invariants that the pipelines'
+//! correctness rests on:
 //!
 //! 1. τ-eviction is lossless — every accumulated update eventually reaches
 //!    the eviction stream with exactly the accumulated value.

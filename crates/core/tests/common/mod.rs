@@ -6,8 +6,8 @@
 // Each test binary compiles its own copy and uses a subset of the helpers.
 #![allow(dead_code)]
 
-use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
-use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap};
+use octocache::pipeline::{MappingSystem, OctoMapSystem};
+use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache};
 use octocache_geom::VoxelGrid;
 use octocache_octomap::{OccupancyOcTree, OccupancyParams};
 
@@ -69,7 +69,7 @@ pub fn backends() -> Vec<(String, Box<dyn MappingSystem>)> {
 /// default scenario one).
 pub fn backends_with_grid(grid: VoxelGrid) -> Vec<(String, Box<dyn MappingSystem>)> {
     let params = OccupancyParams::default();
-    let mut v: Vec<(String, Box<dyn MappingSystem>)> = vec![
+    vec![
         (
             "octomap".to_string(),
             Box::new(OctoMapSystem::new(grid, params)),
@@ -78,22 +78,11 @@ pub fn backends_with_grid(grid: VoxelGrid) -> Vec<(String, Box<dyn MappingSystem
             "serial".to_string(),
             Box::new(SerialOctoCache::new(grid, params, cache())),
         ),
+        // The label predates the N-worker pipeline's removal; the golden
+        // files key on it.
         (
-            "sharded-x8".to_string(),
-            Box::new(ShardedOctoMap::new(grid, params, 8)),
+            "parallel-x1".to_string(),
+            Box::new(ParallelOctoCache::new(grid, params, cache())),
         ),
-    ];
-    for n in [1usize, 2, 4, 8] {
-        v.push((
-            format!("parallel-x{n}"),
-            Box::new(ParallelOctoCache::with_workers(
-                grid,
-                params,
-                cache(),
-                RayTracer::Standard,
-                n,
-            )),
-        ));
-    }
-    v
+    ]
 }

@@ -20,7 +20,7 @@ use common::{cache, grid, scenario, Scan};
 use octocache::durable::{self, DurableError, DurableMap, IoFaultPlan, KillPoint};
 use octocache::fault::PipelineError;
 use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
-use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap};
+use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache};
 use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams};
 
 const MAX_RANGE: f64 = 40.0;
@@ -72,9 +72,7 @@ fn prefix_checksums(scans: &[Scan], ray_tracer: RayTracer) -> Vec<u64> {
     out
 }
 
-/// The backend roster tortured by the full matrix (one representative per
-/// architecture; the differential suite already proves the worker-count
-/// sweep equivalent).
+/// The backend roster tortured by the full matrix (one per architecture).
 fn torture_backends() -> Vec<(String, Box<dyn MappingSystem>)> {
     let params = OccupancyParams::default();
     vec![
@@ -87,18 +85,8 @@ fn torture_backends() -> Vec<(String, Box<dyn MappingSystem>)> {
             Box::new(SerialOctoCache::new(grid(), params, cache())),
         ),
         (
-            "sharded-x4".to_string(),
-            Box::new(ShardedOctoMap::new(grid(), params, 4)),
-        ),
-        (
-            "parallel-x2".to_string(),
-            Box::new(ParallelOctoCache::with_workers(
-                grid(),
-                params,
-                cache(),
-                RayTracer::Standard,
-                2,
-            )),
+            "parallel".to_string(),
+            Box::new(ParallelOctoCache::new(grid(), params, cache())),
         ),
     ]
 }

@@ -1,20 +1,18 @@
 //! Event tracing must be *observationally invisible*: a backend built with
 //! sub-scan event recording on must produce a voxel-for-voxel identical map
-//! to the same backend with recording off — on every backend and every
-//! parallel worker count.
+//! to the same backend with recording off — on every backend.
 //!
 //! Two layers of evidence:
 //!
 //! 1. A scenario differential (seeded synthetic scans, tolerance 0.0)
-//!    across octomap / serial / sharded / parallel N ∈ {1, 2, 4, 8}, which
-//!    also checks the recorded stream is non-empty and structurally sane
+//!    across octomap / serial / parallel, which also checks the recorded stream is non-empty and structurally sane
 //!    (spans pair up per lane).
 //! 2. A proptest at the `VoxelCache` level: under arbitrary interleavings
 //!    of insertions and eviction passes, the eviction stream with events
 //!    attached is bit-identical to the stream without.
 
-use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
-use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, ShardedOctoMap};
+use octocache::pipeline::{MappingSystem, OctoMapSystem};
+use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache};
 use octocache_geom::{Point3, VoxelGrid};
 use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
 use octocache_telemetry::{EventKind, EventLog, EventSink};
@@ -29,8 +27,8 @@ struct Scan {
 }
 
 /// A deterministic random-walk scan sequence (every backend replays the
-/// same scans). Rays fan out in all directions so multi-worker runs hit
-/// several top-level octants.
+/// same scans). Rays fan out in all directions, into several top-level
+/// octants.
 fn scenario(seed: u64) -> Vec<Scan> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut origin = Point3::new(0.0, 0.0, 0.0);
@@ -80,31 +78,17 @@ fn backends(events: bool) -> Vec<(String, Box<dyn MappingSystem>)> {
     if events {
         octomap.enable_events();
     }
-    let mut sharded = ShardedOctoMap::new(grid(), params, 8);
-    if events {
-        sharded.enable_events();
-    }
-    let mut v: Vec<(String, Box<dyn MappingSystem>)> = vec![
+    vec![
         ("octomap".to_string(), Box::new(octomap)),
         (
             "serial".to_string(),
             Box::new(SerialOctoCache::new(grid(), params, cache(events))),
         ),
-        ("sharded-x8".to_string(), Box::new(sharded)),
-    ];
-    for n in [1usize, 2, 4, 8] {
-        v.push((
-            format!("parallel-x{n}"),
-            Box::new(ParallelOctoCache::with_workers(
-                grid(),
-                params,
-                cache(events),
-                RayTracer::Standard,
-                n,
-            )),
-        ));
-    }
-    v
+        (
+            "parallel".to_string(),
+            Box::new(ParallelOctoCache::new(grid(), params, cache(events))),
+        ),
+    ]
 }
 
 /// Replays `scans`, flushes, and returns the tree plus any recorded events.
@@ -177,46 +161,43 @@ fn event_recording_is_invisible_on_every_backend() {
 #[test]
 fn parallel_event_stream_covers_every_worker_lane() {
     let scans = scenario(99);
-    let n = 4usize;
-    let backend: Box<dyn MappingSystem> = Box::new(ParallelOctoCache::with_workers(
+    let backend: Box<dyn MappingSystem> = Box::new(ParallelOctoCache::new(
         grid(),
         OccupancyParams::default(),
         cache(true),
-        RayTracer::Standard,
-        n,
     ));
     let (_, events) = build(backend, &scans);
     let log = events.expect("events enabled");
     assert_eq!(log.dropped, 0);
-    for lane in 1..=n as u32 {
-        let begins = log
-            .events
-            .iter()
-            .filter(|e| e.worker == lane && e.kind == EventKind::BatchBegin)
-            .count();
-        let ends = log
-            .events
-            .iter()
-            .filter(|e| e.worker == lane && e.kind == EventKind::BatchEnd)
-            .count();
-        assert!(begins >= 1, "lane {lane} recorded no batch spans");
-        assert_eq!(begins, ends, "lane {lane} spans unpaired");
-        // The producer attributes its enqueues to the target lane; every
-        // worker that applied a non-empty batch must show queue traffic.
-        let dequeues = log
-            .events
-            .iter()
-            .filter(|e| e.worker == lane && e.kind == EventKind::QueueDequeue)
-            .count();
-        let applied: u64 = log
-            .events
-            .iter()
-            .filter(|e| e.worker == lane && e.kind == EventKind::BatchEnd)
-            .map(|e| e.value)
-            .sum();
-        if applied > 0 {
-            assert!(dequeues >= 1, "lane {lane} applied cells without dequeues");
-        }
+    // One worker, so lane 1 is every worker lane.
+    let lane = 1u32;
+    let begins = log
+        .events
+        .iter()
+        .filter(|e| e.worker == lane && e.kind == EventKind::BatchBegin)
+        .count();
+    let ends = log
+        .events
+        .iter()
+        .filter(|e| e.worker == lane && e.kind == EventKind::BatchEnd)
+        .count();
+    assert!(begins >= 1, "lane {lane} recorded no batch spans");
+    assert_eq!(begins, ends, "lane {lane} spans unpaired");
+    // The producer attributes its enqueues to the target lane; a
+    // worker that applied a non-empty batch must show queue traffic.
+    let dequeues = log
+        .events
+        .iter()
+        .filter(|e| e.worker == lane && e.kind == EventKind::QueueDequeue)
+        .count();
+    let applied: u64 = log
+        .events
+        .iter()
+        .filter(|e| e.worker == lane && e.kind == EventKind::BatchEnd)
+        .map(|e| e.value)
+        .sum();
+    if applied > 0 {
+        assert!(dequeues >= 1, "lane {lane} applied cells without dequeues");
     }
     // Producer-side cache traffic is on lane 0.
     assert!(log

@@ -2,8 +2,8 @@
 //! (compiled only with `--features fault-injection`; CI runs it over an
 //! `OCTO_FAULT_SEED` matrix — see `.github/workflows/ci.yml`).
 //!
-//! The contract under test (ISSUE 3): for every injected single fault and
-//! every worker count N ∈ {1, 2, 4, 8}, `ParallelOctoCache` either
+//! The contract under test (ISSUE 3): for every injected single fault,
+//! `ParallelOctoCache` either
 //! produces a map voxel-for-voxel identical to the serial backend, or
 //! returns a typed `PipelineError` with the degraded flag set — and the
 //! outcome is deterministic given the same fault plan.
@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use octocache::pipeline::{MappingSystem, RayTracer};
+use octocache::pipeline::MappingSystem;
 use octocache::{
     CacheConfig, FaultCounters, FaultPlan, Integrity, ParallelOctoCache, PipelineError,
     SerialOctoCache,
@@ -24,8 +24,7 @@ fn grid() -> VoxelGrid {
     VoxelGrid::new(0.5, 8).unwrap()
 }
 
-/// A deterministic 6-scan sequence spanning several octants, so every
-/// worker count exercises more than one shard.
+/// A deterministic 6-scan sequence spanning several octants.
 fn scans() -> Vec<(Point3, Vec<Point3>)> {
     (0..6)
         .map(|i| {
@@ -66,17 +65,8 @@ fn config_with_restarts(plan: FaultPlan, max_restarts: u32) -> CacheConfig {
     b.build().unwrap()
 }
 
-fn run_parallel_with(
-    config: CacheConfig,
-    n: usize,
-) -> (Outcome, Vec<octocache::IntegrityTransition>) {
-    let mut s = ParallelOctoCache::with_workers(
-        grid(),
-        OccupancyParams::default(),
-        config,
-        RayTracer::Standard,
-        n,
-    );
+fn run_parallel_with(config: CacheConfig) -> (Outcome, Vec<octocache::IntegrityTransition>) {
+    let mut s = ParallelOctoCache::new(grid(), OccupancyParams::default(), config);
     let mut errors = Vec::new();
     for (origin, cloud) in scans() {
         if let Err(e) = s.insert_scan(origin, &cloud, 40.0) {
@@ -117,13 +107,11 @@ struct Outcome {
     tree: OccupancyOcTree,
 }
 
-fn run_parallel(plan: FaultPlan, n: usize, stall: Duration) -> Outcome {
-    let mut s = ParallelOctoCache::with_workers(
+fn run_parallel(plan: FaultPlan, stall: Duration) -> Outcome {
+    let mut s = ParallelOctoCache::new(
         grid(),
         OccupancyParams::default(),
         config(Some(plan), stall),
-        RayTracer::Standard,
-        n,
     );
     let mut errors = Vec::new();
     for (origin, cloud) in scans() {
@@ -176,55 +164,53 @@ fn assert_contract(label: &str, reference: &OccupancyOcTree, o: &Outcome) {
 }
 
 #[test]
-fn killed_workers_recover_exactly_at_every_layout() {
+fn killed_worker_recovers_exactly() {
     let reference = serial_reference();
-    for n in [1usize, 2, 4, 8] {
-        for worker in [0usize, n - 1] {
-            for batch in [0u64, 1, 3] {
-                let plan = FaultPlan::from_spec(&format!("kill:{worker}@{batch}")).unwrap();
-                let label = format!("kill:{worker}@{batch} n={n}");
-                let o = run_parallel(plan, n, Duration::from_secs(2));
-                assert_contract(&label, &reference, &o);
-                // A kill is always recoverable: the retained batch is
-                // re-applied, so the map must be exact, the error typed,
-                // and the verdict Degraded (never Compromised).
-                assert_eq!(o.counters.worker_panics, 1, "{label}");
-                assert_eq!(o.errors.len(), 1, "{label}: {:?}", o.errors);
-                assert!(
-                    matches!(o.errors[0], PipelineError::WorkerPanicked { .. }),
-                    "{label}: {:?}",
-                    o.errors[0]
-                );
-                assert_eq!(o.integrity, Integrity::Degraded, "{label}");
-                let d = compare::diff(&reference, &o.tree, 0.0);
-                assert!(
-                    d.is_identical(),
-                    "{label}: {} value / {} coverage mismatches",
-                    d.value_mismatches,
-                    d.coverage_mismatches
-                );
-            }
+    // A plan's worker index is reduced modulo the worker count (one), so
+    // every index names the same worker.
+    for worker in [0usize, 7] {
+        for batch in [0u64, 1, 3] {
+            let plan = FaultPlan::from_spec(&format!("kill:{worker}@{batch}")).unwrap();
+            let label = format!("kill:{worker}@{batch}");
+            let o = run_parallel(plan, Duration::from_secs(2));
+            assert_contract(&label, &reference, &o);
+            // A kill is always recoverable: the retained batch is
+            // re-applied, so the map must be exact, the error typed,
+            // and the verdict Degraded (never Compromised).
+            assert_eq!(o.counters.worker_panics, 1, "{label}");
+            assert_eq!(o.errors.len(), 1, "{label}: {:?}", o.errors);
+            assert!(
+                matches!(o.errors[0], PipelineError::WorkerPanicked { .. }),
+                "{label}: {:?}",
+                o.errors[0]
+            );
+            assert_eq!(o.integrity, Integrity::Degraded, "{label}");
+            let d = compare::diff(&reference, &o.tree, 0.0);
+            assert!(
+                d.is_identical(),
+                "{label}: {} value / {} coverage mismatches",
+                d.value_mismatches,
+                d.coverage_mismatches
+            );
         }
     }
 }
 
 #[test]
-fn spawn_failures_degrade_without_errors_at_every_layout() {
+fn spawn_failure_degrades_without_errors() {
     let reference = serial_reference();
-    for n in [1usize, 2, 4, 8] {
-        for worker in 0..n {
-            let plan = FaultPlan::from_spec(&format!("spawn:{worker}")).unwrap();
-            let label = format!("spawn:{worker} n={n}");
-            let o = run_parallel(plan, n, Duration::from_secs(2));
-            assert_contract(&label, &reference, &o);
-            // Inline fallback: every scan succeeds, the map is exact, the
-            // downgrade is visible in the counters and the verdict.
-            assert!(o.errors.is_empty(), "{label}: {:?}", o.errors);
-            assert_eq!(o.counters.spawn_failures, 1, "{label}");
-            assert_eq!(o.integrity, Integrity::Degraded, "{label}");
-            let d = compare::diff(&reference, &o.tree, 0.0);
-            assert!(d.is_identical(), "{label}");
-        }
+    for worker in [0usize, 3] {
+        let plan = FaultPlan::from_spec(&format!("spawn:{worker}")).unwrap();
+        let label = format!("spawn:{worker}");
+        let o = run_parallel(plan, Duration::from_secs(2));
+        assert_contract(&label, &reference, &o);
+        // Inline fallback: every scan succeeds, the map is exact, the
+        // downgrade is visible in the counters and the verdict.
+        assert!(o.errors.is_empty(), "{label}: {:?}", o.errors);
+        assert_eq!(o.counters.spawn_failures, 1, "{label}");
+        assert_eq!(o.integrity, Integrity::Degraded, "{label}");
+        let d = compare::diff(&reference, &o.tree, 0.0);
+        assert!(d.is_identical(), "{label}");
     }
 }
 
@@ -233,8 +219,8 @@ fn stalled_worker_surfaces_queue_stalled() {
     let reference = serial_reference();
     // Worker 0 sleeps 400 ms at batch 1 against a 20 ms stall budget.
     let plan = FaultPlan::from_spec("stall:0@1:400000").unwrap();
-    let o = run_parallel(plan, 2, Duration::from_millis(20));
-    assert_contract("stall:0@1 n=2", &reference, &o);
+    let o = run_parallel(plan, Duration::from_millis(20));
+    assert_contract("stall:0@1", &reference, &o);
     assert_eq!(o.errors.len(), 1, "{:?}", o.errors);
     assert!(
         matches!(o.errors[0], PipelineError::QueueStalled { worker: 0, .. }),
@@ -248,15 +234,13 @@ fn stalled_worker_surfaces_queue_stalled() {
 #[test]
 fn full_ring_backpressure_is_not_a_fault() {
     let reference = serial_reference();
-    for n in [1usize, 2] {
-        let plan = FaultPlan::from_spec("fill:0").unwrap();
-        let o = run_parallel(plan, n, Duration::from_secs(10));
-        assert!(o.errors.is_empty(), "n={n}: {:?}", o.errors);
-        assert_eq!(o.integrity, Integrity::Intact, "n={n}");
-        assert!(!o.counters.any(), "n={n}: {:?}", o.counters);
-        let d = compare::diff(&reference, &o.tree, 0.0);
-        assert!(d.is_identical(), "n={n}");
-    }
+    let plan = FaultPlan::from_spec("fill:0").unwrap();
+    let o = run_parallel(plan, Duration::from_secs(10));
+    assert!(o.errors.is_empty(), "{:?}", o.errors);
+    assert_eq!(o.integrity, Integrity::Intact);
+    assert!(!o.counters.any(), "{:?}", o.counters);
+    let d = compare::diff(&reference, &o.tree, 0.0);
+    assert!(d.is_identical());
 }
 
 /// `max_restarts = 0` (the default) must behave exactly like the
@@ -266,8 +250,8 @@ fn full_ring_backpressure_is_not_a_fault() {
 fn zero_restart_budget_matches_permanent_degrade_path() {
     let reference = serial_reference();
     let plan = FaultPlan::from_spec("kill:0@1").unwrap();
-    let implicit = run_parallel(plan, 2, Duration::from_secs(10));
-    let (explicit, history) = run_parallel_with(config_with_restarts(plan, 0), 2);
+    let implicit = run_parallel(plan, Duration::from_secs(10));
+    let (explicit, history) = run_parallel_with(config_with_restarts(plan, 0));
     for (label, o) in [("default", &implicit), ("max_restarts=0", &explicit)] {
         assert_eq!(o.counters.restarts, 0, "{label}");
         assert_eq!(o.counters.heals, 0, "{label}");
@@ -290,26 +274,23 @@ fn zero_restart_budget_matches_permanent_degrade_path() {
 fn respawned_worker_heals_and_map_stays_exact() {
     let reference = serial_reference();
     let plan = FaultPlan::from_spec("kill:0@1").unwrap();
-    for n in [1usize, 2, 4, 8] {
-        let (o, history) = run_parallel_with(config_with_restarts(plan, 4), n);
-        let label = format!("kill:0@1 n={n} max_restarts=4");
-        assert_eq!(o.counters.worker_panics, 1, "{label}");
-        assert_eq!(o.counters.restarts, 1, "{label}");
-        assert_eq!(o.counters.heals, 1, "{label}");
-        assert_eq!(o.errors.len(), 1, "{label}: {:?}", o.errors);
-        assert_eq!(o.integrity, Integrity::Intact, "{label}");
-        // History shows the full dip-and-recover arc.
-        assert_eq!(history.len(), 2, "{label}: {history:?}");
-        assert!(history[0].to.is_degraded(), "{label}: {history:?}");
-        assert_eq!(history[1].to, Integrity::Intact, "{label}: {history:?}");
-        let d = compare::diff(&reference, &o.tree, 0.0);
-        assert!(
-            d.is_identical(),
-            "{label}: {} value / {} coverage mismatches",
-            d.value_mismatches,
-            d.coverage_mismatches
-        );
-    }
+    let (o, history) = run_parallel_with(config_with_restarts(plan, 4));
+    assert_eq!(o.counters.worker_panics, 1);
+    assert_eq!(o.counters.restarts, 1);
+    assert_eq!(o.counters.heals, 1);
+    assert_eq!(o.errors.len(), 1, "{:?}", o.errors);
+    assert_eq!(o.integrity, Integrity::Intact);
+    // History shows the full dip-and-recover arc.
+    assert_eq!(history.len(), 2, "{history:?}");
+    assert!(history[0].to.is_degraded(), "{history:?}");
+    assert_eq!(history[1].to, Integrity::Intact, "{history:?}");
+    let d = compare::diff(&reference, &o.tree, 0.0);
+    assert!(
+        d.is_identical(),
+        "{} value / {} coverage mismatches",
+        d.value_mismatches,
+        d.coverage_mismatches
+    );
 }
 
 /// Repeated kills exhaust the restart budget: each respawned generation is
@@ -319,7 +300,7 @@ fn respawned_worker_heals_and_map_stays_exact() {
 fn repeated_kills_exhaust_the_restart_budget() {
     let reference = serial_reference();
     let plan = FaultPlan::from_spec("killevery:0@2").unwrap();
-    let (o, history) = run_parallel_with(config_with_restarts(plan, 2), 2);
+    let (o, history) = run_parallel_with(config_with_restarts(plan, 2));
     assert_eq!(o.counters.restarts, 2, "{:?}", o.counters);
     assert_eq!(o.counters.heals, 2, "{:?}", o.counters);
     assert!(
@@ -347,8 +328,8 @@ fn repeated_kills_exhaust_the_restart_budget() {
 fn seeded_fault_outcomes_are_deterministic() {
     for seed in [1u64, 7, 23, 99] {
         let plan = FaultPlan::from_seed(seed);
-        let a = run_parallel(plan, 4, Duration::from_secs(10));
-        let b = run_parallel(plan, 4, Duration::from_secs(10));
+        let a = run_parallel(plan, Duration::from_secs(10));
+        let b = run_parallel(plan, Duration::from_secs(10));
         assert_eq!(
             format!("{:?}", a.errors),
             format!("{:?}", b.errors),
@@ -361,20 +342,17 @@ fn seeded_fault_outcomes_are_deterministic() {
     }
 }
 
-/// The CI matrix leg: `OCTO_FAULT_SEED` selects the plan; the contract must
-/// hold at every worker count. Without the variable a default seed runs, so
-/// the test is never vacuous.
+/// The CI matrix leg: `OCTO_FAULT_SEED` selects the plan. Without the
+/// variable a default seed runs, so the test is never vacuous.
 #[test]
-fn env_seeded_fault_honours_the_contract_at_every_layout() {
+fn env_seeded_fault_honours_the_contract() {
     let seed: u64 = std::env::var("OCTO_FAULT_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
     let plan = FaultPlan::from_seed(seed);
     let reference = serial_reference();
-    for n in [1usize, 2, 4, 8] {
-        let label = format!("seed {seed} ({plan:?}) n={n}");
-        let o = run_parallel(plan, n, Duration::from_secs(10));
-        assert_contract(&label, &reference, &o);
-    }
+    let label = format!("seed {seed} ({plan:?})");
+    let o = run_parallel(plan, Duration::from_secs(10));
+    assert_contract(&label, &reference, &o);
 }

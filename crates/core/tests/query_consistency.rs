@@ -1,6 +1,6 @@
 //! Snapshot query consistency battery: a published [`MapSnapshot`] must
 //! answer every query kind exactly like the locked live tree it was taken
-//! from, on every backend, at every worker count.
+//! from, on every backend.
 //!
 //! Three angles of attack, all over the shared seeded scenario generator
 //! (`tests/common`):

@@ -19,7 +19,7 @@
 mod common;
 
 use common::{cache, grid, scenario, Scan};
-use octocache::pipeline::{MappingSystem, RayTracer};
+use octocache::pipeline::MappingSystem;
 use octocache::{ParallelOctoCache, QueryHandle, SerialOctoCache};
 use octocache_geom::VoxelKey;
 use octocache_octomap::OccupancyParams;
@@ -151,19 +151,11 @@ fn readers_never_observe_torn_snapshots_on_serial_backend() {
 
 #[test]
 fn readers_never_observe_torn_snapshots_on_parallel_backend() {
-    for n in [2usize, 4] {
-        let scans = scenario(2003 + n as u64);
-        let mut backend = ParallelOctoCache::with_workers(
-            grid(),
-            OccupancyParams::default(),
-            cache(),
-            RayTracer::Standard,
-            n,
-        );
-        let (table, logs, errors) = hammer(&mut backend, &scans);
-        assert_eq!(errors, 0, "parallel-x{n} backend errored");
-        assert_boundary_consistent(&format!("parallel-x{n}"), &table, &logs, scans.len() as u64);
-    }
+    let scans = scenario(2005);
+    let mut backend = ParallelOctoCache::new(grid(), OccupancyParams::default(), cache());
+    let (table, logs, errors) = hammer(&mut backend, &scans);
+    assert_eq!(errors, 0, "parallel backend errored");
+    assert_boundary_consistent("parallel", &table, &logs, scans.len() as u64);
 }
 
 /// A killed worker must not wedge the read path or publish a torn map:
@@ -185,18 +177,12 @@ fn killed_worker_does_not_wedge_or_corrupt_snapshots() {
             .stall_timeout(Duration::from_secs(2))
             .fault_plan(plan);
         let config = b.build().unwrap();
-        let mut backend = ParallelOctoCache::with_workers(
-            grid(),
-            OccupancyParams::default(),
-            config,
-            RayTracer::Standard,
-            4,
-        );
+        let mut backend = ParallelOctoCache::new(grid(), OccupancyParams::default(), config);
         let (table, logs, _errors) = hammer(&mut backend, &scans);
         // The kill may or may not surface depending on whether the target
         // batch is reached; either way, the consistency contract holds.
         assert_boundary_consistent(
-            &format!("parallel-x4 kill:1@{batch}"),
+            &format!("parallel kill:1@{batch}"),
             &table,
             &logs,
             scans.len() as u64,

@@ -10,8 +10,8 @@
 //!   and out-of-grid endpoints are clamped — so every backend produces the
 //!   identical map from the same dirty cloud.
 
-use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
-use octocache::{CacheConfig, ParallelOctoCache, PipelineError, SerialOctoCache, ShardedOctoMap};
+use octocache::pipeline::{MappingSystem, OctoMapSystem};
+use octocache::{CacheConfig, ParallelOctoCache, PipelineError, SerialOctoCache};
 use octocache_geom::{Point3, VoxelGrid};
 use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
 use proptest::prelude::*;
@@ -29,8 +29,7 @@ fn cache() -> CacheConfig {
         .unwrap()
 }
 
-/// Every backend under test. Parallel runs at 1 and 4 workers so both the
-/// single-queue and the octant-sharded paths face the dirty input.
+/// Every backend under test.
 fn backends() -> Vec<(&'static str, Box<dyn MappingSystem>)> {
     let params = OccupancyParams::default();
     vec![
@@ -40,28 +39,8 @@ fn backends() -> Vec<(&'static str, Box<dyn MappingSystem>)> {
             Box::new(SerialOctoCache::new(grid(), params, cache())),
         ),
         (
-            "sharded-x4",
-            Box::new(ShardedOctoMap::new(grid(), params, 4)),
-        ),
-        (
-            "parallel-x1",
-            Box::new(ParallelOctoCache::with_workers(
-                grid(),
-                params,
-                cache(),
-                RayTracer::Standard,
-                1,
-            )),
-        ),
-        (
-            "parallel-x4",
-            Box::new(ParallelOctoCache::with_workers(
-                grid(),
-                params,
-                cache(),
-                RayTracer::Standard,
-                4,
-            )),
+            "parallel",
+            Box::new(ParallelOctoCache::new(grid(), params, cache())),
         ),
     ]
 }

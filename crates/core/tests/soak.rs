@@ -4,11 +4,11 @@
 //!
 //! A seeded long run (hundreds of scans) interleaves periodic worker
 //! kills, memory pressure from a deliberately tight budget, and burst
-//! overload, across worker counts. The contract under test:
+//! overload. The contract under test:
 //!
 //! 1. The final map is voxel-for-voxel identical to a serial replay of
 //!    exactly the scans that were applied (shed scans excluded) — worker
-//!    respawn re-applies retained shares idempotently and memory relief
+//!    respawn re-applies the retained batch idempotently and memory relief
 //!    (inline drain + prune) is map-neutral.
 //! 2. Integrity re-converges to `Intact` after every heal: the transition
 //!    history strictly alternates degrade → heal, and each respawn is
@@ -25,7 +25,7 @@ mod common;
 use std::time::Duration;
 
 use common::Scan;
-use octocache::pipeline::{MappingSystem, RayTracer};
+use octocache::pipeline::MappingSystem;
 use octocache::{
     CacheConfig, FaultPlan, Integrity, ParallelOctoCache, PipelineError, ScanOutcome,
     SerialOctoCache, SharedRecorder, ShedReason,
@@ -79,17 +79,11 @@ struct MapSummary {
 }
 
 /// Drives every scan through the supervised admission gate. A
-/// `WorkerPanicked` error is an *applied* scan (the retained share was
+/// `WorkerPanicked` error is an *applied* scan (the retained batch was
 /// re-applied inline before the deferred fault surfaced); any other error
 /// fails the soak.
-fn run_supervised(scans: &[Scan], config: CacheConfig, workers: usize) -> SoakOutcome {
-    let mut map = ParallelOctoCache::with_workers(
-        common::grid(),
-        OccupancyParams::default(),
-        config,
-        RayTracer::Standard,
-        workers,
-    );
+fn run_supervised(scans: &[Scan], config: CacheConfig) -> SoakOutcome {
+    let mut map = ParallelOctoCache::new(common::grid(), OccupancyParams::default(), config);
     let recorder = SharedRecorder::new();
     map.set_recorder(Box::new(recorder.clone()));
     let mut applied = Vec::new();
@@ -182,56 +176,54 @@ fn chaos_soak_heals_sheds_and_stays_differential_exact() {
     // map approaches completion without starving the whole run.
     let all: Vec<&Scan> = scans.iter().collect();
     let budget = (serial_reference(&all).memory_usage() as u64) * 4 / 5;
-    for workers in [2usize, 4, 8] {
-        let label = format!("soak seed={seed} n={workers}");
-        let mut b = CacheConfig::builder();
-        b.num_buckets(1 << 7)
-            .tau(2)
-            .mem_budget(budget)
-            .max_restarts(10_000)
-            .stall_timeout(Duration::from_secs(10));
-        b.fault_plan(FaultPlan::from_spec("killevery:0@7").expect("spec"));
-        let o = run_supervised(&scans, b.build().unwrap(), workers);
-        let s = &o.map_summary;
+    let label = format!("soak seed={seed}");
+    let mut b = CacheConfig::builder();
+    b.num_buckets(1 << 7)
+        .tau(2)
+        .mem_budget(budget)
+        .max_restarts(10_000)
+        .stall_timeout(Duration::from_secs(10));
+    b.fault_plan(FaultPlan::from_spec("killevery:0@7").expect("spec"));
+    let o = run_supervised(&scans, b.build().unwrap());
+    let s = &o.map_summary;
 
-        // Worker kills happened and every one of them was healed by a
-        // respawn (the restart budget is never exhausted here).
-        assert!(o.kill_errors >= 1, "{label}: the kill fault never fired");
-        assert!(s.counters.heals >= 1, "{label}: no heals recorded");
-        assert_eq!(
-            s.counters.restarts, s.counters.heals,
-            "{label}: a respawn failed to heal: {:?}",
-            s.counters
-        );
-        assert_reconverges(&label, s);
+    // Worker kills happened and every one of them was healed by a
+    // respawn (the restart budget is never exhausted here).
+    assert!(o.kill_errors >= 1, "{label}: the kill fault never fired");
+    assert!(s.counters.heals >= 1, "{label}: no heals recorded");
+    assert_eq!(
+        s.counters.restarts, s.counters.heals,
+        "{label}: a respawn failed to heal: {:?}",
+        s.counters
+    );
+    assert_reconverges(&label, s);
 
-        // The governor engaged (some scan saw pressure above normal)
-        // but never admitted a scan at the reject rung.
-        assert!(
-            s.records
-                .iter()
-                .any(|r| !r.pressure_level.is_empty() && r.pressure_level != "normal"),
-            "{label}: the pressure ladder never engaged"
-        );
-        assert!(
-            s.records.iter().all(|r| r.pressure_level != "over-budget"),
-            "{label}: a scan was applied at the reject rung"
-        );
-        // Heals and restarts land in the per-scan records too.
-        assert_eq!(
-            s.records.iter().map(|r| r.heals).sum::<u64>(),
-            s.counters.heals,
-            "{label}"
-        );
-        assert!(
-            s.records.iter().map(|r| r.sheds).sum::<u64>() <= o.sheds,
-            "{label}: record sheds exceed observed sheds"
-        );
+    // The governor engaged (some scan saw pressure above normal)
+    // but never admitted a scan at the reject rung.
+    assert!(
+        s.records
+            .iter()
+            .any(|r| !r.pressure_level.is_empty() && r.pressure_level != "normal"),
+        "{label}: the pressure ladder never engaged"
+    );
+    assert!(
+        s.records.iter().all(|r| r.pressure_level != "over-budget"),
+        "{label}: a scan was applied at the reject rung"
+    );
+    // Heals and restarts land in the per-scan records too.
+    assert_eq!(
+        s.records.iter().map(|r| r.heals).sum::<u64>(),
+        s.counters.heals,
+        "{label}"
+    );
+    assert!(
+        s.records.iter().map(|r| r.sheds).sum::<u64>() <= o.sheds,
+        "{label}: record sheds exceed observed sheds"
+    );
 
-        // The capstone: the map equals a serial replay of exactly the
-        // applied scans.
-        assert_differential(&label, &scans, &o);
-    }
+    // The capstone: the map equals a serial replay of exactly the
+    // applied scans.
+    assert_differential(&label, &scans, &o);
 }
 
 #[test]
@@ -245,12 +237,10 @@ fn burst_overload_sheds_and_reapplies_cleanly() {
     b.num_buckets(1 << 7)
         .tau(2)
         .shed_deadline(Duration::from_micros(1));
-    let mut map = ParallelOctoCache::with_workers(
+    let mut map = ParallelOctoCache::new(
         common::grid(),
         OccupancyParams::default(),
         b.build().unwrap(),
-        RayTracer::Standard,
-        2,
     );
     let mut applied = Vec::new();
     let mut sheds = 0u64;
@@ -283,7 +273,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Kills at arbitrary cadence (including mid-`BatchEnd` positions,
-    /// since the cadence is measured in batches): the retained-share
+    /// since the cadence is measured in batches): the retained-batch
     /// re-apply must stay idempotent across every respawn — the healed map
     /// always equals the serial reference.
     #[test]
@@ -297,7 +287,7 @@ proptest! {
             .max_restarts(10_000)
             .stall_timeout(Duration::from_secs(10));
         b.fault_plan(FaultPlan::from_spec(&format!("killevery:0@{every}")).unwrap());
-        let o = run_supervised(&scans, b.build().unwrap(), 2);
+        let o = run_supervised(&scans, b.build().unwrap());
         prop_assert_eq!(o.sheds, 0); // no budget configured
         let s = &o.map_summary;
         prop_assert_eq!(s.counters.restarts, s.counters.heals);

@@ -1,10 +1,10 @@
 //! Cross-thread stress tests for the Lamport SPSC ring that carries the
-//! eviction stream from the cache thread to each octree-update worker.
+//! eviction stream from the cache thread to the octree-update worker.
 //!
 //! A real producer thread and a real consumer thread hammer
 //! `push`/`push_blocking`/`try_pop` across every capacity from 1 to 64,
 //! checking a sequence oracle: items must arrive exactly once, in order,
-//! with no loss, duplication or reordering — the property the N-worker
+//! with no loss, duplication or reordering — the property the pipeline's
 //! batch protocol depends on.
 //!
 //! Iteration counts scale with the `OCTO_TEST_ITERS` env knob so CI can

@@ -7,8 +7,7 @@
 
 use octocache::pipeline::{MappingSystem, OctoMapSystem};
 use octocache::{
-    CacheConfig, CacheStats, NullRecorder, ParallelOctoCache, SerialOctoCache, ShardedOctoMap,
-    SharedRecorder,
+    CacheConfig, CacheStats, NullRecorder, ParallelOctoCache, SerialOctoCache, SharedRecorder,
 };
 use octocache_geom::{Point3, VoxelGrid};
 use octocache_octomap::{compare, OccupancyParams};
@@ -60,13 +59,11 @@ fn null_recorder_equivalence_all_backends() {
         Box::new(OctoMapSystem::new(grid, params)),
         Box::new(SerialOctoCache::new(grid, params, cache_config())),
         Box::new(ParallelOctoCache::new(grid, params, cache_config())),
-        Box::new(ShardedOctoMap::new(grid, params, 4)),
     ];
     let recorded: Vec<Box<dyn MappingSystem>> = vec![
         Box::new(OctoMapSystem::new(grid, params)),
         Box::new(SerialOctoCache::new(grid, params, cache_config())),
         Box::new(ParallelOctoCache::new(grid, params, cache_config())),
-        Box::new(ShardedOctoMap::new(grid, params, 4)),
     ];
     for (a, b) in plain.into_iter().zip(recorded) {
         let name = a.name();

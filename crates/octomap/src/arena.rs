@@ -332,75 +332,6 @@ impl ArenaTree {
         (nodes, leaves)
     }
 
-    /// Splices `other`'s top-level octant subtrees into `self` by child-block
-    /// reindexing: whole eight-child blocks are copied and only their `block`
-    /// indices rewritten — no per-voxel re-insertion, no value recomputation.
-    ///
-    /// Errors when both trees populate the same top octant or either root is
-    /// childless while both hold data.
-    pub(crate) fn merge_disjoint_top_level(&mut self, other: &ArenaTree) -> Result<(), String> {
-        if other.nodes.is_empty() {
-            return Ok(());
-        }
-        if self.nodes.is_empty() {
-            self.nodes.push(ArenaNode::leaf(other.nodes[0].log_odds));
-            self.splice_children(other, 0, 0);
-            return Ok(());
-        }
-        let o_root = other.nodes[0];
-        if o_root.mask == 0 || self.nodes[0].mask == 0 {
-            return Err("cannot merge trees pruned to a childless root".into());
-        }
-        let overlap = self.nodes[0].mask & o_root.mask;
-        if overlap != 0 {
-            return Err(format!(
-                "both trees populate top-level octant {}",
-                overlap.trailing_zeros()
-            ));
-        }
-        for c in 0..8u32 {
-            if o_root.mask & (1 << c) == 0 {
-                continue;
-            }
-            let dst = self.nodes[0].block + c;
-            self.nodes[dst as usize] = ArenaNode::leaf(0.0);
-            self.nodes[0].mask |= 1 << c;
-            self.splice_children(other, o_root.block + c, dst);
-        }
-        self.refresh_from_children(0);
-        Ok(())
-    }
-
-    /// Copies the subtree rooted at `src[s_idx]` over `self[d_idx]`
-    /// block-by-block: each eight-child block is copied in one splice and
-    /// the copied nodes' `block` fields are then reindexed into `self`'s
-    /// pool as their own blocks are allocated.
-    fn splice_children(&mut self, src: &ArenaTree, s_idx: u32, d_idx: u32) {
-        let mut stack: Vec<(u32, u32)> = vec![(s_idx, d_idx)];
-        while let Some((s, d)) = stack.pop() {
-            let sn = src.nodes[s as usize];
-            let dn = &mut self.nodes[d as usize];
-            dn.log_odds = sn.log_odds;
-            if sn.mask == 0 {
-                dn.block = NO_BLOCK;
-                dn.mask = 0;
-                continue;
-            }
-            let nb = self.alloc_block();
-            for c in 0..8usize {
-                self.nodes[nb as usize + c] = src.nodes[sn.block as usize + c];
-            }
-            let dn = &mut self.nodes[d as usize];
-            dn.block = nb;
-            dn.mask = sn.mask;
-            for c in 0..8u32 {
-                if sn.mask & (1 << c) != 0 && src.nodes[(sn.block + c) as usize].mask != 0 {
-                    stack.push((sn.block + c, nb + c));
-                }
-            }
-        }
-    }
-
     /// Decoder primitive: starts an empty pool with a childless root.
     pub(crate) fn push_root(&mut self, log_odds: f32) {
         debug_assert!(self.nodes.is_empty());
@@ -754,37 +685,5 @@ mod tests {
         t.clear();
         assert_eq!(t.memory_usage(), 0);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn merge_splices_disjoint_octants() {
-        let stats = TreeStats::new();
-        let mut a = ArenaTree::new();
-        observe(&mut a, VoxelKey::new(1, 2, 3), true, &stats);
-        let mut b = ArenaTree::new();
-        observe(&mut b, VoxelKey::new(12, 13, 14), true, &stats);
-
-        let mut merged = ArenaTree::new();
-        merged.merge_disjoint_top_level(&a).unwrap();
-        merged.merge_disjoint_top_level(&b).unwrap();
-        merged.check_structure().unwrap();
-        assert_eq!(
-            merged.read_cursor(4, &stats).search(VoxelKey::new(1, 2, 3)),
-            a.read_cursor(4, &stats).search(VoxelKey::new(1, 2, 3))
-        );
-        assert_eq!(
-            merged
-                .read_cursor(4, &stats)
-                .search(VoxelKey::new(12, 13, 14)),
-            b.read_cursor(4, &stats).search(VoxelKey::new(12, 13, 14))
-        );
-        assert_eq!(
-            merged.read_cursor(4, &stats).search(VoxelKey::new(9, 1, 1)),
-            None
-        );
-
-        let mut conflict = ArenaTree::new();
-        observe(&mut conflict, VoxelKey::new(2, 2, 2), true, &stats);
-        assert!(merged.merge_disjoint_top_level(&conflict).is_err());
     }
 }

@@ -155,8 +155,7 @@ impl StatsSnapshot {
         }
     }
 
-    /// Adds another snapshot's counters into `self` (aggregating shards or
-    /// worker threads).
+    /// Adds another snapshot's counters into `self` (aggregating runs).
     pub fn merge(&mut self, other: &StatsSnapshot) {
         self.node_visits += other.node_visits;
         self.nodes_created += other.nodes_created;

@@ -360,23 +360,6 @@ impl OccupancyOcTree {
         }
     }
 
-    /// Merges `other` into `self`, assuming the two trees populate disjoint
-    /// top-level octants (as the shards of a spatially-partitioned map do).
-    /// The root value is refreshed afterwards.
-    ///
-    /// Subtrees are spliced by child-block reindexing (whole eight-child
-    /// blocks copied into the pool, indices rewritten) rather than
-    /// node-by-node re-insertion.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when both trees populate the same top-level octant
-    /// or when either tree is pruned all the way to a childless root while
-    /// the other holds data (the octant ownership is then ambiguous).
-    pub fn merge_disjoint_top_level(&mut self, other: &OccupancyOcTree) -> Result<(), String> {
-        self.nodes.merge_disjoint_top_level(&other.nodes)
-    }
-
     /// Iterates over the leaves whose cubes intersect the key-space box
     /// `[min, max]` (inclusive), pruning whole subtrees outside it — an
     /// O(answer × depth) descent rather than a full-tree scan.
@@ -820,54 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_disjoint_octants() {
-        // Tree A populates the low octant, tree B the high one.
-        let mut a = small_tree();
-        a.update_node(VoxelKey::new(1, 2, 3), true);
-        a.update_node(VoxelKey::new(4, 5, 6), false);
-        let mut b = small_tree();
-        b.update_node(VoxelKey::new(12, 13, 14), true);
-
-        let mut merged = small_tree();
-        merged.merge_disjoint_top_level(&a).unwrap();
-        merged.merge_disjoint_top_level(&b).unwrap();
-        merged.check_invariants().unwrap();
-        assert_eq!(
-            merged.search(VoxelKey::new(1, 2, 3)),
-            a.search(VoxelKey::new(1, 2, 3))
-        );
-        assert_eq!(
-            merged.search(VoxelKey::new(4, 5, 6)),
-            a.search(VoxelKey::new(4, 5, 6))
-        );
-        assert_eq!(
-            merged.search(VoxelKey::new(12, 13, 14)),
-            b.search(VoxelKey::new(12, 13, 14))
-        );
-        // Unpopulated space stays unknown.
-        assert_eq!(merged.search(VoxelKey::new(9, 1, 1)), None);
-    }
-
-    #[test]
-    fn merge_conflicting_octants_rejected() {
-        let mut a = small_tree();
-        a.update_node(VoxelKey::new(1, 1, 1), true);
-        let mut b = small_tree();
-        b.update_node(VoxelKey::new(2, 2, 2), true); // same low octant
-        let mut merged = small_tree();
-        merged.merge_disjoint_top_level(&a).unwrap();
-        assert!(merged.merge_disjoint_top_level(&b).is_err());
-    }
-
-    #[test]
-    fn merge_empty_is_noop() {
-        let mut merged = small_tree();
-        let empty = small_tree();
-        merged.merge_disjoint_top_level(&empty).unwrap();
-        assert!(merged.is_empty());
-    }
-
-    #[test]
     fn memory_usage_tracks_allocation_across_insert_prune_clear() {
         let mut tree = small_tree();
         assert_eq!(tree.memory_usage(), 0, "empty tree owns nothing");
@@ -1063,9 +998,8 @@ mod tests {
         /// hold and the tree equals a twin that takes each batch one
         /// `set_node_log_odds` at a time; at the end every voxel of the
         /// grid, touched or not, reads as the model says, the pruned
-        /// structure has the model's node and leaf counts, per-octant shards
-        /// merge to the same tree, and `.ot` / `.bt` streams re-serialise
-        /// byte-identically.
+        /// structure has the model's node and leaf counts, and `.ot` / `.bt`
+        /// streams re-serialise byte-identically.
         #[test]
         fn prop_matches_flat_reference(
             steps in proptest::collection::vec(
@@ -1083,8 +1017,6 @@ mod tests {
             tree.set_auto_prune(!lazy);
             let mut twin = small_tree();
             twin.set_auto_prune(!lazy);
-            // One shard per top-level octant, as the sharded backends keep.
-            let mut shards: Vec<OccupancyOcTree> = (0..8).map(|_| small_tree()).collect();
             let params = *tree.params();
             let mut reference: HashMap<VoxelKey, f32> = HashMap::new();
             for ((x, y, z), kind, value, cells) in steps {
@@ -1128,7 +1060,6 @@ mod tests {
                         for &(k, value) in &cells {
                             let expected = model_apply(&mut reference, &params, k, LeafOp::Set { value });
                             prop_assert_eq!(twin.set_node_log_odds(k, value), expected);
-                            shards[k.child_index(DEPTH - 1).as_usize()].set_node_log_odds(k, value);
                         }
                         Vec::new()
                     }
@@ -1137,7 +1068,6 @@ mod tests {
                     let expected = model_apply(&mut reference, &params, k, op);
                     prop_assert_eq!(tree.apply_at_leaf(k, op), expected);
                     twin.apply_at_leaf(k, op);
-                    shards[k.child_index(DEPTH - 1).as_usize()].apply_at_leaf(k, op);
                 }
                 tree.check_invariants().unwrap();
                 twin.check_invariants().unwrap();
@@ -1165,24 +1095,14 @@ mod tests {
                 }
             }
 
-            let mut merged = small_tree();
-            for shard in &shards {
-                shard.check_invariants().unwrap();
-                merged.merge_disjoint_top_level(shard).unwrap();
-            }
-            merged.check_invariants().unwrap();
             tree.prune();
-            merged.prune();
             tree.check_invariants().unwrap();
-            merged.check_invariants().unwrap();
-            prop_assert!(crate::compare::diff(&tree, &merged, 0.0).is_identical());
             prop_assert_eq!(
                 (tree.num_nodes(), tree.num_leaves()),
                 model_structure(&reference)
             );
 
             let ot = crate::io::write_tree(&tree);
-            prop_assert_eq!(&crate::io::write_tree(&merged), &ot);
             let restored = crate::io::read_tree(&ot).unwrap();
             restored.check_invariants().unwrap();
             prop_assert_eq!(restored.leaf_checksum(), tree.leaf_checksum());

@@ -44,8 +44,7 @@ fn bucket_upper(i: usize) -> u64 {
 ///
 /// Buckets are width 1 up to 31 and grow geometrically above, so a single
 /// histogram spans nanoseconds to centuries. Histograms merge losslessly
-/// ([`Histogram::merge`]), which is how sharded backends and multi-run
-/// reports aggregate.
+/// ([`Histogram::merge`]), which is how multi-run reports aggregate.
 #[derive(Clone)]
 pub struct Histogram {
     counts: Box<[u64; BUCKETS]>,
@@ -256,7 +255,7 @@ impl Counter {
         self.n
     }
 
-    /// Adds another counter's value (for shard aggregation).
+    /// Adds another counter's value (for multi-run aggregation).
     pub fn merge(&mut self, other: &Counter) {
         self.n += other.n;
     }

@@ -4,7 +4,7 @@
 //! the OctoCache reproduction. Three pieces fit together:
 //!
 //! 1. **Metric primitives** — a log-bucketed latency [`Histogram`]
-//!    (p50/p90/p99/max, mergeable across shards and runs) and a plain
+//!    (p50/p90/p99/max, mergeable across runs) and a plain
 //!    [`Counter`], both serde-serialisable.
 //! 2. **Per-scan trace events** — a [`ScanRecord`] captures one
 //!    `insert_scan` call: phase durations ([`PhaseTimes`]), cache

@@ -196,7 +196,7 @@ impl PhaseHistograms {
         }
     }
 
-    /// Merges another set of histograms (shard or multi-run aggregation).
+    /// Merges another set of histograms (multi-run aggregation).
     pub fn merge(&mut self, other: &PhaseHistograms) {
         for (a, b) in self.hists.iter_mut().zip(other.hists.iter()) {
             a.merge(b);

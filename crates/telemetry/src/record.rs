@@ -43,8 +43,7 @@ pub struct ScanRecord {
     /// Octree nodes created this scan.
     pub octree_nodes_created: u64,
     /// Bytes resident in the backend's octree storage after this scan
-    /// (summed across shards on the sharded/parallel backends). O(1) to
-    /// sample: it is the node pool's allocated capacity.
+    /// O(1) to sample: it is the node pool's allocated capacity.
     pub memory_bytes: u64,
     /// SPSC queue depth sampled right after this scan's enqueue
     /// (parallel backend only).
@@ -56,19 +55,15 @@ pub struct ScanRecord {
     /// (parallel backend only; the serial backends have no mutex).
     pub mutex_wait: Duration,
     /// Largest producer-side queue depth seen per worker while enqueueing
-    /// this scan's batch (N-worker parallel backend; empty elsewhere).
+    /// this scan's batch (one element on the parallel backend, which has
+    /// one worker; empty elsewhere).
     pub worker_queue_depths: Vec<u64>,
-    /// Voxel updates routed to each octant shard this scan (octant-sharded
-    /// and N-worker parallel backends; empty elsewhere).
-    pub shard_batch_sizes: Vec<u64>,
-    /// Load skew of `shard_batch_sizes`: busiest shard over the fair share,
-    /// `1.0` for a balanced (or empty) batch.
-    pub shard_skew: f64,
     /// Per-worker busy time (dequeue + octree update) attributed to this
-    /// scan, in nanoseconds (N-worker parallel backend; empty elsewhere).
+    /// scan, in nanoseconds (one element on the parallel backend; empty
+    /// elsewhere).
     pub worker_busy_ns: Vec<u64>,
     /// Per-worker idle time attributed to this scan, in nanoseconds
-    /// (N-worker parallel backend; empty elsewhere).
+    /// (one element on the parallel backend; empty elsewhere).
     pub worker_idle_ns: Vec<u64>,
     /// Worker threads observed dead by panic during this scan (parallel
     /// backend; fault counters are deltas, zero on healthy scans).
@@ -79,8 +74,8 @@ pub struct ScanRecord {
     pub stall_timeouts: u64,
     /// Batches a worker abandoned midway during this scan.
     pub partial_batches: u64,
-    /// Batch shares applied inline on the producer because their worker was
-    /// out of rotation.
+    /// Batches applied inline on the producer because the worker was out of
+    /// rotation.
     pub batches_rerouted: u64,
     /// True once the backend has left the intact state (any fault so far —
     /// sticky, unlike the per-scan counters above).
@@ -168,8 +163,6 @@ impl ScanRecord {
             queue_depth_dequeue: scan.queue_depth_dequeue,
             mutex_wait: scan.mutex_wait,
             worker_queue_depths: scan.worker_queue_depths,
-            shard_batch_sizes: scan.shard_batch_sizes,
-            shard_skew: scan.shard_skew,
             worker_busy_ns: scan.worker_busy_ns,
             worker_idle_ns: scan.worker_idle_ns,
             worker_panics: scan.worker_panics,
@@ -236,10 +229,6 @@ pub struct ScanMetrics {
     pub mutex_wait: Duration,
     /// Largest producer-side queue depth seen per worker this scan.
     pub worker_queue_depths: Vec<u64>,
-    /// Voxel updates routed to each octant shard this scan.
-    pub shard_batch_sizes: Vec<u64>,
-    /// Load skew of `shard_batch_sizes`.
-    pub shard_skew: f64,
     /// Per-worker busy nanoseconds attributed to this scan.
     pub worker_busy_ns: Vec<u64>,
     /// Per-worker idle nanoseconds attributed to this scan.
@@ -252,8 +241,7 @@ pub struct ScanMetrics {
     pub stall_timeouts: u64,
     /// Batches a worker abandoned midway during this scan.
     pub partial_batches: u64,
-    /// Batch shares applied inline because their worker was out of
-    /// rotation.
+    /// Batches applied inline because the worker was out of rotation.
     pub batches_rerouted: u64,
     /// True once the backend has left the intact state.
     pub degraded: bool,
@@ -333,8 +321,6 @@ mod tests {
             queue_depth_dequeue: 1,
             mutex_wait: Duration::from_nanos(90),
             worker_queue_depths: vec![3, 1],
-            shard_batch_sizes: vec![500, 300],
-            shard_skew: 1.25,
             worker_busy_ns: vec![900, 450],
             worker_idle_ns: vec![10, 460],
             worker_panics: 1,
@@ -389,8 +375,6 @@ mod tests {
             queue_depth_dequeue: 1,
             mutex_wait: Duration::from_nanos(7),
             worker_queue_depths: vec![2],
-            shard_batch_sizes: vec![12],
-            shard_skew: 1.0,
             worker_busy_ns: vec![500],
             worker_idle_ns: vec![20],
             worker_panics: 0,

@@ -159,14 +159,12 @@ pub struct TraceSummary {
     pub octree_leaf_updates: u64,
     /// Largest SPSC queue depth seen at enqueue.
     pub max_queue_depth: u64,
-    /// Largest per-scan shard skew seen (N-worker parallel traces; 0 when
-    /// the trace carries no shard data).
-    pub max_shard_skew: f64,
-    /// Per-worker busy nanoseconds summed over the trace (N-worker parallel
-    /// traces; empty elsewhere).
+    /// Per-worker busy nanoseconds summed over the trace (parallel traces:
+    /// one element, more in traces from the retired N-worker pipeline;
+    /// empty elsewhere).
     pub worker_busy_ns: Vec<u64>,
-    /// Per-worker idle nanoseconds summed over the trace (N-worker parallel
-    /// traces; empty elsewhere).
+    /// Per-worker idle nanoseconds summed over the trace (as
+    /// `worker_busy_ns`).
     pub worker_idle_ns: Vec<u64>,
     /// Total worker panics over the trace.
     pub worker_panics: u64,
@@ -176,7 +174,7 @@ pub struct TraceSummary {
     pub stall_timeouts: u64,
     /// Total batches abandoned midway over the trace.
     pub partial_batches: u64,
-    /// Total batch shares applied inline (degraded mode) over the trace.
+    /// Total batches applied inline (degraded mode) over the trace.
     pub batches_rerouted: u64,
     /// Scans recorded while the backend was in a degraded state.
     pub degraded_scans: u64,
@@ -248,7 +246,6 @@ impl TraceSummary {
             s.octree_leaf_updates += r.octree_leaf_updates;
             s.peak_memory_bytes = s.peak_memory_bytes.max(r.memory_bytes);
             s.max_queue_depth = s.max_queue_depth.max(r.queue_depth_enqueue);
-            s.max_shard_skew = s.max_shard_skew.max(r.shard_skew);
             if s.worker_busy_ns.len() < r.worker_busy_ns.len() {
                 s.worker_busy_ns.resize(r.worker_busy_ns.len(), 0);
             }
@@ -431,7 +428,6 @@ impl TraceSummary {
             ("visits_per_update", Value::F64(self.visits_per_update())),
             ("peak_memory_bytes", Value::U64(self.peak_memory_bytes)),
             ("max_queue_depth", Value::U64(self.max_queue_depth)),
-            ("max_shard_skew", Value::F64(self.max_shard_skew)),
             ("worker_busy_ns", u64s(&self.worker_busy_ns)),
             ("worker_idle_ns", u64s(&self.worker_idle_ns)),
             (
@@ -519,9 +515,6 @@ impl TraceSummary {
                 .map(|(i, u)| format!("w{i} {:.1} %", u * 100.0))
                 .collect();
             let _ = writeln!(out, "  worker utilization: {}", cols.join(", "));
-            if self.max_shard_skew > 0.0 {
-                let _ = writeln!(out, "  max shard skew: {:.2}", self.max_shard_skew);
-            }
         }
         if self.journal_append_ns > 0 || self.checkpoints > 0 {
             let _ = writeln!(
@@ -786,22 +779,18 @@ mod tests {
                 backend: "octocache-parallelx2".to_string(),
                 worker_busy_ns: vec![100, 50],
                 worker_idle_ns: vec![0, 50],
-                shard_batch_sizes: vec![30, 10],
-                shard_skew: 1.5,
                 ..Default::default()
             })
             .collect();
         let s = TraceSummary::from_records(&recs);
         assert_eq!(s.worker_busy_ns, vec![400, 200]);
         assert_eq!(s.worker_idle_ns, vec![0, 200]);
-        assert_eq!(s.max_shard_skew, 1.5);
         let util = s.worker_utilization();
         assert_eq!(util.len(), 2);
         assert!((util[0] - 1.0).abs() < 1e-12);
         assert!((util[1] - 0.5).abs() < 1e-12);
         let text = s.render();
         assert!(text.contains("worker utilization"), "{text}");
-        assert!(text.contains("max shard skew"), "{text}");
     }
 
     #[test]

@@ -180,29 +180,6 @@ fn map_diff_certifies_bitwise_identity() {
 }
 
 #[test]
-fn sharded_take_tree_matches_octomap() {
-    use octocache_repro::octocache::ShardedOctoMap;
-    use octocache_repro::octomap::compare;
-
-    let seq = Dataset::Fr079Corridor.generate(&DatasetConfig::tiny());
-    let params = OccupancyParams::default();
-    let mut reference = OctoMapSystem::new(grid(), params);
-    let mut sharded = ShardedOctoMap::new(grid(), params, 8);
-    for scan in seq.scans() {
-        reference
-            .insert_scan(scan.origin, &scan.points, seq.max_range())
-            .unwrap();
-        sharded
-            .insert_scan(scan.origin, &scan.points, seq.max_range())
-            .unwrap();
-    }
-    let t_ref = Box::new(reference).take_tree();
-    let t_shard = Box::new(sharded).take_tree();
-    let d = compare::diff(&t_ref, &t_shard, 1e-4);
-    assert!(d.is_identical(), "sharded diverged: {d:?}");
-}
-
-#[test]
 fn occupancy_decisions_match_world_geometry() {
     // End-to-end sanity: after mapping the corridor, wall voxels read
     // occupied and the corridor interior reads free.
