@@ -51,8 +51,6 @@ fn with_events(base: CacheConfig) -> CacheConfig {
     let mut b = CacheConfig::builder();
     b.num_buckets(base.num_buckets())
         .tau(base.tau())
-        .index_policy(base.index_policy())
-        .eviction_order(base.eviction_order())
         .stall_timeout(base.stall_timeout())
         .events(true);
     b.build().expect("valid cache config")

@@ -13,10 +13,7 @@
 use std::time::{Duration, Instant};
 
 use octocache::pipeline::{OctoMapSystem, RayTracer};
-use octocache::{
-    CacheConfig, EvictionOrder, IndexPolicy, MappingSystem, ParallelOctoCache, PhaseTimes,
-    SerialOctoCache,
-};
+use octocache::{CacheConfig, MappingSystem, ParallelOctoCache, PhaseTimes, SerialOctoCache};
 use octocache_datasets::{stats, Dataset, DatasetConfig, ScanSequence};
 use octocache_geom::VoxelGrid;
 use octocache_octomap::OccupancyParams;
@@ -320,22 +317,6 @@ pub fn uav_mission(
     octocache_sim::Mission::new(env, uav, config)
         .run(backend.build(g, cache))
         .expect("mission stays within the mapped cube")
-}
-
-/// Builds a cache config variant with explicit indexing / eviction policies
-/// (for the ablations).
-pub fn cache_variant(
-    base: CacheConfig,
-    index: IndexPolicy,
-    eviction: EvictionOrder,
-) -> CacheConfig {
-    CacheConfig::builder()
-        .num_buckets(base.num_buckets())
-        .tau(base.tau())
-        .index_policy(index)
-        .eviction_order(eviction)
-        .build()
-        .expect("valid cache config")
 }
 
 #[cfg(test)]

@@ -1084,10 +1084,9 @@ mod tests {
         };
         assert_eq!(digest(&info), digest(&info_par));
         // The default geometry's digest, pinned: it folds the serialised
-        // `CacheConfig`, so the default eviction order becoming
-        // `FullMortonSort` moved it (it was 9a3791cc85b0a686 with
-        // `BucketSequential`).
-        assert_eq!(digest(&info), "19a050a5c72dd581");
+        // `CacheConfig`, so it moves whenever a key is added or dropped
+        // (`default_config_serialises_exactly_these_nine_keys` in core).
+        assert_eq!(digest(&info), "0182611b858f34ce");
         // Different cache geometry changes the digest.
         let info_big = run(&s(&["info", &map_a, "--buckets", "32768"])).unwrap();
         assert_ne!(digest(&info), digest(&info_big));

@@ -3,11 +3,10 @@
 //! The cache is one slab of `w × τ` cells `(voxel key, accumulated
 //! log-odds)`, allocated once: bucket `b` owns slots `b·τ .. (b+1)·τ`,
 //! oldest first, and an 8-byte header (cell count, spill head). A voxel maps
-//! to a bucket by `hash(v) & (w-1)` or `morton(v) & (w-1)` depending on the
-//! [`IndexPolicy`]. Because cells store the *accumulated* occupancy — seeded
-//! from the octree on a miss — a cache hit answers queries with exactly the
-//! value vanilla OctoMap would return, which is the paper's query-consistency
-//! guarantee.
+//! to bucket `morton(v) & (w-1)`. Because cells store the *accumulated*
+//! occupancy — seeded from the octree on a miss — a cache hit answers queries
+//! with exactly the value vanilla OctoMap would return, which is the paper's
+//! query-consistency guarantee.
 //!
 //! Eviction (paper §4.2.2) bounds memory: after processing a batch, any
 //! bucket holding more than `τ` cells evicts its oldest cells until `τ`
@@ -16,13 +15,12 @@
 //! vector, chained per bucket in insertion order. A pass trims every bucket
 //! to `τ`, so it rewrites each spilled bucket's newest `τ` cells into the
 //! inline slots and leaves the spill empty — there is no free list and no
-//! per-bucket heap block. Each evicted run leaves in full Morton order (the
-//! default [`EvictionOrder`]): the octree applies a run with its
-//! root-to-leaf path held open between consecutive cells, so Morton order —
-//! the minimiser of the paper's locality functional 𝓕 (§4.3) — is the
-//! cheapest to apply. Under Morton indexing that order costs no sort: the
-//! bucket walk is already ascending in the code's low bits, and a counting
-//! pass over the high parts places every cell at its final index.
+//! per-bucket heap block. Each evicted run leaves in full Morton order: the
+//! octree applies a run with its root-to-leaf path held open between
+//! consecutive cells, so Morton order — the minimiser of the paper's
+//! locality functional 𝓕 (§4.3) — is the cheapest to apply. That order costs
+//! no sort: the bucket walk is already ascending in the code's low bits, and
+//! a counting pass over the high parts places every cell at its final index.
 //!
 //! Insertion has the same shape on the way in: a scan's observations are
 //! offered as one batch ([`VoxelCache::insert_batch`]), which computes the
@@ -38,7 +36,7 @@ use octocache_octomap::OccupancyParams;
 use octocache_telemetry::{EventBuffer, EventKind};
 use serde::{Deserialize, Serialize};
 
-use crate::config::{CacheConfig, EvictionOrder, IndexPolicy};
+use crate::config::CacheConfig;
 
 /// A voxel evicted from the cache, carrying its accumulated log-odds.
 ///
@@ -88,13 +86,10 @@ struct Spilled {
     next: u32,
 }
 
-/// What only the FIFO ablation and the event layer read of a cell, kept
-/// out of the slab.
+/// What only the event layer reads of a cell, kept out of the slab.
 #[derive(Debug, Clone, Copy, Default)]
 struct Cold {
-    /// Global insertion sequence number (the FIFO ablation order).
-    seq: u64,
-    /// Scan index on which the cell was inserted (event recording only).
+    /// Scan index on which the cell was inserted.
     born_scan: u64,
     /// Hits absorbed while resident (reported on the eviction event).
     hits: u32,
@@ -183,8 +178,8 @@ struct Table {
 }
 
 impl Table {
-    fn new(config: &CacheConfig, tracked: bool) -> Self {
-        let mut table = Table {
+    fn new(config: &CacheConfig) -> Self {
+        Table {
             tau: config.tau(),
             cells: vec![Cell::EMPTY; config.capacity_after_eviction()],
             heads: vec![Header { len: 0, spill: NIL }; config.num_buckets()],
@@ -192,11 +187,7 @@ impl Table {
             spilled: Vec::new(),
             cold_cells: Vec::new(),
             cold_spill: Vec::new(),
-        };
-        if tracked {
-            table.track();
         }
-        table
     }
 
     fn tracked(&self) -> bool {
@@ -287,14 +278,14 @@ impl Table {
     /// each to `taken`, and moves the cells it keeps to the front of the
     /// inline slots. The bucket's chain is dead afterwards: the caller ends
     /// its pass with [`Table::clear_spill`].
-    fn trim(&mut self, bucket: usize, keep: usize, mut taken: impl FnMut(Cell, Cold)) {
+    fn trim(&mut self, bucket: usize, keep: usize, mut taken: impl FnMut(Cell)) {
         let head = self.heads[bucket];
         let excess = (head.len as usize).saturating_sub(keep);
         let base = bucket * self.tau;
         for (age, slot) in slots(self.tau, bucket, head, &self.spill).enumerate() {
             let (cell, cold) = self.at(slot);
             match age.checked_sub(excess) {
-                None => taken(cell, cold),
+                None => taken(cell),
                 Some(kept) => {
                     self.cells[base + kept] = cell;
                     if let Some(slot) = self.cold_cells.get_mut(base + kept) {
@@ -363,7 +354,6 @@ pub struct VoxelCache {
     mask: u64,
     len: usize,
     peak_len: usize,
-    next_seq: u64,
     stats: CacheStats,
     /// Sub-scan event buffer; `None` (the default) keeps the hot paths at
     /// one untaken branch per site.
@@ -374,15 +364,13 @@ impl VoxelCache {
     /// Creates an empty cache, allocating its whole `w × τ` slab
     /// ([`CacheConfig::resident_bytes`]).
     pub fn new(config: CacheConfig, params: OccupancyParams) -> Self {
-        let fifo = config.eviction_order() == EvictionOrder::InsertionFifo;
         VoxelCache {
             config,
             params,
-            table: Table::new(&config, fifo),
+            table: Table::new(&config),
             mask: (config.num_buckets() - 1) as u64,
             len: 0,
             peak_len: 0,
-            next_seq: 0,
             stats: CacheStats::default(),
             events: None,
         }
@@ -439,8 +427,8 @@ impl VoxelCache {
 
     /// Heap bytes the cache owns right now: the slab and the headers
     /// ([`CacheConfig::resident_bytes`], fixed at construction), the
-    /// largest spill any batch has needed so far, and the cold arrays when
-    /// events or the FIFO order keep them.
+    /// largest spill any batch has needed so far, and the cold arrays once
+    /// events are attached.
     pub fn memory_usage(&self) -> usize {
         use std::mem::size_of;
         let t = &self.table;
@@ -451,20 +439,11 @@ impl VoxelCache {
             + (t.cold_cells.capacity() + t.cold_spill.capacity()) * size_of::<Cold>()
     }
 
-    /// The index code of a key under the configured indexing policy (its low
-    /// bits are the bucket).
-    #[inline]
-    fn code(&self, key: VoxelKey) -> u64 {
-        match self.config.index_policy() {
-            IndexPolicy::Morton => morton::encode(key),
-            IndexPolicy::Hash => hash_key(key),
-        }
-    }
-
-    /// The bucket a key maps to under the configured indexing policy.
+    /// The bucket a key maps to: the low log₂w bits of its Morton code
+    /// (paper §4.3).
     #[inline]
     pub fn bucket_index(&self, key: VoxelKey) -> usize {
-        (self.code(key) & self.mask) as usize
+        (morton::encode(key) & self.mask) as usize
     }
 
     /// Offers one occupancy observation to the cache (paper §4.2.1).
@@ -479,13 +458,13 @@ impl VoxelCache {
     where
         F: FnOnce(VoxelKey) -> Option<f32>,
     {
-        self.insert_coded(key, occupied, self.code(key), octree_lookup)
+        self.insert_coded(key, occupied, morton::encode(key), octree_lookup)
     }
 
     /// Offers a run of observations, in order — one [`insert`](Self::insert)
     /// each, with `octree_lookup` seeding the misses — but with the memory
     /// latency of the probes overlapped: while a block of 16
-    /// observations is inserted, the index codes of the next block are
+    /// observations is inserted, the Morton codes of the next block are
     /// computed once and their bucket header and slot lines prefetched. A
     /// scan's observations are known before any is inserted, and a probe of
     /// a slab far larger than the last-level cache is otherwise two
@@ -510,19 +489,22 @@ impl VoxelCache {
         }
     }
 
-    /// Computes the index codes of `block` into `codes` and prefetches the
+    /// Computes the Morton codes of `block` into `codes` and prefetches the
     /// lines their probes will read.
     #[inline]
     fn stage(&self, block: &[VoxelUpdate], codes: &mut [u64; STAGE]) {
         for (u, code) in block.iter().zip(codes) {
-            *code = self.code(u.key);
+            *code = morton::encode(u.key);
             let bucket = (*code & self.mask) as usize;
             prefetch(&self.table.heads[bucket]);
             prefetch(&self.table.cells[bucket * self.table.tau]);
         }
     }
 
-    /// The one insertion body: `code` is [`VoxelCache::code`] of `key`.
+    /// The one insertion body: `code` is the Morton code of `key`, which
+    /// serves both the bucket index and the event key — recomputing the
+    /// interleave per emitted event is measurable at millions of events per
+    /// second.
     #[inline]
     fn insert_coded<F>(
         &mut self,
@@ -535,16 +517,7 @@ impl VoxelCache {
         F: FnOnce(VoxelKey) -> Option<f32>,
     {
         self.stats.insertions += 1;
-        // One code computation serves both the bucket index and (under the
-        // Morton policy, the default) the event key — recomputing the
-        // interleave per emitted event is measurable at millions of events
-        // per second.
-        let policy = self.config.index_policy();
         let bucket = (code & self.mask) as usize;
-        let event_key = |code: u64| match policy {
-            IndexPolicy::Morton => code,
-            IndexPolicy::Hash => morton::encode(key),
-        };
         let tail = match self.table.find(bucket, key) {
             Ok(slot) => {
                 let (cell, cold) = self.table.at_mut(slot);
@@ -552,13 +525,7 @@ impl VoxelCache {
                 self.stats.hits += 1;
                 if let (Some(buf), Some(cold)) = (&mut self.events, cold) {
                     cold.hits += 1;
-                    buf.emit_cache(
-                        EventKind::CacheHit,
-                        event_key(code),
-                        bucket as u32,
-                        cold.hits,
-                        0,
-                    );
+                    buf.emit_cache(EventKind::CacheHit, code, bucket as u32, cold.hits, 0);
                 }
                 return true;
             }
@@ -575,18 +542,13 @@ impl VoxelCache {
         let log_odds = self.params.apply(seed, occupied);
         let born_scan = match &mut self.events {
             Some(buf) => {
-                buf.emit_cache(EventKind::CacheMiss, event_key(code), bucket as u32, 0, 0);
+                buf.emit_cache(EventKind::CacheMiss, code, bucket as u32, 0, 0);
                 buf.scan()
             }
             None => 0,
         };
-        let cold = Cold {
-            seq: self.next_seq,
-            born_scan,
-            hits: 0,
-        };
+        let cold = Cold { born_scan, hits: 0 };
         self.table.push(bucket, tail, Cell { key, log_odds }, cold);
-        self.next_seq += 1;
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
         false
@@ -610,20 +572,20 @@ impl VoxelCache {
     }
 
     /// Evicts the oldest cells of every over-full bucket down to `τ`
-    /// (paper §4.2.2), appending them to `out` in the configured
-    /// [`EvictionOrder`]. Returns the number of cells evicted.
+    /// (paper §4.2.2), appending them to `out` in Morton order. Returns the
+    /// number of cells evicted.
     ///
     /// Only the buckets that spilled are over-full, and each one's chain is
     /// as long as its excess: the pass emits a bucket's oldest cells, moves
     /// its newest `τ` into the inline slots and ends with an empty spill.
     pub fn evict_into(&mut self, out: &mut Vec<EvictedCell>) -> usize {
         let start = out.len();
-        // Ascending, so the bucket-sequential and event orders are those of
-        // a scan over every bucket.
+        // Ascending, as the counting drain needs them; the event order is
+        // then that of a scan over every bucket.
         self.table.spilled.sort_unstable();
         let spilled = std::mem::take(&mut self.table.spilled);
         let over_full = spilled.iter().map(|&bucket| bucket as usize);
-        self.take_oldest(over_full, self.table.tau, self.config.eviction_order(), out);
+        self.take_oldest_counted(over_full, self.table.tau, out);
         // Emptied with the chains below; its capacity serves the next batch.
         self.table.spilled = spilled;
         self.table.clear_spill();
@@ -640,75 +602,29 @@ impl VoxelCache {
         out
     }
 
-    /// Drains *every* cell, in the configured [`EvictionOrder`] (FIFO
-    /// drains bucket-sequentially), leaving the cache empty. Used to flush
-    /// pending state into the octree at the end of a run.
+    /// Drains *every* cell, in Morton order, leaving the cache empty. Used
+    /// to flush pending state into the octree at the end of a run.
     pub fn drain_all(&mut self) -> Vec<EvictedCell> {
-        let order = match self.config.eviction_order() {
-            EvictionOrder::InsertionFifo => EvictionOrder::BucketSequential,
-            order => order,
-        };
         let mut out = Vec::with_capacity(self.len);
-        self.take_oldest(0..self.table.heads.len(), 0, order, &mut out);
+        self.take_oldest_counted(0..self.table.heads.len(), 0, &mut out);
         self.table.clear_spill();
         self.stats.evictions += out.len() as u64;
         self.len = 0;
         out
     }
 
-    /// Takes the cells of each of `buckets` (ascending) older than its
-    /// newest `keep` and appends them to `out` in `order`, emitting their
-    /// `CacheEvict` events bucket by bucket. The chains of `buckets` are
-    /// dead afterwards ([`Table::trim`]).
-    fn take_oldest(
-        &mut self,
-        buckets: impl Iterator<Item = usize> + Clone,
-        keep: usize,
-        order: EvictionOrder,
-        out: &mut Vec<EvictedCell>,
-    ) {
-        if order == EvictionOrder::FullMortonSort
-            && self.config.index_policy() == IndexPolicy::Morton
-        {
-            return self.take_oldest_counted(buckets, keep, out);
-        }
-        let start = out.len();
-        let events = &mut self.events;
-        let mut staged: Vec<(u32, Cell, Cold)> = Vec::new();
-        for bucket in buckets {
-            self.table.trim(bucket, keep, |cell, cold| {
-                if order == EvictionOrder::InsertionFifo {
-                    staged.push((bucket as u32, cell, cold));
-                } else {
-                    emit_evict(events, &cell, &cold, bucket as u32);
-                    out.push(cell);
-                }
-            });
-        }
-        match order {
-            EvictionOrder::BucketSequential => {}
-            // Hash indexing scatters a code's neighbours over the buckets:
-            // there is nothing to count on.
-            EvictionOrder::FullMortonSort => sort_morton(&mut out[start..]),
-            EvictionOrder::InsertionFifo => {
-                staged.sort_by_key(|(_, _, cold)| cold.seq);
-                out.extend(staged.into_iter().map(|(bucket, cell, cold)| {
-                    emit_evict(events, &cell, &cold, bucket);
-                    cell
-                }));
-            }
-        }
-    }
-
-    /// [`take_oldest`](Self::take_oldest) in Morton order for a
-    /// Morton-indexed cache, without a sort. The bucket is the code's low
-    /// log₂w bits, so the walk meets the cells in ascending order of those
-    /// bits, and the cells of one bucket differ in the high part: placing
-    /// each cell, in walk order, into the run of its high part *is* the
-    /// sorted order. A first walk only counts the runs (and emits the
-    /// events, in today's bucket order); the second fills them straight from
-    /// the slab — no comparisons, and no scratch the size of the run to show
-    /// up in peak RSS at a full-cache flush.
+    /// The one drain: takes the cells of each of `buckets` (ascending) older
+    /// than its newest `keep` and appends them to `out` in Morton order,
+    /// emitting their `CacheEvict` events bucket by bucket. The chains of
+    /// `buckets` are dead afterwards ([`Table::trim`]).
+    ///
+    /// Morton order costs no sort. The bucket is the code's low log₂w bits,
+    /// so the walk meets the cells in ascending order of those bits, and the
+    /// cells of one bucket differ in the high part: placing each cell, in
+    /// walk order, into the run of its high part *is* the sorted order. A
+    /// first walk only counts the runs (and emits the events); the second
+    /// fills them straight from the slab — no comparisons, and no scratch
+    /// the size of the run to show up in peak RSS at a full-cache flush.
     fn take_oldest_counted(
         &mut self,
         buckets: impl Iterator<Item = usize> + Clone,
@@ -750,7 +666,7 @@ impl VoxelCache {
         }
         out.resize(end, Cell::EMPTY);
         for bucket in buckets {
-            t.trim(bucket, keep, |cell, _| {
+            t.trim(bucket, keep, |cell| {
                 let next = runs.get_mut(&high(&cell)).expect("counted above");
                 out[*next] = cell;
                 *next += 1;
@@ -778,124 +694,6 @@ impl VoxelCache {
             .enumerate()
             .flat_map(move |(bucket, &head)| slots(t.tau, bucket, head, &t.spill))
             .map(move |slot| t.at(slot).0)
-    }
-
-    /// Doubles the bucket count, redistributing every cell (an online
-    /// rehash). Contents, accumulated values and per-bucket insertion order
-    /// are preserved; statistics keep accumulating. Does nothing when the
-    /// doubled slab would pass the capacity [`CacheConfig`] accepts.
-    ///
-    /// This is the mechanism behind adaptive sizing: the paper observes that
-    /// a too-small cache caps the hit rate and inflates the thread-1 wait
-    /// (§6.2.2–6.2.3, "indicating a need for a larger cache").
-    pub fn grow(&mut self) {
-        let Some(config) = self.config.doubled() else {
-            return;
-        };
-        let old_w = self.config.num_buckets();
-        self.config = config;
-        self.mask = (config.num_buckets() - 1) as u64;
-        let mut grown = Table::new(&config, self.table.tracked());
-        // With power-of-two masking, each old bucket splits into exactly two
-        // new buckets (i and i + old_w), preserving relative order.
-        let old = &self.table;
-        for (i, &head) in old.heads.iter().enumerate() {
-            for slot in slots(old.tau, i, head, &old.spill) {
-                let (cell, cold) = old.at(slot);
-                let bucket = self.bucket_index(cell.key);
-                debug_assert!(bucket == i || bucket == i + old_w);
-                let tail = grown
-                    .find(bucket, cell.key)
-                    .expect_err("a cache holds a voxel once");
-                grown.push(bucket, tail, cell, cold);
-            }
-        }
-        self.table = grown;
-    }
-}
-
-/// Sorts one eviction run of a Hash-indexed cache into ascending Morton
-/// order, in place: a cache holds a voxel once, so the keys of a run are
-/// unique and an unstable sort loses nothing — and a stable one would
-/// allocate half the run again as scratch, which at a full-cache flush is
-/// megabytes of peak RSS.
-fn sort_morton(cells: &mut [EvictedCell]) {
-    cells.sort_unstable_by(|a, b| morton::cmp_keys(a.key, b.key));
-}
-
-/// Policy for growing the cache online when the hit rate underperforms.
-///
-/// An extension beyond the paper's fixed-size cache: after each batch, if
-/// the recent hit rate sits below `target_hit_rate` and the cache is still
-/// under `max_buckets`, the bucket array doubles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptivePolicy {
-    /// Grow while the recent hit rate is below this value.
-    pub target_hit_rate: f64,
-    /// Upper bound on the bucket count (memory cap).
-    pub max_buckets: usize,
-    /// Minimum insertions in the observation window before acting.
-    pub min_window: u64,
-}
-
-impl Default for AdaptivePolicy {
-    fn default() -> Self {
-        AdaptivePolicy {
-            target_hit_rate: 0.8,
-            max_buckets: 1 << 20,
-            min_window: 4096,
-        }
-    }
-}
-
-/// Tracks windowed hit rates and applies an [`AdaptivePolicy`].
-#[derive(Debug, Clone, Default)]
-pub struct AdaptiveController {
-    policy: Option<AdaptivePolicy>,
-    window_start: CacheStats,
-    /// Number of times the cache was grown.
-    growths: u32,
-}
-
-impl AdaptiveController {
-    /// Creates a controller; `None` disables adaptation.
-    pub fn new(policy: Option<AdaptivePolicy>) -> Self {
-        AdaptiveController {
-            policy,
-            window_start: CacheStats::default(),
-            growths: 0,
-        }
-    }
-
-    /// How many times the cache has been grown.
-    pub fn growths(&self) -> u32 {
-        self.growths
-    }
-
-    /// Inspects the cache after a batch and grows it if the windowed hit
-    /// rate underperforms. Returns `true` when a growth happened.
-    pub fn after_batch(&mut self, cache: &mut VoxelCache) -> bool {
-        let Some(policy) = self.policy else {
-            return false;
-        };
-        let now = *cache.stats();
-        // Saturating: after a `reset_stats()` the counters restart below the
-        // window's base, and the window just takes longer to fill.
-        let window = now.since(&self.window_start);
-        if window.insertions < policy.min_window {
-            return false;
-        }
-        let rate = window.hit_rate();
-        self.window_start = now;
-        let may_double = cache.config().doubled().is_some()
-            && cache.config().num_buckets() * 2 <= policy.max_buckets;
-        if rate < policy.target_hit_rate && may_double {
-            cache.grow();
-            self.growths += 1;
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -950,17 +748,6 @@ fn prefetch<T>(target: &T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = target;
-}
-
-/// A fast 3×u16 → u64 mixer (SplitMix64 finalizer over the packed key) for
-/// the strawman hash policy.
-#[inline]
-fn hash_key(key: VoxelKey) -> u64 {
-    let mut z = (key.x as u64) | ((key.y as u64) << 16) | ((key.z as u64) << 32);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -1110,34 +897,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_order_ablation() {
-        let cfg = CacheConfig::builder()
-            .num_buckets(4)
-            .tau(1)
-            .eviction_order(EvictionOrder::InsertionFifo)
-            .build()
-            .unwrap();
-        let mut c = VoxelCache::new(cfg, OccupancyParams::default());
-        // 3 keys per bucket 0 (x=0,y=0,z=0 bucket under morton&3).
-        let keys = [k(0, 0, 0), k(4, 0, 0), k(8, 0, 0)];
-        for &key in &keys {
-            c.insert(key, true, |_| None);
-        }
-        let evicted = c.evict();
-        assert_eq!(evicted.len(), 2);
-        assert_eq!(evicted[0].key, keys[0]);
-        assert_eq!(evicted[1].key, keys[1]);
-    }
-
-    #[test]
     fn full_morton_sort_order() {
-        let cfg = CacheConfig::builder()
-            .num_buckets(4)
-            .tau(1)
-            .eviction_order(EvictionOrder::FullMortonSort)
-            .build()
-            .unwrap();
-        let mut c = VoxelCache::new(cfg, OccupancyParams::default());
+        let mut c = cache(4, 1);
         for x in (0..12u16).rev() {
             c.insert(k(x, 5, 2), true, |_| None);
         }
@@ -1174,29 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_policy_distributes() {
-        let cfg = CacheConfig::builder()
-            .num_buckets(64)
-            .tau(4)
-            .index_policy(IndexPolicy::Hash)
-            .build()
-            .unwrap();
-        let mut c = VoxelCache::new(cfg, OccupancyParams::default());
-        for x in 0..32u16 {
-            for y in 0..8u16 {
-                c.insert(k(x, y, 0), true, |_| None);
-            }
-        }
-        let hist = c.bucket_occupancy_histogram();
-        // No bucket should hold a wildly disproportionate share.
-        assert!(
-            hist.len() - 1 <= 16,
-            "max occupancy {} too high",
-            hist.len() - 1
-        );
-    }
-
-    #[test]
     fn memory_usage_is_positive_once_filled() {
         let mut c = cache(16, 2);
         c.insert(k(1, 2, 3), true, |_| None);
@@ -1220,11 +958,11 @@ mod tests {
         let spill = t.spill.capacity() * 16 + t.spilled.capacity() * 4;
         assert!(spill > 0);
         assert_eq!(c.memory_usage(), resident + spill);
-        // The cold arrays exist only once events (or the FIFO order) ask.
+        // The cold arrays exist only once events ask.
         c.attach_events(octocache_telemetry::EventSink::new().buffer(0));
         let t = &c.table;
-        let cold = (t.cold_cells.capacity() + t.cold_spill.capacity()) * 24;
-        assert!(cold >= 16 * 2 * 24);
+        let cold = (t.cold_cells.capacity() + t.cold_spill.capacity()) * 16;
+        assert!(cold >= 16 * 2 * 16);
         assert_eq!(c.memory_usage(), resident + spill + cold);
     }
 
@@ -1278,24 +1016,16 @@ mod tests {
     }
 
     #[test]
-    fn drain_all_and_grow_walk_live_chains() {
-        let build = || {
-            let cfg = CacheConfig::builder()
-                .num_buckets(2)
-                .tau(1)
-                .eviction_order(EvictionOrder::BucketSequential)
-                .build()
-                .unwrap();
-            let mut c = VoxelCache::new(cfg, OccupancyParams::default());
-            for x in 0..8u16 {
-                c.insert(k(x, x / 2, 0), x % 3 == 0, |_| None);
-            }
-            c
-        };
-        // Bucket 0 (even x) oldest first, then bucket 1.
-        let mut c = build();
+    fn drain_all_walks_live_chains() {
+        let mut c = cache(2, 1);
+        for x in 0..8u16 {
+            c.insert(k(x, x / 2, 0), x % 3 == 0, |_| None);
+        }
+        // Both buckets (even and odd x) hang three cells off a chain.
+        let resident: Vec<u16> = c.iter().map(|e| e.key.x).collect();
+        assert_eq!(resident, vec![0, 2, 4, 6, 1, 3, 5, 7]);
         let drained: Vec<u16> = c.drain_all().iter().map(|e| e.key.x).collect();
-        assert_eq!(drained, vec![0, 2, 4, 6, 1, 3, 5, 7]);
+        assert_eq!(drained, vec![0, 1, 2, 3, 4, 5, 6, 7]);
         assert!(c.is_empty() && c.table.spill.is_empty());
         assert_eq!(c.iter().count(), 0);
         assert!(
@@ -1303,21 +1033,6 @@ mod tests {
             "drained cells are gone"
         );
         assert_eq!(c.len(), 1);
-
-        // Growing with chains alive keeps every cell, value and the order
-        // within each destination bucket; the new buckets spill in turn.
-        let mut c = build();
-        let before: Vec<EvictedCell> = c.iter().collect();
-        c.grow();
-        assert_eq!(c.len(), 8);
-        for cell in &before {
-            assert_eq!(c.peek(cell.key), Some(cell.log_odds));
-        }
-        // x & 3 is the bucket now: 4 buckets of two cells, τ = 1.
-        let after: Vec<u16> = c.iter().map(|e| e.key.x).collect();
-        assert_eq!(after, vec![0, 4, 1, 5, 2, 6, 3, 7]);
-        let evicted: Vec<u16> = c.evict().iter().map(|e| e.key.x).collect();
-        assert_eq!(evicted, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -1338,148 +1053,6 @@ mod tests {
                 assert_eq!(*footprint.get_or_insert(c.memory_usage()), c.memory_usage());
             }
         }
-    }
-
-    #[test]
-    fn grow_changes_only_the_bucket_count_of_its_config() {
-        use std::time::Duration;
-        let mut b = CacheConfig::builder();
-        b.num_buckets(2)
-            .tau(3)
-            .index_policy(IndexPolicy::Hash)
-            .eviction_order(EvictionOrder::BucketSequential)
-            .stall_timeout(Duration::from_millis(70))
-            .backoff(crate::config::BackoffPolicy {
-                spin_iters: 5,
-                yields_per_check: 3,
-            })
-            .checkpoint_every(9)
-            .checkpoint_generations(5)
-            .journal_fsync(false)
-            .mem_budget(1 << 30)
-            .max_restarts(4)
-            .restart_backoff(Duration::from_millis(2))
-            .shed_deadline(Duration::from_millis(40))
-            .fault_plan(crate::fault::FaultPlan::from_seed(3))
-            .events(true);
-        let mut c = VoxelCache::new(b.build().unwrap(), OccupancyParams::default());
-        for _ in 0..3 {
-            c.grow();
-        }
-        assert_eq!(*c.config(), b.num_buckets(16).build().unwrap());
-    }
-
-    #[test]
-    fn grow_preserves_contents_and_values() {
-        let mut c = cache(4, 2);
-        let keys: Vec<VoxelKey> = (0..30u16).map(|i| k(i, i / 2, 3)).collect();
-        for (i, &key) in keys.iter().enumerate() {
-            c.insert(key, i % 3 != 0, |_| None);
-        }
-        let before: std::collections::HashMap<VoxelKey, f32> =
-            c.iter().map(|e| (e.key, e.log_odds)).collect();
-        let len_before = c.len();
-        c.grow();
-        assert_eq!(c.config().num_buckets(), 8);
-        assert_eq!(c.len(), len_before);
-        for (key, value) in before {
-            assert_eq!(c.peek(key), Some(value), "{key} lost by grow");
-        }
-        // Growing twice more keeps working.
-        c.grow();
-        c.grow();
-        assert_eq!(c.config().num_buckets(), 32);
-        assert_eq!(c.len(), len_before);
-    }
-
-    #[test]
-    fn grow_preserves_fifo_eviction_order_within_buckets() {
-        let mut c = cache(1, 1);
-        for i in 0..6u16 {
-            c.insert(k(i * 4, 0, 0), true, |_| None); // same bucket pre-grow
-        }
-        c.grow(); // splits into 2 buckets
-        let mut evicted = Vec::new();
-        c.evict_into(&mut evicted);
-        // Within each destination bucket the earliest-inserted cells left
-        // first: x values must be increasing per morton-class.
-        for w in evicted.windows(2) {
-            if c.bucket_index(w[0].key) == c.bucket_index(w[1].key) {
-                assert!(w[0].key.x < w[1].key.x);
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_controller_grows_under_low_hit_rate() {
-        let cfg = CacheConfig::builder()
-            .num_buckets(2)
-            .tau(1)
-            .build()
-            .unwrap();
-        let mut c = VoxelCache::new(cfg, OccupancyParams::default());
-        let mut ctl = AdaptiveController::new(Some(AdaptivePolicy {
-            target_hit_rate: 0.9,
-            max_buckets: 64,
-            min_window: 16,
-        }));
-        // A wide working set that a 2-bucket cache cannot hold.
-        for round in 0..6 {
-            for i in 0..32u16 {
-                c.insert(k(i, 0, 0), true, |_| None);
-            }
-            ctl.after_batch(&mut c);
-            c.evict();
-            let _ = round;
-        }
-        assert!(ctl.growths() >= 1, "controller never grew the cache");
-        assert!(c.config().num_buckets() > 2);
-        assert!(c.config().num_buckets() <= 64);
-    }
-
-    #[test]
-    fn adaptive_controller_survives_a_stats_reset_between_batches() {
-        let mut c = cache(2, 1);
-        let mut ctl = AdaptiveController::new(Some(AdaptivePolicy {
-            target_hit_rate: 0.9,
-            max_buckets: 64,
-            min_window: 16,
-        }));
-        // Every key is new, so every insertion misses.
-        let mut next = 0u16;
-        let mut batch = |c: &mut VoxelCache, n: u16| {
-            for x in next..next + n {
-                c.insert(k(x, 0, 0), true, |_| None);
-            }
-            next += n;
-        };
-        batch(&mut c, 32);
-        assert!(ctl.after_batch(&mut c), "32 misses: the window is full");
-        // The window now starts at 32 insertions; the reset puts the
-        // counters below it.
-        c.reset_stats();
-        batch(&mut c, 8);
-        assert!(!ctl.after_batch(&mut c), "8 insertions since the reset");
-        // Once the counters pass the old base the window fills again.
-        batch(&mut c, 64);
-        assert!(ctl.after_batch(&mut c));
-        assert_eq!(ctl.growths(), 2);
-    }
-
-    #[test]
-    fn adaptive_controller_disabled_is_inert() {
-        let cfg = CacheConfig::builder()
-            .num_buckets(2)
-            .tau(1)
-            .build()
-            .unwrap();
-        let mut c = VoxelCache::new(cfg, OccupancyParams::default());
-        let mut ctl = AdaptiveController::new(None);
-        for i in 0..100u16 {
-            c.insert(k(i, 0, 0), true, |_| None);
-        }
-        assert!(!ctl.after_batch(&mut c));
-        assert_eq!(c.config().num_buckets(), 2);
     }
 
     #[test]
@@ -1538,27 +1111,5 @@ mod tests {
             recorded.iter().collect::<Vec<_>>()
         );
         assert!(!sink.is_empty() || !recorded.events_mut().unwrap().is_empty());
-    }
-
-    #[test]
-    fn adaptive_controller_respects_memory_cap() {
-        let cfg = CacheConfig::builder()
-            .num_buckets(4)
-            .tau(1)
-            .build()
-            .unwrap();
-        let mut c = VoxelCache::new(cfg, OccupancyParams::default());
-        let mut ctl = AdaptiveController::new(Some(AdaptivePolicy {
-            target_hit_rate: 1.0, // unreachable: always wants to grow
-            max_buckets: 8,
-            min_window: 8,
-        }));
-        for _ in 0..10 {
-            for i in 0..64u16 {
-                c.insert(k(i, i, i), true, |_| None);
-            }
-            ctl.after_batch(&mut c);
-        }
-        assert!(c.config().num_buckets() <= 8);
     }
 }

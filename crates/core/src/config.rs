@@ -6,91 +6,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
 
-/// How incoming voxels are mapped to cache buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum IndexPolicy {
-    /// `hash(v) mod w` — the strawman design of paper §4.2.
-    Hash,
-    /// `morton(v) mod w` — the Morton-code policy of paper §4.3 (default).
-    /// Sequential bucket eviction then emits voxels in an order aligned with
-    /// their Morton codes, which maximises octree insertion locality.
-    #[default]
-    Morton,
-}
-
-impl fmt::Display for IndexPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IndexPolicy::Hash => write!(f, "hash"),
-            IndexPolicy::Morton => write!(f, "morton"),
-        }
-    }
-}
-
-/// The order in which evicted voxels are emitted toward the octree.
-///
-/// The order never changes the map — the batch apply
-/// (`OccupancyOcTree::set_log_odds_batch`) is exact for any order — only
-/// what the apply costs: its node visits are the summed tree distance 𝓕(S)
-/// between consecutive cells, which Morton order minimises (paper §4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EvictionOrder {
-    /// Scan buckets sequentially and pop the oldest cells of each
-    /// over-full bucket — the paper's design (§4.2.2). With
-    /// [`IndexPolicy::Morton`] the stream is Morton-aligned in its low
-    /// bits only (the bucket index), so neighbouring cells still sit far
-    /// apart in the tree; kept as the ablation's middle point.
-    BucketSequential,
-    /// Sort each evicted run by full Morton code, in place — the default:
-    /// it is the order the paper's theorem names optimal, and now that the
-    /// octree keeps its path open between consecutive cells the sort costs
-    /// less than the node visits it saves.
-    #[default]
-    FullMortonSort,
-    /// Emit in global insertion (FIFO) order, ignoring bucket structure —
-    /// a deliberately locality-free baseline for the ablation
-    /// `abl_eviction_order`.
-    InsertionFifo,
-}
-
-impl fmt::Display for EvictionOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EvictionOrder::BucketSequential => write!(f, "bucket-sequential"),
-            EvictionOrder::FullMortonSort => write!(f, "full-morton-sort"),
-            EvictionOrder::InsertionFifo => write!(f, "insertion-fifo"),
-        }
-    }
-}
-
-/// The producer-side wait/backoff shape used by every bounded wait in the
-/// parallel pipeline (ring-full back-pressure, end-of-scan worker waits).
-///
-/// PR 3 hard-coded these; they are now configurable on [`CacheConfig`] so
-/// latency-sensitive deployments can trade busy-spinning against clock
-/// reads. A wait first spins `spin_iters` times without touching the
-/// clock, then alternates `yields_per_check` thread yields with one
-/// deadline check (the deadline itself stays
-/// [`CacheConfig::stall_timeout`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BackoffPolicy {
-    /// Busy-spin iterations before the first clock read.
-    pub spin_iters: u32,
-    /// Thread yields between consecutive deadline checks (≥ 1). Larger
-    /// values slice the deadline more coarsely but read the clock less.
-    pub yields_per_check: u32,
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        // The PR 3 constants: 64 spins, check the clock on every yield.
-        BackoffPolicy {
-            spin_iters: 64,
-            yields_per_check: 1,
-        }
-    }
-}
-
 /// Errors from validating a [`CacheConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -107,9 +22,6 @@ pub enum ConfigError {
     /// `checkpoint_generations` must be at least 1 (zero would delete the
     /// checkpoint just written, leaving nothing to recover from).
     ZeroCheckpointGenerations,
-    /// `backoff.yields_per_check` must be at least 1 (zero would never
-    /// yield between clock reads, pinning a core against a wedged worker).
-    ZeroYieldsPerCheck,
     /// `mem_budget` must be non-zero when set (a zero budget would reject
     /// every scan; use a small budget to test pressure, `None` to disable).
     ZeroMemBudget,
@@ -136,9 +48,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroCheckpointGenerations => {
                 write!(f, "checkpoint_generations must be at least 1")
-            }
-            ConfigError::ZeroYieldsPerCheck => {
-                write!(f, "backoff.yields_per_check must be at least 1")
             }
             ConfigError::ZeroMemBudget => {
                 write!(f, "mem_budget must be non-zero when set")
@@ -173,16 +82,12 @@ impl std::error::Error for ConfigError {}
 pub struct CacheConfig {
     num_buckets: usize,
     tau: usize,
-    index_policy: IndexPolicy,
-    eviction_order: EvictionOrder,
     stall_timeout: Duration,
-    backoff: BackoffPolicy,
     checkpoint_every: u64,
     checkpoint_generations: usize,
     journal_fsync: bool,
     mem_budget: Option<u64>,
     max_restarts: u32,
-    restart_backoff: Duration,
     shed_deadline: Option<Duration>,
     #[serde(skip)]
     fault_plan: Option<FaultPlan>,
@@ -201,16 +106,12 @@ impl Default for CacheConfig {
         CacheConfig {
             num_buckets: 1 << 16,
             tau: 4,
-            index_policy: IndexPolicy::Morton,
-            eviction_order: EvictionOrder::default(),
             stall_timeout: DEFAULT_STALL_TIMEOUT,
-            backoff: BackoffPolicy::default(),
             checkpoint_every: 64,
             checkpoint_generations: 3,
             journal_fsync: true,
             mem_budget: None,
             max_restarts: 0,
-            restart_backoff: Duration::ZERO,
             shed_deadline: None,
             fault_plan: None,
             events: false,
@@ -225,7 +126,9 @@ impl CacheConfig {
 
     /// Starts building a config.
     pub fn builder() -> CacheConfigBuilder {
-        CacheConfigBuilder::new()
+        CacheConfigBuilder {
+            config: CacheConfig::default(),
+        }
     }
 
     /// Number of buckets `w` (a power of two).
@@ -240,18 +143,6 @@ impl CacheConfig {
         self.tau
     }
 
-    /// The bucket indexing policy.
-    #[inline]
-    pub fn index_policy(&self) -> IndexPolicy {
-        self.index_policy
-    }
-
-    /// The eviction emission order.
-    #[inline]
-    pub fn eviction_order(&self) -> EvictionOrder {
-        self.eviction_order
-    }
-
     /// Upper bound on any single wait inside the parallel pipeline
     /// (producer back-pressure, worker completion). When it expires the
     /// wait becomes a typed
@@ -260,13 +151,6 @@ impl CacheConfig {
     #[inline]
     pub fn stall_timeout(&self) -> Duration {
         self.stall_timeout
-    }
-
-    /// The wait/backoff shape used by every bounded pipeline wait; see
-    /// [`BackoffPolicy`].
-    #[inline]
-    pub fn backoff(&self) -> BackoffPolicy {
-        self.backoff
     }
 
     /// The memory budget in bytes, if one is configured. When set, the
@@ -281,18 +165,13 @@ impl CacheConfig {
         self.mem_budget
     }
 
-    /// How many times the supervisor may respawn each dead worker. `0`
-    /// (the default) preserves the PR 3 behaviour: a dead worker degrades
-    /// the pipeline permanently and its octants are served inline.
+    /// How many times the supervisor may respawn the dead worker. `0`
+    /// (the default) means a dead worker degrades the pipeline
+    /// permanently: the producer applies every later eviction batch
+    /// inline.
     #[inline]
     pub fn max_restarts(&self) -> u32 {
         self.max_restarts
-    }
-
-    /// Delay before each worker respawn (default zero).
-    #[inline]
-    pub fn restart_backoff(&self) -> Duration {
-        self.restart_backoff
     }
 
     /// The scan-admission deadline: when the exponentially-weighted
@@ -388,24 +267,6 @@ impl CacheConfig {
         12 * self.capacity_after_eviction() + 8 * self.num_buckets
     }
 
-    /// This config with twice the buckets and every other field as it is,
-    /// or `None` when that passes [`CacheConfig::MAX_CELLS`] (adaptive
-    /// growth stops there).
-    pub(crate) fn doubled(&self) -> Option<CacheConfig> {
-        let num_buckets = self.num_buckets.checked_mul(2)?;
-        Self::fits(num_buckets, self.tau).then_some(CacheConfig {
-            num_buckets,
-            ..*self
-        })
-    }
-
-    /// Whether a `num_buckets × tau` slab is within [`CacheConfig::MAX_CELLS`].
-    fn fits(num_buckets: usize, tau: usize) -> bool {
-        num_buckets
-            .checked_mul(tau)
-            .is_some_and(|cells| cells <= Self::MAX_CELLS)
-    }
-
     /// A short, stable digest of the cache geometry (FNV-1a over the
     /// serialised form), for labelling runs — the CLI `info` command prints
     /// it on its `engine:` line. Runtime-only knobs that are never
@@ -425,153 +286,97 @@ impl CacheConfig {
 /// Builder for [`CacheConfig`]. Created by [`CacheConfig::builder`].
 #[derive(Debug, Clone)]
 pub struct CacheConfigBuilder {
-    num_buckets: usize,
-    tau: usize,
-    index_policy: IndexPolicy,
-    eviction_order: EvictionOrder,
-    stall_timeout: Duration,
-    backoff: BackoffPolicy,
-    checkpoint_every: u64,
-    checkpoint_generations: usize,
-    journal_fsync: bool,
-    mem_budget: Option<u64>,
-    max_restarts: u32,
-    restart_backoff: Duration,
-    shed_deadline: Option<Duration>,
-    fault_plan: Option<FaultPlan>,
-    events: bool,
+    /// The config under construction; only [`build`](Self::build) hands out
+    /// a validated copy.
+    config: CacheConfig,
 }
 
 impl CacheConfigBuilder {
-    fn new() -> Self {
-        let d = CacheConfig::default();
-        CacheConfigBuilder {
-            num_buckets: d.num_buckets,
-            tau: d.tau,
-            index_policy: d.index_policy,
-            eviction_order: d.eviction_order,
-            stall_timeout: d.stall_timeout,
-            backoff: d.backoff,
-            checkpoint_every: d.checkpoint_every,
-            checkpoint_generations: d.checkpoint_generations,
-            journal_fsync: d.journal_fsync,
-            mem_budget: d.mem_budget,
-            max_restarts: d.max_restarts,
-            restart_backoff: d.restart_backoff,
-            shed_deadline: d.shed_deadline,
-            fault_plan: d.fault_plan,
-            events: d.events,
-        }
-    }
-
     /// Sets the number of buckets `w` (must be a power of two).
     pub fn num_buckets(&mut self, w: usize) -> &mut Self {
-        self.num_buckets = w;
+        self.config.num_buckets = w;
         self
     }
 
     /// Sets the per-bucket retention threshold `τ`.
     pub fn tau(&mut self, tau: usize) -> &mut Self {
-        self.tau = tau;
-        self
-    }
-
-    /// Sets the indexing policy.
-    pub fn index_policy(&mut self, p: IndexPolicy) -> &mut Self {
-        self.index_policy = p;
-        self
-    }
-
-    /// Sets the eviction emission order.
-    pub fn eviction_order(&mut self, o: EvictionOrder) -> &mut Self {
-        self.eviction_order = o;
+        self.config.tau = tau;
         self
     }
 
     /// Bounds every parallel-pipeline wait; see
     /// [`CacheConfig::stall_timeout`]. Must be non-zero.
     pub fn stall_timeout(&mut self, timeout: Duration) -> &mut Self {
-        self.stall_timeout = timeout;
-        self
-    }
-
-    /// Sets the wait/backoff shape for bounded pipeline waits; see
-    /// [`BackoffPolicy`]. `yields_per_check` must be ≥ 1.
-    pub fn backoff(&mut self, policy: BackoffPolicy) -> &mut Self {
-        self.backoff = policy;
+        self.config.stall_timeout = timeout;
         self
     }
 
     /// Sets the memory budget in bytes (must be non-zero); see
     /// [`CacheConfig::mem_budget`].
     pub fn mem_budget(&mut self, bytes: u64) -> &mut Self {
-        self.mem_budget = Some(bytes);
+        self.config.mem_budget = Some(bytes);
         self
     }
 
-    /// Sets the per-worker respawn budget; see
-    /// [`CacheConfig::max_restarts`].
+    /// Sets the worker respawn budget; see [`CacheConfig::max_restarts`].
     pub fn max_restarts(&mut self, n: u32) -> &mut Self {
-        self.max_restarts = n;
-        self
-    }
-
-    /// Sets the delay before each respawn; see
-    /// [`CacheConfig::restart_backoff`].
-    pub fn restart_backoff(&mut self, backoff: Duration) -> &mut Self {
-        self.restart_backoff = backoff;
+        self.config.max_restarts = n;
         self
     }
 
     /// Sets the scan-admission deadline; see
     /// [`CacheConfig::shed_deadline`].
     pub fn shed_deadline(&mut self, deadline: Duration) -> &mut Self {
-        self.shed_deadline = Some(deadline);
+        self.config.shed_deadline = Some(deadline);
         self
     }
 
     /// Sets the periodic checkpoint interval in scans (0 disables); see
     /// [`CacheConfig::checkpoint_every`].
     pub fn checkpoint_every(&mut self, every: u64) -> &mut Self {
-        self.checkpoint_every = every;
+        self.config.checkpoint_every = every;
         self
     }
 
     /// Sets how many checkpoint generations to retain (≥ 1); see
     /// [`CacheConfig::checkpoint_generations`].
     pub fn checkpoint_generations(&mut self, keep: usize) -> &mut Self {
-        self.checkpoint_generations = keep;
+        self.config.checkpoint_generations = keep;
         self
     }
 
     /// Toggles per-append journal fsync; see
     /// [`CacheConfig::journal_fsync`].
     pub fn journal_fsync(&mut self, on: bool) -> &mut Self {
-        self.journal_fsync = on;
+        self.config.journal_fsync = on;
         self
     }
 
     /// Schedules deterministic fault injection; see
     /// [`CacheConfig::fault_plan`].
     pub fn fault_plan(&mut self, plan: FaultPlan) -> &mut Self {
-        self.fault_plan = Some(plan);
+        self.config.fault_plan = Some(plan);
         self
     }
 
     /// Enables sub-scan event recording; see [`CacheConfig::events`].
     pub fn events(&mut self, on: bool) -> &mut Self {
-        self.events = on;
+        self.config.events = on;
         self
     }
 
     /// Sizes the cache for a workload, following the paper's §5.2 rule:
     /// capacity ≈ `factor` × the expected non-duplicate voxels per batch
     /// (3–4 recommended), rounded up to a power-of-two bucket count at the
-    /// current `τ`.
+    /// current `τ`. A batch past the largest power of two saturates there,
+    /// for [`build`](Self::build) to reject as
+    /// [`ConfigError::CapacityTooLarge`].
     pub fn size_for_batch(&mut self, nondup_voxels_per_batch: usize, factor: f64) -> &mut Self {
         let target_cells = (nondup_voxels_per_batch as f64 * factor).ceil() as usize;
-        let buckets = (target_cells / self.tau.max(1)).max(1);
-        self.num_buckets = buckets.next_power_of_two();
+        let buckets = (target_cells / self.config.tau.max(1)).max(1);
+        self.config.num_buckets = buckets
+            .checked_next_power_of_two()
+            .unwrap_or(1 << (usize::BITS - 1));
         self
     }
 
@@ -583,50 +388,33 @@ impl CacheConfigBuilder {
     /// of two, `tau` is zero, their product passes
     /// [`CacheConfig::MAX_CELLS`], or a runtime knob is out of range.
     pub fn build(&self) -> Result<CacheConfig, ConfigError> {
-        if self.num_buckets == 0 {
+        let c = self.config;
+        if c.num_buckets == 0 {
             return Err(ConfigError::NoBuckets);
         }
-        if !self.num_buckets.is_power_of_two() {
-            return Err(ConfigError::BucketsNotPowerOfTwo(self.num_buckets));
+        if !c.num_buckets.is_power_of_two() {
+            return Err(ConfigError::BucketsNotPowerOfTwo(c.num_buckets));
         }
-        if self.tau == 0 {
+        if c.tau == 0 {
             return Err(ConfigError::ZeroTau);
         }
-        if !CacheConfig::fits(self.num_buckets, self.tau) {
+        let cells = c.num_buckets.checked_mul(c.tau);
+        if !matches!(cells, Some(cells) if cells <= CacheConfig::MAX_CELLS) {
             return Err(ConfigError::CapacityTooLarge {
-                num_buckets: self.num_buckets,
-                tau: self.tau,
+                num_buckets: c.num_buckets,
+                tau: c.tau,
             });
         }
-        if self.stall_timeout.is_zero() {
+        if c.stall_timeout.is_zero() {
             return Err(ConfigError::ZeroStallTimeout);
         }
-        if self.checkpoint_generations == 0 {
+        if c.checkpoint_generations == 0 {
             return Err(ConfigError::ZeroCheckpointGenerations);
         }
-        if self.backoff.yields_per_check == 0 {
-            return Err(ConfigError::ZeroYieldsPerCheck);
-        }
-        if self.mem_budget == Some(0) {
+        if c.mem_budget == Some(0) {
             return Err(ConfigError::ZeroMemBudget);
         }
-        Ok(CacheConfig {
-            num_buckets: self.num_buckets,
-            tau: self.tau,
-            index_policy: self.index_policy,
-            eviction_order: self.eviction_order,
-            stall_timeout: self.stall_timeout,
-            backoff: self.backoff,
-            checkpoint_every: self.checkpoint_every,
-            checkpoint_generations: self.checkpoint_generations,
-            journal_fsync: self.journal_fsync,
-            mem_budget: self.mem_budget,
-            max_restarts: self.max_restarts,
-            restart_backoff: self.restart_backoff,
-            shed_deadline: self.shed_deadline,
-            fault_plan: self.fault_plan,
-            events: self.events,
-        })
+        Ok(c)
     }
 }
 
@@ -637,9 +425,8 @@ mod tests {
     #[test]
     fn default_is_valid_morton_full_sort() {
         let c = CacheConfig::default();
+        assert_eq!(CacheConfig::builder().build(), Ok(c));
         assert!(c.num_buckets().is_power_of_two());
-        assert_eq!(c.index_policy(), IndexPolicy::Morton);
-        assert_eq!(c.eviction_order(), EvictionOrder::FullMortonSort);
         assert_eq!(c.tau(), 4);
     }
 
@@ -688,14 +475,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(largest.capacity_after_eviction(), CacheConfig::MAX_CELLS);
-        // Growth stops where the builder would.
-        assert_eq!(largest.doubled(), None);
-        let half = CacheConfig::builder()
-            .num_buckets(1 << 25)
-            .tau(4)
-            .build()
-            .unwrap();
-        assert_eq!(half.doubled(), Some(largest));
     }
 
     #[test]
@@ -723,6 +502,25 @@ mod tests {
         assert!(c.capacity_after_eviction() >= 35_000 / 4 * 4);
         // …but no more than 2x overshoot from rounding.
         assert!(c.capacity_after_eviction() <= 2 * 35_000);
+    }
+
+    #[test]
+    fn size_for_batch_past_the_largest_power_of_two_is_rejected_not_wrapped() {
+        // `usize::MAX.next_power_of_two()` panics in debug builds and wraps
+        // to 0 in release.
+        let largest = 1 << (usize::BITS - 1);
+        for batch in [usize::MAX, largest + 1] {
+            assert_eq!(
+                CacheConfig::builder()
+                    .tau(1)
+                    .size_for_batch(batch, 1.0)
+                    .build(),
+                Err(ConfigError::CapacityTooLarge {
+                    num_buckets: largest,
+                    tau: 1
+                })
+            );
+        }
     }
 
     #[test]
@@ -803,6 +601,27 @@ mod tests {
             let back: CacheConfig = serde::json::from_str(&legacy).unwrap();
             assert_eq!(back, c, "{legacy}");
         }
+        // Verbatim output of the last commit that had an indexing policy, an
+        // eviction order, a backoff shape and a respawn delay: whatever they
+        // said, the one table is what a reader gets.
+        let c = CacheConfig::builder()
+            .num_buckets(64)
+            .mem_budget(5)
+            .shed_deadline(Duration::from_millis(40))
+            .build()
+            .unwrap();
+        let legacy = r#"{"num_buckets":64,"tau":4,"index_policy":"Hash","eviction_order":"InsertionFifo","stall_timeout":{"secs":10,"nanos":0},"backoff":{"spin_iters":64,"yields_per_check":1},"checkpoint_every":64,"checkpoint_generations":3,"journal_fsync":true,"mem_budget":5,"max_restarts":0,"restart_backoff":{"secs":0,"nanos":5000000},"shed_deadline":{"secs":0,"nanos":40000000}}"#;
+        let back: CacheConfig = serde::json::from_str(legacy).unwrap();
+        assert_eq!(back, c);
+    }
+
+    #[test]
+    fn default_config_serialises_exactly_these_nine_keys() {
+        // A new knob is a visible diff here (and moves every `digest()`).
+        assert_eq!(
+            serde::json::to_string(&CacheConfig::default()),
+            r#"{"num_buckets":65536,"tau":4,"stall_timeout":{"secs":10,"nanos":0},"checkpoint_every":64,"checkpoint_generations":3,"journal_fsync":true,"mem_budget":null,"max_restarts":0,"shed_deadline":null}"#
+        );
     }
 
     #[test]
@@ -833,63 +652,35 @@ mod tests {
         let d = CacheConfig::default();
         assert_eq!(d.mem_budget(), None);
         assert_eq!(d.max_restarts(), 0);
-        assert_eq!(d.restart_backoff(), Duration::ZERO);
         assert_eq!(d.shed_deadline(), None);
-        assert_eq!(d.backoff(), BackoffPolicy::default());
-        assert_eq!(d.backoff().spin_iters, 64);
-        assert_eq!(d.backoff().yields_per_check, 1);
         assert_eq!(
             CacheConfig::builder().mem_budget(0).build(),
             Err(ConfigError::ZeroMemBudget)
-        );
-        assert_eq!(
-            CacheConfig::builder()
-                .backoff(BackoffPolicy {
-                    spin_iters: 8,
-                    yields_per_check: 0
-                })
-                .build(),
-            Err(ConfigError::ZeroYieldsPerCheck)
         );
         let c = CacheConfig::builder()
             .num_buckets(64)
             .mem_budget(32 << 20)
             .max_restarts(3)
-            .restart_backoff(Duration::from_millis(5))
             .shed_deadline(Duration::from_millis(40))
-            .backoff(BackoffPolicy {
-                spin_iters: 16,
-                yields_per_check: 4,
-            })
             .build()
             .unwrap();
         assert_eq!(c.mem_budget(), Some(32 << 20));
         assert_eq!(c.max_restarts(), 3);
-        assert_eq!(c.restart_backoff(), Duration::from_millis(5));
         assert_eq!(c.shed_deadline(), Some(Duration::from_millis(40)));
         let back: CacheConfig = serde::json::from_str(&serde::json::to_string(&c)).unwrap();
         assert_eq!(back.mem_budget(), Some(32 << 20));
         assert_eq!(back.max_restarts(), 3);
         assert_eq!(back.shed_deadline(), Some(Duration::from_millis(40)));
-        assert_eq!(back.backoff().spin_iters, 16);
-        assert_eq!(back.backoff().yields_per_check, 4);
     }
 
     #[test]
     fn displays() {
-        assert_eq!(IndexPolicy::Hash.to_string(), "hash");
-        assert_eq!(IndexPolicy::Morton.to_string(), "morton");
-        assert_eq!(
-            EvictionOrder::BucketSequential.to_string(),
-            "bucket-sequential"
-        );
         for e in [
             ConfigError::BucketsNotPowerOfTwo(3),
             ConfigError::NoBuckets,
             ConfigError::ZeroTau,
             ConfigError::ZeroStallTimeout,
             ConfigError::ZeroCheckpointGenerations,
-            ConfigError::ZeroYieldsPerCheck,
             ConfigError::ZeroMemBudget,
             ConfigError::CapacityTooLarge {
                 num_buckets: 1 << 16,

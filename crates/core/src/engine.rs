@@ -861,7 +861,7 @@ pub(crate) fn overlay_cache(tree: &mut OccupancyOcTree, cache: &VoxelCache) {
 /// Writes evicted cells to the tree — the one way an eviction reaches an
 /// octree, on the serial path, the workers and every fail-over. Cells hold
 /// absolute log-odds, so re-applying a share is idempotent; they arrive in
-/// Morton order ([`crate::EvictionOrder`]), which is what makes the batch
+/// Morton order ([`VoxelCache::evict_into`]), which is what makes the batch
 /// cheap, not what makes it correct.
 pub(crate) fn apply_cells<'a>(
     tree: &mut OccupancyOcTree,

@@ -62,10 +62,8 @@ pub mod serial;
 pub mod spsc;
 pub mod supervisor;
 
-pub use cache::{AdaptiveController, AdaptivePolicy, CacheStats, EvictedCell, VoxelCache};
-pub use config::{
-    BackoffPolicy, CacheConfig, CacheConfigBuilder, ConfigError, EvictionOrder, IndexPolicy,
-};
+pub use cache::{CacheStats, EvictedCell, VoxelCache};
+pub use config::{CacheConfig, CacheConfigBuilder, ConfigError};
 pub use durable::{DurableError, DurableMap, DurableStats, IoFaultPlan, KillPoint, RecoveryReport};
 pub use engine::{Engine, FlushTimes, ScanExecutor, ScanOutput};
 pub use fault::{

@@ -187,8 +187,7 @@ pub struct ParallelExecutor {
     /// Map-consistency verdict (`integrity`) plus its transition history,
     /// so heals stay visible after the sticky flag recovers.
     integrity: IntegrityState,
-    /// Worker-respawn budget and backoff
-    /// ([`CacheConfig::max_restarts`], [`CacheConfig::restart_backoff`]).
+    /// Worker-respawn budget ([`CacheConfig::max_restarts`]).
     restart_policy: RestartPolicy,
     /// Nanos spent respawning the worker, not yet attributed to a scan.
     restart_ns_pending: u64,
@@ -698,9 +697,6 @@ impl ParallelExecutor {
         }
         if self.respawn_eligible() {
             let t0 = Instant::now();
-            if !self.restart_policy.backoff.is_zero() {
-                std::thread::sleep(self.restart_policy.backoff);
-            }
             let w = &mut self.worker;
             let shared = Arc::new(WorkerShared::default());
             let (producer, consumer) = spsc::channel::<Item>(QUEUE_CAPACITY);

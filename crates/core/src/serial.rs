@@ -18,7 +18,7 @@ use octocache_octomap::stats::StatsSnapshot;
 use octocache_octomap::{insert, OccupancyOcTree, OccupancyParams};
 use octocache_telemetry::{EventLog, EventSink, PhaseTimes, ScanMetrics};
 
-use crate::cache::{AdaptiveController, AdaptivePolicy, CacheStats, EvictedCell, VoxelCache};
+use crate::cache::{CacheStats, EvictedCell, VoxelCache};
 use crate::config::CacheConfig;
 use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
 use crate::fault::PipelineError;
@@ -41,7 +41,6 @@ pub struct SerialExecutor {
     ray_tracer: RayTracer,
     batch: insert::VoxelBatch,
     evict_buf: Vec<EvictedCell>,
-    adaptive: AdaptiveController,
     /// Sub-scan event collection point (present iff the config enabled
     /// event recording; the cache holds the lane-0 buffer).
     event_sink: Option<std::sync::Arc<EventSink>>,
@@ -105,22 +104,8 @@ impl SerialOctoCache {
             ray_tracer,
             batch: insert::VoxelBatch::new(),
             evict_buf: Vec::new(),
-            adaptive: AdaptiveController::new(None),
             event_sink,
         })
-    }
-
-    /// Enables (or disables, with `None`) online cache growth: after each
-    /// scan whose windowed hit rate falls below the policy's target, the
-    /// bucket array doubles — an extension over the paper's fixed-size
-    /// cache (§6.2.3 shows hit rate saturating with size).
-    pub fn set_adaptive_policy(&mut self, policy: Option<AdaptivePolicy>) {
-        self.exec.adaptive = AdaptiveController::new(policy);
-    }
-
-    /// How often the adaptive policy has grown the cache.
-    pub fn adaptive_growths(&self) -> u32 {
-        self.exec.adaptive.growths()
     }
 
     /// The cache layer.
@@ -158,7 +143,7 @@ impl SerialOctoCache {
 
 impl SerialExecutor {
     /// The pre-traced-batch path behind [`SerialOctoCache::insert_batch`]:
-    /// like a scan, minus ray tracing and the adaptive-growth step.
+    /// like a scan, minus ray tracing.
     fn execute_batch(
         &mut self,
         batch: &insert::VoxelBatch,
@@ -242,7 +227,6 @@ impl ScanExecutor for SerialExecutor {
             &batch,
             metrics,
         );
-        self.adaptive.after_batch(&mut self.cache);
         Ok(self.finish_metrics(metrics, &cache_before, &tree_before))
     }
 
@@ -512,30 +496,6 @@ mod tests {
         assert_eq!(report.observations, 50);
         assert!(report.cache_hits >= 40); // 10 distinct keys => 40 hits
         assert_eq!(report.times.ray_tracing, std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn adaptive_policy_grows_cache_on_miss_heavy_workload() {
-        let mut s = system(4, 1); // minuscule cache
-        s.set_adaptive_policy(Some(crate::cache::AdaptivePolicy {
-            target_hit_rate: 0.97,
-            max_buckets: 1 << 12,
-            min_window: 64,
-        }));
-        for i in 0..6 {
-            // Shift the wall each scan: wide working set, heavy misses.
-            let cloud: Vec<Point3> = (0..80)
-                .map(|j| Point3::new(6.0 + (i % 3) as f64, -2.0 + j as f64 * 0.05, 0.25))
-                .collect();
-            s.insert_scan(Point3::ZERO, &cloud, 20.0).unwrap();
-        }
-        assert!(s.adaptive_growths() >= 1, "cache never grew");
-        assert!(s.cache().config().num_buckets() > 4);
-        // Consistency still holds after growth.
-        assert_eq!(
-            s.is_occupied_at(Point3::new(3.0, 0.0, 0.25)).unwrap(),
-            Some(false)
-        );
     }
 
     #[test]

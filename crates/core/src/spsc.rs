@@ -21,61 +21,47 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::config::BackoffPolicy;
+/// Busy-spin steps a [`Backoff`] takes before its first clock read.
+const SPIN_ITERS: u32 = 64;
 
 /// A bounded spin → yield → deadline backoff for the pipeline's waits.
 ///
-/// The first `spin_iters` steps (64 by default) are pure spins (no clock
-/// read, no syscall); after that each step yields the CPU, and the
-/// deadline is checked once every `yields_per_check` yields. Both knobs
-/// come from [`BackoffPolicy`] on
-/// [`CacheConfig`](crate::CacheConfig::backoff). [`Backoff::snooze`]
-/// returns `false` once the deadline has passed, which callers convert into
-/// a typed [`crate::fault::PipelineError::QueueStalled`] instead of spinning
+/// The first 64 steps are pure spins (no clock read, no syscall); after
+/// that each step checks the deadline and yields the CPU.
+/// [`Backoff::snooze`] returns `false` once the deadline has passed, which
+/// callers convert into a typed
+/// [`crate::fault::PipelineError::QueueStalled`] instead of spinning
 /// forever — the fault-tolerance contract of the parallel pipeline.
 #[derive(Debug)]
 pub struct Backoff {
     spins: u32,
-    yields: u32,
     start: Option<Instant>,
     deadline: Duration,
-    policy: BackoffPolicy,
 }
 
 impl Backoff {
     /// Creates a backoff that gives up after `deadline` of waiting (the
     /// clock starts at the first post-spin step, so short waits never pay
-    /// for an `Instant` read), using the default [`BackoffPolicy`].
+    /// for an `Instant` read).
     pub fn new(deadline: Duration) -> Self {
-        Self::with_policy(deadline, BackoffPolicy::default())
-    }
-
-    /// Creates a backoff with an explicit wait shape.
-    pub fn with_policy(deadline: Duration, policy: BackoffPolicy) -> Self {
         Backoff {
             spins: 0,
-            yields: 0,
             start: None,
             deadline,
-            policy,
         }
     }
 
     /// Performs one wait step. Returns `false` once the deadline has
     /// elapsed; the caller should stop waiting and report a stall.
     pub fn snooze(&mut self) -> bool {
-        self.spins += 1;
-        if self.spins <= self.policy.spin_iters {
+        if self.spins < SPIN_ITERS {
+            self.spins += 1;
             std::hint::spin_loop();
             return true;
         }
         let start = *self.start.get_or_insert_with(Instant::now);
-        if self.yields == 0 && start.elapsed() >= self.deadline {
+        if start.elapsed() >= self.deadline {
             return false;
-        }
-        self.yields += 1;
-        if self.yields >= self.policy.yields_per_check.max(1) {
-            self.yields = 0;
         }
         std::thread::yield_now();
         true
@@ -380,7 +366,7 @@ mod tests {
     fn backoff_spins_then_expires() {
         let mut b = Backoff::new(Duration::from_millis(5));
         // The spin phase never expires and never reads the clock.
-        for _ in 0..BackoffPolicy::default().spin_iters {
+        for _ in 0..SPIN_ITERS {
             assert!(b.snooze());
         }
         assert_eq!(b.waited(), Duration::ZERO);
@@ -398,33 +384,10 @@ mod tests {
     #[test]
     fn backoff_zero_deadline_expires_right_after_spin_phase() {
         let mut b = Backoff::new(Duration::ZERO);
-        for _ in 0..BackoffPolicy::default().spin_iters {
+        for _ in 0..SPIN_ITERS {
             assert!(b.snooze());
         }
         assert!(!b.snooze());
-    }
-
-    #[test]
-    fn backoff_policy_shapes_the_wait() {
-        // A shorter spin phase reaches the deadline check sooner.
-        let policy = BackoffPolicy {
-            spin_iters: 4,
-            yields_per_check: 1,
-        };
-        let mut b = Backoff::with_policy(Duration::ZERO, policy);
-        for _ in 0..4 {
-            assert!(b.snooze());
-        }
-        assert!(!b.snooze());
-        // Coarser deadline slicing: with yields_per_check = 3 an expired
-        // deadline is only noticed on the checking steps, so at most 2
-        // extra yields happen after expiry.
-        let policy = BackoffPolicy {
-            spin_iters: 0,
-            yields_per_check: 3,
-        };
-        let mut b = Backoff::with_policy(Duration::ZERO, policy);
-        assert!(!b.snooze(), "first post-spin step checks an expired clock");
     }
 
     #[test]

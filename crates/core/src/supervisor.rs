@@ -59,19 +59,16 @@ impl SupervisorParams {
     }
 }
 
-/// How many times, and how eagerly, the supervisor respawns dead workers.
+/// How many times the supervisor respawns dead workers.
 ///
-/// Derived from [`CacheConfig`](crate::CacheConfig) (`max_restarts`,
-/// `restart_backoff`). The budget is **per worker**: a chaos workload that
-/// kills worker 0 five times under `max_restarts = 3` gets three heals and
-/// then the PR 3 permanent-degrade path.
+/// Derived from [`CacheConfig`](crate::CacheConfig) (`max_restarts`). The
+/// budget is **per worker**: a chaos workload that kills worker 0 five
+/// times under `max_restarts = 3` gets three heals and then the PR 3
+/// permanent-degrade path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RestartPolicy {
     /// Respawn budget per worker. `0` disables respawn entirely.
     pub max_restarts: u32,
-    /// Delay before each respawn (gives a crashing environment time to
-    /// settle; zero by default).
-    pub backoff: Duration,
 }
 
 impl RestartPolicy {
@@ -79,7 +76,6 @@ impl RestartPolicy {
     pub fn from_config(config: &crate::CacheConfig) -> Self {
         RestartPolicy {
             max_restarts: config.max_restarts(),
-            backoff: config.restart_backoff(),
         }
     }
 
@@ -328,11 +324,7 @@ mod tests {
     #[test]
     fn restart_policy_enabled_iff_budget() {
         assert!(!RestartPolicy::default().enabled());
-        assert!(RestartPolicy {
-            max_restarts: 1,
-            backoff: Duration::ZERO
-        }
-        .enabled());
+        assert!(RestartPolicy { max_restarts: 1 }.enabled());
     }
 
     #[test]

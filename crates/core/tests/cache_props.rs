@@ -5,19 +5,19 @@
 //!    the eviction stream with exactly the accumulated value.
 //! 2. `CacheStats::since`/`merge` form the algebra the telemetry layer
 //!    assumes (associative merge, zero identity, since/merge inversion).
-//! 3. Hash and Morton indexing agree on bucket membership: both place a
-//!    key in exactly one in-range bucket, find it again, and account for
-//!    every resident cell in the occupancy histogram.
+//! 3. Bucket membership: every key lands in exactly one in-range bucket, is
+//!    found there again, and the occupancy histogram accounts for every
+//!    resident cell.
 //! 4. The slab-and-spill storage behaves exactly as the bucket-of-vectors
 //!    layout it replaced ([`ModelCache`]): same hits, values, evicted
 //!    sequences, iteration order and event stream — whether observations
 //!    arrive one `insert` at a time or through `insert_batch`.
-//! 5. Under Morton indexing the counting drain hands out exactly the run a
-//!    comparison sort by Morton code would.
+//! 5. The counting drain hands out exactly the run a comparison sort by
+//!    Morton code would.
 
 use std::collections::{HashMap, VecDeque};
 
-use octocache::{CacheConfig, CacheStats, EvictedCell, EvictionOrder, IndexPolicy, VoxelCache};
+use octocache::{CacheConfig, CacheStats, EvictedCell, VoxelCache};
 use octocache_geom::{morton, VoxelKey};
 use octocache_octomap::insert::VoxelUpdate;
 use octocache_octomap::OccupancyParams;
@@ -42,15 +42,24 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 /// The layout `VoxelCache` had before the slab, as the reference: one
-/// deque of `(key, value, seq)` per bucket, oldest first, evicted from the
+/// deque of `(key, value, hits)` per bucket, oldest first, evicted from the
 /// front down to `τ`. Bucket indices come from the cache under test.
 struct ModelCache {
-    buckets: Vec<VecDeque<(VoxelKey, f32, u64)>>,
-    next_seq: u64,
+    buckets: Vec<VecDeque<(VoxelKey, f32, u32)>>,
     peak_len: usize,
 }
 
+/// A bucket-sequential eviction run: `(bucket, key, value, hits)` per cell.
+type ModelRun = Vec<(usize, VoxelKey, f32, u32)>;
+
 impl ModelCache {
+    fn new(buckets: usize) -> Self {
+        ModelCache {
+            buckets: vec![VecDeque::new(); buckets],
+            peak_len: 0,
+        }
+    }
+
     fn len(&self) -> usize {
         self.buckets.iter().map(VecDeque::len).sum()
     }
@@ -64,50 +73,32 @@ impl ModelCache {
         let params = OccupancyParams::default();
         if let Some(cell) = self.buckets[bucket].iter_mut().find(|c| c.0 == key) {
             cell.1 = params.apply(cell.1, occupied);
+            cell.2 += 1;
             return true;
         }
         let value = params.apply(seed.unwrap_or(params.threshold), occupied);
-        self.buckets[bucket].push_back((key, value, self.next_seq));
-        self.next_seq += 1;
+        self.buckets[bucket].push_back((key, value, 0));
         self.peak_len = self.peak_len.max(self.len());
         false
     }
 
-    /// Pops every bucket's oldest cells down to `keep`, in `order`.
-    fn evict(&mut self, keep: usize, order: EvictionOrder) -> Vec<EvictedCell> {
-        let mut out = Vec::new();
-        for bucket in &mut self.buckets {
+    /// Pops every bucket's oldest cells down to `keep`, bucket by bucket
+    /// (`keep = 0` is `drain_all`).
+    fn evict(&mut self, keep: usize) -> ModelRun {
+        let mut run = Vec::new();
+        for (b, bucket) in self.buckets.iter_mut().enumerate() {
             let excess = bucket.len().saturating_sub(keep);
-            out.extend(bucket.drain(..excess));
+            run.extend(
+                bucket
+                    .drain(..excess)
+                    .map(|(key, v, hits)| (b, key, v, hits)),
+            );
         }
-        match order {
-            EvictionOrder::BucketSequential => {}
-            EvictionOrder::FullMortonSort => out.sort_by(|a, b| morton::cmp_keys(a.0, b.0)),
-            EvictionOrder::InsertionFifo => out.sort_by_key(|c| c.2),
-        }
-        let cell = |(key, log_odds, _)| EvictedCell { key, log_odds };
-        out.into_iter().map(cell).collect()
-    }
-
-    /// `drain_all` ignores the FIFO order (it drains bucket-sequentially).
-    fn drain_all(&mut self, order: EvictionOrder) -> Vec<EvictedCell> {
-        let order = match order {
-            EvictionOrder::InsertionFifo => EvictionOrder::BucketSequential,
-            order => order,
-        };
-        self.evict(0, order)
-    }
-
-    fn grow(&mut self, bucket_of: impl Fn(VoxelKey) -> usize) {
-        let old = std::mem::take(&mut self.buckets);
-        self.buckets = vec![VecDeque::new(); old.len() * 2];
-        for cell in old.into_iter().flatten() {
-            self.buckets[bucket_of(cell.0)].push_back(cell);
-        }
+        run
     }
 
     fn iter(&self) -> Vec<EvictedCell> {
-        let cell = |&(key, log_odds, _): &(VoxelKey, f32, u64)| EvictedCell { key, log_odds };
+        let cell = |&(key, log_odds, _): &(VoxelKey, f32, u32)| EvictedCell { key, log_odds };
         self.buckets.iter().flatten().map(cell).collect()
     }
 
@@ -121,12 +112,19 @@ impl ModelCache {
     }
 }
 
+/// What the cache hands out for a model run: the same cells in Morton order
+/// (a cache holds a voxel once, so the keys of a run are unique).
+fn morton_sorted(mut run: ModelRun) -> Vec<EvictedCell> {
+    run.sort_by(|a, b| morton::cmp_keys(a.1, b.1));
+    let cell = |(_, key, log_odds, _)| EvictedCell { key, log_odds };
+    run.into_iter().map(cell).collect()
+}
+
 /// Ops driving the storage-exactness property.
 #[derive(Debug, Clone)]
 enum StorageOp {
     Insert(VoxelKey, bool),
     Evict,
-    Grow,
     DrainAll,
 }
 
@@ -135,7 +133,6 @@ fn arb_storage_op() -> impl Strategy<Value = StorageOp> {
         40 => (0u16..6, 0u16..6, 0u16..4, any::<bool>())
             .prop_map(|(x, y, z, o)| StorageOp::Insert(VoxelKey::new(x, y, z), o)),
         4 => Just(StorageOp::Evict),
-        1 => Just(StorageOp::Grow),
         1 => Just(StorageOp::DrainAll),
     ]
 }
@@ -226,9 +223,9 @@ proptest! {
     }
 
     /// The slab behaves exactly as the layout it replaced: under any
-    /// interleaving of insert / evict / grow / drain_all, every answer the
-    /// cache gives equals the reference model's, order included. Half the
-    /// cases offer their observations through `insert_batch`, in batches of
+    /// interleaving of insert / evict / drain_all, every answer the cache
+    /// gives equals the reference model's, order included. Half the cases
+    /// offer their observations through `insert_batch`, in batches of
     /// `batch` (0: an empty batch before every single `insert`), and must
     /// end with the statistics and the event stream of a twin cache that
     /// took them one `insert` at a time.
@@ -248,112 +245,91 @@ proptest! {
         ],
         events in any::<bool>(),
     ) {
-        let policies = [IndexPolicy::Hash, IndexPolicy::Morton];
-        let orders = [
-            EvictionOrder::BucketSequential,
-            EvictionOrder::FullMortonSort,
-            EvictionOrder::InsertionFifo,
-        ];
-        for (policy, order) in policies.into_iter().flat_map(|p| orders.map(|o| (p, o))) {
-            let cfg = CacheConfig::builder()
-                .num_buckets(buckets)
-                .tau(tau)
-                .index_policy(policy)
-                .eviction_order(order)
-                .build()
-                .unwrap();
-            let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
-            let mut twin = VoxelCache::new(cfg, OccupancyParams::default());
-            let sinks = [EventSink::new(), EventSink::new()];
-            if events {
-                cache.attach_events(sinks[0].buffer(0));
-                twin.attach_events(sinks[1].buffer(0));
-            }
-            let mut model = ModelCache {
-                buckets: vec![VecDeque::new(); buckets],
-                next_seq: 0,
-                peak_len: 0,
-            };
-            // The stand-in octree all sides seed their misses from.
-            let mut flushed: HashMap<VoxelKey, f32> = HashMap::new();
-            let mut offered: Vec<VoxelKey> = Vec::new();
-            // Observations not yet offered to the caches.
-            let mut pending: Vec<VoxelUpdate> = Vec::new();
+        let cfg = CacheConfig::builder()
+            .num_buckets(buckets)
+            .tau(tau)
+            .build()
+            .unwrap();
+        let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
+        let mut twin = VoxelCache::new(cfg, OccupancyParams::default());
+        let sinks = [EventSink::new(), EventSink::new()];
+        if events {
+            cache.attach_events(sinks[0].buffer(0));
+            twin.attach_events(sinks[1].buffer(0));
+        }
+        let mut model = ModelCache::new(buckets);
+        // The stand-in octree all sides seed their misses from.
+        let mut flushed: HashMap<VoxelKey, f32> = HashMap::new();
+        let mut offered: Vec<VoxelKey> = Vec::new();
+        // Observations not yet offered to the caches.
+        let mut pending: Vec<VoxelUpdate> = Vec::new();
 
-            // The pass at the end offers what is left of the last batch.
-            for op in ops.iter().chain([&StorageOp::Evict]) {
-                let at = format!("{policy:?} {order:?} {batch:?} {op:?}");
-                if let StorageOp::Insert(key, occupied) = *op {
-                    offered.push(key);
-                    pending.push(VoxelUpdate { key, occupied });
-                    if pending.len() < batch.unwrap_or(1) {
-                        continue;
-                    }
+        // The pass at the end offers what is left of the last batch.
+        for op in ops.iter().chain([&StorageOp::Evict]) {
+            let at = format!("{batch:?} {op:?}");
+            if let StorageOp::Insert(key, occupied) = *op {
+                offered.push(key);
+                pending.push(VoxelUpdate { key, occupied });
+                if pending.len() < batch.unwrap_or(1) {
+                    continue;
                 }
-                let seed = |key: VoxelKey| flushed.get(&key).copied();
-                match batch {
-                    Some(n) if n > 0 => cache.insert_batch(&pending, seed),
-                    _ => {
-                        for u in &pending {
-                            if batch.is_some() {
-                                cache.insert_batch(&[], |_| panic!("nothing to seed"));
-                            }
-                            cache.insert(u.key, u.occupied, seed);
+            }
+            let seed = |key: VoxelKey| flushed.get(&key).copied();
+            match batch {
+                Some(n) if n > 0 => cache.insert_batch(&pending, seed),
+                _ => {
+                    for u in &pending {
+                        if batch.is_some() {
+                            cache.insert_batch(&[], |_| panic!("nothing to seed"));
                         }
+                        cache.insert(u.key, u.occupied, seed);
                     }
-                }
-                for u in pending.drain(..) {
-                    let hit = twin.insert(u.key, u.occupied, seed);
-                    let bucket = cache.bucket_index(u.key);
-                    assert_eq!(hit, model.insert(bucket, u.key, u.occupied, seed(u.key)), "{at}");
-                }
-                let evicted = match *op {
-                    StorageOp::Insert(..) => Vec::new(),
-                    StorageOp::Evict => {
-                        let evicted = cache.evict();
-                        assert_eq!(evicted, model.evict(tau, order), "{at}");
-                        assert_eq!(evicted, twin.evict(), "{at}");
-                        evicted
-                    }
-                    StorageOp::Grow if cache.config().num_buckets() < 128 => {
-                        cache.grow();
-                        twin.grow();
-                        model.grow(|key| cache.bucket_index(key));
-                        Vec::new()
-                    }
-                    StorageOp::Grow => Vec::new(),
-                    StorageOp::DrainAll => {
-                        let drained = cache.drain_all();
-                        assert_eq!(drained, model.drain_all(order), "{at}");
-                        assert_eq!(drained, twin.drain_all(), "{at}");
-                        drained
-                    }
-                };
-                flushed.extend(evicted.iter().map(|c| (c.key, c.log_odds)));
-                assert_eq!(cache.stats(), twin.stats(), "{at}");
-                assert_eq!(cache.len(), model.len(), "{at}");
-                assert_eq!(cache.peak_len(), model.peak_len, "{at}");
-                assert_eq!(cache.bucket_occupancy_histogram(), model.histogram(), "{at}");
-                assert_eq!(cache.iter().collect::<Vec<_>>(), model.iter(), "{at}");
-                for &key in &offered {
-                    let bucket = cache.bucket_index(key);
-                    assert_eq!(cache.peek(key), model.peek(bucket, key), "{at}: {key}");
                 }
             }
-            if events {
-                cache.events_mut().unwrap().drain();
-                twin.events_mut().unwrap().drain();
-                let [batched, single] = sinks.map(|sink| untimed(sink.take().events));
-                assert_eq!(batched, single, "{policy:?} {order:?} {batch:?}");
+            for u in pending.drain(..) {
+                let hit = twin.insert(u.key, u.occupied, seed);
+                let bucket = cache.bucket_index(u.key);
+                assert_eq!(hit, model.insert(bucket, u.key, u.occupied, seed(u.key)), "{at}");
             }
+            let evicted = match *op {
+                StorageOp::Insert(..) => Vec::new(),
+                StorageOp::Evict => {
+                    let evicted = cache.evict();
+                    assert_eq!(evicted, morton_sorted(model.evict(tau)), "{at}");
+                    assert_eq!(evicted, twin.evict(), "{at}");
+                    evicted
+                }
+                StorageOp::DrainAll => {
+                    let drained = cache.drain_all();
+                    assert_eq!(drained, morton_sorted(model.evict(0)), "{at}");
+                    assert_eq!(drained, twin.drain_all(), "{at}");
+                    drained
+                }
+            };
+            flushed.extend(evicted.iter().map(|c| (c.key, c.log_odds)));
+            assert_eq!(cache.stats(), twin.stats(), "{at}");
+            assert_eq!(cache.len(), model.len(), "{at}");
+            assert_eq!(cache.peak_len(), model.peak_len, "{at}");
+            assert_eq!(cache.bucket_occupancy_histogram(), model.histogram(), "{at}");
+            assert_eq!(cache.iter().collect::<Vec<_>>(), model.iter(), "{at}");
+            for &key in &offered {
+                let bucket = cache.bucket_index(key);
+                assert_eq!(cache.peek(key), model.peek(bucket, key), "{at}: {key}");
+            }
+        }
+        if events {
+            cache.events_mut().unwrap().drain();
+            twin.events_mut().unwrap().drain();
+            let [batched, single] = sinks.map(|sink| untimed(sink.take().events));
+            assert_eq!(batched, single, "{batch:?}");
         }
     }
 
-    /// Under Morton indexing the sorted eviction order is produced by
-    /// counting, not comparing: for any keys — high parts past 32 bits at
-    /// the small `w`s, no low bits at all at `w = 1` — a pass and the final
-    /// drain hand out the bucket-sequential run sorted by Morton code, and
-    /// emit their `CacheEvict` events in bucket-sequential order.
+    /// The sorted eviction order is produced by counting, not comparing:
+    /// for any keys — high parts past 32 bits at the small `w`s, no low
+    /// bits at all at `w = 1` — a pass and the final drain hand out the
+    /// model's bucket-sequential run sorted by Morton code, and emit their
+    /// `CacheEvict` events in that run's bucket-sequential order.
     #[test]
     fn counting_drain_equals_the_morton_comparison_sort(
         keys in proptest::collection::vec(
@@ -366,42 +342,43 @@ proptest! {
         tau in 1usize..3,
         split in 0usize..200,
     ) {
-        let build = |order| {
-            let cfg = CacheConfig::builder()
-                .num_buckets(buckets)
-                .tau(tau)
-                .eviction_order(order)
-                .build()
-                .unwrap();
-            let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
-            let sink = EventSink::new();
-            cache.attach_events(sink.buffer(0));
-            (cache, sink)
+        let cfg = CacheConfig::builder()
+            .num_buckets(buckets)
+            .tau(tau)
+            .build()
+            .unwrap();
+        let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
+        let sink = EventSink::new();
+        cache.attach_events(sink.buffer(0));
+        let mut model = ModelCache::new(buckets);
+        // `(key, bucket, hits)` of every `CacheEvict` the model expects.
+        let mut walked: Vec<(u64, u32, u32)> = Vec::new();
+        let mut expect = |run: ModelRun| {
+            let evict = |&(bucket, key, _, hits): &_| (morton::encode(key), bucket as u32, hits);
+            walked.extend(run.iter().map(evict));
+            morton_sorted(run)
         };
-        let (mut counted, counted_sink) = build(EvictionOrder::FullMortonSort);
-        let (mut walked, walked_sink) = build(EvictionOrder::BucketSequential);
         // One pass part-way, one at the end, then the drain of what is left.
         let (head, tail) = keys.split_at(split.min(keys.len()));
         for part in [head, tail] {
             for (i, &key) in part.iter().enumerate() {
-                counted.insert(key, i % 2 == 0, |_| None);
-                walked.insert(key, i % 2 == 0, |_| None);
+                cache.insert(key, i % 2 == 0, |_| None);
+                model.insert(cache.bucket_index(key), key, i % 2 == 0, None);
             }
-            let mut sorted = walked.evict();
-            sorted.sort_unstable_by(|a, b| morton::cmp_keys(a.key, b.key));
-            assert_eq!(counted.evict(), sorted);
+            assert_eq!(cache.evict(), expect(model.evict(tau)));
         }
-        let mut sorted = walked.drain_all();
-        sorted.sort_unstable_by(|a, b| morton::cmp_keys(a.key, b.key));
-        assert_eq!(counted.drain_all(), sorted);
-        assert!(counted.is_empty());
+        assert_eq!(cache.drain_all(), expect(model.evict(0)));
+        assert!(cache.is_empty());
 
-        counted.events_mut().unwrap().drain();
-        walked.events_mut().unwrap().drain();
-        assert_eq!(
-            untimed(counted_sink.take().events),
-            untimed(walked_sink.take().events)
-        );
+        cache.events_mut().unwrap().drain();
+        let evicts: Vec<(u64, u32, u32)> = sink
+            .take()
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::CacheEvict)
+            .map(|e| (e.key, e.bucket, e.hits))
+            .collect();
+        assert_eq!(evicts, walked);
     }
 
     /// `merge` is associative with `CacheStats::default()` as the zero.
@@ -434,50 +411,45 @@ proptest! {
         assert_eq!(total.since(&total), CacheStats::default());
     }
 
-    /// Hash and Morton indexing agree on bucket membership: under either
-    /// policy every key lands in one in-range bucket, is found there again
-    /// by `peek`/`bucket_index`, and the occupancy histogram accounts for
-    /// every resident cell.
+    /// Bucket membership: every key lands in one in-range bucket, is found
+    /// there again by `peek`/`bucket_index`, and the occupancy histogram
+    /// accounts for every resident cell.
     #[test]
-    fn indexing_policies_agree_on_membership(
+    fn every_key_lives_in_exactly_one_in_range_bucket(
         keys in proptest::collection::vec(
             (0u16..64, 0u16..64, 0u16..64).prop_map(|(x, y, z)| VoxelKey::new(x, y, z)),
             1..80,
         ),
         buckets_log2 in 4u32..9,
     ) {
-        let params = OccupancyParams::default();
-        for policy in [IndexPolicy::Hash, IndexPolicy::Morton] {
-            let cfg = CacheConfig::builder()
-                .num_buckets(1usize << buckets_log2)
-                .tau(80) // no bucket can overflow: membership stays put
-                .index_policy(policy)
-                .build()
-                .unwrap();
-            let mut cache = VoxelCache::new(cfg, params);
-            for key in &keys {
-                cache.insert(*key, true, |_| None);
-            }
-            for key in &keys {
-                let b = cache.bucket_index(*key);
-                assert!(b < 1usize << buckets_log2, "{policy:?}: bucket {b} out of range");
-                // bucket_index is a pure function of the key.
-                assert_eq!(b, cache.bucket_index(*key), "{policy:?}: unstable index");
-                assert!(cache.peek(*key).is_some(), "{policy:?}: {key} not found");
-            }
-            let distinct: std::collections::HashSet<VoxelKey> = keys.iter().copied().collect();
-            assert_eq!(cache.len(), distinct.len(), "{policy:?}");
-            // The histogram is indexed by occupancy count: summing
-            // `count × buckets_with_that_count` must account for every
-            // resident cell, and the bucket total must match `num_buckets`.
-            let hist = cache.bucket_occupancy_histogram();
-            let cells: usize = hist.iter().enumerate().map(|(c, n)| c * n).sum();
-            assert_eq!(cells, cache.len(), "{policy:?}");
-            assert!(
-                hist.iter().sum::<usize>() <= 1usize << buckets_log2,
-                "{policy:?}: more buckets than configured"
-            );
+        let cfg = CacheConfig::builder()
+            .num_buckets(1usize << buckets_log2)
+            .tau(80) // no bucket can overflow: membership stays put
+            .build()
+            .unwrap();
+        let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
+        for key in &keys {
+            cache.insert(*key, true, |_| None);
         }
+        for key in &keys {
+            let b = cache.bucket_index(*key);
+            assert!(b < 1usize << buckets_log2, "bucket {b} out of range");
+            // bucket_index is a pure function of the key.
+            assert_eq!(b, cache.bucket_index(*key), "unstable index");
+            assert!(cache.peek(*key).is_some(), "{key} not found");
+        }
+        let distinct: std::collections::HashSet<VoxelKey> = keys.iter().copied().collect();
+        assert_eq!(cache.len(), distinct.len());
+        // The histogram is indexed by occupancy count: summing
+        // `count × buckets_with_that_count` must account for every
+        // resident cell, and the bucket total must match `num_buckets`.
+        let hist = cache.bucket_occupancy_histogram();
+        let cells: usize = hist.iter().enumerate().map(|(c, n)| c * n).sum();
+        assert_eq!(cells, cache.len());
+        assert!(
+            hist.iter().sum::<usize>() <= 1usize << buckets_log2,
+            "more buckets than configured"
+        );
     }
 }
 

@@ -85,7 +85,7 @@ pub struct ScanRecord {
     /// Integrity transitions back to intact during this scan (delta).
     pub heals: u64,
     /// Time the supervisor spent respawning workers before this scan, in
-    /// nanoseconds (backoff sleeps + thread spawn).
+    /// nanoseconds (thread spawn).
     pub restart_ns: u64,
     /// Scans shed by the admission gate or memory governor since the
     /// previous applied scan (shed scans get no record of their own; the
