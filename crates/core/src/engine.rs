@@ -578,20 +578,22 @@ impl<E: ScanExecutor> Engine<E> {
         }
     }
 
-    /// Runs one scan-shaped unit of work through the full lifecycle:
-    /// sequence → execute → republish → assemble → record → surface any
-    /// deferred fault. Shared by [`MappingSystem::insert_scan`] and the
-    /// serial backend's pre-traced `insert_batch` path.
-    pub(crate) fn run_scan(
+    /// Runs one scan through the full lifecycle: sequence → execute →
+    /// republish → assemble → record → surface any deferred fault.
+    fn run_scan(
         &mut self,
-        run: impl FnOnce(&mut E, u64, &mut ScanMetrics) -> Result<ScanOutput, PipelineError>,
+        origin: Point3,
+        cloud: &[Point3],
+        max_range: f64,
     ) -> Result<ScanReport, PipelineError> {
         let scan_seq = self.telemetry.scans();
         let mut metrics = ScanMetrics::default();
         // An executor error aborts the scan before any lifecycle side
         // effects: nothing recorded, nothing republished.
         let started = Instant::now();
-        let out = run(&mut self.exec, scan_seq, &mut metrics)?;
+        let out = self
+            .exec
+            .execute_scan(origin, cloud, max_range, scan_seq, &mut metrics)?;
         if let Some(gate) = &mut self.gate {
             gate.observe_scan(started.elapsed());
         }
@@ -663,9 +665,7 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
         max_range: f64,
     ) -> Result<ScanReport, PipelineError> {
         self.budget_check()?;
-        self.run_scan(|exec, scan_seq, metrics| {
-            exec.execute_scan(origin, cloud, max_range, scan_seq, metrics)
-        })
+        self.run_scan(origin, cloud, max_range)
     }
 
     fn submit_scan(
@@ -678,10 +678,8 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
             return Ok(ScanOutcome::Shed(reason));
         }
         // Admission already ran the governor; execute without re-checking.
-        self.run_scan(|exec, scan_seq, metrics| {
-            exec.execute_scan(origin, cloud, max_range, scan_seq, metrics)
-        })
-        .map(ScanOutcome::Applied)
+        self.run_scan(origin, cloud, max_range)
+            .map(ScanOutcome::Applied)
     }
 
     fn admission_check(&mut self) -> Option<ShedReason> {

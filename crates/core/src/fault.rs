@@ -38,33 +38,25 @@ pub enum PipelineError {
     /// producer re-applied the retained batch inline, so the map stays
     /// consistent; evictions are applied inline from now on.
     WorkerPanicked {
-        /// Index of the dead worker (always 0: there is one worker).
-        worker: usize,
         /// 0-based batch index the worker died on.
         batch: u64,
     },
     /// The worker thread could not be spawned; evictions are applied
     /// inline on the producer thread instead.
     WorkerSpawn {
-        /// Index of the worker that failed to spawn.
-        worker: usize,
         /// The OS error message.
         reason: String,
     },
-    /// A worker stopped making progress and the bounded backoff expired
+    /// The worker stopped making progress and the bounded backoff expired
     /// after `waited`. The worker is taken out of rotation but cannot be
     /// joined (it may be wedged); see [`Integrity::Compromised`].
     QueueStalled {
-        /// Index of the stalled worker.
-        worker: usize,
         /// How long the producer waited before giving up.
         waited: Duration,
     },
     /// A batch was abandoned midway and its tail could not be re-applied:
     /// `cells_dropped` evicted cells may be missing from the map.
     PartialScan {
-        /// Index of the worker that abandoned the batch.
-        worker: usize,
         /// 0-based batch index that was cut short.
         batch: u64,
         /// Evicted cells of the batch that were not confirmed applied.
@@ -92,24 +84,23 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::Geom(e) => write!(f, "invalid scan geometry: {e}"),
-            PipelineError::WorkerPanicked { worker, batch } => {
-                write!(f, "octree worker {worker} panicked on batch {batch}")
+            PipelineError::WorkerPanicked { batch } => {
+                write!(f, "the octree worker panicked on batch {batch}")
             }
-            PipelineError::WorkerSpawn { worker, reason } => {
-                write!(f, "octree worker {worker} failed to spawn: {reason}")
+            PipelineError::WorkerSpawn { reason } => {
+                write!(f, "the octree worker failed to spawn: {reason}")
             }
-            PipelineError::QueueStalled { worker, waited } => write!(
+            PipelineError::QueueStalled { waited } => write!(
                 f,
-                "octree worker {worker} stalled (waited {:.1} ms past deadline)",
+                "the octree worker stalled (waited {:.1} ms past deadline)",
                 waited.as_secs_f64() * 1e3
             ),
             PipelineError::PartialScan {
-                worker,
                 batch,
                 cells_dropped,
             } => write!(
                 f,
-                "worker {worker} abandoned batch {batch} with {cells_dropped} cells unapplied"
+                "the octree worker abandoned batch {batch} with {cells_dropped} cells unapplied"
             ),
             PipelineError::Durable(e) => write!(f, "durable storage: {e}"),
             PipelineError::OverBudget {
@@ -218,7 +209,7 @@ pub struct FaultCounters {
     /// Evicted cells re-applied (or applied inline) by the producer.
     pub cells_reapplied: u64,
     /// Worker threads respawned by the supervisor
-    /// ([`RestartPolicy`](crate::supervisor::RestartPolicy)).
+    /// ([`CacheConfig::max_restarts`](crate::CacheConfig::max_restarts)).
     pub restarts: u64,
     /// Integrity transitions back to [`Integrity::Intact`] after every
     /// dead worker was respawned.
@@ -337,38 +328,13 @@ impl IntegrityState {
     }
 }
 
-/// Kill coordinates: which worker dies, and on which batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultAt {
-    /// Worker index (taken modulo the worker count, which is one).
-    pub worker: usize,
-    /// 0-based batch index at which the fault fires.
-    pub batch: u64,
-}
-
-/// Stall coordinates: which worker sleeps, when, and for how long.
+/// Stall coordinates: when the worker sleeps, and for how long.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallAt {
-    /// Worker index (taken modulo the worker count, which is one).
-    pub worker: usize,
     /// 0-based batch index at which the stall fires.
     pub batch: u64,
     /// Stall duration in microseconds.
     pub micros: u64,
-}
-
-/// Periodic-kill coordinates: a worker that panics every `every` batches
-/// of its (possibly respawned) thread's life — the chaos-soak workload for
-/// exercising [`RestartPolicy`](crate::supervisor::RestartPolicy) budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillEvery {
-    /// Worker index (taken modulo the worker count, which is one).
-    pub worker: usize,
-    /// Panic once every `every` batches (the fault fires when
-    /// `(batch + 1) % every == 0`, so a freshly respawned thread — whose
-    /// local batch index restarts at 0 — survives `every - 1` batches
-    /// before dying again).
-    pub every: u64,
 }
 
 /// A deterministic fault-injection schedule for one pipeline instance.
@@ -376,27 +342,29 @@ pub struct KillEvery {
 /// Stored on [`crate::CacheConfig`] (via
 /// [`crate::CacheConfigBuilder::fault_plan`]); the hooks that act on it
 /// are compiled only under `cfg(any(test, feature = "fault-injection"))`
-/// and are zero-cost no-ops otherwise. Worker indices are taken modulo the
-/// worker count — one — so every index names the same worker.
+/// and are zero-cost no-ops otherwise. There is one octree worker, so a
+/// plan holds batch indices, not worker indices.
 ///
 /// The CLI derives a plan from the `OCTO_FAULT` environment variable (or
 /// `--fault`); embedders can call [`FaultPlan::from_env`] themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// Panic worker `kill.worker` at the start of batch `kill.batch`.
-    pub kill: Option<FaultAt>,
-    /// Sleep worker `stall.worker` for `stall.micros` µs at the start of
-    /// batch `stall.batch`.
+    /// Panic the worker at the start of this 0-based batch.
+    pub kill: Option<u64>,
+    /// Sleep the worker for `stall.micros` µs at the start of batch
+    /// `stall.batch`.
     pub stall: Option<StallAt>,
-    /// Fail the spawn of this worker index (modulo the worker count, which is one).
-    pub fail_spawn: Option<usize>,
-    /// Shrink this worker's ring to near-zero capacity so back-pressure
+    /// Fail the worker's thread spawn.
+    pub fail_spawn: bool,
+    /// Shrink the worker's ring to near-zero capacity so back-pressure
     /// fires on every chunk.
-    pub fill_ring: Option<usize>,
-    /// Panic worker `kill_every.worker` repeatedly, every
-    /// `kill_every.every` batches — across respawns, so a restart budget
-    /// is eventually exhausted.
-    pub kill_every: Option<KillEvery>,
+    pub fill_ring: bool,
+    /// Panic the worker once every this many batches of its (possibly
+    /// respawned) thread's life: the fault fires when
+    /// `(batch + 1) % every == 0`, so a freshly respawned thread — whose
+    /// local batch index restarts at 0 — survives `every - 1` batches
+    /// before dying again, and a restart budget is eventually exhausted.
+    pub kill_every: Option<u64>,
 }
 
 /// xorshift64* step — a tiny deterministic generator so plans need no RNG
@@ -412,80 +380,72 @@ fn xorshift(state: &mut u64) -> u64 {
 
 impl FaultPlan {
     /// Derives a single-fault plan deterministically from `seed`: the
-    /// fault kind, target worker, batch index and stall length are all
-    /// pure functions of the seed.
+    /// fault kind, batch index and stall length are all pure functions of
+    /// the seed.
     pub fn from_seed(seed: u64) -> FaultPlan {
         let mut s = seed ^ 0x9E37_79B9_7F4A_7C15;
         if s == 0 {
             s = 1;
         }
         let kind = xorshift(&mut s) % 4;
-        let worker = (xorshift(&mut s) % 8) as usize;
+        xorshift(&mut s); // the draw that once picked a worker index: seeds keep their plans
         let batch = xorshift(&mut s) % 6;
         let micros = 100 + xorshift(&mut s) % 5_000;
         let mut plan = FaultPlan::default();
         match kind {
-            0 => {
-                plan.kill = Some(FaultAt { worker, batch });
-            }
-            1 => {
-                plan.stall = Some(StallAt {
-                    worker,
-                    batch,
-                    micros,
-                });
-            }
-            2 => plan.fail_spawn = Some(worker),
-            _ => plan.fill_ring = Some(worker),
+            0 => plan.kill = Some(batch),
+            1 => plan.stall = Some(StallAt { batch, micros }),
+            2 => plan.fail_spawn = true,
+            _ => plan.fill_ring = true,
         }
         plan
     }
 
     /// Parses a fault spec string:
     ///
-    /// * `kill:<worker>@<batch>` — panic that worker at that batch,
+    /// * `kill:<worker>@<batch>` — panic the worker at that batch,
     /// * `stall:<worker>@<batch>:<micros>` — sleep that long instead,
-    /// * `spawn:<worker>` — fail that worker's thread spawn,
-    /// * `fill:<worker>` — shrink that worker's ring to force constant
+    /// * `spawn:<worker>` — fail the worker's thread spawn,
+    /// * `fill:<worker>` — shrink the worker's ring to force constant
     ///   back-pressure,
-    /// * `killevery:<worker>@<n>` — panic that worker every `n` batches,
+    /// * `killevery:<worker>@<n>` — panic the worker every `n` batches,
     ///   across respawns,
     /// * `seed:<n>` — same as [`FaultPlan::from_seed`].
+    ///
+    /// `<worker>` is a leftover of the N-worker grammar: it must parse as
+    /// an index, and every index names the one worker.
     ///
     /// Returns `None` for anything malformed (injection is best-effort
     /// tooling; a bad spec must never panic a host process).
     pub fn from_spec(spec: &str) -> Option<FaultPlan> {
         let (kind, rest) = spec.split_once(':')?;
+        /// Strips and validates the `<worker>@` prefix.
+        fn after_worker(s: &str) -> Option<&str> {
+            let (w, tail) = s.split_once('@')?;
+            w.parse::<usize>().ok()?;
+            Some(tail)
+        }
         let mut plan = FaultPlan::default();
         match kind {
-            "kill" => {
-                let (w, b) = rest.split_once('@')?;
-                plan.kill = Some(FaultAt {
-                    worker: w.parse().ok()?,
-                    batch: b.parse().ok()?,
-                });
-            }
+            "kill" => plan.kill = Some(after_worker(rest)?.parse().ok()?),
             "stall" => {
-                let (w, rest) = rest.split_once('@')?;
-                let (b, us) = rest.split_once(':')?;
+                let (b, us) = after_worker(rest)?.split_once(':')?;
                 plan.stall = Some(StallAt {
-                    worker: w.parse().ok()?,
                     batch: b.parse().ok()?,
                     micros: us.parse().ok()?,
                 });
             }
-            "spawn" => plan.fail_spawn = Some(rest.parse().ok()?),
-            "fill" => plan.fill_ring = Some(rest.parse().ok()?),
+            "spawn" | "fill" => {
+                rest.parse::<usize>().ok()?;
+                plan.fail_spawn = kind == "spawn";
+                plan.fill_ring = kind == "fill";
+            }
             "killevery" => {
-                let (w, n) = rest.split_once('@')?;
-                let every: u64 = n.parse().ok()?;
+                let every: u64 = after_worker(rest)?.parse().ok()?;
                 if every == 0 {
                     return None;
                 }
-                plan.kill_every = Some(KillEvery {
-                    worker: w.parse().ok()?,
-                    every,
-                });
+                plan.kill_every = Some(every);
             }
             "seed" => return Some(FaultPlan::from_seed(rest.parse().ok()?)),
             _ => return None,
@@ -516,20 +476,14 @@ mod tests {
     fn display_covers_every_variant() {
         let errors = [
             PipelineError::Geom(GeomError::NotFinite),
-            PipelineError::WorkerPanicked {
-                worker: 2,
-                batch: 5,
-            },
+            PipelineError::WorkerPanicked { batch: 5 },
             PipelineError::WorkerSpawn {
-                worker: 0,
                 reason: "out of threads".into(),
             },
             PipelineError::QueueStalled {
-                worker: 1,
                 waited: Duration::from_millis(12),
             },
             PipelineError::PartialScan {
-                worker: 3,
                 batch: 7,
                 cells_dropped: 41,
             },
@@ -603,8 +557,8 @@ mod tests {
             let faults = [
                 a.kill.is_some(),
                 a.stall.is_some(),
-                a.fail_spawn.is_some(),
-                a.fill_ring.is_some(),
+                a.fail_spawn,
+                a.fill_ring,
             ];
             assert_eq!(
                 faults.iter().filter(|&&f| f).count(),
@@ -624,10 +578,7 @@ mod tests {
         assert_eq!(
             FaultPlan::from_spec("kill:2@5"),
             Some(FaultPlan {
-                kill: Some(FaultAt {
-                    worker: 2,
-                    batch: 5
-                }),
+                kill: Some(5),
                 ..Default::default()
             })
         );
@@ -635,7 +586,6 @@ mod tests {
             FaultPlan::from_spec("stall:1@3:2500"),
             Some(FaultPlan {
                 stall: Some(StallAt {
-                    worker: 1,
                     batch: 3,
                     micros: 2500
                 }),
@@ -645,14 +595,14 @@ mod tests {
         assert_eq!(
             FaultPlan::from_spec("spawn:7"),
             Some(FaultPlan {
-                fail_spawn: Some(7),
+                fail_spawn: true,
                 ..Default::default()
             })
         );
         assert_eq!(
             FaultPlan::from_spec("fill:0"),
             Some(FaultPlan {
-                fill_ring: Some(0),
+                fill_ring: true,
                 ..Default::default()
             })
         );
@@ -663,10 +613,7 @@ mod tests {
         assert_eq!(
             FaultPlan::from_spec("killevery:1@3"),
             Some(FaultPlan {
-                kill_every: Some(KillEvery {
-                    worker: 1,
-                    every: 3
-                }),
+                kill_every: Some(3),
                 ..Default::default()
             })
         );
@@ -678,7 +625,10 @@ mod tests {
             "kill:x@y",
             "stall:1@3",
             "explode:1",
+            "kill:x@5",
+            "stall:w@3:2500",
             "spawn:abc",
+            "fill:",
             "killevery:1",
             "killevery:1@0",
             "killevery:x@2",

@@ -77,7 +77,7 @@ pub use query::{
 #[doc(hidden)]
 pub use routing::OctantRouter;
 pub use serial::SerialOctoCache;
-pub use supervisor::{PressureLevel, RestartPolicy, ScanOutcome, ShedReason, SupervisorParams};
+pub use supervisor::{PressureLevel, ScanOutcome, ShedReason, SupervisorParams};
 // Telemetry primitives live in `octocache-telemetry`; `PhaseTimes` is
 // re-exported here because it predates that crate and every downstream
 // consumer imports it from `octocache`.

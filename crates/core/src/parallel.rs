@@ -52,7 +52,7 @@ use crate::fault::FaultPlan;
 use crate::fault::{FaultCounters, Integrity, IntegrityState, IntegrityTransition, PipelineError};
 use crate::pipeline::{MappingSystem, RayTracer};
 use crate::spsc::{self, Backoff, Producer};
-use crate::supervisor::{PressureLevel, RestartPolicy, SupervisorParams};
+use crate::supervisor::{PressureLevel, SupervisorParams};
 
 /// Items flowing through the worker's buffer.
 ///
@@ -70,9 +70,6 @@ enum Item {
 
 /// Evicted voxels per queue message.
 const CHUNK_CELLS: usize = 1024;
-
-/// The worker's index in [`PipelineError`] reports (there is one worker).
-const WORKER: usize = 0;
 
 /// The worker's event lane; lane 0 is the producer.
 const WORKER_LANE: u32 = 1;
@@ -130,7 +127,7 @@ struct Worker {
     /// periodic component ([`WorkerFaults::respawned`]).
     faults: WorkerFaults,
     /// Times the worker has been respawned (counts against
-    /// [`RestartPolicy::max_restarts`]).
+    /// [`ParallelExecutor::max_restarts`]).
     restarts: u32,
 }
 
@@ -187,8 +184,9 @@ pub struct ParallelExecutor {
     /// Map-consistency verdict (`integrity`) plus its transition history,
     /// so heals stay visible after the sticky flag recovers.
     integrity: IntegrityState,
-    /// Worker-respawn budget ([`CacheConfig::max_restarts`]).
-    restart_policy: RestartPolicy,
+    /// Worker-respawn budget ([`CacheConfig::max_restarts`]); `0` disables
+    /// respawn.
+    max_restarts: u32,
     /// Nanos spent respawning the worker, not yet attributed to a scan.
     restart_ns_pending: u64,
     /// First pipeline fault observed during the current scan, surfaced by
@@ -312,14 +310,13 @@ struct WorkerFaults {
 struct WorkerFaults;
 
 impl WorkerFaults {
-    /// The schedule a plan gives the worker. A plan's worker indices are
-    /// reduced modulo the worker count — one — so every entry applies.
+    /// The schedule a plan gives the worker.
     #[cfg(any(test, feature = "fault-injection"))]
     fn from_plan(plan: &FaultPlan) -> Self {
         WorkerFaults {
-            kill_at: plan.kill.map(|k| k.batch),
+            kill_at: plan.kill,
             stall_at: plan.stall.map(|s| (s.batch, s.micros)),
-            kill_every: plan.kill_every.map(|k| k.every),
+            kill_every: plan.kill_every,
         }
     }
 
@@ -400,16 +397,8 @@ impl ParallelOctoCache {
             // `fill_ring` shrinks the ring to near zero: back-pressure fires
             // on every chunk, exercising the bounded backoff without any
             // failure.
-            let capacity = if plan.fill_ring.is_some() {
-                2
-            } else {
-                QUEUE_CAPACITY
-            };
-            (
-                WorkerFaults::from_plan(&plan),
-                plan.fail_spawn.is_some(),
-                capacity,
-            )
+            let capacity = if plan.fill_ring { 2 } else { QUEUE_CAPACITY };
+            (WorkerFaults::from_plan(&plan), plan.fail_spawn, capacity)
         };
         #[cfg(not(any(test, feature = "fault-injection")))]
         let (wf, inject_spawn_fail, capacity) = (WorkerFaults, false, QUEUE_CAPACITY);
@@ -436,7 +425,6 @@ impl ParallelOctoCache {
                 faults.spawn_failures += 1;
                 integrity.escalate(Integrity::Degraded);
                 let err = PipelineError::WorkerSpawn {
-                    worker: WORKER,
                     reason: e.to_string(),
                 };
                 (None, Some(err))
@@ -460,7 +448,7 @@ impl ParallelOctoCache {
         if let Some(sink) = &event_sink {
             cache.attach_events(sink.buffer(0));
         }
-        let restart_policy = RestartPolicy::from_config(cache.config());
+        let max_restarts = cache.config().max_restarts();
         Engine::from_executor(ParallelExecutor {
             cache,
             worker,
@@ -473,7 +461,7 @@ impl ParallelOctoCache {
             faults,
             faults_reported: FaultCounters::default(),
             integrity,
-            restart_policy,
+            max_restarts,
             restart_ns_pending: 0,
             scan_error: None,
             last_tree_stats: StatsSnapshot::default(),
@@ -544,25 +532,18 @@ impl ParallelExecutor {
         let partials = w.shared.partial_batches.load(Ordering::Acquire);
         let err = if w.shared.panicked.load(Ordering::Acquire) {
             self.faults.worker_panics += 1;
-            PipelineError::WorkerPanicked {
-                worker: WORKER,
-                batch,
-            }
+            PipelineError::WorkerPanicked { batch }
         } else if partials > w.partials_seen {
             self.faults.partial_batches += partials - w.partials_seen;
             let applied = w.shared.partial_cells_applied.load(Ordering::Acquire);
             PipelineError::PartialScan {
-                worker: WORKER,
                 batch: w.shared.partial_batch_index.load(Ordering::Acquire),
                 cells_dropped: (self.evict_buf.len() as u64).saturating_sub(applied),
             }
         } else {
             // Exited without a panic or a recorded partial (it saw shutdown
             // between batches); report the in-flight batch.
-            PipelineError::WorkerPanicked {
-                worker: WORKER,
-                batch,
-            }
+            PipelineError::WorkerPanicked { batch }
         };
         w.partials_seen = partials;
         // The thread has exited, so the octree mutex is free (parking_lot
@@ -603,10 +584,7 @@ impl ParallelExecutor {
             // be confirmed applied.
             self.integrity.escalate(Integrity::Compromised);
         }
-        self.fail_worker(PipelineError::QueueStalled {
-            worker: WORKER,
-            waited,
-        });
+        self.fail_worker(PipelineError::QueueStalled { waited });
     }
 
     /// Counts the retained batch as applied inline by the producer.
@@ -656,7 +634,6 @@ impl ParallelExecutor {
                 self.faults.partial_batches += 1;
                 self.integrity.escalate(Integrity::Compromised);
                 self.scan_error.get_or_insert(PipelineError::PartialScan {
-                    worker: WORKER,
                     batch: w.batches_sent,
                     cells_dropped: self.evict_buf.len() as u64,
                 });
@@ -673,7 +650,7 @@ impl ParallelExecutor {
     /// be exhausted.
     fn respawn_eligible(&self) -> bool {
         let w = &self.worker;
-        if w.handle.is_some() || w.restarts >= self.restart_policy.max_restarts {
+        if w.handle.is_some() || w.restarts >= self.max_restarts {
             return false;
         }
         matches!(
@@ -692,7 +669,7 @@ impl ParallelExecutor {
     /// and the retained batch has already been re-applied inline — so the
     /// fresh thread starts from an exact octree and an empty ring.
     fn try_respawn(&mut self) {
-        if !self.restart_policy.enabled() {
+        if self.max_restarts == 0 {
             return;
         }
         if self.respawn_eligible() {
@@ -1587,7 +1564,7 @@ mod tests {
 
     // ---- fault injection (hooks are active under cfg(test)) ----
 
-    use crate::fault::{FaultAt, StallAt};
+    use crate::fault::StallAt;
     use octocache_octomap::compare;
 
     /// A pipeline with a fault plan, a tiny cache (constant eviction) and a
@@ -1626,7 +1603,7 @@ mod tests {
     #[test]
     fn spawn_failure_degrades_to_inline_apply() {
         let plan = FaultPlan {
-            fail_spawn: Some(1), // any index names the one worker
+            fail_spawn: true,
             ..Default::default()
         };
         let mut s = faulty_system(plan, 1_000);
@@ -1650,10 +1627,7 @@ mod tests {
     #[test]
     fn killed_worker_is_reported_and_rerouted() {
         let plan = FaultPlan {
-            kill: Some(FaultAt {
-                worker: 1,
-                batch: 1,
-            }),
+            kill: Some(1),
             ..Default::default()
         };
         let mut s = faulty_system(plan, 1_000);
@@ -1662,7 +1636,7 @@ mod tests {
         // degraded mode and succeed.
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(
-            matches!(errors[0], PipelineError::WorkerPanicked { worker: 0, .. }),
+            matches!(errors[0], PipelineError::WorkerPanicked { .. }),
             "{:?}",
             errors[0]
         );
@@ -1683,10 +1657,7 @@ mod tests {
     #[test]
     fn killed_single_worker_still_completes_the_run() {
         let plan = FaultPlan {
-            kill: Some(FaultAt {
-                worker: 0,
-                batch: 2,
-            }),
+            kill: Some(2),
             ..Default::default()
         };
         let mut s = faulty_system(plan, 1_000);
@@ -1700,11 +1671,10 @@ mod tests {
 
     #[test]
     fn stalled_worker_times_out_into_typed_error() {
-        // Worker 0 sleeps 400 ms at batch 1; the producer's stall budget is
+        // The worker sleeps 400 ms at batch 1; the producer's stall budget is
         // 20 ms, so the bounded wait expires long before the worker wakes.
         let plan = FaultPlan {
             stall: Some(StallAt {
-                worker: 0,
                 batch: 1,
                 micros: 400_000,
             }),
@@ -1714,7 +1684,7 @@ mod tests {
         let errors = run_scans(&mut s);
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(
-            matches!(errors[0], PipelineError::QueueStalled { worker: 0, .. }),
+            matches!(errors[0], PipelineError::QueueStalled { .. }),
             "{:?}",
             errors[0]
         );
@@ -1738,7 +1708,7 @@ mod tests {
     #[test]
     fn full_ring_is_backpressure_not_a_fault() {
         let plan = FaultPlan {
-            fill_ring: Some(0),
+            fill_ring: true,
             ..Default::default()
         };
         let mut s = faulty_system(plan, 5_000);
@@ -1799,10 +1769,7 @@ mod tests {
     fn fault_deltas_reach_telemetry_records() {
         use octocache_telemetry::SharedRecorder;
         let plan = FaultPlan {
-            kill: Some(FaultAt {
-                worker: 0,
-                batch: 1,
-            }),
+            kill: Some(1),
             ..Default::default()
         };
         let mut s = faulty_system(plan, 1_000);

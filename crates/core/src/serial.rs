@@ -22,7 +22,7 @@ use crate::cache::{CacheStats, EvictedCell, VoxelCache};
 use crate::config::CacheConfig;
 use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
 use crate::fault::PipelineError;
-use crate::pipeline::{MappingSystem, RayTracer, ScanReport};
+use crate::pipeline::{MappingSystem, RayTracer};
 use crate::supervisor::{PressureLevel, SupervisorParams};
 
 /// The serial OctoCache mapping system: the scan-lifecycle [`Engine`] over
@@ -130,42 +130,9 @@ impl SerialOctoCache {
         self.finish();
         self.exec.tree
     }
-
-    /// Integrates one pre-traced voxel batch (cache insert → evict → octree
-    /// update), bypassing ray tracing. Used by benches that isolate the
-    /// cache from the front-end. Runs the full scan lifecycle (telemetry
-    /// record, snapshot republish) like [`MappingSystem::insert_scan`].
-    pub fn insert_batch(&mut self, batch: &insert::VoxelBatch) -> ScanReport {
-        self.run_scan(|exec, scan_seq, metrics| Ok(exec.execute_batch(batch, scan_seq, metrics)))
-            .expect("batch integration is infallible")
-    }
 }
 
 impl SerialExecutor {
-    /// The pre-traced-batch path behind [`SerialOctoCache::insert_batch`]:
-    /// like a scan, minus ray tracing.
-    fn execute_batch(
-        &mut self,
-        batch: &insert::VoxelBatch,
-        scan_seq: u64,
-        metrics: &mut ScanMetrics,
-    ) -> ScanOutput {
-        let cache_before = *self.cache.stats();
-        let tree_before = self.tree.stats().snapshot();
-        if let Some(buf) = self.cache.events_mut() {
-            buf.set_scan(scan_seq);
-        }
-        integrate(
-            &mut self.cache,
-            &mut self.tree,
-            &mut self.evict_buf,
-            batch,
-            metrics,
-        );
-        metrics.observations = batch.len() as u64;
-        self.finish_metrics(metrics, &cache_before, &tree_before)
-    }
-
     /// Fills the cache/octree delta fields of `metrics` from the stats
     /// movement since the captured baselines and builds the scan output.
     fn finish_metrics(
@@ -483,19 +450,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn insert_batch_bypasses_ray_tracing() {
-        let mut s = system(1 << 8, 4);
-        let mut batch = insert::VoxelBatch::new();
-        for i in 0..50u16 {
-            batch.push(VoxelKey::new(i % 10, 0, 0), true);
-        }
-        let report = s.insert_batch(&batch);
-        assert_eq!(report.observations, 50);
-        assert!(report.cache_hits >= 40); // 10 distinct keys => 40 hits
-        assert_eq!(report.times.ray_tracing, std::time::Duration::ZERO);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! inline for the rest of the run. This module adds the *recovery* model
 //! (DESIGN.md §7):
 //!
-//! * [`RestartPolicy`] bounds how often the pipeline may respawn a dead
-//!   worker. The respawn itself lives in `parallel.rs` (it needs the
-//!   retained batch and the octree); the policy and the healed-integrity
-//!   bookkeeping live here.
+//! * [`CacheConfig::max_restarts`] bounds how often the pipeline may
+//!   respawn its dead worker. The respawn itself and the budget live in
+//!   `parallel.rs` (it needs the retained batch and the octree).
 //! * [`MemoryGovernor`] walks a graduated pressure ladder against the
 //!   configured memory budget ([`CacheConfig::mem_budget`]): tighten
 //!   cache τ-eviction, force a prune, and finally reject scans with
@@ -29,6 +28,7 @@
 //! `max_restarts = 0` short-circuits respawn before any worker state is
 //! inspected.
 //!
+//! [`CacheConfig::max_restarts`]: crate::CacheConfig::max_restarts
 //! [`CacheConfig::mem_budget`]: crate::CacheConfig::mem_budget
 //! [`CacheConfig::shed_deadline`]: crate::CacheConfig::shed_deadline
 
@@ -56,33 +56,6 @@ impl SupervisorParams {
             mem_budget: config.mem_budget(),
             shed_deadline: config.shed_deadline(),
         }
-    }
-}
-
-/// How many times the supervisor respawns dead workers.
-///
-/// Derived from [`CacheConfig`](crate::CacheConfig) (`max_restarts`). The
-/// budget is **per worker**: a chaos workload that kills worker 0 five
-/// times under `max_restarts = 3` gets three heals and then the PR 3
-/// permanent-degrade path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RestartPolicy {
-    /// Respawn budget per worker. `0` disables respawn entirely.
-    pub max_restarts: u32,
-}
-
-impl RestartPolicy {
-    /// Reads the respawn knobs off a config.
-    pub fn from_config(config: &crate::CacheConfig) -> Self {
-        RestartPolicy {
-            max_restarts: config.max_restarts(),
-        }
-    }
-
-    /// True when the policy allows at least one respawn.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.max_restarts > 0
     }
 }
 
@@ -320,12 +293,6 @@ impl AdmissionGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn restart_policy_enabled_iff_budget() {
-        assert!(!RestartPolicy::default().enabled());
-        assert!(RestartPolicy { max_restarts: 1 }.enabled());
-    }
 
     #[test]
     fn pressure_levels_order_and_label() {

@@ -223,7 +223,7 @@ fn stalled_worker_surfaces_queue_stalled() {
     assert_contract("stall:0@1", &reference, &o);
     assert_eq!(o.errors.len(), 1, "{:?}", o.errors);
     assert!(
-        matches!(o.errors[0], PipelineError::QueueStalled { worker: 0, .. }),
+        matches!(o.errors[0], PipelineError::QueueStalled { .. }),
         "{:?}",
         o.errors[0]
     );
