@@ -273,7 +273,6 @@ pub fn construct(seq: &ScanSequence, axes: &[(&'static str, Cell)]) -> Row {
     assert_eq!(system.name(), backend);
     let (phases, cached) = (system.phase_times(), system.cache_stats());
     let records = recorder.records();
-    let queue = records.iter().flat_map(|r| &r.worker_queue_depths).max();
     let publishes = records.iter().filter(|r| r.snapshot_publish_ns > 0);
     let publish_ns: u64 = publishes.clone().map(|r| r.snapshot_publish_ns).sum();
     let publish_ms = publish_ns as f64 / 1e6 / publishes.count().max(1) as f64;
@@ -309,7 +308,6 @@ pub fn construct(seq: &ScanSequence, axes: &[(&'static str, Cell)]) -> Row {
         ("buckets", Int(cached.map_or(0, |_| buckets as u64))),
         ("cache(MB)", real(cache_mb, 1)),
         ("cache/tree", percent(cache_mb / tree_mb, 2)),
-        ("queue-max", Int(queue.copied().unwrap_or(0))),
         ("publish(ms)", real(publish_ms, 2)),
         (
             "answers(ms)",

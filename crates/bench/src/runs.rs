@@ -369,7 +369,7 @@ pub const RUNS: &[Run] = &[
         paper: "enqueue/dequeue negligible (e.g. FR-079: 0.017/0.050 s vs 16.4 s insertion)",
         kind: Kind::Construction,
         grids: &[&[("backend", PARALLEL)]],
-        columns: "dataset ray(s) ins(s) evict(s) octree(s) enq(s) deq(s) queue% queue-max",
+        columns: "dataset ray(s) ins(s) evict(s) octree(s) enq(s) deq(s) queue%",
     },
     Run {
         name: "fig23",
@@ -421,7 +421,7 @@ pub const RUNS: &[Run] = &[
             ("backend", PARALLEL),
             ("readers", &[Int(0), Int(1), Int(4), Int(8)]),
         ]],
-        columns: "readers scans/s publish(ms) queue-max total(s)",
+        columns: "readers scans/s publish(ms) total(s)",
     },
 ];
 

@@ -351,20 +351,26 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     // The hooks only exist when the binary was built with the
     // `fault-injection` feature; otherwise the flag is refused rather than
     // silently ignored.
+    let parse_fault = |source: &str, spec: &str| {
+        FaultPlan::from_spec(spec).ok_or_else(|| {
+            CliError::Usage(format!(
+                "malformed {source} spec `{spec}` (kill:<w>@<b> | killevery:<w>@<n> | stall:<w>@<b>:<us> | spawn:<w> | seed:<n>)"
+            ))
+        })
+    };
     if let Some(spec) = flag(&flags, "fault") {
         if !cfg!(feature = "fault-injection") {
             return Err(CliError::Usage(
                 "--fault requires a binary built with `--features fault-injection`".into(),
             ));
         }
-        let plan = FaultPlan::from_spec(spec).ok_or_else(|| {
-            CliError::Usage(format!(
-                "malformed --fault spec `{spec}` (kill:<w>@<b> | killevery:<w>@<n> | stall:<w>@<b>:<us> | spawn:<w> | fill:<w> | seed:<n>)"
-            ))
-        })?;
-        cache_builder.fault_plan(plan);
+        cache_builder.fault_plan(parse_fault("--fault", spec)?);
     } else if cfg!(feature = "fault-injection") {
-        if let Some(plan) = FaultPlan::from_env() {
+        // A spec that does not parse is refused here too: a run that asked
+        // for a fault must not quietly run clean.
+        if let Ok(spec) = std::env::var("OCTO_FAULT") {
+            cache_builder.fault_plan(parse_fault("OCTO_FAULT", &spec)?);
+        } else if let Some(plan) = FaultPlan::from_env() {
             cache_builder.fault_plan(plan);
         }
     }
@@ -1450,6 +1456,19 @@ mod tests {
             ]))
             .unwrap_err();
             assert_eq!(err.exit_code(), 2, "{err}");
+            // So is the retired ring-fill spec: there is no ring to fill.
+            let err = run(&s(&[
+                "build",
+                &log,
+                &map,
+                "--backend",
+                "parallel",
+                "--fault",
+                "fill:0",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+            assert!(err.to_string().contains("malformed --fault"), "{err}");
 
             // A killed worker degrades the build: it completes, reports the
             // fault inline and flags the integrity downgrade.

@@ -402,11 +402,6 @@ impl VoxelCache {
         &self.stats
     }
 
-    /// Resets the statistics counters (contents untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Number of cells currently held.
     #[inline]
     pub fn len(&self) -> usize {

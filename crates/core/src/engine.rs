@@ -88,7 +88,7 @@ pub trait MappingSystem {
     ///
     /// Propagates [`PipelineError::Geom`] for invalid origins; parallel
     /// backends additionally surface worker panics, spawn failures, stalls
-    /// and partially applied batches.
+    /// and batches left unapplied behind a wedged worker.
     fn insert_scan(
         &mut self,
         origin: Point3,

@@ -54,12 +54,13 @@ pub enum PipelineError {
         /// How long the producer waited before giving up.
         waited: Duration,
     },
-    /// A batch was abandoned midway and its tail could not be re-applied:
-    /// `cells_dropped` evicted cells may be missing from the map.
+    /// A batch could not be applied inline because a wedged worker holds
+    /// the octree mutex: `cells_dropped` evicted cells are missing from
+    /// the map.
     PartialScan {
-        /// 0-based batch index that was cut short.
+        /// 0-based batch index that was left unapplied.
         batch: u64,
-        /// Evicted cells of the batch that were not confirmed applied.
+        /// Evicted cells of the batch that were not applied.
         cells_dropped: u64,
     },
     /// The durability layer failed to journal or checkpoint the scan
@@ -100,7 +101,7 @@ impl fmt::Display for PipelineError {
                 cells_dropped,
             } => write!(
                 f,
-                "the octree worker abandoned batch {batch} with {cells_dropped} cells unapplied"
+                "batch {batch} was left unapplied behind a wedged octree worker ({cells_dropped} cells)"
             ),
             PipelineError::Durable(e) => write!(f, "durable storage: {e}"),
             PipelineError::OverBudget {
@@ -202,7 +203,8 @@ pub struct FaultCounters {
     pub spawn_failures: u64,
     /// Bounded waits that expired ([`PipelineError::QueueStalled`]).
     pub stall_timeouts: u64,
-    /// Batches a worker abandoned midway.
+    /// Batches left unapplied behind a wedged worker
+    /// ([`PipelineError::PartialScan`]).
     pub partial_batches: u64,
     /// Batches applied inline because the worker was out of rotation.
     pub batches_rerouted: u64,
@@ -356,9 +358,6 @@ pub struct FaultPlan {
     pub stall: Option<StallAt>,
     /// Fail the worker's thread spawn.
     pub fail_spawn: bool,
-    /// Shrink the worker's ring to near-zero capacity so back-pressure
-    /// fires on every chunk.
-    pub fill_ring: bool,
     /// Panic the worker once every this many batches of its (possibly
     /// respawned) thread's life: the fault fires when
     /// `(batch + 1) % every == 0`, so a freshly respawned thread — whose
@@ -379,9 +378,11 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// Derives a single-fault plan deterministically from `seed`: the
-    /// fault kind, batch index and stall length are all pure functions of
-    /// the seed.
+    /// Derives a plan of at most one fault deterministically from `seed`:
+    /// the fault kind, batch index and stall length are all pure functions
+    /// of the seed. One seed in four draws the kind that once shrank the
+    /// ring and now plans no fault — a clean run — so every other seed
+    /// keeps the plan it always had.
     pub fn from_seed(seed: u64) -> FaultPlan {
         let mut s = seed ^ 0x9E37_79B9_7F4A_7C15;
         if s == 0 {
@@ -396,7 +397,7 @@ impl FaultPlan {
             0 => plan.kill = Some(batch),
             1 => plan.stall = Some(StallAt { batch, micros }),
             2 => plan.fail_spawn = true,
-            _ => plan.fill_ring = true,
+            _ => {}
         }
         plan
     }
@@ -406,8 +407,6 @@ impl FaultPlan {
     /// * `kill:<worker>@<batch>` — panic the worker at that batch,
     /// * `stall:<worker>@<batch>:<micros>` — sleep that long instead,
     /// * `spawn:<worker>` — fail the worker's thread spawn,
-    /// * `fill:<worker>` — shrink the worker's ring to force constant
-    ///   back-pressure,
     /// * `killevery:<worker>@<n>` — panic the worker every `n` batches,
     ///   across respawns,
     /// * `seed:<n>` — same as [`FaultPlan::from_seed`].
@@ -435,10 +434,9 @@ impl FaultPlan {
                     micros: us.parse().ok()?,
                 });
             }
-            "spawn" | "fill" => {
+            "spawn" => {
                 rest.parse::<usize>().ok()?;
-                plan.fail_spawn = kind == "spawn";
-                plan.fill_ring = kind == "fill";
+                plan.fail_spawn = true;
             }
             "killevery" => {
                 let every: u64 = after_worker(rest)?.parse().ok()?;
@@ -554,18 +552,15 @@ mod tests {
             let a = FaultPlan::from_seed(seed);
             let b = FaultPlan::from_seed(seed);
             assert_eq!(a, b, "seed {seed}");
-            let faults = [
-                a.kill.is_some(),
-                a.stall.is_some(),
-                a.fail_spawn,
-                a.fill_ring,
-            ];
-            assert_eq!(
-                faults.iter().filter(|&&f| f).count(),
-                1,
-                "seed {seed} must plan exactly one fault: {a:?}"
+            let faults = [a.kill.is_some(), a.stall.is_some(), a.fail_spawn];
+            assert!(
+                faults.iter().filter(|&&f| f).count() <= 1 && a.kill_every.is_none(),
+                "seed {seed} must plan at most one fault: {a:?}"
             );
         }
+        // CI's seeds keep the plans they always drew.
+        assert_eq!(FaultPlan::from_seed(1).kill, Some(5));
+        assert!(FaultPlan::from_seed(7).fail_spawn && FaultPlan::from_seed(23).fail_spawn);
         // Different seeds reach different plans (not a constant function).
         let distinct: std::collections::HashSet<String> = (0..64u64)
             .map(|s| format!("{:?}", FaultPlan::from_seed(s)))
@@ -600,13 +595,6 @@ mod tests {
             })
         );
         assert_eq!(
-            FaultPlan::from_spec("fill:0"),
-            Some(FaultPlan {
-                fill_ring: true,
-                ..Default::default()
-            })
-        );
-        assert_eq!(
             FaultPlan::from_spec("seed:42"),
             Some(FaultPlan::from_seed(42))
         );
@@ -629,6 +617,7 @@ mod tests {
             "stall:w@3:2500",
             "spawn:abc",
             "fill:",
+            "fill:0",
             "killevery:1",
             "killevery:1@0",
             "killevery:x@2",

@@ -23,7 +23,8 @@
 //! ([`MappingSystem::insert_scan`] on [`ParallelOctoCache`]) **defers the
 //! eviction of the just-inserted batch to the start of the next call**:
 //!
-//! 1. evict the previous batch and enqueue it for the worker,
+//! 1. evict the previous batch and hand it to the worker — one ring
+//!    message carrying the whole finished run,
 //! 2. ray-trace the new scan — concurrently with the worker's update,
 //! 3. wait for the worker (the paper's thread-1 "gap", reported as
 //!    [`PhaseTimes::wait`]),
@@ -54,22 +55,15 @@ use crate::pipeline::{MappingSystem, RayTracer};
 use crate::spsc::{self, Backoff, Producer};
 use crate::supervisor::{PressureLevel, SupervisorParams};
 
-/// Items flowing through the worker's buffer.
-///
-/// Evicted voxels travel in chunks — the C++ `readerwriterqueue` the paper
-/// uses is itself a block-based ring, so chunking preserves its behaviour
-/// while keeping the producer/consumer cacheline traffic per *chunk* rather
-/// than per voxel.
-#[derive(Debug)]
-enum Item {
-    /// A run of evicted voxels with their accumulated log-odds.
-    Chunk(Vec<EvictedCell>),
-    /// Marks the end of a batch; the worker releases the octree mutex here.
-    BatchEnd,
-}
+/// The ring's one message: a finished, Morton-ordered eviction batch,
+/// shared with the producer's retained copy. The counting drain needs the
+/// whole run before it can place a cell, so there is nothing to stream.
+type Batch = Arc<Vec<EvictedCell>>;
 
-/// Evicted voxels per queue message.
-const CHUNK_CELLS: usize = 1024;
+/// Ring capacity in batches. The producer waits for `batches_done` before
+/// it sends again (the retained copy must cover the one batch in flight),
+/// so the ring never holds more than one message.
+const QUEUE_CAPACITY: usize = 1;
 
 /// The worker's event lane; lane 0 is the producer.
 const WORKER_LANE: u32 = 1;
@@ -80,41 +74,28 @@ struct WorkerShared {
     batches_done: AtomicU64,
     dequeue_nanos: AtomicU64,
     octree_nanos: AtomicU64,
-    /// Time spent waiting for the first item of a batch (no work queued).
+    /// Time spent waiting for a batch (no work queued).
     idle_nanos: AtomicU64,
-    cells_applied: AtomicU64,
-    /// Queue depth (in chunk messages, including the one just popped)
-    /// observed by the worker at the start of the most recent batch drain.
+    /// Queue depth (in batches, including the one just popped) observed by
+    /// the worker at its most recent pop.
     queue_depth_dequeue: AtomicU64,
     shutdown: AtomicBool,
     /// Set (last) by the worker thread when it exits, for any reason.
     dead: AtomicBool,
     /// Set when the worker body unwound ([`std::panic::catch_unwind`]).
     panicked: AtomicBool,
-    /// True while the worker is applying a batch (between popping a batch's
-    /// first item and publishing `batches_done`).
-    in_batch: AtomicBool,
-    /// Batches the worker abandoned midway (shutdown observed or the
-    /// mid-batch deadline expired before `BatchEnd` arrived).
-    partial_batches: AtomicU64,
-    /// Cells the worker had applied of the batch it abandoned.
-    partial_cells_applied: AtomicU64,
-    /// 0-based index of the abandoned batch.
-    partial_batch_index: AtomicU64,
 }
 
 /// Thread-1 state for the octree-update worker: its queue producer, the
 /// octree, the shared counters, and the attribution bookmarks.
 #[derive(Debug)]
 struct Worker {
-    producer: Producer<Item>,
+    producer: Producer<Batch>,
     tree: Arc<Mutex<OccupancyOcTree>>,
     shared: Arc<WorkerShared>,
     handle: Option<JoinHandle<()>>,
-    /// Batches fully enqueued (closed with `BatchEnd`) to the worker.
+    /// Batches handed to the worker.
     batches_sent: u64,
-    /// `partial_batches` already folded into the pipeline counters.
-    partials_seen: u64,
     /// Why the worker left the rotation; `Some` means evictions are now
     /// applied inline on the producer thread.
     failed: Option<PipelineError>,
@@ -145,11 +126,6 @@ impl Worker {
     }
 }
 
-/// Capacity of the worker's buffer in chunk messages (≥ a million voxels
-/// in flight before the producer ever blocks — the paper reports enqueue
-/// overhead as negligible, and a full queue would violate that).
-const QUEUE_CAPACITY: usize = 1 << 12;
-
 /// The parallel OctoCache mapping system: one mapping thread plus one
 /// octree-update worker, run through the shared scan-lifecycle [`Engine`].
 ///
@@ -172,8 +148,9 @@ pub struct ParallelExecutor {
     batch: insert::VoxelBatch,
     /// The batch in flight, retained until the next send so a dead
     /// worker's batch can be re-applied inline (cells carry absolute
-    /// log-odds, so re-application is idempotent).
-    evict_buf: Vec<EvictedCell>,
+    /// log-odds, so re-application is idempotent). The worker holds the
+    /// other reference only while it applies the batch.
+    evict_buf: Batch,
     /// Deadline for every producer-side bounded wait
     /// ([`CacheConfig::stall_timeout`]).
     stall_timeout: Duration,
@@ -202,90 +179,30 @@ pub struct ParallelExecutor {
 }
 
 /// What `evict_and_enqueue` produced.
-///
-/// Back-pressure — waiting for the worker to make room in a full queue — is
-/// reported separately from the enqueue cost proper, matching the paper's
-/// Table 3 where enqueue is the pure buffer-write overhead.
 struct EnqueueOutcome {
-    /// Evicted (and enqueued) voxels.
+    /// Evicted (and handed-over) voxels.
     count: usize,
     evict: Duration,
     enqueue: Duration,
-    backpressure: Duration,
-    /// Largest producer-side queue depth seen while enqueueing, in chunk
-    /// messages.
+    /// Batches in the ring right after the hand-off: 1, or 0 when the
+    /// batch was applied inline.
     queue_depth: u64,
-}
-
-/// How a guarded push ended.
-enum PushOutcome {
-    /// Enqueued; carries the post-push queue depth in messages.
-    Pushed(u64),
-    /// The worker thread exited; the item was not delivered.
-    Dead,
-    /// The bounded backoff expired; carries how long the producer waited.
-    Stalled(Duration),
-}
-
-/// Pushes one item with bounded back-pressure: spins → yields → gives up
-/// after `stall_timeout`, and bails out early if the worker dies. Stall
-/// time is added to `backpressure`.
-fn push_guarded(
-    w: &mut Worker,
-    item: Item,
-    backpressure: &mut Duration,
-    stall_timeout: Duration,
-) -> PushOutcome {
-    use crate::spsc::Full;
-    let mut item = item;
-    loop {
-        if w.shared.dead.load(Ordering::Acquire) {
-            return PushOutcome::Dead;
-        }
-        match w.producer.push(item) {
-            Ok(()) => return PushOutcome::Pushed(w.producer.len() as u64),
-            Err(Full(v)) => {
-                item = v;
-                let tb = Instant::now();
-                let mut backoff = Backoff::new(stall_timeout);
-                loop {
-                    if w.shared.dead.load(Ordering::Acquire) {
-                        *backpressure += tb.elapsed();
-                        return PushOutcome::Dead;
-                    }
-                    if w.producer.len() < w.producer.capacity() {
-                        break;
-                    }
-                    if !backoff.snooze() {
-                        *backpressure += tb.elapsed();
-                        return PushOutcome::Stalled(backoff.waited());
-                    }
-                }
-                *backpressure += tb.elapsed();
-            }
-        }
-    }
 }
 
 /// Spawns the octree worker thread over `tree`.
 fn spawn_worker(
-    consumer: spsc::Consumer<Item>,
+    consumer: spsc::Consumer<Batch>,
     tree: &Arc<Mutex<OccupancyOcTree>>,
     shared: &Arc<WorkerShared>,
-    stall_timeout: Duration,
     faults: WorkerFaults,
     event_sink: Option<&Arc<EventSink>>,
 ) -> std::io::Result<JoinHandle<()>> {
-    // The worker gives a silent producer 4x the producer's own stall budget
-    // before abandoning a mid-batch wait, so under a producer failure the
-    // producer-side deadline always fires first.
-    let mid_batch_deadline = stall_timeout.saturating_mul(4);
     let tree = Arc::clone(tree);
     let shared = Arc::clone(shared);
     let events = event_sink.map(|s| s.buffer(WORKER_LANE));
     std::thread::Builder::new()
         .name("octocache-octree-0".to_string())
-        .spawn(move || worker_thread(consumer, tree, shared, mid_batch_deadline, faults, events))
+        .spawn(move || worker_thread(consumer, tree, shared, faults, events))
 }
 
 /// The worker's fault-injection schedule, derived from the instance's
@@ -392,30 +309,19 @@ impl ParallelOctoCache {
         let tree = Arc::new(Mutex::new(OccupancyOcTree::new(grid, params)));
         let shared = Arc::new(WorkerShared::default());
         #[cfg(any(test, feature = "fault-injection"))]
-        let (wf, inject_spawn_fail, capacity) = {
+        let (wf, inject_spawn_fail) = {
             let plan = config.fault_plan().unwrap_or_default();
-            // `fill_ring` shrinks the ring to near zero: back-pressure fires
-            // on every chunk, exercising the bounded backoff without any
-            // failure.
-            let capacity = if plan.fill_ring { 2 } else { QUEUE_CAPACITY };
-            (WorkerFaults::from_plan(&plan), plan.fail_spawn, capacity)
+            (WorkerFaults::from_plan(&plan), plan.fail_spawn)
         };
         #[cfg(not(any(test, feature = "fault-injection")))]
-        let (wf, inject_spawn_fail, capacity) = (WorkerFaults, false, QUEUE_CAPACITY);
-        let (producer, consumer) = spsc::channel::<Item>(capacity);
+        let (wf, inject_spawn_fail) = (WorkerFaults, false);
+        let (producer, consumer) = spsc::channel::<Batch>(QUEUE_CAPACITY);
         let spawned = if inject_spawn_fail {
             Err(std::io::Error::other(
                 "fault injection: forced spawn failure",
             ))
         } else {
-            spawn_worker(
-                consumer,
-                &tree,
-                &shared,
-                stall_timeout,
-                wf,
-                event_sink.as_ref(),
-            )
+            spawn_worker(consumer, &tree, &shared, wf, event_sink.as_ref())
         };
         let (handle, failed) = match spawned {
             Ok(handle) => (Some(handle), None),
@@ -436,7 +342,6 @@ impl ParallelOctoCache {
             shared,
             handle,
             batches_sent: 0,
-            partials_seen: 0,
             failed,
             dequeue_seen: 0,
             octree_seen: 0,
@@ -456,7 +361,7 @@ impl ParallelOctoCache {
             params,
             ray_tracer,
             batch: insert::VoxelBatch::new(),
-            evict_buf: Vec::new(),
+            evict_buf: Batch::default(),
             stall_timeout,
             faults,
             faults_reported: FaultCounters::default(),
@@ -520,43 +425,30 @@ impl ParallelOctoCache {
 }
 
 impl ParallelExecutor {
-    /// Takes the dead worker out of rotation: joins the thread, classifies
-    /// the death (panic vs mid-batch abandonment), re-applies the retained
-    /// batch inline, and records the first error of the scan.
+    /// Takes the dead worker out of rotation: joins the thread, re-applies
+    /// the retained batch inline, and records the first error of the scan.
     fn fail_dead_worker(&mut self) {
         let w = &mut self.worker;
         if let Some(handle) = w.handle.take() {
             let _ = handle.join();
         }
-        let batch = w.shared.batches_done.load(Ordering::Acquire);
-        let partials = w.shared.partial_batches.load(Ordering::Acquire);
-        let err = if w.shared.panicked.load(Ordering::Acquire) {
+        // A worker that exited without unwinding (it saw shutdown between
+        // batches) is reported against the in-flight batch all the same.
+        if w.shared.panicked.load(Ordering::Acquire) {
             self.faults.worker_panics += 1;
-            PipelineError::WorkerPanicked { batch }
-        } else if partials > w.partials_seen {
-            self.faults.partial_batches += partials - w.partials_seen;
-            let applied = w.shared.partial_cells_applied.load(Ordering::Acquire);
-            PipelineError::PartialScan {
-                batch: w.shared.partial_batch_index.load(Ordering::Acquire),
-                cells_dropped: (self.evict_buf.len() as u64).saturating_sub(applied),
-            }
-        } else {
-            // Exited without a panic or a recorded partial (it saw shutdown
-            // between batches); report the in-flight batch.
-            PipelineError::WorkerPanicked { batch }
-        };
-        w.partials_seen = partials;
+        }
+        let batch = w.shared.batches_done.load(Ordering::Acquire);
         // The thread has exited, so the octree mutex is free (parking_lot
         // does not poison) and nothing races the inline re-apply. Evicted
         // cells carry the voxel's absolute accumulated log-odds and the
         // batch apply overwrites, so this restores exactly the state a
         // healthy worker would have produced, whatever prefix of the batch
-        // was already applied (a worker that died mid-chunk closed its open
+        // was already applied (a worker that died mid-batch closed its open
         // path on unwind, so the octree is a valid tree).
-        engine::apply_cells(&mut w.tree.lock(), &self.evict_buf);
+        engine::apply_cells(&mut w.tree.lock(), self.evict_buf.iter());
         self.note_reapplied();
         self.integrity.escalate(Integrity::Degraded);
-        self.fail_worker(err);
+        self.fail_worker(PipelineError::WorkerPanicked { batch });
     }
 
     /// Takes the stalled worker out of rotation after a bounded wait
@@ -571,7 +463,7 @@ impl ParallelExecutor {
         self.worker.shared.shutdown.store(true, Ordering::Release);
         let applied = match self.worker.tree.try_lock() {
             Some(mut tree) => {
-                engine::apply_cells(&mut tree, &self.evict_buf);
+                engine::apply_cells(&mut tree, self.evict_buf.iter());
                 true
             }
             None => false,
@@ -627,7 +519,7 @@ impl ParallelExecutor {
             return;
         }
         match w.tree.try_lock() {
-            Some(mut guard) => engine::apply_cells(&mut guard, &self.evict_buf),
+            Some(mut guard) => engine::apply_cells(&mut guard, self.evict_buf.iter()),
             None => {
                 // The wedged worker holds the octree mutex; these cells
                 // cannot be applied at all.
@@ -655,11 +547,7 @@ impl ParallelExecutor {
         }
         matches!(
             w.failed,
-            Some(
-                PipelineError::WorkerPanicked { .. }
-                    | PipelineError::WorkerSpawn { .. }
-                    | PipelineError::PartialScan { .. }
-            )
+            Some(PipelineError::WorkerPanicked { .. } | PipelineError::WorkerSpawn { .. })
         )
     }
 
@@ -676,15 +564,10 @@ impl ParallelExecutor {
             let t0 = Instant::now();
             let w = &mut self.worker;
             let shared = Arc::new(WorkerShared::default());
-            let (producer, consumer) = spsc::channel::<Item>(QUEUE_CAPACITY);
-            let spawned = spawn_worker(
-                consumer,
-                &w.tree,
-                &shared,
-                self.stall_timeout,
-                w.faults.respawned(),
-                self.event_sink.as_ref(),
-            );
+            let (producer, consumer) = spsc::channel::<Batch>(QUEUE_CAPACITY);
+            let faults = w.faults.respawned();
+            let spawned =
+                spawn_worker(consumer, &w.tree, &shared, faults, self.event_sink.as_ref());
             match spawned {
                 Ok(handle) => {
                     // Fresh ring, fresh counters: the new generation's
@@ -695,7 +578,6 @@ impl ParallelExecutor {
                     w.shared = shared;
                     w.handle = Some(handle);
                     w.batches_sent = 0;
-                    w.partials_seen = 0;
                     w.failed = None;
                     w.dequeue_seen = 0;
                     w.octree_seen = 0;
@@ -743,68 +625,49 @@ impl ParallelExecutor {
         }
     }
 
-    /// Enqueues the retained batch ([`Self::evict_buf`]) to the worker in
-    /// chunks, closing it with a `BatchEnd` (even when empty) so
-    /// `batches_done` stays aligned. While the worker is out of rotation
-    /// the batch is applied inline; a worker that dies or stalls mid-send
-    /// is failed over the same way.
+    /// Hands the retained batch ([`Self::evict_buf`]) to the worker as one
+    /// message — even when empty, so `batches_done` stays aligned. While
+    /// the worker is out of rotation the batch is applied inline; a worker
+    /// found dead is failed over the same way.
     fn send_batch(&mut self) -> EnqueueOutcome {
         let t1 = Instant::now();
-        let mut backpressure = Duration::ZERO;
-        let mut queue_depth = 0u64;
+        let mut queue_depth = 0;
         if self.worker.failed.is_some() {
             self.apply_inline();
         } else if self.worker.shared.dead.load(Ordering::Acquire) {
             self.fail_dead_worker();
         } else {
-            let stall_timeout = self.stall_timeout;
-            let mut outcome = PushOutcome::Pushed(0);
-            for chunk in self.evict_buf.chunks(CHUNK_CELLS) {
-                let item = Item::Chunk(chunk.to_vec());
-                outcome = push_guarded(&mut self.worker, item, &mut backpressure, stall_timeout);
-                let PushOutcome::Pushed(depth) = outcome else {
-                    break;
-                };
-                queue_depth = queue_depth.max(depth);
-                if let Some(buf) = self.cache.events_mut() {
-                    buf.emit_for(WORKER_LANE, EventKind::QueueEnqueue, depth);
-                }
-            }
-            if let PushOutcome::Pushed(_) = outcome {
-                let end = Item::BatchEnd;
-                outcome = push_guarded(&mut self.worker, end, &mut backpressure, stall_timeout);
-            }
-            match outcome {
-                PushOutcome::Pushed(depth) => {
-                    queue_depth = queue_depth.max(depth);
+            match self.worker.producer.push(Arc::clone(&self.evict_buf)) {
+                Ok(()) => {
                     self.worker.batches_sent += 1;
+                    queue_depth = 1;
+                    if let Some(buf) = self.cache.events_mut() {
+                        buf.emit_for(WORKER_LANE, EventKind::QueueEnqueue, queue_depth);
+                    }
                 }
-                PushOutcome::Dead => self.fail_dead_worker(),
-                PushOutcome::Stalled(waited) => self.fail_stalled_worker(waited),
+                // Every send follows a completed wait, so a full ring is a
+                // worker that never took the previous batch.
+                Err(spsc::Full(_)) => self.fail_stalled_worker(Duration::ZERO),
             }
         }
-        if !backpressure.is_zero() {
-            if let Some(buf) = self.cache.events_mut() {
-                buf.emit_plain(EventKind::QueueStall, backpressure.as_nanos() as u64);
-            }
-        }
-        let enqueue = t1.elapsed().saturating_sub(backpressure);
         EnqueueOutcome {
             count: self.evict_buf.len(),
             evict: Duration::ZERO,
-            enqueue,
-            backpressure,
+            enqueue: t1.elapsed(),
             queue_depth,
         }
     }
 
-    /// Evicts the pending batch into the retained buffer and enqueues it
-    /// for the worker, sampling the producer-side queue depth along the
-    /// way.
+    /// Evicts the pending batch into the retained buffer and hands it to
+    /// the worker.
     fn evict_and_enqueue(&mut self) -> EnqueueOutcome {
         let t0 = Instant::now();
-        self.evict_buf.clear();
-        self.cache.evict_into(&mut self.evict_buf);
+        // The worker drops its reference before it publishes
+        // `batches_done`, so this reclaims the buffer in place; only a
+        // worker that stalled mid-apply still shares it and costs a copy.
+        let buf = Arc::make_mut(&mut self.evict_buf);
+        buf.clear();
+        self.cache.evict_into(buf);
         let evict = t0.elapsed();
         let mut out = self.send_batch();
         out.evict = evict;
@@ -820,14 +683,6 @@ impl ParallelExecutor {
             }
             // else: detach — a wedged worker must never hang shutdown;
             // it exits on its own when (if) it wakes and sees the flag.
-        }
-        // Fold any mid-batch abandonment observed during shutdown into
-        // the counters: an abandoned batch is reported, never silent.
-        let partials = w.shared.partial_batches.load(Ordering::Acquire);
-        if partials > w.partials_seen {
-            self.faults.partial_batches += partials - w.partials_seen;
-            w.partials_seen = partials;
-            self.integrity.escalate(Integrity::Compromised);
         }
     }
 
@@ -873,6 +728,9 @@ impl ScanExecutor for ParallelExecutor {
         scan_seq: u64,
         metrics: &mut ScanMetrics,
     ) -> Result<ScanOutput, PipelineError> {
+        // A rejected scan must touch nothing: checked before phase 1 so
+        // no batch is left in flight when the error returns.
+        insert::check_origin(&self.grid, origin)?;
         let cache_before = *self.cache.stats();
         self.integrity.set_scan(scan_seq);
         if let Some(buf) = self.cache.events_mut() {
@@ -897,11 +755,10 @@ impl ScanExecutor for ParallelExecutor {
         };
         let ray_tracing = t0.elapsed();
 
-        // Phase 3: wait for the worker — the paper's thread-1 gap
-        // (including any back-pressure absorbed during enqueue).
+        // Phase 3: wait for the worker — the paper's thread-1 gap.
         let t1 = Instant::now();
         self.wait_for_worker();
-        let wait = t1.elapsed() + enq.backpressure;
+        let wait = t1.elapsed();
         let batch: &insert::VoxelBatch = deduped.as_ref().unwrap_or(&self.batch);
 
         // Phase 4: cache insertion under the octree mutex (seeding misses
@@ -923,10 +780,12 @@ impl ScanExecutor for ParallelExecutor {
             // Dropped before the octree stats are read: the cursor adds
             // its visits to them on the way out.
             drop(seed);
+            // A wedged worker's octree cannot be read: its counters stand
+            // still rather than reading as zero (a negative delta).
             let (tree_after, memory_bytes) = guard
                 .as_ref()
                 .map(|g| (g.stats().snapshot(), g.memory_usage() as u64))
-                .unwrap_or_default();
+                .unwrap_or((self.last_tree_stats, 0));
             (mutex_wait, tree_after, memory_bytes, seed_visits)
         };
         let cache_insert = t2.elapsed();
@@ -1015,13 +874,13 @@ impl ScanExecutor for ParallelExecutor {
         let wait1 = t_w.elapsed();
         // …then drain everything left in the cache as a final batch.
         let t0 = Instant::now();
-        self.evict_buf = self.cache.drain_all();
+        self.evict_buf = Arc::new(self.cache.drain_all());
         let evict2 = t0.elapsed();
         let enq2 = self.send_batch();
 
         let t1 = Instant::now();
         self.wait_for_worker();
-        let wait = wait1 + t1.elapsed() + enq1.backpressure + enq2.backpressure;
+        let wait = wait1 + t1.elapsed();
 
         let times = PhaseTimes {
             cache_evict: enq1.evict + evict2,
@@ -1166,196 +1025,81 @@ impl Drop for ParallelExecutor {
 /// publishes the death flags last — the producer detects `dead`, joins, and
 /// re-applies the retained batch.
 fn worker_thread(
-    consumer: spsc::Consumer<Item>,
+    consumer: spsc::Consumer<Batch>,
     tree: Arc<Mutex<OccupancyOcTree>>,
     shared: Arc<WorkerShared>,
-    mid_batch_deadline: Duration,
     faults: WorkerFaults,
     events: Option<EventBuffer>,
 ) {
     // The buffer drains on drop, so even a panicking worker's events reach
     // the sink (the unwind runs destructors before `catch_unwind` returns).
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        worker_loop(consumer, &tree, &shared, mid_batch_deadline, faults, events)
+        worker_loop(consumer, &tree, &shared, faults, events)
     }));
     if result.is_err() {
         shared.panicked.store(true, Ordering::Release);
     }
-    shared.in_batch.store(false, Ordering::Release);
     shared.dead.store(true, Ordering::Release);
 }
 
-/// The octree-update worker: dequeue evicted voxels and apply them to the
-/// octree, holding its mutex per batch.
+/// The octree-update worker: pop a batch and apply it to the octree,
+/// holding its mutex for the batch.
 fn worker_loop(
-    mut consumer: spsc::Consumer<Item>,
+    mut consumer: spsc::Consumer<Batch>,
     tree: &Mutex<OccupancyOcTree>,
     shared: &WorkerShared,
-    mid_batch_deadline: Duration,
     faults: WorkerFaults,
     mut events: Option<EventBuffer>,
 ) {
     let mut batch_index: u64 = 0;
-    'outer: loop {
+    loop {
         // Wait for work; this is idle time, not dequeue cost, and is
-        // reported separately so per-worker utilization is measurable.
+        // reported separately so the worker's utilization is measurable.
         let idle_start = Instant::now();
-        let first = loop {
-            if let Some(item) = consumer.try_pop() {
-                break Some(item);
-            }
-            if shared.shutdown.load(Ordering::Acquire) {
-                // Final double-check to avoid losing a racing push.
-                break consumer.try_pop();
-            }
+        while consumer.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
             std::thread::yield_now();
-        };
+        }
+        let pop_start = Instant::now();
+        let idle = pop_start - idle_start;
         shared
             .idle_nanos
-            .fetch_add(idle_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let first = match first {
-            Some(item) => item,
-            None => break 'outer,
+            .fetch_add(idle.as_nanos() as u64, Ordering::Relaxed);
+        // Empty only once shutdown was observed; a batch pushed before the
+        // flag was raised is still taken.
+        let Some(batch) = consumer.try_pop() else {
+            break;
         };
-        shared.in_batch.store(true, Ordering::Release);
+        let dequeue = pop_start.elapsed();
+        let depth = consumer.len() as u64 + 1;
+        shared.queue_depth_dequeue.store(depth, Ordering::Relaxed);
         faults.at_batch_start(batch_index);
-        // Workers stamp the batch index as the scan; one batch is enqueued
-        // per producer scan, so the two sequences align (plus the final
-        // flush batches from `finish`).
+        // Workers stamp the batch index as the scan; one batch is sent per
+        // producer scan, so the two sequences align (plus the final flush
+        // batches from `finish`).
         if let Some(buf) = &mut events {
             buf.set_scan(batch_index);
+            buf.emit_plain(EventKind::BatchBegin, 0);
+            buf.emit_plain(EventKind::QueueDequeue, depth);
         }
-
-        match first {
-            Item::BatchEnd => {
-                if let Some(buf) = &mut events {
-                    buf.emit_plain(EventKind::BatchBegin, 0);
-                    buf.emit_plain(EventKind::BatchEnd, 0);
-                    buf.drain();
-                }
-                shared.batches_done.fetch_add(1, Ordering::Release);
-            }
-            Item::Chunk(chunk) => {
-                // Depth at the start of the drain, counting the popped chunk.
-                let depth = consumer.len() as u64 + 1;
-                shared.queue_depth_dequeue.store(depth, Ordering::Relaxed);
-                if let Some(buf) = &mut events {
-                    buf.emit_plain(EventKind::BatchBegin, 0);
-                    buf.emit_plain(EventKind::QueueDequeue, depth);
-                }
-                // Per-cell `Instant` calls would dominate the work at these
-                // batch sizes, so timing is per segment: total drain time,
-                // minus measured producer-stall spins, split into octree
-                // and dequeue components via a calibrated per-pop cost.
-                let mut cells = chunk.len() as u64;
-                let mut pops = 1u64;
-                let mut stall = std::time::Duration::ZERO;
-                let mut abandoned_mid_batch = false;
-                let guard_start = Instant::now();
-                let mut guard = tree.lock();
-                engine::apply_cells(&mut guard, &chunk);
-                loop {
-                    match consumer.try_pop() {
-                        Some(Item::Chunk(chunk)) => {
-                            if let Some(buf) = &mut events {
-                                buf.emit_plain(EventKind::QueueDequeue, consumer.len() as u64 + 1);
-                            }
-                            engine::apply_cells(&mut guard, &chunk);
-                            cells += chunk.len() as u64;
-                            pops += 1;
-                        }
-                        Some(Item::BatchEnd) => {
-                            pops += 1;
-                            break;
-                        }
-                        None => {
-                            // Producer is still enqueueing this batch; wait
-                            // (measured, attributed to neither component),
-                            // bounded: a dead or wedged producer must not
-                            // pin this worker forever.
-                            let t = Instant::now();
-                            let mut abandoned = false;
-                            let mut backoff = Backoff::new(mid_batch_deadline);
-                            while consumer.is_empty() {
-                                if shared.shutdown.load(Ordering::Acquire) {
-                                    // Producer is gone (panic on thread 1 or
-                                    // shutdown mid-batch).
-                                    abandoned = true;
-                                    break;
-                                }
-                                if !backoff.snooze() {
-                                    abandoned = true;
-                                    break;
-                                }
-                            }
-                            let waited = t.elapsed();
-                            stall += waited;
-                            if let Some(buf) = &mut events {
-                                buf.emit_plain(EventKind::QueueStall, waited.as_nanos() as u64);
-                            }
-                            if abandoned && consumer.is_empty() {
-                                abandoned_mid_batch = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                let busy_ns = guard_start.elapsed().saturating_sub(stall).as_nanos() as u64;
-                drop(guard);
-                let dequeue_ns = pops * pop_cost_ns();
-                shared
-                    .octree_nanos
-                    .fetch_add(busy_ns.saturating_sub(dequeue_ns), Ordering::Relaxed);
-                shared
-                    .dequeue_nanos
-                    .fetch_add(dequeue_ns.min(busy_ns), Ordering::Relaxed);
-                shared.cells_applied.fetch_add(cells, Ordering::Relaxed);
-                if let Some(buf) = &mut events {
-                    // Close the span even on abandonment so begins/ends pair
-                    // up; `cells` is what was actually applied.
-                    buf.emit_plain(EventKind::BatchEnd, cells);
-                    buf.drain();
-                }
-                if abandoned_mid_batch {
-                    // Record exactly what was cut short — which batch, and
-                    // how much of it was applied — then exit. A live
-                    // producer re-applies the retained batch and reports
-                    // `PipelineError::PartialScan`; a dying one folds these
-                    // counters in during shutdown. Never a silent drop.
-                    shared
-                        .partial_batch_index
-                        .store(batch_index, Ordering::Relaxed);
-                    shared.partial_cells_applied.store(cells, Ordering::Relaxed);
-                    shared.partial_batches.fetch_add(1, Ordering::Release);
-                    break 'outer;
-                }
-                shared.batches_done.fetch_add(1, Ordering::Release);
-            }
+        let apply_start = Instant::now();
+        engine::apply_cells(&mut tree.lock(), batch.iter());
+        let octree = apply_start.elapsed();
+        shared
+            .dequeue_nanos
+            .fetch_add(dequeue.as_nanos() as u64, Ordering::Relaxed);
+        shared
+            .octree_nanos
+            .fetch_add(octree.as_nanos() as u64, Ordering::Relaxed);
+        if let Some(buf) = &mut events {
+            buf.emit_plain(EventKind::BatchEnd, batch.len() as u64);
+            buf.drain();
         }
+        // Released before `batches_done` is published: the producer
+        // reclaims the buffer as soon as it sees the batch done.
+        drop(batch);
+        shared.batches_done.fetch_add(1, Ordering::Release);
         batch_index += 1;
-        shared.in_batch.store(false, Ordering::Release);
     }
-}
-
-/// One-time calibration of the SPSC pop cost, used to attribute worker time
-/// between "dequeue" and "octree update" without per-cell timestamps
-/// (Table 3 of the paper reports these as separate, both tiny).
-fn pop_cost_ns() -> u64 {
-    use std::sync::OnceLock;
-    static POP_NS: OnceLock<u64> = OnceLock::new();
-    *POP_NS.get_or_init(|| {
-        const N: usize = 64 * 1024;
-        let (mut tx, mut rx) = spsc::channel::<Item>(N);
-        for _ in 0..N - 1 {
-            tx.push(Item::BatchEnd).expect("capacity reserved");
-        }
-        let t = Instant::now();
-        let mut popped = 0u64;
-        while rx.try_pop().is_some() {
-            popped += 1;
-        }
-        (t.elapsed().as_nanos() as u64 / popped.max(1)).max(1)
-    })
 }
 
 #[cfg(test)]
@@ -1508,7 +1252,7 @@ mod tests {
         s.finish();
         let t = s.phase_times();
         assert!(t.octree_update > std::time::Duration::ZERO);
-        assert!(s.exec.worker.shared.cells_applied.load(Ordering::Relaxed) > 0);
+        assert!(t.dequeue > std::time::Duration::ZERO);
     }
 
     #[test]
@@ -1705,64 +1449,125 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full_ring_is_backpressure_not_a_fault() {
-        let plan = FaultPlan {
-            fill_ring: true,
-            ..Default::default()
-        };
-        let mut s = faulty_system(plan, 5_000);
-        assert!(run_scans(&mut s).is_empty());
-        assert_eq!(s.integrity(), Integrity::Intact);
-        assert!(!s.fault_counters().any());
-        let d = compare::diff(&reference_tree(), &s.into_tree(), 0.0);
-        assert!(d.is_identical());
+    /// One valid scan, a NaN-origin scan, then two more valid ones.
+    fn scans_around_a_rejected_one() -> Vec<(Point3, Vec<Point3>)> {
+        let nan = Point3::new(f64::NAN, 0.0, 0.0);
+        [Point3::ZERO, nan, Point3::ZERO, Point3::ZERO]
+            .into_iter()
+            .enumerate()
+            .map(|(i, origin)| (origin, spread_cloud(i as f64 * 0.13)))
+            .collect()
+    }
+
+    /// What a serial twin that never saw the rejected scan answers.
+    fn serial_twin(scans: &[(Point3, Vec<Point3>)]) -> crate::serial::SerialOctoCache {
+        let cfg = CacheConfig::builder()
+            .num_buckets(1 << 6)
+            .tau(1)
+            .build()
+            .unwrap();
+        let grid = VoxelGrid::new(0.5, 8).unwrap();
+        let mut twin = crate::serial::SerialOctoCache::new(grid, OccupancyParams::default(), cfg);
+        for (origin, cloud) in scans.iter().filter(|(o, _)| o.is_finite()) {
+            twin.insert_scan(*origin, cloud, 40.0).unwrap();
+        }
+        twin
     }
 
     #[test]
-    fn mid_batch_abandonment_is_recorded_not_silent() {
-        // Drive a worker thread directly: send a chunk but never the
-        // BatchEnd, then request shutdown. The worker must record exactly
-        // which batch was cut short and how much of it had been applied.
-        let grid = VoxelGrid::new(0.5, 8).unwrap();
-        let tree = Arc::new(Mutex::new(OccupancyOcTree::new(
-            grid,
-            OccupancyParams::default(),
-        )));
-        let shared = Arc::new(WorkerShared::default());
-        let (mut producer, consumer) = spsc::channel::<Item>(16);
-        let handle = {
-            let tree = Arc::clone(&tree);
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                worker_thread(
-                    consumer,
-                    tree,
-                    shared,
-                    Duration::from_secs(10),
-                    WorkerFaults::default(),
-                    None,
-                )
-            })
+    fn rejected_scan_leaves_no_batch_in_flight_behind_a_stalled_worker() {
+        // The worker would sleep 300 ms on batch 1 — the batch the rejected
+        // scan must not send. Were it sent, the `Err` would return with
+        // scan 0's evicted voxels in neither the cache nor the octree.
+        let plan = FaultPlan {
+            stall: Some(StallAt {
+                batch: 1,
+                micros: 300_000,
+            }),
+            ..Default::default()
         };
-        let cells: Vec<EvictedCell> = (0..10)
-            .map(|i| EvictedCell {
-                key: VoxelKey::new(100 + i as u16, 100, 100),
-                log_odds: 0.5,
-            })
+        let mut s = faulty_system(plan, 5_000);
+        let scans = scans_around_a_rejected_one();
+        let mut twin = serial_twin(&scans[..1]);
+        s.insert_scan(scans[0].0, &scans[0].1, 40.0).unwrap();
+        let err = s.insert_scan(scans[1].0, &scans[1].1, 40.0);
+        assert!(matches!(err, Err(PipelineError::Geom(_))), "{err:?}");
+        let mut traced = insert::VoxelBatch::new();
+        let grid = *s.grid();
+        insert::compute_update(&grid, scans[0].0, &scans[0].1, 40.0, &mut traced).unwrap();
+        let differing = traced
+            .updates()
+            .iter()
+            .filter(|u| s.occupancy(u.key) != twin.occupancy(u.key))
+            .count();
+        assert_eq!(differing, 0, "of {} observations", traced.len());
+        let w = &s.exec.worker;
+        assert_eq!(
+            w.shared.batches_done.load(Ordering::Acquire),
+            w.batches_sent,
+            "a batch is in flight after the rejected scan"
+        );
+        assert!(!s.fault_counters().any());
+    }
+
+    #[test]
+    fn kill_at_the_rejected_scans_batch_reapplies_the_right_batch() {
+        // Batch 1 carries scan 0's evictions. The rejected scan must not
+        // send it: the next call would overwrite the retained copy while
+        // the worker lay dead on it, and re-apply the wrong batch.
+        let plan = FaultPlan {
+            kill: Some(1),
+            ..Default::default()
+        };
+        let mut s = faulty_system(plan, 1_000);
+        let scans = scans_around_a_rejected_one();
+        let results: Vec<_> = scans
+            .iter()
+            .map(|(origin, cloud)| s.insert_scan(*origin, cloud, 40.0))
             .collect();
-        producer.push(Item::Chunk(cells)).unwrap();
-        while shared.cells_applied.load(Ordering::Acquire) < 10 {
-            std::thread::yield_now();
-        }
-        shared.shutdown.store(true, Ordering::Release);
-        handle.join().unwrap();
-        assert!(shared.dead.load(Ordering::Acquire));
-        assert!(!shared.panicked.load(Ordering::Acquire));
-        assert_eq!(shared.batches_done.load(Ordering::Acquire), 0);
-        assert_eq!(shared.partial_batches.load(Ordering::Acquire), 1);
-        assert_eq!(shared.partial_batch_index.load(Ordering::Acquire), 0);
-        assert_eq!(shared.partial_cells_applied.load(Ordering::Acquire), 10);
+        assert!(results[0].is_ok(), "{:?}", results[0]);
+        assert!(matches!(results[1], Err(PipelineError::Geom(_))));
+        // The kill lands on the scan that really sent batch 1.
+        assert!(
+            matches!(results[2], Err(PipelineError::WorkerPanicked { batch: 1 })),
+            "{:?}",
+            results[2]
+        );
+        assert!(results[3].is_ok(), "{:?}", results[3]);
+        assert_eq!(s.integrity(), Integrity::Degraded);
+        let d = compare::diff(&serial_twin(&scans).into_tree(), &s.into_tree(), 0.0);
+        assert!(
+            d.is_identical(),
+            "{} value / {} coverage mismatches",
+            d.value_mismatches,
+            d.coverage_mismatches
+        );
+    }
+
+    #[test]
+    fn wedged_octree_mutex_drops_the_batch_loudly_and_never_blocks() {
+        // The worker never spawned, so evictions are applied inline; the
+        // test thread holds the octree mutex the way a worker wedged inside
+        // its batch apply would.
+        let plan = FaultPlan {
+            fail_spawn: true,
+            ..Default::default()
+        };
+        let mut s = faulty_system(plan, 20);
+        s.insert_scan(Point3::ZERO, &spread_cloud(0.0), 40.0)
+            .unwrap();
+        let tree = Arc::clone(&s.exec.worker.tree);
+        let wedge = tree.lock();
+        let err = s.insert_scan(Point3::ZERO, &spread_cloud(0.13), 40.0);
+        assert!(
+            matches!(err, Err(PipelineError::PartialScan { cells_dropped, .. }) if cells_dropped > 0),
+            "{err:?}"
+        );
+        assert_eq!(s.integrity(), Integrity::Compromised);
+        assert_eq!(s.fault_counters().partial_batches, 1);
+        // Reads go around the wedged octree instead of waiting for it.
+        let _ = s.is_occupied_at(Point3::new(12.0, 0.0, 4.0)).unwrap();
+        drop(wedge);
     }
 
     #[test]

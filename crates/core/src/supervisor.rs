@@ -217,12 +217,6 @@ pub enum ScanOutcome {
 }
 
 impl ScanOutcome {
-    /// True for [`ScanOutcome::Applied`].
-    #[inline]
-    pub fn is_applied(&self) -> bool {
-        matches!(self, ScanOutcome::Applied(_))
-    }
-
     /// The report, when the scan was applied.
     pub fn report(&self) -> Option<&ScanReport> {
         match self {

@@ -231,18 +231,6 @@ fn stalled_worker_surfaces_queue_stalled() {
     assert!(o.integrity.is_degraded());
 }
 
-#[test]
-fn full_ring_backpressure_is_not_a_fault() {
-    let reference = serial_reference();
-    let plan = FaultPlan::from_spec("fill:0").unwrap();
-    let o = run_parallel(plan, Duration::from_secs(10));
-    assert!(o.errors.is_empty(), "{:?}", o.errors);
-    assert_eq!(o.integrity, Integrity::Intact);
-    assert!(!o.counters.any(), "{:?}", o.counters);
-    let d = compare::diff(&reference, &o.tree, 0.0);
-    assert!(d.is_identical());
-}
-
 /// `max_restarts = 0` (the default) must behave exactly like the
 /// pre-supervisor permanent-degrade path: no respawn, no heal, sticky
 /// degraded verdict, map still exact.

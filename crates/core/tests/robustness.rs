@@ -13,7 +13,7 @@
 use octocache::pipeline::{MappingSystem, OctoMapSystem};
 use octocache::{CacheConfig, ParallelOctoCache, PipelineError, SerialOctoCache};
 use octocache_geom::{Point3, VoxelGrid};
-use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
+use octocache_octomap::{compare, insert, OccupancyOcTree, OccupancyParams};
 use proptest::prelude::*;
 
 fn grid() -> VoxelGrid {
@@ -104,6 +104,17 @@ proptest! {
                 matches!(err, Err(PipelineError::Geom(_))),
                 "{label}: {bad_origin:?} gave {err:?}"
             );
+            // Mid-stream, before any further scan: every voxel the first
+            // scan touched already answers as the clean twin's.
+            let mut traced = insert::VoxelBatch::new();
+            insert::compute_update(&grid(), o1, &c1, 40.0, &mut traced).unwrap();
+            for u in traced.updates() {
+                prop_assert_eq!(
+                    dirty.occupancy(u.key),
+                    clean.occupancy(u.key),
+                    "{}: {} answers differently after the rejected scan", label, u.key
+                );
+            }
 
             dirty.insert_scan(o2, &c2, 40.0).unwrap();
             clean.insert_scan(o2, &c2, 40.0).unwrap();

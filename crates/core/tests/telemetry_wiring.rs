@@ -11,6 +11,7 @@ use octocache::{
 };
 use octocache_geom::{Point3, VoxelGrid};
 use octocache_octomap::{compare, OccupancyParams};
+use octocache_telemetry::EventKind;
 
 fn grid() -> VoxelGrid {
     VoxelGrid::new(0.5, 8).unwrap()
@@ -107,10 +108,11 @@ fn scan_records_agree_with_scan_reports() {
 
 #[test]
 fn parallel_records_queue_depth_and_worker_time() {
-    // Tiny tau: every scan evicts, so the queue carries chunks.
+    // Tiny tau: every scan evicts, so every hand-off carries cells.
     let cfg = CacheConfig::builder()
         .num_buckets(1 << 6)
         .tau(1)
+        .events(true)
         .build()
         .unwrap();
     let mut map = ParallelOctoCache::new(grid(), OccupancyParams::default(), cfg);
@@ -119,9 +121,21 @@ fn parallel_records_queue_depth_and_worker_time() {
     for (origin, cloud) in scans() {
         map.insert_scan(origin, &cloud, 30.0).unwrap();
     }
+    // One hand-off per scan: one message on the worker's lane, whatever
+    // the batch size (taken before `finish`, whose two flush batches
+    // carry the last scan's stamp).
+    let log = map.take_events().expect("events enabled");
+    for scan in 0..scans().len() as u64 {
+        let enqueues = log
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::QueueEnqueue && e.worker == 1 && e.scan == scan)
+            .count();
+        assert_eq!(enqueues, 1, "scan {scan}");
+    }
     map.finish();
     let records = recorder.records();
-    assert!(records.iter().any(|r| r.queue_depth_enqueue > 0));
+    assert!(records.iter().all(|r| r.queue_depth_enqueue == 1));
     // Worker time rides on the scans that waited for it, and the totals
     // cover it (the dequeue+octree_update of every applied batch).
     let summed: std::time::Duration = records.iter().map(|r| r.times.octree_update).sum();

@@ -45,11 +45,6 @@ pub struct Trajectory {
 }
 
 impl Trajectory {
-    /// Creates a trajectory from explicit poses.
-    pub fn from_poses(poses: Vec<Pose>) -> Self {
-        Trajectory { poses }
-    }
-
     /// The poses.
     pub fn poses(&self) -> &[Pose] {
         &self.poses

@@ -148,6 +148,21 @@ impl Extend<VoxelUpdate> for VoxelBatch {
     }
 }
 
+/// The one way a scan is rejected: its sensor origin is non-finite or
+/// outside the map. Callers with work to do before ray tracing (the
+/// parallel pipeline's hand-off) check it first, so a rejected scan
+/// touches nothing.
+///
+/// # Errors
+///
+/// [`GeomError::NotFinite`] or [`GeomError::OutOfBounds`].
+pub fn check_origin(grid: &VoxelGrid, origin: Point3) -> Result<(), GeomError> {
+    if !origin.is_finite() {
+        return Err(GeomError::NotFinite);
+    }
+    grid.key_of(origin).map(|_| ())
+}
+
 /// Ray-traces one scan into a voxel batch, appending to `out` (cleared
 /// first).
 ///
@@ -168,10 +183,7 @@ pub fn compute_update(
     out: &mut VoxelBatch,
 ) -> Result<(), GeomError> {
     out.clear();
-    if !origin.is_finite() {
-        return Err(GeomError::NotFinite);
-    }
-    grid.key_of(origin)?;
+    check_origin(grid, origin)?;
     let mut key_ray = ray::KeyRay::with_capacity(256);
     for &point in cloud {
         if !point.is_finite() {

@@ -258,11 +258,6 @@ impl OccupancyOcTree {
         self.search(key).map(|l| self.params.is_occupied(l))
     }
 
-    /// Occupancy probability at `key`, or `None` for unknown space.
-    pub fn occupancy_probability(&self, key: VoxelKey) -> Option<f64> {
-        self.search(key).map(crate::occupancy::logodds_to_prob)
-    }
-
     /// Convenience: occupancy decision at a world point.
     ///
     /// # Errors

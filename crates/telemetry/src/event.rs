@@ -50,14 +50,17 @@ pub enum EventKind {
     /// the cell absorbed while resident; `value` is the scan index on which
     /// the cell was inserted.
     CacheEvict,
-    /// A chunk of evicted cells enqueued onto a worker's SPSC ring.
-    /// `worker` is the target lane, `value` the queue depth after the push.
+    /// An eviction batch handed to a worker's SPSC ring (one message per
+    /// batch). `worker` is the target lane, `value` the queue depth after
+    /// the push.
     QueueEnqueue,
-    /// A worker dequeued a chunk. `value` is the queue depth observed at
+    /// A worker dequeued a batch. `value` is the queue depth observed at
     /// the pop.
     QueueDequeue,
     /// A producer or worker stalled waiting on a full/empty queue.
-    /// `value` is the time spent waiting, in nanoseconds.
+    /// `value` is the time spent waiting, in nanoseconds. No backend emits
+    /// it since the hand-off became one message per batch; event files
+    /// recorded before that still carry it.
     QueueStall,
     /// A batch span opened (octree-update work started). `value` is the
     /// number of cells the span will apply.

@@ -1,7 +1,7 @@
 //! # OctoCache telemetry
 //!
 //! A dependency-free observability layer shared by every mapping backend in
-//! the OctoCache reproduction. Three pieces fit together:
+//! the OctoCache reproduction. Four pieces fit together:
 //!
 //! 1. **Metric primitives** — a log-bucketed latency [`Histogram`]
 //!    (p50/p90/p99/max, mergeable across runs) and a plain

@@ -30,7 +30,9 @@ pub struct PhaseTimes {
     pub enqueue: Duration,
     /// Shared-buffer dequeue on thread 2 (parallel only).
     pub dequeue: Duration,
-    /// Thread 1 time spent waiting for the octree mutex (parallel only).
+    /// Thread 1 time spent waiting for the octree worker to finish the
+    /// batch in flight (parallel only). The wait for the octree mutex
+    /// itself is `ScanRecord::mutex_wait`.
     pub wait: Duration,
 }
 

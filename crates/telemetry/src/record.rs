@@ -48,15 +48,15 @@ pub struct ScanRecord {
     /// SPSC queue depth sampled right after this scan's enqueue
     /// (parallel backend only).
     pub queue_depth_enqueue: u64,
-    /// SPSC queue depth sampled by the worker at the first dequeue of this
-    /// scan's batch (parallel backend only).
+    /// SPSC queue depth sampled by the worker when it dequeued a batch
+    /// (parallel backend only).
     pub queue_depth_dequeue: u64,
     /// Time thread 1 spent blocked acquiring the octree mutex this scan
     /// (parallel backend only; the serial backends have no mutex).
     pub mutex_wait: Duration,
-    /// Largest producer-side queue depth seen per worker while enqueueing
-    /// this scan's batch (one element on the parallel backend, which has
-    /// one worker; empty elsewhere).
+    /// Producer-side queue depth per worker right after this scan's
+    /// hand-off (one element on the parallel backend, which has one
+    /// worker; empty elsewhere).
     pub worker_queue_depths: Vec<u64>,
     /// Per-worker busy time (dequeue + octree update) attributed to this
     /// scan, in nanoseconds (one element on the parallel backend; empty
@@ -72,7 +72,8 @@ pub struct ScanRecord {
     pub spawn_failures: u64,
     /// Bounded waits that expired into `QueueStalled` during this scan.
     pub stall_timeouts: u64,
-    /// Batches a worker abandoned midway during this scan.
+    /// Batches left unapplied during this scan: a wedged worker held the
+    /// octree mutex, so the inline apply could not run.
     pub partial_batches: u64,
     /// Batches applied inline on the producer because the worker was out of
     /// rotation.
@@ -239,7 +240,8 @@ pub struct ScanMetrics {
     pub spawn_failures: u64,
     /// Bounded waits that expired into a stall fault during this scan.
     pub stall_timeouts: u64,
-    /// Batches a worker abandoned midway during this scan.
+    /// Batches left unapplied during this scan: a wedged worker held the
+    /// octree mutex, so the inline apply could not run.
     pub partial_batches: u64,
     /// Batches applied inline because the worker was out of rotation.
     pub batches_rerouted: u64,

@@ -135,8 +135,7 @@ pub struct HitRatioPoint {
 }
 
 /// Aggregate view of a recorded trace: per-phase latency histograms, cache
-/// totals, and the hit-ratio time series — what `octocache report` prints
-/// and what `BENCH_telemetry.json` stores per run.
+/// totals, and the hit-ratio time series — what `octocache report` prints.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
     /// Backend name (from the first record; traces are per-run).
@@ -172,7 +171,8 @@ pub struct TraceSummary {
     pub spawn_failures: u64,
     /// Total expired bounded waits (`QueueStalled`) over the trace.
     pub stall_timeouts: u64,
-    /// Total batches abandoned midway over the trace.
+    /// Total batches left unapplied (a wedged worker held the octree
+    /// mutex) over the trace.
     pub partial_batches: u64,
     /// Total batches applied inline (degraded mode) over the trace.
     pub batches_rerouted: u64,
