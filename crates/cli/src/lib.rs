@@ -326,15 +326,13 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     cache_builder
         .num_buckets(buckets.checked_next_power_of_two().unwrap_or(usize::MAX))
         .tau(tau);
-    // Supervisor knobs: a resident-memory budget for the pressure governor,
-    // a worker-respawn budget, and the admission gate's latency deadline.
-    // All default off — an unconfigured build behaves exactly as before.
+    // Supervisor knobs: a resident-memory budget that refuses scans once
+    // the map reaches it (`build()` rejects one below the cache's own
+    // footprint), a worker-respawn budget, and the admission gate's latency
+    // deadline. All default off — an unconfigured build behaves exactly as
+    // before.
     if let Some(s) = flag(&flags, "mem-budget") {
-        let bytes = parse_usize(s, "--mem-budget")? as u64;
-        if bytes == 0 {
-            return Err("--mem-budget must be a non-zero byte count".into());
-        }
-        cache_builder.mem_budget(bytes);
+        cache_builder.mem_budget(parse_usize(s, "--mem-budget")? as u64);
     }
     if let Some(s) = flag(&flags, "max-restarts") {
         cache_builder.max_restarts(parse_usize(s, "--max-restarts")? as u32);
@@ -1346,6 +1344,40 @@ mod tests {
     }
 
     #[test]
+    fn report_loads_a_trace_written_by_the_pressure_ladder() {
+        // One line of a budgeted `build --trace` run at the last commit that
+        // walked a pressure ladder: the key survives, its rung is history.
+        let line = concat!(
+            r#"{"seq":6,"backend":"octocache-serial","times":{"ray_tracing":{"secs":0,"nanos":2059944},"#,
+            r#""cache_insert":{"secs":0,"nanos":14288942},"cache_evict":{"secs":0,"nanos":1935775},"#,
+            r#""octree_update":{"secs":0,"nanos":3629091},"enqueue":{"secs":0,"nanos":0},"#,
+            r#""dequeue":{"secs":0,"nanos":0},"wait":{"secs":0,"nanos":0}},"observations":321148,"#,
+            r#""cache_hits":208035,"cache_misses":113113,"cache_insertions":321148,"#,
+            r#""cache_evictions":55442,"octree_node_visits":341216,"octree_seed_visits":194189,"#,
+            r#""octree_leaf_updates":55442,"octree_nodes_created":43152,"memory_bytes":14159872,"#,
+            r#""queue_depth_enqueue":0,"queue_depth_dequeue":0,"mutex_wait":{"secs":0,"nanos":0},"#,
+            r#""worker_queue_depths":[],"worker_busy_ns":[],"worker_idle_ns":[],"worker_panics":0,"#,
+            r#""spawn_failures":0,"stall_timeouts":0,"partial_batches":0,"batches_rerouted":0,"#,
+            r#""degraded":false,"restarts":0,"heals":0,"restart_ns":0,"sheds":0,"#,
+            r#""pressure_level":"critical","snapshot_publish_ns":0,"snapshot_age_ns":0,"#,
+            r#""batch_queries":0,"batch_nodes_visited":0,"batch_nodes_reused":0,"journal_append_ns":0,"#,
+            r#""checkpoint_write_ns":0,"checkpoint_epoch":0}"#,
+            "\n"
+        );
+        let trace = temp_path("ladder.jsonl");
+        std::fs::write(&trace, line).unwrap();
+        let records = octocache_telemetry::read_jsonl_path(&trace).unwrap();
+        assert_eq!(records[0].pressure_level, "critical");
+        let report = run(&s(&["report", &trace])).unwrap();
+        assert!(report.contains("storage: peak 13828.0 KiB"), "{report}");
+        assert!(!report.contains("pressure"), "{report}");
+        assert!(!report.contains("supervisor:"), "{report}");
+        let json = run(&s(&["report", &trace, "--json"])).unwrap();
+        assert!(json.contains(r#""scans":1"#), "{json}");
+        assert!(!json.contains("pressure"), "{json}");
+    }
+
+    #[test]
     fn build_rejects_unknown_backend() {
         let log = temp_path("x.scanlog");
         run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
@@ -1526,9 +1558,14 @@ mod tests {
         run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
         let map = temp_path("supervisor.map");
 
-        // Bad supervisor values are usage errors.
-        let err = run(&s(&["build", &log, &map, "--mem-budget", "0"])).unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err}");
+        // Bad supervisor values are usage errors, and so is a budget below
+        // the default cache's own 917 504 resident bytes: it would refuse
+        // every scan.
+        for budget in ["0", "200000"] {
+            let err = run(&s(&["build", &log, &map, "--mem-budget", budget])).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+            assert!(err.to_string().contains("917504 B"), "{err}");
+        }
         let err = run(&s(&["build", &log, &map, "--shed-deadline", "-1"])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
 

@@ -22,9 +22,15 @@ pub enum ConfigError {
     /// `checkpoint_generations` must be at least 1 (zero would delete the
     /// checkpoint just written, leaving nothing to recover from).
     ZeroCheckpointGenerations,
-    /// `mem_budget` must be non-zero when set (a zero budget would reject
-    /// every scan; use a small budget to test pressure, `None` to disable).
-    ZeroMemBudget,
+    /// `mem_budget` must cover the cache's own footprint
+    /// ([`CacheConfig::resident_bytes`], allocated when the cache is
+    /// built): a smaller budget would refuse every scan.
+    MemBudgetBelowCache {
+        /// The rejected budget in bytes.
+        budget: u64,
+        /// The cache's resident bytes.
+        cache_bytes: u64,
+    },
     /// `num_buckets × tau` must not exceed [`CacheConfig::MAX_CELLS`]: the
     /// cache allocates that many cells when it is built.
     CapacityTooLarge {
@@ -49,9 +55,13 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroCheckpointGenerations => {
                 write!(f, "checkpoint_generations must be at least 1")
             }
-            ConfigError::ZeroMemBudget => {
-                write!(f, "mem_budget must be non-zero when set")
-            }
+            ConfigError::MemBudgetBelowCache {
+                budget,
+                cache_bytes,
+            } => write!(
+                f,
+                "mem_budget {budget} B is below the cache's own {cache_bytes} B"
+            ),
             ConfigError::CapacityTooLarge { num_buckets, tau } => write!(
                 f,
                 "num_buckets {num_buckets} × tau {tau} exceeds the {} cells a cache may allocate",
@@ -154,12 +164,12 @@ impl CacheConfig {
     }
 
     /// The memory budget in bytes, if one is configured. When set, the
-    /// engine's memory governor walks a graduated pressure ladder as
-    /// resident bytes approach it (tighten τ-eviction → force prune →
-    /// reject scans with
-    /// [`PipelineError::OverBudget`](crate::fault::PipelineError)), with
-    /// hysteresis so relief is not re-triggered on every scan. `None`
-    /// (the default) disables the governor entirely.
+    /// engine admits a scan only while resident bytes (octree pool plus
+    /// cache) are below it and rejects the rest with
+    /// [`PipelineError::OverBudget`](crate::fault::PipelineError). The
+    /// footprint never shrinks, so at the cap the map stops growing. It
+    /// gates admission, not peak: one admitted scan can double the octree
+    /// pool. `None` (the default) disables the check.
     #[inline]
     pub fn mem_budget(&self) -> Option<u64> {
         self.mem_budget
@@ -311,8 +321,8 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Sets the memory budget in bytes (must be non-zero); see
-    /// [`CacheConfig::mem_budget`].
+    /// Sets the memory budget in bytes (at least
+    /// [`CacheConfig::resident_bytes`]); see [`CacheConfig::mem_budget`].
     pub fn mem_budget(&mut self, bytes: u64) -> &mut Self {
         self.config.mem_budget = Some(bytes);
         self
@@ -411,8 +421,14 @@ impl CacheConfigBuilder {
         if c.checkpoint_generations == 0 {
             return Err(ConfigError::ZeroCheckpointGenerations);
         }
-        if c.mem_budget == Some(0) {
-            return Err(ConfigError::ZeroMemBudget);
+        if let Some(budget) = c.mem_budget {
+            let cache_bytes = c.resident_bytes() as u64;
+            if budget < cache_bytes {
+                return Err(ConfigError::MemBudgetBelowCache {
+                    budget,
+                    cache_bytes,
+                });
+            }
         }
         Ok(c)
     }
@@ -606,12 +622,17 @@ mod tests {
         // said, the one table is what a reader gets.
         let c = CacheConfig::builder()
             .num_buckets(64)
-            .mem_budget(5)
+            .mem_budget(1 << 20)
             .shed_deadline(Duration::from_millis(40))
             .build()
             .unwrap();
         let legacy = r#"{"num_buckets":64,"tau":4,"index_policy":"Hash","eviction_order":"InsertionFifo","stall_timeout":{"secs":10,"nanos":0},"backoff":{"spin_iters":64,"yields_per_check":1},"checkpoint_every":64,"checkpoint_generations":3,"journal_fsync":true,"mem_budget":5,"max_restarts":0,"restart_backoff":{"secs":0,"nanos":5000000},"shed_deadline":{"secs":0,"nanos":40000000}}"#;
         let back: CacheConfig = serde::json::from_str(legacy).unwrap();
+        // Parsing does not validate: the legacy budget survives verbatim.
+        let c = CacheConfig {
+            mem_budget: Some(5),
+            ..c
+        };
         assert_eq!(back, c);
     }
 
@@ -653,10 +674,20 @@ mod tests {
         assert_eq!(d.mem_budget(), None);
         assert_eq!(d.max_restarts(), 0);
         assert_eq!(d.shed_deadline(), None);
-        assert_eq!(
-            CacheConfig::builder().mem_budget(0).build(),
-            Err(ConfigError::ZeroMemBudget)
-        );
+        let cache_bytes = d.resident_bytes() as u64;
+        for budget in [0, 200_000, cache_bytes - 1] {
+            assert_eq!(
+                CacheConfig::builder().mem_budget(budget).build(),
+                Err(ConfigError::MemBudgetBelowCache {
+                    budget,
+                    cache_bytes
+                })
+            );
+        }
+        assert!(CacheConfig::builder()
+            .mem_budget(cache_bytes)
+            .build()
+            .is_ok());
         let c = CacheConfig::builder()
             .num_buckets(64)
             .mem_budget(32 << 20)
@@ -681,7 +712,10 @@ mod tests {
             ConfigError::ZeroTau,
             ConfigError::ZeroStallTimeout,
             ConfigError::ZeroCheckpointGenerations,
-            ConfigError::ZeroMemBudget,
+            ConfigError::MemBudgetBelowCache {
+                budget: 0,
+                cache_bytes: 4096,
+            },
             ConfigError::CapacityTooLarge {
                 num_buckets: 1 << 16,
                 tau: 1 << 20,

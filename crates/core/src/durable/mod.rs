@@ -606,8 +606,8 @@ impl MappingSystem for DurableMap {
             }
             return Ok(ScanOutcome::Shed(reason));
         }
-        // Admission already ran the governor; the redundant budget_check
-        // inside insert_scan re-observes the same resident size and passes.
+        // Admission already checked the budget; the redundant budget_check
+        // inside insert_scan measures the same resident size and passes.
         self.insert_scan(origin, cloud, max_range)
             .map(ScanOutcome::Applied)
     }

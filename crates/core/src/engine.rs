@@ -43,12 +43,11 @@ use octocache_telemetry::{
 };
 
 use crate::cache::{CacheStats, EvictedCell, VoxelCache};
+use crate::config::CacheConfig;
 use crate::fault::{FaultCounters, Integrity, IntegrityTransition, PipelineError};
 use crate::pipeline::RayTracer;
 use crate::query::{BatchStats, MapSnapshot, PublishStats, QueryHandle, SnapshotPublisher};
-use crate::supervisor::{
-    AdmissionGate, MemoryGovernor, PressureLevel, ScanOutcome, ShedReason, SupervisorParams,
-};
+use crate::supervisor::{AdmissionGate, ScanOutcome, ShedReason};
 
 /// Outcome of inserting one scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -100,7 +99,7 @@ pub trait MappingSystem {
     /// alternative to [`MappingSystem::insert_scan`] for callers that
     /// would rather lose a scan than blow a latency deadline or a memory
     /// budget. Returns [`ScanOutcome::Shed`] when the backend's admission
-    /// gate or memory governor rejected the scan (the map is unchanged by
+    /// gate or memory budget rejected the scan (the map is unchanged by
     /// it); otherwise applies the scan exactly like `insert_scan`.
     ///
     /// The default implementation admits unconditionally, for backends
@@ -131,18 +130,17 @@ pub trait MappingSystem {
         None
     }
 
-    /// Enforces the memory budget for the next scan: runs the governor
-    /// (including any relief work) and returns
-    /// [`PipelineError::OverBudget`] when the budget's reject rung is
-    /// reached. [`MappingSystem::insert_scan`] calls this internally;
+    /// Enforces the memory budget for the next scan: returns
+    /// [`PipelineError::OverBudget`] when resident bytes are at or above
+    /// the budget. [`MappingSystem::insert_scan`] calls this internally;
     /// layered backends call it *before* their own side effects so a
     /// scan the engine will reject is never journaled.
     ///
-    /// The default is a no-op, for backends without a governor.
+    /// The default is a no-op, for backends without a budget.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::OverBudget`] at the reject rung.
+    /// [`PipelineError::OverBudget`] at or above the budget.
     fn budget_check(&mut self) -> Result<(), PipelineError> {
         Ok(())
     }
@@ -479,28 +477,18 @@ pub trait ScanExecutor {
         Vec::new()
     }
 
-    /// The supervisor knobs the executor's configuration carries (memory
-    /// budget, admission deadline). Read once at engine construction;
-    /// the default — everything off — keeps unconfigured runs zero-cost.
-    fn supervisor_params(&self) -> SupervisorParams {
-        SupervisorParams::default()
+    /// The cache configuration, whose memory budget and admission
+    /// deadline the engine reads once at construction; `None` (the
+    /// baselines) leaves both off.
+    fn config(&self) -> Option<&CacheConfig> {
+        None
     }
 
     /// Bytes resident in the executor's mapping state (octree storage
-    /// plus the cache). Only called when a memory
-    /// budget is configured, once per scan; executors without governor
-    /// support report 0 (never over any budget).
+    /// plus the cache). Only called when a memory budget is configured,
+    /// once per scan; executors without a budget report 0.
     fn resident_bytes(&self) -> u64 {
         0
-    }
-
-    /// Performs relief work for the given pressure rung: an extra cache
-    /// τ-eviction pass at [`PressureLevel::Elevated`], a cache drain and
-    /// octree prune at [`PressureLevel::Critical`] and above. Called by
-    /// the engine's governor only on upward rung transitions, at scan
-    /// boundaries. The default does nothing.
-    fn relieve_memory(&mut self, level: PressureLevel) {
-        let _ = level;
     }
 
     /// Consumes the executor and returns the completed backing octree.
@@ -529,11 +517,10 @@ pub struct Engine<E: ScanExecutor> {
     /// ([`MappingSystem::stamp_durable`]); all zeros without a
     /// durability layer.
     pending_durable: DurableMetrics,
-    /// The memory governor, armed when the executor's config carries a
-    /// budget ([`SupervisorParams::mem_budget`]).
-    governor: Option<MemoryGovernor>,
+    /// The memory budget in bytes ([`CacheConfig::mem_budget`]).
+    budget: Option<u64>,
     /// The admission gate, armed when the config carries a deadline
-    /// ([`SupervisorParams::shed_deadline`]).
+    /// ([`CacheConfig::shed_deadline`]).
     gate: Option<AdmissionGate>,
     /// Scans shed since the last applied scan; folded into the next
     /// applied scan's record.
@@ -544,38 +531,29 @@ impl<E: ScanExecutor> Engine<E> {
     /// Wraps an executor with fresh lifecycle state.
     pub(crate) fn from_executor(exec: E) -> Self {
         let telemetry = Telemetry::new(exec.backend_name());
-        let params = exec.supervisor_params();
+        let config = exec.config();
+        let budget = config.and_then(CacheConfig::mem_budget);
+        let gate = config
+            .and_then(CacheConfig::shed_deadline)
+            .map(AdmissionGate::new);
         Engine {
             exec,
             telemetry,
             publisher: None,
             pending_durable: DurableMetrics::default(),
-            governor: params.mem_budget.map(MemoryGovernor::new),
-            gate: params.shed_deadline.map(AdmissionGate::new),
+            budget,
+            gate,
             pending_sheds: 0,
         }
     }
 
-    /// Runs the memory governor against the executor's resident bytes,
-    /// triggering relief on upward rung transitions and re-measuring
-    /// after relief. Returns `Some((resident, budget))` when the reject
-    /// rung holds even after relief — the caller rejects or sheds the
-    /// next scan. `None` without a configured budget (one branch).
-    fn governor_pass(&mut self) -> Option<(u64, u64)> {
-        let Engine { exec, governor, .. } = self;
-        let gov = governor.as_mut()?;
-        let mut resident = exec.resident_bytes();
-        let (mut level, went_up) = gov.observe(resident);
-        if went_up && level >= PressureLevel::Elevated {
-            exec.relieve_memory(level);
-            resident = exec.resident_bytes();
-            level = gov.observe(resident).0;
-        }
-        if level == PressureLevel::OverBudget {
-            Some((resident, gov.budget()))
-        } else {
-            None
-        }
+    /// The budget verdict for the next scan: `Some((resident, budget))`
+    /// when resident bytes are at or above the budget. `None` without a
+    /// configured budget (one branch).
+    fn over_budget(&self) -> Option<(u64, u64)> {
+        let budget = self.budget?;
+        let resident = self.exec.resident_bytes();
+        (resident >= budget).then_some((resident, budget))
     }
 
     /// Runs one scan through the full lifecycle: sequence → execute →
@@ -598,10 +576,10 @@ impl<E: ScanExecutor> Engine<E> {
             gate.observe_scan(started.elapsed());
         }
         // The supervisor's per-scan stamps: sheds accumulated since the
-        // last applied scan, and the governor's rung after this one.
+        // last applied scan, and "normal" when a budget admitted this one.
         metrics.sheds = std::mem::take(&mut self.pending_sheds);
-        if let Some(gov) = &self.governor {
-            metrics.pressure_level = gov.level().as_str().to_string();
+        if self.budget.is_some() {
+            metrics.pressure_level = "normal".to_string();
         }
 
         let (publish, batch_stats) = self.republish(scan_seq + 1);
@@ -677,17 +655,17 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
         if let Some(reason) = self.admission_check() {
             return Ok(ScanOutcome::Shed(reason));
         }
-        // Admission already ran the governor; execute without re-checking.
+        // Admission already checked the budget; execute without re-checking.
         self.run_scan(origin, cloud, max_range)
             .map(ScanOutcome::Applied)
     }
 
     fn admission_check(&mut self) -> Option<ShedReason> {
-        // Deadline gate first (cheapest), then the memory governor.
+        // Deadline gate first (cheapest), then the memory budget.
         let reason = match self.gate.as_mut().and_then(AdmissionGate::admit) {
             Some(reason) => Some(reason),
             None => {
-                self.governor_pass()
+                self.over_budget()
                     .map(|(resident_bytes, budget_bytes)| ShedReason::OverBudget {
                         resident_bytes,
                         budget_bytes,
@@ -701,7 +679,7 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
     }
 
     fn budget_check(&mut self) -> Result<(), PipelineError> {
-        match self.governor_pass() {
+        match self.over_budget() {
             Some((resident_bytes, budget_bytes)) => Err(PipelineError::OverBudget {
                 resident_bytes,
                 budget_bytes,

@@ -68,13 +68,14 @@ pub enum PipelineError {
     /// wrapped backend: the write-ahead contract ("journaled before
     /// applied") holds, so the durable state never lags the in-memory map.
     Durable(crate::durable::DurableError),
-    /// The memory governor's top rung: resident bytes exceeded the
-    /// configured [`MemoryBudget`](crate::CacheConfig::mem_budget) even
-    /// after forced eviction and pruning, so the scan was rejected before
-    /// it touched the map. The map is unchanged by it; integrity is
-    /// unaffected (rejection is back-pressure, not corruption).
+    /// Resident bytes were at or above the configured
+    /// [memory budget](crate::CacheConfig::mem_budget) at the scan
+    /// boundary, so the scan was rejected before it touched the map. The
+    /// footprint never shrinks, so every later scan is rejected too. The
+    /// map is unchanged by it; integrity is unaffected (rejection is
+    /// back-pressure, not corruption).
     OverBudget {
-        /// Resident bytes observed after relief attempts.
+        /// Resident bytes observed at the scan boundary.
         resident_bytes: u64,
         /// The configured budget in bytes.
         budget_bytes: u64,

@@ -53,7 +53,6 @@ use crate::fault::FaultPlan;
 use crate::fault::{FaultCounters, Integrity, IntegrityState, IntegrityTransition, PipelineError};
 use crate::pipeline::{MappingSystem, RayTracer};
 use crate::spsc::{self, Backoff, Producer};
-use crate::supervisor::{PressureLevel, SupervisorParams};
 
 /// The ring's one message: a finished, Morton-ordered eviction batch,
 /// shared with the producer's retained copy. The counting drain needs the
@@ -935,8 +934,8 @@ impl ScanExecutor for ParallelExecutor {
         self.faults
     }
 
-    fn supervisor_params(&self) -> SupervisorParams {
-        SupervisorParams::from_config(self.cache.config())
+    fn config(&self) -> Option<&CacheConfig> {
+        Some(self.cache.config())
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -945,26 +944,6 @@ impl ScanExecutor for ParallelExecutor {
         // frozen anyway: nothing can be applied to it).
         let tree = self.worker.lock_tree();
         self.cache.memory_usage() as u64 + tree.map_or(0, |g| g.memory_usage() as u64)
-    }
-
-    fn relieve_memory(&mut self, level: PressureLevel) {
-        // Runs between scans (queue drained, retained batch already
-        // applied), so applying drained cells inline under the octree
-        // mutex is race-free and map-neutral: cells carry absolute
-        // log-odds and the batch apply overwrites. The retained batch
-        // predates this drain, but a later re-apply only ever uses the
-        // batch in flight at failure time, which post-dates it.
-        let drained = (level >= PressureLevel::Critical).then(|| self.cache.drain_all());
-        // A wedged worker's cells are undeliverable; the map is already
-        // Compromised by the wedge itself.
-        if let Some(mut g) = self.worker.lock_tree() {
-            if let Some(cells) = &drained {
-                engine::apply_cells(&mut g, cells);
-            }
-            // Pruning the octree is the step that durably shrinks resident
-            // bytes; merged-away nodes re-expand on demand.
-            g.prune();
-        }
     }
 
     /// Builds a self-contained read tree: a deep copy of the octree with

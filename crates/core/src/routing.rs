@@ -1,7 +1,7 @@
 //! One-shard stand-in for the deleted octant router, kept only because
 //! the frozen `benchmark/` package times `shard_of` (`routing.ns_per_key`).
 //! Nothing in the workspace calls it; it goes in the next `benchmark` PR
-//! (ROADMAP item 1(d)).
+//! (ROADMAP item 1(c)).
 
 use octocache_geom::{VoxelGrid, VoxelKey};
 

@@ -23,7 +23,6 @@ use crate::config::CacheConfig;
 use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
 use crate::fault::PipelineError;
 use crate::pipeline::{MappingSystem, RayTracer};
-use crate::supervisor::{PressureLevel, SupervisorParams};
 
 /// The serial OctoCache mapping system: the scan-lifecycle [`Engine`] over
 /// a [`SerialExecutor`].
@@ -252,33 +251,12 @@ impl ScanExecutor for SerialExecutor {
         self.event_sink.as_ref().map(|s| s.take())
     }
 
-    fn supervisor_params(&self) -> SupervisorParams {
-        SupervisorParams::from_config(self.cache.config())
+    fn config(&self) -> Option<&CacheConfig> {
+        Some(self.cache.config())
     }
 
     fn resident_bytes(&self) -> u64 {
         (self.tree.memory_usage() + self.cache.memory_usage()) as u64
-    }
-
-    fn relieve_memory(&mut self, level: PressureLevel) {
-        // Elevated: an extra τ-eviction pass pushes over-threshold cells
-        // to the tree early. Critical and above: drain the cache entirely
-        // and prune the tree — the only step that shrinks resident bytes
-        // durably. Cells carry absolute log-odds, so early application is
-        // map-neutral (the consistency contract of the eviction stream).
-        self.evict_buf.clear();
-        self.cache.evict_into(&mut self.evict_buf);
-        if level >= PressureLevel::Critical {
-            let drained = self.cache.drain_all();
-            self.evict_buf.extend(drained);
-        }
-        let cells = std::mem::take(&mut self.evict_buf);
-        engine::apply_evictions(&mut self.cache, &mut self.tree, &cells);
-        self.evict_buf = cells;
-        self.evict_buf.clear();
-        if level >= PressureLevel::Critical {
-            self.tree.prune();
-        }
     }
 
     fn take_tree(self) -> OccupancyOcTree {

@@ -113,7 +113,11 @@ fn over_budget_is_permanent_and_the_applied_prefix_is_exact() {
                 shed[first..].iter().all(|&s| s),
                 "{label}: a scan was admitted after the first refusal: {shed:?}"
             );
-            assert_eq!(footprint.len(), first, "{label}: one record per applied scan");
+            assert_eq!(
+                footprint.len(),
+                first,
+                "{label}: one record per applied scan"
+            );
 
             map.finish();
             let (want, _) = reference(&scans[..first]);

@@ -3,20 +3,19 @@
 //! `OCTO_SOAK_SEED` matrix — see `.github/workflows/ci.yml`).
 //!
 //! A seeded long run (hundreds of scans) interleaves periodic worker
-//! kills, memory pressure from a deliberately tight budget, and burst
-//! overload. The contract under test:
+//! kills, a deliberately tight memory budget, and burst overload. The
+//! contract under test:
 //!
 //! 1. The final map is voxel-for-voxel identical to a serial replay of
 //!    exactly the scans that were applied (shed scans excluded) — worker
-//!    respawn re-applies the retained batch idempotently and memory relief
-//!    (inline drain + prune) is map-neutral.
+//!    respawn re-applies the retained batch idempotently.
 //! 2. Integrity re-converges to `Intact` after every heal: the transition
 //!    history strictly alternates degrade → heal, and each respawn is
 //!    matched by a heal while the restart budget lasts.
-//! 3. The governor never admits a scan at the reject rung: no applied
-//!    scan's record carries the `over-budget` pressure label (the scan
-//!    would have been shed), which is the boundary-measured form of
-//!    "memory never exceeds the budget".
+//! 3. The budget is one threshold on a footprint that never shrinks: it
+//!    sheds at least one scan, every submission after the first shed is
+//!    shed too (the map stops growing at the cap), and every applied scan
+//!    was admitted on a footprint below the budget.
 
 #![cfg(feature = "fault-injection")]
 
@@ -65,7 +64,9 @@ fn serial_reference(scans: &[&Scan]) -> OccupancyOcTree {
 /// tree, and the supervisor's own account of the run.
 struct SoakOutcome {
     applied: Vec<usize>,
-    sheds: u64,
+    /// Budget sheds, in submission order: the scan and the resident bytes
+    /// that refused it.
+    sheds: Vec<(usize, u64)>,
     kill_errors: u64,
     tree: OccupancyOcTree,
     map_summary: MapSummary,
@@ -87,12 +88,14 @@ fn run_supervised(scans: &[Scan], config: CacheConfig) -> SoakOutcome {
     let recorder = SharedRecorder::new();
     map.set_recorder(Box::new(recorder.clone()));
     let mut applied = Vec::new();
-    let mut sheds = 0u64;
+    let mut sheds = Vec::new();
     let mut kill_errors = 0u64;
     for (i, scan) in scans.iter().enumerate() {
         match map.submit_scan(scan.origin, &scan.points, MAX_RANGE) {
             Ok(ScanOutcome::Applied(_)) => applied.push(i),
-            Ok(ScanOutcome::Shed(ShedReason::OverBudget { .. })) => sheds += 1,
+            Ok(ScanOutcome::Shed(ShedReason::OverBudget { resident_bytes, .. })) => {
+                sheds.push((i, resident_bytes))
+            }
             Ok(ScanOutcome::Shed(reason)) => {
                 panic!("scan {i}: unexpected shed reason {reason} (no deadline configured)")
             }
@@ -130,7 +133,7 @@ fn assert_differential(label: &str, scans: &[Scan], o: &SoakOutcome) {
         d.value_mismatches,
         d.coverage_mismatches,
         o.applied.len(),
-        o.sheds,
+        o.sheds.len(),
         o.kill_errors
     );
 }
@@ -172,8 +175,8 @@ fn chaos_soak_heals_sheds_and_stays_differential_exact() {
     let scans = soak_scans(seed);
     assert!(scans.len() >= 200, "soak needs hundreds of scans");
     // The budget is derived from the run itself: ~4/5 of the final
-    // serial tree footprint, so the pressure ladder must engage as the
-    // map approaches completion without starving the whole run.
+    // serial tree footprint, so it trips as the map approaches completion
+    // without starving the whole run.
     let all: Vec<&Scan> = scans.iter().collect();
     let budget = (serial_reference(&all).memory_usage() as u64) * 4 / 5;
     let label = format!("soak seed={seed}");
@@ -184,7 +187,8 @@ fn chaos_soak_heals_sheds_and_stays_differential_exact() {
         .max_restarts(10_000)
         .stall_timeout(Duration::from_secs(10));
     b.fault_plan(FaultPlan::from_spec("killevery:0@7").expect("spec"));
-    let o = run_supervised(&scans, b.build().unwrap());
+    let config = b.build().unwrap();
+    let o = run_supervised(&scans, config);
     let s = &o.map_summary;
 
     // Worker kills happened and every one of them was healed by a
@@ -198,17 +202,38 @@ fn chaos_soak_heals_sheds_and_stays_differential_exact() {
     );
     assert_reconverges(&label, s);
 
-    // The governor engaged (some scan saw pressure above normal)
-    // but never admitted a scan at the reject rung.
-    assert!(
-        s.records
-            .iter()
-            .any(|r| !r.pressure_level.is_empty() && r.pressure_level != "normal"),
-        "{label}: the pressure ladder never engaged"
+    // The budget tripped, and from then on it refused everything: the
+    // footprint it measures never shrinks.
+    let &(first, refused_at) = o.sheds.first().unwrap_or_else(|| {
+        panic!("{label}: the budget never tripped");
+    });
+    assert!(first > 0, "{label}: the budget refused the first scan");
+    assert!(refused_at >= budget, "{label}: shed at {refused_at} B");
+    assert_eq!(
+        o.sheds.len(),
+        scans.len() - first,
+        "{label}: a scan was admitted after the first shed at scan {first}"
     );
+    // Every applied scan was admitted on a footprint under the budget: a
+    // scan's record carries the tree its successor was admitted on, and
+    // the cache adds at least its fixed slab.
+    let cache_bytes = config.resident_bytes() as u64;
+    assert_eq!(
+        s.records.len(),
+        first,
+        "{label}: one record per applied scan"
+    );
+    for r in &s.records[..first - 1] {
+        assert!(
+            r.memory_bytes + cache_bytes < budget,
+            "{label}: scan {} was admitted at {} B",
+            r.seq + 1,
+            r.memory_bytes + cache_bytes
+        );
+    }
     assert!(
-        s.records.iter().all(|r| r.pressure_level != "over-budget"),
-        "{label}: a scan was applied at the reject rung"
+        s.records.iter().all(|r| r.pressure_level == "normal"),
+        "{label}"
     );
     // Heals and restarts land in the per-scan records too.
     assert_eq!(
@@ -217,7 +242,7 @@ fn chaos_soak_heals_sheds_and_stays_differential_exact() {
         "{label}"
     );
     assert!(
-        s.records.iter().map(|r| r.sheds).sum::<u64>() <= o.sheds,
+        s.records.iter().map(|r| r.sheds).sum::<u64>() <= o.sheds.len() as u64,
         "{label}: record sheds exceed observed sheds"
     );
 
@@ -288,7 +313,7 @@ proptest! {
             .stall_timeout(Duration::from_secs(10));
         b.fault_plan(FaultPlan::from_spec(&format!("killevery:0@{every}")).unwrap());
         let o = run_supervised(&scans, b.build().unwrap());
-        prop_assert_eq!(o.sheds, 0); // no budget configured
+        prop_assert!(o.sheds.is_empty()); // no budget configured
         let s = &o.map_summary;
         prop_assert_eq!(s.counters.restarts, s.counters.heals);
         let applied: Vec<&Scan> = o.applied.iter().map(|&i| &scans[i]).collect();

@@ -242,8 +242,8 @@ impl Mission {
             let pose = Pose::new(position, yaw);
             let cloud = sensor.scan(&scene, &pose, self.config.seed ^ cycles as u64);
             let t0 = Instant::now();
-            // Scans go through the supervised admission gate: under memory
-            // pressure or overload the backend may shed the scan, in which
+            // Scans go through the supervised admission gate: over its memory
+            // budget or overloaded, the backend may shed the scan, in which
             // case this cycle plans on the previous map state — the paper's
             // "stale map beats a stalled control loop" trade.
             if let ScanOutcome::Shed(_) = map.submit_scan(position, &cloud, sensing_range)? {

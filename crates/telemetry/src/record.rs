@@ -88,13 +88,14 @@ pub struct ScanRecord {
     /// Time the supervisor spent respawning workers before this scan, in
     /// nanoseconds (thread spawn).
     pub restart_ns: u64,
-    /// Scans shed by the admission gate or memory governor since the
+    /// Scans shed by the admission gate or memory budget since the
     /// previous applied scan (shed scans get no record of their own; the
     /// next applied scan carries the count).
     pub sheds: u64,
-    /// The memory governor's pressure rung after this scan (`"normal"`,
-    /// `"elevated"`, `"critical"`, `"over-budget"`; empty when no memory
-    /// budget is configured).
+    /// `"normal"` when a memory budget is configured (every recorded scan
+    /// was admitted under it), empty otherwise. Traces written while the
+    /// budget walked a pressure ladder may also carry `"elevated"`,
+    /// `"critical"` or `"over-budget"`.
     pub pressure_level: String,
     /// Time to build and publish this scan's read snapshot, in nanoseconds
     /// (0 when no query handle is armed on the backend).
@@ -256,7 +257,7 @@ pub struct ScanMetrics {
     /// Scans shed since the previous applied scan (stamped by the engine;
     /// executors leave it zero).
     pub sheds: u64,
-    /// Pressure rung after this scan (stamped by the engine; executors
+    /// `"normal"` under a memory budget (stamped by the engine; executors
     /// leave it empty).
     pub pressure_level: String,
 }

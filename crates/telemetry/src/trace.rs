@@ -187,9 +187,6 @@ pub struct TraceSummary {
     pub restart_ns: u64,
     /// Total scans shed by admission control over the trace.
     pub sheds: u64,
-    /// Most severe memory-pressure level recorded on any scan (empty for
-    /// traces without a governor).
-    pub peak_pressure: String,
     /// Total nanoseconds spent journaling scans (0 for non-durable runs).
     pub journal_append_ns: u64,
     /// Total nanoseconds spent writing durable checkpoints.
@@ -210,20 +207,6 @@ pub struct TraceSummary {
 /// Number of windows the hit-ratio series is bucketed into (fewer when the
 /// trace has fewer scans).
 const SERIES_WINDOWS: usize = 20;
-
-/// Severity order of the governor's pressure labels (empty = no governor,
-/// least severe); unknown labels from newer writers rank above known ones
-/// so they are preserved rather than dropped.
-fn pressure_rank(level: &str) -> u8 {
-    match level {
-        "" => 0,
-        "normal" => 1,
-        "elevated" => 2,
-        "critical" => 3,
-        "over-budget" => 4,
-        _ => 5,
-    }
-}
 
 impl TraceSummary {
     /// Folds a record stream into a summary. The hit-ratio series uses at
@@ -268,9 +251,6 @@ impl TraceSummary {
             s.heals += r.heals;
             s.restart_ns += r.restart_ns;
             s.sheds += r.sheds;
-            if pressure_rank(&r.pressure_level) > pressure_rank(&s.peak_pressure) {
-                s.peak_pressure = r.pressure_level.clone();
-            }
             s.journal_append_ns += r.journal_append_ns;
             s.checkpoint_write_ns += r.checkpoint_write_ns;
             s.checkpoints += u64::from(r.checkpoint_write_ns > 0);
@@ -327,10 +307,9 @@ impl TraceSummary {
     }
 
     /// True when the supervisor did anything worth reporting: a respawn, a
-    /// heal, a shed scan, or memory pressure above the normal rung.
+    /// heal or a shed scan.
     pub fn any_supervisor_activity(&self) -> bool {
         self.restarts + self.heals + self.sheds > 0
-            || pressure_rank(&self.peak_pressure) > pressure_rank("normal")
     }
 
     /// Per-worker utilization over the trace: busy / (busy + idle), in
@@ -449,7 +428,6 @@ impl TraceSummary {
             ("heals", Value::U64(self.heals)),
             ("restart_ns", Value::U64(self.restart_ns)),
             ("sheds", Value::U64(self.sheds)),
-            ("peak_pressure", Value::Str(self.peak_pressure.clone())),
             ("journal_append_ns", Value::U64(self.journal_append_ns)),
             ("checkpoint_write_ns", Value::U64(self.checkpoint_write_ns)),
             ("checkpoints", Value::U64(self.checkpoints)),
@@ -540,17 +518,14 @@ impl TraceSummary {
             );
         }
         if self.any_supervisor_activity() {
-            let mut line = format!(
+            let _ = writeln!(
+                out,
                 "  supervisor: {} restarts ({:.2} ms), {} heals, {} shed scans",
                 self.restarts,
                 self.restart_ns as f64 / 1e6,
                 self.heals,
                 self.sheds
             );
-            if pressure_rank(&self.peak_pressure) > pressure_rank("normal") {
-                let _ = write!(line, ", peak pressure {}", self.peak_pressure);
-            }
-            let _ = writeln!(out, "{line}");
         }
 
         let _ = writeln!(out, "\nper-phase latency percentiles (per scan):");
@@ -826,41 +801,28 @@ mod tests {
         recs[1].heals = 1;
         recs[1].restart_ns = 2_000_000;
         recs[2].sheds = 3;
-        recs[2].pressure_level = "critical".to_string();
-        recs[3].pressure_level = "elevated".to_string();
-        recs[4].pressure_level = "normal".to_string();
         let s = TraceSummary::from_records(&recs);
         assert_eq!(s.restarts, 1);
         assert_eq!(s.heals, 1);
         assert_eq!(s.restart_ns, 2_000_000);
         assert_eq!(s.sheds, 3);
-        // Peak pressure keeps the most severe level seen, not the last.
-        assert_eq!(s.peak_pressure, "critical");
         assert!(s.any_supervisor_activity());
         let text = s.render();
         assert!(text.contains("supervisor: 1 restarts"), "{text}");
         assert!(text.contains("3 shed scans"), "{text}");
-        assert!(text.contains("peak pressure critical"), "{text}");
         let v: serde::Value = serde::json::from_str(&s.to_json()).unwrap();
         assert_eq!(v.get("heals").and_then(serde::Value::as_u64), Some(1));
         assert_eq!(v.get("sheds").and_then(serde::Value::as_u64), Some(3));
-        assert_eq!(
-            v.get("peak_pressure").and_then(serde::Value::as_str),
-            Some("critical")
-        );
         // A trace with no supervisor activity renders no supervisor line,
-        // even when the governor reported "normal" on every scan.
+        // whatever pressure label its records carry: "normal" for an armed
+        // budget, or a rung of the retired ladder in an older trace.
         let mut quiet = records(3);
-        for r in quiet.iter_mut() {
-            r.pressure_level = "normal".to_string();
-        }
+        quiet[0].pressure_level = "normal".to_string();
+        quiet[1].pressure_level = "critical".to_string();
         let q = TraceSummary::from_records(&quiet);
         assert!(!q.any_supervisor_activity());
         assert!(!q.render().contains("supervisor:"));
-        // And a plain trace is untouched.
-        let plain = TraceSummary::from_records(&records(3));
-        assert_eq!(plain.peak_pressure, "");
-        assert!(!plain.render().contains("supervisor:"));
+        assert!(!q.to_json().contains("pressure"));
     }
 
     #[test]
