@@ -1235,6 +1235,34 @@ mod tests {
     }
 
     #[test]
+    fn tree_stats_reset_between_scans_records_no_wrapped_delta() {
+        use octocache_telemetry::SharedRecorder;
+        let recorder = SharedRecorder::new();
+        let mut s = system(1 << 6, 1); // tiny cache: the tree is written every scan
+        s.set_recorder(Box::new(recorder.clone()));
+        for i in 0..3 {
+            s.insert_scan(Point3::ZERO, &wall_cloud(i as f64 * 0.07), 20.0)
+                .unwrap();
+        }
+        // The counters drop below the snapshot the last record was taken
+        // against; the next scan's delta must not underflow.
+        s.with_tree(|t| t.stats().reset());
+        s.insert_scan(Point3::ZERO, &wall_cloud(0.21), 20.0)
+            .unwrap();
+        s.finish();
+        let records = recorder.records();
+        assert_eq!(records.len(), 4);
+        for r in &records {
+            assert!(
+                r.octree_node_visits < 1 << 32 && r.octree_leaf_updates < 1 << 32,
+                "wrapped tree delta: {} visits, {} updates",
+                r.octree_node_visits,
+                r.octree_leaf_updates
+            );
+        }
+    }
+
+    #[test]
     fn per_worker_telemetry_is_recorded() {
         use octocache_telemetry::SharedRecorder;
         let recorder = SharedRecorder::new();

@@ -132,7 +132,7 @@ impl ArenaTree {
         &'a mut self,
         depth: u8,
         params: &'a OccupancyParams,
-        stats: &'a TreeStats,
+        stats: &'a mut TreeStats,
         auto_prune: bool,
     ) -> OpenPath<'a> {
         debug_assert!(depth as usize <= 16);
@@ -160,7 +160,7 @@ impl ArenaTree {
         child: usize,
         fresh: bool,
         params: &OccupancyParams,
-        stats: &TreeStats,
+        stats: &mut TreeStats,
     ) -> (u32, bool) {
         let bit = 1u8 << child;
         let node = self.nodes[idx as usize];
@@ -172,8 +172,8 @@ impl ArenaTree {
             let n = &mut self.nodes[idx as usize];
             n.block = block;
             n.mask = 0xff;
-            stats.count_expansion();
-            stats.count_visits(8);
+            *stats.expansions.get_mut() += 1;
+            *stats.node_visits.get_mut() += 8;
         }
         let mut created = false;
         if self.nodes[idx as usize].mask & bit == 0 {
@@ -184,7 +184,7 @@ impl ArenaTree {
             let b = self.nodes[idx as usize].block;
             self.nodes[(b + child as u32) as usize] = ArenaNode::leaf(params.threshold);
             self.nodes[idx as usize].mask |= bit;
-            stats.count_created();
+            *stats.nodes_created.get_mut() += 1;
             created = true;
         }
         (self.nodes[idx as usize].block + child as u32, created)
@@ -194,10 +194,10 @@ impl ArenaTree {
     /// eight equal childless children into it, else refreshes its value to
     /// the max of its children.
     #[inline]
-    fn close_node(&mut self, idx: u32, auto_prune: bool, stats: &TreeStats) {
+    fn close_node(&mut self, idx: u32, auto_prune: bool, stats: &mut TreeStats) {
         if auto_prune && self.is_prunable(idx) {
             self.prune_node(idx);
-            stats.count_prune();
+            *stats.prunes.get_mut() += 1;
         } else {
             self.refresh_from_children(idx);
         }
@@ -221,7 +221,7 @@ impl ArenaTree {
 
     /// Full bottom-up prune (iterative post-order): freed child blocks go to
     /// the free-list for recycling.
-    pub(crate) fn prune(&mut self, depth: u8, stats: &TreeStats) {
+    pub(crate) fn prune(&mut self, depth: u8, stats: &mut TreeStats) {
         if self.nodes.is_empty() {
             return;
         }
@@ -436,11 +436,13 @@ impl ArenaTree {
 /// node on the way down, one per inner node closed, eight per expansion —
 /// so a single update costs `2·depth + 1` (`core/tests/golden/structure.txt`
 /// pins it) and each further distinct key adds its tree distance to the
-/// previous one: the paper's 𝓕(S) (§4.3) is the batch's cost.
+/// previous one: the paper's 𝓕(S) (§4.3) is the batch's cost. The path
+/// holds the tree's counters mutably, as it holds the tree, so each count is
+/// a plain add.
 pub(crate) struct OpenPath<'a> {
     tree: &'a mut ArenaTree,
     params: &'a OccupancyParams,
-    stats: &'a TreeStats,
+    stats: &'a mut TreeStats,
     depth: u8,
     auto_prune: bool,
     /// `path[depth - l]` is the open node at level `l` (the root is level
@@ -463,7 +465,7 @@ impl OpenPath<'_> {
         if self.level > depth {
             if self.tree.nodes.is_empty() {
                 self.tree.nodes.push(ArenaNode::leaf(self.params.threshold));
-                self.stats.count_created();
+                *self.stats.nodes_created.get_mut() += 1;
                 fresh = true;
             }
             self.path[0] = 0;
@@ -472,8 +474,9 @@ impl OpenPath<'_> {
             self.close_below(self.key.common_ancestor_level(key, depth));
         }
         let mut idx = self.path[(depth - self.level) as usize];
+        // One visit per node on the way down, the leaf included.
+        *self.stats.node_visits.get_mut() += u64::from(self.level) + 1;
         while self.level > 0 {
-            self.stats.count_visit();
             let child = key.child_index(self.level - 1).as_usize();
             (idx, fresh) = self
                 .tree
@@ -483,7 +486,6 @@ impl OpenPath<'_> {
         }
         self.key = key;
 
-        self.stats.count_visit();
         let leaf = &mut self.tree.nodes[idx as usize];
         let new = match op {
             LeafOp::Observe { occupied } => self.params.apply(leaf.log_odds, occupied),
@@ -491,7 +493,7 @@ impl OpenPath<'_> {
             LeafOp::Set { value } => self.params.clamp(value),
         };
         leaf.log_odds = new;
-        self.stats.count_leaf_update();
+        *self.stats.leaf_updates.get_mut() += 1;
         new
     }
 
@@ -504,9 +506,13 @@ impl OpenPath<'_> {
     /// Closes the open inner nodes below level `upto`, deepest first.
     #[inline]
     fn close_below(&mut self, upto: u8) {
+        if self.level >= upto {
+            return;
+        }
+        // One visit per inner node closed; the leaf (level 0) is not.
+        *self.stats.node_visits.get_mut() += u64::from(upto - self.level.max(1));
         while self.level < upto {
             if self.level > 0 {
-                self.stats.count_visit();
                 let idx = self.path[(self.depth - self.level) as usize];
                 self.tree.close_node(idx, self.auto_prune, self.stats);
             }
@@ -630,7 +636,7 @@ mod tests {
         OccupancyParams::default()
     }
 
-    fn observe(t: &mut ArenaTree, key: VoxelKey, occupied: bool, stats: &TreeStats) -> f32 {
+    fn observe(t: &mut ArenaTree, key: VoxelKey, occupied: bool, stats: &mut TreeStats) -> f32 {
         let params = params();
         let mut path = t.open_path(4, &params, stats, true);
         let new = path.apply(key, LeafOp::Observe { occupied });
@@ -641,9 +647,9 @@ mod tests {
     #[test]
     fn update_then_search_round_trip() {
         let mut t = ArenaTree::new();
-        let stats = TreeStats::new();
+        let mut stats = TreeStats::new();
         let key = VoxelKey::new(3, 7, 11);
-        let v = observe(&mut t, key, true, &stats);
+        let v = observe(&mut t, key, true, &mut stats);
         assert_eq!(t.read_cursor(4, &stats).search(key), Some(v));
         assert_eq!(
             t.read_cursor(4, &stats).search(VoxelKey::new(0, 0, 0)),
@@ -655,13 +661,13 @@ mod tests {
     #[test]
     fn prune_recycles_blocks() {
         let mut t = ArenaTree::new();
-        let stats = TreeStats::new();
+        let mut stats = TreeStats::new();
         // Saturate a full octant so its eight leaves prune to one aggregate.
         for x in 0..2u16 {
             for y in 0..2u16 {
                 for z in 0..2u16 {
                     for _ in 0..10 {
-                        observe(&mut t, VoxelKey::new(x, y, z), true, &stats);
+                        observe(&mut t, VoxelKey::new(x, y, z), true, &mut stats);
                     }
                 }
             }
@@ -671,7 +677,7 @@ mod tests {
         t.check_structure().unwrap();
         let len_before = t.nodes.len();
         // The next expansion must reuse a recycled block, not grow the pool.
-        observe(&mut t, VoxelKey::new(0, 0, 0), false, &stats);
+        observe(&mut t, VoxelKey::new(0, 0, 0), false, &mut stats);
         assert_eq!(t.nodes.len(), len_before);
         t.check_structure().unwrap();
     }
@@ -679,8 +685,8 @@ mod tests {
     #[test]
     fn clear_releases_capacity() {
         let mut t = ArenaTree::new();
-        let stats = TreeStats::new();
-        observe(&mut t, VoxelKey::new(1, 2, 3), true, &stats);
+        let mut stats = TreeStats::new();
+        observe(&mut t, VoxelKey::new(1, 2, 3), true, &mut stats);
         assert!(t.memory_usage() > 0);
         t.clear();
         assert_eq!(t.memory_usage(), 0);

@@ -13,21 +13,23 @@ use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by an [`OccupancyOcTree`](crate::OccupancyOcTree).
 ///
-/// Interior-mutable (relaxed atomics) so that read-only operations like
-/// queries can also be counted — including concurrent queries against an
-/// immutable published snapshot, which is why the tree must stay `Sync`.
-/// All accesses use `Ordering::Relaxed`: the counters are statistics, not
-/// synchronisation, and on the write path the tree is behind `&mut self`
-/// or a mutex anyway (paper §4.4), so relaxed increments cost the same as
-/// the plain `Cell` stores they replaced.
+/// Two kinds of caller count here. The write path (`arena::OpenPath`,
+/// `ArenaTree::prune`) holds `&mut` on the tree, so it borrows these
+/// counters mutably and bumps them through [`AtomicU64::get_mut`]: a plain
+/// add, no locked read-modify-write per node visit. Reads count through
+/// `&self`, because a published snapshot is searched by many readers at
+/// once (which is why the tree must stay `Sync`): a
+/// [`ReadCursor`](crate::ReadCursor) counts locally and flushes once, when
+/// it is dropped, with one relaxed `fetch_add` per counter. Relaxed is
+/// enough: the counters are statistics, not synchronisation.
 #[derive(Debug, Default)]
 pub struct TreeStats {
-    node_visits: AtomicU64,
-    nodes_created: AtomicU64,
-    leaf_updates: AtomicU64,
+    pub(crate) node_visits: AtomicU64,
+    pub(crate) nodes_created: AtomicU64,
+    pub(crate) leaf_updates: AtomicU64,
     queries: AtomicU64,
-    prunes: AtomicU64,
-    expansions: AtomicU64,
+    pub(crate) prunes: AtomicU64,
+    pub(crate) expansions: AtomicU64,
 }
 
 impl TreeStats {
@@ -89,39 +91,16 @@ impl TreeStats {
         }
     }
 
-    #[inline]
-    pub(crate) fn count_visit(&self) {
-        self.node_visits.fetch_add(1, Ordering::Relaxed);
-    }
-
+    /// Flushes a read cursor's node visits.
     #[inline]
     pub(crate) fn count_visits(&self, n: u64) {
         self.node_visits.fetch_add(n, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub(crate) fn count_created(&self) {
-        self.nodes_created.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn count_leaf_update(&self) {
-        self.leaf_updates.fetch_add(1, Ordering::Relaxed);
-    }
-
+    /// Flushes a read cursor's lookups.
     #[inline]
     pub(crate) fn count_queries(&self, n: u64) {
         self.queries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn count_prune(&self) {
-        self.prunes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn count_expansion(&self) {
-        self.expansions.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -143,15 +122,17 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Difference between two snapshots (`self` minus the earlier `base`).
+    /// Difference between two snapshots (`self` minus the earlier `base`),
+    /// saturating at zero: a [`TreeStats::reset`] between the two leaves
+    /// `base` ahead of `self`, and the delta is then empty, not wrapped.
     pub fn since(&self, base: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
-            node_visits: self.node_visits - base.node_visits,
-            nodes_created: self.nodes_created - base.nodes_created,
-            leaf_updates: self.leaf_updates - base.leaf_updates,
-            queries: self.queries - base.queries,
-            prunes: self.prunes - base.prunes,
-            expansions: self.expansions - base.expansions,
+            node_visits: self.node_visits.saturating_sub(base.node_visits),
+            nodes_created: self.nodes_created.saturating_sub(base.nodes_created),
+            leaf_updates: self.leaf_updates.saturating_sub(base.leaf_updates),
+            queries: self.queries.saturating_sub(base.queries),
+            prunes: self.prunes.saturating_sub(base.prunes),
+            expansions: self.expansions.saturating_sub(base.expansions),
         }
     }
 
@@ -197,14 +178,14 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_reset() {
-        let s = TreeStats::new();
-        s.count_visit();
+        let mut s = TreeStats::new();
+        *s.node_visits.get_mut() += 1;
         s.count_visits(4);
-        s.count_created();
-        s.count_leaf_update();
+        *s.nodes_created.get_mut() += 1;
+        *s.leaf_updates.get_mut() += 1;
         s.count_queries(1);
-        s.count_prune();
-        s.count_expansion();
+        *s.prunes.get_mut() += 1;
+        *s.expansions.get_mut() += 1;
         assert_eq!(s.node_visits(), 5);
         assert_eq!(s.nodes_created(), 1);
         assert_eq!(s.leaf_updates(), 1);
@@ -221,10 +202,25 @@ mod tests {
         s.count_visits(10);
         let base = s.snapshot();
         s.count_visits(7);
-        s.count_leaf_update();
+        s.count_queries(1);
         let diff = s.snapshot().since(&base);
         assert_eq!(diff.node_visits, 7);
-        assert_eq!(diff.leaf_updates, 1);
+        assert_eq!(diff.queries, 1);
+    }
+
+    #[test]
+    fn snapshot_since_a_reset_saturates() {
+        let s = TreeStats::new();
+        s.count_visits(10);
+        s.count_queries(3);
+        let base = s.snapshot();
+        s.reset();
+        s.count_visits(4);
+        assert_eq!(
+            s.snapshot().since(&base),
+            StatsSnapshot::default(),
+            "a reset leaves the base ahead: the delta is empty, not wrapped"
+        );
     }
 
     #[test]

@@ -225,11 +225,13 @@ impl OccupancyOcTree {
         new
     }
 
+    /// The write cursor: it borrows the pool and the counters mutably, side
+    /// by side with the sensor model.
     fn open_path(&mut self) -> OpenPath<'_> {
         self.nodes.open_path(
             self.grid.depth(),
             &self.params,
-            &self.stats,
+            &mut self.stats,
             self.auto_prune,
         )
     }
@@ -270,7 +272,7 @@ impl OccupancyOcTree {
     /// Prunes the whole tree bottom-up (useful after bulk updates with
     /// auto-prune disabled).
     pub fn prune(&mut self) {
-        self.nodes.prune(self.grid.depth(), &self.stats);
+        self.nodes.prune(self.grid.depth(), &mut self.stats);
     }
 
     /// FNV-1a checksum over the leaf set `(key, level, log-odds bits)`.
@@ -730,6 +732,34 @@ mod tests {
             s.node_visits
         );
         assert_eq!(s.leaf_updates, 1);
+    }
+
+    #[test]
+    fn concurrent_readers_lose_no_counts() {
+        // The write path counts with plain adds behind `&mut`; readers of a
+        // shared tree still count atomically, so none of their counts race.
+        let mut tree = small_tree();
+        for i in 0..40u16 {
+            tree.update_node(VoxelKey::new(i % 16, (i * 7) % 16, (i * 3) % 16), true);
+        }
+        let probe = |t: &OccupancyOcTree| {
+            for i in 0..10_000u16 {
+                t.search(VoxelKey::new(i % 16, (i / 16) % 16, (i / 256) % 16));
+            }
+        };
+        tree.stats().reset();
+        probe(&tree);
+        let single = tree.stats().node_visits();
+        assert!(single > 0);
+        tree.stats().reset();
+        let shared = &tree;
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| probe(shared));
+            }
+        });
+        assert_eq!(tree.stats().queries(), 40_000);
+        assert_eq!(tree.stats().node_visits(), 4 * single);
     }
 
     #[test]
