@@ -22,10 +22,21 @@
 //! no sort: the bucket walk is already ascending in the code's low bits, and
 //! a counting pass over the high parts places every cell at its final index.
 //!
-//! Insertion has the same shape on the way in: a scan's observations are
-//! offered as one batch ([`VoxelCache::insert_batch`]), which computes the
-//! index codes a block ahead and prefetches the lines their probes will
-//! touch, then runs the one insertion body with the staged codes.
+//! Insertion touches the table once per voxel, not once per observation. A
+//! scan's observations are offered as one batch
+//! ([`VoxelCache::insert_batch`]), and nothing is evicted within a batch, so
+//! every observation of a voxel after its first is a hit. The batch is
+//! folded: a fixed-size scratch hash groups the observations by voxel in
+//! first-seen order, the order in which one insert per observation would
+//! have missed and appended them. Each group then costs one probe, and a
+//! miss seeds from the octree before the voxel's `±δ` are applied in ray
+//! order in a register. Keys therefore enter buckets, and reach the octree
+//! lookup, in the order the per-observation loop gives them, and the
+//! contents are bit-identical. A batch with more distinct voxels than the
+//! scratch holds streams the rest through that loop, with the index codes
+//! computed a block ahead and the lines their probes will touch
+//! prefetched. With an event buffer attached the whole batch streams, so
+//! the event stream stays per observation.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -71,6 +82,18 @@ const NIL: u32 = u32::MAX;
 /// inserting: enough probes in flight to cover a memory round trip, few
 /// enough that the prefetched lines are still in L1 when their turn comes.
 const STAGE: usize = 16;
+
+/// Slots of the fold's scratch hash ([`Fold`]): 2¹⁵ `u64`s, 256 KiB, sized
+/// to stay in L2 beside the batch it groups.
+const FOLD_SLOTS: usize = 1 << 15;
+
+/// Voxels one fold groups at most: half the slots, so a linear probe stays
+/// short. A batch with more distinct voxels streams the rest.
+const FOLD_GROUPS: usize = FOLD_SLOTS / 2;
+
+/// An empty scratch slot; no `key << 16 | group` entry is all ones, as a
+/// group index stays below `FOLD_GROUPS`.
+const FOLD_EMPTY: u64 = u64::MAX;
 
 /// Per-bucket header: the bucket's first `min(len, τ)` cells are inline,
 /// the rest hang off `spill` in insertion order.
@@ -329,6 +352,120 @@ fn slots(
     inline.map(Slot::Inline).chain(chain)
 }
 
+/// The scratch [`VoxelCache::insert_batch`] folds a batch through: an
+/// open-addressed hash from voxel to group, the groups in first-seen order,
+/// and each folded observation's flag regrouped by voxel. Allocated by the
+/// first batch and kept; only the three vectors grow with batch size.
+#[derive(Debug, Default)]
+struct Fold {
+    /// `FOLD_SLOTS` entries, `packed key << 16 | group`, or `FOLD_EMPTY`.
+    slots: Vec<u64>,
+    /// One per distinct voxel of the folded prefix, in first-seen order.
+    groups: Vec<Group>,
+    /// The group of each folded observation, in batch order.
+    of: Vec<u16>,
+    /// The folded observations' flags, group after group, each group's in
+    /// ray order.
+    runs: Vec<bool>,
+}
+
+/// A voxel's observations within the fold: while grouping, `end` counts
+/// them; once the flags are placed it is the end of the voxel's run in
+/// [`Fold::runs`], which starts at the previous group's `end`.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    key: VoxelKey,
+    end: u32,
+}
+
+impl Fold {
+    /// The 48 key bits, placed where an entry keeps them.
+    #[inline]
+    fn packed(key: VoxelKey) -> u64 {
+        u64::from(key.x) | u64::from(key.y) << 16 | u64::from(key.z) << 32
+    }
+
+    /// The slot a probe for `packed` starts at.
+    #[inline]
+    fn home(packed: u64) -> usize {
+        (packed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - FOLD_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// Groups the longest prefix of `batch` whose distinct voxels fit
+    /// (`FOLD_GROUPS`), ids in first-seen order, and lays their flags out
+    /// group by group. Returns the prefix's length.
+    fn group(&mut self, batch: &[VoxelUpdate]) -> usize {
+        if self.slots.is_empty() {
+            self.slots = vec![FOLD_EMPTY; FOLD_SLOTS];
+        }
+        let (slots, groups, of) = (&mut self.slots, &mut self.groups, &mut self.of);
+        // Run ends are `u32`s.
+        let mut folded = batch.len().min(u32::MAX as usize);
+        for (i, u) in batch[..folded].iter().enumerate() {
+            let packed = Fold::packed(u.key);
+            let mut at = Fold::home(packed);
+            let group = loop {
+                let entry = slots[at];
+                if entry == FOLD_EMPTY {
+                    if groups.len() == FOLD_GROUPS {
+                        break None;
+                    }
+                    slots[at] = packed << 16 | groups.len() as u64;
+                    groups.push(Group { key: u.key, end: 0 });
+                    break Some(groups.len() - 1);
+                }
+                if entry >> 16 == packed {
+                    break Some((entry & 0xffff) as usize);
+                }
+                at = (at + 1) % FOLD_SLOTS;
+            };
+            let Some(group) = group else {
+                folded = i;
+                break;
+            };
+            groups[group].end += 1;
+            of.push(group as u16);
+        }
+        // Counts to starts, then each flag to its group's next place: the
+        // starts advance to the ends.
+        let mut start = 0;
+        for group in groups.iter_mut() {
+            (start, group.end) = (start + group.end, start);
+        }
+        self.runs.resize(folded, false);
+        for (u, &group) in batch.iter().zip(&self.of) {
+            let end = &mut self.groups[group as usize].end;
+            self.runs[*end as usize] = u.occupied;
+            *end += 1;
+        }
+        folded
+    }
+
+    /// Empties the scratch for the next batch, keeping its allocations.
+    fn clear(&mut self) {
+        for (id, group) in self.groups.iter().enumerate() {
+            let entry = Fold::packed(group.key) << 16 | id as u64;
+            let mut at = Fold::home(Fold::packed(group.key));
+            while self.slots[at] != entry {
+                at = (at + 1) % FOLD_SLOTS;
+            }
+            self.slots[at] = FOLD_EMPTY;
+        }
+        self.groups.clear();
+        self.of.clear();
+        self.runs.clear();
+    }
+
+    /// Heap bytes of the scratch.
+    fn memory_usage(&self) -> usize {
+        use std::mem::size_of;
+        self.slots.capacity() * size_of::<u64>()
+            + self.groups.capacity() * size_of::<Group>()
+            + self.of.capacity() * size_of::<u16>()
+            + self.runs.capacity()
+    }
+}
+
 /// The OctoCache voxel cache.
 ///
 /// # Example
@@ -355,6 +492,7 @@ pub struct VoxelCache {
     len: usize,
     peak_len: usize,
     stats: CacheStats,
+    fold: Fold,
     /// Sub-scan event buffer; `None` (the default) keeps the hot paths at
     /// one untaken branch per site.
     events: Option<EventBuffer>,
@@ -372,6 +510,7 @@ impl VoxelCache {
             len: 0,
             peak_len: 0,
             stats: CacheStats::default(),
+            fold: Fold::default(),
             events: None,
         }
     }
@@ -422,8 +561,8 @@ impl VoxelCache {
 
     /// Heap bytes the cache owns right now: the slab and the headers
     /// ([`CacheConfig::resident_bytes`], fixed at construction), the
-    /// largest spill any batch has needed so far, and the cold arrays once
-    /// events are attached.
+    /// largest spill any batch has needed so far, the fold's scratch once a
+    /// batch has been folded, and the cold arrays once events are attached.
     pub fn memory_usage(&self) -> usize {
         use std::mem::size_of;
         let t = &self.table;
@@ -432,6 +571,7 @@ impl VoxelCache {
             + t.spill.capacity() * size_of::<Spilled>()
             + t.spilled.capacity() * size_of::<u32>()
             + (t.cold_cells.capacity() + t.cold_spill.capacity()) * size_of::<Cold>()
+            + self.fold.memory_usage()
     }
 
     /// The bucket a key maps to: the low log₂w bits of its Morton code
@@ -456,16 +596,57 @@ impl VoxelCache {
         self.insert_coded(key, occupied, morton::encode(key), octree_lookup)
     }
 
-    /// Offers a run of observations, in order — one [`insert`](Self::insert)
-    /// each, with `octree_lookup` seeding the misses — but with the memory
-    /// latency of the probes overlapped: while a block of 16
-    /// observations is inserted, the Morton codes of the next block are
-    /// computed once and their bucket header and slot lines prefetched. A
-    /// scan's observations are known before any is inserted, and a probe of
-    /// a slab far larger than the last-level cache is otherwise two
-    /// dependent misses. Contents, statistics, eviction order and events are
-    /// those of the per-observation loop.
+    /// Offers a run of observations, in order: contents, statistics,
+    /// eviction order and events are those of one [`insert`](Self::insert)
+    /// each, with `octree_lookup` seeding the misses — called for the same
+    /// keys in the same order — but with one table access per voxel.
+    ///
+    /// Nothing is evicted within a batch, so once a voxel has been offered
+    /// every later observation of it is a hit. The batch is therefore
+    /// folded: its observations are grouped by voxel through a fixed-size
+    /// scratch hash, the groups are walked in first-seen order — the order
+    /// in which the loop would miss and append them — and each voxel's `±δ`
+    /// are applied in ray order to one value. A batch with more distinct
+    /// voxels than the scratch holds folds the prefix that fits and streams
+    /// the rest; with an event buffer attached the whole batch streams, so
+    /// the event stream is the loop's. The stream stages its probes: the
+    /// Morton codes of the next 16 observations are computed once and their
+    /// bucket header and slot lines prefetched.
     pub fn insert_batch<F>(&mut self, batch: &[VoxelUpdate], mut octree_lookup: F)
+    where
+        F: FnMut(VoxelKey) -> Option<f32>,
+    {
+        let folded = match self.events {
+            Some(_) => 0,
+            None => self.insert_folded(batch, &mut octree_lookup),
+        };
+        self.insert_streamed(&batch[folded..], octree_lookup);
+    }
+
+    /// Folds the longest prefix of `batch` that the scratch holds into the
+    /// table, one access per voxel; returns the prefix's length.
+    fn insert_folded<F>(&mut self, batch: &[VoxelUpdate], octree_lookup: &mut F) -> usize
+    where
+        F: FnMut(VoxelKey) -> Option<f32>,
+    {
+        let mut fold = std::mem::take(&mut self.fold);
+        let folded = fold.group(batch);
+        let mut start = 0;
+        for (i, group) in fold.groups.iter().enumerate() {
+            if let Some(ahead) = fold.groups.get(i + STAGE) {
+                self.prefetch_bucket(morton::encode(ahead.key));
+            }
+            let run = &fold.runs[start..group.end as usize];
+            start = group.end as usize;
+            self.insert_run(group.key, run, &mut *octree_lookup);
+        }
+        fold.clear();
+        self.fold = fold;
+        folded
+    }
+
+    /// The per-observation loop, with its probes staged a block ahead.
+    fn insert_streamed<F>(&mut self, batch: &[VoxelUpdate], mut octree_lookup: F)
     where
         F: FnMut(VoxelKey) -> Option<f32>,
     {
@@ -490,16 +671,22 @@ impl VoxelCache {
     fn stage(&self, block: &[VoxelUpdate], codes: &mut [u64; STAGE]) {
         for (u, code) in block.iter().zip(codes) {
             *code = morton::encode(u.key);
-            let bucket = (*code & self.mask) as usize;
-            prefetch(&self.table.heads[bucket]);
-            prefetch(&self.table.cells[bucket * self.table.tau]);
+            self.prefetch_bucket(*code);
         }
     }
 
-    /// The one insertion body: `code` is the Morton code of `key`, which
-    /// serves both the bucket index and the event key — recomputing the
-    /// interleave per emitted event is measurable at millions of events per
-    /// second.
+    /// Prefetches the header and first slot line of the bucket of `code`.
+    #[inline]
+    fn prefetch_bucket(&self, code: u64) {
+        let bucket = (code & self.mask) as usize;
+        prefetch(&self.table.heads[bucket]);
+        prefetch(&self.table.cells[bucket * self.table.tau]);
+    }
+
+    /// The per-observation insertion body: `code` is the Morton code of
+    /// `key`, which serves both the bucket index and the event key —
+    /// recomputing the interleave per emitted event is measurable at
+    /// millions of events per second.
     #[inline]
     fn insert_coded<F>(
         &mut self,
@@ -526,14 +713,7 @@ impl VoxelCache {
             }
             Err(tail) => tail,
         };
-        self.stats.misses += 1;
-        let seed = match octree_lookup(key) {
-            Some(v) => {
-                self.stats.octree_seeds += 1;
-                v
-            }
-            None => self.params.threshold,
-        };
+        let seed = self.seed(key, octree_lookup);
         let log_odds = self.params.apply(seed, occupied);
         let born_scan = match &mut self.events {
             Some(buf) => {
@@ -543,10 +723,59 @@ impl VoxelCache {
             None => 0,
         };
         let cold = Cold { born_scan, hits: 0 };
-        self.table.push(bucket, tail, Cell { key, log_odds }, cold);
+        self.append(bucket, tail, Cell { key, log_odds }, cold);
+        false
+    }
+
+    /// The folded insertion body: offers `key` its observations `run` (in
+    /// ray order, at least one) with one table access, as that many
+    /// [`insert_coded`](Self::insert_coded) calls would, events aside.
+    #[inline]
+    fn insert_run<F>(&mut self, key: VoxelKey, run: &[bool], octree_lookup: F)
+    where
+        F: FnOnce(VoxelKey) -> Option<f32>,
+    {
+        let observed = run.len() as u64;
+        self.stats.insertions += observed;
+        let bucket = (morton::encode(key) & self.mask) as usize;
+        match self.table.find(bucket, key) {
+            Ok(slot) => {
+                let cell = self.table.at_mut(slot).0;
+                cell.log_odds = advance(&self.params, cell.log_odds, run);
+                self.stats.hits += observed;
+            }
+            Err(tail) => {
+                self.stats.hits += observed - 1;
+                let seed = self.seed(key, octree_lookup);
+                let log_odds = advance(&self.params, seed, run);
+                self.append(bucket, tail, Cell { key, log_odds }, Cold::default());
+            }
+        }
+    }
+
+    /// The value a missed `key` starts from: the octree's, or the prior
+    /// when the octree does not know the voxel.
+    #[inline]
+    fn seed<F>(&mut self, key: VoxelKey, octree_lookup: F) -> f32
+    where
+        F: FnOnce(VoxelKey) -> Option<f32>,
+    {
+        self.stats.misses += 1;
+        match octree_lookup(key) {
+            Some(v) => {
+                self.stats.octree_seeds += 1;
+                v
+            }
+            None => self.params.threshold,
+        }
+    }
+
+    /// Appends a missed cell as its bucket's newest.
+    #[inline]
+    fn append(&mut self, bucket: usize, tail: u32, cell: Cell, cold: Cold) {
+        self.table.push(bucket, tail, cell, cold);
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
-        false
     }
 
     /// Looks up the accumulated log-odds for a voxel. `None` means the
@@ -690,6 +919,24 @@ impl VoxelCache {
             .flat_map(move |(bucket, &head)| slots(t.tau, bucket, head, &t.spill))
             .map(move |slot| t.at(slot).0)
     }
+}
+
+/// `log_odds` after the observations `run`, in order: one clamped `±δ`
+/// each. A step that left the bits as they were (a clamp) leaves them
+/// again, so the run skips to its next observation of the other kind.
+#[inline]
+fn advance(params: &OccupancyParams, mut log_odds: f32, run: &[bool]) -> f32 {
+    let mut rest = run;
+    while let Some((&occupied, tail)) = rest.split_first() {
+        let next = params.apply(log_odds, occupied);
+        rest = tail;
+        if next.to_bits() == log_odds.to_bits() {
+            let same = rest.iter().position(|&o| o != occupied);
+            rest = &rest[same.unwrap_or(rest.len())..];
+        }
+        log_odds = next;
+    }
+    log_odds
 }
 
 /// Emits a `CacheEvict` event for one cell leaving the cache (no-op when
@@ -959,6 +1206,29 @@ mod tests {
         let cold = (t.cold_cells.capacity() + t.cold_spill.capacity()) * 16;
         assert!(cold >= 16 * 2 * 16);
         assert_eq!(c.memory_usage(), resident + spill + cold);
+    }
+
+    #[test]
+    fn memory_usage_counts_the_fold_scratch() {
+        let mut c = cache(16, 2);
+        let resident = c.config().resident_bytes();
+        let batch: Vec<VoxelUpdate> = (0..40u16)
+            .map(|x| VoxelUpdate {
+                key: k(x % 8, 0, 0),
+                occupied: x % 3 == 0,
+            })
+            .collect();
+        c.insert_batch(&batch, |_| None);
+        let f = &c.fold;
+        assert_eq!(f.slots.len(), FOLD_SLOTS);
+        assert!(f.groups.capacity() >= 8 && f.of.capacity() >= 40 && f.runs.capacity() >= 40);
+        let scratch =
+            FOLD_SLOTS * 8 + f.groups.capacity() * 12 + f.of.capacity() * 2 + f.runs.capacity();
+        assert_eq!(c.memory_usage(), resident + scratch);
+        // Kept, and emptied, for the next batch.
+        assert!(f.groups.is_empty() && f.slots.iter().all(|&s| s == FOLD_EMPTY));
+        c.insert_batch(&batch, |_| None);
+        assert_eq!(c.memory_usage(), resident + scratch);
     }
 
     #[test]

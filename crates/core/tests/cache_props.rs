@@ -14,6 +14,11 @@
 //!    arrive one `insert` at a time or through `insert_batch`.
 //! 5. The counting drain hands out exactly the run a comparison sort by
 //!    Morton code would.
+//! 6. `insert_batch` folds a batch per voxel yet is the per-observation
+//!    loop: same contents, statistics and evictions, and the same
+//!    `octree_lookup` calls in the same order — over long repeat runs,
+//!    occupied and free mixed on one voxel, values driven to both clamps
+//!    and batches with more distinct voxels than the fold's scratch holds.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -263,6 +268,8 @@ proptest! {
         let mut offered: Vec<VoxelKey> = Vec::new();
         // Observations not yet offered to the caches.
         let mut pending: Vec<VoxelUpdate> = Vec::new();
+        // The keys each side asked the stand-in octree for, in order.
+        let mut looked_up: [Vec<VoxelKey>; 2] = Default::default();
 
         // The pass at the end offers what is left of the last batch.
         for op in ops.iter().chain([&StorageOp::Evict]) {
@@ -275,22 +282,32 @@ proptest! {
                 }
             }
             let seed = |key: VoxelKey| flushed.get(&key).copied();
+            let [batched, single] = &mut looked_up;
+            let mut batched_seed = |key| {
+                batched.push(key);
+                seed(key)
+            };
             match batch {
-                Some(n) if n > 0 => cache.insert_batch(&pending, seed),
+                Some(n) if n > 0 => cache.insert_batch(&pending, &mut batched_seed),
                 _ => {
                     for u in &pending {
                         if batch.is_some() {
                             cache.insert_batch(&[], |_| panic!("nothing to seed"));
                         }
-                        cache.insert(u.key, u.occupied, seed);
+                        cache.insert(u.key, u.occupied, &mut batched_seed);
                     }
                 }
             }
             for u in pending.drain(..) {
-                let hit = twin.insert(u.key, u.occupied, seed);
+                let single_seed = |key| {
+                    single.push(key);
+                    seed(key)
+                };
+                let hit = twin.insert(u.key, u.occupied, single_seed);
                 let bucket = cache.bucket_index(u.key);
                 assert_eq!(hit, model.insert(bucket, u.key, u.occupied, seed(u.key)), "{at}");
             }
+            assert_eq!(looked_up[0], looked_up[1], "{at}");
             let evicted = match *op {
                 StorageOp::Insert(..) => Vec::new(),
                 StorageOp::Evict => {
@@ -450,6 +467,165 @@ proptest! {
             hist.iter().sum::<usize>() <= 1usize << buckets_log2,
             "more buckets than configured"
         );
+    }
+}
+
+/// How the flags of one stretch of a batch run.
+#[derive(Debug, Clone, Copy)]
+enum Flags {
+    /// Every observation occupied: drives the value to the upper clamp.
+    Occupied,
+    /// Every observation free: drives the value to the lower clamp.
+    Free,
+    /// Occupied and free alternating.
+    Alternating,
+    /// Occupied where the bit of the mask is set.
+    Mixed(u64),
+}
+
+/// `len` observations in a row of the `voxel`-th voxel of a small pool, so
+/// a voxel recurs both in long runs and scattered through the batch.
+#[derive(Debug, Clone, Copy)]
+struct Stretch {
+    voxel: usize,
+    len: usize,
+    flags: Flags,
+}
+
+fn arb_stretch() -> impl Strategy<Value = Stretch> {
+    let flags = prop_oneof![
+        Just(Flags::Occupied),
+        Just(Flags::Free),
+        Just(Flags::Alternating),
+        any::<u64>().prop_map(Flags::Mixed),
+    ];
+    let len = prop_oneof![3 => 1usize..4, 1 => 4usize..64];
+    (0usize..POOL, len, flags).prop_map(|(voxel, len, flags)| Stretch { voxel, len, flags })
+}
+
+/// Voxels the stretches draw from.
+const POOL: usize = 48;
+
+/// Distinct voxels of a wide block: more than the fold's scratch has slots
+/// (2¹⁵), so a batch holding one always streams a tail.
+const WIDE: usize = 33_000;
+
+/// A batch: its stretches and, in some, a block of `WIDE` distinct voxels
+/// (one observation each) after the `at`-th stretch.
+#[derive(Debug, Clone)]
+struct FoldBatch {
+    stretches: Vec<Stretch>,
+    wide_at: Option<usize>,
+}
+
+fn arb_fold_batch() -> impl Strategy<Value = FoldBatch> {
+    let stretches = proptest::collection::vec(arb_stretch(), 0..60);
+    let wide_at = prop_oneof![5 => Just(None), 1 => (0usize..60).prop_map(Some)];
+    (stretches, wide_at).prop_map(|(stretches, wide_at)| FoldBatch { stretches, wide_at })
+}
+
+impl FoldBatch {
+    fn updates(&self, pool: &[VoxelKey], wide_z: u16) -> Vec<VoxelUpdate> {
+        let wide = (0..WIDE).map(|i| VoxelUpdate {
+            key: VoxelKey::new((i % 256) as u16, (i / 256) as u16 + 300, wide_z),
+            occupied: i % 3 == 0,
+        });
+        let mut out = Vec::new();
+        for (i, s) in self.stretches.iter().enumerate() {
+            if self.wide_at == Some(i) {
+                out.extend(wide.clone());
+            }
+            out.extend((0..s.len).map(|j| VoxelUpdate {
+                key: pool[s.voxel],
+                occupied: match s.flags {
+                    Flags::Occupied => true,
+                    Flags::Free => false,
+                    Flags::Alternating => j % 2 == 0,
+                    Flags::Mixed(mask) => mask >> (j % 64) & 1 == 1,
+                },
+            }));
+        }
+        if self.wide_at.is_some_and(|at| at >= self.stretches.len()) {
+            out.extend(wide);
+        }
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A folded batch is the per-observation loop: after every batch and
+    /// its eviction pass the folding cache and a twin fed one `insert` at a
+    /// time agree on contents (iteration order and every value, bit for
+    /// bit), statistics, the evicted run, and the keys they asked the
+    /// octree for, in order. Some pool voxels start with a stored value —
+    /// at a clamp, at the threshold or in between — and an evicted cell's
+    /// value is what a later miss seeds from.
+    #[test]
+    fn folded_batches_equal_the_per_observation_loop(
+        batches in proptest::collection::vec(arb_fold_batch(), 1..4),
+        pool_keys in proptest::collection::vec((0u16..40, 0u16..40, 0u16..8), POOL..POOL + 1),
+        stored in proptest::collection::vec(
+            prop_oneof![
+                Just(None),
+                Just(Some(-2.0f32)),
+                Just(Some(3.5f32)),
+                Just(Some(0.0f32)),
+                (-2.0f32..3.5).prop_map(Some),
+            ],
+            POOL..POOL + 1,
+        ),
+        buckets in prop_oneof![Just(1usize), Just(16), Just(4096)],
+        tau in 1usize..5,
+    ) {
+        let params = OccupancyParams::default();
+        let pool: Vec<VoxelKey> = pool_keys.iter().map(|&(x, y, z)| VoxelKey::new(x, y, z)).collect();
+        let clamp = |v: f32| v.clamp(params.clamp_min, params.clamp_max);
+        let mut octree: HashMap<VoxelKey, f32> = pool
+            .iter()
+            .zip(&stored)
+            .filter_map(|(&key, v)| Some((key, clamp((*v)?))))
+            .collect();
+        // A wide block in one bucket is a quadratic chain walk for both.
+        let wide = batches.iter().any(|b| b.wide_at.is_some());
+        let buckets = if wide { buckets.max(4096) } else { buckets };
+        let cfg = CacheConfig::builder().num_buckets(buckets).tau(tau).build().unwrap();
+        let mut folding = VoxelCache::new(cfg, params);
+        let mut twin = VoxelCache::new(cfg, params);
+        for (n, batch) in batches.iter().enumerate() {
+            // A fresh wide block per batch: its voxels miss again.
+            let updates = batch.updates(&pool, n as u16);
+            let mut looked_up: [Vec<VoxelKey>; 2] = Default::default();
+            let [folded, single] = &mut looked_up;
+            folding.insert_batch(&updates, |key| {
+                folded.push(key);
+                octree.get(&key).copied()
+            });
+            for u in &updates {
+                twin.insert(u.key, u.occupied, |key| {
+                    single.push(key);
+                    octree.get(&key).copied()
+                });
+            }
+            let at = format!("batch {n}: {} observations", updates.len());
+            prop_assert!(looked_up[0] == looked_up[1], "{at}: the octree was asked in another order");
+            prop_assert_eq!(folding.stats(), twin.stats(), "{}", at);
+            prop_assert_eq!(folding.len(), twin.len(), "{}", at);
+            prop_assert_eq!(folding.peak_len(), twin.peak_len(), "{}", at);
+            let bits = |c: EvictedCell| (c.key, c.log_odds.to_bits());
+            let resident: Vec<_> = folding.iter().map(bits).collect();
+            prop_assert!(resident == twin.iter().map(bits).collect::<Vec<_>>(), "{at}: contents differ");
+            for &key in &pool {
+                let (a, b) = (folding.peek(key), twin.peek(key));
+                prop_assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits), "{}: {}", at, key);
+            }
+            let evicted = folding.evict();
+            prop_assert!(evicted == twin.evict(), "{at}: evicted runs differ");
+            octree.extend(evicted.iter().map(|c| (c.key, c.log_odds)));
+        }
+        let drained = folding.drain_all();
+        prop_assert!(drained == twin.drain_all());
     }
 }
 

@@ -131,3 +131,38 @@ fn over_budget_is_permanent_and_the_applied_prefix_is_exact() {
         }
     }
 }
+
+/// The scratch `insert_batch` folds a scan through is resident like the
+/// slab and the spill: the first batch allocates it, and the verdict before
+/// the second scan counts it. A budget of exactly the tree plus the whole
+/// cache after one scan refuses the second scan; one byte more admits it.
+#[test]
+fn the_fold_scratch_counts_toward_the_budget() {
+    let scans = scans();
+    let params = OccupancyParams::default();
+    let mut probe = SerialOctoCache::new(common::grid(), params, common::cache());
+    probe
+        .insert_scan(scans[0].origin, &scans[0].points, MAX_RANGE)
+        .expect("first scan");
+    let slab = common::cache().resident_bytes() as u64;
+    let cache = probe.cache().memory_usage() as u64;
+    assert!(
+        cache >= slab + (1 << 18),
+        "one batch must leave the fold's 256 KiB scratch resident: {cache} B over a {slab} B slab"
+    );
+    let resident = probe.tree().memory_usage() as u64 + cache;
+    for (budget, refused) in [(resident, true), (resident + 1, false)] {
+        let config = {
+            let mut b = CacheConfig::builder();
+            b.num_buckets(1 << 7).tau(2).mem_budget(budget);
+            b.build().unwrap()
+        };
+        let mut map = SerialOctoCache::new(common::grid(), params, config);
+        let shed = drive(&mut map, Route::Insert, &scans[..2]);
+        assert_eq!(
+            shed,
+            [false, refused],
+            "budget {budget} B, resident {resident} B"
+        );
+    }
+}

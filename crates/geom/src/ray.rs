@@ -1,12 +1,13 @@
 //! Ray tracing through the voxel grid (OctoMap's `computeRayKeys`).
 //!
-//! Given a sensor origin and a measured surface point, [`trace_into`] computes
+//! Given a sensor origin and a measured surface point, [`trace_with`] computes
 //! the keys of every voxel the ray crosses *between* the origin and the
 //! endpoint using the Amanatides–Woo 3D digital differential analyzer. Those
 //! voxels are observed as *free*; the endpoint voxel itself (which contains
 //! the sampled obstacle surface) is *occupied* and is deliberately excluded,
 //! matching OctoMap's convention where the caller updates the endpoint
-//! separately.
+//! separately. [`trace_with`] hands the keys to any [`KeySink`];
+//! [`trace_into`] and [`trace`] collect them in a [`KeyRay`].
 //!
 //! # Example
 //!
@@ -71,11 +72,6 @@ impl KeyRay {
     pub fn iter(&self) -> std::slice::Iter<'_, VoxelKey> {
         self.keys.iter()
     }
-
-    #[inline]
-    fn push(&mut self, key: VoxelKey) {
-        self.keys.push(key);
-    }
 }
 
 impl<'a> IntoIterator for &'a KeyRay {
@@ -100,6 +96,28 @@ impl From<KeyRay> for Vec<VoxelKey> {
     }
 }
 
+/// Where [`trace_with`] hands the keys of a ray, in traversal order.
+pub trait KeySink {
+    /// Called once per ray, before its first key, with an upper bound on
+    /// the number of keys the ray will push.
+    fn reserve(&mut self, max_keys: usize);
+
+    /// Takes the next key crossed.
+    fn push(&mut self, key: VoxelKey);
+}
+
+impl KeySink for KeyRay {
+    #[inline]
+    fn reserve(&mut self, max_keys: usize) {
+        self.keys.reserve(max_keys);
+    }
+
+    #[inline]
+    fn push(&mut self, key: VoxelKey) {
+        self.keys.push(key);
+    }
+}
+
 /// Traces the ray from `origin` to `end`, appending the keys of the free
 /// voxels crossed (excluding the endpoint voxel) to `out`.
 ///
@@ -116,6 +134,24 @@ pub fn trace_into(
     out: &mut KeyRay,
 ) -> Result<(), GeomError> {
     out.clear();
+    trace_with(grid, origin, end, out)
+}
+
+/// The one DDA: traces the ray from `origin` to `end` and pushes the keys
+/// of the free voxels crossed (excluding the endpoint voxel) into `sink`,
+/// which is not cleared. Before the first key it tells `sink` how many keys
+/// the ray may push at most, so a growing buffer reserves once per ray.
+///
+/// # Errors
+///
+/// Returns an error when either endpoint is non-finite or outside the grid;
+/// nothing has been pushed then.
+pub fn trace_with(
+    grid: &VoxelGrid,
+    origin: Point3,
+    end: Point3,
+    sink: &mut impl KeySink,
+) -> Result<(), GeomError> {
     if !origin.is_finite() || !end.is_finite() {
         return Err(GeomError::NotFinite);
     }
@@ -161,7 +197,8 @@ pub fn trace_into(
     // crossings; prevents infinite loops on degenerate float input.
     let max_steps = key_origin.manhattan_distance(key_end) as usize + 6;
 
-    out.push(current);
+    sink.reserve(max_steps + 1);
+    sink.push(current);
     for _ in 0..max_steps {
         // Advance along the axis with the nearest boundary.
         let axis = if t_max[0] < t_max[1] {
@@ -184,7 +221,7 @@ pub fn trace_into(
         if current == key_end {
             return Ok(());
         }
-        out.push(current);
+        sink.push(current);
     }
     // The endpoint is numerically adjacent; terminate quietly rather than
     // looping. (Matches OctoMap, which caps the ray length the same way.)

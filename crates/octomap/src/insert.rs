@@ -17,7 +17,8 @@
 //!   variant that deduplicates within the batch first (one update per voxel,
 //!   occupied observations win); used for comparisons.
 
-use octocache_geom::{ray, GeomError, Point3, VoxelGrid, VoxelKey};
+use octocache_geom::ray::{self, KeySink};
+use octocache_geom::{GeomError, Point3, VoxelGrid, VoxelKey};
 
 use crate::tree::OccupancyOcTree;
 
@@ -164,7 +165,8 @@ pub fn check_origin(grid: &VoxelGrid, origin: Point3) -> Result<(), GeomError> {
 }
 
 /// Ray-traces one scan into a voxel batch, appending to `out` (cleared
-/// first).
+/// first). Each ray is traced straight into the batch: its crossed voxels
+/// are free observations, pushed as the DDA meets them.
 ///
 /// Each point beyond `max_range` from the origin is truncated to
 /// `max_range` and contributes only free voxels (no endpoint hit), matching
@@ -184,7 +186,6 @@ pub fn compute_update(
 ) -> Result<(), GeomError> {
     out.clear();
     check_origin(grid, origin)?;
-    let mut key_ray = ray::KeyRay::with_capacity(256);
     for &point in cloud {
         if !point.is_finite() {
             continue;
@@ -197,15 +198,28 @@ pub fn compute_update(
             (point, true)
         };
         let end = grid.clamp_point(end);
-        ray::trace_into(grid, origin, end, &mut key_ray)?;
-        for &k in key_ray.as_slice() {
-            out.push(k, false);
-        }
+        ray::trace_with(grid, origin, end, &mut FreeCrossings(out))?;
         if hit {
             out.push(grid.key_of(end)?, true);
         }
     }
     Ok(())
+}
+
+/// A batch as a ray's [`KeySink`]: every voxel crossed is a free
+/// observation, and room is reserved for the ray's endpoint hit too.
+struct FreeCrossings<'a>(&'a mut VoxelBatch);
+
+impl KeySink for FreeCrossings<'_> {
+    #[inline]
+    fn reserve(&mut self, max_keys: usize) {
+        self.0.updates.reserve(max_keys + 1);
+    }
+
+    #[inline]
+    fn push(&mut self, key: VoxelKey) {
+        self.0.push(key, false);
+    }
 }
 
 /// Applies a batch to the tree in order, one update per observation — the
