@@ -42,7 +42,7 @@ use std::fmt::Write as _;
 use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
 use octocache::query::RayCastResult;
 use octocache::{
-    CacheConfig, DurableError, DurableMap, FaultPlan, MapSnapshot, ParallelOctoCache,
+    CacheConfig, DurableError, DurableMap, FaultPlan, IoFaultPlan, MapSnapshot, ParallelOctoCache,
     PipelineError, SerialOctoCache,
 };
 use octocache_datasets::{io as scanlog, Dataset, DatasetConfig};
@@ -344,33 +344,31 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         }
         cache_builder.shed_deadline(std::time::Duration::from_secs_f64(ms / 1e3));
     }
-    // Deterministic fault injection: `--fault <spec>` (or the `OCTO_FAULT` /
-    // `OCTO_FAULT_SEED` environment variables) schedules a worker fault.
-    // The hooks only exist when the binary was built with the
-    // `fault-injection` feature; otherwise the flag is refused rather than
-    // silently ignored.
-    let parse_fault = |source: &str, spec: &str| {
-        FaultPlan::from_spec(spec).ok_or_else(|| {
+    // Deterministic fault injection, a test-only failpoint: `--fault
+    // <spec>` (or `OCTO_FAULT` / `OCTO_FAULT_SEED`) schedules a worker
+    // fault, `OCTO_IO_FAULT` / `OCTO_IO_FAULT_SEED` a journal I/O fault.
+    // This is the one place the four variables are read. A value that does
+    // not parse, or a plan this run has nothing to act on, is a usage
+    // error: a run that asked for a fault must not quietly run clean.
+    let env_fault = FaultPlan::from_env().map_err(CliError::Usage)?;
+    let io_fault = IoFaultPlan::from_env().map_err(CliError::Usage)?;
+    let worker_fault = match flag(&flags, "fault") {
+        Some(spec) => Some(FaultPlan::from_spec(spec).ok_or_else(|| {
             CliError::Usage(format!(
-                "malformed {source} spec `{spec}` (kill:<w>@<b> | killevery:<w>@<n> | stall:<w>@<b>:<us> | spawn:<w> | seed:<n>)"
+                "malformed --fault spec `{spec}` (kill:<w>@<b> | killevery:<w>@<n> | stall:<w>@<b>:<us> | spawn:<w> | seed:<n>)"
             ))
-        })
+        })?),
+        None => env_fault,
     };
-    if let Some(spec) = flag(&flags, "fault") {
-        if !cfg!(feature = "fault-injection") {
-            return Err(CliError::Usage(
-                "--fault requires a binary built with `--features fault-injection`".into(),
-            ));
+    let backend_name = flag(&flags, "backend").unwrap_or("serial");
+    if let Some(plan) = worker_fault {
+        if !backend_name.starts_with("parallel") {
+            return Err(CliError::Usage(format!(
+                "--fault / OCTO_FAULT / OCTO_FAULT_SEED schedule a worker fault, but backend \
+                 `{backend_name}` has no octree worker (use parallel or parallel-rt)"
+            )));
         }
-        cache_builder.fault_plan(parse_fault("--fault", spec)?);
-    } else if cfg!(feature = "fault-injection") {
-        // A spec that does not parse is refused here too: a run that asked
-        // for a fault must not quietly run clean.
-        if let Ok(spec) = std::env::var("OCTO_FAULT") {
-            cache_builder.fault_plan(parse_fault("OCTO_FAULT", &spec)?);
-        } else if let Some(plan) = FaultPlan::from_env() {
-            cache_builder.fault_plan(plan);
-        }
+        cache_builder.fault_plan(plan);
     }
     let strict = flag(&flags, "strict").is_some();
     // Sub-scan event recording (`--events out.jsonl`): a per-run switch, so
@@ -391,8 +389,13 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         }
         cache_builder.checkpoint_every(parse_usize(s, "--checkpoint-every")? as u64);
     }
+    if io_fault.is_some() && journal_dir.is_none() {
+        return Err(CliError::Usage(
+            "OCTO_IO_FAULT / OCTO_IO_FAULT_SEED schedule a journal I/O fault, which requires --journal"
+                .into(),
+        ));
+    }
     let cache = cache_builder.build().map_err(|e| e.to_string())?;
-    let backend_name = flag(&flags, "backend").unwrap_or("serial");
     let params = OccupancyParams::default();
     // OctoMapSystem takes no CacheConfig, so its event switch is a method.
     let octomap_with = |rt: RayTracer| {
@@ -445,8 +448,10 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
                 RayTracer::Standard
             };
             BuildBackend::Durable(Box::new(
-                DurableMap::create(dir, backend, params, journal_rt, &cache)
-                    .map_err(CliError::Durable)?,
+                DurableMap::create_with_io_faults(
+                    dir, backend, params, journal_rt, &cache, io_fault,
+                )
+                .map_err(CliError::Durable)?,
             ))
         }
         None => BuildBackend::Plain(backend),
@@ -1471,85 +1476,85 @@ mod tests {
     }
 
     #[test]
-    fn fault_flag_is_gated_and_validated() {
+    fn fault_flag_is_validated() {
         let log = temp_path("fault.scanlog");
         run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
         let map = temp_path("fault.map");
-        if cfg!(feature = "fault-injection") {
-            // A malformed spec is a usage error under any build.
+        // A malformed spec is a usage error.
+        let err = run(&s(&[
+            "build",
+            &log,
+            &map,
+            "--backend",
+            "parallel",
+            "--fault",
+            "explode:9",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        // So is the retired ring-fill spec: there is no ring to fill.
+        let err = run(&s(&[
+            "build",
+            &log,
+            &map,
+            "--backend",
+            "parallel",
+            "--fault",
+            "fill:0",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("malformed --fault"), "{err}");
+        // So is a worker fault on a backend without a worker: it would
+        // inject nothing.
+        for backend in ["serial", "octomap"] {
             let err = run(&s(&[
                 "build",
                 &log,
                 &map,
                 "--backend",
-                "parallel",
-                "--fault",
-                "explode:9",
-            ]))
-            .unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{err}");
-            // So is the retired ring-fill spec: there is no ring to fill.
-            let err = run(&s(&[
-                "build",
-                &log,
-                &map,
-                "--backend",
-                "parallel",
-                "--fault",
-                "fill:0",
-            ]))
-            .unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{err}");
-            assert!(err.to_string().contains("malformed --fault"), "{err}");
-
-            // A killed worker degrades the build: it completes, reports the
-            // fault inline and flags the integrity downgrade.
-            let out = run(&s(&[
-                "build",
-                &log,
-                &map,
-                "--backend",
-                "parallel",
-                "--resolution",
-                "0.4",
-                "--fault",
-                "kill:0@1",
-            ]))
-            .unwrap();
-            assert!(out.contains("integrity: degraded"), "{out}");
-            assert!(out.contains("1 panics"), "{out}");
-
-            // --strict turns the same fault into a fatal pipeline error.
-            let err = run(&s(&[
-                "build",
-                &log,
-                &map,
-                "--backend",
-                "parallel",
-                "--resolution",
-                "0.4",
-                "--fault",
-                "kill:0@1",
-                "--strict",
-            ]))
-            .unwrap_err();
-            assert!(matches!(err, CliError::Pipeline(_)), "{err}");
-            assert_eq!(err.exit_code(), 7);
-        } else {
-            // Without the feature the flag is refused, not silently ignored.
-            let err = run(&s(&[
-                "build",
-                &log,
-                &map,
-                "--backend",
-                "parallel",
+                backend,
                 "--fault",
                 "kill:0@1",
             ]))
             .unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{err}");
-            assert!(err.to_string().contains("fault-injection"), "{err}");
+            assert_eq!(err.exit_code(), 2, "{backend}: {err}");
+            assert!(err.to_string().contains("no octree worker"), "{err}");
         }
+
+        // A killed worker degrades the build: it completes, reports the
+        // fault inline and flags the integrity downgrade.
+        let out = run(&s(&[
+            "build",
+            &log,
+            &map,
+            "--backend",
+            "parallel",
+            "--resolution",
+            "0.4",
+            "--fault",
+            "kill:0@1",
+        ]))
+        .unwrap();
+        assert!(out.contains("integrity: degraded"), "{out}");
+        assert!(out.contains("1 panics"), "{out}");
+
+        // --strict turns the same fault into a fatal pipeline error.
+        let err = run(&s(&[
+            "build",
+            &log,
+            &map,
+            "--backend",
+            "parallel",
+            "--resolution",
+            "0.4",
+            "--fault",
+            "kill:0@1",
+            "--strict",
+        ]))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Pipeline(_)), "{err}");
+        assert_eq!(err.exit_code(), 7);
     }
 
     #[test]
@@ -1589,33 +1594,31 @@ mod tests {
         assert!(!out.contains("supervisor:"), "{out}");
         assert!(!out.contains("integrity"), "{out}");
 
-        if cfg!(feature = "fault-injection") {
-            // With a restart budget the killed worker is respawned, the
-            // verdict heals back to intact, and the report shows the full
-            // story (counters + transition history) instead of nothing.
-            let out = run(&s(&[
-                "build",
-                &log,
-                &map,
-                "--backend",
-                "parallel",
-                "--resolution",
-                "0.4",
-                "--fault",
-                "kill:0@1",
-                "--max-restarts",
-                "2",
-            ]))
-            .unwrap();
-            assert!(out.contains("(healed)"), "{out}");
-            assert!(out.contains("1 panics"), "{out}");
-            assert!(
-                out.contains("supervisor: 1 worker restarts, 1 heals"),
-                "{out}"
-            );
-            assert!(out.contains("integrity history:"), "{out}");
-            assert!(out.contains("degraded"), "{out}");
-        }
+        // With a restart budget the killed worker is respawned, the
+        // verdict heals back to intact, and the report shows the full
+        // story (counters + transition history) instead of nothing.
+        let out = run(&s(&[
+            "build",
+            &log,
+            &map,
+            "--backend",
+            "parallel",
+            "--resolution",
+            "0.4",
+            "--fault",
+            "kill:0@1",
+            "--max-restarts",
+            "2",
+        ]))
+        .unwrap();
+        assert!(out.contains("(healed)"), "{out}");
+        assert!(out.contains("1 panics"), "{out}");
+        assert!(
+            out.contains("supervisor: 1 worker restarts, 1 heals"),
+            "{out}"
+        );
+        assert!(out.contains("integrity history:"), "{out}");
+        assert!(out.contains("degraded"), "{out}");
     }
 
     #[test]

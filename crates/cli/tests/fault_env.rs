@@ -1,47 +1,85 @@
-//! `OCTO_FAULT` reaches `build` through the process environment, so it is
-//! tested on the real binary: an in-process test that set the variable
+//! The fault variables (`OCTO_FAULT`, `OCTO_FAULT_SEED`, `OCTO_IO_FAULT`,
+//! `OCTO_IO_FAULT_SEED`) reach `build` through the process environment,
+//! so they are tested on the real binary: an in-process test that set one
 //! would inject its fault into every other test building a map.
-
-#![cfg(feature = "fault-injection")]
 
 use std::process::Command;
 
-fn octocache(args: &[&str], fault: Option<&str>) -> (Option<i32>, String) {
+const FAULT_VARS: [&str; 4] = [
+    "OCTO_FAULT",
+    "OCTO_FAULT_SEED",
+    "OCTO_IO_FAULT",
+    "OCTO_IO_FAULT_SEED",
+];
+
+/// Runs the binary with exactly `env` set among the fault variables.
+fn octocache(args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_octocache"));
-    cmd.args(args).env_remove("OCTO_FAULT_SEED");
-    match fault {
-        Some(spec) => cmd.env("OCTO_FAULT", spec),
-        None => cmd.env_remove("OCTO_FAULT"),
-    };
+    cmd.args(args);
+    for var in FAULT_VARS {
+        cmd.env_remove(var);
+    }
+    cmd.envs(env.iter().copied());
     let out = cmd.output().unwrap();
     let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
     (out.status.code(), text.into_owned())
 }
 
 #[test]
-fn octo_fault_is_parsed_like_the_flag() {
+fn fault_variables_are_parsed_like_the_flag_and_refused_when_unusable() {
     let dir = std::env::temp_dir().join(format!("octocache-fault-env-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let log = dir.join("a.scanlog").to_string_lossy().into_owned();
     let map = dir.join("a.map").to_string_lossy().into_owned();
+    let journal = dir.join("journal").to_string_lossy().into_owned();
     let (code, out) = octocache(
         &["generate", "fr079-corridor", &log, "--scale", "0.05"],
-        None,
+        &[],
     );
     assert_eq!(code, Some(0), "{out}");
     let build = ["build", &log, &map, "--backend", "parallel"];
 
     // A well-formed spec injects its fault.
-    let (code, out) = octocache(&build, Some("kill:0@1"));
+    let (code, out) = octocache(&build, &[("OCTO_FAULT", "kill:0@1")]);
     assert_eq!(code, Some(0), "{out}");
     assert!(out.contains("integrity: degraded"), "{out}");
 
-    // The retired ring-fill spec, like any malformed one, is refused
-    // rather than run clean.
-    for spec in ["fill:0", "explode:9"] {
-        let (code, out) = octocache(&build, Some(spec));
-        assert_eq!(code, Some(2), "{spec}: {out}");
-        assert!(out.contains("malformed OCTO_FAULT spec"), "{spec}: {out}");
+    // The retired ring-fill spec, like any malformed value of any of the
+    // four variables, is refused rather than run clean.
+    for (var, value, message) in [
+        ("OCTO_FAULT", "fill:0", "malformed OCTO_FAULT spec"),
+        ("OCTO_FAULT", "explode:9", "malformed OCTO_FAULT spec"),
+        ("OCTO_FAULT_SEED", "abc", "malformed OCTO_FAULT_SEED"),
+        ("OCTO_IO_FAULT", "bogus", "malformed OCTO_IO_FAULT spec"),
+        ("OCTO_IO_FAULT_SEED", "-1", "malformed OCTO_IO_FAULT_SEED"),
+    ] {
+        let mut args = build.to_vec();
+        args.extend(["--journal", &journal]);
+        let (code, out) = octocache(&args, &[(var, value)]);
+        assert_eq!(code, Some(2), "{var}={value}: {out}");
+        assert!(out.contains(message), "{var}={value}: {out}");
     }
+
+    // A worker plan on a backend without a worker would inject nothing.
+    for (var, value) in [("OCTO_FAULT", "kill:0@1"), ("OCTO_FAULT_SEED", "3")] {
+        let (code, out) = octocache(
+            &["build", &log, &map, "--backend", "serial"],
+            &[(var, value)],
+        );
+        assert_eq!(code, Some(2), "{var}={value}: {out}");
+        assert!(out.contains("no octree worker"), "{var}={value}: {out}");
+    }
+
+    // So would an I/O plan without a journal to write.
+    let (code, out) = octocache(&build, &[("OCTO_IO_FAULT", "kill:mid@2")]);
+    assert_eq!(code, Some(2), "{out}");
+    assert!(out.contains("requires --journal"), "{out}");
+
+    // With one, the injected kill tears the second append: the durability
+    // error exits 8.
+    let mut args = build.to_vec();
+    args.extend(["--journal", &journal]);
+    let (code, out) = octocache(&args, &[("OCTO_IO_FAULT", "kill:mid@2")]);
+    assert_eq!(code, Some(8), "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }

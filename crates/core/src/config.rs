@@ -229,9 +229,9 @@ impl CacheConfig {
         self.journal_fsync
     }
 
-    /// The deterministic fault-injection schedule, if any. Only acted on
-    /// under `cfg(any(test, feature = "fault-injection"))`; never
-    /// serialised.
+    /// The deterministic fault schedule, if any: a test-only
+    /// failpoint that only the parallel backend's worker acts on (checked
+    /// once per batch). Never serialised.
     #[inline]
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.fault_plan

@@ -15,8 +15,9 @@
 //!   must detect the damage via CRC/leaf checksums).
 //!
 //! Plans are plain data and always compiled (the branch they cost sits on
-//! cold file-I/O paths, not the mapping hot path); the `fault-injection`
-//! cargo feature gates only the CLI/env plumbing, mirroring `FaultPlan`.
+//! cold file-I/O paths, not the mapping hot path). They are test-only
+//! failpoints: nothing schedules one unless a caller passes it to
+//! [`DurableMap::create_with_io_faults`](super::DurableMap::create_with_io_faults).
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -155,17 +156,28 @@ impl IoFaultPlan {
     /// Reads a plan from the environment: `OCTO_IO_FAULT` (a
     /// [`from_spec`](IoFaultPlan::from_spec) string) wins over
     /// `OCTO_IO_FAULT_SEED` (a [`from_seed`](IoFaultPlan::from_seed)
-    /// integer). Compiled only with the `fault-injection` feature (or in
-    /// tests), like [`FaultPlan::from_env`](crate::fault::FaultPlan).
-    #[cfg(any(test, feature = "fault-injection"))]
-    pub fn from_env() -> Option<IoFaultPlan> {
-        if let Ok(spec) = std::env::var("OCTO_IO_FAULT") {
-            return IoFaultPlan::from_spec(&spec);
-        }
-        std::env::var("OCTO_IO_FAULT_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(IoFaultPlan::from_seed)
+    /// integer). `Ok(None)` when neither is set.
+    ///
+    /// Nothing in the library calls this — [`DurableMap::create`] and
+    /// [`DurableMap::resume`] inject no faults; the CLI's `build` reads
+    /// the plan once and passes it to
+    /// [`DurableMap::create_with_io_faults`].
+    ///
+    /// [`DurableMap::create`]: super::DurableMap::create
+    /// [`DurableMap::resume`]: super::DurableMap::resume
+    /// [`DurableMap::create_with_io_faults`]: super::DurableMap::create_with_io_faults
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable when either one is set but does not
+    /// parse, like [`FaultPlan::from_env`](crate::fault::FaultPlan::from_env).
+    pub fn from_env() -> Result<Option<IoFaultPlan>, String> {
+        crate::fault::plan_from_env(
+            "OCTO_IO_FAULT",
+            "OCTO_IO_FAULT_SEED",
+            IoFaultPlan::from_spec,
+            IoFaultPlan::from_seed,
+        )
     }
 }
 

@@ -366,9 +366,8 @@ impl DurableMap {
     /// built with and `ray_tracer` its front-end — both go into the journal
     /// header so recovery replays identically.
     ///
-    /// Under the `fault-injection` feature an [`IoFaultPlan`] is read from
-    /// `OCTO_IO_FAULT`/`OCTO_IO_FAULT_SEED`; use
-    /// [`DurableMap::create_with_io_faults`] for programmatic plans.
+    /// No I/O faults are injected; use [`DurableMap::create_with_io_faults`]
+    /// to schedule an [`IoFaultPlan`].
     ///
     /// # Errors
     ///
@@ -380,11 +379,7 @@ impl DurableMap {
         ray_tracer: RayTracer,
         config: &CacheConfig,
     ) -> Result<DurableMap, DurableError> {
-        #[cfg(any(test, feature = "fault-injection"))]
-        let plan = IoFaultPlan::from_env();
-        #[cfg(not(any(test, feature = "fault-injection")))]
-        let plan = None;
-        Self::create_with_io_faults(dir, inner, params, ray_tracer, config, plan)
+        Self::create_with_io_faults(dir, inner, params, ray_tracer, config, None)
     }
 
     /// As [`DurableMap::create`], with an explicit deterministic I/O fault
@@ -447,15 +442,11 @@ impl DurableMap {
             header.version,
         )?;
         let inner = OctoMapSystem::from_tree(tree, header.ray_tracer);
-        #[cfg(any(test, feature = "fault-injection"))]
-        let plan = IoFaultPlan::from_env();
-        #[cfg(not(any(test, feature = "fault-injection")))]
-        let plan = None;
         let map = DurableMap {
             inner: Box::new(inner),
             journal,
             store: CheckpointStore::new(dir, config.checkpoint_generations()),
-            vfs: iofault::Vfs::new(plan),
+            vfs: iofault::Vfs::new(None),
             checkpoint_every: config.checkpoint_every(),
             epoch: report.final_epoch,
             last_checkpoint: report.checkpoint_epoch.unwrap_or(0),

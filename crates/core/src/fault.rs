@@ -6,9 +6,8 @@
 //! panic mid-batch, wedge while holding the octree mutex, or never spawn at
 //! all. This module gives those failures names ([`PipelineError`]), gives
 //! the map a verdict after they happen ([`Integrity`]), counts them
-//! ([`FaultCounters`]), and — under `cfg(any(test, feature =
-//! "fault-injection"))` — lets tests schedule them deterministically
-//! ([`FaultPlan`]).
+//! ([`FaultCounters`]), and lets tests schedule them deterministically
+//! ([`FaultPlan`], a test-only failpoint compiled into every build).
 //!
 //! The recovery contract (see `DESIGN.md`, "Failure model & degraded
 //! modes") rests on one property of the eviction stream: evicted cells
@@ -340,16 +339,17 @@ pub struct StallAt {
     pub micros: u64,
 }
 
-/// A deterministic fault-injection schedule for one pipeline instance.
+/// A deterministic fault schedule for one pipeline instance.
 ///
 /// Stored on [`crate::CacheConfig`] (via
-/// [`crate::CacheConfigBuilder::fault_plan`]); the hooks that act on it
-/// are compiled only under `cfg(any(test, feature = "fault-injection"))`
-/// and are zero-cost no-ops otherwise. There is one octree worker, so a
-/// plan holds batch indices, not worker indices.
+/// [`crate::CacheConfigBuilder::fault_plan`]) and acted on only by the
+/// parallel backend's worker, which checks it once per batch. It is a
+/// test-only failpoint: every build carries it, none sets it by default.
+/// There is one octree worker, so a plan holds batch indices, not worker
+/// indices.
 ///
-/// The CLI derives a plan from the `OCTO_FAULT` environment variable (or
-/// `--fault`); embedders can call [`FaultPlan::from_env`] themselves.
+/// The CLI's `build` derives a plan from `--fault` or, once per run, from
+/// [`FaultPlan::from_env`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Panic the worker at the start of this 0-based batch.
@@ -453,18 +453,46 @@ impl FaultPlan {
     }
 
     /// Reads a plan from the environment: `OCTO_FAULT` (a
-    /// [`FaultPlan::from_spec`] string) first, then `OCTO_FAULT_SEED` (a
-    /// [`FaultPlan::from_seed`] seed). `None` when neither is set or the
-    /// value is malformed.
-    pub fn from_env() -> Option<FaultPlan> {
-        if let Ok(spec) = std::env::var("OCTO_FAULT") {
-            return FaultPlan::from_spec(&spec);
-        }
-        if let Ok(seed) = std::env::var("OCTO_FAULT_SEED") {
-            return Some(FaultPlan::from_seed(seed.parse().ok()?));
-        }
-        None
+    /// [`FaultPlan::from_spec`] string) wins over `OCTO_FAULT_SEED` (a
+    /// [`FaultPlan::from_seed`] seed). `Ok(None)` when neither is set.
+    ///
+    /// Nothing in the library calls this; the CLI's `build` does, once.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the variable when either one is set but does not
+    /// parse: a run that asked for a fault must not quietly run clean.
+    pub fn from_env() -> Result<Option<FaultPlan>, String> {
+        plan_from_env(
+            "OCTO_FAULT",
+            "OCTO_FAULT_SEED",
+            FaultPlan::from_spec,
+            FaultPlan::from_seed,
+        )
     }
+}
+
+/// Reads a fault plan from a spec variable and a seed variable (the spec
+/// wins), validating both: shared by [`FaultPlan::from_env`] and
+/// [`crate::IoFaultPlan::from_env`].
+pub(crate) fn plan_from_env<P>(
+    spec_var: &str,
+    seed_var: &str,
+    from_spec: impl FnOnce(&str) -> Option<P>,
+    from_seed: impl FnOnce(u64) -> P,
+) -> Result<Option<P>, String> {
+    // A value that is not UTF-8 turns lossy here and then fails to parse.
+    let read = |var: &str| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    let spec = read(spec_var)
+        .map(|s| from_spec(&s).ok_or_else(|| format!("malformed {spec_var} spec `{s}`")))
+        .transpose()?;
+    let seed = read(seed_var)
+        .map(|s| {
+            s.parse::<u64>()
+                .map_err(|_| format!("malformed {seed_var} `{s}` (an unsigned integer)"))
+        })
+        .transpose()?;
+    Ok(spec.or_else(|| seed.map(from_seed)))
 }
 
 #[cfg(test)]

@@ -48,9 +48,9 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::cache::{CacheStats, EvictedCell, VoxelCache};
 use crate::config::CacheConfig;
 use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
-#[cfg(any(test, feature = "fault-injection"))]
-use crate::fault::FaultPlan;
-use crate::fault::{FaultCounters, Integrity, IntegrityState, IntegrityTransition, PipelineError};
+use crate::fault::{
+    FaultCounters, FaultPlan, Integrity, IntegrityState, IntegrityTransition, PipelineError,
+};
 use crate::pipeline::{MappingSystem, RayTracer};
 use crate::spsc::{self, Backoff, Producer};
 
@@ -103,9 +103,9 @@ struct Worker {
     dequeue_seen: u64,
     octree_seen: u64,
     idle_seen: u64,
-    /// The generation-0 fault schedule; respawned generations keep only the
-    /// periodic component ([`WorkerFaults::respawned`]).
-    faults: WorkerFaults,
+    /// The generation-0 fault plan; respawned generations keep only its
+    /// periodic kill ([`ParallelExecutor::try_respawn`]).
+    faults: FaultPlan,
     /// Times the worker has been respawned (counts against
     /// [`ParallelExecutor::max_restarts`]).
     restarts: u32,
@@ -193,7 +193,7 @@ fn spawn_worker(
     consumer: spsc::Consumer<Batch>,
     tree: &Arc<Mutex<OccupancyOcTree>>,
     shared: &Arc<WorkerShared>,
-    faults: WorkerFaults,
+    faults: FaultPlan,
     event_sink: Option<&Arc<EventSink>>,
 ) -> std::io::Result<JoinHandle<()>> {
     let tree = Arc::clone(tree);
@@ -204,77 +204,24 @@ fn spawn_worker(
         .spawn(move || worker_thread(consumer, tree, shared, faults, events))
 }
 
-/// The worker's fault-injection schedule, derived from the instance's
-/// [`FaultPlan`]. Without `cfg(any(test, feature = "fault-injection"))`
-/// this is a fieldless no-op and [`WorkerFaults::at_batch_start`] compiles
-/// to nothing.
-#[cfg(any(test, feature = "fault-injection"))]
-#[derive(Debug, Default, Clone, Copy)]
-struct WorkerFaults {
-    /// Panic at the start of this batch index.
-    kill_at: Option<u64>,
-    /// Sleep this many µs at the start of this batch index.
-    stall_at: Option<(u64, u64)>,
-    /// Panic every N batches: fires when `(batch + 1) % every == 0`, so a
-    /// respawned thread (local batch index restarts at 0) survives
-    /// `every - 1` batches before dying again.
-    kill_every: Option<u64>,
-}
-
-#[cfg(not(any(test, feature = "fault-injection")))]
-#[derive(Debug, Default, Clone, Copy)]
-struct WorkerFaults;
-
-impl WorkerFaults {
-    /// The schedule a plan gives the worker.
-    #[cfg(any(test, feature = "fault-injection"))]
-    fn from_plan(plan: &FaultPlan) -> Self {
-        WorkerFaults {
-            kill_at: plan.kill,
-            stall_at: plan.stall.map(|s| (s.batch, s.micros)),
-            kill_every: plan.kill_every,
+/// Fires any fault `plan` schedules for `batch` (kill = panic, stall =
+/// sleep): the worker's one failpoint, checked once per batch. A periodic
+/// kill fires when `(batch + 1) % every == 0`, so a respawned thread
+/// (local batch index restarts at 0) survives `every - 1` batches before
+/// dying again.
+fn fire_faults(plan: &FaultPlan, batch: u64) {
+    if plan.kill == Some(batch) {
+        panic!("fault injection: killing worker at batch {batch}");
+    }
+    if let Some(stall) = plan.stall {
+        if stall.batch == batch {
+            std::thread::sleep(Duration::from_micros(stall.micros));
         }
     }
-
-    /// The schedule for a respawned generation: one-shot faults already
-    /// fired on generation 0 (and a respawned thread's batch index restarts
-    /// at 0, so they would re-fire spuriously); only the periodic kill
-    /// survives — it is the chaos workload that exhausts restart budgets.
-    fn respawned(&self) -> Self {
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            WorkerFaults {
-                kill_every: self.kill_every,
-                ..Default::default()
-            }
+    if let Some(every) = plan.kill_every {
+        if (batch + 1).is_multiple_of(every) {
+            panic!("fault injection: periodic kill at batch {batch}");
         }
-        #[cfg(not(any(test, feature = "fault-injection")))]
-        {
-            *self
-        }
-    }
-
-    /// Fires any fault scheduled for `batch` (kill = panic, stall = sleep).
-    #[inline]
-    fn at_batch_start(&self, batch: u64) {
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            if self.kill_at == Some(batch) {
-                panic!("fault injection: killing worker at batch {batch}");
-            }
-            if let Some((b, micros)) = self.stall_at {
-                if b == batch {
-                    std::thread::sleep(Duration::from_micros(micros));
-                }
-            }
-            if let Some(every) = self.kill_every {
-                if (batch + 1).is_multiple_of(every) {
-                    panic!("fault injection: periodic kill at batch {batch}");
-                }
-            }
-        }
-        #[cfg(not(any(test, feature = "fault-injection")))]
-        let _ = batch;
     }
 }
 
@@ -307,20 +254,14 @@ impl ParallelOctoCache {
         let mut integrity = IntegrityState::default();
         let tree = Arc::new(Mutex::new(OccupancyOcTree::new(grid, params)));
         let shared = Arc::new(WorkerShared::default());
-        #[cfg(any(test, feature = "fault-injection"))]
-        let (wf, inject_spawn_fail) = {
-            let plan = config.fault_plan().unwrap_or_default();
-            (WorkerFaults::from_plan(&plan), plan.fail_spawn)
-        };
-        #[cfg(not(any(test, feature = "fault-injection")))]
-        let (wf, inject_spawn_fail) = (WorkerFaults, false);
+        let plan = config.fault_plan().unwrap_or_default();
         let (producer, consumer) = spsc::channel::<Batch>(QUEUE_CAPACITY);
-        let spawned = if inject_spawn_fail {
+        let spawned = if plan.fail_spawn {
             Err(std::io::Error::other(
                 "fault injection: forced spawn failure",
             ))
         } else {
-            spawn_worker(consumer, &tree, &shared, wf, event_sink.as_ref())
+            spawn_worker(consumer, &tree, &shared, plan, event_sink.as_ref())
         };
         let (handle, failed) = match spawned {
             Ok(handle) => (Some(handle), None),
@@ -345,7 +286,7 @@ impl ParallelOctoCache {
             dequeue_seen: 0,
             octree_seen: 0,
             idle_seen: 0,
-            faults: wf,
+            faults: plan,
             restarts: 0,
         };
         let mut cache = VoxelCache::new(config, params);
@@ -564,7 +505,14 @@ impl ParallelExecutor {
             let w = &mut self.worker;
             let shared = Arc::new(WorkerShared::default());
             let (producer, consumer) = spsc::channel::<Batch>(QUEUE_CAPACITY);
-            let faults = w.faults.respawned();
+            // One-shot faults already fired on generation 0 (and a
+            // respawned thread's batch index restarts at 0, so they would
+            // re-fire spuriously); only the periodic kill survives — it is
+            // the chaos workload that exhausts restart budgets.
+            let faults = FaultPlan {
+                kill_every: w.faults.kill_every,
+                ..FaultPlan::default()
+            };
             let spawned =
                 spawn_worker(consumer, &w.tree, &shared, faults, self.event_sink.as_ref());
             match spawned {
@@ -1007,7 +955,7 @@ fn worker_thread(
     consumer: spsc::Consumer<Batch>,
     tree: Arc<Mutex<OccupancyOcTree>>,
     shared: Arc<WorkerShared>,
-    faults: WorkerFaults,
+    faults: FaultPlan,
     events: Option<EventBuffer>,
 ) {
     // The buffer drains on drop, so even a panicking worker's events reach
@@ -1027,7 +975,7 @@ fn worker_loop(
     mut consumer: spsc::Consumer<Batch>,
     tree: &Mutex<OccupancyOcTree>,
     shared: &WorkerShared,
-    faults: WorkerFaults,
+    faults: FaultPlan,
     mut events: Option<EventBuffer>,
 ) {
     let mut batch_index: u64 = 0;
@@ -1051,7 +999,7 @@ fn worker_loop(
         let dequeue = pop_start.elapsed();
         let depth = consumer.len() as u64 + 1;
         shared.queue_depth_dequeue.store(depth, Ordering::Relaxed);
-        faults.at_batch_start(batch_index);
+        fire_faults(&faults, batch_index);
         // Workers stamp the batch index as the scan; one batch is sent per
         // producer scan, so the two sequences align (plus the final flush
         // batches from `finish`).

@@ -1,14 +1,12 @@
-//! Differential fault-injection suite for the parallel pipeline
-//! (compiled only with `--features fault-injection`; CI runs it over an
-//! `OCTO_FAULT_SEED` matrix — see `.github/workflows/ci.yml`).
+//! Differential fault injection suite for the parallel pipeline. Part of
+//! the plain `cargo test` run; CI also runs it over an `OCTO_FAULT_SEED`
+//! matrix — see `.github/workflows/ci.yml`.
 //!
 //! The contract under test (ISSUE 3): for every injected single fault,
 //! `ParallelOctoCache` either
 //! produces a map voxel-for-voxel identical to the serial backend, or
 //! returns a typed `PipelineError` with the degraded flag set — and the
 //! outcome is deterministic given the same fault plan.
-
-#![cfg(feature = "fault-injection")]
 
 use std::time::Duration;
 

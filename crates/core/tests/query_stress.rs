@@ -10,11 +10,11 @@
 //! match the writer's table, and each reader's epoch sequence must be
 //! monotone — snapshots never go backwards.
 //!
-//! With `--features fault-injection`, the same harness runs against a
-//! parallel pipeline whose worker is killed mid-run: the scan may surface
-//! a typed error, but the handle must keep serving consistent, untorn
-//! snapshots throughout — a dead worker must never wedge or corrupt the
-//! read path.
+//! The same harness also runs against a parallel pipeline whose worker
+//! is killed mid-run (a [`octocache::FaultPlan`] failpoint): the scan may
+//! surface a typed error, but the handle must keep serving consistent,
+//! untorn snapshots throughout — a dead worker must never wedge or
+//! corrupt the read path.
 
 mod common;
 
@@ -162,7 +162,6 @@ fn readers_never_observe_torn_snapshots_on_parallel_backend() {
 /// scans may surface typed errors and the map may be degraded, but every
 /// published epoch still has exactly one digest and the handle keeps
 /// serving after the fault.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn killed_worker_does_not_wedge_or_corrupt_snapshots() {
     use octocache::{CacheConfig, FaultPlan};

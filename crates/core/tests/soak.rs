@@ -1,6 +1,6 @@
-//! Chaos soak for the self-healing supervised runtime (compiled only with
-//! `--features fault-injection`; CI runs it in release over an
-//! `OCTO_SOAK_SEED` matrix — see `.github/workflows/ci.yml`).
+//! Chaos soak for the self-healing supervised runtime. Part of the plain
+//! `cargo test` run; CI also runs it in release over an `OCTO_SOAK_SEED`
+//! matrix — see `.github/workflows/ci.yml`.
 //!
 //! A seeded long run (hundreds of scans) interleaves periodic worker
 //! kills, a deliberately tight memory budget, and burst overload. The
@@ -16,8 +16,6 @@
 //!    sheds at least one scan, every submission after the first shed is
 //!    shed too (the map stops growing at the cap), and every applied scan
 //!    was admitted on a footprint below the budget.
-
-#![cfg(feature = "fault-injection")]
 
 mod common;
 
