@@ -42,8 +42,8 @@ use std::fmt::Write as _;
 use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
 use octocache::query::RayCastResult;
 use octocache::{
-    CacheConfig, DurableError, DurableMap, FaultPlan, IoFaultPlan, MapSnapshot, ParallelOctoCache,
-    PipelineError, SerialOctoCache,
+    CacheConfig, CacheConfigBuilder, DurableError, DurableMap, FaultPlan, IoFaultPlan, MapSnapshot,
+    ParallelOctoCache, PipelineError, SerialOctoCache,
 };
 use octocache_datasets::{io as scanlog, Dataset, DatasetConfig};
 use octocache_geom::{Aabb, Point3, VoxelGrid};
@@ -314,18 +314,7 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         None => 0.2,
     };
     let grid = VoxelGrid::new(resolution, 16).map_err(|e| format!("invalid resolution: {e}"))?;
-    let buckets = match flag(&flags, "buckets") {
-        Some(s) => parse_usize(s, "--buckets")?,
-        None => 1 << 14,
-    };
-    let tau = match flag(&flags, "tau") {
-        Some(s) => parse_usize(s, "--tau")?,
-        None => 4,
-    };
-    let mut cache_builder = CacheConfig::builder();
-    cache_builder
-        .num_buckets(buckets.checked_next_power_of_two().unwrap_or(usize::MAX))
-        .tau(tau);
+    let (backend_name, executor, ray_tracer, mut cache_builder) = backend_flags(&flags)?;
     // Supervisor knobs: a resident-memory budget that refuses scans once
     // the map reaches it (`build()` rejects one below the cache's own
     // footprint), a worker-respawn budget, and the admission gate's latency
@@ -360,9 +349,8 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         })?),
         None => env_fault,
     };
-    let backend_name = flag(&flags, "backend").unwrap_or("serial");
     if let Some(plan) = worker_fault {
-        if !backend_name.starts_with("parallel") {
+        if executor != Executor::Parallel {
             return Err(CliError::Usage(format!(
                 "--fault / OCTO_FAULT / OCTO_FAULT_SEED schedule a worker fault, but backend \
                  `{backend_name}` has no octree worker (use parallel or parallel-rt)"
@@ -397,32 +385,21 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     }
     let cache = cache_builder.build().map_err(|e| e.to_string())?;
     let params = OccupancyParams::default();
-    // OctoMapSystem takes no CacheConfig, so its event switch is a method.
-    let octomap_with = |rt: RayTracer| {
-        let mut sys = OctoMapSystem::with_ray_tracer(grid, params, rt);
-        if events_path.is_some() {
-            sys.enable_events();
+    let backend: Box<dyn MappingSystem> = match executor {
+        Executor::Baseline => {
+            // OctoMapSystem takes no CacheConfig, so its event switch is a method.
+            let mut sys = OctoMapSystem::with_ray_tracer(grid, params, ray_tracer);
+            if events_path.is_some() {
+                sys.enable_events();
+            }
+            Box::new(sys)
         }
-        sys
-    };
-    let backend: Box<dyn MappingSystem> = match backend_name {
-        "octomap" => Box::new(octomap_with(RayTracer::Standard)),
-        "octomap-rt" => Box::new(octomap_with(RayTracer::Dedup)),
-        "serial" => Box::new(SerialOctoCache::new(grid, params, cache)),
-        "serial-rt" => Box::new(SerialOctoCache::with_ray_tracer(
-            grid,
-            params,
-            cache,
-            RayTracer::Dedup,
+        Executor::Serial => Box::new(SerialOctoCache::with_ray_tracer(
+            grid, params, cache, ray_tracer,
         )),
-        "parallel" => Box::new(ParallelOctoCache::new(grid, params, cache)),
-        "parallel-rt" => Box::new(ParallelOctoCache::with_ray_tracer(
-            grid,
-            params,
-            cache,
-            RayTracer::Dedup,
+        Executor::Parallel => Box::new(ParallelOctoCache::with_ray_tracer(
+            grid, params, cache, ray_tracer,
         )),
-        other => return Err(CliError::Usage(format!("unknown backend `{other}`"))),
     };
     // The durability wrapper is applied before the trace recorder attaches,
     // so journal/checkpoint latencies get stamped onto every scan record.
@@ -441,19 +418,10 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         }
     }
     let mut backend = match journal_dir {
-        Some(dir) => {
-            let journal_rt = if backend_name.ends_with("-rt") {
-                RayTracer::Dedup
-            } else {
-                RayTracer::Standard
-            };
-            BuildBackend::Durable(Box::new(
-                DurableMap::create_with_io_faults(
-                    dir, backend, params, journal_rt, &cache, io_fault,
-                )
+        Some(dir) => BuildBackend::Durable(Box::new(
+            DurableMap::create_with_io_faults(dir, backend, params, ray_tracer, &cache, io_fault)
                 .map_err(CliError::Durable)?,
-            ))
-        }
+        )),
         None => BuildBackend::Plain(backend),
     };
     let trace_path = flag(&flags, "trace");
@@ -467,10 +435,12 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     let mut observations = 0usize;
     let mut hits = 0u64;
     // Worker faults degrade the build rather than abort it (the pipeline
-    // reroutes the dead worker's share inline); each one is reported as a
-    // diagnostic line. `--strict` makes the first fault fatal. Geometry
-    // errors always abort: the scan log itself is wrong. Durability errors
-    // also always abort: the write-ahead contract is broken.
+    // reroutes the dead worker's share inline), and a scan the supervisor
+    // sheds (deadline or memory budget) leaves the map as it was; each is
+    // reported as a diagnostic line. `--strict` makes the first one fatal.
+    // Geometry errors always abort: the scan log itself is wrong.
+    // Durability errors also always abort: the write-ahead contract is
+    // broken.
     let mut scan_faults: Vec<(usize, PipelineError)> = Vec::new();
     for (i, scan) in seq.scans().iter().enumerate() {
         match backend
@@ -566,7 +536,14 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         );
     }
     if let Some(path) = trace_path {
-        let _ = writeln!(out, "  trace: {} scan records -> {path}", seq.scans().len());
+        // The engine records every scan it ran, faulted ones included, and
+        // no shed one.
+        let sheds = scan_faults
+            .iter()
+            .filter(|(_, e)| matches!(e, PipelineError::Shed(_)))
+            .count();
+        let records = seq.scans().len() - sheds;
+        let _ = writeln!(out, "  trace: {records} scan records -> {path}");
     }
     if let (Some(dir), Some(ds)) = (journal_dir, durable_stats) {
         let _ = writeln!(
@@ -780,20 +757,50 @@ fn cmd_info(args: &[String]) -> Result<String, CliError> {
 }
 
 /// Describes the scan-lifecycle engine a `build` with the same flags would
-/// run: the executor driven by `core::engine` and the
-/// cache-geometry digest — enough for a trace or a bug report to pin down the exact execution configuration. Flags and
-/// defaults mirror `cmd_build`.
+/// run: the executor driven by `core::engine` and the cache-geometry
+/// digest — enough for a trace or a bug report to pin down the exact
+/// execution configuration.
 fn engine_line(flags: &[(&str, &str)]) -> Result<String, CliError> {
-    let backend_name = flag(flags, "backend").unwrap_or("serial");
-    let executor = match backend_name {
-        "octomap" | "octomap-rt" => "BaselineExecutor",
-        "serial" | "serial-rt" => "SerialExecutor",
-        "parallel" | "parallel-rt" => "ParallelExecutor",
-        other => {
-            return Err(CliError::Usage(format!(
-            "unknown backend `{other}` (octomap|octomap-rt|serial|serial-rt|parallel|parallel-rt)"
-        )))
-        }
+    let (_, executor, _, cache) = backend_flags(flags)?;
+    let cache = cache.build().map_err(|e| e.to_string())?;
+    Ok(format!(
+        "executor={executor:?}Executor config-digest={:016x}",
+        cache.digest()
+    ))
+}
+
+/// The scan executor behind a backend name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Executor {
+    Baseline,
+    Serial,
+    Parallel,
+}
+
+/// Every backend `build` and `info` take: its executor and ray tracer.
+const BACKENDS: [(&str, Executor, RayTracer); 6] = [
+    ("octomap", Executor::Baseline, RayTracer::Standard),
+    ("octomap-rt", Executor::Baseline, RayTracer::Dedup),
+    ("serial", Executor::Serial, RayTracer::Standard),
+    ("serial-rt", Executor::Serial, RayTracer::Dedup),
+    ("parallel", Executor::Parallel, RayTracer::Standard),
+    ("parallel-rt", Executor::Parallel, RayTracer::Dedup),
+];
+
+/// The one parse of `--backend` (default `serial`), `--buckets` (default
+/// 2¹⁴, rounded up to a power of two) and `--tau` (default 4) that `build`
+/// and `info` share: the backend's name, executor and ray tracer, and a
+/// builder holding the cache geometry.
+fn backend_flags<'a>(
+    flags: &[(&str, &'a str)],
+) -> Result<(&'a str, Executor, RayTracer, CacheConfigBuilder), CliError> {
+    let name = flag(flags, "backend").unwrap_or("serial");
+    let Some(&(_, executor, ray_tracer)) = BACKENDS.iter().find(|(n, ..)| *n == name) else {
+        let names: Vec<&str> = BACKENDS.iter().map(|(n, ..)| *n).collect();
+        return Err(CliError::Usage(format!(
+            "unknown backend `{name}` ({})",
+            names.join("|")
+        )));
     };
     let buckets = match flag(flags, "buckets") {
         Some(s) => parse_usize(s, "--buckets")?,
@@ -803,15 +810,11 @@ fn engine_line(flags: &[(&str, &str)]) -> Result<String, CliError> {
         Some(s) => parse_usize(s, "--tau")?,
         None => 4,
     };
-    let mut cache_builder = CacheConfig::builder();
-    cache_builder
+    let mut cache = CacheConfig::builder();
+    cache
         .num_buckets(buckets.checked_next_power_of_two().unwrap_or(usize::MAX))
         .tau(tau);
-    let cache = cache_builder.build().map_err(|e| e.to_string())?;
-    Ok(format!(
-        "executor={executor} config-digest={:016x}",
-        cache.digest()
-    ))
+    Ok((name, executor, ray_tracer, cache))
 }
 
 /// Parses `X,Y,Z` into a point.
@@ -1619,6 +1622,46 @@ mod tests {
         );
         assert!(out.contains("integrity history:"), "{out}");
         assert!(out.contains("degraded"), "{out}");
+    }
+
+    /// A refused scan is one diagnostic line, whichever check refused it.
+    /// Scan 0 is always admitted (the latency average starts empty, and
+    /// the tree is empty), and scan 1 never is: every real scan takes
+    /// longer than 1 µs, and after one scan the cache's slab and fold
+    /// scratch alone exceed 1 000 000 B. `--strict` makes the refusal
+    /// fatal (exit 7). The trace line counts the records actually written.
+    #[test]
+    fn build_sheds_on_the_deadline_and_the_budget() {
+        let log = temp_path("shed.scanlog");
+        run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
+        let scans = load_scanlog(&log).unwrap().scans().len();
+        let map = temp_path("shed.map");
+        let trace = temp_path("shed.jsonl");
+        for (knob, value, reason) in [
+            ("--shed-deadline", "0.001", "deadline exceeded"),
+            ("--mem-budget", "1000000", "over memory budget"),
+        ] {
+            let out = run(&s(&["build", &log, &map, knob, value, "--trace", &trace])).unwrap();
+            let shed: Vec<&str> = out
+                .lines()
+                .map(str::trim_start)
+                .filter(|l| l.starts_with("scan ") && l.contains(reason))
+                .collect();
+            assert!(
+                shed.first().is_some_and(|l| l.starts_with("scan 1: ")),
+                "{knob}: {out}"
+            );
+            let written = std::fs::read_to_string(&trace).unwrap().lines().count();
+            assert_eq!(written + shed.len(), scans, "{knob}: {out}");
+            assert!(
+                out.contains(&format!("trace: {written} scan records")),
+                "{knob}: {out}"
+            );
+
+            let err = run(&s(&["build", &log, &map, knob, value, "--strict"])).unwrap_err();
+            assert_eq!(err.exit_code(), 7, "{knob}: {err}");
+            assert!(err.to_string().contains(reason), "{knob}: {err}");
+        }
     }
 
     #[test]

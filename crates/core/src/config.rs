@@ -165,8 +165,8 @@ impl CacheConfig {
 
     /// The memory budget in bytes, if one is configured. When set, the
     /// engine admits a scan only while resident bytes (octree pool plus
-    /// cache) are below it and rejects the rest with
-    /// [`PipelineError::OverBudget`](crate::fault::PipelineError). The
+    /// cache) are below it and sheds the rest with
+    /// [`PipelineError::Shed`](crate::fault::PipelineError::Shed). The
     /// footprint never shrinks, so at the cap the map stops growing. It
     /// gates admission, not peak: one admitted scan can double the octree
     /// pool. `None` (the default) disables the check.
@@ -187,7 +187,7 @@ impl CacheConfig {
     /// The scan-admission deadline: when the exponentially-weighted
     /// moving average of recent scan latencies exceeds it, the engine
     /// sheds incoming scans
-    /// ([`ScanOutcome::Shed`](crate::supervisor::ScanOutcome)) until the
+    /// ([`PipelineError::Shed`](crate::fault::PipelineError::Shed)) until the
     /// average recovers. `None` (the default) admits every scan.
     #[inline]
     pub fn shed_deadline(&self) -> Option<Duration> {

@@ -30,6 +30,13 @@
 //! [`PipelineError::Durable`] —
 //! never silently applied-but-lost.
 //!
+//! Every scan enters through [`MappingSystem::insert_scan`], which asks
+//! the wrapped backend's [`MappingSystem::admit`] verdict before touching
+//! the journal. Applied and refused scans share one append; a refused one
+//! is flagged as shed, returned as [`PipelineError::Shed`], and skipped by
+//! replay, so the journal is a faithful input log and recovery equals the
+//! live map.
+//!
 //! # Example
 //!
 //! ```
@@ -76,7 +83,7 @@ use crate::config::CacheConfig;
 use crate::fault::{FaultCounters, Integrity, IntegrityTransition, PipelineError};
 use crate::pipeline::{MappingSystem, OctoMapSystem, RayTracer, ScanReport};
 use crate::query::{MapSnapshot, QueryHandle};
-use crate::supervisor::{ScanOutcome, ShedReason};
+use crate::supervisor::ShedReason;
 
 use checkpoint::CheckpointStore;
 use journal::{Journal, JournalHeader, JournalRecord, TailStatus, JOURNAL_FILE};
@@ -522,40 +529,50 @@ impl MappingSystem for DurableMap {
         cloud: &[Point3],
         max_range: f64,
     ) -> Result<ScanReport, PipelineError> {
-        // Enforce the memory budget *before* journaling: a scan the inner
-        // engine will reject as OverBudget must never enter the log as an
-        // applied record, or replay would apply what the live run refused.
-        self.inner.budget_check()?;
+        // Ask the inner backend for the verdict *before* any side effect,
+        // so the journal records the scan with the decision that was made.
+        let verdict = self.inner.admit();
         // Periodic checkpoint first, covering the scans applied so far: the
         // snapshot is at a scan boundary, and a crash during the checkpoint
         // loses nothing (the previous generation + journal still recover
         // everything).
         let mut checkpoint_ns = 0u64;
-        if self.checkpoint_every > 0
+        if verdict.is_ok()
+            && self.checkpoint_every > 0
             && self.epoch.saturating_sub(self.last_checkpoint) >= self.checkpoint_every
         {
             let before = self.stats.checkpoint_write_ns;
             self.write_checkpoint().map_err(PipelineError::Durable)?;
             checkpoint_ns = self.stats.checkpoint_write_ns - before;
         }
-        // Journal the scan before applying it (write-ahead ordering).
-        let record = JournalRecord {
-            epoch: self.epoch + 1,
-            origin,
-            max_range,
-            points: cloud.to_vec(),
-            shed: false,
-        };
-        let t0 = Instant::now();
-        let bytes = self
-            .journal
-            .append(&mut self.vfs, &record)
-            .map_err(PipelineError::Durable)?;
-        let journal_ns = t0.elapsed().as_nanos() as u64;
-        self.epoch += 1;
-        self.stats.journal_records += 1;
-        self.stats.journal_bytes += bytes;
-        self.stats.journal_append_ns += journal_ns;
+        // Journal the scan before applying it (write-ahead ordering). A
+        // refused scan is journaled too, flagged shed and never applied: the
+        // log stays a faithful history of everything offered to the map,
+        // and replay reproduces exactly the applied subset. A resumed
+        // version-1 journal has no flags byte; there a refused scan stays
+        // out of the log entirely.
+        let shed = verdict.is_err();
+        let mut journal_ns = 0u64;
+        if !shed || self.journal.supports_shed() {
+            let record = JournalRecord {
+                epoch: self.epoch + 1,
+                origin,
+                max_range,
+                points: cloud.to_vec(),
+                shed,
+            };
+            let t0 = Instant::now();
+            let bytes = self
+                .journal
+                .append(&mut self.vfs, &record)
+                .map_err(PipelineError::Durable)?;
+            journal_ns = t0.elapsed().as_nanos() as u64;
+            self.epoch += 1;
+            self.stats.journal_records += 1;
+            self.stats.journal_bytes += bytes;
+            self.stats.journal_append_ns += journal_ns;
+        }
+        verdict.map_err(PipelineError::Shed)?;
         // Stamp this scan's durable latencies onto the inner engine; the
         // engine folds them into the record it assembles for this scan.
         self.inner
@@ -563,52 +580,8 @@ impl MappingSystem for DurableMap {
         self.inner.insert_scan(origin, cloud, max_range)
     }
 
-    fn submit_scan(
-        &mut self,
-        origin: Point3,
-        cloud: &[Point3],
-        max_range: f64,
-    ) -> Result<ScanOutcome, PipelineError> {
-        // Ask the inner backend for the verdict *before* any side effect,
-        // so the journal records the scan with the decision that was made.
-        if let Some(reason) = self.inner.admission_check() {
-            // A shed scan is journaled too (flagged, never applied): the
-            // log stays a faithful history of everything offered to the
-            // map, and replay reproduces exactly the applied subset. A
-            // resumed version-1 journal has no flags byte; there the shed
-            // scan stays out of the log entirely.
-            if self.journal.supports_shed() {
-                let record = JournalRecord {
-                    epoch: self.epoch + 1,
-                    origin,
-                    max_range,
-                    points: cloud.to_vec(),
-                    shed: true,
-                };
-                let t0 = Instant::now();
-                let bytes = self
-                    .journal
-                    .append(&mut self.vfs, &record)
-                    .map_err(PipelineError::Durable)?;
-                self.epoch += 1;
-                self.stats.journal_records += 1;
-                self.stats.journal_bytes += bytes;
-                self.stats.journal_append_ns += t0.elapsed().as_nanos() as u64;
-            }
-            return Ok(ScanOutcome::Shed(reason));
-        }
-        // Admission already checked the budget; the redundant budget_check
-        // inside insert_scan measures the same resident size and passes.
-        self.insert_scan(origin, cloud, max_range)
-            .map(ScanOutcome::Applied)
-    }
-
-    fn admission_check(&mut self) -> Option<ShedReason> {
-        self.inner.admission_check()
-    }
-
-    fn budget_check(&mut self) -> Result<(), PipelineError> {
-        self.inner.budget_check()
+    fn admit(&mut self) -> Result<(), ShedReason> {
+        self.inner.admit()
     }
 
     fn occupancy(&mut self, key: VoxelKey) -> Option<f32> {
@@ -889,6 +862,55 @@ mod tests {
         assert!(records[2].checkpoint_write_ns > 0);
         assert_eq!(records[2].checkpoint_epoch, 2);
         assert_eq!(records[0].checkpoint_epoch, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A deadline refusal takes the same path as a budget one: journaled
+    /// flagged as shed, asked once (`DurableMap` asks the verdict, then the
+    /// engine asks again only for an admitted scan), and counted once in
+    /// the next applied scan's `ScanRecord::sheds`.
+    #[test]
+    fn deadline_sheds_are_journaled_and_counted_once() {
+        let dir = temp_dir("deadline");
+        let params = OccupancyParams::default();
+        let config = CacheConfig::builder()
+            .num_buckets(1 << 7)
+            .tau(2)
+            .shed_deadline(std::time::Duration::from_micros(1))
+            .build()
+            .unwrap();
+        let inner = crate::SerialOctoCache::new(grid(), params, config);
+        let mut map =
+            DurableMap::create(&dir, inner, params, RayTracer::Standard, &config).unwrap();
+        let recorder = octocache_telemetry::SharedRecorder::new();
+        map.set_recorder(Box::new(recorder.clone()));
+        // Sheds since the last applied scan, per applied scan.
+        let mut want_sheds = Vec::new();
+        let mut pending = 0u64;
+        let scans = 40;
+        for i in 0..scans {
+            match map.insert_scan(Point3::new(0.1, 0.1, 0.1), &cloud(i), 12.0) {
+                Ok(_) => want_sheds.push(std::mem::take(&mut pending)),
+                Err(PipelineError::Shed(ShedReason::DeadlineExceeded { .. })) => pending += 1,
+                Err(e) => panic!("scan {i}: unexpected error {e}"),
+            }
+        }
+        assert!(
+            want_sheds.len() > 1 && want_sheds[1] > 0,
+            "scan 1 is shed and the gate re-admits: {want_sheds:?}"
+        );
+        let got: Vec<u64> = recorder.records().iter().map(|r| r.sheds).collect();
+        assert_eq!(got, want_sheds);
+        assert_eq!(map.stats().journal_records, scans);
+
+        let live = Box::new(map).take_tree();
+        let (tree, report) = recover(&dir).unwrap();
+        assert_eq!(report.records_replayed, want_sheds.len() as u64);
+        assert_eq!(
+            report.records_shed,
+            want_sheds.iter().sum::<u64>() + pending
+        );
+        assert_eq!(tree.leaf_checksum(), live.leaf_checksum());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,6 +10,8 @@
 //! ```text
 //!  insert_scan(origin, cloud, max_range)
 //!     │
+//!     ├─ 0. admit(): deadline gate, then budget      (engine; a refusal
+//!     │                                               returns Shed here)
 //!     ├─ 1. scan_seq = telemetry.scans()            (engine)
 //!     ├─ 2. execute_scan(...) → ScanMetrics          (executor: ray trace,
 //!     │                                               cache, evict, octree)
@@ -26,8 +28,14 @@
 //! Engine<SerialExecutor>`, …), so the trait surface, the publish
 //! ordering and the record schema can never drift between backends again.
 //!
+//! `insert_scan` is the only way a scan enters a backend. A scan the
+//! supervisor refuses returns [`PipelineError::Shed`] before step 1: it
+//! leaves the map unchanged, records nothing, and is counted once in the
+//! next applied scan's `ScanRecord::sheds`.
+//!
 //! Durability ([`crate::durable::DurableMap`]) plugs in as an engine layer:
-//! the wrapper stamps each scan's journal/checkpoint latencies through
+//! the wrapper asks [`MappingSystem::admit`] before it journals, stamps
+//! each scan's journal/checkpoint latencies through
 //! [`MappingSystem::stamp_durable`] *before* delegating `insert_scan`, and
 //! the engine folds them into the assembled record.
 
@@ -47,7 +55,7 @@ use crate::config::CacheConfig;
 use crate::fault::{FaultCounters, Integrity, IntegrityTransition, PipelineError};
 use crate::pipeline::RayTracer;
 use crate::query::{BatchStats, MapSnapshot, PublishStats, QueryHandle, SnapshotPublisher};
-use crate::supervisor::{AdmissionGate, ScanOutcome, ShedReason};
+use crate::supervisor::{AdmissionGate, ShedReason};
 
 /// Outcome of inserting one scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -81,13 +89,16 @@ pub trait MappingSystem {
     /// Scan application is transactional at scan granularity: on `Ok` the
     /// scan is applied voxel-for-voxel identically to the serial backend; on
     /// `Err` the failure is typed and [`MappingSystem::integrity`] reports
-    /// whether the map may have diverged.
+    /// whether the map may have diverged. The scan is first put to
+    /// [`MappingSystem::admit`]; a refused scan is never applied.
     ///
     /// # Errors
     ///
-    /// Propagates [`PipelineError::Geom`] for invalid origins; parallel
-    /// backends additionally surface worker panics, spawn failures, stalls
-    /// and batches left unapplied behind a wedged worker.
+    /// [`PipelineError::Shed`] when the deadline gate or the memory budget
+    /// refused the scan (the map is unchanged by it), and
+    /// [`PipelineError::Geom`] for invalid origins; parallel backends
+    /// additionally surface worker panics, spawn failures, stalls and
+    /// batches left unapplied behind a wedged worker.
     fn insert_scan(
         &mut self,
         origin: Point3,
@@ -95,53 +106,21 @@ pub trait MappingSystem {
         max_range: f64,
     ) -> Result<ScanReport, PipelineError>;
 
-    /// Submits one scan through the admission gate: the supervised
-    /// alternative to [`MappingSystem::insert_scan`] for callers that
-    /// would rather lose a scan than blow a latency deadline or a memory
-    /// budget. Returns [`ScanOutcome::Shed`] when the backend's admission
-    /// gate or memory budget rejected the scan (the map is unchanged by
-    /// it); otherwise applies the scan exactly like `insert_scan`.
+    /// The supervisor's verdict on the next scan, without applying
+    /// anything: the deadline gate first, then the memory budget.
+    /// [`MappingSystem::insert_scan`] asks it first; layered backends
+    /// ([`crate::durable::DurableMap`]) ask it *before* their own side
+    /// effects, so the journal records each scan with the decision that was
+    /// made. While it admits, asking again gives the same answer. Each
+    /// refusal counts as one shed in the backend's telemetry.
     ///
-    /// The default implementation admits unconditionally, for backends
-    /// without supervisor wiring.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the `insert_scan` errors; shedding is an `Ok` outcome, not
-    /// an error.
-    fn submit_scan(
-        &mut self,
-        origin: Point3,
-        cloud: &[Point3],
-        max_range: f64,
-    ) -> Result<ScanOutcome, PipelineError> {
-        self.insert_scan(origin, cloud, max_range)
-            .map(ScanOutcome::Applied)
-    }
-
-    /// Decides admission for the next scan without applying anything:
-    /// `Some(reason)` when the next scan should be shed. Called by
-    /// layered backends ([`crate::durable::DurableMap`]) that must know
-    /// the verdict *before* their own side effects (journaling). Each
-    /// `Some` verdict counts as one shed in the backend's telemetry.
-    ///
-    /// The default admits unconditionally.
-    fn admission_check(&mut self) -> Option<ShedReason> {
-        None
-    }
-
-    /// Enforces the memory budget for the next scan: returns
-    /// [`PipelineError::OverBudget`] when resident bytes are at or above
-    /// the budget. [`MappingSystem::insert_scan`] calls this internally;
-    /// layered backends call it *before* their own side effects so a
-    /// scan the engine will reject is never journaled.
-    ///
-    /// The default is a no-op, for backends without a budget.
+    /// The default admits unconditionally, for backends without a
+    /// supervisor.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::OverBudget`] at or above the budget.
-    fn budget_check(&mut self) -> Result<(), PipelineError> {
+    /// The [`ShedReason`] when the next scan must be shed.
+    fn admit(&mut self) -> Result<(), ShedReason> {
         Ok(())
     }
 
@@ -279,19 +258,8 @@ impl<M: MappingSystem + ?Sized> MappingSystem for Box<M> {
     ) -> Result<ScanReport, PipelineError> {
         (**self).insert_scan(origin, cloud, max_range)
     }
-    fn submit_scan(
-        &mut self,
-        origin: Point3,
-        cloud: &[Point3],
-        max_range: f64,
-    ) -> Result<ScanOutcome, PipelineError> {
-        (**self).submit_scan(origin, cloud, max_range)
-    }
-    fn admission_check(&mut self) -> Option<ShedReason> {
-        (**self).admission_check()
-    }
-    fn budget_check(&mut self) -> Result<(), PipelineError> {
-        (**self).budget_check()
+    fn admit(&mut self) -> Result<(), ShedReason> {
+        (**self).admit()
     }
     fn occupancy(&mut self, key: VoxelKey) -> Option<f32> {
         (**self).occupancy(key)
@@ -486,7 +454,7 @@ pub trait ScanExecutor {
 
     /// Bytes resident in the executor's mapping state (octree storage
     /// plus the cache). Only called when a memory budget is configured,
-    /// once per scan; executors without a budget report 0.
+    /// once per admission verdict; executors without a budget report 0.
     fn resident_bytes(&self) -> u64 {
         0
     }
@@ -545,15 +513,6 @@ impl<E: ScanExecutor> Engine<E> {
             gate,
             pending_sheds: 0,
         }
-    }
-
-    /// The budget verdict for the next scan: `Some((resident, budget))`
-    /// when resident bytes are at or above the budget. `None` without a
-    /// configured budget (one branch).
-    fn over_budget(&self) -> Option<(u64, u64)> {
-        let budget = self.budget?;
-        let resident = self.exec.resident_bytes();
-        (resident >= budget).then_some((resident, budget))
     }
 
     /// Runs one scan through the full lifecycle: sequence → execute →
@@ -642,48 +601,30 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
         cloud: &[Point3],
         max_range: f64,
     ) -> Result<ScanReport, PipelineError> {
-        self.budget_check()?;
+        self.admit().map_err(PipelineError::Shed)?;
         self.run_scan(origin, cloud, max_range)
     }
 
-    fn submit_scan(
-        &mut self,
-        origin: Point3,
-        cloud: &[Point3],
-        max_range: f64,
-    ) -> Result<ScanOutcome, PipelineError> {
-        if let Some(reason) = self.admission_check() {
-            return Ok(ScanOutcome::Shed(reason));
-        }
-        // Admission already checked the budget; execute without re-checking.
-        self.run_scan(origin, cloud, max_range)
-            .map(ScanOutcome::Applied)
-    }
-
-    fn admission_check(&mut self) -> Option<ShedReason> {
-        // Deadline gate first (cheapest), then the memory budget.
-        let reason = match self.gate.as_mut().and_then(AdmissionGate::admit) {
-            Some(reason) => Some(reason),
-            None => {
-                self.over_budget()
-                    .map(|(resident_bytes, budget_bytes)| ShedReason::OverBudget {
-                        resident_bytes,
-                        budget_bytes,
-                    })
+    fn admit(&mut self) -> Result<(), ShedReason> {
+        // Deadline gate first (cheapest), then the memory budget; both are
+        // one `None` branch when unconfigured.
+        let reason = self
+            .gate
+            .as_mut()
+            .and_then(AdmissionGate::admit)
+            .or_else(|| {
+                let budget_bytes = self.budget?;
+                let resident_bytes = self.exec.resident_bytes();
+                (resident_bytes >= budget_bytes).then_some(ShedReason::OverBudget {
+                    resident_bytes,
+                    budget_bytes,
+                })
+            });
+        match reason {
+            Some(reason) => {
+                self.pending_sheds += 1;
+                Err(reason)
             }
-        };
-        if reason.is_some() {
-            self.pending_sheds += 1;
-        }
-        reason
-    }
-
-    fn budget_check(&mut self) -> Result<(), PipelineError> {
-        match self.over_budget() {
-            Some((resident_bytes, budget_bytes)) => Err(PipelineError::OverBudget {
-                resident_bytes,
-                budget_bytes,
-            }),
             None => Ok(()),
         }
     }

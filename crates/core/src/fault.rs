@@ -8,6 +8,8 @@
 //! the map a verdict after they happen ([`Integrity`]), counts them
 //! ([`FaultCounters`]), and lets tests schedule them deterministically
 //! ([`FaultPlan`], a test-only failpoint compiled into every build).
+//! A scan the supervisor refuses is not a fault but shares the error
+//! type: [`PipelineError::Shed`], the one shape of a refusal.
 //!
 //! The recovery contract (see `DESIGN.md`, "Failure model & degraded
 //! modes") rests on one property of the eviction stream: evicted cells
@@ -23,11 +25,12 @@ use octocache_geom::GeomError;
 
 /// A typed failure from a mapping pipeline.
 ///
-/// Returned by [`crate::MappingSystem::insert_scan`]; the serial backends
-/// only ever produce the [`PipelineError::Geom`] variant, the parallel
-/// pipeline produces all of them. Every variant except `Geom` implies the
-/// pipeline has taken a worker out of rotation and the map's
-/// [`Integrity`] is no longer [`Integrity::Intact`].
+/// Returned by [`crate::MappingSystem::insert_scan`]. Every backend can
+/// produce [`PipelineError::Geom`] and [`PipelineError::Shed`], which
+/// leave the map unchanged; a durable map adds [`PipelineError::Durable`].
+/// The worker variants come only from the parallel pipeline and imply it
+/// has taken a worker out of rotation, so the map's [`Integrity`] is no
+/// longer [`Integrity::Intact`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineError {
     /// The scan itself was invalid (non-finite or out-of-grid origin).
@@ -67,18 +70,14 @@ pub enum PipelineError {
     /// wrapped backend: the write-ahead contract ("journaled before
     /// applied") holds, so the durable state never lags the in-memory map.
     Durable(crate::durable::DurableError),
-    /// Resident bytes were at or above the configured
-    /// [memory budget](crate::CacheConfig::mem_budget) at the scan
-    /// boundary, so the scan was rejected before it touched the map. The
-    /// footprint never shrinks, so every later scan is rejected too. The
-    /// map is unchanged by it; integrity is unaffected (rejection is
-    /// back-pressure, not corruption).
-    OverBudget {
-        /// Resident bytes observed at the scan boundary.
-        resident_bytes: u64,
-        /// The configured budget in bytes.
-        budget_bytes: u64,
-    },
+    /// The supervisor refused the scan before it touched the map: the
+    /// admission gate's latency average was over the
+    /// [deadline](crate::CacheConfig::shed_deadline), or resident bytes
+    /// were at or above the [memory budget](crate::CacheConfig::mem_budget).
+    /// The map is unchanged by it and integrity is unaffected (shedding is
+    /// back-pressure, not corruption); a durable map journals the scan
+    /// flagged as shed.
+    Shed(crate::supervisor::ShedReason),
 }
 
 impl fmt::Display for PipelineError {
@@ -104,15 +103,7 @@ impl fmt::Display for PipelineError {
                 "batch {batch} was left unapplied behind a wedged octree worker ({cells_dropped} cells)"
             ),
             PipelineError::Durable(e) => write!(f, "durable storage: {e}"),
-            PipelineError::OverBudget {
-                resident_bytes,
-                budget_bytes,
-            } => write!(
-                f,
-                "scan rejected: resident {:.1} MiB over the {:.1} MiB memory budget",
-                *resident_bytes as f64 / (1024.0 * 1024.0),
-                *budget_bytes as f64 / (1024.0 * 1024.0)
-            ),
+            PipelineError::Shed(reason) => write!(f, "scan shed: {reason}"),
         }
     }
 }
@@ -514,10 +505,10 @@ mod tests {
                 batch: 7,
                 cells_dropped: 41,
             },
-            PipelineError::OverBudget {
+            PipelineError::Shed(crate::supervisor::ShedReason::OverBudget {
                 resident_bytes: 64 << 20,
                 budget_bytes: 32 << 20,
-            },
+            }),
         ];
         for e in &errors {
             assert!(!e.to_string().is_empty());

@@ -77,7 +77,7 @@ pub use query::{
 #[doc(hidden)]
 pub use routing::OctantRouter;
 pub use serial::SerialOctoCache;
-pub use supervisor::{ScanOutcome, ShedReason};
+pub use supervisor::ShedReason;
 // Telemetry primitives live in `octocache-telemetry`; `PhaseTimes` is
 // re-exported here because it predates that crate and every downstream
 // consumer imports it from `octocache`.

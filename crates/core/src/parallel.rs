@@ -330,25 +330,6 @@ impl ParallelOctoCache {
         usize::from(self.exec.worker.failed.is_none())
     }
 
-    /// The map-consistency verdict after any faults. [`Integrity::Degraded`]
-    /// means parallelism was lost but the map is still voxel-for-voxel what
-    /// the serial backend would hold; [`Integrity::Compromised`] means it
-    /// may have diverged.
-    pub fn integrity(&self) -> Integrity {
-        self.exec.integrity.current()
-    }
-
-    /// Every recorded change of the integrity verdict, in scan order —
-    /// the only place a degrade-then-heal run differs from a clean one.
-    pub fn integrity_history(&self) -> Vec<IntegrityTransition> {
-        self.exec.integrity.history().to_vec()
-    }
-
-    /// Cumulative fault and degraded-mode counters.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.exec.faults
-    }
-
     /// Runs `f` with shared access to the backing octree (its mutex is held
     /// for the duration). Pending cache contents are not included; call
     /// [`MappingSystem::finish`] first for a complete tree.

@@ -12,16 +12,22 @@
 //!   `parallel.rs` (it needs the retained batch and the octree).
 //! * [`CacheConfig::mem_budget`] is one threshold at the scan boundary:
 //!   the engine admits a scan iff the executor's resident bytes are below
-//!   it, and otherwise rejects it with
-//!   [`PipelineError::OverBudget`](crate::fault::PipelineError) or sheds
-//!   it with [`ShedReason::OverBudget`]. The footprint never shrinks (the
-//!   octree pool only grows, the cache slab is allocated once), so once
-//!   the budget refuses a scan the map stops growing for the rest of the
-//!   run.
+//!   it, and otherwise sheds it with [`ShedReason::OverBudget`]. The
+//!   footprint never shrinks (the octree pool only grows, the cache slab
+//!   is allocated once), so once the budget refuses a scan the map stops
+//!   growing for the rest of the run.
 //! * [`AdmissionGate`] sheds scans when the moving average of recent
 //!   scan latencies exceeds the configured deadline
 //!   ([`CacheConfig::shed_deadline`]) — bounded-latency load shedding
 //!   for burst overload.
+//!
+//! Both checks form one verdict, asked by
+//! [`MappingSystem::admit`](crate::MappingSystem::admit) at the top of
+//! every [`MappingSystem::insert_scan`](crate::MappingSystem::insert_scan):
+//! the gate first, then the budget. A refused scan returns
+//! [`PipelineError::Shed`](crate::fault::PipelineError::Shed), leaves the
+//! map unchanged and is counted once, in the next applied scan's
+//! `ScanRecord::sheds`.
 //!
 //! All three are zero-cost when unconfigured: no budget means resident
 //! bytes are never measured, no deadline means the gate admits
@@ -33,8 +39,6 @@
 //! [`CacheConfig::shed_deadline`]: crate::CacheConfig::shed_deadline
 
 use std::time::Duration;
-
-use crate::engine::ScanReport;
 
 /// Why a scan was shed instead of applied.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,20 +80,6 @@ impl std::fmt::Display for ShedReason {
             ),
         }
     }
-}
-
-/// What happened to a scan submitted through
-/// [`MappingSystem::submit_scan`](crate::MappingSystem::submit_scan).
-#[derive(Debug, Clone)]
-pub enum ScanOutcome {
-    /// The scan was admitted and applied; the report is what
-    /// `insert_scan` would have returned.
-    Applied(ScanReport),
-    /// The scan was shed by the admission gate or the memory budget.
-    /// The map is unchanged by it (but the scan *was* journaled by the
-    /// durability layer, flagged shed, so the journal stays a faithful
-    /// input log).
-    Shed(ShedReason),
 }
 
 /// EWMA weight of the newest latency sample (α = 0.3): a burst of slow

@@ -74,7 +74,7 @@ fn run_parallel_with(config: CacheConfig) -> (Outcome, Vec<octocache::IntegrityT
     s.finish();
     let integrity = s.integrity();
     let counters = s.fault_counters();
-    let history = s.integrity_history();
+    let history = s.integrity_transitions();
     (
         Outcome {
             errors,

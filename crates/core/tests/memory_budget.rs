@@ -4,20 +4,23 @@
 //! neither goes down during a run: the arena pool only grows and the cache
 //! slab is allocated once. So once a budget refuses a scan, it refuses
 //! every later one — the map stops growing at the cap. For the serial and
-//! the parallel backend, through both `submit_scan` and `insert_scan`,
-//! with a budget the tree pool crosses mid-run:
+//! the parallel backend, through `insert_scan` (the one way in), with a
+//! budget the tree pool crosses mid-run:
 //!
 //! * `ScanRecord::memory_bytes` never decreases;
-//! * after the first `OverBudget` verdict every later scan gets one;
+//! * after the first `Shed(OverBudget)` verdict every later scan gets one;
 //! * the map equals a serial replay of the applied prefix.
+//!
+//! Through a `DurableMap` each refusal is journaled flagged as shed, and
+//! recovery reproduces the live map.
 
 mod common;
 
 use common::Scan;
-use octocache::pipeline::MappingSystem;
+use octocache::pipeline::{MappingSystem, RayTracer};
 use octocache::{
-    CacheConfig, ParallelOctoCache, PipelineError, ScanOutcome, SerialOctoCache, SharedRecorder,
-    ShedReason,
+    durable, CacheConfig, DurableMap, ParallelOctoCache, PipelineError, SerialOctoCache,
+    SharedRecorder, ShedReason,
 };
 use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
 
@@ -47,29 +50,19 @@ fn budget(scans: &[Scan]) -> u64 {
     common::cache().resident_bytes() as u64 + footprint[footprint.len() / 2]
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Route {
-    Submit,
-    Insert,
-}
-
-/// Drives every scan through `route`; returns which scans the budget shed.
-fn drive(map: &mut dyn MappingSystem, route: Route, scans: &[Scan]) -> Vec<bool> {
+/// Drives every scan through `insert_scan`; returns which scans the budget
+/// shed.
+fn drive(map: &mut dyn MappingSystem, scans: &[Scan]) -> Vec<bool> {
     scans
         .iter()
         .enumerate()
-        .map(|(i, scan)| match route {
-            Route::Submit => match map.submit_scan(scan.origin, &scan.points, MAX_RANGE) {
-                Ok(ScanOutcome::Applied(_)) => false,
-                Ok(ScanOutcome::Shed(ShedReason::OverBudget { .. })) => true,
-                other => panic!("scan {i}: unexpected outcome {other:?}"),
-            },
-            Route::Insert => match map.insert_scan(scan.origin, &scan.points, MAX_RANGE) {
+        .map(
+            |(i, scan)| match map.insert_scan(scan.origin, &scan.points, MAX_RANGE) {
                 Ok(_) => false,
-                Err(PipelineError::OverBudget { .. }) => true,
+                Err(PipelineError::Shed(ShedReason::OverBudget { .. })) => true,
                 Err(e) => panic!("scan {i}: unexpected error {e}"),
             },
-        })
+        )
         .collect()
 }
 
@@ -83,52 +76,122 @@ fn over_budget_is_permanent_and_the_applied_prefix_is_exact() {
         b.build().unwrap()
     };
     let params = OccupancyParams::default();
-    for route in [Route::Submit, Route::Insert] {
-        let backends: [(&str, Box<dyn MappingSystem>); 2] = [
-            (
-                "serial",
-                Box::new(SerialOctoCache::new(common::grid(), params, config)),
-            ),
-            (
-                "parallel",
-                Box::new(ParallelOctoCache::new(common::grid(), params, config)),
-            ),
-        ];
-        for (name, mut map) in backends {
-            let label = format!("{name} via {route:?}, budget {budget} B");
-            let recorder = SharedRecorder::new();
-            map.set_recorder(Box::new(recorder.clone()));
-            let shed = drive(&mut *map, route, &scans);
+    let backends: [(&str, Box<dyn MappingSystem>); 2] = [
+        (
+            "serial",
+            Box::new(SerialOctoCache::new(common::grid(), params, config)),
+        ),
+        (
+            "parallel",
+            Box::new(ParallelOctoCache::new(common::grid(), params, config)),
+        ),
+    ];
+    for (name, mut map) in backends {
+        let label = format!("{name}, budget {budget} B");
+        let recorder = SharedRecorder::new();
+        map.set_recorder(Box::new(recorder.clone()));
+        let shed = drive(&mut *map, &scans);
 
-            let footprint: Vec<u64> = recorder.records().iter().map(|r| r.memory_bytes).collect();
-            assert!(
-                footprint.windows(2).all(|w| w[0] <= w[1]),
-                "{label}: the tree footprint shrank: {footprint:?}"
-            );
+        let footprint: Vec<u64> = recorder.records().iter().map(|r| r.memory_bytes).collect();
+        assert!(
+            footprint.windows(2).all(|w| w[0] <= w[1]),
+            "{label}: the tree footprint shrank: {footprint:?}"
+        );
 
-            let first = shed.iter().position(|&s| s);
-            let first = first.unwrap_or_else(|| panic!("{label}: the budget never tripped"));
-            assert!(first > 0, "{label}: the budget refused the first scan");
-            assert!(
-                shed[first..].iter().all(|&s| s),
-                "{label}: a scan was admitted after the first refusal: {shed:?}"
-            );
-            assert_eq!(
-                footprint.len(),
-                first,
-                "{label}: one record per applied scan"
-            );
+        let first = shed.iter().position(|&s| s);
+        let first = first.unwrap_or_else(|| panic!("{label}: the budget never tripped"));
+        assert!(first > 0, "{label}: the budget refused the first scan");
+        assert!(
+            shed[first..].iter().all(|&s| s),
+            "{label}: a scan was admitted after the first refusal: {shed:?}"
+        );
+        assert_eq!(
+            footprint.len(),
+            first,
+            "{label}: one record per applied scan"
+        );
 
-            map.finish();
-            let (want, _) = reference(&scans[..first]);
-            let d = compare::diff(&want, &map.take_tree(), 0.0);
-            assert!(
-                d.is_identical(),
-                "{label}: {} value / {} coverage mismatches against the serial replay of {first} scans",
-                d.value_mismatches,
-                d.coverage_mismatches
-            );
-        }
+        map.finish();
+        let (want, _) = reference(&scans[..first]);
+        let d = compare::diff(&want, &map.take_tree(), 0.0);
+        assert!(
+            d.is_identical(),
+            "{label}: {} value / {} coverage mismatches against the serial replay of {first} scans",
+            d.value_mismatches,
+            d.coverage_mismatches
+        );
+    }
+}
+
+/// A `DurableMap` asks the same verdict before it journals: every offered
+/// scan enters the journal, the refused ones flagged as shed, and replay
+/// skips them, so recovery equals the live map and the applied prefix.
+#[test]
+fn durable_map_journals_each_refusal_as_shed_and_recovers_the_live_map() {
+    let scans = scans();
+    let budget = budget(&scans);
+    // No periodic checkpoint: recovery replays the whole journal.
+    let config = {
+        let mut b = CacheConfig::builder();
+        b.num_buckets(1 << 7)
+            .tau(2)
+            .mem_budget(budget)
+            .checkpoint_every(0);
+        b.build().unwrap()
+    };
+    let params = OccupancyParams::default();
+    let backends: [(&str, Box<dyn MappingSystem>); 2] = [
+        (
+            "serial",
+            Box::new(SerialOctoCache::new(common::grid(), params, config)),
+        ),
+        (
+            "parallel",
+            Box::new(ParallelOctoCache::new(common::grid(), params, config)),
+        ),
+    ];
+    for (name, inner) in backends {
+        let label = format!("durable {name}, budget {budget} B");
+        let dir =
+            std::env::temp_dir().join(format!("octo-budget-durable-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut map = DurableMap::create(&dir, inner, params, RayTracer::Standard, &config)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let shed = drive(&mut map, &scans);
+
+        let first = shed.iter().position(|&s| s);
+        let first = first.unwrap_or_else(|| panic!("{label}: the budget never tripped"));
+        assert!(first > 0, "{label}: the budget refused the first scan");
+        assert!(
+            shed[first..].iter().all(|&s| s),
+            "{label}: a scan was admitted after the first refusal: {shed:?}"
+        );
+        assert_eq!(
+            map.stats().journal_records,
+            scans.len() as u64,
+            "{label}: every offered scan is journaled"
+        );
+
+        let live = Box::new(map).take_tree();
+        let (recovered, report) = durable::recover(&dir).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(report.checkpoint_epoch, None, "{label}");
+        assert_eq!(report.records_replayed, first as u64, "{label}");
+        assert_eq!(
+            report.records_shed,
+            (scans.len() - first) as u64,
+            "{label}: each refusal is journaled flagged as shed"
+        );
+        assert_eq!(report.final_epoch, scans.len() as u64, "{label}");
+        assert!(
+            compare::diff(&live, &recovered, 0.0).is_identical(),
+            "{label}: recovery differs from the live map"
+        );
+        let (want, _) = reference(&scans[..first]);
+        assert!(
+            compare::diff(&want, &live, 0.0).is_identical(),
+            "{label}: the live map differs from the serial replay of {first} scans"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -158,7 +221,7 @@ fn the_fold_scratch_counts_toward_the_budget() {
             b.build().unwrap()
         };
         let mut map = SerialOctoCache::new(common::grid(), params, config);
-        let shed = drive(&mut map, Route::Insert, &scans[..2]);
+        let shed = drive(&mut map, &scans[..2]);
         assert_eq!(
             shed,
             [false, refused],

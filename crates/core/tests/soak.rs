@@ -24,8 +24,8 @@ use std::time::Duration;
 use common::Scan;
 use octocache::pipeline::MappingSystem;
 use octocache::{
-    CacheConfig, FaultPlan, Integrity, ParallelOctoCache, PipelineError, ScanOutcome,
-    SerialOctoCache, SharedRecorder, ShedReason,
+    CacheConfig, FaultPlan, Integrity, ParallelOctoCache, PipelineError, SerialOctoCache,
+    SharedRecorder, ShedReason,
 };
 use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
 use proptest::prelude::*;
@@ -89,12 +89,12 @@ fn run_supervised(scans: &[Scan], config: CacheConfig) -> SoakOutcome {
     let mut sheds = Vec::new();
     let mut kill_errors = 0u64;
     for (i, scan) in scans.iter().enumerate() {
-        match map.submit_scan(scan.origin, &scan.points, MAX_RANGE) {
-            Ok(ScanOutcome::Applied(_)) => applied.push(i),
-            Ok(ScanOutcome::Shed(ShedReason::OverBudget { resident_bytes, .. })) => {
+        match map.insert_scan(scan.origin, &scan.points, MAX_RANGE) {
+            Ok(_) => applied.push(i),
+            Err(PipelineError::Shed(ShedReason::OverBudget { resident_bytes, .. })) => {
                 sheds.push((i, resident_bytes))
             }
-            Ok(ScanOutcome::Shed(reason)) => {
+            Err(PipelineError::Shed(reason)) => {
                 panic!("scan {i}: unexpected shed reason {reason} (no deadline configured)")
             }
             Err(PipelineError::WorkerPanicked { .. }) => {
@@ -268,9 +268,9 @@ fn burst_overload_sheds_and_reapplies_cleanly() {
     let mut applied = Vec::new();
     let mut sheds = 0u64;
     for (i, scan) in scans.iter().enumerate() {
-        match map.submit_scan(scan.origin, &scan.points, MAX_RANGE) {
-            Ok(ScanOutcome::Applied(_)) => applied.push(i),
-            Ok(ScanOutcome::Shed(ShedReason::DeadlineExceeded { .. })) => sheds += 1,
+        match map.insert_scan(scan.origin, &scan.points, MAX_RANGE) {
+            Ok(_) => applied.push(i),
+            Err(PipelineError::Shed(ShedReason::DeadlineExceeded { .. })) => sheds += 1,
             other => panic!("scan {i}: unexpected outcome {other:?}"),
         }
     }

@@ -1,8 +1,6 @@
 use std::time::{Duration, Instant};
 
-use octocache::{
-    LiveMap, MappingSystem, OccupancyView, PhaseTimes, PipelineError, QueryHandle, ScanOutcome,
-};
+use octocache::{LiveMap, MappingSystem, OccupancyView, PhaseTimes, PipelineError, QueryHandle};
 use octocache_datasets::{DepthSensor, Pose};
 use serde::{Deserialize, Serialize};
 
@@ -246,8 +244,10 @@ impl Mission {
             // budget or overloaded, the backend may shed the scan, in which
             // case this cycle plans on the previous map state — the paper's
             // "stale map beats a stalled control loop" trade.
-            if let ScanOutcome::Shed(_) = map.submit_scan(position, &cloud, sensing_range)? {
-                shed_scans += 1;
+            match map.insert_scan(position, &cloud, sensing_range) {
+                Ok(_) => {}
+                Err(PipelineError::Shed(_)) => shed_scans += 1,
+                Err(e) => return Err(e),
             }
             let mapping_time = t0.elapsed();
 
