@@ -353,8 +353,10 @@ fn slots(
 }
 
 /// The scratch [`VoxelCache::insert_batch`] folds a batch through: an
-/// open-addressed hash from voxel to group, the groups in first-seen order,
-/// and each folded observation's flag regrouped by voxel. Allocated by the
+/// open-addressed hash from voxel to group, the groups in first-seen order
+/// with their observation counts, and where each group's occupied
+/// observations fall in its run. Only the occupied observations are listed
+/// (a few per cent of a scan); every other one is free. Allocated by the
 /// first batch and kept; only the three vectors grow with batch size.
 #[derive(Debug, Default)]
 struct Fold {
@@ -362,20 +364,27 @@ struct Fold {
     slots: Vec<u64>,
     /// One per distinct voxel of the folded prefix, in first-seen order.
     groups: Vec<Group>,
-    /// The group of each folded observation, in batch order.
-    of: Vec<u16>,
-    /// The folded observations' flags, group after group, each group's in
-    /// ray order.
-    runs: Vec<bool>,
+    /// Each occupied observation of the folded prefix, in batch order.
+    hits: Vec<Hit>,
+    /// The hits' run indices regrouped: group after group, each ascending.
+    indices: Vec<u32>,
 }
 
-/// A voxel's observations within the fold: while grouping, `end` counts
-/// them; once the flags are placed it is the end of the voxel's run in
-/// [`Fold::runs`], which starts at the previous group's `end`.
+/// A voxel's observations within the fold: `count` of them, and its hits'
+/// indices in [`Fold::indices`] from the previous group's `hits` to its own.
+/// While grouping, `hits` counts them.
 #[derive(Debug, Clone, Copy)]
 struct Group {
     key: VoxelKey,
-    end: u32,
+    count: u32,
+    hits: u32,
+}
+
+/// An occupied observation: its group and its index in the group's run.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    group: u32,
+    index: u32,
 }
 
 impl Fold {
@@ -392,14 +401,14 @@ impl Fold {
     }
 
     /// Groups the longest prefix of `batch` whose distinct voxels fit
-    /// (`FOLD_GROUPS`), ids in first-seen order, and lays their flags out
-    /// group by group. Returns the prefix's length.
+    /// (`FOLD_GROUPS`), ids in first-seen order, counting each group's
+    /// observations and regrouping its hits. Returns the prefix's length.
     fn group(&mut self, batch: &[VoxelUpdate]) -> usize {
         if self.slots.is_empty() {
             self.slots = vec![FOLD_EMPTY; FOLD_SLOTS];
         }
-        let (slots, groups, of) = (&mut self.slots, &mut self.groups, &mut self.of);
-        // Run ends are `u32`s.
+        let (slots, groups, hits) = (&mut self.slots, &mut self.groups, &mut self.hits);
+        // Counts and indices are `u32`s.
         let mut folded = batch.len().min(u32::MAX as usize);
         for (i, u) in batch[..folded].iter().enumerate() {
             let packed = Fold::packed(u.key);
@@ -411,7 +420,11 @@ impl Fold {
                         break None;
                     }
                     slots[at] = packed << 16 | groups.len() as u64;
-                    groups.push(Group { key: u.key, end: 0 });
+                    groups.push(Group {
+                        key: u.key,
+                        count: 0,
+                        hits: 0,
+                    });
                     break Some(groups.len() - 1);
                 }
                 if entry >> 16 == packed {
@@ -423,19 +436,26 @@ impl Fold {
                 folded = i;
                 break;
             };
-            groups[group].end += 1;
-            of.push(group as u16);
+            let g = &mut groups[group];
+            if u.occupied {
+                hits.push(Hit {
+                    group: group as u32,
+                    index: g.count,
+                });
+                g.hits += 1;
+            }
+            g.count += 1;
         }
-        // Counts to starts, then each flag to its group's next place: the
-        // starts advance to the ends.
+        // Hit counts to starts, then each hit to its group's next place:
+        // the starts advance to the ends.
         let mut start = 0;
         for group in groups.iter_mut() {
-            (start, group.end) = (start + group.end, start);
+            (start, group.hits) = (start + group.hits, start);
         }
-        self.runs.resize(folded, false);
-        for (u, &group) in batch.iter().zip(&self.of) {
-            let end = &mut self.groups[group as usize].end;
-            self.runs[*end as usize] = u.occupied;
+        self.indices.resize(hits.len(), 0);
+        for hit in hits.iter() {
+            let end = &mut groups[hit.group as usize].hits;
+            self.indices[*end as usize] = hit.index;
             *end += 1;
         }
         folded
@@ -452,8 +472,8 @@ impl Fold {
             self.slots[at] = FOLD_EMPTY;
         }
         self.groups.clear();
-        self.of.clear();
-        self.runs.clear();
+        self.hits.clear();
+        self.indices.clear();
     }
 
     /// Heap bytes of the scratch.
@@ -461,8 +481,8 @@ impl Fold {
         use std::mem::size_of;
         self.slots.capacity() * size_of::<u64>()
             + self.groups.capacity() * size_of::<Group>()
-            + self.of.capacity() * size_of::<u16>()
-            + self.runs.capacity()
+            + self.hits.capacity() * size_of::<Hit>()
+            + self.indices.capacity() * size_of::<u32>()
     }
 }
 
@@ -636,9 +656,9 @@ impl VoxelCache {
             if let Some(ahead) = fold.groups.get(i + STAGE) {
                 self.prefetch_bucket(morton::encode(ahead.key));
             }
-            let run = &fold.runs[start..group.end as usize];
-            start = group.end as usize;
-            self.insert_run(group.key, run, &mut *octree_lookup);
+            let hits = &fold.indices[start..group.hits as usize];
+            start = group.hits as usize;
+            self.insert_run(group.key, group.count, hits, &mut *octree_lookup);
         }
         fold.clear();
         self.fold = fold;
@@ -727,27 +747,28 @@ impl VoxelCache {
         false
     }
 
-    /// The folded insertion body: offers `key` its observations `run` (in
-    /// ray order, at least one) with one table access, as that many
+    /// The folded insertion body: offers `key` its `count` observations (at
+    /// least one), occupied at the ascending run indices `hits` and free
+    /// elsewhere, with one table access, as that many
     /// [`insert_coded`](Self::insert_coded) calls would, events aside.
     #[inline]
-    fn insert_run<F>(&mut self, key: VoxelKey, run: &[bool], octree_lookup: F)
+    fn insert_run<F>(&mut self, key: VoxelKey, count: u32, hits: &[u32], octree_lookup: F)
     where
         F: FnOnce(VoxelKey) -> Option<f32>,
     {
-        let observed = run.len() as u64;
+        let observed = u64::from(count);
         self.stats.insertions += observed;
         let bucket = (morton::encode(key) & self.mask) as usize;
         match self.table.find(bucket, key) {
             Ok(slot) => {
                 let cell = self.table.at_mut(slot).0;
-                cell.log_odds = advance(&self.params, cell.log_odds, run);
+                cell.log_odds = advance(&self.params, cell.log_odds, count, hits);
                 self.stats.hits += observed;
             }
             Err(tail) => {
                 self.stats.hits += observed - 1;
                 let seed = self.seed(key, octree_lookup);
-                let log_odds = advance(&self.params, seed, run);
+                let log_odds = advance(&self.params, seed, count, hits);
                 self.append(bucket, tail, Cell { key, log_odds }, Cold::default());
             }
         }
@@ -921,20 +942,31 @@ impl VoxelCache {
     }
 }
 
-/// `log_odds` after the observations `run`, in order: one clamped `±δ`
-/// each. A step that left the bits as they were (a clamp) leaves them
-/// again, so the run skips to its next observation of the other kind.
+/// `log_odds` after a voxel's `count` observations in order, occupied at
+/// the ascending indices `hits` and free elsewhere: one clamped `±δ` each.
+/// The run is replayed as stretches of one kind, and a step that left the
+/// bits as they were (a clamp) leaves them again, so it ends its stretch.
 #[inline]
-fn advance(params: &OccupancyParams, mut log_odds: f32, run: &[bool]) -> f32 {
-    let mut rest = run;
-    while let Some((&occupied, tail)) = rest.split_first() {
-        let next = params.apply(log_odds, occupied);
-        rest = tail;
-        if next.to_bits() == log_odds.to_bits() {
-            let same = rest.iter().position(|&o| o != occupied);
-            rest = &rest[same.unwrap_or(rest.len())..];
+fn advance(params: &OccupancyParams, mut log_odds: f32, count: u32, hits: &[u32]) -> f32 {
+    let (mut at, mut hits) = (0, hits);
+    while at < count {
+        let (occupied, len) = match hits.first() {
+            Some(&first) if first == at => {
+                let len = hits.iter().zip(at..).take_while(|(&h, i)| h == *i).count();
+                hits = &hits[len..];
+                (true, len as u32)
+            }
+            Some(&next) => (false, next - at),
+            None => (false, count - at),
+        };
+        for _ in 0..len {
+            let next = params.apply(log_odds, occupied);
+            if next.to_bits() == log_odds.to_bits() {
+                break;
+            }
+            log_odds = next;
         }
-        log_odds = next;
+        at += len;
     }
     log_odds
 }
@@ -1221,9 +1253,12 @@ mod tests {
         c.insert_batch(&batch, |_| None);
         let f = &c.fold;
         assert_eq!(f.slots.len(), FOLD_SLOTS);
-        assert!(f.groups.capacity() >= 8 && f.of.capacity() >= 40 && f.runs.capacity() >= 40);
-        let scratch =
-            FOLD_SLOTS * 8 + f.groups.capacity() * 12 + f.of.capacity() * 2 + f.runs.capacity();
+        // 14 of the 40 observations are occupied.
+        assert!(f.groups.capacity() >= 8 && f.hits.capacity() >= 14 && f.indices.capacity() >= 14);
+        let scratch = FOLD_SLOTS * 8
+            + f.groups.capacity() * 16
+            + f.hits.capacity() * 8
+            + f.indices.capacity() * 4;
         assert_eq!(c.memory_usage(), resident + scratch);
         // Kept, and emptied, for the next batch.
         assert!(f.groups.is_empty() && f.slots.iter().all(|&s| s == FOLD_EMPTY));

@@ -19,6 +19,10 @@
 //!    `octree_lookup` calls in the same order — over long repeat runs,
 //!    occupied and free mixed on one voxel, values driven to both clamps
 //!    and batches with more distinct voxels than the fold's scratch holds.
+//! 7. The fold counts a voxel's observations and lists only its occupied
+//!    ones, yet replays the loop's value bit for bit on a few voxels with
+//!    hundreds of interleaved free and occupied observations each, driven
+//!    into both clamps and back out.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -627,6 +631,110 @@ proptest! {
         let drained = folding.drain_all();
         prop_assert!(drained == twin.drain_all());
     }
+}
+
+/// A batch over `voxels` in phases of `(observations, occupied per cent)`,
+/// each observation's voxel and flag drawn from `seed`: the voxels'
+/// observations interleave, and a phase of 0 % or 100 % drives every voxel
+/// to a clamp.
+fn interleaved(voxels: &[VoxelKey], phases: &[(usize, u64)], seed: u64) -> Vec<VoxelUpdate> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut out = Vec::new();
+    for &(len, percent) in phases {
+        out.extend((0..len).map(|_| VoxelUpdate {
+            key: voxels[(next() % voxels.len() as u64) as usize],
+            occupied: next() % 100 < percent,
+        }));
+    }
+    out
+}
+
+/// Offers `batches` to a folding cache and to a twin fed one `insert` per
+/// observation, and requires the same values (bits), statistics, octree
+/// lookups and evicted runs after each; returns the folding cache's value
+/// of every voxel after each batch.
+fn fold_against_the_loop(voxels: &[VoxelKey], batches: &[Vec<VoxelUpdate>]) -> Vec<Vec<f32>> {
+    let cfg = CacheConfig::builder()
+        .num_buckets(16)
+        .tau(2)
+        .build()
+        .unwrap();
+    let params = OccupancyParams::default();
+    let (mut folding, mut twin) = (VoxelCache::new(cfg, params), VoxelCache::new(cfg, params));
+    let mut octree: HashMap<VoxelKey, f32> = HashMap::new();
+    let mut values = Vec::new();
+    for (n, batch) in batches.iter().enumerate() {
+        let mut looked_up: [Vec<VoxelKey>; 2] = Default::default();
+        let [folded, single] = &mut looked_up;
+        folding.insert_batch(batch, |key| {
+            folded.push(key);
+            octree.get(&key).copied()
+        });
+        for u in batch {
+            twin.insert(u.key, u.occupied, |key| {
+                single.push(key);
+                octree.get(&key).copied()
+            });
+        }
+        assert_eq!(looked_up[0], looked_up[1], "batch {n}: octree lookups");
+        assert_eq!(folding.stats(), twin.stats(), "batch {n}");
+        let bits = |cache: &VoxelCache, key| cache.peek(key).map(f32::to_bits);
+        for &key in voxels {
+            assert_eq!(bits(&folding, key), bits(&twin, key), "batch {n}: {key}");
+        }
+        values.push(voxels.iter().filter_map(|&k| folding.peek(k)).collect());
+        let evicted = folding.evict();
+        assert!(evicted == twin.evict(), "batch {n}: evicted runs differ");
+        octree.extend(evicted.iter().map(|c| (c.key, c.log_odds)));
+    }
+    values
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn the_counting_fold_replays_interleaved_runs(
+        voxels in proptest::collection::vec((0u16..6, 0u16..6, 0u16..2), 1..6),
+        batches in proptest::collection::vec(
+            proptest::collection::vec(
+                (20usize..400, prop_oneof![Just(0u64), Just(2), Just(50), Just(95), Just(100)]),
+                1..6,
+            ),
+            1..4,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let voxels: Vec<VoxelKey> = voxels.iter().map(|&(x, y, z)| VoxelKey::new(x, y, z)).collect();
+        let batches: Vec<Vec<VoxelUpdate>> = batches
+            .iter()
+            .enumerate()
+            .map(|(n, phases)| interleaved(&voxels, phases, seed ^ n as u64))
+            .collect();
+        fold_against_the_loop(&voxels, &batches);
+    }
+}
+
+/// The same on a fixed script that provably reaches both clamps: two
+/// voxels, interleaved, all occupied then all free in one batch (ending at
+/// the lower clamp), and the reverse in the next (ending at the upper).
+#[test]
+fn the_counting_fold_reaches_both_clamps_like_the_loop() {
+    let params = OccupancyParams::default();
+    let voxels = [VoxelKey::new(1, 2, 3), VoxelKey::new(4, 5, 6)];
+    let batches = [
+        interleaved(&voxels, &[(300, 100), (40, 50), (300, 0)], 7),
+        interleaved(&voxels, &[(300, 0), (40, 50), (300, 100)], 8),
+    ];
+    let values = fold_against_the_loop(&voxels, &batches);
+    assert_eq!(values[0], [params.clamp_min; 2]);
+    assert_eq!(values[1], [params.clamp_max; 2]);
 }
 
 /// The event stream of a scripted run, one `kind key bucket hits value` line

@@ -144,10 +144,34 @@ impl Dataset {
 
     /// Generates the scan sequence for this dataset.
     pub fn generate(&self, config: &DatasetConfig) -> ScanSequence {
+        let Survey {
+            scene,
+            trajectory,
+            sensor,
+        } = self.survey(config);
+        let scans = trajectory
+            .poses()
+            .iter()
+            .enumerate()
+            .map(|(i, pose)| Scan {
+                origin: pose.position,
+                points: sensor.scan(&scene, pose, scan_seed(config.seed, i)),
+            })
+            .filter(|s| !s.points.is_empty())
+            .collect();
+        ScanSequence {
+            name: self.name(),
+            scans,
+            max_range: sensor.max_range(),
+        }
+    }
+
+    /// What this dataset's scans are taken from.
+    fn survey(&self, config: &DatasetConfig) -> Survey {
         match self {
-            Dataset::Fr079Corridor => generate_corridor(config),
-            Dataset::FreiburgCampus => generate_campus(config),
-            Dataset::NewCollege => generate_college(config),
+            Dataset::Fr079Corridor => corridor(config),
+            Dataset::FreiburgCampus => campus(config),
+            Dataset::NewCollege => college(config),
         }
     }
 }
@@ -158,35 +182,23 @@ impl std::fmt::Display for Dataset {
     }
 }
 
-fn take_scans(
-    name: &'static str,
-    scene: &Scene,
-    trajectory: &Trajectory,
-    sensor: &DepthSensor,
-    seed: u64,
-) -> ScanSequence {
-    let scans = trajectory
-        .poses()
-        .iter()
-        .enumerate()
-        .map(|(i, pose)| Scan {
-            origin: pose.position,
-            points: sensor.scan(scene, pose, seed ^ (i as u64).wrapping_mul(0x9E37)),
-        })
-        .filter(|s| !s.points.is_empty())
-        .collect();
-    ScanSequence {
-        name,
-        scans,
-        max_range: sensor.max_range(),
-    }
+/// A dataset's scene, the sensor's path through it and the sensor.
+struct Survey {
+    scene: Scene,
+    trajectory: Trajectory,
+    sensor: DepthSensor,
+}
+
+/// The noise seed of a dataset's `i`-th scan.
+fn scan_seed(seed: u64, i: usize) -> u64 {
+    seed ^ (i as u64).wrapping_mul(0x9E37)
 }
 
 /// FR-079 corridor: a 36 m × 4 m × 3 m corridor with wall clutter; the
 /// sensor walks the centreline in 0.5 m steps (step ≪ range, giving the
 /// paper's 80 %+ inter-batch overlap). Lower `scale` shortens the walk but keeps
 /// the step, preserving the overlap structure.
-fn generate_corridor(config: &DatasetConfig) -> ScanSequence {
+fn corridor(config: &DatasetConfig) -> Survey {
     let bounds = Aabb::new(Point3::new(-2.0, -2.0, 0.0), Point3::new(36.0, 2.0, 3.0));
     let mut scene = Scene::new(bounds);
     scene.add_walls(0.4);
@@ -218,12 +230,16 @@ fn generate_corridor(config: &DatasetConfig) -> ScanSequence {
         config.scaled_rays(80, 12),
         10.0,
     );
-    take_scans("fr079-corridor", &scene, &trajectory, &sensor, config.seed)
+    Survey {
+        scene,
+        trajectory,
+        sensor,
+    }
 }
 
 /// Freiburg campus: a 140 m square with building-sized boxes; 6 m strides
 /// between scans give the paper's ≈ 40 % overlap.
-fn generate_campus(config: &DatasetConfig) -> ScanSequence {
+fn campus(config: &DatasetConfig) -> Survey {
     let bounds = Aabb::new(
         Point3::new(-70.0, -70.0, 0.0),
         Point3::new(70.0, 70.0, 18.0),
@@ -265,12 +281,16 @@ fn generate_campus(config: &DatasetConfig) -> ScanSequence {
         config.scaled_rays(96, 12),
         25.0,
     );
-    take_scans("freiburg-campus", &scene, &trajectory, &sensor, config.seed)
+    Survey {
+        scene,
+        trajectory,
+        sensor,
+    }
 }
 
 /// New College: a courtyard loop; the sensor circles the quad looking
 /// outward at the enclosing buildings, in ≈ 0.63 m steps along the arc.
-fn generate_college(config: &DatasetConfig) -> ScanSequence {
+fn college(config: &DatasetConfig) -> Survey {
     let bounds = Aabb::new(
         Point3::new(-40.0, -40.0, 0.0),
         Point3::new(40.0, 40.0, 12.0),
@@ -304,7 +324,11 @@ fn generate_college(config: &DatasetConfig) -> ScanSequence {
         config.scaled_rays(80, 10),
         20.0,
     );
-    take_scans("new-college", &scene, &trajectory, &sensor, config.seed)
+    Survey {
+        scene,
+        trajectory,
+        sensor,
+    }
 }
 
 #[cfg(test)]
@@ -360,6 +384,39 @@ mod tests {
                 assert!(p.x > -3.0 && p.x < 37.0, "{p}");
                 assert!(p.y > -3.0 && p.y < 3.0, "{p}");
                 assert!(p.z > -1.0 && p.z < 4.0, "{p}");
+            }
+        }
+    }
+
+    /// The per-scan obstacle cull in `DepthSensor::scan` changes no point:
+    /// every scan of every dataset, at the test and benchmark scales,
+    /// equals the scan that tests every ray against every box.
+    #[test]
+    fn culled_scans_equal_exhaustive_scans() {
+        for dataset in Dataset::ALL {
+            for scale in [0.05, 0.25] {
+                let config = DatasetConfig {
+                    scale,
+                    ..DatasetConfig::default()
+                };
+                let Survey {
+                    scene,
+                    trajectory,
+                    sensor,
+                } = dataset.survey(&config);
+                let mut culled = 0;
+                for (i, pose) in trajectory.poses().iter().enumerate() {
+                    let seed = scan_seed(config.seed, i);
+                    assert_eq!(
+                        sensor.scan(&scene, pose, seed),
+                        sensor.scan_exhaustive(&scene, pose, seed),
+                        "{dataset} at scale {scale}, scan {i}"
+                    );
+                    let near = scene.within(pose.position, sensor.max_range() * 1.01);
+                    culled += scene.obstacles().len() - near.obstacles().len();
+                }
+                // The corridor's 10 m range reaches most of its boxes.
+                assert!(culled > 0 || dataset == Dataset::Fr079Corridor, "{dataset}");
             }
         }
     }

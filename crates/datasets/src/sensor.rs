@@ -81,7 +81,20 @@ impl DepthSensor {
 
     /// Scans the scene from a pose: one point per hitting ray, with range
     /// noise drawn deterministically from `seed`.
+    ///
+    /// The rays are cast only against the obstacles within range of the
+    /// pose. A box is dropped when its nearest point is farther than
+    /// `max_range · (1 + 10⁻⁶) + 10⁻⁶`: a ray hits only at `t ≤ max_range`
+    /// along its unit direction, so no dropped box could have been hit and
+    /// the points equal [`scan_exhaustive`](Self::scan_exhaustive)'s.
     pub fn scan(&self, scene: &Scene, pose: &Pose, seed: u64) -> Vec<Point3> {
+        let reach = self.max_range * (1.0 + 1e-6) + 1e-6;
+        self.scan_exhaustive(&scene.within(pose.position, reach), pose, seed)
+    }
+
+    /// [`scan`](Self::scan) with every ray tested against every obstacle of
+    /// `scene`: slower, and the reference `scan` is checked against.
+    pub fn scan_exhaustive(&self, scene: &Scene, pose: &Pose, seed: u64) -> Vec<Point3> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cloud = Vec::with_capacity(self.rays_per_scan());
         for j in 0..self.rows {

@@ -97,6 +97,19 @@ impl Aabb {
         }
     }
 
+    /// Euclidean distance from `p` to the nearest point of the box (0 when
+    /// `p` is inside).
+    #[inline]
+    pub fn distance_to(&self, p: Point3) -> f64 {
+        let gap = |v: f64, lo: f64, hi: f64| (lo - v).max(v - hi).max(0.0);
+        Point3::new(
+            gap(p.x, self.min.x, self.max.x),
+            gap(p.y, self.min.y, self.max.y),
+            gap(p.z, self.min.z, self.max.z),
+        )
+        .norm()
+    }
+
     /// Slab-test intersection of the ray `origin + t * direction` with the
     /// box, for `t` in `[0, t_max]`.
     ///
@@ -200,6 +213,14 @@ mod tests {
             .intersect_ray(Point3::ZERO, Point3::new(0.0, 1.0, 0.0), 10.0)
             .unwrap();
         assert_eq!(t, 0.0);
+    }
+
+    #[test]
+    fn distance_to_is_zero_inside_and_euclidean_outside() {
+        let b = Aabb::new(Point3::ZERO, Point3::splat(1.0));
+        assert_eq!(b.distance_to(Point3::splat(0.5)), 0.0);
+        assert_eq!(b.distance_to(Point3::new(3.0, 0.5, 0.5)), 2.0);
+        assert!((b.distance_to(Point3::new(-3.0, 5.0, 0.5)) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -60,9 +60,14 @@ impl fmt::Display for ChildIndex {
 /// Keys are `Ord` by (x, y, z) lexicographic order — the "XYZ order" baseline
 /// evaluated in the paper's Figure 10. Morton (Z-)order is provided separately
 /// by [`morton`](crate::morton).
+///
+/// The layout is fixed (`x`, `y`, `z` at byte offsets 0, 2, 4): the ray
+/// tracer's lanes store a key as one 64-bit word
+/// ([`ray::VoxelUpdate`](crate::ray::VoxelUpdate)).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
 )]
+#[repr(C)]
 pub struct VoxelKey {
     /// Discrete X index.
     pub x: u16,

@@ -17,20 +17,11 @@
 //!   variant that deduplicates within the batch first (one update per voxel,
 //!   occupied observations win); used for comparisons.
 
+pub use octocache_geom::ray::VoxelUpdate;
 use octocache_geom::ray::{self, KeySink};
 use octocache_geom::{GeomError, Point3, VoxelGrid, VoxelKey};
 
 use crate::tree::OccupancyOcTree;
-
-/// One voxel observation produced by ray tracing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct VoxelUpdate {
-    /// The observed voxel.
-    pub key: VoxelKey,
-    /// Whether the observation is an occupied hit (`true`) or a free
-    /// crossing (`false`).
-    pub occupied: bool,
-}
 
 /// A batch of voxel observations from one scan, in raw ray-traced order.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -166,7 +157,10 @@ pub fn check_origin(grid: &VoxelGrid, origin: Point3) -> Result<(), GeomError> {
 
 /// Ray-traces one scan into a voxel batch, appending to `out` (cleared
 /// first). Each ray is traced straight into the batch: its crossed voxels
-/// are free observations, pushed as the DDA meets them.
+/// are free observations, then its endpoint voxel an occupied one. Where the
+/// CPU has AVX-512 the rays are traced eight at a time
+/// ([`ray::trace_lanes`]); elsewhere one at a time through
+/// [`ray::trace_with`]. The batch is the same bit for bit.
 ///
 /// Each point beyond `max_range` from the origin is truncated to
 /// `max_range` and contributes only free voxels (no endpoint hit), matching
@@ -186,10 +180,8 @@ pub fn compute_update(
 ) -> Result<(), GeomError> {
     out.clear();
     check_origin(grid, origin)?;
-    for &point in cloud {
-        if !point.is_finite() {
-            continue;
-        }
+    let mut hits = 0;
+    let mut rays = cloud.iter().filter(|p| p.is_finite()).map(|&point| {
         let delta = point - origin;
         let dist = delta.norm();
         let (end, hit) = if max_range > 0.0 && dist > max_range {
@@ -197,28 +189,48 @@ pub fn compute_update(
         } else {
             (point, true)
         };
-        let end = grid.clamp_point(end);
-        ray::trace_with(grid, origin, end, &mut FreeCrossings(out))?;
-        if hit {
-            out.push(grid.key_of(end)?, true);
-        }
-    }
-    Ok(())
+        hits += usize::from(hit);
+        (grid.clamp_point(end), hit)
+    });
+    let updates = &mut out.updates;
+    let traced = if ray::lanes_available() {
+        ray::trace_lanes(grid, origin, rays, updates)
+    } else {
+        rays.try_for_each(|(end, hit)| {
+            ray::trace_with(grid, origin, end, &mut FreeCrossings(updates))?;
+            if hit {
+                updates.push(VoxelUpdate {
+                    key: grid.key_of(end)?,
+                    occupied: true,
+                });
+            }
+            Ok(())
+        })
+    };
+    out.num_occupied = match traced {
+        Ok(()) => hits,
+        // The failing ray was counted but not traced.
+        Err(_) => out.updates.iter().filter(|u| u.occupied).count(),
+    };
+    traced
 }
 
-/// A batch as a ray's [`KeySink`]: every voxel crossed is a free
-/// observation, and room is reserved for the ray's endpoint hit too.
-struct FreeCrossings<'a>(&'a mut VoxelBatch);
+/// A batch's observations as a ray's [`KeySink`]: every voxel crossed is a
+/// free observation, and room is reserved for the ray's endpoint hit too.
+struct FreeCrossings<'a>(&'a mut Vec<VoxelUpdate>);
 
 impl KeySink for FreeCrossings<'_> {
     #[inline]
     fn reserve(&mut self, max_keys: usize) {
-        self.0.updates.reserve(max_keys + 1);
+        self.0.reserve(max_keys + 1);
     }
 
     #[inline]
     fn push(&mut self, key: VoxelKey) {
-        self.0.push(key, false);
+        self.0.push(VoxelUpdate {
+            key,
+            occupied: false,
+        });
     }
 }
 

@@ -1,4 +1,5 @@
-//! `compute_update` traces each ray straight into the batch.
+//! `compute_update` traces each ray straight into the batch, eight rays at
+//! a time where the CPU has AVX-512 ([`ray::trace_lanes`]).
 //!
 //! It used to trace every ray into a reusable [`KeyRay`] and copy the keys
 //! into the batch; [`key_ray_reference`] is that path, kept here as the
@@ -8,10 +9,15 @@
 //! take a ray off the plain path: points past `max_range` (truncated, free
 //! only), points outside the map cube (clamped to its boundary), points in
 //! the origin's own voxel (an empty ray plus the hit) and non-finite points
-//! (skipped).
+//! (skipped). Sensor-shaped clouds on a deep grid give the lanes hundreds
+//! of rays of very different lengths, so lanes refill mid-scan, and the
+//! fixed cases name the rays whose arithmetic is most fragile: axis-aligned
+//! ones, ends on voxel faces, ends clamped at the map edge and a ray that
+//! runs out its `manhattan + 6` bound. Finally the lanes are checked
+//! directly against [`ray::trace_with`], errors included.
 
-use octocache_geom::ray::{self, KeyRay};
-use octocache_geom::{GeomError, Point3, VoxelGrid};
+use octocache_geom::ray::{self, KeyRay, KeySink, VoxelUpdate};
+use octocache_geom::{GeomError, Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::insert::{self, VoxelBatch};
 use proptest::prelude::*;
 
@@ -161,34 +167,291 @@ proptest! {
     }
 }
 
-/// The edge cases by name, so a failure points at one.
+/// The edge cases by name, so a failure points at one. Each cloud repeats
+/// its case among plain rays, so the lanes meet it beside others.
 #[test]
 fn named_edge_cases_equal_the_key_ray_path() {
     let g = grid();
     let origin = Point3::new(0.3, -0.2, 0.6);
     let same_voxel = g.center_of(g.key_of(origin).unwrap());
-    let cases: [(&str, Vec<Point3>, f64); 5] = [
-        ("truncated", vec![Point3::new(12.0, 3.0, -2.0)], 4.0),
-        ("clamped", vec![Point3::new(100.0, -70.0, 3.0)], 0.0),
+    // From a voxel centre, so the faces below lie at exact multiples.
+    let centre = Point3::new(0.25, 0.25, 0.25);
+    let plain: Vec<Point3> = (0..11)
+        .map(|i| origin + Point3::new(9.0 - i as f64, 4.0, i as f64 * 0.7 - 3.0))
+        .collect();
+    let cases: [(&str, Point3, Vec<Point3>, f64); 10] = [
+        ("truncated", origin, vec![Point3::new(12.0, 3.0, -2.0)], 4.0),
+        ("clamped", origin, vec![Point3::new(100.0, -70.0, 3.0)], 0.0),
         (
             "clamped and truncated",
+            origin,
             vec![Point3::new(-90.0, 5.0, 80.0)],
             20.0,
         ),
-        ("endpoint in the origin's voxel", vec![same_voxel], 10.0),
+        (
+            "clamped at the map edge, every face",
+            origin,
+            vec![
+                Point3::new(16.0, 0.1, 0.2),
+                Point3::new(-16.0, 0.1, 0.2),
+                Point3::new(0.1, 16.0, 0.2),
+                Point3::new(0.1, -16.0, 0.2),
+                Point3::new(0.1, 0.2, 16.0),
+                Point3::new(0.1, 0.2, -16.0),
+                Point3::new(40.0, 40.0, 40.0),
+            ],
+            0.0,
+        ),
+        (
+            "endpoint in the origin's voxel",
+            origin,
+            vec![same_voxel],
+            10.0,
+        ),
         (
             "non-finite",
+            origin,
             vec![
                 Point3::new(f64::NAN, 1.0, 1.0),
                 Point3::new(2.0, f64::NEG_INFINITY, 0.0),
             ],
             10.0,
         ),
+        (
+            "axis-aligned, both ways on every axis",
+            centre,
+            vec![
+                Point3::new(7.25, 0.25, 0.25),
+                Point3::new(-6.25, 0.25, 0.25),
+                Point3::new(0.25, 5.25, 0.25),
+                Point3::new(0.25, -8.25, 0.25),
+                Point3::new(0.25, 0.25, 9.25),
+                Point3::new(0.25, 0.25, -4.25),
+            ],
+            0.0,
+        ),
+        (
+            "ends on voxel faces",
+            centre,
+            vec![
+                Point3::new(3.0, 0.25, 0.25),
+                Point3::new(-3.0, 0.25, 0.25),
+                Point3::new(3.0, 2.0, 0.25),
+                Point3::new(-2.5, -1.5, 1.0),
+                Point3::new(4.0, 4.0, 4.0),
+            ],
+            0.0,
+        ),
+        (
+            "diagonals through voxel edges and corners (compare ties)",
+            centre,
+            vec![
+                Point3::new(3.25, 3.25, 0.25),
+                Point3::new(0.25, -2.75, 2.75),
+                Point3::new(-3.75, 0.25, -3.75),
+                Point3::new(3.25, 3.25, 3.25),
+                Point3::new(-4.75, 4.75, -4.75),
+            ],
+            0.0,
+        ),
+        (
+            "a ray that exhausts its manhattan + 6 bound",
+            EXHAUSTED.0,
+            vec![EXHAUSTED.1],
+            0.0,
+        ),
     ];
-    for (name, cloud, max_range) in cases {
+    for (name, origin, case, max_range) in cases {
+        let mut cloud = plain.clone();
+        for (i, &p) in case.iter().enumerate() {
+            cloud.insert(3 * i, p);
+            cloud.push(p);
+        }
         let got = traced(insert::compute_update, origin, &cloud, max_range).unwrap();
         let expected = traced(key_ray_reference, origin, &cloud, max_range).unwrap();
         assert_eq!(got.updates(), expected.updates(), "{name}");
         assert_eq!(got.num_occupied(), expected.num_occupied(), "{name}");
+    }
+}
+
+/// A ray whose end voxel lies one voxel up in z while its z direction is
+/// below the DDA's 10⁻¹² cut: it never steps in z, so it never meets the
+/// end voxel and stops at its `manhattan + 6` bound.
+const EXHAUSTED: (Point3, Point3) = (
+    Point3::new(0.25, 0.25, 1.0 - 1e-13),
+    Point3::new(10.25, 0.25, 1.0),
+);
+
+#[test]
+fn the_exhausted_ray_runs_its_whole_bound() {
+    let g = grid();
+    let (origin, end) = EXHAUSTED;
+    let manhattan = g
+        .key_of(origin)
+        .unwrap()
+        .manhattan_distance(g.key_of(end).unwrap());
+    let keys = ray::trace(&g, origin, end).unwrap();
+    assert_eq!(
+        keys.len(),
+        manhattan as usize + 7,
+        "the origin and 6 + manhattan steps"
+    );
+}
+
+/// A deep grid (0.05 m, depth 16): rays cross up to thousands of voxels.
+fn deep_grid() -> VoxelGrid {
+    VoxelGrid::new(0.05, 16).unwrap()
+}
+
+/// A depth camera's cloud: `cols × rows` rays over a cone around `yaw`,
+/// each to a depth drawn from `seed` across three orders of magnitude
+/// (from inside the origin's voxel to tens of metres), some missing
+/// (non-finite) and some past the map edge.
+fn sensor_cloud(origin: Point3, yaw: f64, cols: usize, rows: usize, seed: u64) -> Vec<Point3> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut cloud = Vec::with_capacity(cols * rows);
+    for r in 0..rows {
+        let pitch = (r as f64 / rows as f64 - 0.5) * 1.0;
+        for c in 0..cols {
+            let heading = yaw + (c as f64 / cols as f64 - 0.5) * 1.6;
+            let dir = Point3::new(
+                pitch.cos() * heading.cos(),
+                pitch.cos() * heading.sin(),
+                pitch.sin(),
+            );
+            let scale = [0.02, 0.4, 4.0, 40.0, 4000.0][(next() * 5.0) as usize];
+            let depth = scale * next();
+            cloud.push(match (next() * 40.0) as usize {
+                0 => Point3::new(f64::NAN, 0.0, 0.0),
+                _ => origin + dir * depth,
+            });
+        }
+    }
+    cloud
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sensor_clouds_on_a_deep_grid_equal_the_key_ray_path(
+        (ox, oy, oz) in (-60.0f64..60.0, -60.0f64..60.0, -5.0f64..5.0),
+        yaw in -3.2f64..3.2,
+        (cols, rows) in (8usize..40, 4usize..16),
+        seed in any::<u64>(),
+        max_range in prop_oneof![Just(0.0f64), Just(30.0), 0.5f64..80.0],
+    ) {
+        let g = deep_grid();
+        let origin = Point3::new(ox, oy, oz);
+        let cloud = sensor_cloud(origin, yaw, cols, rows, seed);
+        let run = |trace: Trace| {
+            let mut batch = VoxelBatch::new();
+            trace(&g, origin, &cloud, max_range, &mut batch).map(|()| batch)
+        };
+        let (got, expected) = (run(insert::compute_update).unwrap(), run(key_ray_reference).unwrap());
+        prop_assert_eq!(got.updates(), expected.updates());
+        prop_assert_eq!(got.num_occupied(), expected.num_occupied());
+    }
+}
+
+/// One sensor-sized scan, large enough that its batch grows several times
+/// from empty while lanes are in flight, and then again into a batch that
+/// already holds room.
+#[test]
+fn a_dense_scan_equals_the_key_ray_path_from_empty_and_from_reuse() {
+    let g = deep_grid();
+    let origin = Point3::new(1.3, -2.2, 1.4);
+    let cloud = sensor_cloud(origin, 0.4, 64, 48, 0x5EED);
+    let mut expected = VoxelBatch::new();
+    key_ray_reference(&g, origin, &cloud, 0.0, &mut expected).unwrap();
+    let mut got = VoxelBatch::new();
+    for _ in 0..2 {
+        insert::compute_update(&g, origin, &cloud, 0.0, &mut got).unwrap();
+        assert_eq!(got.updates(), expected.updates());
+        assert_eq!(got.num_occupied(), expected.num_occupied());
+    }
+}
+
+/// The scalar path the lanes replace: [`ray::trace_with`] per ray, then the
+/// hit.
+fn by_trace_with(
+    grid: &VoxelGrid,
+    origin: Point3,
+    rays: &[(Point3, bool)],
+    out: &mut Vec<VoxelUpdate>,
+) -> Result<(), GeomError> {
+    struct Free<'a>(&'a mut Vec<VoxelUpdate>);
+    impl KeySink for Free<'_> {
+        fn reserve(&mut self, max_keys: usize) {
+            self.0.reserve(max_keys);
+        }
+        fn push(&mut self, key: VoxelKey) {
+            self.0.push(VoxelUpdate {
+                key,
+                occupied: false,
+            });
+        }
+    }
+    for &(end, hit) in rays {
+        ray::trace_with(grid, origin, end, &mut Free(out))?;
+        if hit {
+            out.push(VoxelUpdate {
+                key: grid.key_of(end)?,
+                occupied: true,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Says in the test log which tracer `compute_update` runs on this CPU, so
+/// a machine without AVX-512 (where the lanes are never checked) shows.
+#[test]
+fn report_the_tracer_in_use() {
+    if ray::lanes_available() {
+        eprintln!("tracer: AVX-512 lanes, checked against trace_with");
+    } else {
+        eprintln!("tracer: scalar trace_with only; no AVX-512 on this CPU, lanes unchecked");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The lanes are `trace_with` ray by ray, bit for bit, on rays the
+    /// batch path never hands them: ends outside the map and non-finite
+    /// ends, which fail both the same way after the same output.
+    #[test]
+    fn lanes_equal_trace_with_ray_by_ray(
+        (ox, oy, oz) in (-15.9f64..15.9, -15.9f64..15.9, -15.9f64..15.9),
+        rays in proptest::collection::vec(
+            (
+                prop_oneof![
+                    12 => (-15.9f64..15.9, -15.9f64..15.9, -15.9f64..15.9)
+                        .prop_map(|(x, y, z)| Point3::new(x, y, z)),
+                    1 => Just(Point3::new(40.0, 0.0, 0.0)),
+                    1 => Just(Point3::new(0.0, f64::NAN, 0.0)),
+                ],
+                any::<bool>(),
+            ),
+            0..200,
+        ),
+    ) {
+        if !ray::lanes_available() {
+            return Ok(());
+        }
+        let g = grid();
+        let origin = Point3::new(ox, oy, oz);
+        let (mut got, mut expected) = (Vec::new(), Vec::new());
+        let lanes = ray::trace_lanes(&g, origin, rays.iter().copied(), &mut got);
+        let scalar = by_trace_with(&g, origin, &rays, &mut expected);
+        prop_assert_eq!(lanes, scalar);
+        prop_assert_eq!(got, expected);
     }
 }

@@ -264,6 +264,40 @@ mod tests {
         }
     }
 
+    /// The per-scan obstacle cull in `DepthSensor::scan` changes no point
+    /// in any environment: poses sampled along and beside the course, at
+    /// the mission's sensor and at a longer range, scan as they do against
+    /// every box.
+    #[test]
+    fn culled_scans_equal_exhaustive_scans() {
+        use octocache_datasets::{DepthSensor, Pose};
+        for env in Environment::ALL {
+            let scene = env.scene(0x5EED);
+            let range = env.baseline_params().sensing_range;
+            for sensor in [
+                DepthSensor::new(1.5, 1.0, 48, 32, range),
+                DepthSensor::new(2.4, 1.2, 40, 24, range * 3.0),
+            ] {
+                for k in 0..24 {
+                    let along = k as f64 / 23.0;
+                    let position = env.start()
+                        + (env.goal() - env.start()) * along
+                        + Point3::new(0.0, (k % 3) as f64 - 1.0, (k % 2) as f64 * 0.5);
+                    let pose = Pose {
+                        position,
+                        yaw: k as f64 * 0.7,
+                        pitch: (k % 5) as f64 * 0.1 - 0.2,
+                    };
+                    assert_eq!(
+                        sensor.scan(&scene, &pose, k),
+                        sensor.scan_exhaustive(&scene, &pose, k),
+                        "{env}, pose {k}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn scene_deterministic_per_seed() {
         let a = Environment::Farm.scene(1);
