@@ -208,11 +208,33 @@ fn flag<'a>(flags: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
 /// code 2) instead of silently ignoring it.
 fn reject_unknown_flags(flags: &[(&str, &str)], cmd: &str, known: &[&str]) -> Result<(), CliError> {
     match flags.iter().find(|(k, _)| !known.contains(k)) {
+        Some((k, _)) if known.is_empty() => Err(CliError::Usage(format!(
+            "unknown flag --{k} for {cmd} (it takes no flags)"
+        ))),
         Some((k, _)) => Err(CliError::Usage(format!(
             "unknown flag --{k} for {cmd} (it takes --{})",
             known.join(", --")
         ))),
         None => Ok(()),
+    }
+}
+
+/// The map encodings `build` and `recover` write (`--format ot|bt`).
+#[derive(Debug, Clone, Copy)]
+enum MapFormat {
+    Ot,
+    Bt,
+}
+
+/// Reads `--format`. Both commands call it before any work starts, so a
+/// bad value leaves no trace, journal or map behind.
+fn map_format(flags: &[(&str, &str)]) -> Result<MapFormat, CliError> {
+    match flag(flags, "format") {
+        None | Some("ot") => Ok(MapFormat::Ot),
+        Some("bt") => Ok(MapFormat::Bt),
+        Some(other) => Err(CliError::Usage(format!(
+            "unknown format `{other}` (use ot or bt)"
+        ))),
     }
 }
 
@@ -302,6 +324,7 @@ const BUILD_FLAGS: &[&str] = &[
 fn cmd_build(args: &[String]) -> Result<String, CliError> {
     let (pos, flags) = parse_flags(args)?;
     reject_unknown_flags(&flags, "build", BUILD_FLAGS)?;
+    let format = map_format(&flags)?;
     let [in_path, out_path] = pos.as_slice() else {
         return Err(
             "usage: build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T]"
@@ -334,26 +357,22 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         cache_builder.shed_deadline(std::time::Duration::from_secs_f64(ms / 1e3));
     }
     // Deterministic fault injection, a test-only failpoint: `--fault
-    // <spec>` (or `OCTO_FAULT` / `OCTO_FAULT_SEED`) schedules a worker
-    // fault, `OCTO_IO_FAULT` / `OCTO_IO_FAULT_SEED` a journal I/O fault.
-    // This is the one place the four variables are read. A value that does
-    // not parse, or a plan this run has nothing to act on, is a usage
-    // error: a run that asked for a fault must not quietly run clean.
-    let env_fault = FaultPlan::from_env().map_err(CliError::Usage)?;
+    // <spec>` schedules a worker fault, `OCTO_IO_FAULT` /
+    // `OCTO_IO_FAULT_SEED` a journal I/O fault. This is the one place the
+    // two variables are read. A value that does not parse, or a plan this
+    // run has nothing to act on, is a usage error: a run that asked for a
+    // fault must not quietly run clean.
     let io_fault = IoFaultPlan::from_env().map_err(CliError::Usage)?;
-    let worker_fault = match flag(&flags, "fault") {
-        Some(spec) => Some(FaultPlan::from_spec(spec).ok_or_else(|| {
+    if let Some(spec) = flag(&flags, "fault") {
+        let plan = FaultPlan::from_spec(spec).ok_or_else(|| {
             CliError::Usage(format!(
                 "malformed --fault spec `{spec}` (kill:<w>@<b> | killevery:<w>@<n> | stall:<w>@<b>:<us> | spawn:<w> | seed:<n>)"
             ))
-        })?),
-        None => env_fault,
-    };
-    if let Some(plan) = worker_fault {
+        })?;
         if executor != Executor::Parallel {
             return Err(CliError::Usage(format!(
-                "--fault / OCTO_FAULT / OCTO_FAULT_SEED schedule a worker fault, but backend \
-                 `{backend_name}` has no octree worker (use parallel or parallel-rt)"
+                "--fault schedules a worker fault, but backend `{backend_name}` has no octree \
+                 worker (use parallel or parallel-rt)"
             )));
         }
         cache_builder.fault_plan(plan);
@@ -491,14 +510,9 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
             (d.take_tree(), Some(stats))
         }
     };
-    let bytes = match flag(&flags, "format") {
-        None | Some("ot") => mapio::write_tree(&tree),
-        Some("bt") => io_bt::write_binary_tree(&tree),
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "unknown format `{other}` (use ot or bt)"
-            )))
-        }
+    let bytes = match format {
+        MapFormat::Ot => mapio::write_tree(&tree),
+        MapFormat::Bt => io_bt::write_binary_tree(&tree),
     };
     std::fs::write(out_path, &bytes).map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
 
@@ -620,6 +634,7 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
 fn cmd_recover(args: &[String]) -> Result<String, CliError> {
     let (pos, flags) = parse_flags(args)?;
     reject_unknown_flags(&flags, "recover", &["format"])?;
+    let format = map_format(&flags)?;
     let (dir, out_path) = match pos.as_slice() {
         [dir] => (*dir, None),
         [dir, out] => (*dir, Some(*out)),
@@ -641,14 +656,9 @@ fn cmd_recover(args: &[String]) -> Result<String, CliError> {
         // The recovered map is written as a checksummed v2 stream stamped
         // with its scan epoch, so downstream tools can re-verify it.
         Some(path) => {
-            let bytes = match flag(&flags, "format") {
-                None | Some("ot") => mapio::write_tree_v2(&tree, report.final_epoch),
-                Some("bt") => io_bt::write_binary_tree_v2(&tree, report.final_epoch),
-                Some(other) => {
-                    return Err(CliError::Usage(format!(
-                        "unknown format `{other}` (use ot or bt)"
-                    )))
-                }
+            let bytes = match format {
+                MapFormat::Ot => mapio::write_tree_v2(&tree, report.final_epoch),
+                MapFormat::Bt => io_bt::write_binary_tree_v2(&tree, report.final_epoch),
             };
             std::fs::write(path, &bytes).map_err(|e| CliError::Io(format!("write {path}: {e}")))?;
             let _ = write!(
@@ -848,6 +858,11 @@ fn format_occupancy(snap: &MapSnapshot, p: Point3, occupancy: Option<f32>) -> St
 
 fn cmd_query(args: &[String]) -> Result<String, CliError> {
     let (pos, flags) = parse_flags(args)?;
+    reject_unknown_flags(
+        &flags,
+        "query",
+        &["ray", "max-range", "ignore-unknown", "batch", "box"],
+    )?;
     let (path, point) = match pos.as_slice() {
         [path] => (*path, None),
         [path, x, y, z] => (
@@ -983,7 +998,8 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<String, CliError> {
-    let (pos, _) = parse_flags(args)?;
+    let (pos, flags) = parse_flags(args)?;
+    reject_unknown_flags(&flags, "diff", &[])?;
     let [path_a, path_b] = pos.as_slice() else {
         return Err("usage: diff <map_a> <map_b>".into());
     };
@@ -1097,8 +1113,8 @@ mod tests {
         assert_eq!(digest(&info), digest(&info_par));
         // The default geometry's digest, pinned: it folds the serialised
         // `CacheConfig`, so it moves whenever a key is added or dropped
-        // (`default_config_serialises_exactly_these_nine_keys` in core).
-        assert_eq!(digest(&info), "0182611b858f34ce");
+        // (`default_config_serialises_exactly_these_seven_keys` in core).
+        assert_eq!(digest(&info), "6f9c3a69cac1e812");
         // Different cache geometry changes the digest.
         let info_big = run(&s(&["info", &map_a, "--buckets", "32768"])).unwrap();
         assert_ne!(digest(&info), digest(&info_big));
@@ -1508,21 +1524,23 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
         assert!(err.to_string().contains("malformed --fault"), "{err}");
-        // So is a worker fault on a backend without a worker: it would
-        // inject nothing.
+        // So is a worker fault on a backend without a worker, named or
+        // seeded: it would inject nothing.
         for backend in ["serial", "octomap"] {
-            let err = run(&s(&[
-                "build",
-                &log,
-                &map,
-                "--backend",
-                backend,
-                "--fault",
-                "kill:0@1",
-            ]))
-            .unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{backend}: {err}");
-            assert!(err.to_string().contains("no octree worker"), "{err}");
+            for spec in ["kill:0@1", "seed:3"] {
+                let err = run(&s(&[
+                    "build",
+                    &log,
+                    &map,
+                    "--backend",
+                    backend,
+                    "--fault",
+                    spec,
+                ]))
+                .unwrap_err();
+                assert_eq!(err.exit_code(), 2, "{backend} {spec}: {err}");
+                assert!(err.to_string().contains("no octree worker"), "{err}");
+            }
         }
 
         // A killed worker degrades the build: it completes, reports the
@@ -1700,6 +1718,25 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("events:"), "{out}");
+
+        // Recording events does not change the map.
+        let plain = temp_path("events-off.map");
+        run(&s(&[
+            "build",
+            &log,
+            &plain,
+            "--backend",
+            "parallel",
+            "--resolution",
+            "0.4",
+            "--buckets",
+            "256",
+            "--tau",
+            "2",
+        ]))
+        .unwrap();
+        let d = run(&s(&["diff", &map, &plain])).unwrap();
+        assert!(d.contains("identical: yes"), "{d}");
 
         let chrome = temp_path("events.trace.json");
         let out = run(&s(&["analyze", &ev, "--trace-out", &chrome])).unwrap();
@@ -1906,13 +1943,52 @@ mod tests {
 
     #[test]
     fn report_and_analyze_reject_unknown_flags() {
-        let err = run(&s(&["report", "x.jsonl", "--frob", "1"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        assert_eq!(err.exit_code(), 2);
+        for args in [
+            &["report", "x.jsonl", "--frob", "1"][..],
+            &["analyze", "x.jsonl", "--frob", "1"],
+            &["query", "a.map", "1", "0", "0", "--rey", "0,0,0:1,0,0"],
+            &["diff", "a.map", "a.map", "--bogus", "1"],
+        ] {
+            let err = run(&s(args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 2, "{args:?}");
+            assert!(err.to_string().contains("unknown flag"), "{args:?}: {err}");
+        }
+    }
 
-        let err = run(&s(&["analyze", "x.jsonl", "--frob", "1"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        assert_eq!(err.exit_code(), 2);
+    /// `--format` is read before any work starts: a refused value leaves
+    /// no map, trace or journal behind.
+    #[test]
+    fn bad_format_is_refused_before_any_output_is_written() {
+        let log = temp_path("format.scanlog");
+        run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
+        let map = temp_path("format.map");
+        let trace = temp_path("format.jsonl");
+        let journal = temp_path("format-journal");
+        for path in [&map, &trace] {
+            let _ = std::fs::remove_file(path);
+        }
+        let _ = std::fs::remove_dir_all(&journal);
+        let err = run(&s(&[
+            "build",
+            &log,
+            &map,
+            "--format",
+            "xyz",
+            "--trace",
+            &trace,
+            "--journal",
+            &journal,
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("unknown format `xyz`"), "{err}");
+        for path in [&map, &trace, &journal] {
+            assert!(!std::path::Path::new(path).exists(), "{path} was written");
+        }
+        // `recover` reads it through the same parse, dry run included.
+        let err = run(&s(&["recover", &journal, "--format", "xyz"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
     }
 
     #[test]

@@ -1,16 +1,11 @@
-//! The fault variables (`OCTO_FAULT`, `OCTO_FAULT_SEED`, `OCTO_IO_FAULT`,
-//! `OCTO_IO_FAULT_SEED`) reach `build` through the process environment,
-//! so they are tested on the real binary: an in-process test that set one
-//! would inject its fault into every other test building a map.
+//! The I/O fault variables (`OCTO_IO_FAULT`, `OCTO_IO_FAULT_SEED`) reach
+//! `build` through the process environment, so they are tested on the real
+//! binary: an in-process test that set one would inject its fault into
+//! every other test building a journaled map.
 
 use std::process::Command;
 
-const FAULT_VARS: [&str; 4] = [
-    "OCTO_FAULT",
-    "OCTO_FAULT_SEED",
-    "OCTO_IO_FAULT",
-    "OCTO_IO_FAULT_SEED",
-];
+const FAULT_VARS: [&str; 2] = ["OCTO_IO_FAULT", "OCTO_IO_FAULT_SEED"];
 
 /// Runs the binary with exactly `env` set among the fault variables.
 fn octocache(args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String) {
@@ -26,7 +21,7 @@ fn octocache(args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String) {
 }
 
 #[test]
-fn fault_variables_are_parsed_like_the_flag_and_refused_when_unusable() {
+fn io_fault_variables_are_parsed_and_refused_when_unusable() {
     let dir = std::env::temp_dir().join(format!("octocache-fault-env-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let log = dir.join("a.scanlog").to_string_lossy().into_owned();
@@ -39,17 +34,9 @@ fn fault_variables_are_parsed_like_the_flag_and_refused_when_unusable() {
     assert_eq!(code, Some(0), "{out}");
     let build = ["build", &log, &map, "--backend", "parallel"];
 
-    // A well-formed spec injects its fault.
-    let (code, out) = octocache(&build, &[("OCTO_FAULT", "kill:0@1")]);
-    assert_eq!(code, Some(0), "{out}");
-    assert!(out.contains("integrity: degraded"), "{out}");
-
-    // The retired ring-fill spec, like any malformed value of any of the
-    // four variables, is refused rather than run clean.
+    // A malformed value of either variable is refused rather than run
+    // clean.
     for (var, value, message) in [
-        ("OCTO_FAULT", "fill:0", "malformed OCTO_FAULT spec"),
-        ("OCTO_FAULT", "explode:9", "malformed OCTO_FAULT spec"),
-        ("OCTO_FAULT_SEED", "abc", "malformed OCTO_FAULT_SEED"),
         ("OCTO_IO_FAULT", "bogus", "malformed OCTO_IO_FAULT spec"),
         ("OCTO_IO_FAULT_SEED", "-1", "malformed OCTO_IO_FAULT_SEED"),
     ] {
@@ -60,17 +47,7 @@ fn fault_variables_are_parsed_like_the_flag_and_refused_when_unusable() {
         assert!(out.contains(message), "{var}={value}: {out}");
     }
 
-    // A worker plan on a backend without a worker would inject nothing.
-    for (var, value) in [("OCTO_FAULT", "kill:0@1"), ("OCTO_FAULT_SEED", "3")] {
-        let (code, out) = octocache(
-            &["build", &log, &map, "--backend", "serial"],
-            &[(var, value)],
-        );
-        assert_eq!(code, Some(2), "{var}={value}: {out}");
-        assert!(out.contains("no octree worker"), "{var}={value}: {out}");
-    }
-
-    // So would an I/O plan without a journal to write.
+    // An I/O plan without a journal to write would inject nothing.
     let (code, out) = octocache(&build, &[("OCTO_IO_FAULT", "kill:mid@2")]);
     assert_eq!(code, Some(2), "{out}");
     assert!(out.contains("requires --journal"), "{out}");

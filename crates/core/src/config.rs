@@ -19,9 +19,6 @@ pub enum ConfigError {
     /// `stall_timeout` must be non-zero (it bounds every pipeline wait; a
     /// zero deadline would fail scans spuriously).
     ZeroStallTimeout,
-    /// `checkpoint_generations` must be at least 1 (zero would delete the
-    /// checkpoint just written, leaving nothing to recover from).
-    ZeroCheckpointGenerations,
     /// `mem_budget` must cover the cache's own footprint
     /// ([`CacheConfig::resident_bytes`], allocated when the cache is
     /// built): a smaller budget would refuse every scan.
@@ -51,9 +48,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroTau => write!(f, "tau must be at least 1"),
             ConfigError::ZeroStallTimeout => {
                 write!(f, "stall_timeout must be non-zero")
-            }
-            ConfigError::ZeroCheckpointGenerations => {
-                write!(f, "checkpoint_generations must be at least 1")
             }
             ConfigError::MemBudgetBelowCache {
                 budget,
@@ -94,8 +88,6 @@ pub struct CacheConfig {
     tau: usize,
     stall_timeout: Duration,
     checkpoint_every: u64,
-    checkpoint_generations: usize,
-    journal_fsync: bool,
     mem_budget: Option<u64>,
     max_restarts: u32,
     shed_deadline: Option<Duration>,
@@ -118,8 +110,6 @@ impl Default for CacheConfig {
             tau: 4,
             stall_timeout: DEFAULT_STALL_TIMEOUT,
             checkpoint_every: 64,
-            checkpoint_generations: 3,
-            journal_fsync: true,
             mem_budget: None,
             max_restarts: 0,
             shed_deadline: None,
@@ -210,23 +200,6 @@ impl CacheConfig {
     #[inline]
     pub fn checkpoint_every(&self) -> u64 {
         self.checkpoint_every
-    }
-
-    /// How many checkpoint generations the store retains (≥ 1). Older
-    /// generations are fallbacks when the newest checkpoint fails its
-    /// checksum during recovery.
-    #[inline]
-    pub fn checkpoint_generations(&self) -> usize {
-        self.checkpoint_generations
-    }
-
-    /// Whether every journal append is followed by an `fdatasync` (the
-    /// default). Turning this off trades the last few records on power loss
-    /// for lower insert latency; process kills (the failure mode the crash
-    /// torture suite exercises) lose nothing either way.
-    #[inline]
-    pub fn journal_fsync(&self) -> bool {
-        self.journal_fsync
     }
 
     /// The deterministic fault schedule, if any: a test-only
@@ -348,20 +321,6 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Sets how many checkpoint generations to retain (≥ 1); see
-    /// [`CacheConfig::checkpoint_generations`].
-    pub fn checkpoint_generations(&mut self, keep: usize) -> &mut Self {
-        self.config.checkpoint_generations = keep;
-        self
-    }
-
-    /// Toggles per-append journal fsync; see
-    /// [`CacheConfig::journal_fsync`].
-    pub fn journal_fsync(&mut self, on: bool) -> &mut Self {
-        self.config.journal_fsync = on;
-        self
-    }
-
     /// Schedules deterministic fault injection; see
     /// [`CacheConfig::fault_plan`].
     pub fn fault_plan(&mut self, plan: FaultPlan) -> &mut Self {
@@ -417,9 +376,6 @@ impl CacheConfigBuilder {
         }
         if c.stall_timeout.is_zero() {
             return Err(ConfigError::ZeroStallTimeout);
-        }
-        if c.checkpoint_generations == 0 {
-            return Err(ConfigError::ZeroCheckpointGenerations);
         }
         if let Some(budget) = c.mem_budget {
             let cache_bytes = c.resident_bytes() as u64;
@@ -619,7 +575,9 @@ mod tests {
         }
         // Verbatim output of the last commit that had an indexing policy, an
         // eviction order, a backoff shape and a respawn delay: whatever they
-        // said, the one table is what a reader gets.
+        // said, the one table is what a reader gets. It also carries the
+        // checkpoint retention and journal fsync switch that are constants
+        // now.
         let c = CacheConfig::builder()
             .num_buckets(64)
             .mem_budget(1 << 20)
@@ -637,35 +595,21 @@ mod tests {
     }
 
     #[test]
-    fn default_config_serialises_exactly_these_nine_keys() {
+    fn default_config_serialises_exactly_these_seven_keys() {
         // A new knob is a visible diff here (and moves every `digest()`).
         assert_eq!(
             serde::json::to_string(&CacheConfig::default()),
-            r#"{"num_buckets":65536,"tau":4,"stall_timeout":{"secs":10,"nanos":0},"checkpoint_every":64,"checkpoint_generations":3,"journal_fsync":true,"mem_budget":null,"max_restarts":0,"shed_deadline":null}"#
+            r#"{"num_buckets":65536,"tau":4,"stall_timeout":{"secs":10,"nanos":0},"checkpoint_every":64,"mem_budget":null,"max_restarts":0,"shed_deadline":null}"#
         );
     }
 
     #[test]
     fn durability_knobs_default_validate_and_round_trip() {
-        let d = CacheConfig::default();
-        assert_eq!(d.checkpoint_every(), 64);
-        assert_eq!(d.checkpoint_generations(), 3);
-        assert!(d.journal_fsync());
-        assert_eq!(
-            CacheConfig::builder().checkpoint_generations(0).build(),
-            Err(ConfigError::ZeroCheckpointGenerations)
-        );
-        let c = CacheConfig::builder()
-            .checkpoint_every(0)
-            .checkpoint_generations(5)
-            .journal_fsync(false)
-            .build()
-            .unwrap();
+        assert_eq!(CacheConfig::default().checkpoint_every(), 64);
+        let c = CacheConfig::builder().checkpoint_every(0).build().unwrap();
         assert_eq!(c.checkpoint_every(), 0);
         let back: CacheConfig = serde::json::from_str(&serde::json::to_string(&c)).unwrap();
         assert_eq!(back.checkpoint_every(), 0);
-        assert_eq!(back.checkpoint_generations(), 5);
-        assert!(!back.journal_fsync());
     }
 
     #[test]
@@ -711,7 +655,6 @@ mod tests {
             ConfigError::NoBuckets,
             ConfigError::ZeroTau,
             ConfigError::ZeroStallTimeout,
-            ConfigError::ZeroCheckpointGenerations,
             ConfigError::MemBudgetBelowCache {
                 budget: 0,
                 cache_bytes: 4096,

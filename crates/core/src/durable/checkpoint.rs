@@ -29,6 +29,9 @@ const MANIFEST_FILE: &str = "MANIFEST";
 /// is corruption (names are `ckpt-<epoch>.ot`, ~24 bytes).
 const MAX_NAME: usize = 256;
 pub(crate) const CHECKPOINT_SUBDIR: &str = "checkpoints";
+/// Checkpoint generations the store retains. The older two are fallbacks
+/// when the newest fails its checksum during recovery.
+const GENERATIONS: usize = 3;
 
 /// A checkpoint that loaded and passed both integrity checks.
 #[derive(Debug)]
@@ -40,14 +43,12 @@ pub(crate) struct LoadedCheckpoint {
 #[derive(Debug)]
 pub(crate) struct CheckpointStore {
     dir: PathBuf,
-    keep: usize,
 }
 
 impl CheckpointStore {
-    pub fn new(root: &Path, keep: usize) -> CheckpointStore {
+    pub fn new(root: &Path) -> CheckpointStore {
         CheckpointStore {
             dir: root.join(CHECKPOINT_SUBDIR),
-            keep: keep.max(1),
         }
     }
 
@@ -68,7 +69,7 @@ impl CheckpointStore {
 
     /// Writes one checkpoint generation and repoints the manifest at it
     /// (two persistence operations), then prunes old generations down to
-    /// `keep`.
+    /// [`GENERATIONS`].
     pub fn write(
         &self,
         vfs: &mut Vfs,
@@ -90,13 +91,14 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Best-effort removal of generations beyond `keep` (newest first).
+    /// Best-effort removal of generations beyond [`GENERATIONS`] (newest
+    /// first).
     /// Deletion failures are ignored: stale generations are harmless, only
     /// missing new ones would be.
     fn prune(&self) {
         let mut epochs = self.list_epochs();
         epochs.sort_unstable_by(|a, b| b.cmp(a));
-        for &epoch in epochs.iter().skip(self.keep) {
+        for &epoch in epochs.iter().skip(GENERATIONS) {
             let _ = fs::remove_file(self.dir.join(Self::file_name(epoch)));
         }
         // Leftover temp files from crashed publications are dead weight.

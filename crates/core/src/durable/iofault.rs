@@ -19,6 +19,7 @@
 //! failpoints: nothing schedules one unless a caller passes it to
 //! [`DurableMap::create_with_io_faults`](super::DurableMap::create_with_io_faults).
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -170,14 +171,24 @@ impl IoFaultPlan {
     /// # Errors
     ///
     /// A message naming the variable when either one is set but does not
-    /// parse, like [`FaultPlan::from_env`](crate::fault::FaultPlan::from_env).
+    /// parse: a run that asked for a fault must not quietly run clean.
     pub fn from_env() -> Result<Option<IoFaultPlan>, String> {
-        crate::fault::plan_from_env(
-            "OCTO_IO_FAULT",
-            "OCTO_IO_FAULT_SEED",
-            IoFaultPlan::from_spec,
-            IoFaultPlan::from_seed,
-        )
+        // A value that is not UTF-8 turns lossy here and then fails to parse.
+        let read = |var: &str| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+        let spec = read("OCTO_IO_FAULT")
+            .map(|s| {
+                IoFaultPlan::from_spec(&s)
+                    .ok_or_else(|| format!("malformed OCTO_IO_FAULT spec `{s}`"))
+            })
+            .transpose()?;
+        let seed = read("OCTO_IO_FAULT_SEED")
+            .map(|s| {
+                s.parse::<u64>().map_err(|_| {
+                    format!("malformed OCTO_IO_FAULT_SEED `{s}` (an unsigned integer)")
+                })
+            })
+            .transpose()?;
+        Ok(spec.or_else(|| seed.map(IoFaultPlan::from_seed)))
     }
 }
 
@@ -211,35 +222,37 @@ impl Vfs {
         }
     }
 
-    fn maybe_flip(&self, op: u64, bytes: &mut [u8]) {
-        if let Some(IoFaultPlan {
-            flip: Some((fop, bit)),
-            ..
-        }) = self.plan
-        {
-            if fop == op && !bytes.is_empty() {
-                let bit = bit % (bytes.len() as u64 * 8);
-                bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+    /// The payload this operation writes: `bytes` itself, or a copy with
+    /// one bit inverted when the plan flips a bit on this operation.
+    fn payload<'a>(&self, op: u64, bytes: &'a [u8]) -> Cow<'a, [u8]> {
+        match self.plan {
+            Some(IoFaultPlan {
+                flip: Some((fop, bit)),
+                ..
+            }) if fop == op && !bytes.is_empty() => {
+                let mut data = bytes.to_vec();
+                let bit = bit % (data.len() as u64 * 8);
+                data[(bit / 8) as usize] ^= 1 << (bit % 8);
+                Cow::Owned(data)
             }
+            _ => Cow::Borrowed(bytes),
         }
     }
 
-    /// Appends `bytes` to an open (journal) file, optionally fdatasync-ing.
-    /// One persistence operation; kills model a process death before,
-    /// during (prefix only) or after the record lands.
+    /// Appends `bytes` to an open (journal) file and fdatasyncs it. One
+    /// persistence operation; kills model a process death before, during
+    /// (prefix only) or after the record lands.
     pub fn append(
         &mut self,
         file: &mut File,
         path: &Path,
         bytes: &[u8],
-        fsync: bool,
     ) -> Result<(), DurableError> {
         let op = self.begin_op();
         if let Some(crash) = self.killed_at(op, KillPoint::BeforeWrite) {
             return Err(crash);
         }
-        let mut data = bytes.to_vec();
-        self.maybe_flip(op, &mut data);
+        let data = self.payload(op, bytes);
         if let Some(crash) = self.killed_at(op, KillPoint::MidWrite) {
             let cut = data.len() / 2;
             file.write_all(&data[..cut]).map_err(|e| io_err(path, &e))?;
@@ -251,9 +264,7 @@ impl Vfs {
             let _ = file.sync_data();
             return Err(crash);
         }
-        if fsync {
-            file.sync_data().map_err(|e| io_err(path, &e))?;
-        }
+        file.sync_data().map_err(|e| io_err(path, &e))?;
         if let Some(crash) = self.killed_at(op, KillPoint::AfterRename) {
             // No rename step on appends: `rename` degenerates to a kill
             // right after the fully durable record.
@@ -277,8 +288,7 @@ impl Vfs {
         if let Some(crash) = self.killed_at(op, KillPoint::BeforeWrite) {
             return Err(crash);
         }
-        let mut data = bytes.to_vec();
-        self.maybe_flip(op, &mut data);
+        let data = self.payload(op, bytes);
         {
             let mut f = OpenOptions::new()
                 .write(true)
@@ -347,6 +357,45 @@ mod tests {
         }
         assert!(IoFaultPlan::from_seed(2).kill.is_some());
         assert!(IoFaultPlan::from_seed(3).flip.is_some());
+    }
+
+    /// A flip inverts one bit (its index taken modulo the payload's bits)
+    /// of its own operation's payload only; every other operation writes
+    /// its bytes as given.
+    #[test]
+    fn a_flip_rewrites_one_bit_of_its_own_operation() {
+        let dir = std::env::temp_dir().join(format!("octo-vfs-flip-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let payload = b"one journal record".to_vec();
+        let bits = payload.len() as u64 * 8;
+        let flipped = |bit: u64| {
+            let mut p = payload.clone();
+            p[(bit / 8) as usize] ^= 1 << (bit % 8);
+            p
+        };
+        let path = dir.join("journal");
+        let mut file = File::create(&path).unwrap();
+        let mut vfs = Vfs::new(Some(IoFaultPlan {
+            kill: None,
+            flip: Some((1, 9)),
+        }));
+        vfs.append(&mut file, &path, &payload).unwrap();
+        vfs.append(&mut file, &path, &payload).unwrap();
+        vfs.write_atomic(&dir, "a", &payload).unwrap();
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            [payload.clone(), flipped(9)].concat()
+        );
+        assert_eq!(fs::read(dir.join("a")).unwrap(), payload);
+
+        let mut vfs = Vfs::new(Some(IoFaultPlan {
+            kill: None,
+            flip: Some((0, bits + 3)),
+        }));
+        vfs.write_atomic(&dir, "b", &payload).unwrap();
+        assert_eq!(fs::read(dir.join("b")).unwrap(), flipped(3));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

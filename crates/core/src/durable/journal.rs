@@ -321,7 +321,6 @@ pub(crate) fn read_journal(path: &Path) -> Result<JournalContents, DurableError>
 pub(crate) struct Journal {
     file: File,
     path: PathBuf,
-    fsync: bool,
     /// Format version appends must use — the header's version, so records
     /// appended after a resume stay parseable under the existing header.
     version: u8,
@@ -334,11 +333,10 @@ impl Journal {
     pub fn create(
         dir: &Path,
         header: &JournalHeader,
-        fsync: bool,
         vfs: &mut Vfs,
     ) -> Result<Journal, DurableError> {
         vfs.write_atomic(dir, JOURNAL_FILE, &header.encode())?;
-        Self::open_at_end(dir.join(JOURNAL_FILE), None, fsync, VERSION)
+        Self::open_at_end(dir.join(JOURNAL_FILE), None, VERSION)
     }
 
     /// Reopens an existing journal for appends, first truncating any
@@ -347,16 +345,14 @@ impl Journal {
     pub fn open_truncated(
         path: PathBuf,
         valid_bytes: u64,
-        fsync: bool,
         version: u8,
     ) -> Result<Journal, DurableError> {
-        Self::open_at_end(path, Some(valid_bytes), fsync, version)
+        Self::open_at_end(path, Some(valid_bytes), version)
     }
 
     fn open_at_end(
         path: PathBuf,
         truncate_to: Option<u64>,
-        fsync: bool,
         version: u8,
     ) -> Result<Journal, DurableError> {
         let mut file = OpenOptions::new()
@@ -372,7 +368,6 @@ impl Journal {
         Ok(Journal {
             file,
             path,
-            fsync,
             version,
         })
     }
@@ -388,12 +383,11 @@ impl Journal {
     /// Returns the frame size in bytes.
     pub fn append(&mut self, vfs: &mut Vfs, record: &JournalRecord) -> Result<u64, DurableError> {
         let frame = record.encode_frame(self.version);
-        vfs.append(&mut self.file, &self.path, &frame, self.fsync)?;
+        vfs.append(&mut self.file, &self.path, &frame)?;
         Ok(frame.len() as u64)
     }
 
-    /// Forces everything to disk (used on seal even when per-append fsync
-    /// is off).
+    /// Forces the journal to disk (used on seal).
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.file.sync_data().map_err(|e| io_err(&self.path, &e))
     }

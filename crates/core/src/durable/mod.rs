@@ -269,7 +269,7 @@ fn recover_internal(
             path: journal_path.display().to_string(),
             reason: format!("invalid grid in journal header: {e}"),
         })?;
-    let store = CheckpointStore::new(dir, 1);
+    let store = CheckpointStore::new(dir);
     let (loaded, checkpoints_skipped) = store.load_latest();
     let (mut tree, checkpoint_epoch) = match loaded {
         Some(c) => (c.tree, Some(c.epoch)),
@@ -407,12 +407,12 @@ impl DurableMap {
     ) -> Result<DurableMap, DurableError> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir).map_err(|e| iofault::io_err(dir, &e))?;
-        let store = CheckpointStore::new(dir, config.checkpoint_generations());
+        let store = CheckpointStore::new(dir);
         store.ensure_dir()?;
         let grid = inner.grid();
         let header = JournalHeader::new(grid.resolution(), grid.depth(), params, ray_tracer);
         let mut vfs = iofault::Vfs::new(plan);
-        let journal = Journal::create(dir, &header, config.journal_fsync(), &mut vfs)?;
+        let journal = Journal::create(dir, &header, &mut vfs)?;
         Ok(DurableMap {
             inner: Box::new(inner),
             journal,
@@ -442,17 +442,12 @@ impl DurableMap {
     ) -> Result<(DurableMap, RecoveryReport), DurableError> {
         let dir = dir.as_ref();
         let (tree, report, header, valid_bytes) = recover_internal(dir)?;
-        let journal = Journal::open_truncated(
-            dir.join(JOURNAL_FILE),
-            valid_bytes,
-            config.journal_fsync(),
-            header.version,
-        )?;
+        let journal = Journal::open_truncated(dir.join(JOURNAL_FILE), valid_bytes, header.version)?;
         let inner = OctoMapSystem::from_tree(tree, header.ray_tracer);
         let map = DurableMap {
             inner: Box::new(inner),
             journal,
-            store: CheckpointStore::new(dir, config.checkpoint_generations()),
+            store: CheckpointStore::new(dir),
             vfs: iofault::Vfs::new(None),
             checkpoint_every: config.checkpoint_every(),
             epoch: report.final_epoch,

@@ -339,8 +339,7 @@ pub struct StallAt {
 /// There is one octree worker, so a plan holds batch indices, not worker
 /// indices.
 ///
-/// The CLI's `build` derives a plan from `--fault` or, once per run, from
-/// [`FaultPlan::from_env`].
+/// The CLI's `build` derives a plan from `--fault`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Panic the worker at the start of this 0-based batch.
@@ -442,48 +441,6 @@ impl FaultPlan {
         }
         Some(plan)
     }
-
-    /// Reads a plan from the environment: `OCTO_FAULT` (a
-    /// [`FaultPlan::from_spec`] string) wins over `OCTO_FAULT_SEED` (a
-    /// [`FaultPlan::from_seed`] seed). `Ok(None)` when neither is set.
-    ///
-    /// Nothing in the library calls this; the CLI's `build` does, once.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the variable when either one is set but does not
-    /// parse: a run that asked for a fault must not quietly run clean.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        plan_from_env(
-            "OCTO_FAULT",
-            "OCTO_FAULT_SEED",
-            FaultPlan::from_spec,
-            FaultPlan::from_seed,
-        )
-    }
-}
-
-/// Reads a fault plan from a spec variable and a seed variable (the spec
-/// wins), validating both: shared by [`FaultPlan::from_env`] and
-/// [`crate::IoFaultPlan::from_env`].
-pub(crate) fn plan_from_env<P>(
-    spec_var: &str,
-    seed_var: &str,
-    from_spec: impl FnOnce(&str) -> Option<P>,
-    from_seed: impl FnOnce(u64) -> P,
-) -> Result<Option<P>, String> {
-    // A value that is not UTF-8 turns lossy here and then fails to parse.
-    let read = |var: &str| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-    let spec = read(spec_var)
-        .map(|s| from_spec(&s).ok_or_else(|| format!("malformed {spec_var} spec `{s}`")))
-        .transpose()?;
-    let seed = read(seed_var)
-        .map(|s| {
-            s.parse::<u64>()
-                .map_err(|_| format!("malformed {seed_var} `{s}` (an unsigned integer)"))
-        })
-        .transpose()?;
-    Ok(spec.or_else(|| seed.map(from_seed)))
 }
 
 #[cfg(test)]
@@ -578,7 +535,7 @@ mod tests {
                 "seed {seed} must plan at most one fault: {a:?}"
             );
         }
-        // CI's seeds keep the plans they always drew.
+        // Seeds keep the plans they always drew.
         assert_eq!(FaultPlan::from_seed(1).kill, Some(5));
         assert!(FaultPlan::from_seed(7).fail_spawn && FaultPlan::from_seed(23).fail_spawn);
         // Different seeds reach different plans (not a constant function).
@@ -641,6 +598,8 @@ mod tests {
             "killevery:1",
             "killevery:1@0",
             "killevery:x@2",
+            "seed:abc",
+            "seed:-1",
         ] {
             assert_eq!(FaultPlan::from_spec(bad), None, "{bad:?} must not parse");
         }

@@ -7,8 +7,7 @@
 //! assert the recovered tree bit-matches the reference prefix at the
 //! reported `final_epoch`. The matrix sweeps all four backends, every kill
 //! point and several operation indices (journal appends, checkpoint file writes and manifest publications all land on
-//! distinct op slots), plus seed-derived plans (`OCTO_FAULT_SEED` shifts
-//! the sweep in CI).
+//! distinct op slots), plus 46 seed-derived plans.
 
 mod common;
 
@@ -36,13 +35,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// Durability knobs used throughout: a checkpoint every 3 scans keeps the
 /// op schedule dense (journal appends interleaved with checkpoint file +
-/// manifest writes), 3 generations give fallback room.
+/// manifest writes); the store's 3 generations give fallback room.
 fn durable_config() -> CacheConfig {
-    CacheConfig::builder()
-        .checkpoint_every(3)
-        .checkpoint_generations(3)
-        .build()
-        .unwrap()
+    CacheConfig::builder().checkpoint_every(3).build().unwrap()
 }
 
 /// `prefix[n]` = leaf checksum of the baseline map after the first `n`
@@ -418,15 +413,12 @@ fn dedup_ray_tracer_replays_through_dedup_path() {
 
 #[test]
 fn seeded_plans_recover_or_fail_typed() {
-    // CI sweeps OCTO_FAULT_SEED ∈ {1, 7, 23}; each base covers 24
-    // seed-derived plans (alternating kills and bit flips).
-    let base: u64 = std::env::var("OCTO_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    // Odd seeds flip a bit and even seeds kill at a derived kill point, on
+    // a derived op slot in 0..24 (journal creation included): 23 plans of
+    // each kind.
     let scans = scenario(8);
     let prefix = prefix_checksums(&scans, RayTracer::Standard);
-    for seed in base..base + 24 {
+    for seed in 1..=46 {
         let plan = IoFaultPlan::from_seed(seed);
         let label = format!("seed {seed} ({plan:?})");
         let dir = temp_dir("seeded");

@@ -1,6 +1,5 @@
-//! Differential fault injection suite for the parallel pipeline. Part of
-//! the plain `cargo test` run; CI also runs it over an `OCTO_FAULT_SEED`
-//! matrix — see `.github/workflows/ci.yml`.
+//! Differential fault injection suite for the parallel pipeline, part of
+//! the plain `cargo test` run: named plans plus a sweep over seeded ones.
 //!
 //! The contract under test (ISSUE 3): for every injected single fault,
 //! `ParallelOctoCache` either
@@ -328,17 +327,48 @@ fn seeded_fault_outcomes_are_deterministic() {
     }
 }
 
-/// The CI matrix leg: `OCTO_FAULT_SEED` selects the plan. Without the
-/// variable a default seed runs, so the test is never vacuous.
+/// Seeded plans under the contract. [`FaultPlan::from_seed`] draws each
+/// plan's kind from its seed, so the sweep also checks which kinds it ran:
+/// a kill, a stall, a spawn failure and a clean run, each injected fault
+/// counted once and each run without one leaving the map exact.
 #[test]
-fn env_seeded_fault_honours_the_contract() {
-    let seed: u64 = std::env::var("OCTO_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
-    let plan = FaultPlan::from_seed(seed);
+fn seeded_fault_sweep_honours_the_contract() {
     let reference = serial_reference();
-    let label = format!("seed {seed} ({plan:?})");
-    let o = run_parallel(plan, Duration::from_secs(10));
-    assert_contract(&label, &reference, &o);
+    let (mut kills, mut stalls, mut spawns, mut clean) = (0, 0, 0, 0);
+    for seed in (0..=8).chain([23]) {
+        let plan = FaultPlan::from_seed(seed);
+        let label = format!("seed {seed} ({plan:?})");
+        let o = run_parallel(plan, Duration::from_secs(10));
+        assert_contract(&label, &reference, &o);
+        if plan.kill.is_some() {
+            kills += 1;
+            assert_eq!(o.counters.worker_panics, 1, "{label}: {:?}", o.counters);
+        } else if plan.fail_spawn {
+            spawns += 1;
+            assert_eq!(o.counters.spawn_failures, 1, "{label}: {:?}", o.counters);
+        } else {
+            // A stall shorter than the 10 s budget, or no fault at all:
+            // nothing to count, and the map is exact.
+            if plan.stall.is_some() {
+                stalls += 1;
+            } else {
+                assert_eq!(plan, FaultPlan::default(), "{label}");
+                clean += 1;
+            }
+            assert!(o.errors.is_empty(), "{label}: {:?}", o.errors);
+            assert!(!o.counters.any(), "{label}: {:?}", o.counters);
+            assert!(
+                compare::diff(&reference, &o.tree, 0.0).is_identical(),
+                "{label}"
+            );
+        }
+    }
+    for (kind, n) in [
+        ("kill", kills),
+        ("stall", stalls),
+        ("spawn", spawns),
+        ("clean", clean),
+    ] {
+        assert!(n > 0, "no seed drew a {kind} plan");
+    }
 }
