@@ -731,7 +731,7 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
         }
     })?;
     let analytics = octocache_telemetry::EventAnalytics::from_events(&events);
-    let chrome = octocache_telemetry::chrome_trace_json(&events);
+    let chrome = octocache_telemetry::chrome_trace_json(&events, &analytics.workers);
     std::fs::write(trace_out, chrome)
         .map_err(|e| CliError::Io(format!("write {trace_out}: {e}")))?;
     let mut out = analytics.render();

@@ -149,14 +149,19 @@ impl CheckpointStore {
 
     /// Loads the newest checkpoint that passes both its payload CRC and
     /// leaf checksum, trying the manifest target first and then every
-    /// generation in descending epoch order. Candidates that fail are
-    /// reported in the second return value, never fatal; `None` means no
-    /// usable checkpoint exists (recovery then replays the whole journal).
+    /// generation in descending epoch order. Candidates that fail, and a
+    /// manifest that exists but fails its own checks, are reported in the
+    /// second return value, never fatal; `None` means no usable checkpoint
+    /// exists (recovery then replays the whole journal).
     pub fn load_latest(&self) -> (Option<LoadedCheckpoint>, Vec<String>) {
         let mut skipped = Vec::new();
         let mut candidates: Vec<u64> = Vec::new();
-        if let Some(e) = self.manifest_epoch() {
-            candidates.push(e);
+        match self.manifest_epoch() {
+            Some(e) => candidates.push(e),
+            None if self.dir.join(MANIFEST_FILE).exists() => skipped.push(format!(
+                "{MANIFEST_FILE}: damaged, newest checkpoint found by directory scan"
+            )),
+            None => {}
         }
         let mut epochs = self.list_epochs();
         epochs.sort_unstable_by(|a, b| b.cmp(a));

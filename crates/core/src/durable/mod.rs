@@ -167,7 +167,8 @@ pub struct RecoveryReport {
     /// usable checkpoint existed and the whole journal was replayed.
     pub checkpoint_epoch: Option<u64>,
     /// Checkpoint generations that failed integrity checks and were
-    /// skipped (`file: reason` strings, newest first).
+    /// skipped (`file: reason` strings, newest first), led by the manifest
+    /// when it failed its own and the directory was scanned instead.
     pub checkpoints_skipped: Vec<String>,
     /// Journal records replayed on top of the checkpoint.
     pub records_replayed: u64,

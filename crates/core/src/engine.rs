@@ -39,18 +39,21 @@
 //! [`MappingSystem::stamp_durable`] *before* delegating `insert_scan`, and
 //! the engine folds them into the assembled record.
 
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 use std::time::Instant;
 
-use octocache_geom::{GeomError, Point3, VoxelGrid, VoxelKey};
+use octocache_geom::{morton, GeomError, Point3, VoxelGrid, VoxelKey};
+use octocache_octomap::insert::VoxelUpdate;
 use octocache_octomap::stats::StatsSnapshot;
 use octocache_octomap::{insert, rt, OccupancyOcTree};
 use octocache_telemetry::{
-    DurableMetrics, EventKind, EventLog, PhaseHistograms, PhaseTimes, Recorder, ScanMetrics,
-    ScanRecord, SnapshotMetrics, Telemetry,
+    DurableMetrics, EventBuffer, EventKind, EventLog, PhaseHistograms, PhaseTimes, Recorder,
+    ScanMetrics, ScanRecord, SnapshotMetrics, Telemetry,
 };
 
-use crate::cache::{CacheStats, EvictedCell, VoxelCache};
+use crate::cache::{CacheStats, CodeHasher, EvictedCell, VoxelCache};
 use crate::config::CacheConfig;
 use crate::fault::{FaultCounters, Integrity, IntegrityTransition, PipelineError};
 use crate::pipeline::RayTracer;
@@ -787,20 +790,57 @@ pub(crate) fn apply_cells<'a>(
     tree.set_log_odds_batch(cells.into_iter().map(|c| (c.key, c.log_odds)));
 }
 
-/// Applies evicted cells to the tree, wrapped in a lane-0 batch span
-/// (and a buffer drain) when the cache has event recording attached.
+/// Applies evicted cells to the tree. With an event buffer, the cells'
+/// `CacheEvict`s are recorded first ([`record_evictions`]), the apply is
+/// wrapped in a batch span, and the buffer drains.
 pub(crate) fn apply_evictions(
-    cache: &mut VoxelCache,
+    events: Option<&mut EventBuffer>,
+    cache: &VoxelCache,
     tree: &mut OccupancyOcTree,
     cells: &[EvictedCell],
 ) {
+    let Some(buf) = events else {
+        return apply_cells(tree, cells);
+    };
+    record_evictions(buf, cache, cells);
     let count = cells.len() as u64;
-    if let Some(buf) = cache.events_mut() {
-        buf.emit_plain(EventKind::BatchBegin, count);
-    }
+    buf.emit_plain(EventKind::BatchBegin, count);
     apply_cells(tree, cells);
-    if let Some(buf) = cache.events_mut() {
-        buf.emit_plain(EventKind::BatchEnd, count);
-        buf.drain();
-    }
+    buf.emit_plain(EventKind::BatchEnd, count);
+    buf.drain();
+}
+
+/// Records a batch's cache accesses before `cache` takes it: one
+/// `CacheHit` or `CacheMiss` per observation, in batch order. An
+/// observation hits when its voxel is resident ([`VoxelCache::peek`]) or
+/// came earlier in the batch — exact, because nothing is evicted within a
+/// batch — so the stream is what one `insert` per observation would meet,
+/// however the cache folds the batch.
+pub fn record_accesses(events: &mut EventBuffer, cache: &VoxelCache, batch: &[VoxelUpdate]) {
+    // The batch's voxels so far, by Morton code; it grows with the distinct
+    // voxels, and a stopped lane never fills it.
+    let mut seen: HashSet<u64, BuildHasherDefault<CodeHasher>> = HashSet::default();
+    events.emit_cache_run(batch.iter().map(|u| {
+        let code = morton::encode(u.key);
+        let hit = !seen.insert(code) || cache.peek(u.key).is_some();
+        let kind = if hit {
+            EventKind::CacheHit
+        } else {
+            EventKind::CacheMiss
+        };
+        (kind, code, cache.bucket_of_code(code) as u32)
+    }));
+}
+
+/// Records one `CacheEvict` per cell `cache` handed back from an eviction
+/// pass or a drain, in the order it handed them (Morton order).
+pub fn record_evictions(events: &mut EventBuffer, cache: &VoxelCache, cells: &[EvictedCell]) {
+    events.emit_cache_run(cells.iter().map(|c| {
+        let code = morton::encode(c.key);
+        (
+            EventKind::CacheEvict,
+            code,
+            cache.bucket_of_code(code) as u32,
+        )
+    }));
 }

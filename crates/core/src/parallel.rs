@@ -171,10 +171,11 @@ pub struct ParallelExecutor {
     /// Octree counters at the end of the previous scan, for per-scan
     /// deltas.
     last_tree_stats: StatsSnapshot,
-    /// Shared sub-scan event sink when built with `CacheConfig::events(true)`.
-    /// Lane 0 (the producer) is the cache's buffer; the worker owns
-    /// [`WORKER_LANE`] and drains per batch.
-    event_sink: Option<Arc<EventSink>>,
+    /// The producer's lane-0 event buffer when built with
+    /// `CacheConfig::events(true)`: it records the cache's events from each
+    /// scan's batch and evicted run. The worker owns a [`WORKER_LANE`]
+    /// buffer on the same sink and drains it per batch.
+    events: Option<EventBuffer>,
 }
 
 /// What `evict_and_enqueue` produced.
@@ -194,11 +195,11 @@ fn spawn_worker(
     tree: &Arc<Mutex<OccupancyOcTree>>,
     shared: &Arc<WorkerShared>,
     faults: FaultPlan,
-    event_sink: Option<&Arc<EventSink>>,
+    producer_events: Option<&EventBuffer>,
 ) -> std::io::Result<JoinHandle<()>> {
     let tree = Arc::clone(tree);
     let shared = Arc::clone(shared);
-    let events = event_sink.map(|s| s.buffer(WORKER_LANE));
+    let events = producer_events.map(|b| b.lane(WORKER_LANE));
     std::thread::Builder::new()
         .name("octocache-octree-0".to_string())
         .spawn(move || worker_thread(consumer, tree, shared, faults, events))
@@ -245,11 +246,7 @@ impl ParallelOctoCache {
         ray_tracer: RayTracer,
     ) -> Self {
         let stall_timeout = config.stall_timeout();
-        let event_sink: Option<Arc<EventSink>> = if config.events() {
-            Some(EventSink::new())
-        } else {
-            None
-        };
+        let events = config.events().then(|| EventSink::new().buffer(0));
         let mut faults = FaultCounters::default();
         let mut integrity = IntegrityState::default();
         let tree = Arc::new(Mutex::new(OccupancyOcTree::new(grid, params)));
@@ -261,7 +258,7 @@ impl ParallelOctoCache {
                 "fault injection: forced spawn failure",
             ))
         } else {
-            spawn_worker(consumer, &tree, &shared, plan, event_sink.as_ref())
+            spawn_worker(consumer, &tree, &shared, plan, events.as_ref())
         };
         let (handle, failed) = match spawned {
             Ok(handle) => (Some(handle), None),
@@ -289,10 +286,7 @@ impl ParallelOctoCache {
             faults: plan,
             restarts: 0,
         };
-        let mut cache = VoxelCache::new(config, params);
-        if let Some(sink) = &event_sink {
-            cache.attach_events(sink.buffer(0));
-        }
+        let cache = VoxelCache::new(config, params);
         let max_restarts = cache.config().max_restarts();
         Engine::from_executor(ParallelExecutor {
             cache,
@@ -310,7 +304,7 @@ impl ParallelOctoCache {
             restart_ns_pending: 0,
             scan_error: None,
             last_tree_stats: StatsSnapshot::default(),
-            event_sink,
+            events,
         })
     }
 
@@ -494,8 +488,7 @@ impl ParallelExecutor {
                 kill_every: w.faults.kill_every,
                 ..FaultPlan::default()
             };
-            let spawned =
-                spawn_worker(consumer, &w.tree, &shared, faults, self.event_sink.as_ref());
+            let spawned = spawn_worker(consumer, &w.tree, &shared, faults, self.events.as_ref());
             match spawned {
                 Ok(handle) => {
                     // Fresh ring, fresh counters: the new generation's
@@ -569,7 +562,7 @@ impl ParallelExecutor {
                 Ok(()) => {
                     self.worker.batches_sent += 1;
                     queue_depth = 1;
-                    if let Some(buf) = self.cache.events_mut() {
+                    if let Some(buf) = &mut self.events {
                         buf.emit_for(WORKER_LANE, EventKind::QueueEnqueue, queue_depth);
                     }
                 }
@@ -596,6 +589,9 @@ impl ParallelExecutor {
         let buf = Arc::make_mut(&mut self.evict_buf);
         buf.clear();
         self.cache.evict_into(buf);
+        if let Some(events) = &mut self.events {
+            engine::record_evictions(events, &self.cache, buf);
+        }
         let evict = t0.elapsed();
         let mut out = self.send_batch();
         out.evict = evict;
@@ -661,7 +657,7 @@ impl ScanExecutor for ParallelExecutor {
         insert::check_origin(&self.grid, origin)?;
         let cache_before = *self.cache.stats();
         self.integrity.set_scan(scan_seq);
-        if let Some(buf) = self.cache.events_mut() {
+        if let Some(buf) = &mut self.events {
             buf.set_scan(scan_seq);
         }
 
@@ -700,6 +696,9 @@ impl ScanExecutor for ParallelExecutor {
                 self.integrity.escalate(Integrity::Compromised);
             }
             let mutex_wait = t2.elapsed();
+            if let Some(events) = &mut self.events {
+                engine::record_accesses(events, &self.cache, batch.updates());
+            }
             let mut seed = guard.as_ref().map(|g| g.read_cursor());
             self.cache.insert_batch(batch.updates(), |k| {
                 seed.as_mut().and_then(|cursor| cursor.search(k))
@@ -764,7 +763,7 @@ impl ScanExecutor for ParallelExecutor {
         engine::stamp_tree_delta(metrics, &tree_delta);
         metrics.memory_bytes = memory_bytes;
 
-        if let Some(buf) = self.cache.events_mut() {
+        if let Some(buf) = &mut self.events {
             buf.drain();
         }
 
@@ -803,6 +802,9 @@ impl ScanExecutor for ParallelExecutor {
         // …then drain everything left in the cache as a final batch.
         let t0 = Instant::now();
         self.evict_buf = Arc::new(self.cache.drain_all());
+        if let Some(events) = &mut self.events {
+            engine::record_evictions(events, &self.cache, &self.evict_buf);
+        }
         let evict2 = t0.elapsed();
         let enq2 = self.send_batch();
 
@@ -820,7 +822,7 @@ impl ScanExecutor for ParallelExecutor {
         // the worker time it triggered into the totals only (`recorded`),
         // never into what the `finish` caller gets back.
         let recorded = times + self.take_worker_delta().0;
-        if let Some(buf) = self.cache.events_mut() {
+        if let Some(buf) = &mut self.events {
             buf.drain();
         }
         FlushTimes {
@@ -894,10 +896,7 @@ impl ScanExecutor for ParallelExecutor {
         // The worker's buffer drains at every batch boundary and the queue
         // is empty between `insert_scan` calls, so the sink already holds
         // everything once the producer buffer is flushed.
-        if let Some(buf) = self.cache.events_mut() {
-            buf.drain();
-        }
-        self.event_sink.as_ref().map(|s| s.take())
+        self.events.as_mut().map(EventBuffer::take_log)
     }
 
     /// Shuts the worker down and takes the octree (the engine has already

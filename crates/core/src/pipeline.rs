@@ -11,7 +11,6 @@
 //! *executor* ([`BaselineExecutor`]) that ray-traces straight into the
 //! octree with no cache in front.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use octocache_geom::{Point3, VoxelGrid, VoxelKey};
@@ -60,7 +59,6 @@ pub struct BaselineExecutor {
     tree: OccupancyOcTree,
     ray_tracer: RayTracer,
     batch: insert::VoxelBatch,
-    event_sink: Option<Arc<EventSink>>,
     events: Option<EventBuffer>,
 }
 
@@ -84,7 +82,6 @@ impl OctoMapSystem {
             tree,
             ray_tracer: rt,
             batch: insert::VoxelBatch::new(),
-            event_sink: None,
             events: None,
         })
     }
@@ -93,9 +90,7 @@ impl OctoMapSystem {
     /// the baseline has no cache or queues). The cache-backed systems
     /// enable this through `CacheConfig::events` instead.
     pub fn enable_events(&mut self) {
-        let sink = EventSink::new();
-        self.exec.events = Some(sink.buffer(0));
-        self.exec.event_sink = Some(sink);
+        self.exec.events = Some(EventSink::new().buffer(0));
     }
 
     /// The backing octree.
@@ -187,10 +182,7 @@ impl ScanExecutor for BaselineExecutor {
     }
 
     fn take_events(&mut self) -> Option<EventLog> {
-        if let Some(buf) = &mut self.events {
-            buf.drain();
-        }
-        self.event_sink.as_ref().map(|s| s.take())
+        self.events.as_mut().map(EventBuffer::take_log)
     }
 
     fn take_tree(self) -> OccupancyOcTree {

@@ -16,7 +16,7 @@ use std::time::Instant;
 use octocache_geom::{Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
 use octocache_octomap::{insert, OccupancyOcTree, OccupancyParams};
-use octocache_telemetry::{EventLog, EventSink, PhaseTimes, ScanMetrics};
+use octocache_telemetry::{EventBuffer, EventLog, EventSink, PhaseTimes, ScanMetrics};
 
 use crate::cache::{CacheStats, EvictedCell, VoxelCache};
 use crate::config::CacheConfig;
@@ -40,25 +40,31 @@ pub struct SerialExecutor {
     ray_tracer: RayTracer,
     batch: insert::VoxelBatch,
     evict_buf: Vec<EvictedCell>,
-    /// Sub-scan event collection point (present iff the config enabled
-    /// event recording; the cache holds the lane-0 buffer).
-    event_sink: Option<std::sync::Arc<EventSink>>,
+    /// The lane-0 event buffer, present iff the config enabled event
+    /// recording: the cache's events are recorded from each scan's batch
+    /// and evicted run.
+    events: Option<EventBuffer>,
 }
 
 /// The timed post-ray-tracing workflow for one pre-traced batch: cache
 /// insertion (misses seeded through one read cursor on the tree) →
 /// τ-eviction into `evict_buf` → octree update, filling the three phase
-/// times and the cursor's node visits. Free-standing so callers can pass a
-/// batch that borrows a sibling field of the executor.
+/// times and the cursor's node visits, and recording the cache's events
+/// when `events` is present. Free-standing so callers can pass a batch
+/// that borrows a sibling field of the executor.
 fn integrate(
     cache: &mut VoxelCache,
     tree: &mut OccupancyOcTree,
     evict_buf: &mut Vec<EvictedCell>,
+    mut events: Option<&mut EventBuffer>,
     batch: &insert::VoxelBatch,
     metrics: &mut ScanMetrics,
 ) {
     let times = &mut metrics.times;
     let t1 = Instant::now();
+    if let Some(buf) = events.as_deref_mut() {
+        engine::record_accesses(buf, cache, batch.updates());
+    }
     let mut seeds = tree.read_cursor();
     cache.insert_batch(batch.updates(), |k| seeds.search(k));
     metrics.octree_seed_visits = seeds.nodes_visited();
@@ -71,7 +77,7 @@ fn integrate(
     times.cache_evict = t2.elapsed();
 
     let t3 = Instant::now();
-    engine::apply_evictions(cache, tree, evict_buf);
+    engine::apply_evictions(events, cache, tree, evict_buf);
     times.octree_update = t3.elapsed();
 }
 
@@ -89,21 +95,13 @@ impl SerialOctoCache {
         config: CacheConfig,
         ray_tracer: RayTracer,
     ) -> Self {
-        let mut cache = VoxelCache::new(config, params);
-        let event_sink = if config.events() {
-            let sink = EventSink::new();
-            cache.attach_events(sink.buffer(0));
-            Some(sink)
-        } else {
-            None
-        };
         Engine::from_executor(SerialExecutor {
-            cache,
+            cache: VoxelCache::new(config, params),
             tree: OccupancyOcTree::new(grid, params),
             ray_tracer,
             batch: insert::VoxelBatch::new(),
             evict_buf: Vec::new(),
-            event_sink,
+            events: config.events().then(|| EventSink::new().buffer(0)),
         })
     }
 
@@ -171,7 +169,7 @@ impl ScanExecutor for SerialExecutor {
     ) -> Result<ScanOutput, PipelineError> {
         let cache_before = *self.cache.stats();
         let tree_before = self.tree.stats().snapshot();
-        if let Some(buf) = self.cache.events_mut() {
+        if let Some(buf) = &mut self.events {
             buf.set_scan(scan_seq);
         }
         let t0 = Instant::now();
@@ -190,6 +188,7 @@ impl ScanExecutor for SerialExecutor {
             &mut self.cache,
             &mut self.tree,
             &mut self.evict_buf,
+            self.events.as_mut(),
             &batch,
             metrics,
         );
@@ -223,7 +222,7 @@ impl ScanExecutor for SerialExecutor {
         let drained = self.cache.drain_all();
         let cache_evict = t0.elapsed();
         let t1 = Instant::now();
-        engine::apply_evictions(&mut self.cache, &mut self.tree, &drained);
+        engine::apply_evictions(self.events.as_mut(), &self.cache, &mut self.tree, &drained);
         let octree_update = t1.elapsed();
         let times = PhaseTimes {
             cache_evict,
@@ -245,10 +244,7 @@ impl ScanExecutor for SerialExecutor {
     }
 
     fn take_events(&mut self) -> Option<EventLog> {
-        if let Some(buf) = self.cache.events_mut() {
-            buf.drain();
-        }
-        self.event_sink.as_ref().map(|s| s.take())
+        self.events.as_mut().map(EventBuffer::take_log)
     }
 
     fn config(&self) -> Option<&CacheConfig> {

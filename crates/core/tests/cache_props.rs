@@ -10,8 +10,10 @@
 //!    resident cell.
 //! 4. The slab-and-spill storage behaves exactly as the bucket-of-vectors
 //!    layout it replaced ([`ModelCache`]): same hits, values, evicted
-//!    sequences, iteration order and event stream — whether observations
-//!    arrive one `insert` at a time or through `insert_batch`.
+//!    sequences and iteration order — whether observations arrive one
+//!    `insert` at a time or through `insert_batch` — and the events an
+//!    executor records beside it (`engine::record_accesses` /
+//!    `record_evictions`) count what `CacheStats` counts.
 //! 5. The counting drain hands out exactly the run a comparison sort by
 //!    Morton code would.
 //! 6. `insert_batch` folds a batch per voxel yet is the per-observation
@@ -26,11 +28,12 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use octocache::engine::{record_accesses, record_evictions};
 use octocache::{CacheConfig, CacheStats, EvictedCell, VoxelCache};
 use octocache_geom::{morton, VoxelKey};
 use octocache_octomap::insert::VoxelUpdate;
 use octocache_octomap::OccupancyParams;
-use octocache_telemetry::{Event, EventKind, EventSink};
+use octocache_telemetry::{Event, EventBuffer, EventKind, EventSink, Residents};
 use proptest::prelude::*;
 
 /// Ops driving the eviction-loss property.
@@ -147,9 +150,27 @@ fn arb_storage_op() -> impl Strategy<Value = StorageOp> {
 }
 
 /// What an event says, without when it was emitted.
-fn untimed(events: Vec<Event>) -> Vec<(u64, EventKind, u64, u32, u32, u64)> {
-    let untimed = |e: Event| (e.scan, e.kind, e.key, e.bucket, e.hits, e.value);
+fn untimed(events: Vec<Event>) -> Vec<(u64, EventKind, u64, u32, u64)> {
+    let untimed = |e: Event| (e.scan, e.kind, e.key, e.bucket, e.value);
     events.into_iter().map(untimed).collect()
+}
+
+/// Records on `events`, when present, what `record` records; for the
+/// recorders that may be switched off.
+fn record(events: &mut Option<EventBuffer>, record: impl FnOnce(&mut EventBuffer)) {
+    if let Some(buf) = events {
+        record(buf);
+    }
+}
+
+/// The `(hits, misses, evictions)` a recorded stream counts.
+fn counted(events: &[Event]) -> (u64, u64, u64) {
+    let count = |kind| events.iter().filter(|e| e.kind == kind).count() as u64;
+    (
+        count(EventKind::CacheHit),
+        count(EventKind::CacheMiss),
+        count(EventKind::CacheEvict),
+    )
 }
 
 /// An arbitrary stats snapshot with fields small enough that merged sums
@@ -236,8 +257,11 @@ proptest! {
     /// gives equals the reference model's, order included. Half the cases
     /// offer their observations through `insert_batch`, in batches of
     /// `batch` (0: an empty batch before every single `insert`), and must
-    /// end with the statistics and the event stream of a twin cache that
-    /// took them one `insert` at a time.
+    /// end with the statistics of a twin cache that took them one `insert`
+    /// at a time. With `events`, each side records its accesses before it
+    /// takes them and its evictions after, as the executors do: the two
+    /// streams are equal, and each step's events count that step's
+    /// `CacheStats` delta.
     #[test]
     fn slab_storage_matches_the_bucket_of_vectors_model(
         ops in proptest::collection::vec(arb_storage_op(), 1..250),
@@ -261,11 +285,11 @@ proptest! {
             .unwrap();
         let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
         let mut twin = VoxelCache::new(cfg, OccupancyParams::default());
-        let sinks = [EventSink::new(), EventSink::new()];
-        if events {
-            cache.attach_events(sinks[0].buffer(0));
-            twin.attach_events(sinks[1].buffer(0));
-        }
+        let mut recorders = [(); 2].map(|()| events.then(|| EventSink::new().buffer(0)));
+        // Each side's recorded stream so far, and the cells the first one
+        // holds resident.
+        let mut streams: [Vec<Event>; 2] = Default::default();
+        let mut residents = Residents::default();
         let mut model = ModelCache::new(buckets);
         // The stand-in octree all sides seed their misses from.
         let mut flushed: HashMap<VoxelKey, f32> = HashMap::new();
@@ -285,19 +309,27 @@ proptest! {
                     continue;
                 }
             }
+            // The twin's statistics equal these too (asserted every step).
+            let before = *cache.stats();
             let seed = |key: VoxelKey| flushed.get(&key).copied();
             let [batched, single] = &mut looked_up;
+            let [batched_events, single_events] = &mut recorders;
             let mut batched_seed = |key| {
                 batched.push(key);
                 seed(key)
             };
             match batch {
-                Some(n) if n > 0 => cache.insert_batch(&pending, &mut batched_seed),
+                Some(n) if n > 0 => {
+                    record(batched_events, |buf| record_accesses(buf, &cache, &pending));
+                    cache.insert_batch(&pending, &mut batched_seed);
+                }
                 _ => {
                     for u in &pending {
                         if batch.is_some() {
                             cache.insert_batch(&[], |_| panic!("nothing to seed"));
                         }
+                        let one = std::slice::from_ref(u);
+                        record(batched_events, |buf| record_accesses(buf, &cache, one));
                         cache.insert(u.key, u.occupied, &mut batched_seed);
                     }
                 }
@@ -307,27 +339,57 @@ proptest! {
                     single.push(key);
                     seed(key)
                 };
+                let one = std::slice::from_ref(&u);
+                record(single_events, |buf| record_accesses(buf, &twin, one));
                 let hit = twin.insert(u.key, u.occupied, single_seed);
                 let bucket = cache.bucket_index(u.key);
                 assert_eq!(hit, model.insert(bucket, u.key, u.occupied, seed(u.key)), "{at}");
             }
             assert_eq!(looked_up[0], looked_up[1], "{at}");
-            let evicted = match *op {
-                StorageOp::Insert(..) => Vec::new(),
+            let (evicted, run) = match *op {
+                StorageOp::Insert(..) => (Vec::new(), ModelRun::new()),
                 StorageOp::Evict => {
                     let evicted = cache.evict();
-                    assert_eq!(evicted, morton_sorted(model.evict(tau)), "{at}");
                     assert_eq!(evicted, twin.evict(), "{at}");
-                    evicted
+                    (evicted, model.evict(tau))
                 }
                 StorageOp::DrainAll => {
                     let drained = cache.drain_all();
-                    assert_eq!(drained, morton_sorted(model.evict(0)), "{at}");
                     assert_eq!(drained, twin.drain_all(), "{at}");
-                    drained
+                    (drained, model.evict(0))
                 }
             };
+            // The hits each evicted cell absorbed, by the model, in the
+            // run's (Morton) order.
+            let mut absorbed: Vec<(u64, u64)> = run
+                .iter()
+                .map(|&(_, key, _, hits)| (morton::encode(key), u64::from(hits)))
+                .collect();
+            absorbed.sort_unstable();
+            assert_eq!(evicted, morton_sorted(run), "{at}");
             flushed.extend(evicted.iter().map(|c| (c.key, c.log_odds)));
+            for (side, events) in recorders.iter_mut().enumerate() {
+                let Some(buf) = events else { continue };
+                let owner = if side == 0 { &cache } else { &twin };
+                record_evictions(buf, owner, &evicted);
+                let step = buf.take_log();
+                assert_eq!(step.dropped, 0, "{at}");
+                let delta = owner.stats().since(&before);
+                assert_eq!(counted(&step.events), (delta.hits, delta.misses, delta.evictions), "{at}");
+                if side == 0 {
+                    // Hits at eviction, derived from the stream alone.
+                    let derived: Vec<(u64, u64)> = step
+                        .events
+                        .iter()
+                        .filter_map(|e| {
+                            let stay = residents.follow(e).map_or(u64::MAX, |stay| stay.hits);
+                            (e.kind == EventKind::CacheEvict).then_some((e.key, stay))
+                        })
+                        .collect();
+                    assert_eq!(derived, absorbed, "{at}");
+                }
+                streams[side].extend(step.events);
+            }
             assert_eq!(cache.stats(), twin.stats(), "{at}");
             assert_eq!(cache.len(), model.len(), "{at}");
             assert_eq!(cache.peak_len(), model.peak_len, "{at}");
@@ -338,19 +400,15 @@ proptest! {
                 assert_eq!(cache.peek(key), model.peek(bucket, key), "{at}: {key}");
             }
         }
-        if events {
-            cache.events_mut().unwrap().drain();
-            twin.events_mut().unwrap().drain();
-            let [batched, single] = sinks.map(|sink| untimed(sink.take().events));
-            assert_eq!(batched, single, "{batch:?}");
-        }
+        let [batched, single] = streams.map(untimed);
+        assert_eq!(batched, single, "{batch:?}");
+        assert_eq!(batched.is_empty(), !events);
     }
 
     /// The sorted eviction order is produced by counting, not comparing:
     /// for any keys — high parts past 32 bits at the small `w`s, no low
     /// bits at all at `w = 1` — a pass and the final drain hand out the
-    /// model's bucket-sequential run sorted by Morton code, and emit their
-    /// `CacheEvict` events in that run's bucket-sequential order.
+    /// model's bucket-sequential run sorted by Morton code.
     #[test]
     fn counting_drain_equals_the_morton_comparison_sort(
         keys in proptest::collection::vec(
@@ -369,16 +427,7 @@ proptest! {
             .build()
             .unwrap();
         let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
-        let sink = EventSink::new();
-        cache.attach_events(sink.buffer(0));
         let mut model = ModelCache::new(buckets);
-        // `(key, bucket, hits)` of every `CacheEvict` the model expects.
-        let mut walked: Vec<(u64, u32, u32)> = Vec::new();
-        let mut expect = |run: ModelRun| {
-            let evict = |&(bucket, key, _, hits): &_| (morton::encode(key), bucket as u32, hits);
-            walked.extend(run.iter().map(evict));
-            morton_sorted(run)
-        };
         // One pass part-way, one at the end, then the drain of what is left.
         let (head, tail) = keys.split_at(split.min(keys.len()));
         for part in [head, tail] {
@@ -386,20 +435,10 @@ proptest! {
                 cache.insert(key, i % 2 == 0, |_| None);
                 model.insert(cache.bucket_index(key), key, i % 2 == 0, None);
             }
-            assert_eq!(cache.evict(), expect(model.evict(tau)));
+            assert_eq!(cache.evict(), morton_sorted(model.evict(tau)));
         }
-        assert_eq!(cache.drain_all(), expect(model.evict(0)));
+        assert_eq!(cache.drain_all(), morton_sorted(model.evict(0)));
         assert!(cache.is_empty());
-
-        cache.events_mut().unwrap().drain();
-        let evicts: Vec<(u64, u32, u32)> = sink
-            .take()
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::CacheEvict)
-            .map(|e| (e.key, e.bucket, e.hits))
-            .collect();
-        assert_eq!(evicts, walked);
     }
 
     /// `merge` is associative with `CacheStats::default()` as the zero.
@@ -737,46 +776,51 @@ fn the_counting_fold_reaches_both_clamps_like_the_loop() {
     assert_eq!(values[1], [params.clamp_max; 2]);
 }
 
-/// The event stream of a scripted run, one `kind key bucket hits value` line
-/// per event, followed by the evicted sequence — recorded at the commit
-/// before the slab and required of every storage since.
+/// The event stream of a scripted run as an executor records it beside the
+/// cache — `kind key bucket` per access, `evict key bucket hits scans` per
+/// eviction with the hits and the scans resident derived from the stream —
+/// followed by the evicted sequence. The accesses and the sequence were
+/// recorded at the commit before the slab and are required of every storage
+/// since. The hits and stays are those the cache itself stamped on its
+/// evictions until it stopped recording, and the evictions are listed in
+/// each run's Morton order, the order the cache hands them out.
 const GOLDEN_EVENT_STREAM: &str = "\
-miss 0 0 0 0\n\
-miss 3 1 0 0\n\
-miss 24 0 0 0\n\
-miss 9 1 0 0\n\
-miss 66 0 0 0\n\
-miss 81 1 0 0\n\
-miss 72 0 0 0\n\
-miss 75 1 0 0\n\
-miss 528 0 0 0\n\
-hit 528 0 1 0\n\
-hit 3 1 1 0\n\
-evict 0 0 0 1\n\
-evict 24 0 0 1\n\
-evict 66 0 0 1\n\
-evict 3 1 1 1\n\
-evict 9 1 0 1\n\
-miss 9 1 0 0\n\
-miss 66 0 0 0\n\
-hit 81 1 1 0\n\
-hit 72 0 1 0\n\
-hit 75 1 1 0\n\
-hit 528 0 2 0\n\
-miss 513 1 0 0\n\
-miss 522 0 0 0\n\
-miss 537 1 0 0\n\
-hit 537 1 1 0\n\
-hit 66 0 1 0\n\
+miss 0 0\n\
+miss 3 1\n\
+miss 24 0\n\
+miss 9 1\n\
+miss 66 0\n\
+miss 81 1\n\
+miss 72 0\n\
+miss 75 1\n\
+miss 528 0\n\
+hit 528 0\n\
+hit 3 1\n\
+evict 0 0 0 0\n\
+evict 3 1 1 0\n\
+evict 9 1 0 0\n\
+evict 24 0 0 0\n\
+evict 66 0 0 0\n\
+miss 9 1\n\
+miss 66 0\n\
+hit 81 1\n\
+hit 72 0\n\
+hit 75 1\n\
+hit 528 0\n\
+miss 513 1\n\
+miss 522 0\n\
+miss 537 1\n\
+hit 537 1\n\
+hit 66 0\n\
+evict 9 1 0 0\n\
 evict 72 0 1 1\n\
-evict 528 0 2 1\n\
-evict 81 1 1 1\n\
 evict 75 1 1 1\n\
-evict 9 1 0 2\n\
-evict 66 0 1 2\n\
-evict 522 0 0 2\n\
-evict 513 1 0 2\n\
-evict 537 1 1 2\n\
+evict 81 1 1 1\n\
+evict 528 0 2 1\n\
+evict 66 0 1 0\n\
+evict 513 1 0 0\n\
+evict 522 0 0 0\n\
+evict 537 1 1 0\n\
 out [0, 0, 0] 0.84729785\n\
 out [1, 1, 0] -0.8109302\n\
 out [3, 0, 0] -0.4054651\n\
@@ -795,40 +839,57 @@ out [11, 2, 0] 0.44183275\n\
 
 #[test]
 fn events_attached_evicts_and_emits_the_golden_stream() {
-    let sink = EventSink::new();
+    let mut events = EventSink::new().buffer(0);
     let cfg = CacheConfig::builder()
         .num_buckets(2)
         .tau(2)
         .build()
         .unwrap();
     let mut cache = VoxelCache::new(cfg, OccupancyParams::default());
-    cache.attach_events(sink.buffer(0));
     let mut evicted = Vec::new();
     // Two "scans": each offers a sliding window of keys (old ones hit, new
     // ones miss and spill), re-hits a spilled cell, then runs a pass.
     for scan in 0..2u16 {
-        cache.events_mut().unwrap().set_scan(u64::from(scan) + 1);
-        let key = |x: u16| VoxelKey::new(x, x % 3, 0);
-        for x in 3 * scan..3 * scan + 9 {
-            cache.insert(key(x), x % 2 == 0, |_| None);
-        }
-        cache.insert(key(3 * scan + 8), true, |_| None); // spilled
-        cache.insert(key(3 * scan + 1), false, |_| None);
+        events.set_scan(u64::from(scan) + 1);
+        let update = |x: u16, occupied| VoxelUpdate {
+            key: VoxelKey::new(x, x % 3, 0),
+            occupied,
+        };
+        let mut batch: Vec<VoxelUpdate> = (3 * scan..3 * scan + 9)
+            .map(|x| update(x, x % 2 == 0))
+            .collect();
+        batch.push(update(3 * scan + 8, true)); // spilled
+        batch.push(update(3 * scan + 1, false));
+        record_accesses(&mut events, &cache, &batch);
+        cache.insert_batch(&batch, |_| None);
+        let pass = evicted.len();
         cache.evict_into(&mut evicted);
+        record_evictions(&mut events, &cache, &evicted[pass..]);
     }
-    evicted.extend(cache.drain_all());
-    cache.events_mut().unwrap().drain();
+    let drained = cache.drain_all();
+    record_evictions(&mut events, &cache, &drained);
+    evicted.extend(drained);
 
     let mut stream = String::new();
-    for e in sink.take().events {
+    let mut residents = Residents::default();
+    for e in events.take_log().events {
+        let stay = residents.follow(&e);
         let kind = match e.kind {
             EventKind::CacheHit => "hit",
             EventKind::CacheMiss => "miss",
-            EventKind::CacheEvict => "evict",
+            EventKind::CacheEvict => {
+                let stay = stay.expect("every evicted cell was inserted in the stream");
+                stream += &format!(
+                    "evict {} {} {} {}\n",
+                    e.key, e.bucket, stay.hits, stay.scans
+                );
+                continue;
+            }
             other => panic!("unexpected {other:?}"),
         };
-        stream += &format!("{kind} {} {} {} {}\n", e.key, e.bucket, e.hits, e.value);
+        stream += &format!("{kind} {} {}\n", e.key, e.bucket);
     }
+    assert!(residents.is_empty(), "the drain evicts every cell");
     for cell in &evicted {
         stream += &format!("out {} {}\n", cell.key, cell.log_odds);
     }

@@ -209,26 +209,38 @@ fn mid_write_kill_leaves_torn_tail_that_truncates_cleanly() {
 fn bit_flips_recover_to_durable_prefix() {
     let scans = scenario(2);
     let prefix = prefix_checksums(&scans, RayTracer::Standard);
-    // Ops 1..3 corrupt journal frames, op 4 the checkpoint file, op 5 the
-    // manifest; bits probe the frame header, an early payload byte and a
-    // deep payload byte (modulo payload length).
-    for op in [1u64, 2, 4, 5, 7] {
+    assert_eq!(scans.len(), 10, "the op schedule below assumes ten scans");
+    let backends = || -> [(&str, Box<dyn MappingSystem>); 2] {
+        let params = OccupancyParams::default();
+        [
+            ("octomap", Box::new(OctoMapSystem::new(grid(), params))),
+            (
+                "serial",
+                Box::new(SerialOctoCache::new(grid(), params, cache())),
+            ),
+        ]
+    };
+    // What recovery reports for the same run with nothing flipped.
+    let clean_dir = temp_dir("flip-clean");
+    let (_, backend) = backends().into_iter().next().unwrap();
+    let plan = IoFaultPlan::default();
+    run_with_plan(&clean_dir, backend, RayTracer::Standard, plan, &scans);
+    let clean = assert_recovers_to_prefix(&clean_dir, &prefix, "no flip");
+    fs::remove_dir_all(&clean_dir).unwrap();
+    assert!(clean.is_clean(), "{clean:?}");
+    assert_eq!(
+        (clean.checkpoint_epoch, clean.records_replayed),
+        (Some(9), 1)
+    );
+
+    // With a checkpoint every 3 scans the ops are: 0 the journal's
+    // creation; the appends of epochs 1–3 at ops 1–3, 4–6 at 6–8, 7–9 at
+    // 11–13 and 10 at 16; the checkpoints of epochs 3, 6 and 9 at ops 4, 9
+    // and 14, each followed by its manifest at 5, 10 and 15. Bits probe the
+    // frame header, an early payload byte and a deep one (modulo length).
+    for op in [1u64, 2, 4, 5, 7, 14, 15] {
         for bit in [0u64, 9, 4095] {
-            for (name, backend) in [
-                (
-                    "octomap",
-                    Box::new(OctoMapSystem::new(grid(), OccupancyParams::default()))
-                        as Box<dyn MappingSystem>,
-                ),
-                (
-                    "serial",
-                    Box::new(SerialOctoCache::new(
-                        grid(),
-                        OccupancyParams::default(),
-                        cache(),
-                    )),
-                ),
-            ] {
+            for (name, backend) in backends() {
                 let label = format!("{name}/flip:{bit}@{op}");
                 let dir = temp_dir("flip");
                 let plan = IoFaultPlan {
@@ -238,7 +250,46 @@ fn bit_flips_recover_to_durable_prefix() {
                 // No seal: a final clean checkpoint would mask the damage.
                 let end = run_with_plan(&dir, backend, RayTracer::Standard, plan, &scans);
                 assert_eq!(end, RunEnd::Completed, "{label}: flips never kill");
-                assert_recovers_to_prefix(&dir, &prefix, &label);
+                let report = assert_recovers_to_prefix(&dir, &prefix, &label);
+                let skipped = report.checkpoints_skipped.first().map(String::as_str);
+                match op {
+                    // A journal frame fails its CRC: it and every frame after
+                    // it go as a damaged tail, so epoch 10 — the one record
+                    // past the newest checkpoint — is no longer replayed.
+                    1 | 2 | 7 => {
+                        assert!(report.tail_dropped_bytes > 0, "{label}: {report:?}");
+                        assert_eq!(report.records_replayed, 0, "{label}");
+                        assert_eq!(report.final_epoch, 9, "{label}");
+                    }
+                    // The newest checkpoint is named as skipped, and recovery
+                    // falls back a generation and replays epochs 7–10.
+                    14 => {
+                        assert_eq!(report.checkpoints_skipped.len(), 1, "{label}: {report:?}");
+                        assert!(
+                            skipped.unwrap().starts_with("ckpt-0000000000000009.ot:"),
+                            "{label}"
+                        );
+                        assert_eq!(report.checkpoint_epoch, Some(6), "{label}");
+                        assert_eq!(report.records_replayed, 4, "{label}");
+                    }
+                    // The newest manifest: recovery scans the directory
+                    // instead, says so, and finds epoch 9 there anyway.
+                    15 => {
+                        assert!(
+                            skipped.is_some_and(|s| s.starts_with("MANIFEST: damaged")),
+                            "{label}: {report:?}"
+                        );
+                        assert_eq!(report.checkpoints_skipped.len(), 1, "{label}");
+                        assert_eq!(report.checkpoint_epoch, Some(9), "{label}");
+                    }
+                    // Epoch 3's checkpoint and the manifest naming it are
+                    // superseded before the run ends: the manifest is
+                    // rewritten at op 10, and recovery starts from the
+                    // newest intact generation, so it never reads the
+                    // flipped bytes and reports exactly a clean run.
+                    4 | 5 => assert_eq!(report, clean, "{label}"),
+                    _ => unreachable!(),
+                }
                 fs::remove_dir_all(&dir).unwrap();
             }
         }

@@ -5,18 +5,22 @@
 //! Two layers of evidence:
 //!
 //! 1. A scenario differential (seeded synthetic scans, tolerance 0.0)
-//!    across octomap / serial / parallel, which also checks the recorded stream is non-empty and structurally sane
-//!    (spans pair up per lane).
-//! 2. A proptest at the `VoxelCache` level: under arbitrary interleavings
-//!    of insertions and eviction passes, the eviction stream with events
-//!    attached is bit-identical to the stream without.
+//!    across octomap / serial / parallel, which also checks the recorded
+//!    stream is non-empty and structurally sane (spans pair up per lane).
+//!    The cache holds no recorder at all, so there is no traced cache to
+//!    hold against an untraced one.
+//! 2. A stream cut short by a capacity cap is a prefix of the full stream,
+//!    lane by lane, with every lost event counted: what analytics derive
+//!    from it (a cell's insertion, its hits) is never missing a middle.
 
+use std::sync::Arc;
+
+use octocache::engine::{record_accesses, record_evictions};
 use octocache::pipeline::{MappingSystem, OctoMapSystem};
-use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache};
+use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, VoxelCache};
 use octocache_geom::{Point3, VoxelGrid};
-use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
-use octocache_telemetry::{EventKind, EventLog, EventSink};
-use proptest::prelude::*;
+use octocache_octomap::{compare, insert, OccupancyOcTree, OccupancyParams};
+use octocache_telemetry::{Event, EventAnalytics, EventKind, EventLog, EventSink};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -210,65 +214,87 @@ fn parallel_event_stream_covers_every_worker_lane() {
         .any(|e| e.kind == EventKind::QueueEnqueue && e.worker >= 1));
 }
 
-/// Ops driving the cache-level invisibility property.
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(u16, u16, u16, bool),
-    Evict,
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        8 => (0u16..24, 0u16..24, 0u16..24, any::<bool>())
-            .prop_map(|(x, y, z, o)| Op::Insert(x, y, z, o)),
-        1 => Just(Op::Evict),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Attaching an event buffer never perturbs the cache: under any op
-    /// interleaving, both the per-pass eviction streams and the final
-    /// drain are bit-identical with and without events.
-    #[test]
-    fn cache_events_are_invisible(ops in proptest::collection::vec(arb_op(), 1..200)) {
-        use octocache::VoxelCache;
-        use octocache_geom::VoxelKey;
-
-        let config = CacheConfig::builder()
-            .num_buckets(16)
-            .tau(3)
-            .build()
-            .unwrap();
-        let params = OccupancyParams::default();
-        let mut plain = VoxelCache::new(config, params);
-        let mut traced = VoxelCache::new(config, params);
-        let sink = EventSink::new();
-        traced.attach_events(sink.buffer(0));
-
-        for op in &ops {
-            match op {
-                Op::Insert(x, y, z, occ) => {
-                    let key = VoxelKey::new(*x, *y, *z);
-                    let a = plain.insert(key, *occ, |_| None);
-                    let b = traced.insert(key, *occ, |_| None);
-                    prop_assert_eq!(a, b);
-                }
-                Op::Evict => {
-                    let mut ea = Vec::new();
-                    let mut eb = Vec::new();
-                    plain.evict_into(&mut ea);
-                    traced.evict_into(&mut eb);
-                    prop_assert_eq!(ea, eb);
-                }
-            }
+/// A run recorded the way the executors record one, on `sink`: lane 0 the
+/// cache's accesses and evictions, lane 1 a span per applied batch, the
+/// lanes draining at each scan's end in alternating order. A lane-0 cap of
+/// `lane0_cap` events per drain replaces the default.
+fn record_run(sink: Arc<EventSink>, scans: &[Scan], lane0_cap: Option<usize>) -> EventLog {
+    let mut cache = VoxelCache::new(cache(false), OccupancyParams::default());
+    let mut cache_lane = sink.buffer(0);
+    let mut worker_lane = cache_lane.lane(1);
+    if let Some(cap) = lane0_cap {
+        cache_lane.set_capacity(cap);
+    }
+    let mut batch = insert::VoxelBatch::new();
+    let mut evicted = Vec::new();
+    for (i, scan) in scans.iter().enumerate() {
+        cache_lane.set_scan(i as u64);
+        worker_lane.set_scan(i as u64);
+        insert::compute_update(&grid(), scan.origin, &scan.points, 40.0, &mut batch).unwrap();
+        record_accesses(&mut cache_lane, &cache, batch.updates());
+        cache.insert_batch(batch.updates(), |_| None);
+        evicted.clear();
+        cache.evict_into(&mut evicted);
+        record_evictions(&mut cache_lane, &cache, &evicted);
+        worker_lane.emit_plain(EventKind::BatchBegin, 0);
+        worker_lane.emit_plain(EventKind::BatchEnd, evicted.len() as u64);
+        if i % 2 == 0 {
+            cache_lane.drain();
+            worker_lane.drain();
+        } else {
+            worker_lane.drain();
+            cache_lane.drain();
         }
-        let fa = plain.drain_all();
-        let fb = traced.drain_all();
-        prop_assert_eq!(fa, fb);
-        prop_assert_eq!(plain.stats().hits, traced.stats().hits);
-        prop_assert_eq!(plain.stats().misses, traced.stats().misses);
-        prop_assert_eq!(plain.stats().evictions, traced.stats().evictions);
+    }
+    let drained = cache.drain_all();
+    record_evictions(&mut cache_lane, &cache, &drained);
+    worker_lane.drain();
+    cache_lane.take_log()
+}
+
+/// One lane's events, without when they were emitted.
+fn lane(log: &EventLog, worker: u32) -> Vec<(u64, EventKind, u64, u32, u64)> {
+    let untimed = |e: &Event| (e.scan, e.kind, e.key, e.bucket, e.value);
+    log.events
+        .iter()
+        .filter(|e| e.worker == worker)
+        .map(untimed)
+        .collect()
+}
+
+#[test]
+fn a_capped_stream_is_a_counted_prefix_of_every_lane() {
+    let scans = scenario(7);
+    let full = record_run(EventSink::new(), &scans, None);
+    assert_eq!(full.dropped, 0);
+    let emitted = full.events.len();
+    let first_scan = lane(&full, 0).iter().take_while(|e| e.0 == 0).count();
+    // Sink caps cut both lanes; a lane-0 drain cap cuts the first scan
+    // part-way while lane 1 records on.
+    let runs = [
+        (1, None),
+        (emitted / 3, None),
+        (emitted - 1, None),
+        (emitted, Some(first_scan / 2)),
+    ];
+    for (cap, lane0_cap) in runs {
+        let label = format!("sink cap {cap}, lane-0 cap {lane0_cap:?}");
+        let cut = record_run(EventSink::with_capacity(cap), &scans, lane0_cap);
+        assert!(cut.dropped > 0, "{label}: nothing was cut");
+        assert_eq!(cut.dropped, (emitted - cut.events.len()) as u64, "{label}");
+        for worker in [0, 1] {
+            let (kept, all) = (lane(&cut, worker), lane(&full, worker));
+            assert!(
+                all.starts_with(&kept),
+                "{label}: lane {worker} kept {} events that are not a prefix of its {}",
+                kept.len(),
+                all.len()
+            );
+        }
+        let analytics = EventAnalytics::from_events(&cut.events);
+        assert_eq!(analytics.orphan_evictions, 0, "{label}");
+        if cap == emitted - 1 {
+            assert!(analytics.evictions > 0, "{label}: no eviction survived");
+        }
     }
 }

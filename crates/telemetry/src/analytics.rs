@@ -10,7 +10,8 @@
 //!   make a τ-cell bucket cache effective.
 //! * **Cache residency** — for each evicted cell, the number of scans
 //!   between its insertion and its eviction, plus the hits it absorbed
-//!   while resident (the paper's duplication argument, measured).
+//!   while resident (the paper's duplication argument, measured). Both
+//!   follow from the stream alone ([`Residents`]).
 //! * **Per-octant hit ratios** — accesses bucketed by top-level octant of
 //!   the *observed* key space (depth inferred from the largest Morton code
 //!   in the stream), showing which spatial regions drive the hit ratio.
@@ -108,6 +109,63 @@ pub struct BucketStats {
     pub evictions: u64,
 }
 
+/// How long one cell stayed in the cache: from the `CacheMiss` that
+/// inserted it to the `CacheEvict` that removed it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stay {
+    /// Scans between insertion and eviction.
+    pub scans: u64,
+    /// `CacheHit`s on the cell in between.
+    pub hits: u64,
+}
+
+/// The cells a cache event stream has inserted and not yet evicted, each
+/// with its insertion scan and the hits it has absorbed. The stream is in
+/// access order and nothing is evicted mid-batch, so every hit on a key
+/// between its miss and its eviction is a hit on that cell.
+#[derive(Debug, Default)]
+pub struct Residents {
+    cells: HashMap<u64, (u64, u64)>,
+}
+
+impl Residents {
+    /// Follows one event, in stream order. A `CacheMiss` makes its key a
+    /// resident cell, a `CacheHit` counts on it, and a `CacheEvict` ends
+    /// the cell's stay and returns it — `None` when the stream never saw
+    /// the cell inserted. Other kinds change nothing.
+    pub fn follow(&mut self, e: &Event) -> Option<Stay> {
+        match e.kind {
+            EventKind::CacheMiss => {
+                self.cells.insert(e.key, (e.scan, 0));
+            }
+            EventKind::CacheHit => {
+                if let Some((_, hits)) = self.cells.get_mut(&e.key) {
+                    *hits += 1;
+                }
+            }
+            EventKind::CacheEvict => {
+                let (born, hits) = self.cells.remove(&e.key)?;
+                return Some(Stay {
+                    scans: e.scan.saturating_sub(born),
+                    hits,
+                });
+            }
+            _ => {}
+        }
+        None
+    }
+
+    /// Cells inserted and not evicted.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// True when every inserted cell has been evicted.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+}
+
 /// Fenwick (binary indexed) tree over access positions; `O(log n)` prefix
 /// sums give exact reuse distances.
 #[derive(Debug)]
@@ -166,6 +224,10 @@ pub struct EventAnalytics {
     /// Cells still resident when the stream ended (inserted, never
     /// evicted).
     pub still_resident: u64,
+    /// `CacheEvict`s whose `CacheMiss` the stream does not hold: zero on
+    /// any stream a backend records, complete or truncated (truncation
+    /// keeps a prefix); residency and hits are not sampled for them.
+    pub orphan_evictions: u64,
     /// Tree depth inferred from the largest Morton code in the stream
     /// (levels needed to contain the observed key space).
     pub inferred_depth: u8,
@@ -201,7 +263,7 @@ impl EventAnalytics {
             .count();
         let mut fenwick = Fenwick::new(cache_accesses);
         let mut last_pos: HashMap<u64, usize> = HashMap::new();
-        let mut inserted_at: HashMap<u64, u64> = HashMap::new();
+        let mut residents = Residents::default();
         let mut buckets: HashMap<u32, BucketStats> = HashMap::new();
         let mut pos = 0usize;
 
@@ -210,11 +272,11 @@ impl EventAnalytics {
                 EventKind::CacheHit | EventKind::CacheMiss => {
                     a.accesses += 1;
                     let hit = e.kind == EventKind::CacheHit;
+                    residents.follow(e);
                     if hit {
                         a.hits += 1;
                     } else {
                         a.misses += 1;
-                        inserted_at.insert(e.key, e.scan);
                     }
                     let oct = ((e.key >> octant_shift) & 7) as usize;
                     a.octants[oct].accesses += 1;
@@ -257,16 +319,18 @@ impl EventAnalytics {
                             ..Default::default()
                         })
                         .evictions += 1;
-                    a.hits_at_eviction.record(e.hits as u64);
-                    // Residency: prefer the live insert-scan map; fall back
-                    // to the payload the cache stamped on the event.
-                    let born = inserted_at.remove(&e.key).unwrap_or(e.value);
-                    a.residency_scans.record(e.scan.saturating_sub(born));
+                    match residents.follow(e) {
+                        Some(stay) => {
+                            a.residency_scans.record(stay.scans);
+                            a.hits_at_eviction.record(stay.hits);
+                        }
+                        None => a.orphan_evictions += 1,
+                    }
                 }
                 _ => {}
             }
         }
-        a.still_resident = inserted_at.len() as u64;
+        a.still_resident = residents.len() as u64;
 
         a.buckets = buckets.into_values().collect();
         a.buckets
@@ -378,6 +442,13 @@ impl EventAnalytics {
             "cache residency (scans resident before eviction; {} never evicted)",
             self.still_resident
         );
+        if self.orphan_evictions > 0 {
+            let _ = writeln!(
+                out,
+                "  {} evictions without their insertion in the stream (not sampled)",
+                self.orphan_evictions
+            );
+        }
         if self.residency_scans.is_empty() {
             let _ = writeln!(out, "  (no evictions)");
         } else {
@@ -500,7 +571,6 @@ mod tests {
             kind,
             key,
             bucket,
-            hits: 0,
             value: 0,
         }
     }
@@ -548,15 +618,23 @@ mod tests {
     #[test]
     fn residency_spans_insert_to_evict() {
         let mut events = vec![cache_event(EventKind::CacheMiss, 9, 3, 2)];
-        let mut evict = cache_event(EventKind::CacheEvict, 9, 3, 7);
-        evict.hits = 4;
-        events.push(evict);
+        events.extend((0..4).map(|_| cache_event(EventKind::CacheHit, 9, 3, 4)));
+        events.push(cache_event(EventKind::CacheEvict, 9, 3, 7));
+        // Re-inserted: its hits start again from zero.
+        events.push(cache_event(EventKind::CacheMiss, 9, 3, 8));
+        events.push(cache_event(EventKind::CacheEvict, 9, 3, 8));
+        // Never inserted as far as the stream knows.
+        events.push(cache_event(EventKind::CacheEvict, 5, 1, 8));
         let a = EventAnalytics::from_events(&events);
-        assert_eq!(a.evictions, 1);
-        assert_eq!(a.residency_scans.count(), 1);
+        assert_eq!(a.evictions, 3);
+        assert_eq!(a.orphan_evictions, 1);
+        assert_eq!(a.residency_scans.count(), 2);
         assert_eq!(a.residency_scans.max(), 5);
+        assert_eq!(a.residency_scans.quantile(0.0), 0);
         assert_eq!(a.hits_at_eviction.max(), 4);
+        assert_eq!(a.hits_at_eviction.quantile(0.0), 0);
         assert_eq!(a.still_resident, 0);
+        assert!(a.render().contains("1 evictions without their insertion"));
     }
 
     #[test]
@@ -584,7 +662,6 @@ mod tests {
             kind,
             key: 0,
             bucket: 0,
-            hits: 0,
             value,
         };
         let events = vec![

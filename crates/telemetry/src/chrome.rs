@@ -15,7 +15,7 @@
 
 use serde::Value;
 
-use crate::analytics::EventAnalytics;
+use crate::analytics::WorkerTimeline;
 use crate::event::{Event, EventKind};
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -31,14 +31,14 @@ fn us(t_ns: u64) -> Value {
     Value::F64(t_ns as f64 / 1_000.0)
 }
 
-/// Builds a Chrome Trace Event Format document from an event stream.
+/// Builds a Chrome Trace Event Format document from an event stream and
+/// the lanes [`EventAnalytics`](crate::EventAnalytics) folded it into.
 ///
 /// The returned string is a complete JSON object; write it to `trace.json`
 /// and load it in `chrome://tracing` or <https://ui.perfetto.dev>. Spans
-/// are matched per lane via [`EventAnalytics`], so a stream from a faulted
-/// run (unmatched `BatchBegin`s) still exports cleanly.
-pub fn chrome_trace_json(events: &[Event]) -> String {
-    let analytics = EventAnalytics::from_events(events);
+/// come from the lanes' matched pairs, so a stream from a faulted run
+/// (unmatched `BatchBegin`s) still exports cleanly.
+pub fn chrome_trace_json(events: &[Event], workers: &[WorkerTimeline]) -> String {
     let mut trace_events: Vec<Value> = Vec::new();
 
     // Process metadata + one named track per lane.
@@ -49,7 +49,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         ("tid", Value::U64(0)),
         ("args", obj(vec![("name", Value::Str("octocache".into()))])),
     ]));
-    for w in &analytics.workers {
+    for w in workers {
         let label = if w.worker == 0 {
             "producer".to_string()
         } else {
@@ -65,7 +65,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     }
 
     // Batch spans as complete ("X") duration events.
-    for w in &analytics.workers {
+    for w in workers {
         for s in &w.spans {
             trace_events.push(obj(vec![
                 ("name", Value::Str("octree batch".into())),
@@ -124,6 +124,11 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EventAnalytics;
+
+    fn chrome(events: &[Event]) -> String {
+        chrome_trace_json(events, &EventAnalytics::from_events(events).workers)
+    }
 
     fn mk(t_ns: u64, worker: u32, kind: EventKind, value: u64) -> Event {
         Event {
@@ -133,7 +138,6 @@ mod tests {
             kind,
             key: 0,
             bucket: 0,
-            hits: 0,
             value,
         }
     }
@@ -146,7 +150,7 @@ mod tests {
             mk(3_000, 1, EventKind::QueueStall, 777),
             mk(9_000, 1, EventKind::BatchEnd, 64),
         ];
-        let json = chrome_trace_json(&events);
+        let json = chrome(&events);
         let v: Value = serde::json::from_str(&json).unwrap();
         let entries = v.get("traceEvents").and_then(Value::as_seq).unwrap();
         let phases: Vec<&str> = entries
@@ -172,7 +176,7 @@ mod tests {
 
     #[test]
     fn empty_stream_still_valid_json() {
-        let json = chrome_trace_json(&[]);
+        let json = chrome(&[]);
         let v: Value = serde::json::from_str(&json).unwrap();
         assert!(v.get("traceEvents").and_then(Value::as_seq).is_some());
     }

@@ -3,16 +3,18 @@
 //! A [`ScanRecord`](crate::ScanRecord) tells you *that* a scan hit the cache
 //! 90% of the time; an [`Event`] stream tells you *which* voxels, buckets,
 //! octants, and workers produced that ratio. Backends that are built with
-//! `CacheConfig::events(true)` emit one [`Event`] per cache access, eviction,
-//! queue operation, and worker batch span into per-thread [`EventBuffer`]s
-//! that drain into a shared [`EventSink`] at scan/batch boundaries.
+//! `CacheConfig::events(true)` record one [`Event`] per cache access,
+//! eviction, queue operation, and worker batch span into per-thread
+//! [`EventBuffer`]s that drain into a shared [`EventSink`] at scan/batch
+//! boundaries. The cache itself records nothing: an executor derives its
+//! cache events from the batch it offers and the cells it gets back.
 //!
-//! Recording is **lossless by default but bounded**: both the per-thread
-//! buffers and the shared sink have capacity caps, and every event that
-//! would overflow a cap is *counted* (never silently discarded) so an
-//! analysis over a truncated stream knows it is truncated. Emitting an
-//! event is a timestamp read plus a `Vec` push — no locks, no I/O; the
-//! mutex is only taken when a buffer drains (once per scan or batch).
+//! Recording is **bounded, and truncates to a prefix**: both the per-thread
+//! buffers and the shared sink have capacity caps; the first event a lane
+//! cannot keep stops that lane, and every event after it is *counted*
+//! (never silently discarded) in [`EventLog::dropped`]. Emitting an event
+//! is a `Vec` push — no locks, no I/O; the mutex is only taken when a
+//! buffer drains (once per scan or batch).
 //!
 //! The analytics pass over a recorded stream lives in
 //! [`crate::EventAnalytics`]; the Chrome Trace Event export in
@@ -25,13 +27,16 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-/// Default cap on events held by one [`EventSink`] (~4M events). Chosen so
-/// a full freiburg-style run fits while a runaway loop cannot exhaust
-/// memory; overflow is drop-counted, never silent.
+/// Default cap on events held by one [`EventSink`] (~4M events, 192 MiB at
+/// 48 B an event): a bound on memory, not a size a run fits in. The
+/// benchmark's recorded passes exceed it and drop 0.61 (`corridor_hot`) to
+/// 0.77 (`mission_cycle`) of their events; overflow is drop-counted, never
+/// silent.
 pub const DEFAULT_SINK_CAPACITY: usize = 1 << 22;
 
 /// Default cap on events buffered by one [`EventBuffer`] between drains
-/// (one scan or batch worth of events).
+/// (one scan or batch worth of events); a scan that records more stops its
+/// lane there.
 pub const DEFAULT_BUFFER_CAPACITY: usize = 1 << 20;
 
 /// What one [`Event`] describes.
@@ -41,14 +46,13 @@ pub const DEFAULT_BUFFER_CAPACITY: usize = 1 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EventKind {
     /// A cache access absorbed by an existing cell. `key`/`bucket` identify
-    /// the voxel, `hits` is the cell's accumulated hit count after this
-    /// access.
+    /// the voxel.
     CacheHit,
     /// A cache access that allocated a new cell (octree fall-through).
     CacheMiss,
-    /// A cell evicted from the cache. `hits` is the total number of hits
-    /// the cell absorbed while resident; `value` is the scan index on which
-    /// the cell was inserted.
+    /// A cell evicted from the cache. How long it stayed and the hits it
+    /// absorbed follow from the stream: they are the events on its key
+    /// since its `CacheMiss` ([`crate::Residents`]).
     CacheEvict,
     /// An eviction batch handed to a worker's SPSC ring (one message per
     /// batch). `worker` is the target lane, `value` the queue depth after
@@ -107,10 +111,9 @@ pub struct Event {
     pub key: u64,
     /// Cache bucket index (cache events only).
     pub bucket: u32,
-    /// Accumulated per-cell hit count (cache events only).
-    pub hits: u32,
-    /// Kind-specific payload: queue depth, waited ns, cell count, or
-    /// insertion scan — see [`EventKind`].
+    /// Kind-specific payload: queue depth, waited ns or cell count — see
+    /// [`EventKind`]. Files recorded before the cache stopped stamping its
+    /// events also carry a per-cell `hits` field, which reading ignores.
     pub value: u64,
 }
 
@@ -123,7 +126,6 @@ impl Default for Event {
             kind: EventKind::CacheHit,
             key: 0,
             bucket: 0,
-            hits: 0,
             value: 0,
         }
     }
@@ -184,23 +186,15 @@ impl EventSink {
         })
     }
 
-    /// The run epoch every buffer timestamps against.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
     /// Creates the per-thread buffer for `worker` lane (0 = producer).
     pub fn buffer(self: &Arc<Self>, worker: u32) -> EventBuffer {
         EventBuffer {
             sink: Arc::clone(self),
-            epoch: self.epoch,
             worker,
             scan: 0,
             capacity: DEFAULT_BUFFER_CAPACITY,
             dropped: 0,
-            cached_ns: 0,
-            clock_tick: 0,
-            saturated: false,
+            stopped: false,
             events: Vec::new(),
         }
     }
@@ -208,8 +202,8 @@ impl EventSink {
     /// Moves `events` (and `dropped`) into the shared log, honouring the
     /// sink capacity cap. The filled vector is stored whole (a segment)
     /// and `events` is replaced with a recycled empty allocation. Returns
-    /// `true` once the sink is full, so buffers can stop paying emission
-    /// costs for events that would only be truncated here.
+    /// `true` once the sink is full: the lane stops there, so what it kept
+    /// stays a prefix.
     fn absorb(&self, events: &mut Vec<Event>, dropped: u64) -> bool {
         let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
         log.dropped += dropped;
@@ -247,46 +241,29 @@ impl EventSink {
             dropped: std::mem::take(&mut log.dropped),
         }
     }
-
-    /// Events currently held (for tests and progress displays).
-    pub fn len(&self) -> usize {
-        self.log.lock().unwrap_or_else(|e| e.into_inner()).len
-    }
-
-    /// True when no events were collected yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// A per-thread event buffer: lock-free emission, periodic drain into the
 /// owning [`EventSink`].
+///
+/// Truncation is a prefix: the first event the lane cannot keep — its
+/// buffer cap or the sink's is reached — stops it, and every later event is
+/// only counted. What a lane kept is therefore exactly the start of what it
+/// was asked to record, so state derived from the stream (a cell's
+/// insertion scan, its hits) is never missing a middle piece.
 ///
 /// Dropping the buffer drains it, so no events are lost when a worker
 /// thread exits.
 #[derive(Debug)]
 pub struct EventBuffer {
     sink: Arc<EventSink>,
-    epoch: Instant,
     worker: u32,
     scan: u64,
     capacity: usize,
     dropped: u64,
-    cached_ns: u64,
-    clock_tick: u32,
-    saturated: bool,
+    stopped: bool,
     events: Vec<Event>,
 }
-
-/// How many cache events may share one cached timestamp before the clock
-/// is re-read. Reading the monotonic clock (~40 ns) dominates the cost of
-/// an emission (a bounds check and a `Vec` push), so the bulk cache
-/// hit/miss/evict stream reuses a cached reading refreshed every
-/// `CLOCK_REFRESH_INTERVAL` events; span and queue events — the ones the
-/// Chrome-trace export renders on a timeline — always re-read the clock,
-/// so their timestamps stay exact. Per-lane timestamps remain
-/// monotonically non-decreasing either way.
-const CLOCK_REFRESH_INTERVAL: u32 = 1024;
 
 impl EventBuffer {
     /// Overrides the per-drain capacity cap (tests use tiny caps).
@@ -294,91 +271,40 @@ impl EventBuffer {
         self.capacity = capacity;
     }
 
+    /// Another lane's buffer on the same sink (a worker thread's).
+    pub fn lane(&self, worker: u32) -> EventBuffer {
+        self.sink.buffer(worker)
+    }
+
     /// Stamps the scan index onto subsequently emitted events.
     pub fn set_scan(&mut self, scan: u64) {
         self.scan = scan;
     }
 
-    /// Current scan stamp.
-    pub fn scan(&self) -> u64 {
-        self.scan
+    /// Nanoseconds since the sink's epoch, the one every lane of a run
+    /// shares (a run longer than ~584 years would wrap).
+    #[inline]
+    fn now_ns(&self) -> u64 {
+        self.sink.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Nanoseconds since the run epoch, saturating (a run longer than ~584
-    /// years would wrap, which we do not worry about).
+    /// Appends one event unless the lane has stopped; the first event that
+    /// does not fit stops it.
     #[inline]
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// An exact clock reading; also refreshes the cached coarse stamp.
-    #[inline]
-    fn exact_ns(&mut self) -> u64 {
-        self.cached_ns = self.now_ns();
-        self.clock_tick = CLOCK_REFRESH_INTERVAL;
-        self.cached_ns
-    }
-
-    /// The cached coarse stamp, re-read every [`CLOCK_REFRESH_INTERVAL`]
-    /// events.
-    #[inline]
-    fn coarse_ns(&mut self) -> u64 {
-        if self.clock_tick == 0 {
-            return self.exact_ns();
-        }
-        self.clock_tick -= 1;
-        self.cached_ns
-    }
-
-    /// Emits one event with the buffer's lane/scan stamps and an exact
-    /// timestamp. Counts instead of pushing once the buffer cap is hit.
-    #[inline]
-    pub fn emit(&mut self, kind: EventKind, key: u64, bucket: u32, hits: u32, value: u64) {
-        if self.saturated || self.events.len() >= self.capacity {
+    fn push(&mut self, event: Event) {
+        self.stopped |= self.events.len() >= self.capacity;
+        if self.stopped {
             self.dropped += 1;
-            return;
+        } else {
+            self.events.push(event);
         }
-        let t_ns = self.exact_ns();
-        self.events.push(Event {
-            t_ns,
-            scan: self.scan,
-            worker: self.worker,
-            kind,
-            key,
-            bucket,
-            hits,
-            value,
-        });
     }
 
-    /// Emits a cache event (`CacheHit` / `CacheMiss` / `CacheEvict`) with
-    /// a coarse timestamp (see `CLOCK_REFRESH_INTERVAL`): the analytics
-    /// over these events are order- and scan-based, so they trade
-    /// nanosecond precision for staying off the cache hot path.
-    #[inline]
-    pub fn emit_cache(&mut self, kind: EventKind, key: u64, bucket: u32, hits: u32, value: u64) {
-        if self.saturated || self.events.len() >= self.capacity {
-            self.dropped += 1;
-            return;
-        }
-        let t_ns = self.coarse_ns();
-        self.events.push(Event {
-            t_ns,
-            scan: self.scan,
-            worker: self.worker,
-            kind,
-            key,
-            bucket,
-            hits,
-            value,
-        });
-    }
-
-    /// Emits a queue or span event (no voxel payload) with an exact
-    /// timestamp.
+    /// Emits a queue or span event (no voxel payload) on this lane with an
+    /// exact timestamp.
     #[inline]
     pub fn emit_plain(&mut self, kind: EventKind, value: u64) {
-        self.emit(kind, 0, 0, 0, value);
+        self.emit_for(self.worker, kind, value);
     }
 
     /// Emits an event attributed to another lane (e.g. the producer
@@ -386,44 +312,58 @@ impl EventBuffer {
     /// traffic groups by queue, not by emitting thread).
     #[inline]
     pub fn emit_for(&mut self, worker: u32, kind: EventKind, value: u64) {
-        if self.saturated || self.events.len() >= self.capacity {
-            self.dropped += 1;
-            return;
-        }
-        let t_ns = self.exact_ns();
-        self.events.push(Event {
-            t_ns,
+        let event = Event {
+            t_ns: self.now_ns(),
             scan: self.scan,
             worker,
             kind,
-            key: 0,
-            bucket: 0,
-            hits: 0,
             value,
-        });
+            ..Event::default()
+        };
+        self.push(event);
     }
 
-    /// Events buffered since the last drain.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+    /// Emits a run of cache events — `(kind, Morton key, bucket)` each — in
+    /// order, under one clock reading: the analytics over cache events are
+    /// order- and scan-based, and a clock read per event would cost more
+    /// than the push. A stopped lane counts the run without producing it.
+    pub fn emit_cache_run(&mut self, run: impl ExactSizeIterator<Item = (EventKind, u64, u32)>) {
+        if self.stopped {
+            self.dropped += run.len() as u64;
+            return;
+        }
+        let t_ns = self.now_ns();
+        for (kind, key, bucket) in run {
+            let event = Event {
+                t_ns,
+                scan: self.scan,
+                worker: self.worker,
+                kind,
+                key,
+                bucket,
+                value: 0,
+            };
+            self.push(event);
+        }
     }
 
     /// Drains buffered events into the sink (called at scan/batch
-    /// boundaries so the emission path itself never locks). Once the sink
-    /// reports itself full, subsequent emissions short-circuit to drop
-    /// counting — they could never be retained anyway.
+    /// boundaries so the emission path itself never locks). A drain the
+    /// sink cannot hold in full stops the lane, as does a full sink.
     pub fn drain(&mut self) {
         if self.events.is_empty() && self.dropped == 0 {
             return;
         }
         let dropped = std::mem::take(&mut self.dropped);
-        self.saturated = self.sink.absorb(&mut self.events, dropped);
+        self.stopped |= self.sink.absorb(&mut self.events, dropped);
         self.events.clear();
+    }
+
+    /// Drains this buffer and takes the sink's whole log — every lane's
+    /// drained events (see [`EventSink::take`]).
+    pub fn take_log(&mut self) -> EventLog {
+        self.drain();
+        self.sink.take()
     }
 }
 
@@ -493,7 +433,6 @@ mod tests {
             kind: EventKind::CacheEvict,
             key: 0xABCDEF,
             bucket: 17,
-            hits: 42,
             value: 5,
         };
         let json = serde::json::to_string(&e);
@@ -506,11 +445,9 @@ mod tests {
         let sink = EventSink::new();
         let mut b = sink.buffer(1);
         b.set_scan(4);
-        b.emit_cache(EventKind::CacheHit, 7, 2, 1, 0);
+        b.emit_cache_run([(EventKind::CacheHit, 7, 2)].into_iter());
         b.emit_plain(EventKind::QueueStall, 99);
-        assert_eq!(b.len(), 2);
         b.drain();
-        assert!(b.is_empty());
         let log = sink.take();
         assert_eq!(log.dropped, 0);
         assert_eq!(log.events.len(), 2);
@@ -531,25 +468,35 @@ mod tests {
             b.emit_plain(EventKind::QueueEnqueue, i);
         }
         b.drain();
-        let log = sink.take();
+        // The lane stopped at its first drop: a later drain with room keeps
+        // nothing, so what was kept stays a prefix.
+        b.emit_plain(EventKind::QueueEnqueue, 5);
+        let log = b.take_log();
         assert_eq!(log.events.len(), 2);
-        assert_eq!(log.dropped, 3);
+        assert_eq!(log.events[1].value, 1);
+        assert_eq!(log.dropped, 4);
     }
 
     #[test]
     fn sink_cap_counts_drops() {
         let sink = EventSink::with_capacity(3);
         let mut b = sink.buffer(0);
+        let mut other = b.lane(1);
         for i in 0..5 {
             b.emit_plain(EventKind::QueueDequeue, i);
         }
         b.drain();
-        let log = sink.take();
+        // A full sink stops every lane, even one that had not drained yet.
+        other.emit_plain(EventKind::BatchBegin, 0);
+        other.drain();
+        other.emit_plain(EventKind::BatchEnd, 0);
+        let log = other.take_log();
         assert_eq!(log.events.len(), 3);
-        assert_eq!(log.dropped, 2);
+        assert_eq!(log.dropped, 4);
         // Retained events are the earliest ones.
         assert_eq!(log.events[0].value, 0);
         assert_eq!(log.events[2].value, 2);
+        assert!(log.events.iter().all(|e| e.worker == 0));
     }
 
     #[test]
@@ -559,7 +506,7 @@ mod tests {
             let mut b = sink.buffer(2);
             b.emit_plain(EventKind::BatchBegin, 10);
         }
-        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.take().events.len(), 1);
     }
 
     #[test]
@@ -577,7 +524,6 @@ mod tests {
                 },
                 key: i * 3,
                 bucket: i as u32,
-                hits: 1,
                 value: i,
             });
         }
@@ -593,5 +539,8 @@ mod tests {
         let err = read_events_jsonl(std::io::Cursor::new(text)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("line 2"));
+        // Line 1 is an older file's event, `hits` field and all: it parses.
+        let old = read_events_jsonl(std::io::Cursor::new(text.lines().next().unwrap())).unwrap();
+        assert_eq!(old, vec![Event::default()]);
     }
 }

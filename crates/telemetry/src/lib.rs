@@ -53,7 +53,9 @@ mod record;
 mod recorder;
 mod trace;
 
-pub use analytics::{BatchSpan, BucketStats, EventAnalytics, OctantStats, WorkerTimeline};
+pub use analytics::{
+    BatchSpan, BucketStats, EventAnalytics, OctantStats, Residents, Stay, WorkerTimeline,
+};
 pub use chrome::chrome_trace_json;
 pub use event::{
     read_events_jsonl, read_events_jsonl_path, write_events_jsonl, Event, EventBuffer, EventKind,
