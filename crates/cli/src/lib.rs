@@ -1221,7 +1221,8 @@ mod tests {
         assert!(out.contains("trace:"), "{out}");
 
         // The trace is valid JSONL with one record per scan.
-        let records = octocache_telemetry::read_jsonl_path(&trace).unwrap();
+        let (records, damage) = octocache_telemetry::read_jsonl_prefix_path(&trace).unwrap();
+        assert!(damage.is_none(), "{damage:?}");
         assert!(!records.is_empty());
         assert!(records.iter().all(|r| r.backend == "octocache-parallel"));
         assert!(records.iter().enumerate().all(|(i, r)| r.seq == i as u64));
@@ -1278,7 +1279,8 @@ mod tests {
             }
             // The uncached baseline grows its tree from scan one; the cached
             // backends may hold everything in the cache until finish().
-            let records = octocache_telemetry::read_jsonl_path(&trace).unwrap();
+            let (records, damage) = octocache_telemetry::read_jsonl_prefix_path(&trace).unwrap();
+            assert!(damage.is_none(), "{damage:?}");
             if backend == "octomap" {
                 assert!(records.last().unwrap().memory_bytes > 0, "{backend}");
                 // A trace from before the removal tagged every line with the
@@ -1390,7 +1392,8 @@ mod tests {
         );
         let trace = temp_path("ladder.jsonl");
         std::fs::write(&trace, line).unwrap();
-        let records = octocache_telemetry::read_jsonl_path(&trace).unwrap();
+        let (records, damage) = octocache_telemetry::read_jsonl_prefix_path(&trace).unwrap();
+        assert!(damage.is_none(), "{damage:?}");
         assert_eq!(records[0].pressure_level, "critical");
         let report = run(&s(&["report", &trace])).unwrap();
         assert!(report.contains("storage: peak 13828.0 KiB"), "{report}");
@@ -1827,7 +1830,8 @@ mod tests {
         assert!(out.contains("checkpoints"), "{out}");
 
         // The trace records carry journal latencies and checkpoint epochs.
-        let records = octocache_telemetry::read_jsonl_path(&trace).unwrap();
+        let (records, damage) = octocache_telemetry::read_jsonl_prefix_path(&trace).unwrap();
+        assert!(damage.is_none(), "{damage:?}");
         assert!(records.iter().all(|r| r.journal_append_ns > 0));
         assert!(records.iter().any(|r| r.checkpoint_epoch > 0));
         let report = run(&s(&["report", &trace])).unwrap();

@@ -130,7 +130,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Misses whose octree lookup *found* a prior value to seed from. Every
     /// miss walks the octree whether or not it finds one: what those walks
-    /// cost is `ScanMetrics::octree_seed_visits`, not this counter.
+    /// cost is `ScanRecord::octree_seed_visits`, not this counter.
     pub octree_seeds: u64,
     /// Cells evicted toward the octree.
     pub evictions: u64,

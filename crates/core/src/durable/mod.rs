@@ -569,8 +569,8 @@ impl MappingSystem for DurableMap {
             self.stats.journal_append_ns += journal_ns;
         }
         verdict.map_err(PipelineError::Shed)?;
-        // Stamp this scan's durable latencies onto the inner engine; the
-        // engine folds them into the record it assembles for this scan.
+        // Write this scan's durable latencies into the inner engine's
+        // pending record for this scan.
         self.inner
             .stamp_durable(journal_ns, checkpoint_ns, self.last_checkpoint);
         self.inner.insert_scan(origin, cloud, max_range)

@@ -1,8 +1,8 @@
 //! The unified scan-lifecycle engine shared by every mapping backend.
 //!
 //! Historically each backend (OctoMap baseline, serial OctoCache,
-//! parallel OctoCache) carried its own copy of the scan lifecycle: telemetry sequencing, snapshot republish, per-scan
-//! [`ScanRecord`] assembly, durable-latency stamping and the final flush.
+//! parallel OctoCache) carried its own copy of the scan lifecycle: telemetry sequencing, snapshot republish, the per-scan
+//! [`ScanRecord`], durable-latency stamping and the final flush.
 //! This module owns that lifecycle once. A backend now only implements
 //! [`ScanExecutor`] — *how* one scan's voxel work is executed — and
 //! [`Engine`] wraps it with everything around the scan:
@@ -11,17 +11,22 @@
 //!  insert_scan(origin, cloud, max_range)
 //!     │
 //!     ├─ 0. admit(): deadline gate, then budget      (engine; a refusal
-//!     │                                               returns Shed here)
-//!     ├─ 1. scan_seq = telemetry.scans()            (engine)
-//!     ├─ 2. execute_scan(...) → ScanMetrics          (executor: ray trace,
-//!     │                                               cache, evict, octree)
+//!     │                                               returns Shed here and
+//!     │                                               counts in record.sheds)
+//!     ├─ 1. record.seq = telemetry.scans()          (engine)
+//!     ├─ 2. execute_scan(..., &mut record)           (executor: ray trace,
+//!     │                                               cache, evict, octree;
+//!     │                                               fills its own fields)
 //!     ├─ 3. republish read snapshot                  (engine, via the
-//!     │                                               executor's snapshot_tree)
-//!     ├─ 4. ScanRecord::assemble(metrics, snapshot,  (engine)
-//!     │                          durable) → record
-//!     ├─ 5. telemetry.record(record)                 (engine)
-//!     └─ 6. surface any deferred fault               (engine)
+//!     │                                               executor's snapshot_tree;
+//!     │                                               fills the publish fields)
+//!     ├─ 4. telemetry.record(record)                 (engine)
+//!     └─ 5. surface any deferred fault               (engine)
 //! ```
+//!
+//! The engine owns one pending [`ScanRecord`], the only per-scan struct:
+//! every layer writes its own fields into it in place, and the
+//! [`ScanReport`] the caller gets is read off it.
 //!
 //! The engine also implements [`MappingSystem`] once, generically — each
 //! backend type is a [`Engine`] instantiation (`SerialOctoCache =
@@ -31,13 +36,12 @@
 //! `insert_scan` is the only way a scan enters a backend. A scan the
 //! supervisor refuses returns [`PipelineError::Shed`] before step 1: it
 //! leaves the map unchanged, records nothing, and is counted once in the
-//! next applied scan's `ScanRecord::sheds`.
+//! pending record's `sheds`, which the next applied scan carries.
 //!
 //! Durability ([`crate::durable::DurableMap`]) plugs in as an engine layer:
-//! the wrapper asks [`MappingSystem::admit`] before it journals, stamps
-//! each scan's journal/checkpoint latencies through
-//! [`MappingSystem::stamp_durable`] *before* delegating `insert_scan`, and
-//! the engine folds them into the assembled record.
+//! the wrapper asks [`MappingSystem::admit`] before it journals, and writes
+//! each scan's journal/checkpoint latencies into the pending record through
+//! [`MappingSystem::stamp_durable`] *before* delegating `insert_scan`.
 
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
@@ -49,18 +53,17 @@ use octocache_octomap::insert::VoxelUpdate;
 use octocache_octomap::stats::StatsSnapshot;
 use octocache_octomap::{insert, rt, OccupancyOcTree};
 use octocache_telemetry::{
-    DurableMetrics, EventBuffer, EventKind, EventLog, PhaseHistograms, PhaseTimes, Recorder,
-    ScanMetrics, ScanRecord, SnapshotMetrics, Telemetry,
+    EventBuffer, EventKind, EventLog, PhaseHistograms, PhaseTimes, Recorder, ScanRecord, Telemetry,
 };
 
 use crate::cache::{CacheStats, CodeHasher, EvictedCell, VoxelCache};
 use crate::config::CacheConfig;
 use crate::fault::{FaultCounters, Integrity, IntegrityTransition, PipelineError};
 use crate::pipeline::RayTracer;
-use crate::query::{BatchStats, MapSnapshot, PublishStats, QueryHandle, SnapshotPublisher};
+use crate::query::{MapSnapshot, QueryHandle, SnapshotPublisher};
 use crate::supervisor::{AdmissionGate, ShedReason};
 
-/// Outcome of inserting one scan.
+/// Outcome of inserting one scan: four values read off its [`ScanRecord`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScanReport {
     /// Per-phase wall-clock times for this scan.
@@ -229,8 +232,8 @@ pub trait MappingSystem {
     /// its journal-append time, any checkpoint written before it, and the
     /// epoch of the last checkpoint. Called by
     /// [`crate::durable::DurableMap`] immediately before it delegates the
-    /// scan; the engine folds the values into that scan's record. The
-    /// default implementation discards them, for implementors without
+    /// scan; the engine writes the values into that scan's pending record.
+    /// The default implementation discards them, for implementors without
     /// telemetry wiring.
     fn stamp_durable(
         &mut self,
@@ -322,25 +325,6 @@ impl<M: MappingSystem + ?Sized> MappingSystem for Box<M> {
     }
 }
 
-/// What one executed scan produced, beyond the metrics: the
-/// [`ScanReport`] counters the caller sees, and any fault to surface
-/// *after* the scan has been recorded.
-#[derive(Debug, Default)]
-pub struct ScanOutput {
-    /// Observations absorbed by the cache (0 for cache-less executors).
-    pub cache_hits: u64,
-    /// Voxels evicted toward (or applied directly to) the octree.
-    pub octree_updates: usize,
-    /// A fault that degraded this scan but did not abort it (the parallel
-    /// executor's worker faults): the engine records the scan normally,
-    /// republishes, and *then* returns this as the `insert_scan` error —
-    /// exactly once, with the map state described by
-    /// [`ScanExecutor::integrity`]. Errors that abort the scan (invalid
-    /// geometry) are returned as `Err` from
-    /// [`ScanExecutor::execute_scan`] instead and skip recording entirely.
-    pub deferred: Option<PipelineError>,
-}
-
 /// Phase times reported by [`ScanExecutor::flush`]: what the caller of
 /// [`MappingSystem::finish`] gets back, and what the telemetry totals
 /// absorb (the parallel executor folds otherwise-unattributed worker time
@@ -358,9 +342,10 @@ pub struct FlushTimes {
 ///
 /// Implementations own the mapping state (cache, octree, worker
 /// pipeline) and the per-scan voxel work; the [`Engine`] owns everything
-/// around it (telemetry sequencing, snapshot republish, record assembly,
-/// durable stamping, the final flush ordering). Executors never construct
-/// a [`ScanRecord`] and never talk to a [`Recorder`].
+/// around it (telemetry sequencing, snapshot republish, the pending
+/// record, durable stamping, the final flush ordering). Executors write
+/// their own fields of the engine's [`ScanRecord`], never construct one and
+/// never talk to a [`Recorder`].
 pub trait ScanExecutor {
     /// The short, stable backend name (e.g. `"octocache-serial"`); also
     /// the telemetry backend label.
@@ -369,27 +354,31 @@ pub trait ScanExecutor {
     /// The world↔key mapping.
     fn grid(&self) -> &VoxelGrid;
 
-    /// Executes one scan: ray tracing and voxel integration, filling
-    /// `metrics` with everything measured (phase times, cache and octree
-    /// deltas, queue/worker samples, fault deltas).
+    /// Executes one scan: ray tracing and voxel integration, setting the
+    /// fields of `record` it measures (phase times, cache and octree
+    /// deltas, queue/worker samples, fault deltas) and no others. It
+    /// assigns every field it owns on every scan, so nothing carries over
+    /// from an aborted one. `record.seq` is the 0-based telemetry sequence
+    /// of this scan, for stamping sub-scan event streams.
     ///
-    /// `scan_seq` is the 0-based telemetry sequence of this scan, for
-    /// stamping sub-scan event streams.
+    /// `Ok(Some(err))` is a fault that degraded this scan but did not abort
+    /// it (the parallel executor's worker faults): the engine records the
+    /// scan, republishes, and *then* returns `err` from `insert_scan` —
+    /// exactly once, with the map state described by
+    /// [`ScanExecutor::integrity`].
     ///
     /// # Errors
     ///
     /// An `Err` means the scan was aborted (e.g. invalid geometry): the
     /// engine records nothing and republishes nothing, matching a scan
-    /// that never happened. Faults that leave the scan applied (degraded
-    /// parallel execution) belong in [`ScanOutput::deferred`] instead.
+    /// that never happened.
     fn execute_scan(
         &mut self,
         origin: Point3,
         cloud: &[Point3],
         max_range: f64,
-        scan_seq: u64,
-        metrics: &mut ScanMetrics,
-    ) -> Result<ScanOutput, PipelineError>;
+        record: &mut ScanRecord,
+    ) -> Result<Option<PipelineError>, PipelineError>;
 
     /// Builds a self-contained read tree of the current map state:
     /// octree with any pending cache contents overlaid, answering exactly what the live query path answers at
@@ -450,7 +439,8 @@ pub trait ScanExecutor {
 
     /// The cache configuration, whose memory budget and admission
     /// deadline the engine reads once at construction; `None` (the
-    /// baselines) leaves both off.
+    /// cache-less baselines) leaves both off, and makes every observation
+    /// an octree update in the [`ScanReport`].
     fn config(&self) -> Option<&CacheConfig> {
         None
     }
@@ -471,7 +461,7 @@ pub trait ScanExecutor {
 }
 
 /// The scan-lifecycle engine: one executor plus the shared lifecycle
-/// state (telemetry, snapshot publisher, pending durable stamps).
+/// state (telemetry, snapshot publisher, the next scan's record).
 ///
 /// Every mapping backend is an instantiation of this type; see the
 /// module docs for the lifecycle it owns.
@@ -484,18 +474,20 @@ pub struct Engine<E: ScanExecutor> {
     /// Armed lazily by the first [`MappingSystem::query_handle`] call;
     /// `None` keeps the no-reader fast path free of per-scan deep copies.
     publisher: Option<SnapshotPublisher>,
-    /// Durable latencies stamped for the scan about to be inserted
-    /// ([`MappingSystem::stamp_durable`]); all zeros without a
-    /// durability layer.
-    pending_durable: DurableMetrics,
+    /// The next applied scan's record. Refusals count into its `sheds`
+    /// ([`MappingSystem::admit`]) and the durability layer writes its three
+    /// durable fields ([`MappingSystem::stamp_durable`]) before the scan
+    /// runs; the executor and the publish fill the rest.
+    record: ScanRecord,
+    /// Whether the executor has a cache in front of its octree: its
+    /// octree updates are then the cache's evictions, not every
+    /// observation.
+    cached: bool,
     /// The memory budget in bytes ([`CacheConfig::mem_budget`]).
     budget: Option<u64>,
     /// The admission gate, armed when the config carries a deadline
     /// ([`CacheConfig::shed_deadline`]).
     gate: Option<AdmissionGate>,
-    /// Scans shed since the last applied scan; folded into the next
-    /// applied scan's record.
-    pending_sheds: u64,
 }
 
 impl<E: ScanExecutor> Engine<E> {
@@ -503,6 +495,7 @@ impl<E: ScanExecutor> Engine<E> {
     pub(crate) fn from_executor(exec: E) -> Self {
         let telemetry = Telemetry::new(exec.backend_name());
         let config = exec.config();
+        let cached = config.is_some();
         let budget = config.and_then(CacheConfig::mem_budget);
         let gate = config
             .and_then(CacheConfig::shed_deadline)
@@ -511,80 +504,74 @@ impl<E: ScanExecutor> Engine<E> {
             exec,
             telemetry,
             publisher: None,
-            pending_durable: DurableMetrics::default(),
+            record: ScanRecord::default(),
+            cached,
             budget,
             gate,
-            pending_sheds: 0,
         }
     }
 
     /// Runs one scan through the full lifecycle: sequence → execute →
-    /// republish → assemble → record → surface any deferred fault.
+    /// republish → record → surface any deferred fault.
     fn run_scan(
         &mut self,
         origin: Point3,
         cloud: &[Point3],
         max_range: f64,
     ) -> Result<ScanReport, PipelineError> {
-        let scan_seq = self.telemetry.scans();
-        let mut metrics = ScanMetrics::default();
+        self.record.seq = self.telemetry.scans();
         // An executor error aborts the scan before any lifecycle side
         // effects: nothing recorded, nothing republished.
         let started = Instant::now();
-        let out = self
+        let deferred = self
             .exec
-            .execute_scan(origin, cloud, max_range, scan_seq, &mut metrics)?;
+            .execute_scan(origin, cloud, max_range, &mut self.record)?;
         if let Some(gate) = &mut self.gate {
             gate.observe_scan(started.elapsed());
         }
-        // The supervisor's per-scan stamps: sheds accumulated since the
-        // last applied scan, and "normal" when a budget admitted this one.
-        metrics.sheds = std::mem::take(&mut self.pending_sheds);
         if self.budget.is_some() {
-            metrics.pressure_level = "normal".to_string();
+            self.record.pressure_level = "normal".to_string();
         }
+        self.republish();
 
-        let (publish, batch_stats) = self.republish(scan_seq + 1);
-        let snapshot = SnapshotMetrics {
-            snapshot_publish_ns: publish.map_or(0, |p| p.latency.as_nanos() as u64),
-            snapshot_age_ns: publish.map_or(0, |p| p.replaced_age.as_nanos() as u64),
-            batch_queries: batch_stats.queries,
-            batch_nodes_visited: batch_stats.nodes_visited,
-            batch_nodes_reused: batch_stats.nodes_reused,
+        let record = std::mem::take(&mut self.record);
+        let report = ScanReport {
+            times: record.times,
+            observations: record.observations as usize,
+            cache_hits: record.cache_hits,
+            octree_updates: if self.cached {
+                record.cache_evictions
+            } else {
+                record.observations
+            } as usize,
         };
-        let times = metrics.times;
-        let observations = metrics.observations as usize;
-        self.telemetry.record(ScanRecord::assemble(
-            metrics,
-            snapshot,
-            self.pending_durable,
-        ));
-
+        self.telemetry.record(record);
         // Surface the first deferred fault exactly once — after the scan
         // was recorded, so degraded scans still reach the trace.
-        if let Some(err) = out.deferred {
-            return Err(err);
+        match deferred {
+            Some(err) => Err(err),
+            None => Ok(report),
         }
-        Ok(ScanReport {
-            times,
-            observations,
-            cache_hits: out.cache_hits,
-            octree_updates: out.octree_updates,
-        })
     }
 
-    /// Republishes the read snapshot when a publisher is armed, returning
-    /// its stats plus the batch-query counters drained since last scan.
-    fn republish(&mut self, scans: u64) -> (Option<PublishStats>, BatchStats) {
+    /// Republishes the read snapshot when a publisher is armed, writing
+    /// its cost and the batch-query counters drained since the last scan
+    /// into the pending record.
+    fn republish(&mut self) {
         let Engine {
-            exec, publisher, ..
+            exec,
+            publisher,
+            record,
+            ..
         } = self;
-        match publisher.as_mut() {
-            Some(p) => {
-                let stats = p.publish_with(scans, || exec.snapshot_tree());
-                (Some(stats), p.take_batch_stats())
-            }
-            None => (None, BatchStats::default()),
+        if let Some(p) = publisher.as_mut() {
+            let publish = p.publish_with(record.seq + 1, || exec.snapshot_tree());
+            let batch = p.take_batch_stats();
+            record.snapshot_publish_ns = publish.latency.as_nanos() as u64;
+            record.snapshot_age_ns = publish.replaced_age.as_nanos() as u64;
+            record.batch_queries = batch.queries;
+            record.batch_nodes_visited = batch.nodes_visited;
+            record.batch_nodes_reused = batch.nodes_reused;
         }
     }
 }
@@ -625,7 +612,7 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
             });
         match reason {
             Some(reason) => {
-                self.pending_sheds += 1;
+                self.record.sheds += 1;
                 Err(reason)
             }
             None => Ok(()),
@@ -700,11 +687,9 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
         checkpoint_write_ns: u64,
         checkpoint_epoch: u64,
     ) {
-        self.pending_durable = DurableMetrics {
-            journal_append_ns,
-            checkpoint_write_ns,
-            checkpoint_epoch,
-        };
+        self.record.journal_append_ns = journal_append_ns;
+        self.record.checkpoint_write_ns = checkpoint_write_ns;
+        self.record.checkpoint_epoch = checkpoint_epoch;
     }
 
     fn take_tree(self: Box<Self>) -> OccupancyOcTree {
@@ -753,19 +738,16 @@ pub(crate) fn trace_scan<'a>(
     })
 }
 
-/// Stamps the octree-side instrumentation delta onto `metrics`.
-pub(crate) fn stamp_tree_delta(metrics: &mut ScanMetrics, delta: &StatsSnapshot) {
-    metrics.octree_node_visits = delta.node_visits;
-    metrics.octree_leaf_updates = delta.leaf_updates;
-    metrics.octree_nodes_created = delta.nodes_created;
-}
-
-/// Stamps the cache-counter delta onto `metrics`.
-pub(crate) fn stamp_cache_delta(metrics: &mut ScanMetrics, delta: &CacheStats) {
-    metrics.cache_hits = delta.hits;
-    metrics.cache_misses = delta.misses;
-    metrics.cache_insertions = delta.insertions;
-    metrics.cache_evictions = delta.evictions;
+/// Writes a scan's cache-counter and octree-counter deltas into its
+/// record (the cache-less baseline passes a zero cache delta).
+pub(crate) fn stamp_deltas(record: &mut ScanRecord, cache: &CacheStats, tree: &StatsSnapshot) {
+    record.cache_hits = cache.hits;
+    record.cache_misses = cache.misses;
+    record.cache_insertions = cache.insertions;
+    record.cache_evictions = cache.evictions;
+    record.octree_node_visits = tree.node_visits;
+    record.octree_leaf_updates = tree.leaf_updates;
+    record.octree_nodes_created = tree.nodes_created;
 }
 
 /// Overlays the cache's accumulated cells onto a read tree. Cells hold

@@ -65,7 +65,7 @@ pub mod supervisor;
 pub use cache::{CacheStats, EvictedCell, VoxelCache};
 pub use config::{CacheConfig, CacheConfigBuilder, ConfigError};
 pub use durable::{DurableError, DurableMap, DurableStats, IoFaultPlan, KillPoint, RecoveryReport};
-pub use engine::{Engine, FlushTimes, ScanExecutor, ScanOutput};
+pub use engine::{Engine, FlushTimes, ScanExecutor};
 pub use fault::{
     FaultCounters, FaultPlan, Integrity, IntegrityState, IntegrityTransition, PipelineError,
 };
@@ -82,6 +82,5 @@ pub use supervisor::ShedReason;
 // re-exported here because it predates that crate and every downstream
 // consumer imports it from `octocache`.
 pub use octocache_telemetry::{
-    JsonlRecorder, MemoryRecorder, NullRecorder, PhaseHistograms, PhaseTimes, Recorder, ScanRecord,
-    SharedRecorder,
+    JsonlRecorder, NullRecorder, PhaseHistograms, PhaseTimes, Recorder, ScanRecord, SharedRecorder,
 };

@@ -42,12 +42,12 @@ use std::time::{Duration, Instant};
 use octocache_geom::{Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
 use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams};
-use octocache_telemetry::{EventBuffer, EventKind, EventLog, EventSink, PhaseTimes, ScanMetrics};
+use octocache_telemetry::{EventBuffer, EventKind, EventLog, EventSink, PhaseTimes, ScanRecord};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::cache::{CacheStats, EvictedCell, VoxelCache};
 use crate::config::CacheConfig;
-use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
+use crate::engine::{self, Engine, FlushTimes, ScanExecutor};
 use crate::fault::{
     FaultCounters, FaultPlan, Integrity, IntegrityState, IntegrityTransition, PipelineError,
 };
@@ -135,8 +135,8 @@ pub type ParallelOctoCache = Engine<ParallelExecutor>;
 /// The parallel scan-execution strategy behind [`ParallelOctoCache`]: the
 /// voxel cache and the octree worker behind its SPSC ring, including all
 /// fault detection and degraded-mode machinery. The scan lifecycle around
-/// it (telemetry sequencing, snapshot republish, record assembly) lives in
-/// the [`Engine`].
+/// it (telemetry sequencing, snapshot republish, the per-scan record)
+/// lives in the [`Engine`].
 #[derive(Debug)]
 pub struct ParallelExecutor {
     cache: VoxelCache,
@@ -166,7 +166,8 @@ pub struct ParallelExecutor {
     /// Nanos spent respawning the worker, not yet attributed to a scan.
     restart_ns_pending: u64,
     /// First pipeline fault observed during the current scan, surfaced by
-    /// `insert_scan` exactly once ([`ScanOutput::deferred`]).
+    /// `insert_scan` exactly once (returned as `execute_scan`'s deferred
+    /// fault).
     scan_error: Option<PipelineError>,
     /// Octree counters at the end of the previous scan, for per-scan
     /// deltas.
@@ -180,8 +181,6 @@ pub struct ParallelExecutor {
 
 /// What `evict_and_enqueue` produced.
 struct EnqueueOutcome {
-    /// Evicted (and handed-over) voxels.
-    count: usize,
     evict: Duration,
     enqueue: Duration,
     /// Batches in the ring right after the hand-off: 1, or 0 when the
@@ -572,7 +571,6 @@ impl ParallelExecutor {
             }
         }
         EnqueueOutcome {
-            count: self.evict_buf.len(),
             evict: Duration::ZERO,
             enqueue: t1.elapsed(),
             queue_depth,
@@ -649,16 +647,15 @@ impl ScanExecutor for ParallelExecutor {
         origin: Point3,
         cloud: &[Point3],
         max_range: f64,
-        scan_seq: u64,
-        metrics: &mut ScanMetrics,
-    ) -> Result<ScanOutput, PipelineError> {
+        record: &mut ScanRecord,
+    ) -> Result<Option<PipelineError>, PipelineError> {
         // A rejected scan must touch nothing: checked before phase 1 so
         // no batch is left in flight when the error returns.
         insert::check_origin(&self.grid, origin)?;
         let cache_before = *self.cache.stats();
-        self.integrity.set_scan(scan_seq);
+        self.integrity.set_scan(record.seq);
         if let Some(buf) = &mut self.events {
-            buf.set_scan(scan_seq);
+            buf.set_scan(record.seq);
         }
 
         // Phase 0: the supervisor pass — respawn the dead worker if its
@@ -721,7 +718,7 @@ impl ScanExecutor for ParallelExecutor {
         // This scan's times carry the worker-side cost of the batch it
         // waited on, so cross-scan totals cover both sides of the pipeline.
         let (worker_times, worker_busy_ns, worker_idle_ns) = self.take_worker_delta();
-        let times = PhaseTimes {
+        record.times = PhaseTimes {
             ray_tracing,
             cache_insert,
             cache_evict: enq.evict,
@@ -729,39 +726,40 @@ impl ScanExecutor for ParallelExecutor {
             wait,
             ..Default::default()
         } + worker_times;
+        record.observations = observations as u64;
+        record.octree_seed_visits = octree_seed_visits;
+        record.memory_bytes = memory_bytes;
+        record.mutex_wait = mutex_wait;
+        record.queue_depth_enqueue = enq.queue_depth;
+        record.queue_depth_dequeue = self
+            .worker
+            .shared
+            .queue_depth_dequeue
+            .load(Ordering::Relaxed);
+        record.worker_queue_depths = vec![enq.queue_depth];
+        record.worker_busy_ns = vec![worker_busy_ns];
+        record.worker_idle_ns = vec![worker_idle_ns];
 
         let tree_delta = tree_after.since(&self.last_tree_stats);
         self.last_tree_stats = tree_after;
-        let cache_delta = self.cache.stats().since(&cache_before);
+        engine::stamp_deltas(
+            record,
+            &self.cache.stats().since(&cache_before),
+            &tree_delta,
+        );
         // Fault counters accrued since the last record (including a
         // construction-time spawn failure, which lands on scan 0).
         let fault_delta = self.faults.since(&self.faults_reported);
         self.faults_reported = self.faults;
-        let shared = &self.worker.shared;
-        *metrics = ScanMetrics {
-            times,
-            observations: observations as u64,
-            queue_depth_enqueue: enq.queue_depth,
-            queue_depth_dequeue: shared.queue_depth_dequeue.load(Ordering::Relaxed),
-            mutex_wait,
-            octree_seed_visits,
-            worker_queue_depths: vec![enq.queue_depth],
-            worker_busy_ns: vec![worker_busy_ns],
-            worker_idle_ns: vec![worker_idle_ns],
-            worker_panics: fault_delta.worker_panics,
-            spawn_failures: fault_delta.spawn_failures,
-            stall_timeouts: fault_delta.stall_timeouts,
-            partial_batches: fault_delta.partial_batches,
-            batches_rerouted: fault_delta.batches_rerouted,
-            degraded: self.integrity.is_degraded(),
-            restarts: fault_delta.restarts,
-            heals: fault_delta.heals,
-            restart_ns: std::mem::take(&mut self.restart_ns_pending),
-            ..Default::default()
-        };
-        engine::stamp_cache_delta(metrics, &cache_delta);
-        engine::stamp_tree_delta(metrics, &tree_delta);
-        metrics.memory_bytes = memory_bytes;
+        record.worker_panics = fault_delta.worker_panics;
+        record.spawn_failures = fault_delta.spawn_failures;
+        record.stall_timeouts = fault_delta.stall_timeouts;
+        record.partial_batches = fault_delta.partial_batches;
+        record.batches_rerouted = fault_delta.batches_rerouted;
+        record.degraded = self.integrity.is_degraded();
+        record.restarts = fault_delta.restarts;
+        record.heals = fault_delta.heals;
+        record.restart_ns = std::mem::take(&mut self.restart_ns_pending);
 
         if let Some(buf) = &mut self.events {
             buf.drain();
@@ -771,11 +769,7 @@ impl ScanExecutor for ParallelExecutor {
         // the engine records the scan, republishes, and then surfaces it
         // exactly once; the map state behind it is described by
         // `integrity`.
-        Ok(ScanOutput {
-            cache_hits: cache_delta.hits,
-            octree_updates: enq.count,
-            deferred: self.scan_error.take(),
-        })
+        Ok(self.scan_error.take())
     }
 
     fn occupancy(&mut self, key: VoxelKey) -> Option<f32> {

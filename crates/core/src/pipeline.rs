@@ -16,9 +16,10 @@ use std::time::Instant;
 use octocache_geom::{Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
 use octocache_octomap::{insert, OccupancyOcTree, OccupancyParams};
-use octocache_telemetry::{EventBuffer, EventKind, EventLog, EventSink, PhaseTimes, ScanMetrics};
+use octocache_telemetry::{EventBuffer, EventKind, EventLog, EventSink, PhaseTimes, ScanRecord};
 
-use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
+use crate::cache::CacheStats;
+use crate::engine::{self, Engine, FlushTimes, ScanExecutor};
 /// The mapping-backend trait and per-scan report live with the lifecycle
 /// they describe, in [`crate::engine`]; re-exported here as their
 /// historical home.
@@ -118,12 +119,11 @@ impl ScanExecutor for BaselineExecutor {
         origin: Point3,
         cloud: &[Point3],
         max_range: f64,
-        scan_seq: u64,
-        metrics: &mut ScanMetrics,
-    ) -> Result<ScanOutput, PipelineError> {
+        record: &mut ScanRecord,
+    ) -> Result<Option<PipelineError>, PipelineError> {
         let tree_before = self.tree.stats().snapshot();
         if let Some(buf) = &mut self.events {
-            buf.set_scan(scan_seq);
+            buf.set_scan(record.seq);
         }
         let t0 = Instant::now();
         let batch = engine::trace_scan(
@@ -146,19 +146,16 @@ impl ScanExecutor for BaselineExecutor {
             buf.drain();
         }
         let octree_update = t1.elapsed();
-        metrics.times = PhaseTimes {
+        record.times = PhaseTimes {
             ray_tracing,
             octree_update,
             ..Default::default()
         };
-        metrics.observations = observations as u64;
-        engine::stamp_tree_delta(metrics, &self.tree.stats().snapshot().since(&tree_before));
-        metrics.memory_bytes = self.tree.memory_usage() as u64;
-        Ok(ScanOutput {
-            cache_hits: 0,
-            octree_updates: observations,
-            deferred: None,
-        })
+        record.observations = observations as u64;
+        let tree_delta = self.tree.stats().snapshot().since(&tree_before);
+        engine::stamp_deltas(record, &CacheStats::default(), &tree_delta);
+        record.memory_bytes = self.tree.memory_usage() as u64;
+        Ok(None)
     }
 
     fn snapshot_tree(&self) -> OccupancyOcTree {

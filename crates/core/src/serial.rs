@@ -7,20 +7,20 @@
 //! trips) and from the Morton-aligned eviction order speeding up the octree
 //! updates that remain.
 //!
-//! The scan lifecycle around this (telemetry, snapshot republish, record
-//! assembly) lives in the shared [`Engine`]; this module contributes the
-//! [`SerialExecutor`].
+//! The scan lifecycle around this (telemetry, snapshot republish, the
+//! per-scan record) lives in the shared [`Engine`]; this module contributes
+//! the [`SerialExecutor`].
 
 use std::time::Instant;
 
 use octocache_geom::{Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
 use octocache_octomap::{insert, OccupancyOcTree, OccupancyParams};
-use octocache_telemetry::{EventBuffer, EventLog, EventSink, PhaseTimes, ScanMetrics};
+use octocache_telemetry::{EventBuffer, EventLog, EventSink, PhaseTimes, ScanRecord};
 
 use crate::cache::{CacheStats, EvictedCell, VoxelCache};
 use crate::config::CacheConfig;
-use crate::engine::{self, Engine, FlushTimes, ScanExecutor, ScanOutput};
+use crate::engine::{self, Engine, FlushTimes, ScanExecutor};
 use crate::fault::PipelineError;
 use crate::pipeline::{MappingSystem, RayTracer};
 
@@ -48,37 +48,36 @@ pub struct SerialExecutor {
 
 /// The timed post-ray-tracing workflow for one pre-traced batch: cache
 /// insertion (misses seeded through one read cursor on the tree) →
-/// τ-eviction into `evict_buf` → octree update, filling the three phase
-/// times and the cursor's node visits, and recording the cache's events
-/// when `events` is present. Free-standing so callers can pass a batch
-/// that borrows a sibling field of the executor.
+/// τ-eviction into `evict_buf` → octree update, writing the three phase
+/// times and the cursor's node visits into `record`, and recording the
+/// cache's events when `events` is present. Free-standing so callers can
+/// pass a batch that borrows a sibling field of the executor.
 fn integrate(
     cache: &mut VoxelCache,
     tree: &mut OccupancyOcTree,
     evict_buf: &mut Vec<EvictedCell>,
     mut events: Option<&mut EventBuffer>,
     batch: &insert::VoxelBatch,
-    metrics: &mut ScanMetrics,
+    record: &mut ScanRecord,
 ) {
-    let times = &mut metrics.times;
     let t1 = Instant::now();
     if let Some(buf) = events.as_deref_mut() {
         engine::record_accesses(buf, cache, batch.updates());
     }
     let mut seeds = tree.read_cursor();
     cache.insert_batch(batch.updates(), |k| seeds.search(k));
-    metrics.octree_seed_visits = seeds.nodes_visited();
+    record.octree_seed_visits = seeds.nodes_visited();
     drop(seeds);
-    times.cache_insert = t1.elapsed();
+    record.times.cache_insert = t1.elapsed();
 
     let t2 = Instant::now();
     evict_buf.clear();
     cache.evict_into(evict_buf);
-    times.cache_evict = t2.elapsed();
+    record.times.cache_evict = t2.elapsed();
 
     let t3 = Instant::now();
     engine::apply_evictions(events, cache, tree, evict_buf);
-    times.octree_update = t3.elapsed();
+    record.times.octree_update = t3.elapsed();
 }
 
 impl SerialOctoCache {
@@ -129,27 +128,6 @@ impl SerialOctoCache {
     }
 }
 
-impl SerialExecutor {
-    /// Fills the cache/octree delta fields of `metrics` from the stats
-    /// movement since the captured baselines and builds the scan output.
-    fn finish_metrics(
-        &self,
-        metrics: &mut ScanMetrics,
-        cache_before: &CacheStats,
-        tree_before: &StatsSnapshot,
-    ) -> ScanOutput {
-        let cache_delta = self.cache.stats().since(cache_before);
-        engine::stamp_cache_delta(metrics, &cache_delta);
-        engine::stamp_tree_delta(metrics, &self.tree.stats().snapshot().since(tree_before));
-        metrics.memory_bytes = self.tree.memory_usage() as u64;
-        ScanOutput {
-            cache_hits: cache_delta.hits,
-            octree_updates: self.evict_buf.len(),
-            deferred: None,
-        }
-    }
-}
-
 impl ScanExecutor for SerialExecutor {
     fn backend_name(&self) -> String {
         format!("octocache-serial{}", self.ray_tracer.suffix())
@@ -164,13 +142,12 @@ impl ScanExecutor for SerialExecutor {
         origin: Point3,
         cloud: &[Point3],
         max_range: f64,
-        scan_seq: u64,
-        metrics: &mut ScanMetrics,
-    ) -> Result<ScanOutput, PipelineError> {
+        record: &mut ScanRecord,
+    ) -> Result<Option<PipelineError>, PipelineError> {
         let cache_before = *self.cache.stats();
         let tree_before = self.tree.stats().snapshot();
         if let Some(buf) = &mut self.events {
-            buf.set_scan(scan_seq);
+            buf.set_scan(record.seq);
         }
         let t0 = Instant::now();
         let batch = engine::trace_scan(
@@ -181,8 +158,11 @@ impl ScanExecutor for SerialExecutor {
             max_range,
             &mut self.batch,
         )?;
-        metrics.times.ray_tracing = t0.elapsed();
-        metrics.observations = batch.len() as u64;
+        record.times = PhaseTimes {
+            ray_tracing: t0.elapsed(),
+            ..Default::default()
+        };
+        record.observations = batch.len() as u64;
 
         integrate(
             &mut self.cache,
@@ -190,9 +170,15 @@ impl ScanExecutor for SerialExecutor {
             &mut self.evict_buf,
             self.events.as_mut(),
             &batch,
-            metrics,
+            record,
         );
-        Ok(self.finish_metrics(metrics, &cache_before, &tree_before))
+        engine::stamp_deltas(
+            record,
+            &self.cache.stats().since(&cache_before),
+            &self.tree.stats().snapshot().since(&tree_before),
+        );
+        record.memory_bytes = self.tree.memory_usage() as u64;
+        Ok(None)
     }
 
     fn snapshot_tree(&self) -> OccupancyOcTree {

@@ -469,6 +469,28 @@ fn seeded_plans_recover_or_fail_typed() {
     // each kind.
     let scans = scenario(8);
     let prefix = prefix_checksums(&scans, RayTracer::Standard);
+    assert_eq!(scans.len(), 10, "the op schedule below assumes ten scans");
+    // Ten scans with a checkpoint every 3 issue ops 0–16 (the schedule in
+    // `bit_flips_recover_to_durable_prefix`). These flip seeds land where
+    // recovery never reads, so their recovery reports exactly a clean run:
+    // seeds 1, 3, 9, 17, 19, 31, 37 and 41 name ops 18–23, past the last
+    // op the run issues, so nothing is flipped; seeds 11 and 33 (op 4) and
+    // 15 and 45 (op 5) flip epoch 3's checkpoint and the manifest naming
+    // it, and seed 13 (op 10) the manifest naming epoch 6's, all of them
+    // superseded by epoch 9's checkpoint and manifest before the run ends.
+    const UNREAD: [u64; 13] = [1, 3, 9, 11, 13, 15, 17, 19, 31, 33, 37, 41, 45];
+    let clean_dir = temp_dir("seeded-clean");
+    let backend = Box::new(OctoMapSystem::new(grid(), OccupancyParams::default()));
+    run_with_plan(
+        &clean_dir,
+        backend,
+        RayTracer::Standard,
+        IoFaultPlan::default(),
+        &scans,
+    );
+    let clean = assert_recovers_to_prefix(&clean_dir, &prefix, "no flip");
+    fs::remove_dir_all(&clean_dir).unwrap();
+    assert!(clean.is_clean(), "{clean:?}");
     for seed in 1..=46 {
         let plan = IoFaultPlan::from_seed(seed);
         let label = format!("seed {seed} ({plan:?})");
@@ -480,6 +502,17 @@ fn seeded_plans_recover_or_fail_typed() {
                 let n = report.final_epoch as usize;
                 assert!(n < prefix.len(), "{label}");
                 assert_eq!(tree.leaf_checksum(), prefix[n], "{label}");
+                // A flip recovery reads shows in the report: a journal
+                // frame as a dropped tail, a checkpoint as a skipped
+                // generation, the manifest as its `MANIFEST` entry.
+                if plan.flip.is_some() && UNREAD.contains(&seed) {
+                    assert_eq!(report, clean, "{label}: named as never read");
+                } else if plan.flip.is_some() {
+                    assert!(
+                        report.tail_dropped_bytes > 0 || !report.checkpoints_skipped.is_empty(),
+                        "{label}: the flip left no trace in {report:?}"
+                    );
+                }
             }
             // A kill on op 0 dies creating the journal: nothing durable
             // exists yet, and recovery says so with a typed error.

@@ -5,7 +5,7 @@
 //! `NullRecorder`-equivalence requirement), and the per-scan records agree
 //! with the `ScanReport`s the caller already sees.
 
-use octocache::pipeline::{MappingSystem, OctoMapSystem};
+use octocache::pipeline::{MappingSystem, OctoMapSystem, RayTracer};
 use octocache::{
     CacheConfig, CacheStats, NullRecorder, ParallelOctoCache, SerialOctoCache, SharedRecorder,
 };
@@ -82,26 +82,57 @@ fn null_recorder_equivalence_all_backends() {
 
 #[test]
 fn scan_records_agree_with_scan_reports() {
-    let mut map = SerialOctoCache::new(grid(), OccupancyParams::default(), cache_config());
-    let recorder = SharedRecorder::new();
-    map.set_recorder(Box::new(recorder.clone()));
-
-    let mut reports = Vec::new();
-    for (origin, cloud) in scans() {
-        reports.push(map.insert_scan(origin, &cloud, 30.0).unwrap());
-    }
-    let records = recorder.records();
-    assert_eq!(records.len(), reports.len());
-    for (i, (record, report)) in records.iter().zip(&reports).enumerate() {
-        assert_eq!(record.seq, i as u64);
-        assert_eq!(record.backend, "octocache-serial");
-        assert_eq!(record.observations, report.observations as u64);
-        assert_eq!(record.cache_hits, report.cache_hits);
-        assert_eq!(record.times, report.times);
-        assert!(record.cache_insertions >= record.cache_hits);
-        assert!(record.octree_leaf_updates > 0 || record.cache_evictions == 0);
+    let grid = grid();
+    let params = OccupancyParams::default();
+    let backends: Vec<Box<dyn MappingSystem>> = vec![
+        Box::new(OctoMapSystem::new(grid, params)),
+        Box::new(SerialOctoCache::new(grid, params, cache_config())),
+        Box::new(SerialOctoCache::with_ray_tracer(
+            grid,
+            params,
+            cache_config(),
+            RayTracer::Dedup,
+        )),
+        Box::new(ParallelOctoCache::new(grid, params, cache_config())),
+    ];
+    for mut map in backends {
+        let name = map.name();
+        let recorder = SharedRecorder::new();
+        map.set_recorder(Box::new(recorder.clone()));
+        let mut reports = Vec::new();
+        for (origin, cloud) in scans() {
+            reports.push(map.insert_scan(origin, &cloud, 30.0).unwrap());
+        }
+        let records = recorder.records();
+        assert_eq!(records.len(), reports.len(), "{name}");
+        let cached = name != "octomap";
+        for (i, (record, report)) in records.iter().zip(&reports).enumerate() {
+            assert_eq!(record.seq, i as u64, "{name}");
+            assert_eq!(record.backend, name);
+            assert_eq!(record.observations, report.observations as u64, "{name}");
+            assert_eq!(record.cache_hits, report.cache_hits, "{name}");
+            assert_eq!(record.times, report.times, "{name}");
+            // A cache backend's octree updates are its evictions; the
+            // baseline applies every observation.
+            let updates = if cached {
+                record.cache_evictions
+            } else {
+                record.observations
+            };
+            assert_eq!(updates, report.octree_updates as u64, "{name} scan {i}");
+            assert!(record.cache_insertions >= record.cache_hits, "{name}");
+            assert!(
+                record.octree_leaf_updates > 0 || record.cache_evictions == 0,
+                "{name}"
+            );
+            assert_eq!(cached, record.cache_insertions > 0, "{name} scan {i}");
+        }
     }
     // The trait-level counters match the cache's own view.
+    let mut map = SerialOctoCache::new(grid, params, cache_config());
+    for (origin, cloud) in scans() {
+        map.insert_scan(origin, &cloud, 30.0).unwrap();
+    }
     let via_trait = MappingSystem::cache_stats(&map).unwrap();
     assert_eq!(&via_trait, map.cache_stats());
 }

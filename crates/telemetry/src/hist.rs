@@ -1,4 +1,4 @@
-//! Log-bucketed latency histogram and a plain counter.
+//! Log-bucketed latency histogram.
 
 use std::time::Duration;
 
@@ -228,39 +228,6 @@ impl Deserialize for Histogram {
     }
 }
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    n: u64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.n += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.n += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.n
-    }
-
-    /// Adds another counter's value (for multi-run aggregation).
-    pub fn merge(&mut self, other: &Counter) {
-        self.n += other.n;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,18 +311,5 @@ mod tests {
         for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(back.quantile(q), h.quantile(q));
         }
-    }
-
-    #[test]
-    fn counter_counts_and_merges() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        let mut d = Counter::new();
-        d.add(10);
-        c.merge(&d);
-        assert_eq!(c.get(), 15);
-        let back: Counter = serde::json::from_str(&serde::json::to_string(&c)).unwrap();
-        assert_eq!(back, c);
     }
 }

@@ -4,17 +4,19 @@
 //! the OctoCache reproduction. Four pieces fit together:
 //!
 //! 1. **Metric primitives** — a log-bucketed latency [`Histogram`]
-//!    (p50/p90/p99/max, mergeable across runs) and a plain
-//!    [`Counter`], both serde-serialisable.
+//!    (p50/p90/p99/max, mergeable across runs, serde-serialisable).
 //! 2. **Per-scan trace events** — a [`ScanRecord`] captures one
 //!    `insert_scan` call: phase durations ([`PhaseTimes`]), cache
 //!    hit/miss/eviction deltas, octree node-visit deltas, SPSC queue depth
-//!    sampled at enqueue/dequeue, and octree-mutex wait time. Backends hand
-//!    records to a [`Recorder`] (no-op [`NullRecorder`], in-memory
-//!    [`MemoryRecorder`]/[`SharedRecorder`], or streaming [`JsonlRecorder`]).
-//! 3. **Trace analysis** — [`TraceSummary`] folds a recorded trace back into
-//!    per-phase percentile tables and a cache hit-ratio time series (the
-//!    `octocache report` subcommand).
+//!    sampled at enqueue/dequeue, and octree-mutex wait time. It is the one
+//!    per-scan struct: the scan-lifecycle engine owns the next scan's
+//!    record, each layer fills its own fields in place, and [`Telemetry`]
+//!    hands the finished record to a [`Recorder`] (no-op [`NullRecorder`],
+//!    in-memory [`SharedRecorder`], or streaming [`JsonlRecorder`]).
+//! 3. **Trace analysis** — [`read_jsonl_prefix`] reads a recorded trace
+//!    back (every record up to the first damaged line, plus the damage),
+//!    and [`TraceSummary`] folds it into per-phase percentile tables and a
+//!    cache hit-ratio time series (the `octocache report` subcommand).
 //! 4. **Sub-scan events** — an [`Event`] stream beneath the per-scan layer:
 //!    cache hit/miss/evict (with bucket and Morton key), queue traffic, and
 //!    worker batch spans, collected through per-thread [`EventBuffer`]s into
@@ -61,13 +63,10 @@ pub use event::{
     read_events_jsonl, read_events_jsonl_path, write_events_jsonl, Event, EventBuffer, EventKind,
     EventLog, EventSink, DEFAULT_BUFFER_CAPACITY, DEFAULT_SINK_CAPACITY,
 };
-pub use hist::{Counter, Histogram};
+pub use hist::Histogram;
 pub use phase::{Phase, PhaseHistograms, PhaseTimes};
-pub use record::{DurableMetrics, ScanMetrics, ScanRecord, SnapshotMetrics};
-pub use recorder::{
-    JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, SharedRecorder, Telemetry,
-};
+pub use record::ScanRecord;
+pub use recorder::{JsonlRecorder, NullRecorder, Recorder, SharedRecorder, Telemetry};
 pub use trace::{
-    read_jsonl, read_jsonl_path, read_jsonl_prefix, read_jsonl_prefix_path, write_jsonl,
-    HitRatioPoint, PhaseQuantiles, TraceSummary,
+    read_jsonl_prefix, read_jsonl_prefix_path, HitRatioPoint, PhaseQuantiles, TraceSummary,
 };

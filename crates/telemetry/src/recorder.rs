@@ -31,35 +31,6 @@ impl Recorder for NullRecorder {
     fn record_scan(&mut self, _record: &ScanRecord) {}
 }
 
-/// Buffers every event in memory.
-#[derive(Debug, Clone, Default)]
-pub struct MemoryRecorder {
-    records: Vec<ScanRecord>,
-}
-
-impl MemoryRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded events.
-    pub fn records(&self) -> &[ScanRecord] {
-        &self.records
-    }
-
-    /// Consumes the recorder, returning the events.
-    pub fn into_records(self) -> Vec<ScanRecord> {
-        self.records
-    }
-}
-
-impl Recorder for MemoryRecorder {
-    fn record_scan(&mut self, record: &ScanRecord) {
-        self.records.push(record.clone());
-    }
-}
-
 /// A cloneable in-memory recorder: every clone appends to the same shared
 /// buffer. This is how callers read a trace back out of a backend that was
 /// consumed by value (e.g. a UAV mission run or a bench harness).
@@ -292,14 +263,6 @@ mod tests {
         assert_eq!(t.scans(), 0);
         assert_eq!(t.totals().octree_update, Duration::from_millis(3));
         assert_eq!(t.histograms().samples(), 0);
-    }
-
-    #[test]
-    fn memory_recorder_buffers() {
-        let mut m = MemoryRecorder::new();
-        m.record_scan(&scan(1, 2, 1));
-        assert_eq!(m.records().len(), 1);
-        assert_eq!(m.into_records().len(), 1);
     }
 
     #[test]

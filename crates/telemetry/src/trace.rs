@@ -1,54 +1,13 @@
 //! JSONL trace IO and the offline report built from a recorded trace.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use crate::phase::{Phase, PhaseHistograms, PhaseTimes};
 use crate::record::ScanRecord;
-
-/// Writes records as JSON Lines (one per line).
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_jsonl<W: Write>(mut out: W, records: &[ScanRecord]) -> std::io::Result<()> {
-    for r in records {
-        writeln!(out, "{}", serde::json::to_string(r))?;
-    }
-    Ok(())
-}
-
-/// Reads a JSONL trace; blank lines are skipped.
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed line.
-pub fn read_jsonl<R: BufRead>(input: R) -> Result<Vec<ScanRecord>, String> {
-    let mut records = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = serde::json::from_str(&line).map_err(|e| format!("line {}: {e:?}", i + 1))?;
-        records.push(record);
-    }
-    Ok(records)
-}
-
-/// Reads a JSONL trace file.
-///
-/// # Errors
-///
-/// Returns a message for I/O or parse failures.
-pub fn read_jsonl_path(path: impl AsRef<Path>) -> Result<Vec<ScanRecord>, String> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
-    read_jsonl(std::io::BufReader::new(file))
-}
 
 /// Reads the parseable prefix of a JSONL trace, tolerating a damaged tail.
 ///
@@ -584,60 +543,80 @@ mod tests {
             .collect()
     }
 
+    /// The JSONL text a [`crate::JsonlRecorder`] writes for `records`.
+    fn jsonl(records: &[ScanRecord]) -> String {
+        records
+            .iter()
+            .map(|r| serde::json::to_string(r) + "\n")
+            .collect()
+    }
+
     #[test]
     fn jsonl_round_trip() {
         let recs = records(25);
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, &recs).unwrap();
-        let back = read_jsonl(std::io::BufReader::new(&buf[..])).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("octocache-round-trip-{}.jsonl", std::process::id()));
+        {
+            let mut out = crate::JsonlRecorder::create(&path).unwrap();
+            for r in &recs {
+                crate::Recorder::record_scan(&mut out, r);
+            }
+        }
+        let (back, damage) = read_jsonl_prefix_path(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
         assert_eq!(back, recs);
+        assert!(damage.is_none(), "{damage:?}");
     }
 
     #[test]
     fn read_jsonl_skips_blank_and_reports_bad_lines() {
-        let text = "\n\n";
-        assert!(read_jsonl(text.as_bytes()).unwrap().is_empty());
-        let err = read_jsonl("{not json}".as_bytes()).unwrap_err();
-        assert!(err.contains("line 1"), "{err}");
+        let (recs, damage) = read_jsonl_prefix("\n\n".as_bytes()).unwrap();
+        assert!(recs.is_empty());
+        assert!(damage.is_none(), "{damage:?}");
+        let (recs, damage) = read_jsonl_prefix("{not json}".as_bytes()).unwrap();
+        assert!(recs.is_empty());
+        let damage = damage.expect("a bad line is damage");
+        assert!(damage.contains("line 1"), "{damage}");
     }
 
     #[test]
     fn read_jsonl_rejects_truncated_record() {
-        // A record cut off mid-stream (half its JSON) must be a typed parse
-        // error naming the line, not a panic or a silently dropped record.
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, &records(2)).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        // A record cut off mid-stream (half its JSON) ends the prefix at
+        // the damage, naming its line — never a panic, never a record.
+        let text = jsonl(&records(2));
         let mut lines: Vec<&str> = text.lines().collect();
         let second = lines[1];
-        let truncated = &second[..second.len() / 2];
-        lines[1] = truncated;
-        let err = read_jsonl(lines.join("\n").as_bytes()).unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
+        lines[1] = &second[..second.len() / 2];
+        let (recs, damage) = read_jsonl_prefix(lines.join("\n").as_bytes()).unwrap();
+        assert_eq!(recs, records(1));
+        let damage = damage.expect("a truncated record is damage");
+        assert!(damage.contains("line 2"), "{damage}");
     }
 
     #[test]
     fn read_jsonl_rejects_trailing_garbage() {
         // Valid records followed by non-JSON junk (e.g. a crashed writer's
-        // partial flush plus shell noise) fail with the junk's line number.
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, &records(3)).unwrap();
-        buf.extend_from_slice(b"#### trailing garbage ####\n");
-        let err = read_jsonl(&buf[..]).unwrap_err();
-        assert!(err.contains("line 4"), "{err}");
+        // partial flush plus shell noise): the records survive and the
+        // damage names the junk's line.
+        let text = jsonl(&records(3)) + "#### trailing garbage ####\n";
+        let (recs, damage) = read_jsonl_prefix(text.as_bytes()).unwrap();
+        assert_eq!(recs, records(3));
+        let damage = damage.expect("trailing garbage is damage");
+        assert!(damage.contains("line 4"), "{damage}");
     }
 
     #[test]
-    fn read_jsonl_path_empty_file_and_missing_file() {
+    fn read_jsonl_prefix_path_empty_file_and_missing_file() {
         let dir = std::env::temp_dir();
         let empty = dir.join(format!("octocache-empty-{}.jsonl", std::process::id()));
         std::fs::write(&empty, "").unwrap();
-        let records = read_jsonl_path(&empty).unwrap();
+        let (records, damage) = read_jsonl_prefix_path(&empty).unwrap();
         let _ = std::fs::remove_file(&empty);
         assert!(records.is_empty(), "empty file must parse to zero records");
+        assert!(damage.is_none(), "{damage:?}");
 
         let missing = dir.join(format!("octocache-missing-{}.jsonl", std::process::id()));
-        let err = read_jsonl_path(&missing).unwrap_err();
+        let err = read_jsonl_prefix_path(&missing).unwrap_err();
         assert!(err.starts_with("open "), "{err}");
     }
 
@@ -646,9 +625,7 @@ mod tests {
         // Regression for crash-safe traces: a process killed mid-write
         // leaves N complete lines plus one torn line; the prefix reader
         // must return the N records and describe the damage.
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, &records(3)).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = jsonl(&records(3));
         let keep = text.len() - 40; // tear the last record mid-JSON
         let torn = &text[..keep];
         let (recs, damage) = read_jsonl_prefix(torn.as_bytes()).unwrap();
@@ -658,9 +635,7 @@ mod tests {
         assert!(damage.contains("line 3"), "{damage}");
 
         // A clean stream reports no damage.
-        let mut clean = Vec::new();
-        write_jsonl(&mut clean, &records(3)).unwrap();
-        let (recs, damage) = read_jsonl_prefix(&clean[..]).unwrap();
+        let (recs, damage) = read_jsonl_prefix(jsonl(&records(3)).as_bytes()).unwrap();
         assert_eq!(recs.len(), 3);
         assert!(damage.is_none());
 
@@ -835,15 +810,13 @@ mod tests {
 
         // Traces written while the octree had two storage layouts tagged
         // every line with a `tree_layout`; the key is ignored on read.
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, &recs).unwrap();
-        let legacy: String = String::from_utf8(buf)
-            .unwrap()
+        let legacy: String = jsonl(&recs)
             .lines()
             .map(|l| l.replacen('{', "{\"tree_layout\":\"pointer\",", 1) + "\n")
             .collect();
-        let back = read_jsonl(std::io::BufReader::new(legacy.as_bytes())).unwrap();
+        let (back, damage) = read_jsonl_prefix(legacy.as_bytes()).unwrap();
         assert_eq!(back, recs);
+        assert!(damage.is_none(), "{damage:?}");
 
         let s = TraceSummary::from_records(&back);
         assert_eq!(s.peak_memory_bytes, 9000);
