@@ -26,16 +26,18 @@
 //! scan's observations are offered as one batch
 //! ([`VoxelCache::insert_batch`]), and nothing is evicted within a batch, so
 //! every observation of a voxel after its first is a hit. The batch is
-//! folded: a fixed-size scratch hash groups the observations by voxel in
-//! first-seen order, the order in which one insert per observation would
-//! have missed and appended them. Each group then costs one probe, and a
-//! miss seeds from the octree before the voxel's `±δ` are applied in ray
-//! order in a register. Keys therefore enter buckets, and reach the octree
-//! lookup, in the order the per-observation loop gives them, and the
-//! contents are bit-identical. A batch with more distinct voxels than the
-//! scratch holds streams the rest through that loop, with the index codes
-//! computed a block ahead and the lines their probes will touch
-//! prefetched.
+//! folded: a scratch hash groups the observations by voxel in first-seen
+//! order, the order in which one insert per observation would have missed
+//! and appended them. Each group then costs one probe, and a miss seeds
+//! from the octree before the voxel's `±δ` are applied in ray order in a
+//! register. Keys therefore enter buckets, and reach the octree lookup, in
+//! the order the per-observation loop gives them, and the contents are
+//! bit-identical. The scratch has two sizes. Every batch folds its first
+//! 2¹⁴ voxels in a 256 KiB hash. One that holds more goes on folding, up to
+//! 2¹⁶ − 1 voxels in a 1 MiB hash, only when those first voxels drew 8
+//! observations each or more. Whatever a batch does not fold streams
+//! through the per-observation loop, with the index codes computed a block
+//! ahead and the lines their probes will touch prefetched.
 //!
 //! The cache records nothing about itself beyond [`CacheStats`]: an
 //! executor that records events derives them from the batch it offers
@@ -84,18 +86,33 @@ const NIL: u32 = u32::MAX;
 /// Observations [`VoxelCache::insert_batch`] stages ahead of the ones it is
 /// inserting: enough probes in flight to cover a memory round trip, few
 /// enough that the prefetched lines are still in L1 when their turn comes.
-const STAGE: usize = 16;
+pub(crate) const STAGE: usize = 16;
 
-/// Slots of the fold's scratch hash ([`Fold`]): 2¹⁵ `u64`s, 256 KiB, sized
-/// to stay in L2 beside the batch it groups.
+/// Slots of the fold's scratch hash ([`Fold`]) until a batch widens it:
+/// 2¹⁵ `u64`s, 256 KiB, sized to stay in L2 beside the batch it groups.
 const FOLD_SLOTS: usize = 1 << 15;
 
-/// Voxels one fold groups at most: half the slots, so a linear probe stays
-/// short. A batch with more distinct voxels streams the rest.
+/// Voxels a batch groups before the fold decides whether to go on: half
+/// the narrow slots, so a linear probe stays short.
 const FOLD_GROUPS: usize = FOLD_SLOTS / 2;
 
-/// An empty scratch slot; no `key << 16 | group` entry is all ones, as a
-/// group index stays below `FOLD_GROUPS`.
+/// Slots of the wide scratch: 2¹⁷ `u64`s, 1 MiB.
+const WIDE_SLOTS: usize = 1 << 17;
+
+/// Voxels a widened batch groups at most: under half the wide slots, and
+/// under 2¹⁶, so that no entry is [`FOLD_EMPTY`]. A batch with more
+/// distinct voxels streams the rest.
+const WIDE_GROUPS: usize = (1 << 16) - 1;
+
+/// Observations per voxel, over the batch's first `FOLD_GROUPS` voxels, from
+/// which the batch goes on folding in the wide scratch rather than
+/// streaming its rest: the corridor's scans hold ≈ 12.6 there, the campus's
+/// 4.6 and the college's 5.2 (DESIGN.md §5).
+const WIDEN_AT: usize = 8;
+
+/// An empty scratch slot. An entry is `packed key << 16 | group`, all ones
+/// only for the key (65535, 65535, 65535) in group 65535, and a group index
+/// stays below `WIDE_GROUPS`, which is 65535.
 const FOLD_EMPTY: u64 = u64::MAX;
 
 /// Per-bucket header: the bucket's first `min(len, τ)` cells are inline,
@@ -318,11 +335,14 @@ fn slots(
 /// open-addressed hash from voxel to group, the groups in first-seen order
 /// with their observation counts, and where each group's occupied
 /// observations fall in its run. Only the occupied observations are listed
-/// (a few per cent of a scan); every other one is free. Allocated by the
-/// first batch and kept; only the three vectors grow with batch size.
+/// (a few per cent of a scan); every other one is free. The hash is
+/// allocated narrow by the first batch and replaced by the wide one by the
+/// first batch that widens; either is kept. Only the three vectors grow
+/// with batch size.
 #[derive(Debug, Default)]
 struct Fold {
-    /// `FOLD_SLOTS` entries, `packed key << 16 | group`, or `FOLD_EMPTY`.
+    /// `FOLD_SLOTS` or `WIDE_SLOTS` entries, `packed key << 16 | group`, or
+    /// `FOLD_EMPTY`.
     slots: Vec<u64>,
     /// One per distinct voxel of the folded prefix, in first-seen order.
     groups: Vec<Group>,
@@ -356,47 +376,100 @@ impl Fold {
         u64::from(key.x) | u64::from(key.y) << 16 | u64::from(key.z) << 32
     }
 
-    /// The slot a probe for `packed` starts at.
+    /// The slot a probe for `packed` starts at in a hash of `N` slots.
     #[inline]
-    fn home(packed: u64) -> usize {
-        (packed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - FOLD_SLOTS.trailing_zeros())) as usize
+    fn home<const N: usize>(packed: u64) -> usize {
+        (packed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - N.trailing_zeros())) as usize
     }
 
-    /// Groups the longest prefix of `batch` whose distinct voxels fit
-    /// (`FOLD_GROUPS`), ids in first-seen order, counting each group's
-    /// observations and regrouping its hits. Returns the prefix's length.
+    /// Probes a hash of `N` slots for the key bits `packed`: the slot holding
+    /// their entry and the entry's group, or the empty slot that ends the
+    /// probe.
+    #[inline(always)]
+    fn probe<const N: usize>(slots: &[u64; N], packed: u64) -> (usize, Option<usize>) {
+        let mut at = Fold::home::<N>(packed);
+        loop {
+            let entry = slots[at];
+            if entry == FOLD_EMPTY {
+                return (at, None);
+            }
+            if entry >> 16 == packed {
+                return (at, Some((entry & 0xffff) as usize));
+            }
+            at = (at + 1) % N;
+        }
+    }
+
+    /// Groups the longest prefix of `batch` whose distinct voxels fit, ids
+    /// in first-seen order, counting each group's observations and
+    /// regrouping its hits. Returns the prefix's length.
+    ///
+    /// Every batch groups its first `FOLD_GROUPS` voxels in the hash the
+    /// fold has. A batch that holds more goes on only if those voxels drew
+    /// `WIDEN_AT` observations each or more: then it groups up to
+    /// `WIDE_GROUPS` voxels in the wide hash, which the first such batch
+    /// allocates and the fold keeps. A batch below that mark streams its
+    /// rest, whichever hash it grouped in.
     fn group(&mut self, batch: &[VoxelUpdate]) -> usize {
         if self.slots.is_empty() {
             self.slots = vec![FOLD_EMPTY; FOLD_SLOTS];
         }
-        let (slots, groups, hits) = (&mut self.slots, &mut self.groups, &mut self.hits);
         // Counts and indices are `u32`s.
-        let mut folded = batch.len().min(u32::MAX as usize);
-        for (i, u) in batch[..folded].iter().enumerate() {
+        let batch = &batch[..batch.len().min(u32::MAX as usize)];
+        let mut folded = match self.slots.len() {
+            WIDE_SLOTS => self.group_in::<WIDE_SLOTS>(batch, 0, FOLD_GROUPS),
+            _ => self.group_in::<FOLD_SLOTS>(batch, 0, FOLD_GROUPS),
+        };
+        if folded < batch.len() && folded >= WIDEN_AT * FOLD_GROUPS {
+            self.widen();
+            folded = self.group_in::<WIDE_SLOTS>(batch, folded, WIDE_GROUPS);
+        }
+        // Hit counts to starts, then each hit to its group's next place:
+        // the starts advance to the ends.
+        let (groups, hits) = (&mut self.groups, &self.hits);
+        let mut start = 0;
+        for group in groups.iter_mut() {
+            (start, group.hits) = (start + group.hits, start);
+        }
+        self.indices.resize(hits.len(), 0);
+        for hit in hits {
+            let end = &mut groups[hit.group as usize].hits;
+            self.indices[*end as usize] = hit.index;
+            *end += 1;
+        }
+        folded
+    }
+
+    /// Groups `batch` from observation `from` on in a hash of `N` slots,
+    /// until an observation would open group `cap`; returns that
+    /// observation's index, or the batch's length. `N` is a constant, so
+    /// the probe's shift and mask are too.
+    fn group_in<const N: usize>(
+        &mut self,
+        batch: &[VoxelUpdate],
+        from: usize,
+        cap: usize,
+    ) -> usize {
+        let slots: &mut [u64; N] = self
+            .slots
+            .as_mut_slice()
+            .try_into()
+            .expect("the fold's size");
+        let (groups, hits) = (&mut self.groups, &mut self.hits);
+        for (i, u) in batch.iter().enumerate().skip(from) {
             let packed = Fold::packed(u.key);
-            let mut at = Fold::home(packed);
-            let group = loop {
-                let entry = slots[at];
-                if entry == FOLD_EMPTY {
-                    if groups.len() == FOLD_GROUPS {
-                        break None;
-                    }
+            let group = match Fold::probe(slots, packed) {
+                (_, Some(group)) => group,
+                (_, None) if groups.len() == cap => return i,
+                (at, None) => {
                     slots[at] = packed << 16 | groups.len() as u64;
                     groups.push(Group {
                         key: u.key,
                         count: 0,
                         hits: 0,
                     });
-                    break Some(groups.len() - 1);
+                    groups.len() - 1
                 }
-                if entry >> 16 == packed {
-                    break Some((entry & 0xffff) as usize);
-                }
-                at = (at + 1) % FOLD_SLOTS;
-            };
-            let Some(group) = group else {
-                folded = i;
-                break;
             };
             let g = &mut groups[group];
             if u.occupied {
@@ -408,34 +481,49 @@ impl Fold {
             }
             g.count += 1;
         }
-        // Hit counts to starts, then each hit to its group's next place:
-        // the starts advance to the ends.
-        let mut start = 0;
-        for group in groups.iter_mut() {
-            (start, group.hits) = (start + group.hits, start);
+        batch.len()
+    }
+
+    /// Moves the groups so far into the wide hash, allocating it the first
+    /// time; the narrow hash is freed.
+    fn widen(&mut self) {
+        if self.slots.len() == WIDE_SLOTS {
+            return;
         }
-        self.indices.resize(hits.len(), 0);
-        for hit in hits.iter() {
-            let end = &mut groups[hit.group as usize].hits;
-            self.indices[*end as usize] = hit.index;
-            *end += 1;
+        let mut wide = vec![FOLD_EMPTY; WIDE_SLOTS];
+        let slots: &mut [u64; WIDE_SLOTS] = wide.as_mut_slice().try_into().expect("wide");
+        for (id, group) in self.groups.iter().enumerate() {
+            let packed = Fold::packed(group.key);
+            let (at, _) = Fold::probe(slots, packed);
+            slots[at] = packed << 16 | id as u64;
         }
-        folded
+        self.slots = wide;
     }
 
     /// Empties the scratch for the next batch, keeping its allocations.
     fn clear(&mut self) {
-        for (id, group) in self.groups.iter().enumerate() {
-            let entry = Fold::packed(group.key) << 16 | id as u64;
-            let mut at = Fold::home(Fold::packed(group.key));
-            while self.slots[at] != entry {
-                at = (at + 1) % FOLD_SLOTS;
-            }
-            self.slots[at] = FOLD_EMPTY;
+        match self.slots.len() {
+            WIDE_SLOTS => self.clear_in::<WIDE_SLOTS>(),
+            _ => self.clear_in::<FOLD_SLOTS>(),
         }
         self.groups.clear();
         self.hits.clear();
         self.indices.clear();
+    }
+
+    /// Empties the slots of the groups, newest first: a group's probe
+    /// passes only through the slots of groups older than itself, which
+    /// still hold their entries when its turn comes.
+    fn clear_in<const N: usize>(&mut self) {
+        let slots: &mut [u64; N] = self
+            .slots
+            .as_mut_slice()
+            .try_into()
+            .expect("the fold's size");
+        for group in self.groups.iter().rev() {
+            let (at, _) = Fold::probe(slots, Fold::packed(group.key));
+            slots[at] = FOLD_EMPTY;
+        }
     }
 
     /// Heap bytes of the scratch.
@@ -571,13 +659,14 @@ impl VoxelCache {
     ///
     /// Nothing is evicted within a batch, so once a voxel has been offered
     /// every later observation of it is a hit. The batch is therefore
-    /// folded: its observations are grouped by voxel through a fixed-size
-    /// scratch hash, the groups are walked in first-seen order — the order
-    /// in which the loop would miss and append them — and each voxel's `±δ`
-    /// are applied in ray order to one value. A batch with more distinct
-    /// voxels than the scratch holds folds the prefix that fits and streams
-    /// the rest. The stream stages its probes: the Morton codes of the next
-    /// 16 observations are computed once and their bucket header and slot
+    /// folded: its observations are grouped by voxel through a scratch
+    /// hash, the groups are walked in first-seen order — the order in which
+    /// the loop would miss and append them — and each voxel's `±δ` are
+    /// applied in ray order to one value. The fold takes the batch's first
+    /// 2¹⁴ voxels, and up to 2¹⁶ − 1 when those drew 8 observations each or
+    /// more (the scratch then widens to 1 MiB and stays so); it streams the
+    /// rest. The stream stages its probes: the Morton codes of the next 16
+    /// observations are computed once and their bucket header and slot
     /// lines prefetched. This is the one insert path, whether or not the
     /// caller records events.
     pub fn insert_batch<F>(&mut self, batch: &[VoxelUpdate], mut octree_lookup: F)
@@ -642,7 +731,7 @@ impl VoxelCache {
 
     /// Prefetches the header and first slot line of the bucket of `code`.
     #[inline]
-    fn prefetch_bucket(&self, code: u64) {
+    pub(crate) fn prefetch_bucket(&self, code: u64) {
         let bucket = (code & self.mask) as usize;
         prefetch(&self.table.heads[bucket]);
         prefetch(&self.table.cells[bucket * self.table.tau]);
@@ -743,7 +832,13 @@ impl VoxelCache {
 
     /// Read-only lookup that does not touch the query counters.
     pub fn peek(&self, key: VoxelKey) -> Option<f32> {
-        let slot = self.table.find(self.bucket_index(key), key).ok()?;
+        self.peek_coded(key, morton::encode(key))
+    }
+
+    /// [`peek`](Self::peek) with the Morton code of `key` already at hand.
+    #[inline]
+    pub(crate) fn peek_coded(&self, key: VoxelKey, code: u64) -> Option<f32> {
+        let slot = self.table.find(self.bucket_of_code(code), key).ok()?;
         Some(self.table.at(slot).log_odds)
     }
 
@@ -1146,6 +1241,31 @@ mod tests {
         assert_eq!(c.memory_usage(), resident + spill);
     }
 
+    /// `voxels` distinct voxels from the `first`-th of a 64 × 64 × 64 block,
+    /// `each` observations apiece, interleaved in windows of 256 voxels as
+    /// neighbouring rays cross them; every fifth observation occupied.
+    fn dense(first: usize, voxels: usize, each: usize) -> Vec<VoxelUpdate> {
+        let key = |i: usize| k((i % 64) as u16, (i / 64 % 64) as u16, (i / 4096) as u16);
+        let mut out = Vec::with_capacity(voxels * each);
+        for window in (first..first + voxels).collect::<Vec<_>>().chunks(256) {
+            for rep in 0..each {
+                out.extend(window.iter().map(|&i| VoxelUpdate {
+                    key: key(i),
+                    occupied: (i + rep) % 5 == 0,
+                }));
+            }
+        }
+        out
+    }
+
+    /// The scratch's heap bytes, computed from its parts.
+    fn scratch(f: &Fold) -> usize {
+        f.slots.len() * 8
+            + f.groups.capacity() * 16
+            + f.hits.capacity() * 8
+            + f.indices.capacity() * 4
+    }
+
     #[test]
     fn memory_usage_counts_the_fold_scratch() {
         let mut c = cache(16, 2);
@@ -1161,15 +1281,150 @@ mod tests {
         assert_eq!(f.slots.len(), FOLD_SLOTS);
         // 14 of the 40 observations are occupied.
         assert!(f.groups.capacity() >= 8 && f.hits.capacity() >= 14 && f.indices.capacity() >= 14);
-        let scratch = FOLD_SLOTS * 8
-            + f.groups.capacity() * 16
-            + f.hits.capacity() * 8
-            + f.indices.capacity() * 4;
-        assert_eq!(c.memory_usage(), resident + scratch);
+        assert_eq!(c.memory_usage(), resident + scratch(f));
         // Kept, and emptied, for the next batch.
         assert!(f.groups.is_empty() && f.slots.iter().all(|&s| s == FOLD_EMPTY));
         c.insert_batch(&batch, |_| None);
-        assert_eq!(c.memory_usage(), resident + scratch);
+        assert_eq!(c.memory_usage(), resident + scratch(&c.fold));
+        // A batch that widens leaves the wide scratch, 1 MiB of slots, in
+        // the narrow one's place, and a later batch keeps it.
+        let mut c = cache(1 << 16, 2);
+        let resident = c.config().resident_bytes();
+        for batch in [dense(0, 2 * FOLD_GROUPS, WIDEN_AT), batch] {
+            c.insert_batch(&batch, |_| None);
+            let (f, t) = (&c.fold, &c.table);
+            assert_eq!(f.slots.len(), WIDE_SLOTS);
+            assert!(f.groups.capacity() >= 2 * FOLD_GROUPS);
+            let spill = t.spill.capacity() * 16 + t.spilled.capacity() * 4;
+            assert_eq!(c.memory_usage(), resident + spill + scratch(f));
+            c.evict();
+        }
+    }
+
+    /// Which prefix a batch folds: its first 2¹⁴ voxels, and up to 2¹⁶ − 1
+    /// only when those drew 8 observations each or more; a widened scratch
+    /// applies the same rule to every later batch.
+    #[test]
+    fn the_fold_widens_only_past_eight_observations_per_voxel() {
+        let mut fold = Fold::default();
+        let mut group = |batch: &[VoxelUpdate]| {
+            let folded = fold.group(batch);
+            let groups = fold.groups.len();
+            let slots = fold.slots.len();
+            let counted: usize = fold.groups.iter().map(|g| g.count as usize).sum();
+            assert_eq!(counted, folded);
+            fold.clear();
+            assert!(fold.slots.iter().all(|&s| s == FOLD_EMPTY));
+            (folded, groups, slots)
+        };
+        // A batch of 2¹⁴ voxels or fewer folds whole and never widens.
+        let whole = dense(0, FOLD_GROUPS, 3);
+        assert_eq!(group(&whole), (whole.len(), FOLD_GROUPS, FOLD_SLOTS));
+        // One observation short of 8 a voxel at the check: the rest streams.
+        let mut short = dense(0, FOLD_GROUPS, WIDEN_AT);
+        short.remove(0);
+        let at = short.len();
+        short.extend(dense(FOLD_GROUPS, 100, 9));
+        assert_eq!(group(&short), (at, FOLD_GROUPS, FOLD_SLOTS));
+        // Exactly 8: the batch widens and folds whole.
+        let widens = dense(0, 3 * FOLD_GROUPS, WIDEN_AT);
+        assert_eq!(group(&widens), (widens.len(), 3 * FOLD_GROUPS, WIDE_SLOTS));
+        // The wide scratch stays, and a low-duplication batch still stops
+        // at the check.
+        let low = dense(0, 2 * FOLD_GROUPS, 2);
+        assert_eq!(group(&low), (2 * FOLD_GROUPS, FOLD_GROUPS, WIDE_SLOTS));
+        // A widened batch stops at the first observation of its 2¹⁶-th voxel.
+        let full = dense(0, WIDE_GROUPS + 1, WIDEN_AT);
+        let cap = full.iter().position(|u| u.key == k(63, 63, 15)).unwrap();
+        assert_eq!(group(&full), (cap, WIDE_GROUPS, WIDE_SLOTS));
+    }
+
+    /// The key (65535, 65535, 65535) as a widened batch's 2¹⁶-th voxel. In a
+    /// group 65535 its entry would be all ones, `FOLD_EMPTY`: its slot would
+    /// read as free, and the hash would hold one entry fewer than the fold
+    /// has groups. The cap stops the fold at that key's first observation
+    /// instead, and every group keeps its entry.
+    #[test]
+    fn the_all_ones_key_past_the_wide_cap_is_not_folded() {
+        let all_ones = k(u16::MAX, u16::MAX, u16::MAX);
+        let mut batch = dense(0, 65_535, WIDEN_AT);
+        let at = batch.len();
+        for occupied in [true, false, true] {
+            batch.push(VoxelUpdate {
+                key: all_ones,
+                occupied,
+            });
+        }
+        let mut fold = Fold::default();
+        assert_eq!(fold.group(&batch), at);
+        assert_eq!(fold.slots.len(), WIDE_SLOTS);
+        let entries = fold.slots.iter().filter(|&&s| s != FOLD_EMPTY).count();
+        assert_eq!(entries, fold.groups.len());
+        assert_eq!(entries, 65_535);
+    }
+
+    /// The rule on the benchmark's datasets: the first scan of each, at its
+    /// workload's scale and resolution (the corridor's `corridor_hot`, the
+    /// campus's `campus_*`, the college's `college_readers`) and the
+    /// workloads' scene seed, traced into one batch. Each prints a `fold:`
+    /// line; the corridor's duplication must sit 1.3× above `WIDEN_AT` and
+    /// the others' 1.3× below, so a generator that drifts toward the
+    /// threshold fails here rather than flipping a workload's path quietly.
+    #[test]
+    fn fold_decisions_on_the_benchmark_datasets() {
+        use octocache_datasets::{Dataset, DatasetConfig};
+        use octocache_geom::VoxelGrid;
+        use octocache_octomap::insert::{compute_update, VoxelBatch};
+        for (dataset, scale, resolution, widens) in [
+            (Dataset::Fr079Corridor, 1.0, 0.1, true),
+            (Dataset::FreiburgCampus, 0.25, 0.1, false),
+            (Dataset::NewCollege, 0.25, 0.2, false),
+        ] {
+            let seq = dataset.generate(&DatasetConfig {
+                scale,
+                seed: 0xC0FFEE,
+            });
+            let scan = &seq.scans()[0];
+            let grid = VoxelGrid::new(resolution, 16).unwrap();
+            let mut batch = VoxelBatch::new();
+            compute_update(
+                &grid,
+                scan.origin,
+                &scan.points,
+                seq.max_range(),
+                &mut batch,
+            )
+            .unwrap();
+            let batch = batch.updates();
+            // Counted apart from the fold: observations before the first of
+            // the (2¹⁴ + 1)-th voxel, per voxel.
+            let mut seen = std::collections::HashSet::new();
+            let prefix = batch
+                .iter()
+                .position(|u| seen.insert(u.key) && seen.len() > FOLD_GROUPS)
+                .expect("more than 2¹⁴ voxels");
+            seen.extend(batch.iter().map(|u| u.key));
+            let per_voxel = prefix as f64 / FOLD_GROUPS as f64;
+            let mut fold = Fold::default();
+            fold.group(batch);
+            let widened = fold.slots.len() == WIDE_SLOTS;
+            println!(
+                "fold: {dataset} scale {scale} at {resolution} m: {} observations, {} voxels, \
+                 {per_voxel:.1} observations per voxel at 2^14, widened: {widened}",
+                batch.len(),
+                seen.len(),
+            );
+            assert_eq!(widened, widens, "{dataset}");
+            let margin = if widens {
+                per_voxel / WIDEN_AT as f64
+            } else {
+                WIDEN_AT as f64 / per_voxel
+            };
+            assert!(
+                margin >= 1.3,
+                "{dataset}: {per_voxel:.2} observations per voxel"
+            );
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ use octocache_telemetry::{
     EventBuffer, EventKind, EventLog, PhaseHistograms, PhaseTimes, Recorder, ScanRecord, Telemetry,
 };
 
-use crate::cache::{CacheStats, CodeHasher, EvictedCell, VoxelCache};
+use crate::cache::{CacheStats, CodeHasher, EvictedCell, VoxelCache, STAGE};
 use crate::config::CacheConfig;
 use crate::fault::{FaultCounters, Integrity, IntegrityTransition, PipelineError};
 use crate::pipeline::RayTracer;
@@ -797,14 +797,29 @@ pub(crate) fn apply_evictions(
 /// observation hits when its voxel is resident ([`VoxelCache::peek`]) or
 /// came earlier in the batch — exact, because nothing is evicted within a
 /// batch — so the stream is what one `insert` per observation would meet,
-/// however the cache folds the batch.
+/// however the cache folds the batch. The Morton codes are computed `STAGE`
+/// observations ahead, once each, and their buckets prefetched, as the
+/// cache's own stream does, so a distinct voxel's probe finds its lines.
 pub fn record_accesses(events: &mut EventBuffer, cache: &VoxelCache, batch: &[VoxelUpdate]) {
     // The batch's voxels so far, by Morton code; it grows with the distinct
     // voxels, and a stopped lane never fills it.
     let mut seen: HashSet<u64, BuildHasherDefault<CodeHasher>> = HashSet::default();
-    events.emit_cache_run(batch.iter().map(|u| {
-        let code = morton::encode(u.key);
-        let hit = !seen.insert(code) || cache.peek(u.key).is_some();
+    // The codes of observations `i .. i + STAGE`, observation `j`'s at
+    // `j % STAGE`.
+    let mut staged = [0u64; STAGE];
+    let stage = |at: usize, code: &mut u64| {
+        *code = morton::encode(batch[at].key);
+        cache.prefetch_bucket(*code);
+    };
+    for (at, code) in staged.iter_mut().enumerate().take(batch.len()) {
+        stage(at, code);
+    }
+    events.emit_cache_run(batch.iter().enumerate().map(|(i, u)| {
+        let code = staged[i % STAGE];
+        if i + STAGE < batch.len() {
+            stage(i + STAGE, &mut staged[i % STAGE]);
+        }
+        let hit = !seen.insert(code) || cache.peek_coded(u.key, code).is_some();
         let kind = if hit {
             EventKind::CacheHit
         } else {

@@ -19,8 +19,9 @@
 //! 6. `insert_batch` folds a batch per voxel yet is the per-observation
 //!    loop: same contents, statistics and evictions, and the same
 //!    `octree_lookup` calls in the same order — over long repeat runs,
-//!    occupied and free mixed on one voxel, values driven to both clamps
-//!    and batches with more distinct voxels than the fold's scratch holds.
+//!    occupied and free mixed on one voxel, values driven to both clamps,
+//!    batches that stream a tail after 2¹⁴ voxels, batches that widen the
+//!    fold's scratch, and a widened batch that fills its 2¹⁶ − 1 voxels.
 //! 7. The fold counts a voxel's observations and lists only its occupied
 //!    ones, yet replays the loop's value bit for bit on a few voxels with
 //!    hundreds of interleaved free and occupied observations each, driven
@@ -549,8 +550,10 @@ fn arb_stretch() -> impl Strategy<Value = Stretch> {
 /// Voxels the stretches draw from.
 const POOL: usize = 48;
 
-/// Distinct voxels of a wide block: more than the fold's scratch has slots
-/// (2¹⁵), so a batch holding one always streams a tail.
+/// Distinct voxels of a wide block: more than the 2¹⁴ a batch folds before
+/// it decides whether to widen, one observation each. The batch's first
+/// 2¹⁴ voxels then draw under two observations apiece, far below the eight
+/// that widen the fold, so a batch holding one always streams a tail.
 const WIDE: usize = 33_000;
 
 /// A batch: its stretches and, in some, a block of `WIDE` distinct voxels
@@ -695,12 +698,18 @@ fn interleaved(voxels: &[VoxelKey], phases: &[(usize, u64)], seed: u64) -> Vec<V
 }
 
 /// Offers `batches` to a folding cache and to a twin fed one `insert` per
-/// observation, and requires the same values (bits), statistics, octree
-/// lookups and evicted runs after each; returns the folding cache's value
-/// of every voxel after each batch.
-fn fold_against_the_loop(voxels: &[VoxelKey], batches: &[Vec<VoxelUpdate>]) -> Vec<Vec<f32>> {
+/// observation, both of `buckets` buckets of two, and requires the same
+/// contents and values (bits), statistics, octree lookups and evicted runs
+/// after each. Returns, after each batch, the folding cache's value of
+/// every one of `voxels` and its fold scratch's bytes: its footprint over
+/// the twin's, whose slab and spill are the same.
+fn fold_against_the_loop(
+    buckets: usize,
+    voxels: &[VoxelKey],
+    batches: &[Vec<VoxelUpdate>],
+) -> Vec<(Vec<f32>, usize)> {
     let cfg = CacheConfig::builder()
-        .num_buckets(16)
+        .num_buckets(buckets)
         .tau(2)
         .build()
         .unwrap();
@@ -727,7 +736,16 @@ fn fold_against_the_loop(voxels: &[VoxelKey], batches: &[Vec<VoxelUpdate>]) -> V
         for &key in voxels {
             assert_eq!(bits(&folding, key), bits(&twin, key), "batch {n}: {key}");
         }
-        values.push(voxels.iter().filter_map(|&k| folding.peek(k)).collect());
+        let cell = |c: EvictedCell| (c.key, c.log_odds.to_bits());
+        assert!(
+            folding.iter().map(cell).eq(twin.iter().map(cell)),
+            "batch {n}: contents differ"
+        );
+        let scratch = folding.memory_usage() - twin.memory_usage();
+        values.push((
+            voxels.iter().filter_map(|&k| folding.peek(k)).collect(),
+            scratch,
+        ));
         let evicted = folding.evict();
         assert!(evicted == twin.evict(), "batch {n}: evicted runs differ");
         octree.extend(evicted.iter().map(|c| (c.key, c.log_odds)));
@@ -756,7 +774,7 @@ proptest! {
             .enumerate()
             .map(|(n, phases)| interleaved(&voxels, phases, seed ^ n as u64))
             .collect();
-        fold_against_the_loop(&voxels, &batches);
+        fold_against_the_loop(16, &voxels, &batches);
     }
 }
 
@@ -771,9 +789,92 @@ fn the_counting_fold_reaches_both_clamps_like_the_loop() {
         interleaved(&voxels, &[(300, 100), (40, 50), (300, 0)], 7),
         interleaved(&voxels, &[(300, 0), (40, 50), (300, 100)], 8),
     ];
-    let values = fold_against_the_loop(&voxels, &batches);
-    assert_eq!(values[0], [params.clamp_min; 2]);
-    assert_eq!(values[1], [params.clamp_max; 2]);
+    let values = fold_against_the_loop(16, &voxels, &batches);
+    assert_eq!(values[0].0, [params.clamp_min; 2]);
+    assert_eq!(values[1].0, [params.clamp_max; 2]);
+}
+
+/// `voxels` distinct voxels from the `first`-th of a 64 × 64 × 64 block,
+/// `each` observations apiece, interleaved in windows of 256 voxels as
+/// neighbouring rays cross them; occupied where `(voxel + repeat) % 5 == 0`.
+fn dense(first: usize, voxels: usize, each: usize) -> Vec<VoxelUpdate> {
+    let mut out = Vec::with_capacity(voxels * each);
+    for window in (first..first + voxels).collect::<Vec<_>>().chunks(256) {
+        for rep in 0..each {
+            out.extend(window.iter().map(|&i| VoxelUpdate {
+                key: block_key(i),
+                occupied: (i + rep) % 5 == 0,
+            }));
+        }
+    }
+    out
+}
+
+/// The `i`-th voxel of the 64 × 64 × 64 block `dense` draws from.
+fn block_key(i: usize) -> VoxelKey {
+    VoxelKey::new((i % 64) as u16, (i / 64 % 64) as u16, (i / 4096) as u16)
+}
+
+/// The fold's paths against the loop, on one cache, batch after batch. A
+/// batch folds its first 2¹⁴ voxels; it goes on, up to 2¹⁶ − 1 voxels in a
+/// 1 MiB scratch the cache then keeps, only when those voxels drew eight
+/// observations each or more. Every batch below must equal one `insert`
+/// per observation, whichever path it takes:
+///
+/// 0. seven observations a voxel at the check: the rest streams, and the
+///    scratch stays narrow (under 1 MiB);
+/// 1. nine a voxel, over 2¹⁵ voxels, then voxels of the first 2¹⁴ again:
+///    the batch widens, its groups so far rehashed, and folds whole;
+/// 2. two a voxel on the widened cache: it stops at the check again;
+/// 3. eight a voxel over more than 2¹⁶ − 1 voxels, early ones repeated
+///    past the check, the 2¹⁶-th voxel the key (65535, 65535, 65535), whose
+///    entry in a group 65535 would read as an empty slot: the fold fills
+///    its cap, and that key, the voxels after it and repeats of folded ones
+///    stream.
+#[test]
+fn the_fold_widens_only_where_the_batch_repeats_its_voxels() {
+    const NARROW: usize = 1 << 14;
+    const CAP: usize = (1 << 16) - 1;
+    let all_ones = VoxelKey::new(u16::MAX, u16::MAX, u16::MAX);
+    let mut capped = [
+        dense(0, 20_000, 8),
+        dense(0, 2_000, 3),
+        dense(20_000, CAP - 20_000, 8),
+    ]
+    .concat();
+    for occupied in [true, false, true] {
+        capped.push(VoxelUpdate {
+            key: all_ones,
+            occupied,
+        });
+        capped.extend(dense(CAP - 300, 200, 1));
+    }
+    capped.extend(dense(CAP, 2_000, 3));
+    let batches = [
+        [dense(0, NARROW, 7), dense(NARROW, 4_000, 9)].concat(),
+        [dense(NARROW, 2 * NARROW, 9), dense(NARROW, 3_000, 2)].concat(),
+        dense(3 * NARROW, 2 * NARROW, 2),
+        capped,
+    ];
+    let watched = [
+        block_key(0),
+        block_key(NARROW),
+        block_key(CAP - 1),
+        all_ones,
+    ];
+    let scratch: Vec<usize> = fold_against_the_loop(1 << 16, &watched, &batches)
+        .into_iter()
+        .map(|(_, bytes)| bytes)
+        .collect();
+    const WIDE_BYTES: usize = 8 << 17;
+    assert!(
+        scratch[0] < WIDE_BYTES,
+        "the first batch widened: {scratch:?}"
+    );
+    assert!(
+        scratch[1..].iter().all(|&bytes| bytes >= WIDE_BYTES),
+        "{scratch:?}"
+    );
 }
 
 /// The event stream of a scripted run as an executor records it beside the

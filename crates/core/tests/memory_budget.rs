@@ -22,6 +22,7 @@ use octocache::{
     durable, CacheConfig, DurableMap, ParallelOctoCache, PipelineError, SerialOctoCache,
     SharedRecorder, ShedReason,
 };
+use octocache_geom::Point3;
 use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
 
 const MAX_RANGE: f64 = 40.0;
@@ -195,37 +196,70 @@ fn durable_map_journals_each_refusal_as_shed_and_recovers_the_live_map() {
     }
 }
 
+/// Two scans of one dense fan, taken half a metre apart: 128 × 128 rays to
+/// a wall 35 m off across a 38° square cone. Over 2¹⁴ voxels, which the
+/// first rays cross about 20 times each, so the fold widens its scratch.
+fn fans() -> Vec<Scan> {
+    (0..2)
+        .map(|i| {
+            let origin = Point3::new(0.0, 0.5 * f64::from(i), 0.0);
+            let points = (0..128 * 128)
+                .map(|ray| {
+                    let across = |n: i32| 24.5 * (f64::from(n) / 127.0 - 0.5);
+                    origin + Point3::new(35.0, across(ray % 128), across(ray / 128))
+                })
+                .collect();
+            Scan { origin, points }
+        })
+        .collect()
+}
+
 /// The scratch `insert_batch` folds a scan through is resident like the
 /// slab and the spill: the first batch allocates it, and the verdict before
-/// the second scan counts it. A budget of exactly the tree plus the whole
-/// cache after one scan refuses the second scan; one byte more admits it.
+/// the second scan counts it — the narrow scratch after the blob walk's
+/// first scan, the wide one after the fan's. A budget of exactly the tree
+/// plus the whole cache after one scan refuses the second scan; one byte
+/// more admits it.
 #[test]
 fn the_fold_scratch_counts_toward_the_budget() {
-    let scans = scans();
     let params = OccupancyParams::default();
-    let mut probe = SerialOctoCache::new(common::grid(), params, common::cache());
-    probe
-        .insert_scan(scans[0].origin, &scans[0].points, MAX_RANGE)
-        .expect("first scan");
-    let slab = common::cache().resident_bytes() as u64;
-    let cache = probe.cache().memory_usage() as u64;
-    assert!(
-        cache >= slab + (1 << 18),
-        "one batch must leave the fold's 256 KiB scratch resident: {cache} B over a {slab} B slab"
-    );
-    let resident = probe.tree().memory_usage() as u64 + cache;
-    for (budget, refused) in [(resident, true), (resident + 1, false)] {
-        let config = {
-            let mut b = CacheConfig::builder();
-            b.num_buckets(1 << 7).tau(2).mem_budget(budget);
-            b.build().unwrap()
-        };
-        let mut map = SerialOctoCache::new(common::grid(), params, config);
-        let shed = drive(&mut map, &scans[..2]);
-        assert_eq!(
-            shed,
-            [false, refused],
-            "budget {budget} B, resident {resident} B"
+    let cache_of = |buckets: usize, budget: Option<u64>| {
+        let mut b = CacheConfig::builder();
+        b.num_buckets(buckets).tau(2);
+        if let Some(budget) = budget {
+            b.mem_budget(budget);
+        }
+        b.build().unwrap()
+    };
+    // The narrow scratch's 2¹⁵ slots and the wide one's 2¹⁷, 8 B each. The
+    // fan's cache has a bucket for each voxel of any 64 × 64 × 64 block, so
+    // nothing spills and the footprint over the slab is the scratch alone.
+    let cases = [
+        ("blob walk", scans(), 1 << 7, 1u64 << 18),
+        ("fan", fans(), 1 << 18, 1 << 20),
+    ];
+    for (label, scans, buckets, scratch) in cases {
+        let mut probe = SerialOctoCache::new(common::grid(), params, cache_of(buckets, None));
+        probe
+            .insert_scan(scans[0].origin, &scans[0].points, MAX_RANGE)
+            .expect("first scan");
+        let slab = cache_of(buckets, None).resident_bytes() as u64;
+        let cache = probe.cache().memory_usage() as u64;
+        assert!(
+            cache >= slab + scratch,
+            "{label}: one batch must leave the fold's {scratch} B of slots resident: \
+             {cache} B over a {slab} B slab"
         );
+        let resident = probe.tree().memory_usage() as u64 + cache;
+        for (budget, refused) in [(resident, true), (resident + 1, false)] {
+            let config = cache_of(buckets, Some(budget));
+            let mut map = SerialOctoCache::new(common::grid(), params, config);
+            let shed = drive(&mut map, &scans[..2]);
+            assert_eq!(
+                shed,
+                [false, refused],
+                "{label}: budget {budget} B, resident {resident} B"
+            );
+        }
     }
 }
