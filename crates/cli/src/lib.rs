@@ -1,37 +1,32 @@
 //! Implementation of the `octocache` command-line tool.
 //!
-//! Subcommands:
+//! Subcommands (`octocache help` prints each with every flag it takes,
+//! from the one table [`run`] dispatches through):
 //!
-//! * `generate <dataset> <out.scanlog> [--scale S] [--seed N]` — generate a
-//!   synthetic scan log (datasets: `fr079-corridor`, `freiburg-campus`,
-//!   `new-college`).
-//! * `build <in.scanlog> <out.map> [--backend B] [--resolution R]
-//!   [--buckets N] [--tau T] [--trace out.jsonl]` — build an occupancy map (backends: `octomap`,
-//!   `octomap-rt`, `serial`, `serial-rt`, `parallel`, `parallel-rt`),
-//!   printing per-phase timings and cache statistics; `--trace` streams
-//!   one JSON scan record per line to a file;
-//!   `--events` records the sub-scan event stream (cache
-//!   hit/miss/evict, queue traffic, worker batch spans) to a JSONL file
-//!   for `analyze`.
-//! * `report <trace.jsonl> [--json]` — per-phase latency percentiles and
-//!   the cache hit-ratio time series of a recorded trace; `--json` emits
-//!   the summary as machine-readable JSON instead.
-//! * `analyze <events.jsonl> [--trace-out trace.json]` — reuse-distance,
-//!   cache-residency, per-octant and bucket-heatmap analytics over a
-//!   recorded event stream, plus a Chrome Trace Event Format export
-//!   loadable in `chrome://tracing` or Perfetto.
-//! * `info <map>` — structural statistics of a serialised map, plus an
-//!   `engine` line (executor, config digest)
-//!   identifying the execution configuration the backend flags select.
-//! * `query <map> [<x> <y> <z>] [--ray O:D] [--batch points.txt]
-//!   [--box MIN:MAX]` — read queries answered through the snapshot query
-//!   engine ([`octocache::MapSnapshot`]): point occupancy, ray casting,
+//! * `generate` — write a synthetic scan log (datasets: `fr079-corridor`,
+//!   `freiburg-campus`, `new-college`).
+//! * `build` — build an occupancy map with one of the six backends,
+//!   printing per-phase timings and cache statistics; optionally stream a
+//!   per-scan trace (`--trace`) or the sub-scan event stream (`--events`),
+//!   journal the run (`--journal`), bound it (`--mem-budget`,
+//!   `--shed-deadline`) or inject test-only faults (`--fault`,
+//!   `--io-fault`).
+//! * `report` — per-phase latency percentiles and the cache hit-ratio
+//!   time series of a recorded trace (`--json` for machine-readable).
+//! * `analyze` — reuse-distance, cache-residency, per-octant and
+//!   bucket-heatmap analytics over a recorded event stream, plus a Chrome
+//!   Trace Event Format export loadable in `chrome://tracing` or Perfetto.
+//! * `info` — structural statistics of a serialised map, plus an `engine`
+//!   line (executor, config digest) identifying the execution
+//!   configuration the backend flags select.
+//! * `query` — read queries answered through the snapshot query engine
+//!   ([`octocache::MapSnapshot`]): point occupancy, ray casting,
 //!   Morton-batched multi-point lookup (reporting traversal prefix reuse),
 //!   and axis-aligned box queries.
-//! * `diff <map_a> <map_b>` — voxel-level agreement between two maps.
-//! * `recover <journal-dir> [<out.map>]` — reconstruct the map persisted by
-//!   a (possibly crashed) `build --journal` run: newest intact checkpoint
-//!   plus journal replay; without `<out.map>` it verifies and reports only.
+//! * `diff` — voxel-level agreement between two maps.
+//! * `recover` — reconstruct the map persisted by a (possibly crashed)
+//!   `build --journal` run: newest intact checkpoint plus journal replay;
+//!   without an output map it verifies and reports only.
 //!
 //! The library surface exists so the whole tool is unit-testable without
 //! spawning processes; `main` is a thin wrapper around [`run`].
@@ -136,56 +131,167 @@ impl From<PipelineError> for CliError {
 /// Returns a message describing what was wrong with the invocation or what
 /// failed while executing it.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("build") => cmd_build(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("recover") => cmd_recover(&args[1..]),
-        Some("help") | None => Ok(usage()),
-        Some(other) => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
+    let name = match args.first().map(String::as_str) {
+        Some("help") | None => return Ok(usage()),
+        Some(name) => name,
+    };
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| CliError::Usage(format!("unknown subcommand `{name}`")))?;
+    let (pos, flags) = parse_flags(&args[1..])?;
+    reject_unknown_flags(cmd, &flags)?;
+    (cmd.exec)(cmd, &pos, &flags)
+}
+
+/// One subcommand: its name, its positional arguments and every flag it
+/// takes, each written as its usage shows it (`--scale S`; a flag with no
+/// value placeholder takes no value). [`usage`], each subcommand's usage
+/// error and the flags [`run`] lets through all come from [`COMMANDS`].
+struct Command {
+    name: &'static str,
+    args: &'static str,
+    flags: &'static [&'static str],
+    exec: Exec,
+}
+
+/// A subcommand's body: its table entry, positional arguments and flags.
+type Exec = fn(&Command, &[&str], &[(&str, &str)]) -> Result<String, CliError>;
+
+/// Every subcommand but `help`.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        args: "<dataset> <out.scanlog>",
+        flags: &["--scale S", "--seed N"],
+        exec: cmd_generate,
+    },
+    Command {
+        name: "build",
+        args: "<in.scanlog> <out.map>",
+        flags: &[
+            "--backend B",
+            "--resolution R",
+            "--buckets N",
+            "--tau T",
+            "--format ot|bt",
+            "--trace out.jsonl",
+            "--events out.jsonl",
+            "--strict",
+            "--fault SPEC",
+            "--io-fault SPEC",
+            "--journal DIR",
+            "--checkpoint-every N",
+            "--mem-budget BYTES",
+            "--max-restarts N",
+            "--shed-deadline MS",
+        ],
+        exec: cmd_build,
+    },
+    Command {
+        name: "report",
+        args: "<trace.jsonl>",
+        flags: &["--json"],
+        exec: cmd_report,
+    },
+    Command {
+        name: "analyze",
+        args: "<events.jsonl>",
+        flags: &["--trace-out trace.json"],
+        exec: cmd_analyze,
+    },
+    Command {
+        name: "info",
+        args: "<map>",
+        flags: &["--backend B", "--buckets N", "--tau T"],
+        exec: cmd_info,
+    },
+    Command {
+        name: "query",
+        args: "<map> [<x> <y> <z>]",
+        flags: &[
+            "--ray OX,OY,OZ:DX,DY,DZ",
+            "--max-range R",
+            "--ignore-unknown",
+            "--batch points.txt",
+            "--box MINX,MINY,MINZ:MAXX,MAXY,MAXZ",
+        ],
+        exec: cmd_query,
+    },
+    Command {
+        name: "diff",
+        args: "<map_a> <map_b>",
+        flags: &[],
+        exec: cmd_diff,
+    },
+    Command {
+        name: "recover",
+        args: "<journal-dir> [<out.map>]",
+        flags: &["--format ot|bt"],
+        exec: cmd_recover,
+    },
+];
+
+impl Command {
+    /// The flags' names, without dashes or value placeholder.
+    fn flag_names(&self) -> impl Iterator<Item = &'static str> {
+        self.flags
+            .iter()
+            .map(|f| f[2..].split(' ').next().unwrap_or_default())
+    }
+
+    /// `name args [--flag V]...`, as `help` prints it.
+    fn usage(&self) -> String {
+        let mut line = format!("{} {}", self.name, self.args);
+        for f in self.flags {
+            let _ = write!(line, " [{f}]");
+        }
+        line
+    }
+
+    /// The usage error for positional arguments this command cannot take.
+    fn usage_error(&self) -> CliError {
+        CliError::Usage(format!("usage: {}", self.usage()))
     }
 }
 
 fn usage() -> String {
-    "octocache — occupancy mapping with a voxel cache (OctoCache reproduction)
-
-USAGE:
-  octocache generate <dataset> <out.scanlog> [--scale S] [--seed N]
-  octocache build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T] [--format ot|bt] [--trace out.jsonl] [--events out.jsonl] [--strict] [--fault SPEC] [--journal DIR] [--checkpoint-every N] [--mem-budget BYTES] [--max-restarts N] [--shed-deadline MS]
-  octocache report <trace.jsonl> [--json]
-  octocache analyze <events.jsonl> [--trace-out trace.json]
-  octocache info <map> [--backend B] [--buckets N] [--tau T]
-  octocache query <map> [<x> <y> <z>] [--ray OX,OY,OZ:DX,DY,DZ] [--max-range R] [--ignore-unknown] [--batch points.txt] [--box MINX,MINY,MINZ:MAXX,MAXY,MAXZ]
-  octocache diff <map_a> <map_b>
-  octocache recover <journal-dir> [<out.map>] [--format ot|bt]
-  octocache help
+    let mut out =
+        "octocache — occupancy mapping with a voxel cache (OctoCache reproduction)\n\nUSAGE:\n"
+            .to_string();
+    for cmd in COMMANDS {
+        let _ = writeln!(out, "  octocache {}", cmd.usage());
+    }
+    out.push_str(
+        "  octocache help
 
 datasets: fr079-corridor | freiburg-campus | new-college
 backends: octomap | octomap-rt | serial | serial-rt | parallel | parallel-rt
 
-exit codes: 0 ok | 2 usage | 3 I/O | 4 bad scan log/trace | 5 bad map | 6 bad geometry | 7 pipeline fault | 8 durability"
-        .to_string()
+exit codes: 0 ok | 2 usage | 3 I/O | 4 bad scan log/trace | 5 bad map | 6 bad geometry | 7 pipeline fault | 8 durability",
+    );
+    out
 }
-
-/// Flags that take no value (presence-only).
-const BOOL_FLAGS: &[&str] = &["strict", "json", "ignore-unknown"];
 
 /// Positional arguments and `--key value` flag pairs.
 type ParsedArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
 
-/// Splits positional arguments from `--key value` flags.
+/// Splits positional arguments from `--key value` flags. A flag that some
+/// subcommand takes with no value (`--strict`, `--json`, …) is presence-only
+/// for every subcommand, so a stray one is refused by name.
 fn parse_flags(args: &[String]) -> Result<ParsedArgs<'_>, CliError> {
+    let presence_only = |key: &str| {
+        COMMANDS
+            .iter()
+            .flat_map(|c| c.flags)
+            .any(|f| f.strip_prefix("--") == Some(key))
+    };
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(key) = a.strip_prefix("--") {
-            if BOOL_FLAGS.contains(&key) {
+            if presence_only(key) {
                 flags.push((key, "true"));
                 continue;
             }
@@ -206,17 +312,23 @@ fn flag<'a>(flags: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
 
 /// Rejects a flag `cmd` does not take with the typed usage error (exit
 /// code 2) instead of silently ignoring it.
-fn reject_unknown_flags(flags: &[(&str, &str)], cmd: &str, known: &[&str]) -> Result<(), CliError> {
-    match flags.iter().find(|(k, _)| !known.contains(k)) {
-        Some((k, _)) if known.is_empty() => Err(CliError::Usage(format!(
-            "unknown flag --{k} for {cmd} (it takes no flags)"
-        ))),
-        Some((k, _)) => Err(CliError::Usage(format!(
-            "unknown flag --{k} for {cmd} (it takes --{})",
-            known.join(", --")
-        ))),
-        None => Ok(()),
-    }
+fn reject_unknown_flags(cmd: &Command, flags: &[(&str, &str)]) -> Result<(), CliError> {
+    let Some((k, _)) = flags
+        .iter()
+        .find(|(k, _)| !cmd.flag_names().any(|n| n == *k))
+    else {
+        return Ok(());
+    };
+    let takes = if cmd.flags.is_empty() {
+        "no flags".to_string()
+    } else {
+        let names: Vec<&str> = cmd.flag_names().collect();
+        format!("--{}", names.join(", --"))
+    };
+    Err(CliError::Usage(format!(
+        "unknown flag --{k} for {} (it takes {takes})",
+        cmd.name
+    )))
 }
 
 /// The map encodings `build` and `recover` write (`--format ot|bt`).
@@ -255,20 +367,19 @@ fn dataset_by_name(name: &str) -> Result<Dataset, CliError> {
         .ok_or_else(|| CliError::Usage(format!("unknown dataset `{name}`")))
 }
 
-fn cmd_generate(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = parse_flags(args)?;
-    let [dataset_name, out_path] = pos.as_slice() else {
-        return Err("usage: generate <dataset> <out.scanlog> [--scale S] [--seed N]".into());
+fn cmd_generate(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<String, CliError> {
+    let [dataset_name, out_path] = pos else {
+        return Err(cmd.usage_error());
     };
     let dataset = dataset_by_name(dataset_name)?;
     let mut config = DatasetConfig::default();
-    if let Some(s) = flag(&flags, "scale") {
+    if let Some(s) = flag(flags, "scale") {
         config.scale = parse_f64(s, "--scale")?;
         if config.scale <= 0.0 || config.scale > 4.0 {
             return Err("--scale must be in (0, 4]".into());
         }
     }
-    if let Some(s) = flag(&flags, "seed") {
+    if let Some(s) = flag(flags, "seed") {
         config.seed = parse_usize(s, "--seed")? as u64;
     }
     let seq = dataset.generate(&config);
@@ -303,53 +414,30 @@ fn load_map(path: &str) -> Result<OccupancyOcTree, CliError> {
     }
 }
 
-/// Every flag `build` takes.
-const BUILD_FLAGS: &[&str] = &[
-    "backend",
-    "resolution",
-    "buckets",
-    "tau",
-    "format",
-    "trace",
-    "events",
-    "strict",
-    "fault",
-    "journal",
-    "checkpoint-every",
-    "mem-budget",
-    "max-restarts",
-    "shed-deadline",
-];
-
-fn cmd_build(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = parse_flags(args)?;
-    reject_unknown_flags(&flags, "build", BUILD_FLAGS)?;
-    let format = map_format(&flags)?;
-    let [in_path, out_path] = pos.as_slice() else {
-        return Err(
-            "usage: build <in.scanlog> <out.map> [--backend B] [--resolution R] [--buckets N] [--tau T]"
-                .into(),
-        );
+fn cmd_build(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<String, CliError> {
+    let format = map_format(flags)?;
+    let [in_path, out_path] = pos else {
+        return Err(cmd.usage_error());
     };
     let seq = load_scanlog(in_path)?;
-    let resolution = match flag(&flags, "resolution") {
+    let resolution = match flag(flags, "resolution") {
         Some(s) => parse_f64(s, "--resolution")?,
         None => 0.2,
     };
     let grid = VoxelGrid::new(resolution, 16).map_err(|e| format!("invalid resolution: {e}"))?;
-    let (backend_name, executor, ray_tracer, mut cache_builder) = backend_flags(&flags)?;
+    let (backend_name, executor, ray_tracer, mut cache_builder) = backend_flags(flags)?;
     // Supervisor knobs: a resident-memory budget that refuses scans once
     // the map reaches it (`build()` rejects one below the cache's own
     // footprint), a worker-respawn budget, and the admission gate's latency
     // deadline. All default off — an unconfigured build behaves exactly as
     // before.
-    if let Some(s) = flag(&flags, "mem-budget") {
+    if let Some(s) = flag(flags, "mem-budget") {
         cache_builder.mem_budget(parse_usize(s, "--mem-budget")? as u64);
     }
-    if let Some(s) = flag(&flags, "max-restarts") {
+    if let Some(s) = flag(flags, "max-restarts") {
         cache_builder.max_restarts(parse_usize(s, "--max-restarts")? as u32);
     }
-    if let Some(s) = flag(&flags, "shed-deadline") {
+    if let Some(s) = flag(flags, "shed-deadline") {
         let ms = parse_f64(s, "--shed-deadline")?;
         if !ms.is_finite() || ms <= 0.0 {
             return Err("--shed-deadline must be a positive duration in ms".into());
@@ -357,13 +445,20 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         cache_builder.shed_deadline(std::time::Duration::from_secs_f64(ms / 1e3));
     }
     // Deterministic fault injection, a test-only failpoint: `--fault
-    // <spec>` schedules a worker fault, `OCTO_IO_FAULT` /
-    // `OCTO_IO_FAULT_SEED` a journal I/O fault. This is the one place the
-    // two variables are read. A value that does not parse, or a plan this
-    // run has nothing to act on, is a usage error: a run that asked for a
-    // fault must not quietly run clean.
-    let io_fault = IoFaultPlan::from_env().map_err(CliError::Usage)?;
-    if let Some(spec) = flag(&flags, "fault") {
+    // <spec>` schedules a worker fault, `--io-fault <spec>` a journal I/O
+    // fault. A spec that does not parse, or a plan this run has nothing to
+    // act on, is a usage error: a run that asked for a fault must not
+    // quietly run clean.
+    let io_fault = flag(flags, "io-fault")
+        .map(|spec| {
+            IoFaultPlan::from_spec(spec).ok_or_else(|| {
+                CliError::Usage(format!(
+                    "malformed --io-fault spec `{spec}` (kill:<point>@<op> | flip:<bit>@<op> | seed:<n>)"
+                ))
+            })
+        })
+        .transpose()?;
+    if let Some(spec) = flag(flags, "fault") {
         let plan = FaultPlan::from_spec(spec).ok_or_else(|| {
             CliError::Usage(format!(
                 "malformed --fault spec `{spec}` (kill:<w>@<b> | killevery:<w>@<n> | stall:<w>@<b>:<us> | spawn:<w> | seed:<n>)"
@@ -377,18 +472,18 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         }
         cache_builder.fault_plan(plan);
     }
-    let strict = flag(&flags, "strict").is_some();
+    let strict = flag(flags, "strict").is_some();
     // Sub-scan event recording (`--events out.jsonl`): a per-run switch, so
     // it rides on the config like `fault_plan` and is never serialised.
-    let events_path = flag(&flags, "events");
+    let events_path = flag(flags, "events");
     if events_path.is_some() {
         cache_builder.events(true);
     }
     // Durable mapping: `--journal DIR` wraps the chosen backend in the
     // checkpoint + write-ahead-journal layer; `--checkpoint-every N` sets
     // the checkpoint cadence in scans (0 = only the final seal checkpoint).
-    let journal_dir = flag(&flags, "journal");
-    if let Some(s) = flag(&flags, "checkpoint-every") {
+    let journal_dir = flag(flags, "journal");
+    if let Some(s) = flag(flags, "checkpoint-every") {
         if journal_dir.is_none() {
             return Err(CliError::Usage(
                 "--checkpoint-every requires --journal".into(),
@@ -398,8 +493,7 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     }
     if io_fault.is_some() && journal_dir.is_none() {
         return Err(CliError::Usage(
-            "OCTO_IO_FAULT / OCTO_IO_FAULT_SEED schedule a journal I/O fault, which requires --journal"
-                .into(),
+            "--io-fault schedules a journal I/O fault, which requires --journal".into(),
         ));
     }
     let cache = cache_builder.build().map_err(|e| e.to_string())?;
@@ -443,7 +537,7 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
         )),
         None => BuildBackend::Plain(backend),
     };
-    let trace_path = flag(&flags, "trace");
+    let trace_path = flag(flags, "trace");
     if let Some(path) = trace_path {
         let recorder = octocache::JsonlRecorder::create(path)
             .map_err(|e| format!("create trace {path}: {e}"))?;
@@ -551,12 +645,15 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     }
     if let Some(path) = trace_path {
         // The engine records every scan it ran, faulted ones included, and
-        // no shed one.
-        let sheds = scan_faults
+        // no shed one; refusals after the last applied scan (the last scan
+        // was shed) ride one trailing record.
+        let shed: Vec<usize> = scan_faults
             .iter()
             .filter(|(_, e)| matches!(e, PipelineError::Shed(_)))
-            .count();
-        let records = seq.scans().len() - sheds;
+            .map(|(i, _)| *i)
+            .collect();
+        let trailing = shed.last() == Some(&(seq.scans().len() - 1));
+        let records = seq.scans().len() - shed.len() + usize::from(trailing);
         let _ = writeln!(out, "  trace: {records} scan records -> {path}");
     }
     if let (Some(dir), Some(ds)) = (journal_dir, durable_stats) {
@@ -631,14 +728,12 @@ fn cmd_build(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_recover(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = parse_flags(args)?;
-    reject_unknown_flags(&flags, "recover", &["format"])?;
-    let format = map_format(&flags)?;
-    let (dir, out_path) = match pos.as_slice() {
+fn cmd_recover(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<String, CliError> {
+    let format = map_format(flags)?;
+    let (dir, out_path) = match pos {
         [dir] => (*dir, None),
         [dir, out] => (*dir, Some(*out)),
-        _ => return Err("usage: recover <journal-dir> [<out.map>] [--format ot|bt]".into()),
+        _ => return Err(cmd.usage_error()),
     };
     let (tree, report) = octocache::durable::recover(dir).map_err(CliError::Durable)?;
     let mut out = String::new();
@@ -674,12 +769,10 @@ fn cmd_recover(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_report(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = parse_flags(args)?;
-    reject_unknown_flags(&flags, "report", &["json"])?;
-    let json = flag(&flags, "json").is_some();
-    let [path] = pos.as_slice() else {
-        return Err("usage: report <trace.jsonl> [--json]".into());
+fn cmd_report(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<String, CliError> {
+    let json = flag(flags, "json").is_some();
+    let [path] = pos else {
+        return Err(cmd.usage_error());
     };
     // Crash-tolerant reads: a process killed mid-run leaves a trace whose
     // final line may be torn. The parseable prefix is still reported (with
@@ -716,12 +809,10 @@ fn cmd_report(args: &[String]) -> Result<String, CliError> {
     })
 }
 
-fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = parse_flags(args)?;
-    reject_unknown_flags(&flags, "analyze", &["trace-out"])?;
-    let trace_out = flag(&flags, "trace-out").unwrap_or("trace.json");
-    let [path] = pos.as_slice() else {
-        return Err("usage: analyze <events.jsonl> [--trace-out trace.json]".into());
+fn cmd_analyze(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<String, CliError> {
+    let trace_out = flag(flags, "trace-out").unwrap_or("trace.json");
+    let [path] = pos else {
+        return Err(cmd.usage_error());
     };
     let events = octocache_telemetry::read_events_jsonl_path(path).map_err(|e| {
         if e.kind() == std::io::ErrorKind::InvalidData {
@@ -743,11 +834,9 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_info(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = parse_flags(args)?;
-    reject_unknown_flags(&flags, "info", &["backend", "buckets", "tau"])?;
-    let [path] = pos.as_slice() else {
-        return Err("usage: info <map> [--backend B] [--buckets N] [--tau T]".into());
+fn cmd_info(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<String, CliError> {
+    let [path] = pos else {
+        return Err(cmd.usage_error());
     };
     let tree = load_map(path)?;
     let mut out = String::new();
@@ -762,7 +851,7 @@ fn cmd_info(args: &[String]) -> Result<String, CliError> {
         "  memory: {:.1} KiB",
         tree.memory_usage() as f64 / 1024.0
     );
-    let _ = write!(out, "  engine: {}", engine_line(&flags)?);
+    let _ = write!(out, "  engine: {}", engine_line(flags)?);
     Ok(out)
 }
 
@@ -856,14 +945,8 @@ fn format_occupancy(snap: &MapSnapshot, p: Point3, occupancy: Option<f32>) -> St
     }
 }
 
-fn cmd_query(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = parse_flags(args)?;
-    reject_unknown_flags(
-        &flags,
-        "query",
-        &["ray", "max-range", "ignore-unknown", "batch", "box"],
-    )?;
-    let (path, point) = match pos.as_slice() {
+fn cmd_query(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<String, CliError> {
+    let (path, point) = match pos {
         [path] => (*path, None),
         [path, x, y, z] => (
             *path,
@@ -873,14 +956,7 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
                 parse_f64(z, "z")?,
             )),
         ),
-        _ => {
-            return Err(
-                "usage: query <map> [<x> <y> <z>] [--ray OX,OY,OZ:DX,DY,DZ] \
-                        [--max-range R] [--ignore-unknown] [--batch points.txt] \
-                        [--box MINX,MINY,MINZ:MAXX,MAXY,MAXZ]"
-                    .into(),
-            )
-        }
+        _ => return Err(cmd.usage_error()),
     };
     // All read paths go through the snapshot engine — the same code a
     // concurrent reader would run against a live backend's QueryHandle.
@@ -895,17 +971,17 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
         sections.push(format_occupancy(&snap, p, snap.occupancy(key)));
     }
 
-    if let Some(spec) = flag(&flags, "ray") {
+    if let Some(spec) = flag(flags, "ray") {
         let (o, d) = spec
             .split_once(':')
             .ok_or_else(|| CliError::Usage(format!("--ray must be O:D, got `{spec}`")))?;
         let origin = parse_point3(o, "ray origin")?;
         let dir = parse_point3(d, "ray direction")?;
-        let max_range = match flag(&flags, "max-range") {
+        let max_range = match flag(flags, "max-range") {
             Some(v) => parse_f64(v, "max-range")?,
             None => 50.0,
         };
-        let ignore_unknown = flag(&flags, "ignore-unknown").is_some();
+        let ignore_unknown = flag(flags, "ignore-unknown").is_some();
         let result = snap
             .cast_ray(origin, dir, max_range, ignore_unknown)
             .map_err(|e| CliError::Geom(format!("invalid ray: {e}")))?;
@@ -924,7 +1000,7 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
         });
     }
 
-    if let Some(file) = flag(&flags, "batch") {
+    if let Some(file) = flag(flags, "batch") {
         let text = std::fs::read_to_string(file)
             .map_err(|e| CliError::Io(format!("cannot read {file}: {e}")))?;
         let mut points = Vec::new();
@@ -967,7 +1043,7 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
         sections.push(out);
     }
 
-    if let Some(spec) = flag(&flags, "box") {
+    if let Some(spec) = flag(flags, "box") {
         let (a, b) = spec
             .split_once(':')
             .ok_or_else(|| CliError::Usage(format!("--box must be MIN:MAX, got `{spec}`")))?;
@@ -997,11 +1073,9 @@ fn cmd_query(args: &[String]) -> Result<String, CliError> {
     Ok(sections.join("\n"))
 }
 
-fn cmd_diff(args: &[String]) -> Result<String, CliError> {
-    let (pos, flags) = parse_flags(args)?;
-    reject_unknown_flags(&flags, "diff", &[])?;
-    let [path_a, path_b] = pos.as_slice() else {
-        return Err("usage: diff <map_a> <map_b>".into());
+fn cmd_diff(cmd: &Command, pos: &[&str], _flags: &[(&str, &str)]) -> Result<String, CliError> {
+    let [path_a, path_b] = pos else {
+        return Err(cmd.usage_error());
     };
     let a = load_map(path_a)?;
     let b = load_map(path_b)?;
@@ -1581,6 +1655,86 @@ mod tests {
         assert_eq!(err.exit_code(), 7);
     }
 
+    /// `--io-fault` schedules a journal I/O fault: a spec that does not
+    /// parse, or a plan with no journal to act on, is refused rather than
+    /// run clean, and an injected kill surfaces as the durability error.
+    #[test]
+    fn io_fault_flag_is_parsed_and_refused_when_unusable() {
+        let log = temp_path("io-fault.scanlog");
+        run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
+        let map = temp_path("io-fault.map");
+        let journal = temp_path("io-fault-journal");
+        let _ = std::fs::remove_dir_all(&journal);
+        let build = ["build", &log, &map, "--backend", "parallel"];
+        let with = |extra: &[&str]| {
+            let mut args = build.to_vec();
+            args.extend(extra);
+            run(&s(&args))
+        };
+
+        for spec in ["bogus", "seed:-1", "kill:mid@2,seed:3"] {
+            let err = with(&["--journal", &journal, "--io-fault", spec]).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{spec}: {err}");
+            assert!(
+                err.to_string().contains("malformed --io-fault spec"),
+                "{spec}: {err}"
+            );
+        }
+
+        let err = with(&["--io-fault", "kill:mid@2"]).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("requires --journal"), "{err}");
+
+        // The kill tears the second append: the durability error exits 8.
+        let err = with(&["--io-fault", "kill:mid@2", "--journal", &journal]).unwrap_err();
+        assert!(matches!(err, CliError::Durable(_)), "{err}");
+        assert_eq!(err.exit_code(), 8, "{err}");
+        let _ = std::fs::remove_dir_all(&journal);
+    }
+
+    /// Every subcommand comes from `COMMANDS`: a flag it does not take
+    /// (`--sclae`, a typo of `generate`'s `--scale`) exits 2 instead of
+    /// being ignored, and every flag its usage line names — in `help` and
+    /// in its usage error — is one it accepts.
+    #[test]
+    fn every_subcommand_refuses_unknown_flags_and_names_its_own() {
+        let help = usage();
+        for cmd in COMMANDS {
+            let err = run(&s(&[cmd.name, "--sclae", "2"])).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{}: {err}", cmd.name);
+            assert!(
+                err.to_string().contains("unknown flag --sclae"),
+                "{}: {err}",
+                cmd.name
+            );
+
+            let line = help
+                .lines()
+                .find(|l| l.starts_with(&format!("  octocache {} ", cmd.name)))
+                .unwrap_or_else(|| panic!("{}: no usage line in {help}", cmd.name));
+            let usage_error = run(&s(&[cmd.name])).unwrap_err().to_string();
+            assert!(
+                usage_error.ends_with(line.trim_start_matches("  octocache ")),
+                "{usage_error}"
+            );
+            let named: Vec<&str> = line
+                .split(" [--")
+                .skip(1)
+                .map(|f| f.split([' ', ']']).next().unwrap())
+                .collect();
+            assert_eq!(named.len(), cmd.flags.len(), "{line}");
+            for name in named {
+                let flag = format!("--{name}");
+                let err = run(&s(&[cmd.name, &flag, "1"])).err();
+                assert!(
+                    !err.is_some_and(|e| e.to_string().contains("unknown flag")),
+                    "{}: the usage names {flag} but the command refuses it",
+                    cmd.name
+                );
+            }
+        }
+    }
+
     #[test]
     fn supervisor_flags_and_heal_reporting() {
         let log = temp_path("supervisor.scanlog");
@@ -1650,7 +1804,8 @@ mod tests {
     /// the tree is empty), and scan 1 never is: every real scan takes
     /// longer than 1 µs, and after one scan the cache's slab and fold
     /// scratch alone exceed 1 000 000 B. `--strict` makes the refusal
-    /// fatal (exit 7). The trace line counts the records actually written.
+    /// fatal (exit 7). The trace line counts the records actually written,
+    /// the trailing one that carries the refusals included.
     #[test]
     fn build_sheds_on_the_deadline_and_the_budget() {
         let log = temp_path("shed.scanlog");
@@ -1672,8 +1827,15 @@ mod tests {
                 shed.first().is_some_and(|l| l.starts_with("scan 1: ")),
                 "{knob}: {out}"
             );
-            let written = std::fs::read_to_string(&trace).unwrap().lines().count();
-            assert_eq!(written + shed.len(), scans, "{knob}: {out}");
+            // Every scan after scan 0 is refused, so the refusals ride one
+            // trailing record and the trace's `sheds` count every one.
+            let records = octocache_telemetry::read_jsonl_prefix_path(&trace)
+                .unwrap()
+                .0;
+            let written = records.len();
+            assert_eq!(written + shed.len(), scans + 1, "{knob}: {out}");
+            let summed: u64 = records.iter().map(|r| r.sheds).sum();
+            assert_eq!(summed, shed.len() as u64, "{knob}: {out}");
             assert!(
                 out.contains(&format!("trace: {written} scan records")),
                 "{knob}: {out}"

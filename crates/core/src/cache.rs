@@ -633,7 +633,7 @@ impl VoxelCache {
 
     /// The bucket of the voxel whose Morton code is `code`.
     #[inline]
-    pub fn bucket_of_code(&self, code: u64) -> usize {
+    pub(crate) fn bucket_of_code(&self, code: u64) -> usize {
         (code & self.mask) as usize
     }
 

@@ -28,7 +28,7 @@ pub enum ConfigError {
         /// The cache's resident bytes.
         cache_bytes: u64,
     },
-    /// `num_buckets × tau` must not exceed [`CacheConfig::MAX_CELLS`]: the
+    /// `num_buckets × tau` must not exceed `CacheConfig::MAX_CELLS`: the
     /// cache allocates that many cells when it is built.
     CapacityTooLarge {
         /// The rejected bucket count.
@@ -122,7 +122,7 @@ impl Default for CacheConfig {
 impl CacheConfig {
     /// The largest `num_buckets × tau` a config accepts: 2²⁸ cells, a 3 GiB
     /// slab (the paper's 512 K × 4 table is 2²¹ cells).
-    pub const MAX_CELLS: usize = 1 << 28;
+    pub(crate) const MAX_CELLS: usize = 1 << 28;
 
     /// Starts building a config.
     pub fn builder() -> CacheConfigBuilder {
@@ -226,18 +226,6 @@ impl CacheConfig {
     #[inline]
     pub fn capacity_after_eviction(&self) -> usize {
         self.num_buckets * self.tau
-    }
-
-    /// The paper's memory accounting: 7 bytes per cell (three `u8`-packed
-    /// coordinates + one `f32`), times `w × τ` (§6.2.4: `M = 7wτ`).
-    ///
-    /// Note our cells store three `u16` coordinates to cover 16-level trees
-    /// and align the `f32`, 12 bytes in all; this method reports the paper's
-    /// figure for comparability, [`CacheConfig::resident_bytes`] the real
-    /// one.
-    #[inline]
-    pub fn paper_bytes(&self) -> usize {
-        7 * self.capacity_after_eviction()
     }
 
     /// The bytes a [`VoxelCache`](crate::VoxelCache) of this geometry
@@ -355,7 +343,7 @@ impl CacheConfigBuilder {
     ///
     /// Returns a [`ConfigError`] when `num_buckets` is zero or not a power
     /// of two, `tau` is zero, their product passes
-    /// [`CacheConfig::MAX_CELLS`], or a runtime knob is out of range.
+    /// `CacheConfig::MAX_CELLS`, or a runtime knob is out of range.
     pub fn build(&self) -> Result<CacheConfig, ConfigError> {
         let c = self.config;
         if c.num_buckets == 0 {
@@ -457,7 +445,7 @@ mod tests {
             .tau(4)
             .build()
             .unwrap();
-        assert_eq!(c.paper_bytes(), 14 * 1024 * 1024);
+        assert_eq!(7 * c.capacity_after_eviction(), 14 * 1024 * 1024);
         // Ours: 12-byte cells and an 8-byte header per bucket, 28 MiB.
         assert_eq!(c.resident_bytes(), (24 + 4) * 1024 * 1024);
     }

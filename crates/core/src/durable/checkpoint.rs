@@ -52,7 +52,7 @@ impl CheckpointStore {
         }
     }
 
-    pub fn ensure_dir(&self) -> Result<(), DurableError> {
+    pub(crate) fn ensure_dir(&self) -> Result<(), DurableError> {
         fs::create_dir_all(&self.dir).map_err(|e| io_err(&self.dir, &e))
     }
 
@@ -153,7 +153,7 @@ impl CheckpointStore {
     /// manifest that exists but fails its own checks, are reported in the
     /// second return value, never fatal; `None` means no usable checkpoint
     /// exists (recovery then replays the whole journal).
-    pub fn load_latest(&self) -> (Option<LoadedCheckpoint>, Vec<String>) {
+    pub(crate) fn load_latest(&self) -> (Option<LoadedCheckpoint>, Vec<String>) {
         let mut skipped = Vec::new();
         let mut candidates: Vec<u64> = Vec::new();
         match self.manifest_epoch() {

@@ -111,15 +111,21 @@ impl IoFaultPlan {
 
     /// Parses a spec string: comma-separated directives
     /// `kill:<point>@<op>` (point ∈ `before|mid|after|rename`) and
-    /// `flip:<bit>@<op>`. Returns `None` for malformed specs.
+    /// `flip:<bit>@<op>`, or `seed:<n>` alone for the plan
+    /// [`from_seed`](IoFaultPlan::from_seed) derives. Returns `None` for
+    /// malformed specs. The CLI's `build --io-fault` takes this spec.
     ///
     /// ```
     /// # use octocache::durable::{IoFaultPlan, KillPoint};
     /// let p = IoFaultPlan::from_spec("kill:mid@3,flip:17@5").unwrap();
     /// assert_eq!(p.kill, Some((3, KillPoint::MidWrite)));
     /// assert_eq!(p.flip, Some((5, 17)));
+    /// assert_eq!(IoFaultPlan::from_spec("seed:4"), Some(IoFaultPlan::from_seed(4)));
     /// ```
     pub fn from_spec(spec: &str) -> Option<IoFaultPlan> {
+        if let Some(seed) = spec.trim().strip_prefix("seed:") {
+            return seed.parse().ok().map(IoFaultPlan::from_seed);
+        }
         let mut plan = IoFaultPlan::default();
         for part in spec.split(',') {
             let part = part.trim();
@@ -152,43 +158,6 @@ impl IoFaultPlan {
         } else {
             Some(plan)
         }
-    }
-
-    /// Reads a plan from the environment: `OCTO_IO_FAULT` (a
-    /// [`from_spec`](IoFaultPlan::from_spec) string) wins over
-    /// `OCTO_IO_FAULT_SEED` (a [`from_seed`](IoFaultPlan::from_seed)
-    /// integer). `Ok(None)` when neither is set.
-    ///
-    /// Nothing in the library calls this — [`DurableMap::create`] and
-    /// [`DurableMap::resume`] inject no faults; the CLI's `build` reads
-    /// the plan once and passes it to
-    /// [`DurableMap::create_with_io_faults`].
-    ///
-    /// [`DurableMap::create`]: super::DurableMap::create
-    /// [`DurableMap::resume`]: super::DurableMap::resume
-    /// [`DurableMap::create_with_io_faults`]: super::DurableMap::create_with_io_faults
-    ///
-    /// # Errors
-    ///
-    /// A message naming the variable when either one is set but does not
-    /// parse: a run that asked for a fault must not quietly run clean.
-    pub fn from_env() -> Result<Option<IoFaultPlan>, String> {
-        // A value that is not UTF-8 turns lossy here and then fails to parse.
-        let read = |var: &str| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-        let spec = read("OCTO_IO_FAULT")
-            .map(|s| {
-                IoFaultPlan::from_spec(&s)
-                    .ok_or_else(|| format!("malformed OCTO_IO_FAULT spec `{s}`"))
-            })
-            .transpose()?;
-        let seed = read("OCTO_IO_FAULT_SEED")
-            .map(|s| {
-                s.parse::<u64>().map_err(|_| {
-                    format!("malformed OCTO_IO_FAULT_SEED `{s}` (an unsigned integer)")
-                })
-            })
-            .transpose()?;
-        Ok(spec.or_else(|| seed.map(IoFaultPlan::from_seed)))
     }
 }
 
@@ -276,7 +245,7 @@ impl Vfs {
     /// Publishes `bytes` as `dir/name` atomically: write `name.tmp`, fsync
     /// it, rename over `name`, fsync the directory. One persistence
     /// operation.
-    pub fn write_atomic(
+    pub(crate) fn write_atomic(
         &mut self,
         dir: &Path,
         name: &str,

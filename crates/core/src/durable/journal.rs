@@ -342,7 +342,7 @@ impl Journal {
     /// Reopens an existing journal for appends, first truncating any
     /// damaged tail to `valid_bytes`. `version` is the header's format
     /// version; appends keep encoding in it.
-    pub fn open_truncated(
+    pub(crate) fn open_truncated(
         path: PathBuf,
         valid_bytes: u64,
         version: u8,
@@ -375,7 +375,7 @@ impl Journal {
     /// Whether this journal's format can record shed scans (version ≥ 2).
     /// Version-1 journals (resumed from a pre-flags run) record applied
     /// scans only — a shed scan is simply absent from the log.
-    pub fn supports_shed(&self) -> bool {
+    pub(crate) fn supports_shed(&self) -> bool {
         self.version >= 2
     }
 

@@ -352,7 +352,6 @@ pub struct DurableMap {
     epoch: u64,
     last_checkpoint: u64,
     stats: DurableStats,
-    seal_error: Option<DurableError>,
 }
 
 impl fmt::Debug for DurableMap {
@@ -423,7 +422,6 @@ impl DurableMap {
             epoch: 0,
             last_checkpoint: 0,
             stats: DurableStats::default(),
-            seal_error: None,
         })
     }
 
@@ -457,7 +455,6 @@ impl DurableMap {
                 last_checkpoint_epoch: report.checkpoint_epoch.unwrap_or(0),
                 ..DurableStats::default()
             },
-            seal_error: None,
         };
         Ok((map, report))
     }
@@ -471,14 +468,6 @@ impl DurableMap {
     /// (including, after [`DurableMap::resume`], the recovered prefix).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The error of the best-effort seal performed by the last
-    /// [`MappingSystem::finish`] call, if it failed. Callers that need the
-    /// final checkpoint to be guaranteed should call [`DurableMap::seal`]
-    /// directly and handle the `Result`.
-    pub fn seal_error(&self) -> Option<&DurableError> {
-        self.seal_error.as_ref()
     }
 
     /// Forces the journal to disk and writes a final checkpoint at the
@@ -594,10 +583,10 @@ impl MappingSystem for DurableMap {
 
     fn finish(&mut self) -> PhaseTimes {
         let times = self.inner.finish();
-        // `finish` cannot surface a Result; the seal outcome is kept for
-        // callers that check (`seal_error`), and `seal()` remains available
-        // for explicit error handling.
-        self.seal_error = self.seal().err();
+        // `finish` cannot surface a Result, so this seal is best-effort;
+        // callers that need the final checkpoint call `seal()` and handle
+        // its Result.
+        let _ = self.seal();
         times
     }
 
@@ -648,11 +637,6 @@ impl MappingSystem for DurableMap {
     fn take_tree(self: Box<Self>) -> OccupancyOcTree {
         self.inner.take_tree()
     }
-}
-
-/// The journal file's path inside a durable directory (for tooling/tests).
-pub fn journal_path(dir: impl AsRef<Path>) -> PathBuf {
-    dir.as_ref().join(JOURNAL_FILE)
 }
 
 /// The checkpoint directory's path inside a durable directory.

@@ -36,7 +36,9 @@
 //! `insert_scan` is the only way a scan enters a backend. A scan the
 //! supervisor refuses returns [`PipelineError::Shed`] before step 1: it
 //! leaves the map unchanged, records nothing, and is counted once in the
-//! pending record's `sheds`, which the next applied scan carries.
+//! pending record's `sheds`, which the next applied scan carries. Refusals
+//! after the last applied scan reach the trace at [`MappingSystem::finish`]
+//! as one trailing record with no observations.
 //!
 //! Durability ([`crate::durable::DurableMap`]) plugs in as an engine layer:
 //! the wrapper asks [`MappingSystem::admit`] before it journals, and writes
@@ -630,6 +632,15 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
     fn finish(&mut self) -> PhaseTimes {
         let flushed = self.exec.flush();
         self.telemetry.add_times(flushed.recorded);
+        // Refusals after the last applied scan have no scan to ride on:
+        // they reach the trace as one trailing record with no observations.
+        if self.record.sheds > 0 {
+            let mut record = std::mem::take(&mut self.record);
+            if self.budget.is_some() {
+                record.pressure_level = "normal".to_string();
+            }
+            self.telemetry.record_trailing(record);
+        }
         self.telemetry.flush();
         flushed.returned
     }

@@ -125,7 +125,7 @@ impl From<GeomError> for PipelineError {
 
 /// The map-consistency verdict a mapping backend reports after faults.
 ///
-/// Ordered by severity: [`Integrity::escalate`] only ever moves toward
+/// Ordered by severity: a backend's verdict only ever moves toward
 /// [`Integrity::Compromised`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Integrity {
@@ -152,7 +152,7 @@ impl Integrity {
     /// Raises the verdict to `to` if it is more severe than the current
     /// state (never lowers it).
     #[inline]
-    pub fn escalate(&mut self, to: Integrity) {
+    pub(crate) fn escalate(&mut self, to: Integrity) {
         if to > *self {
             *self = to;
         }
@@ -261,7 +261,7 @@ impl fmt::Display for IntegrityTransition {
 /// history, stamped with the scan set by [`IntegrityState::set_scan`] at
 /// each scan boundary.
 #[derive(Debug, Clone, Default)]
-pub struct IntegrityState {
+pub(crate) struct IntegrityState {
     current: Integrity,
     history: Vec<IntegrityTransition>,
     scan: u64,
@@ -293,7 +293,7 @@ impl IntegrityState {
     }
 
     /// [`Integrity::escalate`], recording the transition if one happened.
-    pub fn escalate(&mut self, to: Integrity) {
+    pub(crate) fn escalate(&mut self, to: Integrity) {
         let from = self.current;
         self.current.escalate(to);
         if self.current != from {

@@ -65,15 +65,10 @@ pub mod supervisor;
 pub use cache::{CacheStats, EvictedCell, VoxelCache};
 pub use config::{CacheConfig, CacheConfigBuilder, ConfigError};
 pub use durable::{DurableError, DurableMap, DurableStats, IoFaultPlan, KillPoint, RecoveryReport};
-pub use engine::{Engine, FlushTimes, ScanExecutor};
-pub use fault::{
-    FaultCounters, FaultPlan, Integrity, IntegrityState, IntegrityTransition, PipelineError,
-};
+pub use fault::{FaultCounters, FaultPlan, Integrity, IntegrityTransition, PipelineError};
 pub use parallel::ParallelOctoCache;
 pub use pipeline::MappingSystem;
-pub use query::{
-    LiveMap, MapSnapshot, OccupancyView, PublishStats, QueryHandle, SnapshotPublisher,
-};
+pub use query::{LiveMap, MapSnapshot, OccupancyView, QueryHandle};
 #[doc(hidden)]
 pub use routing::OctantRouter;
 pub use serial::SerialOctoCache;

@@ -29,7 +29,7 @@ pub struct TreeNode {
 }
 
 /// The closest common ancestor of two leaves as a [`TreeNode`].
-pub fn common_ancestor(a: VoxelKey, b: VoxelKey, depth: u8) -> TreeNode {
+pub(crate) fn common_ancestor(a: VoxelKey, b: VoxelKey, depth: u8) -> TreeNode {
     let level = a.common_ancestor_level(b, depth);
     TreeNode {
         level,
@@ -38,7 +38,7 @@ pub fn common_ancestor(a: VoxelKey, b: VoxelKey, depth: u8) -> TreeNode {
 }
 
 /// Lemma A2: `A(a,b)`, `A(a,c)`, `A(b,c)` are at most two distinct nodes.
-pub fn lemma_a2(a: VoxelKey, b: VoxelKey, c: VoxelKey, depth: u8) -> bool {
+pub(crate) fn lemma_a2(a: VoxelKey, b: VoxelKey, c: VoxelKey, depth: u8) -> bool {
     let ab = common_ancestor(a, b, depth);
     let ac = common_ancestor(a, c, depth);
     let bc = common_ancestor(b, c, depth);
@@ -54,7 +54,7 @@ pub fn lemma_a2(a: VoxelKey, b: VoxelKey, c: VoxelKey, depth: u8) -> bool {
 
 /// Lemma A3: the three pairwise tree distances take at most two distinct
 /// values, and the two largest are equal (the ultrametric property).
-pub fn lemma_a3(a: VoxelKey, b: VoxelKey, c: VoxelKey, depth: u8) -> bool {
+pub(crate) fn lemma_a3(a: VoxelKey, b: VoxelKey, c: VoxelKey, depth: u8) -> bool {
     let mut d = [
         a.tree_distance(b, depth),
         a.tree_distance(c, depth),
@@ -71,7 +71,7 @@ pub fn lemma_a3(a: VoxelKey, b: VoxelKey, c: VoxelKey, depth: u8) -> bool {
 /// every cross pair of descendant leaves has the same distance, strictly
 /// larger than every intra-`a` pair distance. Verified over the given
 /// descendant samples (must actually descend from the stated ancestors).
-pub fn lemma_a4(
+pub(crate) fn lemma_a4(
     a_descendants: &[VoxelKey],
     b_descendants: &[VoxelKey],
     level: u8,
@@ -111,7 +111,7 @@ pub fn lemma_a4(
 
 /// Lemma A6 (which subsumes A5's conclusion): in a sequence, for every
 /// ancestor level, keys sharing an ancestor appear contiguously.
-pub fn descendants_contiguous(sequence: &[VoxelKey], depth: u8) -> bool {
+pub(crate) fn descendants_contiguous(sequence: &[VoxelKey], depth: u8) -> bool {
     for level in 1..=depth {
         let mut seen: Vec<VoxelKey> = Vec::new();
         let mut current: Option<VoxelKey> = None;
@@ -138,7 +138,7 @@ pub fn descendants_contiguous(sequence: &[VoxelKey], depth: u8) -> bool {
 /// # Panics
 ///
 /// Panics when given more than 8 keys.
-pub fn optimal_sequences(keys: &[VoxelKey], depth: u8) -> Vec<Vec<VoxelKey>> {
+pub(crate) fn optimal_sequences(keys: &[VoxelKey], depth: u8) -> Vec<Vec<VoxelKey>> {
     assert!(keys.len() <= 8, "exhaustive search limited to 8 keys");
     let mut best = u64::MAX;
     let mut optima: Vec<Vec<VoxelKey>> = Vec::new();

@@ -143,27 +143,6 @@ fn permute(keys: &mut [VoxelKey], start: usize, depth: u8, best: &mut u64) {
     }
 }
 
-/// Summary of 𝓕 across the standard orders for one key set — handy for the
-/// Figure 10 bench and for reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OrderReport {
-    /// (order label, 𝓕 value) pairs in [`VoxelOrder::ALL`] order.
-    pub entries: Vec<(&'static str, u64)>,
-}
-
-/// Computes 𝓕 for every standard order applied to `keys`.
-pub fn order_report(keys: &[VoxelKey], depth: u8) -> OrderReport {
-    let entries = VoxelOrder::ALL
-        .iter()
-        .map(|order| {
-            let mut v = keys.to_vec();
-            order.apply(&mut v);
-            (order.label(), locality_f(&v, depth))
-        })
-        .collect();
-    OrderReport { entries }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,20 +175,18 @@ mod tests {
                 (0..4u16).flat_map(move |y| (0..2u16).map(move |z| VoxelKey::new(x, y, z)))
             })
             .collect();
-        let report = order_report(&keys, 16);
-        let morton_f = report
-            .entries
-            .iter()
-            .find(|(l, _)| *l == "morton")
-            .unwrap()
-            .1;
-        for (label, f) in &report.entries {
+        let f_of = |order: VoxelOrder| {
+            let mut v = keys.clone();
+            order.apply(&mut v);
+            locality_f(&v, 16)
+        };
+        let morton_f = f_of(VoxelOrder::Morton);
+        for order in VoxelOrder::ALL {
+            let f = f_of(order);
             assert!(
-                morton_f <= *f,
-                "morton {} should not exceed {} ({})",
-                morton_f,
-                f,
-                label
+                morton_f <= f,
+                "morton {morton_f} should not exceed {f} ({})",
+                order.label()
             );
         }
     }
@@ -342,5 +319,7 @@ mod tests {
     }
 }
 
-/// Machine-checked instances of the supplementary lemmas (A2–A6).
-pub mod lemmas;
+/// Machine-checked instances of the supplementary lemmas (A2–A6): checkers
+/// that only this crate's property tests call.
+#[cfg(test)]
+mod lemmas;

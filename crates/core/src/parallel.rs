@@ -317,19 +317,6 @@ impl ParallelOctoCache {
         self.exec.cache.stats()
     }
 
-    /// Workers still in rotation: 1 while the octree worker is alive and
-    /// fed through its queue, 0 once evictions are applied inline.
-    pub fn live_workers(&self) -> usize {
-        usize::from(self.exec.worker.failed.is_none())
-    }
-
-    /// Runs `f` with shared access to the backing octree (its mutex is held
-    /// for the duration). Pending cache contents are not included; call
-    /// [`MappingSystem::finish`] first for a complete tree.
-    pub fn with_tree<R>(&self, f: impl FnOnce(&OccupancyOcTree) -> R) -> R {
-        f(&self.exec.worker.tree.lock())
-    }
-
     /// Shuts the worker down and returns the octree (flushing the cache
     /// first, so the tree is complete).
     pub fn into_tree(mut self) -> OccupancyOcTree {
@@ -1000,6 +987,23 @@ fn worker_loop(
         drop(batch);
         shared.batches_done.fetch_add(1, Ordering::Release);
         batch_index += 1;
+    }
+}
+
+// What the unit tests below inspect of a running pipeline.
+#[cfg(test)]
+impl ParallelOctoCache {
+    /// Workers still in rotation: 1 while the octree worker is alive and
+    /// fed through its queue, 0 once evictions are applied inline.
+    pub(crate) fn live_workers(&self) -> usize {
+        usize::from(self.exec.worker.failed.is_none())
+    }
+
+    /// Runs `f` with shared access to the backing octree (its mutex is held
+    /// for the duration). Pending cache contents are not included; call
+    /// [`MappingSystem::finish`] first for a complete tree.
+    pub(crate) fn with_tree<R>(&self, f: impl FnOnce(&OccupancyOcTree) -> R) -> R {
+        f(&self.exec.worker.tree.lock())
     }
 }
 

@@ -8,10 +8,10 @@
 //! the lock order entirely:
 //!
 //! * Writers publish an immutable [`MapSnapshot`] at every scan boundary
-//!   through a [`SnapshotPublisher`] owned by the scan-lifecycle engine
-//!   ([`Engine`](crate::Engine), shared by every [`MappingSystem`]
+//!   through a `SnapshotPublisher` owned by the scan-lifecycle engine
+//!   ([`Engine`](crate::engine::Engine), shared by every [`MappingSystem`]
 //!   backend); the snapshot tree itself comes from the backend's
-//!   [`ScanExecutor::snapshot_tree`](crate::ScanExecutor::snapshot_tree).
+//!   [`ScanExecutor::snapshot_tree`](crate::engine::ScanExecutor::snapshot_tree).
 //!   Publication is an epoch-numbered pointer swap; the octree inside a
 //!   snapshot is never mutated after publication.
 //! * Readers hold a [`QueryHandle`] (cheaply cloneable, `Send + Sync`) and
@@ -56,24 +56,22 @@ pub struct MapSnapshot {
     epoch: u64,
     scans: u64,
     published_at: Instant,
-    publish_latency: Duration,
 }
 
 impl MapSnapshot {
     /// Builds a snapshot directly from a tree (epoch 0, for standalone use;
-    /// backends go through [`SnapshotPublisher`] instead).
+    /// backends go through `SnapshotPublisher` instead).
     pub fn from_tree(tree: OccupancyOcTree) -> Self {
         MapSnapshot {
             tree,
             epoch: 0,
             scans: 0,
             published_at: Instant::now(),
-            publish_latency: Duration::ZERO,
         }
     }
 
     /// Monotonic publication number; bumped by every
-    /// [`SnapshotPublisher::publish_with`].
+    /// `SnapshotPublisher::publish_with`.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -87,11 +85,6 @@ impl MapSnapshot {
     /// accepts in exchange for never blocking the writer.
     pub fn age(&self) -> Duration {
         self.published_at.elapsed()
-    }
-
-    /// Wall-clock cost of building and publishing this snapshot.
-    pub fn publish_latency(&self) -> Duration {
-        self.publish_latency
     }
 
     /// The snapshot's private octree.
@@ -192,9 +185,7 @@ impl MapSnapshot {
 
 /// What one [`SnapshotPublisher::publish_with`] call did.
 #[derive(Debug, Clone, Copy)]
-pub struct PublishStats {
-    /// Epoch of the snapshot just published.
-    pub epoch: u64,
+pub(crate) struct PublishStats {
     /// Time to build the snapshot tree and swap it in.
     pub latency: Duration,
     /// Age of the snapshot this one replaced (how stale readers had been).
@@ -215,7 +206,7 @@ struct SlotInner {
 /// The writer's side of the snapshot slot: owned by a mapping backend,
 /// republished at every scan boundary.
 #[derive(Debug)]
-pub struct SnapshotPublisher {
+pub(crate) struct SnapshotPublisher {
     inner: Arc<SlotInner>,
     epoch: u64,
 }
@@ -228,7 +219,6 @@ impl SnapshotPublisher {
             epoch: 0,
             scans,
             published_at: Instant::now(),
-            publish_latency: Duration::ZERO,
         };
         SnapshotPublisher {
             inner: Arc::new(SlotInner {
@@ -249,38 +239,30 @@ impl SnapshotPublisher {
         }
     }
 
-    /// Epoch of the most recently published snapshot.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Builds a tree with `build`, wraps it as the next-epoch snapshot and
     /// swaps it in. Readers holding the previous `Arc` finish their queries
     /// against it undisturbed; new [`QueryHandle::snapshot`] calls see the
     /// new one. The reported latency covers the build (the deep copy
     /// dominates) plus the O(1) swap.
-    pub fn publish_with(
+    pub(crate) fn publish_with(
         &mut self,
         scans: u64,
         build: impl FnOnce() -> OccupancyOcTree,
     ) -> PublishStats {
         let t0 = Instant::now();
         let tree = build();
-        let latency = t0.elapsed();
         self.epoch += 1;
         let snap = Arc::new(MapSnapshot {
             tree,
             epoch: self.epoch,
             scans,
             published_at: Instant::now(),
-            publish_latency: latency,
         });
         let old = {
             let mut cur = self.inner.current.lock();
             std::mem::replace(&mut *cur, snap)
         };
         PublishStats {
-            epoch: self.epoch,
             latency: t0.elapsed(),
             replaced_age: old.age(),
         }
@@ -288,7 +270,7 @@ impl SnapshotPublisher {
 
     /// Drains the batch-query counters accumulated by every handle since
     /// the last drain (for per-scan telemetry attribution).
-    pub fn take_batch_stats(&self) -> BatchStats {
+    pub(crate) fn take_batch_stats(&self) -> BatchStats {
         BatchStats {
             queries: self.inner.batch_queries.swap(0, Ordering::Relaxed),
             nodes_visited: self.inner.batch_nodes_visited.swap(0, Ordering::Relaxed),
@@ -468,7 +450,6 @@ mod tests {
         assert_eq!(handle.epoch(), 0);
         let s0 = handle.snapshot();
         let stats = publisher.publish_with(1, occupied_tree);
-        assert_eq!(stats.epoch, 1);
         assert!(stats.latency > Duration::ZERO);
         assert_eq!(handle.epoch(), 1);
         // The old snapshot is still fully queryable by whoever holds it.

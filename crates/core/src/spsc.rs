@@ -33,7 +33,7 @@ const SPIN_ITERS: u32 = 64;
 /// [`crate::fault::PipelineError::QueueStalled`] instead of spinning
 /// forever — the fault-tolerance contract of the parallel pipeline.
 #[derive(Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     spins: u32,
     start: Option<Instant>,
     deadline: Duration,
@@ -53,7 +53,7 @@ impl Backoff {
 
     /// Performs one wait step. Returns `false` once the deadline has
     /// elapsed; the caller should stop waiting and report a stall.
-    pub fn snooze(&mut self) -> bool {
+    pub(crate) fn snooze(&mut self) -> bool {
         if self.spins < SPIN_ITERS {
             self.spins += 1;
             std::hint::spin_loop();

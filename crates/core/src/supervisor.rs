@@ -16,7 +16,7 @@
 //!   footprint never shrinks (the octree pool only grows, the cache slab
 //!   is allocated once), so once the budget refuses a scan the map stops
 //!   growing for the rest of the run.
-//! * [`AdmissionGate`] sheds scans when the moving average of recent
+//! * `AdmissionGate` sheds scans when the moving average of recent
 //!   scan latencies exceeds the configured deadline
 //!   ([`CacheConfig::shed_deadline`]) — bounded-latency load shedding
 //!   for burst overload.
@@ -27,7 +27,8 @@
 //! the gate first, then the budget. A refused scan returns
 //! [`PipelineError::Shed`](crate::fault::PipelineError::Shed), leaves the
 //! map unchanged and is counted once, in the next applied scan's
-//! `ScanRecord::sheds`.
+//! `ScanRecord::sheds` (or, after the last applied scan, in the trailing
+//! record `finish` writes).
 //!
 //! All three are zero-cost when unconfigured: no budget means resident
 //! bytes are never measured, no deadline means the gate admits
@@ -90,7 +91,7 @@ const EWMA_ALPHA: f64 = 0.3;
 /// above the deadline, decaying the average on every shed so a finished
 /// burst re-admits after a bounded number of rejections.
 #[derive(Debug, Clone)]
-pub struct AdmissionGate {
+pub(crate) struct AdmissionGate {
     deadline: Duration,
     ewma_ns: f64,
 }
@@ -106,7 +107,7 @@ impl AdmissionGate {
     }
 
     /// Records the latency of an applied scan.
-    pub fn observe_scan(&mut self, took: Duration) {
+    pub(crate) fn observe_scan(&mut self, took: Duration) {
         let ns = took.as_nanos() as f64;
         if self.ewma_ns == 0.0 {
             self.ewma_ns = ns;

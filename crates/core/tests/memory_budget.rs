@@ -51,6 +51,21 @@ fn budget(scans: &[Scan]) -> u64 {
     common::cache().resident_bytes() as u64 + footprint[footprint.len() / 2]
 }
 
+/// The serial and the parallel backend over `config`.
+fn backends(config: CacheConfig) -> [(&'static str, Box<dyn MappingSystem>); 2] {
+    let params = OccupancyParams::default();
+    [
+        (
+            "serial",
+            Box::new(SerialOctoCache::new(common::grid(), params, config)),
+        ),
+        (
+            "parallel",
+            Box::new(ParallelOctoCache::new(common::grid(), params, config)),
+        ),
+    ]
+}
+
 /// Drives every scan through `insert_scan`; returns which scans the budget
 /// shed.
 fn drive(map: &mut dyn MappingSystem, scans: &[Scan]) -> Vec<bool> {
@@ -76,18 +91,7 @@ fn over_budget_is_permanent_and_the_applied_prefix_is_exact() {
         b.num_buckets(1 << 7).tau(2).mem_budget(budget);
         b.build().unwrap()
     };
-    let params = OccupancyParams::default();
-    let backends: [(&str, Box<dyn MappingSystem>); 2] = [
-        (
-            "serial",
-            Box::new(SerialOctoCache::new(common::grid(), params, config)),
-        ),
-        (
-            "parallel",
-            Box::new(ParallelOctoCache::new(common::grid(), params, config)),
-        ),
-    ];
-    for (name, mut map) in backends {
+    for (name, mut map) in backends(config) {
         let label = format!("{name}, budget {budget} B");
         let recorder = SharedRecorder::new();
         map.set_recorder(Box::new(recorder.clone()));
@@ -124,6 +128,46 @@ fn over_budget_is_permanent_and_the_applied_prefix_is_exact() {
     }
 }
 
+/// A run that ends refusing still reports every refusal: those after the
+/// last applied scan reach the trace at `finish` as one trailing record
+/// with no observations, so the records' `sheds` sum to the number of
+/// `Shed` returns. A second `finish` writes no second trailing record.
+#[test]
+fn refusals_after_the_last_applied_scan_reach_the_trace() {
+    let scans = scans();
+    let config = {
+        let mut b = CacheConfig::builder();
+        b.num_buckets(1 << 7).tau(2).mem_budget(budget(&scans));
+        b.build().unwrap()
+    };
+    for (name, mut map) in backends(config) {
+        let recorder = SharedRecorder::new();
+        map.set_recorder(Box::new(recorder.clone()));
+        let shed = drive(&mut *map, &scans);
+        assert_eq!(
+            shed.last(),
+            Some(&true),
+            "{name}: the run must end refusing"
+        );
+        let refused = shed.iter().filter(|&&s| s).count();
+
+        map.finish();
+        let records = recorder.records();
+        let summed: u64 = records.iter().map(|r| r.sheds).sum();
+        assert_eq!(
+            summed, refused as u64,
+            "{name}: refusals lost from the trace"
+        );
+        assert_eq!(records.len(), scans.len() - refused + 1, "{name}");
+        let trailing = records.last().unwrap();
+        assert_eq!(trailing.observations, 0, "{name}: {trailing:?}");
+        assert_eq!(trailing.sheds, refused as u64, "{name}: {trailing:?}");
+
+        map.finish();
+        assert_eq!(recorder.records().len(), records.len(), "{name}");
+    }
+}
+
 /// A `DurableMap` asks the same verdict before it journals: every offered
 /// scan enters the journal, the refused ones flagged as shed, and replay
 /// skips them, so recovery equals the live map and the applied prefix.
@@ -141,17 +185,7 @@ fn durable_map_journals_each_refusal_as_shed_and_recovers_the_live_map() {
         b.build().unwrap()
     };
     let params = OccupancyParams::default();
-    let backends: [(&str, Box<dyn MappingSystem>); 2] = [
-        (
-            "serial",
-            Box::new(SerialOctoCache::new(common::grid(), params, config)),
-        ),
-        (
-            "parallel",
-            Box::new(ParallelOctoCache::new(common::grid(), params, config)),
-        ),
-    ];
-    for (name, inner) in backends {
+    for (name, inner) in backends(config) {
         let label = format!("durable {name}, budget {budget} B");
         let dir =
             std::env::temp_dir().join(format!("octo-budget-durable-{name}-{}", std::process::id()));

@@ -213,13 +213,16 @@ fn chaos_soak(seed: u64) {
     );
     // Every applied scan was admitted on a footprint under the budget: a
     // scan's record carries the tree its successor was admitted on, and
-    // the cache adds at least its fixed slab.
+    // the cache adds at least its fixed slab. The run ends refusing, so
+    // one trailing record with no observations carries those refusals.
     let cache_bytes = config.resident_bytes() as u64;
     assert_eq!(
         s.records.len(),
-        first,
-        "{label}: one record per applied scan"
+        first + 1,
+        "{label}: one record per applied scan, then the trailing one"
     );
+    let trailing = s.records.last().unwrap();
+    assert_eq!(trailing.observations, 0, "{label}: {trailing:?}");
     for r in &s.records[..first - 1] {
         assert!(
             r.memory_bytes + cache_bytes < budget,
@@ -238,9 +241,10 @@ fn chaos_soak(seed: u64) {
         s.counters.heals,
         "{label}"
     );
-    assert!(
-        s.records.iter().map(|r| r.sheds).sum::<u64>() <= o.sheds.len() as u64,
-        "{label}: record sheds exceed observed sheds"
+    assert_eq!(
+        s.records.iter().map(|r| r.sheds).sum::<u64>(),
+        o.sheds.len() as u64,
+        "{label}: the records' sheds differ from the observed sheds"
     );
 
     // The capstone: the map equals a serial replay of exactly the

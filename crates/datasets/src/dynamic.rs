@@ -17,7 +17,7 @@ use crate::sensor::DepthSensor;
 use crate::trajectory::Pose;
 
 /// Where the transient obstacle sits (for assertions in tests).
-pub const OBSTACLE_CENTER: Point3 = Point3 {
+pub(crate) const OBSTACLE_CENTER: Point3 = Point3 {
     x: 6.1, // face at x = 5.6, mid-voxel at common resolutions
     y: 0.0,
     z: 1.0,
@@ -33,7 +33,7 @@ pub const OBSTACLE_FACE: Point3 = Point3 {
 };
 
 /// Generates `2 × half_scans` scans from a static sensor pose: the first
-/// half observe a box at [`OBSTACLE_CENTER`] in front of a back wall, the
+/// half observe a box centred at (5.6, 0, 1) m in front of a back wall, the
 /// second half observe the same space with the box removed (the back wall
 /// keeps providing returns, so the vacated voxels are swept free).
 pub fn vanishing_obstacle(half_scans: usize, seed: u64) -> ScanSequence {

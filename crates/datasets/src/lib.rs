@@ -13,8 +13,8 @@
 //!
 //! * [`Scene`] — implicit obstacle geometry (axis-aligned boxes + walls)
 //!   with exact ray casting.
-//! * [`Trajectory`] and [`DepthSensor`] — a sensor pose sequence and a
-//!   pin-hole depth scanner producing point clouds.
+//! * [`Pose`] and [`DepthSensor`] — a sensor pose (each dataset follows a
+//!   sequence of them) and a pin-hole depth scanner producing point clouds.
 //! * [`Dataset`] — the three named configurations, scaled to laptop size
 //!   (the scale factor is part of [`DatasetConfig`] and reported by the
 //!   benches).
@@ -45,4 +45,4 @@ mod trajectory;
 pub use dataset::{Dataset, DatasetConfig, Scan, ScanSequence};
 pub use scene::Scene;
 pub use sensor::DepthSensor;
-pub use trajectory::{Pose, Trajectory};
+pub use trajectory::Pose;

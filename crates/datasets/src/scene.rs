@@ -16,8 +16,9 @@ use rand::{RngExt, SeedableRng};
 /// # use octocache_geom::{Aabb, Point3};
 /// let mut scene = Scene::new(Aabb::new(Point3::splat(-10.0), Point3::splat(10.0)));
 /// scene.add_box(Aabb::new(Point3::new(4.0, -1.0, -1.0), Point3::new(5.0, 1.0, 1.0)));
-/// let hit = scene.ray_cast(Point3::ZERO, Point3::new(1.0, 0.0, 0.0), 20.0);
-/// assert!((hit.unwrap() - 4.0).abs() < 1e-9);
+/// assert!(scene.is_inside_obstacle(Point3::new(4.5, 0.0, 0.0)));
+/// assert!(scene.segment_blocked(Point3::ZERO, Point3::new(6.0, 0.0, 0.0)));
+/// assert!(!scene.segment_blocked(Point3::ZERO, Point3::new(3.9, 0.0, 0.0)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scene {
@@ -152,7 +153,12 @@ impl Scene {
     ///
     /// `direction` must be normalised for the returned value to be metric
     /// distance.
-    pub fn ray_cast(&self, origin: Point3, direction: Point3, max_range: f64) -> Option<f64> {
+    pub(crate) fn ray_cast(
+        &self,
+        origin: Point3,
+        direction: Point3,
+        max_range: f64,
+    ) -> Option<f64> {
         let mut nearest: Option<f64> = None;
         for obstacle in &self.obstacles {
             if let Some(t) = obstacle.intersect_ray(origin, direction, max_range) {

@@ -55,27 +55,13 @@ impl DepthSensor {
         }
     }
 
-    /// Sets the Gaussian range-noise standard deviation (metres).
-    pub fn with_noise(mut self, noise_std: f64) -> Self {
-        self.noise_std = noise_std;
-        self
-    }
-
-    /// Returns a copy with a different maximum range (used by the sensing
-    /// range sweeps of Figures 18/19).
-    pub fn with_max_range(mut self, max_range: f64) -> Self {
-        assert!(max_range > 0.0);
-        self.max_range = max_range;
-        self
-    }
-
     /// The maximum sensing range in metres.
     pub fn max_range(&self) -> f64 {
         self.max_range
     }
 
     /// Rays per scan.
-    pub fn rays_per_scan(&self) -> usize {
+    pub(crate) fn rays_per_scan(&self) -> usize {
         (self.cols * self.rows) as usize
     }
 
@@ -162,7 +148,7 @@ mod tests {
         let sensor = DepthSensor::new(0.8, 0.5, 8, 8, 3.0); // walls at ~8 m
         let cloud = sensor.scan(&scene, &Pose::new(Point3::ZERO, 0.0), 1);
         assert!(cloud.is_empty());
-        let longer = sensor.with_max_range(12.0);
+        let longer = DepthSensor::new(0.8, 0.5, 8, 8, 12.0);
         assert!(!longer
             .scan(&scene, &Pose::new(Point3::ZERO, 0.0), 1)
             .is_empty());
@@ -187,7 +173,10 @@ mod tests {
             Point3::new(5.0, -5.0, -5.0),
             Point3::new(6.0, 5.0, 5.0),
         ));
-        let sensor = DepthSensor::new(0.4, 0.4, 8, 8, 20.0).with_noise(0.0);
+        let sensor = DepthSensor {
+            noise_std: 0.0,
+            ..DepthSensor::new(0.4, 0.4, 8, 8, 20.0)
+        };
         let cloud = sensor.scan(&scene, &Pose::new(Point3::ZERO, 0.0), 1);
         for p in &cloud {
             assert!((p.x - 5.0).abs() < 1e-6, "{p}");

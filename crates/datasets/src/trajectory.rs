@@ -40,7 +40,7 @@ impl Pose {
 /// is what creates the high inter-batch voxel overlap of the paper's
 /// Figure 7/8.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Trajectory {
+pub(crate) struct Trajectory {
     poses: Vec<Pose>,
 }
 
@@ -48,16 +48,6 @@ impl Trajectory {
     /// The poses.
     pub fn poses(&self) -> &[Pose] {
         &self.poses
-    }
-
-    /// Number of poses.
-    pub fn len(&self) -> usize {
-        self.poses.len()
-    }
-
-    /// True when the trajectory has no poses.
-    pub fn is_empty(&self) -> bool {
-        self.poses.is_empty()
     }
 
     /// A straight line from `start` to `end` with `steps` poses, looking
@@ -73,20 +63,6 @@ impl Trajectory {
             })
             .collect();
         Trajectory { poses }
-    }
-
-    /// A closed circular loop of the given radius around `center`, with the
-    /// sensor looking outward (`look_outward = true`) or along the tangent.
-    pub fn circle(center: Point3, radius: f64, steps: usize, look_outward: bool) -> Self {
-        assert!(steps >= 3, "a circle needs at least 3 poses");
-        Self::arc(
-            center,
-            radius,
-            0.0,
-            std::f64::consts::TAU * (steps - 1) as f64 / steps as f64,
-            steps,
-            look_outward,
-        )
     }
 
     /// An arc of a circle from `start_angle` to `end_angle` (radians) with
@@ -126,7 +102,7 @@ impl Trajectory {
     /// A back-and-forth sweep along the X axis: `legs` straight passes of
     /// `length`, offset by `spacing` in Y — the mowing pattern of a mapping
     /// survey.
-    pub fn boustrophedon(
+    pub(crate) fn boustrophedon(
         origin: Point3,
         length: f64,
         spacing: f64,
@@ -150,22 +126,6 @@ impl Trajectory {
         }
         Trajectory { poses }
     }
-
-    /// Truncates / repeats the trajectory to exactly `n` poses (repeating
-    /// from the start when the trajectory is shorter).
-    pub fn resampled(&self, n: usize) -> Trajectory {
-        assert!(!self.poses.is_empty());
-        let poses = (0..n).map(|i| self.poses[i % self.poses.len()]).collect();
-        Trajectory { poses }
-    }
-
-    /// Total path length (sum of inter-pose distances).
-    pub fn path_length(&self) -> f64 {
-        self.poses
-            .windows(2)
-            .map(|w| w[0].position.distance(w[1].position))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -188,41 +148,21 @@ mod tests {
     #[test]
     fn straight_endpoints_and_heading() {
         let t = Trajectory::straight(Point3::ZERO, Point3::new(10.0, 0.0, 1.0), 11);
-        assert_eq!(t.len(), 11);
+        assert_eq!(t.poses().len(), 11);
         assert_eq!(t.poses()[0].position, Point3::ZERO);
         assert_eq!(t.poses()[10].position, Point3::new(10.0, 0.0, 1.0));
         assert!((t.poses()[5].yaw).abs() < 1e-12);
-        assert!((t.path_length() - (10.0f64.powi(2) + 1.0).sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn circle_radius_and_center() {
-        let c = Point3::new(1.0, 2.0, 3.0);
-        let t = Trajectory::circle(c, 5.0, 16, true);
-        assert_eq!(t.len(), 16);
-        for p in t.poses() {
-            assert!((p.position.distance(c) - 5.0).abs() < 1e-9);
-            assert_eq!(p.position.z, 3.0);
-        }
     }
 
     #[test]
     fn boustrophedon_alternates_direction() {
         let t = Trajectory::boustrophedon(Point3::ZERO, 10.0, 2.0, 3, 5);
-        assert_eq!(t.len(), 15);
+        assert_eq!(t.poses().len(), 15);
         assert!((t.poses()[0].yaw).abs() < 1e-12);
         assert!((t.poses()[5].yaw - std::f64::consts::PI).abs() < 1e-12);
         // Leg 1 starts where leg 0 ended in X.
         assert!((t.poses()[4].position.x - 10.0).abs() < 1e-12);
         assert!((t.poses()[5].position.x - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resampled_repeats() {
-        let t = Trajectory::straight(Point3::ZERO, Point3::new(1.0, 0.0, 0.0), 3);
-        let r = t.resampled(7);
-        assert_eq!(r.len(), 7);
-        assert_eq!(r.poses()[3], t.poses()[0]);
     }
 
     #[test]

@@ -64,13 +64,13 @@ impl VoxelGrid {
 
     /// Number of voxels along each axis (`2^depth`).
     #[inline]
-    pub fn voxels_per_axis(&self) -> u32 {
+    pub(crate) fn voxels_per_axis(&self) -> u32 {
         1u32 << self.depth
     }
 
     /// Half the side length of the mapped cube, in metres.
     #[inline]
-    pub fn half_extent(&self) -> f64 {
+    pub(crate) fn half_extent(&self) -> f64 {
         self.center_key as f64 * self.resolution
     }
 
@@ -88,7 +88,7 @@ impl VoxelGrid {
     /// [`GeomError::NotFinite`] for NaN/inf input, [`GeomError::OutOfBounds`]
     /// when the coordinate falls outside the mapped cube.
     #[inline]
-    pub fn key_component(&self, coordinate: f64) -> Result<u16, GeomError> {
+    pub(crate) fn key_component(&self, coordinate: f64) -> Result<u16, GeomError> {
         if !coordinate.is_finite() {
             return Err(GeomError::NotFinite);
         }
@@ -106,7 +106,8 @@ impl VoxelGrid {
     ///
     /// # Errors
     ///
-    /// See [`VoxelGrid::key_component`].
+    /// [`GeomError::NotFinite`] for NaN/inf input, [`GeomError::OutOfBounds`]
+    /// when the point falls outside the mapped cube.
     #[inline]
     pub fn key_of(&self, p: Point3) -> Result<VoxelKey, GeomError> {
         Ok(VoxelKey::new(
@@ -118,7 +119,7 @@ impl VoxelGrid {
 
     /// World coordinate of the center of a voxel along one axis.
     #[inline]
-    pub fn coordinate_of(&self, key_component: u16) -> f64 {
+    pub(crate) fn coordinate_of(&self, key_component: u16) -> f64 {
         (key_component as f64 - self.center_key as f64 + 0.5) * self.resolution
     }
 
@@ -130,14 +131,6 @@ impl VoxelGrid {
             self.coordinate_of(key.y),
             self.coordinate_of(key.z),
         )
-    }
-
-    /// World-space box covered by the voxel addressed by `key`.
-    #[inline]
-    pub fn voxel_bounds(&self, key: VoxelKey) -> Aabb {
-        let c = self.center_of(key);
-        let h = self.resolution / 2.0;
-        Aabb::new(c - Point3::splat(h), c + Point3::splat(h))
     }
 
     /// Clamps a world point into the mapped cube (useful for truncating
@@ -213,15 +206,6 @@ mod tests {
         assert!((c.x - p.x).abs() <= 0.125 + 1e-12);
         assert!((c.y - p.y).abs() <= 0.125 + 1e-12);
         assert!((c.z - p.z).abs() <= 0.125 + 1e-12);
-    }
-
-    #[test]
-    fn voxel_bounds_contain_center() {
-        let grid = VoxelGrid::new(0.5, 8).unwrap();
-        let key = VoxelKey::new(100, 120, 130);
-        let b = grid.voxel_bounds(key);
-        assert!(b.contains(grid.center_of(key)));
-        assert!((b.size().x - 0.5).abs() < 1e-12);
     }
 
     #[test]

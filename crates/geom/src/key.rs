@@ -126,15 +126,6 @@ impl VoxelKey {
         VoxelKey::new(add(self.x, dx), add(self.y, dy), add(self.z, dz))
     }
 
-    /// Chebyshev (L∞) distance between two keys, in voxels.
-    #[inline]
-    pub fn chebyshev_distance(self, other: VoxelKey) -> u16 {
-        let dx = self.x.abs_diff(other.x);
-        let dy = self.y.abs_diff(other.y);
-        let dz = self.z.abs_diff(other.z);
-        dx.max(dy).max(dz)
-    }
-
     /// Manhattan (L1) distance between two keys, in voxels.
     #[inline]
     pub fn manhattan_distance(self, other: VoxelKey) -> u32 {
@@ -241,9 +232,8 @@ mod tests {
     fn distances() {
         let a = VoxelKey::new(0, 0, 0);
         let b = VoxelKey::new(3, 1, 2);
-        assert_eq!(a.chebyshev_distance(b), 3);
         assert_eq!(a.manhattan_distance(b), 6);
-        assert_eq!(b.chebyshev_distance(a), 3);
+        assert_eq!(b.manhattan_distance(a), 6);
     }
 
     #[test]

@@ -46,7 +46,3 @@ pub use error::GeomError;
 pub use grid::VoxelGrid;
 pub use key::{ChildIndex, VoxelKey};
 pub use point::Point3;
-
-/// Tree depth used by reference OctoMap and throughout the paper (16 levels
-/// below the root, i.e. 2^16 voxels per axis).
-pub const DEFAULT_TREE_DEPTH: u8 = 16;

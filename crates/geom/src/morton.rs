@@ -30,7 +30,7 @@ use crate::VoxelKey;
 /// This is the classic magic-mask integer dilation; the masks below are the
 /// standard constants for dilating up to 21 bits into a 63-bit word.
 #[inline]
-pub fn dilate(v: u16) -> u64 {
+pub(crate) fn dilate(v: u16) -> u64 {
     let mut v = v as u64;
     v = (v | (v << 32)) & 0x001f_0000_0000_ffff;
     v = (v | (v << 16)) & 0x001f_0000_ff00_00ff;
@@ -40,7 +40,7 @@ pub fn dilate(v: u16) -> u64 {
     v
 }
 
-/// Inverse of [`dilate`]: collects every third bit back into a compact `u16`.
+/// Inverse of `dilate`: collects every third bit back into a compact `u16`.
 #[inline]
 pub fn contract(v: u64) -> u16 {
     let mut v = v & 0x1249_2492_4924_9249;
@@ -99,14 +99,6 @@ pub fn cmp_keys(a: VoxelKey, b: VoxelKey) -> std::cmp::Ordering {
 #[inline]
 fn less_msb(a: u16, b: u16) -> bool {
     a < b && a < (a ^ b)
-}
-
-/// Sorts a slice of keys in ascending Morton order.
-///
-/// This is the ordering that minimises the paper's locality functional 𝓕(S)
-/// and therefore maximises octree insertion speed (paper §4.3, Figure 10).
-pub fn sort_keys(keys: &mut [VoxelKey]) {
-    keys.sort_by_key(|&k| encode(k));
 }
 
 /// Returns the permutation that visits `keys` in ascending Morton order:
@@ -188,19 +180,6 @@ mod tests {
         for w in codes.windows(2) {
             assert_eq!(w[1], w[0] + 1);
         }
-    }
-
-    #[test]
-    fn sort_keys_is_ascending_by_code() {
-        let mut keys = vec![
-            VoxelKey::new(3, 3, 3),
-            VoxelKey::new(0, 0, 0),
-            VoxelKey::new(1, 5, 3),
-            VoxelKey::new(2, 0, 1),
-        ];
-        sort_keys(&mut keys);
-        let codes: Vec<u64> = keys.iter().map(|&k| encode(k)).collect();
-        assert!(codes.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl Point3 {
 
     /// Squared Euclidean length (cheaper than [`Point3::norm`]).
     #[inline]
-    pub fn norm_squared(self) -> f64 {
+    pub(crate) fn norm_squared(self) -> f64 {
         self.x * self.x + self.y * self.y + self.z * self.z
     }
 
@@ -71,12 +71,6 @@ impl Point3 {
     #[inline]
     pub fn distance_squared(self, other: Point3) -> f64 {
         (self - other).norm_squared()
-    }
-
-    /// Dot product.
-    #[inline]
-    pub fn dot(self, other: Point3) -> f64 {
-        self.x * other.x + self.y * other.y + self.z * other.z
     }
 
     /// Cross product.
@@ -207,6 +201,16 @@ impl From<Point3> for [f64; 3] {
     #[inline]
     fn from(p: Point3) -> Self {
         [p.x, p.y, p.z]
+    }
+}
+
+// Only tests take dot products: the cross-product and ray-segment
+// properties compare against it.
+#[cfg(test)]
+impl Point3 {
+    /// Dot product.
+    pub(crate) fn dot(self, other: Point3) -> f64 {
+        self.x * other.x + self.y * other.y + self.z * other.z
     }
 }
 

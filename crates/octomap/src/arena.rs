@@ -489,7 +489,6 @@ impl OpenPath<'_> {
         let leaf = &mut self.tree.nodes[idx as usize];
         let new = match op {
             LeafOp::Observe { occupied } => self.params.apply(leaf.log_odds, occupied),
-            LeafOp::Add { delta } => self.params.clamp(leaf.log_odds + delta),
             LeafOp::Set { value } => self.params.clamp(value),
         };
         leaf.log_odds = new;

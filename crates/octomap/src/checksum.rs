@@ -85,7 +85,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// One FNV-1a fold step over a 64-bit word (offset basis is supplied by the
 /// caller; the standard 64-bit basis is `0xcbf2_9ce4_8422_2325`).
 #[inline]
-pub fn fnv1a(h: u64, v: u64) -> u64 {
+pub(crate) fn fnv1a(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
 }
 

@@ -9,13 +9,11 @@
 //! updates reaching the octree are precisely the inefficiency OctoCache
 //! exploits (§3.1).
 //!
-//! Two insertion policies are provided:
-//!
-//! * [`insert_point_cloud`] — the paper's baseline: every ray-traced voxel
-//!   observation is applied to the tree individually.
-//! * [`insert_point_cloud_discretized`] — reference OctoMap's set-based
-//!   variant that deduplicates within the batch first (one update per voxel,
-//!   occupied observations win); used for comparisons.
+//! [`insert_point_cloud`] is the paper's baseline: every ray-traced voxel
+//! observation is applied to the tree individually. Reference OctoMap's
+//! set-based variant (one update per voxel, occupied observations win) is
+//! [`crate::rt::dedup_batch`] between [`compute_update`] and
+//! [`apply_batch`].
 
 pub use octocache_geom::ray::VoxelUpdate;
 use octocache_geom::ray::{self, KeySink};
@@ -75,12 +73,6 @@ impl VoxelBatch {
     #[inline]
     pub fn num_occupied(&self) -> usize {
         self.num_occupied
-    }
-
-    /// Number of free observations.
-    #[inline]
-    pub fn num_free(&self) -> usize {
-        self.updates.len() - self.num_occupied
     }
 
     /// Clears the batch, retaining allocations.
@@ -276,50 +268,6 @@ pub fn insert_point_cloud(
     })
 }
 
-/// Ray-traces and inserts one scan with reference OctoMap's discretised
-/// policy: the batch is reduced to one update per distinct voxel first
-/// (occupied wins over free), then applied.
-///
-/// # Errors
-///
-/// See [`compute_update`].
-pub fn insert_point_cloud_discretized(
-    tree: &mut OccupancyOcTree,
-    origin: Point3,
-    cloud: &[Point3],
-    max_range: f64,
-) -> Result<InsertionReport, GeomError> {
-    let mut batch = VoxelBatch::with_capacity(cloud.len() * 8);
-    compute_update(tree.grid(), origin, cloud, max_range, &mut batch)?;
-    let deduped = crate::rt::dedup_batch(&batch);
-    apply_batch(tree, &deduped);
-    Ok(InsertionReport {
-        rays: cloud.len(),
-        updates_applied: deduped.len(),
-        distinct_voxels: deduped.len(),
-    })
-}
-
-/// Traces and inserts a single ray (free voxels along it, occupied
-/// endpoint).
-///
-/// # Errors
-///
-/// See [`compute_update`].
-pub fn insert_ray(
-    tree: &mut OccupancyOcTree,
-    origin: Point3,
-    end: Point3,
-) -> Result<(), GeomError> {
-    let grid = *tree.grid();
-    let keys = ray::trace(&grid, origin, grid.clamp_point(end))?;
-    for &k in keys.as_slice() {
-        tree.update_node(k, false);
-    }
-    tree.update_node(grid.key_of(grid.clamp_point(end))?, true);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,7 +286,6 @@ mod tests {
         b.push(VoxelKey::new(2, 2, 2), true);
         assert_eq!(b.len(), 3);
         assert_eq!(b.num_occupied(), 1);
-        assert_eq!(b.num_free(), 2);
         assert_eq!(b.distinct_voxels(), 2);
         assert!((b.duplication_factor() - 1.5).abs() < 1e-12);
         b.clear();
@@ -356,7 +303,7 @@ mod tests {
         let last = batch.updates().last().unwrap();
         assert_eq!(last.key, end_key);
         assert!(last.occupied);
-        assert!(batch.num_free() > 0);
+        assert!(batch.len() > batch.num_occupied());
         // Free voxels never include the endpoint.
         assert!(batch
             .iter()
@@ -371,7 +318,7 @@ mod tests {
         let far = Point3::new(50.0, 0.0, 0.0);
         compute_update(t.grid(), Point3::ZERO, &[far], 5.0, &mut batch).unwrap();
         assert_eq!(batch.num_occupied(), 0);
-        assert!(batch.num_free() > 0);
+        assert!(!batch.is_empty());
         // No free voxel lies beyond max_range + one voxel of slack.
         for u in batch.iter() {
             let c = t.grid().center_of(u.key);
@@ -437,9 +384,12 @@ mod tests {
         let mut t1 = tree();
         let raw = insert_point_cloud(&mut t1, Point3::ZERO, &cloud, 20.0).unwrap();
         let mut t2 = tree();
-        let disc = insert_point_cloud_discretized(&mut t2, Point3::ZERO, &cloud, 20.0).unwrap();
-        assert!(disc.updates_applied < raw.updates_applied);
-        assert_eq!(disc.updates_applied, raw.distinct_voxels);
+        let mut batch = VoxelBatch::new();
+        compute_update(t2.grid(), Point3::ZERO, &cloud, 20.0, &mut batch).unwrap();
+        let disc = crate::rt::dedup_batch(&batch);
+        apply_batch(&mut t2, &disc);
+        assert!(disc.len() < raw.updates_applied);
+        assert_eq!(disc.len(), raw.distinct_voxels);
         // Both agree the surface voxel is occupied.
         let key = t1.grid().key_of(Point3::new(4.0, 0.1, 0.0)).unwrap();
         assert_eq!(t1.is_occupied(key), Some(true));
@@ -449,7 +399,8 @@ mod tests {
     #[test]
     fn insert_ray_marks_path_free() {
         let mut t = tree();
-        insert_ray(&mut t, Point3::ZERO, Point3::new(3.0, 0.0, 0.0)).unwrap();
+        let end = Point3::new(3.0, 0.0, 0.0);
+        insert_point_cloud(&mut t, Point3::ZERO, &[end], 20.0).unwrap();
         assert_eq!(
             t.is_occupied_at(Point3::new(1.5, 0.0, 0.0)).unwrap(),
             Some(false)

@@ -16,9 +16,8 @@
 //! * [`OccupancyParams`] — the sensor model: per-hit/per-miss log-odds deltas
 //!   (`δ_occupied` / `δ_free`), clamping bounds and the occupancy threshold.
 //! * [`insert`] — point-cloud insertion: ray tracing each beam into free and
-//!   occupied voxels and updating the tree, with the paper's default
-//!   *raw* policy (every duplicated voxel update reaches the tree) and the
-//!   set-discretised variant for comparison.
+//!   occupied voxels and updating the tree with the paper's default *raw*
+//!   policy (every duplicated voxel update reaches the tree).
 //! * [`rt`] — the OctoMap-RT–style deduplicating ray tracer used by the
 //!   paper's `-RT` baselines (reimplemented on CPU, as the authors did).
 //! * [`stats`] — node-visit instrumentation: a hardware-independent proxy for
@@ -35,7 +34,7 @@
 //! let mut tree = OccupancyOcTree::new(grid, OccupancyParams::default());
 //! let origin = Point3::ZERO;
 //! let hit = Point3::new(1.0, 0.4, 0.2);
-//! octocache_octomap::insert::insert_ray(&mut tree, origin, hit)?;
+//! octocache_octomap::insert::insert_point_cloud(&mut tree, origin, &[hit], 20.0)?;
 //! let key = grid.key_of(hit)?;
 //! assert_eq!(tree.is_occupied(key), Some(true));
 //! # Ok(())

@@ -445,7 +445,7 @@ mod tests {
         assert!(tree.params().is_occupied(coarse));
         // Root level equals the root value.
         let root = search_at_level(&tree, key, tree.grid().depth()).unwrap();
-        assert_eq!(root, tree.root_log_odds().unwrap());
+        assert_eq!(root, tree.root_ref().unwrap().log_odds());
     }
 
     #[test]

@@ -13,10 +13,7 @@
 
 use std::collections::HashMap;
 
-use octocache_geom::{GeomError, Point3, VoxelGrid};
-
-use crate::insert::{compute_update, InsertionReport, VoxelBatch};
-use crate::tree::OccupancyOcTree;
+use crate::insert::VoxelBatch;
 
 /// Deduplicates a batch: one update per distinct voxel, first-seen order,
 /// with occupied observations taking precedence over free ones (reference
@@ -40,50 +37,13 @@ pub fn dedup_batch(batch: &VoxelBatch) -> VoxelBatch {
     out.into_iter().collect()
 }
 
-/// Ray-traces one scan and returns the deduplicated batch — the `-RT`
-/// front-end of the paper's Figure 17/19/21 configurations.
-///
-/// # Errors
-///
-/// See [`compute_update`].
-pub fn compute_update_rt(
-    grid: &VoxelGrid,
-    origin: Point3,
-    cloud: &[Point3],
-    max_range: f64,
-) -> Result<VoxelBatch, GeomError> {
-    let mut raw = VoxelBatch::with_capacity(cloud.len() * 8);
-    compute_update(grid, origin, cloud, max_range, &mut raw)?;
-    Ok(dedup_batch(&raw))
-}
-
-/// Full OctoMap-RT pipeline: deduplicating ray tracing followed by the
-/// standard octree update.
-///
-/// # Errors
-///
-/// See [`compute_update`].
-pub fn insert_point_cloud_rt(
-    tree: &mut OccupancyOcTree,
-    origin: Point3,
-    cloud: &[Point3],
-    max_range: f64,
-) -> Result<InsertionReport, GeomError> {
-    let batch = compute_update_rt(tree.grid(), origin, cloud, max_range)?;
-    crate::insert::apply_batch(tree, &batch);
-    Ok(InsertionReport {
-        rays: cloud.len(),
-        updates_applied: batch.len(),
-        distinct_voxels: batch.len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insert::VoxelUpdate;
+    use crate::insert::{apply_batch, compute_update, VoxelUpdate};
     use crate::occupancy::OccupancyParams;
-    use octocache_geom::VoxelKey;
+    use crate::tree::OccupancyOcTree;
+    use octocache_geom::{Point3, VoxelGrid, VoxelKey};
 
     #[test]
     fn dedup_keeps_first_seen_order() {
@@ -135,12 +95,14 @@ mod tests {
         let cloud: Vec<Point3> = (0..40)
             .map(|i| Point3::new(5.0, (i as f64) * 0.05 - 1.0, 0.3))
             .collect();
-        let batch = compute_update_rt(&grid, Point3::ZERO, &cloud, 20.0).unwrap();
+        let mut raw = VoxelBatch::new();
+        compute_update(&grid, Point3::ZERO, &cloud, 20.0, &mut raw).unwrap();
+        let batch = dedup_batch(&raw);
         assert_eq!(batch.distinct_voxels(), batch.len());
+        assert_eq!(batch.len(), raw.distinct_voxels());
 
         let mut tree = OccupancyOcTree::new(grid, OccupancyParams::default());
-        let report = insert_point_cloud_rt(&mut tree, Point3::ZERO, &cloud, 20.0).unwrap();
-        assert_eq!(report.updates_applied, batch.len());
+        apply_batch(&mut tree, &batch);
         assert_eq!(
             tree.is_occupied_at(Point3::new(5.0, 0.0, 0.3)).unwrap(),
             Some(true)

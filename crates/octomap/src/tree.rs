@@ -21,7 +21,7 @@ pub struct LeafEntry {
 
 impl LeafEntry {
     /// Edge length of the leaf cube in voxels.
-    pub fn size_in_voxels(&self) -> u32 {
+    pub(crate) fn size_in_voxels(&self) -> u32 {
         1u32 << self.level
     }
 
@@ -116,12 +116,6 @@ impl OccupancyOcTree {
         &self.stats
     }
 
-    /// Disables/enables pruning during updates. Reference OctoMap calls this
-    /// `lazy_eval`; disabling trades memory for update speed.
-    pub fn set_auto_prune(&mut self, on: bool) {
-        self.auto_prune = on;
-    }
-
     /// True when the tree stores no nodes at all.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
@@ -139,11 +133,6 @@ impl OccupancyOcTree {
             tree: &self.nodes,
             idx: 0,
         })
-    }
-
-    /// The root's log-odds, if the tree is non-empty.
-    pub fn root_log_odds(&self) -> Option<f32> {
-        self.root_ref().map(|r| r.log_odds())
     }
 
     /// Deep-copies the tree: an independent, observationally identical map.
@@ -184,13 +173,6 @@ impl OccupancyOcTree {
     /// update: `±δ` with clamping) and returns the new log-odds.
     pub fn update_node(&mut self, key: VoxelKey, occupied: bool) -> f32 {
         self.apply_at_leaf(key, LeafOp::Observe { occupied })
-    }
-
-    /// Adds an arbitrary accumulated log-odds `delta` at `key` (clamped) and
-    /// returns the new value. This is the operation a cache eviction uses
-    /// when it has folded several observations into one value.
-    pub fn update_node_log_odds(&mut self, key: VoxelKey, delta: f32) -> f32 {
-        self.apply_at_leaf(key, LeafOp::Add { delta })
     }
 
     /// Overwrites the log-odds at `key` (clamped) and returns the stored
@@ -360,48 +342,12 @@ impl OccupancyOcTree {
     /// Iterates over the leaves whose cubes intersect the key-space box
     /// `[min, max]` (inclusive), pruning whole subtrees outside it — an
     /// O(answer × depth) descent rather than a full-tree scan.
-    pub fn leaves_in_key_box(&self, min: VoxelKey, max: VoxelKey) -> BoxLeaves<'_> {
+    pub(crate) fn leaves_in_key_box(&self, min: VoxelKey, max: VoxelKey) -> BoxLeaves<'_> {
         let mut stack = Vec::new();
         if let Some(root) = self.root_ref() {
             stack.push((root, VoxelKey::new(0, 0, 0), self.grid.depth()));
         }
         BoxLeaves { stack, min, max }
-    }
-
-    /// Iterates over the occupied leaves only.
-    pub fn occupied_leaves(&self) -> impl Iterator<Item = LeafEntry> + '_ {
-        let params = self.params;
-        self.leaves()
-            .filter(move |l| params.is_occupied(l.log_odds))
-    }
-
-    /// The tight key-space bounding box (inclusive min and max voxel keys)
-    /// of all occupied space, or `None` when nothing is occupied. Used by
-    /// planners to bound their search region.
-    pub fn occupied_bounding_box(&self) -> Option<(VoxelKey, VoxelKey)> {
-        let mut min: Option<VoxelKey> = None;
-        let mut max: Option<VoxelKey> = None;
-        for leaf in self.occupied_leaves() {
-            let hi_off = (leaf.size_in_voxels() - 1) as u16;
-            let hi = VoxelKey::new(
-                leaf.key.x + hi_off,
-                leaf.key.y + hi_off,
-                leaf.key.z + hi_off,
-            );
-            min = Some(match min {
-                None => leaf.key,
-                Some(m) => VoxelKey::new(
-                    m.x.min(leaf.key.x),
-                    m.y.min(leaf.key.y),
-                    m.z.min(leaf.key.z),
-                ),
-            });
-            max = Some(match max {
-                None => hi,
-                Some(m) => VoxelKey::new(m.x.max(hi.x), m.y.max(hi.y), m.z.max(hi.z)),
-            });
-        }
-        min.zip(max)
     }
 
     /// Counts leaves at the finest level whose value crosses the occupancy
@@ -421,7 +367,6 @@ impl OccupancyOcTree {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LeafOp {
     Observe { occupied: bool },
-    Add { delta: f32 },
     Set { value: f32 },
 }
 
@@ -501,7 +446,7 @@ impl Iterator for Leaves<'_> {
 /// Iterator over the leaves intersecting a key-space box. Created by
 /// [`OccupancyOcTree::leaves_in_key_box`].
 #[derive(Debug)]
-pub struct BoxLeaves<'a> {
+pub(crate) struct BoxLeaves<'a> {
     stack: Vec<(NodeRef<'a>, VoxelKey, u8)>,
     min: VoxelKey,
     max: VoxelKey,
@@ -549,6 +494,15 @@ impl Iterator for BoxLeaves<'_> {
             }
         }
         None
+    }
+}
+
+#[cfg(test)]
+impl OccupancyOcTree {
+    /// Disables/enables pruning during updates. Reference OctoMap calls this
+    /// `lazy_eval`; the property tests run every step both ways.
+    pub(crate) fn set_auto_prune(&mut self, on: bool) {
+        self.auto_prune = on;
     }
 }
 
@@ -654,20 +608,11 @@ mod tests {
     }
 
     #[test]
-    fn update_log_odds_adds_delta() {
-        let mut tree = small_tree();
-        let key = VoxelKey::new(9, 1, 4);
-        tree.set_node_log_odds(key, 1.0);
-        let v = tree.update_node_log_odds(key, -0.25);
-        assert!((v - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
     fn inner_nodes_hold_max_of_children() {
         let mut tree = small_tree();
         tree.set_node_log_odds(VoxelKey::new(0, 0, 0), -1.0);
         tree.set_node_log_odds(VoxelKey::new(1, 0, 0), 2.0);
-        assert_eq!(tree.root_log_odds(), Some(2.0));
+        assert_eq!(tree.root_ref().map(|r| r.log_odds()), Some(2.0));
     }
 
     #[test]
@@ -815,19 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn occupied_bounding_box_is_tight() {
-        let mut tree = small_tree();
-        assert_eq!(tree.occupied_bounding_box(), None);
-        tree.update_node(VoxelKey::new(3, 7, 2), true);
-        tree.update_node(VoxelKey::new(9, 1, 5), true);
-        tree.update_node(VoxelKey::new(5, 5, 5), false); // free: excluded
-        let (min, max) = tree.occupied_bounding_box().unwrap();
-        assert_eq!(min, VoxelKey::new(3, 1, 2));
-        assert_eq!(max, VoxelKey::new(9, 7, 5));
-        assert_eq!(tree.occupied_leaves().count(), 2);
-    }
-
-    #[test]
     fn memory_usage_tracks_allocation_across_insert_prune_clear() {
         let mut tree = small_tree();
         assert_eq!(tree.memory_usage(), 0, "empty tree owns nothing");
@@ -945,7 +877,7 @@ mod tests {
         // The two cells that were written stay written, under inner nodes
         // that were refreshed on the way out: a valid tree to re-apply to.
         tree.check_invariants().unwrap();
-        assert_eq!(tree.root_log_odds(), Some(3.0));
+        assert_eq!(tree.root_ref().map(|r| r.log_odds()), Some(3.0));
         assert_eq!(tree.search(cells[1].0), Some(3.0));
         assert_eq!(tree.search(cells[2].0), None);
         tree.set_log_odds_batch(cells);
@@ -967,7 +899,6 @@ mod tests {
         let e = reference.entry(key).or_insert(params.threshold);
         *e = match op {
             LeafOp::Observe { occupied } => params.apply(*e, occupied),
-            LeafOp::Add { delta } => params.clamp(*e + delta),
             LeafOp::Set { value } => params.clamp(value),
         };
         *e
@@ -1012,8 +943,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The flat `HashMap<VoxelKey, f32>` model is the oracle for the
-        /// whole tree contract. Steps are leaf updates (observe / add /
-        /// set), octant saturations (eight equal siblings, which prune to
+        /// whole tree contract. Steps are leaf updates (observe / set), octant saturations (eight equal siblings, which prune to
         /// one aggregate that later updates expand again from the
         /// free-list), whole-tree prunes and `set_log_odds_batch` calls
         /// (cells as drawn, Morton-sorted, with every key repeated, or
@@ -1030,7 +960,7 @@ mod tests {
             steps in proptest::collection::vec(
                 (
                     (0u16..16, 0u16..16, 0u16..16),
-                    0u8..9,
+                    0u8..8,
                     -3.0f32..3.0,
                     proptest::collection::vec(((0u16..16, 0u16..16, 0u16..16), -3.0f32..3.0), 0..24),
                 ),
@@ -1060,20 +990,19 @@ mod tests {
                     .collect();
                 let updates: Vec<(VoxelKey, LeafOp)> = match kind {
                     0 => vec![(key, LeafOp::Observe { occupied: value > 0.0 })],
-                    1 => vec![(key, LeafOp::Add { delta: value })],
-                    2 => vec![(key, LeafOp::Set { value })],
-                    3 => octant(params.clamp_max).map(set).collect(),
-                    4 => {
+                    1 => vec![(key, LeafOp::Set { value })],
+                    2 => octant(params.clamp_max).map(set).collect(),
+                    3 => {
                         tree.prune();
                         twin.prune();
                         Vec::new()
                     }
                     _ => {
                         match kind {
-                            5 => {}
-                            6 => cells.sort_by_key(|c| morton::encode(c.0)),
+                            4 => {}
+                            5 => cells.sort_by_key(|c| morton::encode(c.0)),
                             // Every key again, in reverse, with another value.
-                            7 => cells.extend(cells.clone().into_iter().rev().map(|(k, v)| (k, -v))),
+                            6 => cells.extend(cells.clone().into_iter().rev().map(|(k, v)| (k, -v))),
                             _ => {
                                 let rest = cells.split_off(cells.len() / 2);
                                 cells.extend(octant(params.clamp_max));
@@ -1106,7 +1035,7 @@ mod tests {
                     crate::io_bt::write_binary_tree(&tree),
                     crate::io_bt::write_binary_tree(&twin)
                 );
-                if kind == 3 {
+                if kind == 2 {
                     // With auto-prune on this lands on the pruned aggregate.
                     prop_assert_eq!(tree.search(key), Some(params.clamp_max));
                 }
@@ -1143,30 +1072,24 @@ mod tests {
             }
         }
 
-        /// Invariants hold after any interleaving of observe / add / set
+        /// Invariants hold after any interleaving of observe / set
         /// operations (with and without a final manual prune).
         #[test]
         fn prop_invariants_hold_under_mixed_ops(
             ops in proptest::collection::vec(
-                ((0u16..16, 0u16..16, 0u16..16), 0u8..3, -3.0f32..3.0),
+                ((0u16..16, 0u16..16, 0u16..16), proptest::bool::ANY, -3.0f32..3.0),
                 1..150
             ),
             lazy in proptest::bool::ANY,
         ) {
             let mut tree = small_tree();
             tree.set_auto_prune(!lazy);
-            for ((x, y, z), kind, value) in ops {
+            for ((x, y, z), observe, value) in ops {
                 let key = VoxelKey::new(x, y, z);
-                match kind {
-                    0 => {
-                        tree.update_node(key, value > 0.0);
-                    }
-                    1 => {
-                        tree.update_node_log_odds(key, value);
-                    }
-                    _ => {
-                        tree.set_node_log_odds(key, value);
-                    }
+                if observe {
+                    tree.update_node(key, value > 0.0);
+                } else {
+                    tree.set_node_log_odds(key, value);
                 }
             }
             tree.check_invariants().unwrap();

@@ -45,7 +45,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod astar;
-pub mod energy;
 mod environment;
 mod mission;
 mod planner;
@@ -53,6 +52,6 @@ mod uav;
 pub mod velocity;
 
 pub use environment::{BaselineParams, Environment};
-pub use mission::{CycleRecord, Mission, MissionConfig, MissionReport};
+pub use mission::{Mission, MissionConfig, MissionReport};
 pub use planner::{PlanOutcome, Planner, PlannerConfig};
 pub use uav::UavModel;

@@ -120,7 +120,7 @@ pub struct MissionReport {
 
 /// One cycle of a traced mission run (see [`Mission::run_traced`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CycleRecord {
+pub(crate) struct CycleRecord {
     /// Cycle index (1-based).
     pub cycle: usize,
     /// UAV position at the end of the cycle.
@@ -182,7 +182,7 @@ impl Mission {
     /// # Errors
     ///
     /// See [`Mission::run`].
-    pub fn run_traced<M: MappingSystem>(
+    pub(crate) fn run_traced<M: MappingSystem>(
         &self,
         mut map: M,
         record: bool,

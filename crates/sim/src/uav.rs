@@ -33,7 +33,7 @@ impl UavModel {
     }
 
     /// DJI Spark: 350 g, 588 gf rotor pull, 50 Hz sensor.
-    pub fn dji_spark() -> Self {
+    pub(crate) fn dji_spark() -> Self {
         UavModel {
             name: "dji-spark",
             mass_kg: 0.350,
@@ -47,15 +47,10 @@ impl UavModel {
         [UavModel::asctec_pelican(), UavModel::dji_spark()]
     }
 
-    /// Thrust-to-weight ratio.
-    pub fn thrust_to_weight(&self) -> f64 {
-        self.max_thrust_n / (self.mass_kg * G)
-    }
-
     /// Maximum braking deceleration (m/s²): the thrust margin beyond
     /// hovering, `(T − m·g)/m`, floored at a small positive value so the
     /// model stays defined for underpowered configurations.
-    pub fn max_deceleration(&self) -> f64 {
+    pub(crate) fn max_deceleration(&self) -> f64 {
         ((self.max_thrust_n - self.mass_kg * G) / self.mass_kg).max(0.2)
     }
 }
@@ -68,14 +63,13 @@ mod tests {
     fn pelican_is_more_powerful_than_spark() {
         let p = UavModel::asctec_pelican();
         let s = UavModel::dji_spark();
-        assert!(p.thrust_to_weight() > s.thrust_to_weight());
         assert!(p.max_deceleration() > s.max_deceleration());
     }
 
     #[test]
     fn thrust_to_weight_in_plausible_band() {
         for uav in UavModel::all() {
-            let tw = uav.thrust_to_weight();
+            let tw = uav.max_thrust_n / (uav.mass_kg * G);
             assert!((1.2..2.5).contains(&tw), "{}: {tw}", uav.name);
         }
     }

@@ -24,7 +24,11 @@ use crate::uav::UavModel;
 /// * `deceleration` — braking deceleration in m/s².
 ///
 /// Returns 0 for degenerate inputs (non-positive range or deceleration).
-pub fn max_safe_velocity(sensing_range: f64, reaction_time_s: f64, deceleration: f64) -> f64 {
+pub(crate) fn max_safe_velocity(
+    sensing_range: f64,
+    reaction_time_s: f64,
+    deceleration: f64,
+) -> f64 {
     if sensing_range <= 0.0 || deceleration <= 0.0 {
         return 0.0;
     }
@@ -41,16 +45,6 @@ pub fn max_safe_velocity(sensing_range: f64, reaction_time_s: f64, deceleration:
 pub fn uav_max_velocity(uav: &UavModel, sensing_range: f64, compute_latency_s: f64) -> f64 {
     let t_react = 1.0 / uav.sensor_fps + compute_latency_s.max(0.0);
     max_safe_velocity(sensing_range, t_react, uav.max_deceleration())
-}
-
-/// Mission completion time for a path of `distance` metres at velocity `v`
-/// (paper §5.1, metric 3). Returns `f64::INFINITY` for a grounded UAV.
-pub fn completion_time(distance: f64, v: f64) -> f64 {
-    if v <= 0.0 {
-        f64::INFINITY
-    } else {
-        distance / v
-    }
 }
 
 #[cfg(test)]
@@ -91,8 +85,6 @@ mod tests {
         assert_eq!(max_safe_velocity(0.0, 0.1, 4.0), 0.0);
         assert_eq!(max_safe_velocity(-1.0, 0.1, 4.0), 0.0);
         assert_eq!(max_safe_velocity(5.0, 0.1, 0.0), 0.0);
-        assert_eq!(completion_time(100.0, 0.0), f64::INFINITY);
-        assert_eq!(completion_time(100.0, 4.0), 25.0);
     }
 
     proptest! {

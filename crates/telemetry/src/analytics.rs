@@ -69,7 +69,7 @@ pub struct WorkerTimeline {
 
 impl WorkerTimeline {
     /// Total nanoseconds inside batch spans.
-    pub fn busy_ns(&self) -> u64 {
+    pub(crate) fn busy_ns(&self) -> u64 {
         self.spans.iter().map(BatchSpan::duration_ns).sum()
     }
 }

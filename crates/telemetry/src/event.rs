@@ -32,12 +32,12 @@ use serde::{Deserialize, Serialize};
 /// benchmark's recorded passes exceed it and drop 0.61 (`corridor_hot`) to
 /// 0.77 (`mission_cycle`) of their events; overflow is drop-counted, never
 /// silent.
-pub const DEFAULT_SINK_CAPACITY: usize = 1 << 22;
+pub(crate) const DEFAULT_SINK_CAPACITY: usize = 1 << 22;
 
 /// Default cap on events buffered by one [`EventBuffer`] between drains
 /// (one scan or batch worth of events); a scan that records more stops its
 /// lane there.
-pub const DEFAULT_BUFFER_CAPACITY: usize = 1 << 20;
+pub(crate) const DEFAULT_BUFFER_CAPACITY: usize = 1 << 20;
 
 /// What one [`Event`] describes.
 ///
@@ -392,7 +392,7 @@ pub fn write_events_jsonl<W: Write>(out: &mut W, events: &[Event]) -> std::io::R
 ///
 /// Returns an I/O error on read failure or `InvalidData` naming the first
 /// malformed line.
-pub fn read_events_jsonl<R: BufRead>(input: R) -> std::io::Result<Vec<Event>> {
+pub(crate) fn read_events_jsonl<R: BufRead>(input: R) -> std::io::Result<Vec<Event>> {
     let mut events = Vec::new();
     for (idx, line) in input.lines().enumerate() {
         let line = line?;
@@ -410,7 +410,8 @@ pub fn read_events_jsonl<R: BufRead>(input: R) -> std::io::Result<Vec<Event>> {
     Ok(events)
 }
 
-/// Reads an event stream from a file path (see [`read_events_jsonl`]).
+/// Reads an event stream from a file path: one JSON event per line, blank
+/// lines skipped.
 ///
 /// # Errors
 ///

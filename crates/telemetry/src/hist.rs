@@ -79,7 +79,7 @@ impl Histogram {
     }
 
     /// Records a [`Duration`] as nanoseconds (saturating at `u64::MAX`).
-    pub fn record_duration(&mut self, d: Duration) {
+    pub(crate) fn record_duration(&mut self, d: Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 

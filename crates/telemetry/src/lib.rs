@@ -13,7 +13,7 @@
 //!    record, each layer fills its own fields in place, and [`Telemetry`]
 //!    hands the finished record to a [`Recorder`] (no-op [`NullRecorder`],
 //!    in-memory [`SharedRecorder`], or streaming [`JsonlRecorder`]).
-//! 3. **Trace analysis** — [`read_jsonl_prefix`] reads a recorded trace
+//! 3. **Trace analysis** — [`read_jsonl_prefix_path`] reads a recorded trace
 //!    back (every record up to the first damaged line, plus the damage),
 //!    and [`TraceSummary`] folds it into per-phase percentile tables and a
 //!    cache hit-ratio time series (the `octocache report` subcommand).
@@ -60,13 +60,10 @@ pub use analytics::{
 };
 pub use chrome::chrome_trace_json;
 pub use event::{
-    read_events_jsonl, read_events_jsonl_path, write_events_jsonl, Event, EventBuffer, EventKind,
-    EventLog, EventSink, DEFAULT_BUFFER_CAPACITY, DEFAULT_SINK_CAPACITY,
+    read_events_jsonl_path, write_events_jsonl, Event, EventBuffer, EventKind, EventLog, EventSink,
 };
 pub use hist::Histogram;
 pub use phase::{Phase, PhaseHistograms, PhaseTimes};
 pub use record::ScanRecord;
 pub use recorder::{JsonlRecorder, NullRecorder, Recorder, SharedRecorder, Telemetry};
-pub use trace::{
-    read_jsonl_prefix, read_jsonl_prefix_path, HitRatioPoint, PhaseQuantiles, TraceSummary,
-};
+pub use trace::{read_jsonl_prefix_path, HitRatioPoint, TraceSummary};

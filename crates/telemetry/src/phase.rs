@@ -189,7 +189,7 @@ impl PhaseHistograms {
     /// Zero phases are skipped so that backends which never touch a phase
     /// (e.g. `enqueue` on the serial backend) do not drown its percentiles
     /// in zeros.
-    pub fn record_times(&mut self, times: &PhaseTimes) {
+    pub(crate) fn record_times(&mut self, times: &PhaseTimes) {
         for phase in Phase::ALL {
             let d = times.get(phase);
             if !d.is_zero() {

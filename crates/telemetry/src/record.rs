@@ -15,7 +15,7 @@ use crate::phase::PhaseTimes;
 /// sheds, durable stamps, the executor's measurements, the publish cost),
 /// and the engine hands it to [`crate::Telemetry::record`]. A recorded run
 /// is a JSONL stream of these, one per line — see
-/// [`crate::JsonlRecorder`], [`crate::read_jsonl_prefix`] and
+/// [`crate::JsonlRecorder`], [`crate::read_jsonl_prefix_path`] and
 /// [`crate::TraceSummary`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScanRecord {
@@ -95,7 +95,8 @@ pub struct ScanRecord {
     pub restart_ns: u64,
     /// Scans shed by the admission gate or memory budget since the
     /// previous applied scan (shed scans get no record of their own; the
-    /// next applied scan carries the count).
+    /// next applied scan carries the count, and refusals after the last one
+    /// ride a trailing record with no observations).
     pub sheds: u64,
     /// `"normal"` when a memory budget is configured (every recorded scan
     /// was admitted under it), empty otherwise. Traces written while the

@@ -78,7 +78,7 @@ impl Recorder for SharedRecorder {
 /// The writer is flushed after **every record** (line-buffered), not just on
 /// [`Recorder::flush`]/drop: a crashed or killed process leaves a trace file
 /// whose complete lines are all parseable, with at most one torn line at the
-/// tail — which [`crate::read_jsonl_prefix`] drops cleanly. Each line leaves
+/// tail — which [`crate::read_jsonl_prefix_path`] drops cleanly. Each line leaves
 /// the buffer as a single `write`, so torn lines only happen when the kernel
 /// itself splits a write.
 pub struct JsonlRecorder<W: Write + Send> {
@@ -167,12 +167,20 @@ impl Telemetry {
 
     /// Records one scan: stamps `seq` and `backend`, accumulates totals and
     /// per-phase histograms, and forwards the event to the recorder.
-    pub fn record(&mut self, mut record: ScanRecord) {
+    pub fn record(&mut self, record: ScanRecord) {
+        self.totals += record.times;
+        self.hists.record_times(&record.times);
+        self.record_trailing(record);
+    }
+
+    /// Stamps `seq` and `backend` on a record that carries no scan — the
+    /// refusals after the last applied one — and forwards it to the
+    /// recorder. The totals and histograms, which describe scans, stay as
+    /// they are.
+    pub fn record_trailing(&mut self, mut record: ScanRecord) {
         record.seq = self.seq;
         record.backend.clone_from(&self.backend);
         self.seq += 1;
-        self.totals += record.times;
-        self.hists.record_times(&record.times);
         if let Some(r) = self.recorder.as_mut() {
             r.record_scan(&record);
         }

@@ -23,7 +23,7 @@ use crate::record::ScanRecord;
 ///
 /// Only I/O failures while reading; parse damage is reported in the
 /// returned tuple, never as `Err`.
-pub fn read_jsonl_prefix<R: BufRead>(
+pub(crate) fn read_jsonl_prefix<R: BufRead>(
     input: R,
 ) -> Result<(Vec<ScanRecord>, Option<String>), String> {
     let mut records = Vec::new();
@@ -45,8 +45,8 @@ pub fn read_jsonl_prefix<R: BufRead>(
     Ok((records, None))
 }
 
-/// Reads the parseable prefix of a JSONL trace file (see
-/// [`read_jsonl_prefix`]).
+/// Reads the parseable prefix of a JSONL trace file: every record up to the
+/// first damaged line, plus a description of that damage.
 ///
 /// # Errors
 ///
@@ -62,7 +62,7 @@ pub fn read_jsonl_prefix_path(
 /// Percentiles of one phase over a trace, in microseconds (the `report`
 /// table row).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhaseQuantiles {
+pub(crate) struct PhaseQuantiles {
     /// Phase label.
     pub phase: String,
     /// Scans in which this phase ran (non-zero duration).
@@ -220,16 +220,17 @@ impl TraceSummary {
         let window = records.len().div_ceil(SERIES_WINDOWS).max(1);
         for chunk in records.chunks(window) {
             let observations: u64 = chunk.iter().map(|r| r.observations).sum();
+            if observations == 0 {
+                // No ratio to plot: a window of refusals (the trailing
+                // record) or of empty scans.
+                continue;
+            }
             let hits: u64 = chunk.iter().map(|r| r.cache_hits).sum();
             s.hit_ratio_series.push(HitRatioPoint {
                 first_scan: chunk.first().map(|r| r.seq).unwrap_or(0),
                 last_scan: chunk.last().map(|r| r.seq).unwrap_or(0),
                 observations,
-                hit_ratio: if observations == 0 {
-                    0.0
-                } else {
-                    hits as f64 / observations as f64
-                },
+                hit_ratio: hits as f64 / observations as f64,
             });
         }
         s
@@ -255,7 +256,7 @@ impl TraceSummary {
     }
 
     /// True when any fault or degraded scan was recorded in the trace.
-    pub fn any_faults(&self) -> bool {
+    pub(crate) fn any_faults(&self) -> bool {
         self.worker_panics
             + self.spawn_failures
             + self.stall_timeouts
@@ -267,14 +268,14 @@ impl TraceSummary {
 
     /// True when the supervisor did anything worth reporting: a respawn, a
     /// heal or a shed scan.
-    pub fn any_supervisor_activity(&self) -> bool {
+    pub(crate) fn any_supervisor_activity(&self) -> bool {
         self.restarts + self.heals + self.sheds > 0
     }
 
     /// Per-worker utilization over the trace: busy / (busy + idle), in
     /// `[0, 1]`; one entry per octree-update worker, empty for traces with
     /// no worker data.
-    pub fn worker_utilization(&self) -> Vec<f64> {
+    pub(crate) fn worker_utilization(&self) -> Vec<f64> {
         self.worker_busy_ns
             .iter()
             .enumerate()
@@ -292,7 +293,7 @@ impl TraceSummary {
 
     /// The per-phase percentile table rows (phases that never ran are
     /// omitted).
-    pub fn phase_quantiles(&self) -> Vec<PhaseQuantiles> {
+    pub(crate) fn phase_quantiles(&self) -> Vec<PhaseQuantiles> {
         let us = |nanos: u64| nanos as f64 / 1e3;
         Phase::ALL
             .iter()
@@ -776,18 +777,27 @@ mod tests {
         recs[1].heals = 1;
         recs[1].restart_ns = 2_000_000;
         recs[2].sheds = 3;
+        // The trailing record of refusals after the last applied scan: it
+        // counts its sheds, and plots no hit ratio.
+        recs.push(ScanRecord {
+            seq: 5,
+            sheds: 2,
+            ..ScanRecord::default()
+        });
         let s = TraceSummary::from_records(&recs);
         assert_eq!(s.restarts, 1);
         assert_eq!(s.heals, 1);
         assert_eq!(s.restart_ns, 2_000_000);
-        assert_eq!(s.sheds, 3);
+        assert_eq!(s.sheds, 5);
+        assert_eq!(s.hit_ratio_series.len(), 5);
+        assert!(s.hit_ratio_series.iter().all(|p| p.observations > 0));
         assert!(s.any_supervisor_activity());
         let text = s.render();
         assert!(text.contains("supervisor: 1 restarts"), "{text}");
-        assert!(text.contains("3 shed scans"), "{text}");
+        assert!(text.contains("5 shed scans"), "{text}");
         let v: serde::Value = serde::json::from_str(&s.to_json()).unwrap();
         assert_eq!(v.get("heals").and_then(serde::Value::as_u64), Some(1));
-        assert_eq!(v.get("sheds").and_then(serde::Value::as_u64), Some(3));
+        assert_eq!(v.get("sheds").and_then(serde::Value::as_u64), Some(5));
         // A trace with no supervisor activity renders no supervisor line,
         // whatever pressure label its records carry: "normal" for an armed
         // budget, or a rung of the retired ladder in an older trace.
