@@ -13,12 +13,12 @@
 //!   `--io-fault`).
 //! * `report` — per-phase latency percentiles and the cache hit-ratio
 //!   time series of a recorded trace (`--json` for machine-readable).
-//! * `analyze` — reuse-distance, cache-residency, per-octant and
-//!   bucket-heatmap analytics over a recorded event stream, plus a Chrome
-//!   Trace Event Format export loadable in `chrome://tracing` or Perfetto.
-//! * `info` — structural statistics of a serialised map, plus an `engine`
-//!   line (executor, config digest) identifying the execution
-//!   configuration the backend flags select.
+//! * `analyze` — the hit-ratio curve of shadow caches at Fig 23's sizes,
+//!   replayed exactly on the sampled cache sets, plus cache-residency,
+//!   per-octant and bucket-heatmap analytics over a recorded event stream
+//!   and a Chrome Trace Event Format export loadable in `chrome://tracing`
+//!   or Perfetto.
+//! * `info` — structural statistics of a serialised map.
 //! * `query` — read queries answered through the snapshot query engine
 //!   ([`octocache::MapSnapshot`]): point occupancy, ray casting,
 //!   Morton-batched multi-point lookup (reporting traversal prefix reuse),
@@ -203,7 +203,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "info",
         args: "<map>",
-        flags: &["--backend B", "--buckets N", "--tau T"],
+        flags: &[],
         exec: cmd_info,
     },
     Command {
@@ -576,7 +576,7 @@ fn cmd_build(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<Stri
     backend.as_dyn().finish();
     let elapsed = t0.elapsed();
     // Flush the recorded event stream (if any) before the tree is taken.
-    let mut events_written: Option<(usize, u64)> = None;
+    let mut events_written: Option<usize> = None;
     if let Some(path) = events_path {
         let log = backend.as_dyn().take_events().unwrap_or_default();
         let file = std::fs::File::create(path)
@@ -585,7 +585,7 @@ fn cmd_build(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<Stri
         octocache_telemetry::write_events_jsonl(&mut out, &log.events)
             .and_then(|()| std::io::Write::flush(&mut out))
             .map_err(|e| CliError::Io(format!("write events {path}: {e}")))?;
-        events_written = Some((log.events.len(), log.dropped));
+        events_written = Some(log.events.len());
     }
     let times = backend.as_dyn().phase_times();
     let cache_stats = backend.as_dyn().cache_stats();
@@ -666,14 +666,11 @@ fn cmd_build(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<Stri
             ds.last_checkpoint_epoch
         );
     }
-    if let (Some(path), Some((count, dropped))) = (events_path, events_written) {
-        let _ = writeln!(out, "  events: {count} events -> {path}");
-        if dropped > 0 {
-            let _ = writeln!(
-                out,
-                "  warning: {dropped} events dropped at capacity caps (stream is truncated)"
-            );
-        }
+    if let (Some(path), Some(count)) = (events_path, events_written) {
+        let _ = writeln!(
+            out,
+            "  events: {count} events (cache events of the voxels on the 4×4×4 lattice) -> {path}"
+        );
     }
     for (i, e) in &scan_faults {
         let _ = writeln!(out, "  scan {i}: {e}");
@@ -834,7 +831,7 @@ fn cmd_analyze(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<St
     Ok(out)
 }
 
-fn cmd_info(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<String, CliError> {
+fn cmd_info(cmd: &Command, pos: &[&str], _: &[(&str, &str)]) -> Result<String, CliError> {
     let [path] = pos else {
         return Err(cmd.usage_error());
     };
@@ -846,26 +843,12 @@ fn cmd_info(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<Strin
     let _ = writeln!(out, "  nodes: {}", tree.num_nodes());
     let _ = writeln!(out, "  leaves: {}", tree.num_leaves());
     let _ = writeln!(out, "  occupied voxels: {}", tree.occupied_voxel_count());
-    let _ = writeln!(
+    let _ = write!(
         out,
         "  memory: {:.1} KiB",
         tree.memory_usage() as f64 / 1024.0
     );
-    let _ = write!(out, "  engine: {}", engine_line(flags)?);
     Ok(out)
-}
-
-/// Describes the scan-lifecycle engine a `build` with the same flags would
-/// run: the executor driven by `core::engine` and the cache-geometry
-/// digest — enough for a trace or a bug report to pin down the exact
-/// execution configuration.
-fn engine_line(flags: &[(&str, &str)]) -> Result<String, CliError> {
-    let (_, executor, _, cache) = backend_flags(flags)?;
-    let cache = cache.build().map_err(|e| e.to_string())?;
-    Ok(format!(
-        "executor={executor:?}Executor config-digest={:016x}",
-        cache.digest()
-    ))
 }
 
 /// The scan executor behind a backend name.
@@ -876,7 +859,7 @@ enum Executor {
     Parallel,
 }
 
-/// Every backend `build` and `info` take: its executor and ray tracer.
+/// Every backend `build` takes: its executor and ray tracer.
 const BACKENDS: [(&str, Executor, RayTracer); 6] = [
     ("octomap", Executor::Baseline, RayTracer::Standard),
     ("octomap-rt", Executor::Baseline, RayTracer::Dedup),
@@ -1163,35 +1146,10 @@ mod tests {
         let info = run(&s(&["info", &map_a])).unwrap();
         assert!(info.contains("nodes:"), "{info}");
         assert!(info.contains("resolution: 0.4"), "{info}");
-        // Default engine description: serial executor and a config digest
-        // pinning the cache geometry.
-        assert!(
-            info.contains("engine: executor=SerialExecutor config-digest="),
-            "{info}"
-        );
-
-        // The engine line mirrors `build`'s backend flags.
-        let info_par = run(&s(&["info", &map_a, "--backend", "parallel"])).unwrap();
-        assert!(
-            info_par.contains("engine: executor=ParallelExecutor config-digest="),
-            "{info_par}"
-        );
-        // Same geometry, same digest — regardless of backend choice.
-        let digest = |out: &str| {
-            out.split("config-digest=")
-                .nth(1)
-                .unwrap()
-                .trim()
-                .to_string()
-        };
-        assert_eq!(digest(&info), digest(&info_par));
-        // The default geometry's digest, pinned: it folds the serialised
-        // `CacheConfig`, so it moves whenever a key is added or dropped
-        // (`default_config_serialises_exactly_these_seven_keys` in core).
-        assert_eq!(digest(&info), "6f9c3a69cac1e812");
-        // Different cache geometry changes the digest.
-        let info_big = run(&s(&["info", &map_a, "--buckets", "32768"])).unwrap();
-        assert_ne!(digest(&info), digest(&info_big));
+        // `info` describes the map, not the flags of a build.
+        assert!(!info.contains("engine"), "{info}");
+        let err = run(&s(&["info", &map_a, "--backend", "parallel"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
         // A corridor interior point is free.
         let q = run(&s(&["query", &map_a, "1.0", "0.0", "1.4"])).unwrap();
         assert!(q.contains("free"), "{q}");
@@ -1404,7 +1362,7 @@ mod tests {
                 "--workers",
                 "4",
             ],
-            vec!["info", &map, "--backend", "parallel", "--workers", "1"],
+            vec!["info", &map, "--workers", "1"],
         ] {
             let err = run(&s(&args)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{args:?}: {err}");
@@ -1847,6 +1805,56 @@ mod tests {
         }
     }
 
+    /// Campus at scale 0.25 under a 20 MB budget applies scans 0–14 and
+    /// sheds 15–19 on `serial`: the refusals after the last applied scan
+    /// ride one trailing record, which `report` names apart instead of
+    /// counting it as a sixteenth scan.
+    #[test]
+    fn report_counts_the_trailing_record_apart_from_the_scans() {
+        let log = temp_path("trailing.scanlog");
+        run(&s(&[
+            "generate",
+            "freiburg-campus",
+            &log,
+            "--scale",
+            "0.25",
+        ]))
+        .unwrap();
+        let map = temp_path("trailing.map");
+        let trace = temp_path("trailing.jsonl");
+        let out = run(&s(&[
+            "build",
+            &log,
+            &map,
+            "--mem-budget",
+            "20000000",
+            "--trace",
+            &trace,
+        ]))
+        .unwrap();
+        let shed = out.lines().filter(|l| l.contains("scan shed")).count();
+        assert!(
+            out.contains("scan 19: scan shed: over memory budget") && shed >= 1,
+            "{out}"
+        );
+        let applied = 20 - shed;
+        let records = octocache_telemetry::read_jsonl_prefix_path(&trace)
+            .unwrap()
+            .0;
+        assert_eq!(records.len(), applied + 1, "{out}");
+        let last = records.last().unwrap();
+        assert!(last.trailing && last.observations == 0, "{last:?}");
+        assert_eq!(last.sheds, shed as u64);
+        assert!(records[..applied].iter().all(|r| !r.trailing));
+        let report = run(&s(&["report", &trace])).unwrap();
+        assert!(
+            report.starts_with(&format!(
+                "trace: {applied} scans + 1 trailing record (refusals after the last scan)"
+            )),
+            "{report}"
+        );
+    }
+
     #[test]
     fn build_with_events_then_analyze_exports_chrome_trace() {
         let log = temp_path("events.scanlog");
@@ -1905,9 +1913,18 @@ mod tests {
 
         let chrome = temp_path("events.trace.json");
         let out = run(&s(&["analyze", &ev, "--trace-out", &chrome])).unwrap();
+        let scans = load_scanlog(&log).unwrap().scans().len();
+        assert!(out.contains(&format!("scans {scans} ")), "{out}");
+        for buckets in octocache_telemetry::SHADOW_BUCKETS {
+            assert!(
+                out.lines()
+                    .any(|l| l.split_whitespace().next() == Some(&buckets.to_string())),
+                "no shadow row for w′ = {buckets} in:\n{out}"
+            );
+        }
         for section in [
             "event analytics",
-            "reuse distance",
+            "shadow caches",
             "cache residency",
             "per-octant hit ratio",
             "bucket heatmap",

@@ -86,7 +86,7 @@ const NIL: u32 = u32::MAX;
 /// Observations [`VoxelCache::insert_batch`] stages ahead of the ones it is
 /// inserting: enough probes in flight to cover a memory round trip, few
 /// enough that the prefetched lines are still in L1 when their turn comes.
-pub(crate) const STAGE: usize = 16;
+const STAGE: usize = 16;
 
 /// Slots of the fold's scratch hash ([`Fold`]) until a batch widens it:
 /// 2¹⁵ `u64`s, 256 KiB, sized to stay in L2 beside the batch it groups.
@@ -731,7 +731,7 @@ impl VoxelCache {
 
     /// Prefetches the header and first slot line of the bucket of `code`.
     #[inline]
-    pub(crate) fn prefetch_bucket(&self, code: u64) {
+    fn prefetch_bucket(&self, code: u64) {
         let bucket = (code & self.mask) as usize;
         prefetch(&self.table.heads[bucket]);
         prefetch(&self.table.cells[bucket * self.table.tau]);

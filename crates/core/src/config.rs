@@ -211,8 +211,11 @@ impl CacheConfig {
     }
 
     /// Whether backends built from this config record sub-scan
-    /// [`Event`](octocache_telemetry::Event) streams (cache
-    /// hit/miss/evict, queue traffic, worker batch spans). Off by
+    /// [`Event`](octocache_telemetry::Event) streams: the cache
+    /// hit/miss/evict events of the voxels on the 4×4×4 lattice (whole
+    /// cache sets, one voxel in 64 —
+    /// [`is_sampled`](octocache_telemetry::is_sampled)), queue traffic and
+    /// worker batch spans, complete over the run and uncapped. Off by
     /// default; when off the only cost in the hot paths is one
     /// `Option::is_some` branch per site. Never serialised (like
     /// [`CacheConfig::fault_plan`]): recording is a per-run choice, not
@@ -232,25 +235,10 @@ impl CacheConfig {
     /// allocates when it is built and keeps for life: `w × τ` 12-byte cells
     /// plus one 8-byte header per bucket. Exactly its
     /// [`memory_usage`](crate::VoxelCache::memory_usage) until a batch
-    /// overshoots `τ` somewhere (the spill) or events are recorded.
+    /// overshoots `τ` somewhere (the spill) or is folded (the scratch).
     #[inline]
     pub fn resident_bytes(&self) -> usize {
         12 * self.capacity_after_eviction() + 8 * self.num_buckets
-    }
-
-    /// A short, stable digest of the cache geometry (FNV-1a over the
-    /// serialised form), for labelling runs — the CLI `info` command prints
-    /// it on its `engine:` line. Runtime-only knobs that are never
-    /// serialised ([`CacheConfig::fault_plan`], [`CacheConfig::events`]) do
-    /// not contribute, so two runs with the same geometry share a digest.
-    pub fn digest(&self) -> u64 {
-        let json = serde::json::to_string(self);
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in json.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
     }
 }
 
@@ -524,33 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_tracks_geometry_not_runtime_knobs() {
-        let base = CacheConfig::builder()
-            .num_buckets(64)
-            .tau(2)
-            .build()
-            .unwrap();
-        // Deterministic for equal geometry.
-        assert_eq!(base.digest(), base.digest());
-        // Geometry changes move the digest.
-        let other = CacheConfig::builder()
-            .num_buckets(128)
-            .tau(2)
-            .build()
-            .unwrap();
-        assert_ne!(base.digest(), other.digest());
-        // Never-serialised knobs do not.
-        let with_knobs = CacheConfig::builder()
-            .num_buckets(64)
-            .tau(2)
-            .events(true)
-            .fault_plan(FaultPlan::from_seed(1))
-            .build()
-            .unwrap();
-        assert_eq!(base.digest(), with_knobs.digest());
-    }
-
-    #[test]
     fn serialised_config_carrying_a_tree_layout_field_still_parses() {
         // What `serde::json::to_string(&config)` wrote before the field was
         // removed: the extra key is ignored, every other knob survives.
@@ -584,7 +545,7 @@ mod tests {
 
     #[test]
     fn default_config_serialises_exactly_these_seven_keys() {
-        // A new knob is a visible diff here (and moves every `digest()`).
+        // A new knob is a visible diff here.
         assert_eq!(
             serde::json::to_string(&CacheConfig::default()),
             r#"{"num_buckets":65536,"tau":4,"stall_timeout":{"secs":10,"nanos":0},"checkpoint_every":64,"mem_budget":null,"max_restarts":0,"shed_deadline":null}"#

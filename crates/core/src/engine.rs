@@ -58,7 +58,7 @@ use octocache_telemetry::{
     EventBuffer, EventKind, EventLog, PhaseHistograms, PhaseTimes, Recorder, ScanRecord, Telemetry,
 };
 
-use crate::cache::{CacheStats, CodeHasher, EvictedCell, VoxelCache, STAGE};
+use crate::cache::{CacheStats, CodeHasher, EvictedCell, VoxelCache};
 use crate::config::CacheConfig;
 use crate::fault::{FaultCounters, Integrity, IntegrityTransition, PipelineError};
 use crate::pipeline::RayTracer;
@@ -803,33 +803,25 @@ pub(crate) fn apply_evictions(
     buf.drain();
 }
 
-/// Records a batch's cache accesses before `cache` takes it: one
-/// `CacheHit` or `CacheMiss` per observation, in batch order. An
-/// observation hits when its voxel is resident ([`VoxelCache::peek`]) or
-/// came earlier in the batch — exact, because nothing is evicted within a
-/// batch — so the stream is what one `insert` per observation would meet,
-/// however the cache folds the batch. The Morton codes are computed `STAGE`
-/// observations ahead, once each, and their buckets prefetched, as the
-/// cache's own stream does, so a distinct voxel's probe finds its lines.
+/// Whether `key` is on the 4×4×4 lattice whose cache events are recorded —
+/// its Morton code's low 6 bits are zero
+/// ([`octocache_telemetry::is_sampled`]), tested without encoding it.
+#[inline]
+fn sampled(key: VoxelKey) -> bool {
+    (key.x | key.y | key.z) & 3 == 0
+}
+
+/// Records a batch's sampled cache accesses before `cache` takes it: one
+/// `CacheHit` or `CacheMiss` per observation of a sampled voxel, in
+/// batch order. An observation hits when its voxel is resident
+/// ([`VoxelCache::peek`]) or came earlier in the batch — exact, because
+/// nothing is evicted within a batch — so the stream is what one `insert`
+/// per observation would meet, however the cache folds the batch.
 pub fn record_accesses(events: &mut EventBuffer, cache: &VoxelCache, batch: &[VoxelUpdate]) {
-    // The batch's voxels so far, by Morton code; it grows with the distinct
-    // voxels, and a stopped lane never fills it.
+    // The batch's sampled voxels so far, by Morton code.
     let mut seen: HashSet<u64, BuildHasherDefault<CodeHasher>> = HashSet::default();
-    // The codes of observations `i .. i + STAGE`, observation `j`'s at
-    // `j % STAGE`.
-    let mut staged = [0u64; STAGE];
-    let stage = |at: usize, code: &mut u64| {
-        *code = morton::encode(batch[at].key);
-        cache.prefetch_bucket(*code);
-    };
-    for (at, code) in staged.iter_mut().enumerate().take(batch.len()) {
-        stage(at, code);
-    }
-    events.emit_cache_run(batch.iter().enumerate().map(|(i, u)| {
-        let code = staged[i % STAGE];
-        if i + STAGE < batch.len() {
-            stage(i + STAGE, &mut staged[i % STAGE]);
-        }
+    events.emit_cache_run(batch.iter().filter(|u| sampled(u.key)).map(|u| {
+        let code = morton::encode(u.key);
         let hit = !seen.insert(code) || cache.peek_coded(u.key, code).is_some();
         let kind = if hit {
             EventKind::CacheHit
@@ -840,10 +832,10 @@ pub fn record_accesses(events: &mut EventBuffer, cache: &VoxelCache, batch: &[Vo
     }));
 }
 
-/// Records one `CacheEvict` per cell `cache` handed back from an eviction
-/// pass or a drain, in the order it handed them (Morton order).
+/// Records one `CacheEvict` per sampled cell `cache` handed back from
+/// an eviction pass or a drain, in the order it handed them (Morton order).
 pub fn record_evictions(events: &mut EventBuffer, cache: &VoxelCache, cells: &[EvictedCell]) {
-    events.emit_cache_run(cells.iter().map(|c| {
+    events.emit_cache_run(cells.iter().filter(|c| sampled(c.key)).map(|c| {
         let code = morton::encode(c.key);
         (
             EventKind::CacheEvict,

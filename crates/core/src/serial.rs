@@ -248,7 +248,7 @@ impl ScanExecutor for SerialExecutor {
 
 #[cfg(test)]
 mod tests {
-    use octocache_telemetry::EventKind;
+    use octocache_telemetry::{is_sampled, EventKind};
 
     use super::*;
 
@@ -440,11 +440,12 @@ mod tests {
         assert!(log.events.iter().all(|e| e.worker == 0));
         // Scan stamps advance with the telemetry sequence.
         assert!(log.events.iter().any(|e| e.scan == 1));
-        // Event counts agree with the aggregate counters.
+        // Cache events are the lattice's share of what the counters count.
         let stats = MappingSystem::cache_stats(&s).unwrap();
-        assert_eq!(count(EventKind::CacheHit) as u64, stats.hits);
-        assert_eq!(count(EventKind::CacheMiss) as u64, stats.misses);
-        assert_eq!(count(EventKind::CacheEvict) as u64, stats.evictions);
+        assert!(count(EventKind::CacheHit) as u64 <= stats.hits);
+        assert!(count(EventKind::CacheMiss) as u64 <= stats.misses);
+        assert!(count(EventKind::CacheEvict) as u64 <= stats.evictions);
+        assert!(log.events.iter().all(|e| is_sampled(e.key)));
     }
 
     #[test]

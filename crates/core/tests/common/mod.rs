@@ -15,14 +15,9 @@ use octocache_octomap::{OccupancyOcTree, OccupancyParams};
 /// the shared generator so every suite speaks the same type.
 pub use octocache_datasets::Scan;
 
-/// Scenario seeds exercised; `OCTO_TEST_ITERS` overrides (CI sets it
-/// higher).
-pub fn num_scenarios() -> u64 {
-    std::env::var("OCTO_TEST_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2)
-}
+/// Scenario seeds every suite exercises, the same count everywhere the
+/// tests run.
+pub const SCENARIOS: u64 = 6;
 
 /// Generates a deterministic scan sequence over a synthetic scene: a sensor
 /// random-walking through a field of spherical "blobs", sweeping ray fans

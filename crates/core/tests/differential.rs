@@ -8,19 +8,16 @@
 //! resulting trees with `octomap::compare` — including a structural
 //! comparison after pruning. Any eviction, hand-off or ordering bug shows
 //! up as a log-odds mismatch here.
-//!
-//! Scenario count is scaled by the `OCTO_TEST_ITERS` env knob so CI can
-//! crank iterations (see `.github/workflows/ci.yml`).
 
 mod common;
 
-use common::{backends, build_tree, grid, num_scenarios, scenario};
+use common::{backends, build_tree, grid, scenario, SCENARIOS};
 use octocache::pipeline::OctoMapSystem;
 use octocache_octomap::{compare, OccupancyParams};
 
 #[test]
 fn all_backends_match_octomap_baseline() {
-    for seed in 0..num_scenarios() {
+    for seed in 0..SCENARIOS {
         let scans = scenario(seed * 7919 + 1);
         let baseline = build_tree(
             Box::new(OctoMapSystem::new(grid(), OccupancyParams::default())),

@@ -2,25 +2,27 @@
 //! sub-scan event recording on must produce a voxel-for-voxel identical map
 //! to the same backend with recording off — on every backend.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
 //! 1. A scenario differential (seeded synthetic scans, tolerance 0.0)
 //!    across octomap / serial / parallel, which also checks the recorded
-//!    stream is non-empty and structurally sane (spans pair up per lane).
-//!    The cache holds no recorder at all, so there is no traced cache to
-//!    hold against an untraced one.
-//! 2. A stream cut short by a capacity cap is a prefix of the full stream,
-//!    lane by lane, with every lost event counted: what analytics derive
-//!    from it (a cell's insertion, its hits) is never missing a middle.
-
-use std::sync::Arc;
+//!    stream is non-empty and structurally sane (spans pair up per lane,
+//!    every cache event is on the sampling lattice). The cache holds no
+//!    recorder at all, so there is no traced cache to hold against an
+//!    untraced one.
+//! 2. The sampled stream checks itself: on every dataset, serial and
+//!    parallel, a keys-only shadow at the live cache's size replays the
+//!    recorded accesses into exactly the recorded cache stream.
+//! 3. Voxels off the lattice record nothing.
 
 use octocache::engine::{record_accesses, record_evictions};
 use octocache::pipeline::{MappingSystem, OctoMapSystem};
 use octocache::{CacheConfig, ParallelOctoCache, SerialOctoCache, VoxelCache};
-use octocache_geom::{Point3, VoxelGrid};
-use octocache_octomap::{compare, insert, OccupancyOcTree, OccupancyParams};
-use octocache_telemetry::{Event, EventAnalytics, EventKind, EventLog, EventSink};
+use octocache_datasets::{Dataset, DatasetConfig};
+use octocache_geom::{Point3, VoxelGrid, VoxelKey};
+use octocache_octomap::insert::VoxelUpdate;
+use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
+use octocache_telemetry::{is_sampled, EventAnalytics, EventKind, EventLog, EventSink, Shadow};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -111,10 +113,10 @@ fn build(
 }
 
 /// Per-lane structural sanity: begins and ends pair up, and cache events
-/// only appear on the producer lane.
+/// only appear on the producer lane, for voxels on the lattice.
 fn check_stream(label: &str, log: &EventLog) {
     assert!(!log.events.is_empty(), "{label}: recorded stream is empty");
-    assert_eq!(log.dropped, 0, "{label}: events dropped at default caps");
+    assert_eq!(log.dropped, 0, "{label}: events dropped");
     let mut lanes: std::collections::BTreeMap<u32, (u64, u64)> = std::collections::BTreeMap::new();
     for e in &log.events {
         let lane = lanes.entry(e.worker).or_default();
@@ -123,6 +125,7 @@ fn check_stream(label: &str, log: &EventLog) {
             EventKind::BatchEnd => lane.1 += 1,
             EventKind::CacheHit | EventKind::CacheMiss | EventKind::CacheEvict => {
                 assert_eq!(e.worker, 0, "{label}: cache event off the producer lane");
+                assert!(is_sampled(e.key), "{label}: cache event off the lattice");
             }
             _ => {}
         }
@@ -214,87 +217,130 @@ fn parallel_event_stream_covers_every_worker_lane() {
         .any(|e| e.kind == EventKind::QueueEnqueue && e.worker >= 1));
 }
 
-/// A run recorded the way the executors record one, on `sink`: lane 0 the
-/// cache's accesses and evictions, lane 1 a span per applied batch, the
-/// lanes draining at each scan's end in alternating order. A lane-0 cap of
-/// `lane0_cap` events per drain replaces the default.
-fn record_run(sink: Arc<EventSink>, scans: &[Scan], lane0_cap: Option<usize>) -> EventLog {
-    let mut cache = VoxelCache::new(cache(false), OccupancyParams::default());
-    let mut cache_lane = sink.buffer(0);
-    let mut worker_lane = cache_lane.lane(1);
-    if let Some(cap) = lane0_cap {
-        cache_lane.set_capacity(cap);
-    }
-    let mut batch = insert::VoxelBatch::new();
-    let mut evicted = Vec::new();
-    for (i, scan) in scans.iter().enumerate() {
-        cache_lane.set_scan(i as u64);
-        worker_lane.set_scan(i as u64);
-        insert::compute_update(&grid(), scan.origin, &scan.points, 40.0, &mut batch).unwrap();
-        record_accesses(&mut cache_lane, &cache, batch.updates());
-        cache.insert_batch(batch.updates(), |_| None);
-        evicted.clear();
-        cache.evict_into(&mut evicted);
-        record_evictions(&mut cache_lane, &cache, &evicted);
-        worker_lane.emit_plain(EventKind::BatchBegin, 0);
-        worker_lane.emit_plain(EventKind::BatchEnd, evicted.len() as u64);
-        if i % 2 == 0 {
-            cache_lane.drain();
-            worker_lane.drain();
-        } else {
-            worker_lane.drain();
-            cache_lane.drain();
-        }
-    }
-    let drained = cache.drain_all();
-    record_evictions(&mut cache_lane, &cache, &drained);
-    worker_lane.drain();
-    cache_lane.take_log()
-}
+/// The cache events of a recorded stream: `(kind, Morton key, bucket)`.
+type CacheStream = Vec<(EventKind, u64, u32)>;
 
-/// One lane's events, without when they were emitted.
-fn lane(log: &EventLog, worker: u32) -> Vec<(u64, EventKind, u64, u32, u64)> {
-    let untimed = |e: &Event| (e.scan, e.kind, e.key, e.bucket, e.value);
-    log.events
-        .iter()
-        .filter(|e| e.worker == worker)
-        .map(untimed)
-        .collect()
-}
-
+/// The self-check of the sampled stream. On each dataset at a small scale,
+/// serial and parallel record a run at a live `(w, τ)` with `w ≥ 64`; a
+/// [`Shadow`] of that size, fed only the recorded accesses and their scan
+/// stamps, must reproduce the recorded cache stream event for event: each
+/// access's hit or miss, each scan's sampled evictions in Morton order and
+/// the final drain. The run must evict, so the check has teeth, and the
+/// analytics must span every scan. Prints each run's sampled against its
+/// full hit ratio (not gated).
 #[test]
-fn a_capped_stream_is_a_counted_prefix_of_every_lane() {
-    let scans = scenario(7);
-    let full = record_run(EventSink::new(), &scans, None);
-    assert_eq!(full.dropped, 0);
-    let emitted = full.events.len();
-    let first_scan = lane(&full, 0).iter().take_while(|e| e.0 == 0).count();
-    // Sink caps cut both lanes; a lane-0 drain cap cuts the first scan
-    // part-way while lane 1 records on.
-    let runs = [
-        (1, None),
-        (emitted / 3, None),
-        (emitted - 1, None),
-        (emitted, Some(first_scan / 2)),
-    ];
-    for (cap, lane0_cap) in runs {
-        let label = format!("sink cap {cap}, lane-0 cap {lane0_cap:?}");
-        let cut = record_run(EventSink::with_capacity(cap), &scans, lane0_cap);
-        assert!(cut.dropped > 0, "{label}: nothing was cut");
-        assert_eq!(cut.dropped, (emitted - cut.events.len()) as u64, "{label}");
-        for worker in [0, 1] {
-            let (kept, all) = (lane(&cut, worker), lane(&full, worker));
-            assert!(
-                all.starts_with(&kept),
-                "{label}: lane {worker} kept {} events that are not a prefix of its {}",
-                kept.len(),
-                all.len()
+fn a_shadow_at_the_live_size_replays_the_recorded_stream() {
+    let params = OccupancyParams::default();
+    for dataset in [
+        Dataset::Fr079Corridor,
+        Dataset::FreiburgCampus,
+        Dataset::NewCollege,
+    ] {
+        let seq = dataset.generate(&DatasetConfig {
+            scale: 0.05,
+            seed: 0xC0FFEE,
+        });
+        let grid = VoxelGrid::new(0.2, 16).unwrap();
+        for (label, buckets, tau) in [("serial", 1 << 10, 4), ("parallel", 1 << 8, 2)] {
+            let config = CacheConfig::builder()
+                .num_buckets(buckets)
+                .tau(tau)
+                .events(true)
+                .build()
+                .unwrap();
+            let mut backend: Box<dyn MappingSystem> = if label == "serial" {
+                Box::new(SerialOctoCache::new(grid, params, config))
+            } else {
+                Box::new(ParallelOctoCache::new(grid, params, config))
+            };
+            for scan in seq.scans() {
+                backend
+                    .insert_scan(scan.origin, &scan.points, seq.max_range())
+                    .expect("scan within grid");
+            }
+            backend.finish();
+            let full = backend.cache_stats().expect("a cached backend");
+            let log = backend.take_events().expect("events enabled");
+            let at = format!("{dataset} {label} w {buckets} τ {tau}");
+
+            let recorded: CacheStream = (log.events.iter())
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        EventKind::CacheHit | EventKind::CacheMiss | EventKind::CacheEvict
+                    )
+                })
+                .map(|e| (e.kind, e.key, e.bucket))
+                .collect();
+            let mut shadow = Shadow::new(buckets, tau);
+            let mut replayed = CacheStream::new();
+            shadow.replay(&log.events, |kind, key, bucket| {
+                replayed.push((kind, key, bucket))
+            });
+            shadow.drain(|kind, key, bucket| replayed.push((kind, key, bucket)));
+            let first_apart = (recorded.iter().zip(&replayed)).position(|(r, s)| r != s);
+            assert_eq!(
+                (first_apart, replayed.len()),
+                (None, recorded.len()),
+                "{at}: the shadow's stream leaves the recorded one"
+            );
+            let counts = shadow.point().counts;
+            assert!(counts.evictions > 0, "{at}: nothing was evicted");
+
+            let analytics = EventAnalytics::from_events(&log.events);
+            assert_eq!(analytics.scans, seq.scans().len() as u64, "{at}");
+            assert_eq!(analytics.cache.accesses, counts.accesses, "{at}");
+            println!(
+                "sampled: {at}: hit ratio {:.4} on {} sampled accesses, {:.4} on all {}",
+                analytics.cache.hit_ratio(),
+                analytics.cache.accesses,
+                full.hit_rate(),
+                full.hits + full.misses,
             );
         }
-        let analytics = EventAnalytics::from_events(&cut.events);
-        assert_eq!(analytics.orphan_evictions, 0, "{label}");
-        if cap == emitted - 1 {
-            assert!(analytics.evictions > 0, "{label}: no eviction survived");
-        }
     }
+}
+
+/// Only the voxels on the 4×4×4 lattice record cache events: a batch of
+/// voxels off it records nothing, in or out of the cache, and in a mixed
+/// batch only the lattice's voxels appear, once per observation.
+#[test]
+fn off_lattice_keys_record_nothing() {
+    let mut cache = VoxelCache::new(cache(false), OccupancyParams::default());
+    let mut events = EventSink::new().buffer(0);
+    let cube: Vec<VoxelKey> = (0..8u16)
+        .flat_map(|x| (0..8u16).flat_map(move |y| (0..8u16).map(move |z| VoxelKey::new(x, y, z))))
+        .collect();
+    let on = |k: &VoxelKey| (k.x | k.y | k.z) & 3 == 0;
+    let observe = |keys: &[VoxelKey]| -> Vec<VoxelUpdate> {
+        (keys.iter())
+            .map(|&key| VoxelUpdate {
+                key,
+                occupied: true,
+            })
+            .collect()
+    };
+    let off = observe(&cube.iter().copied().filter(|k| !on(k)).collect::<Vec<_>>());
+    assert_eq!(off.len(), 512 - 8);
+    record_accesses(&mut events, &cache, &off);
+    cache.insert_batch(&off, |_| None);
+    let drained = cache.drain_all();
+    record_evictions(&mut events, &cache, &drained);
+    assert_eq!(drained.len(), off.len());
+    assert!(events.take_log().events.is_empty());
+
+    // The whole cube, twice: 8 lattice voxels miss, then hit, then drain.
+    let both = observe(&[cube.clone(), cube].concat());
+    record_accesses(&mut events, &cache, &both);
+    cache.insert_batch(&both, |_| None);
+    let drained = cache.drain_all();
+    record_evictions(&mut events, &cache, &drained);
+    let log = events.take_log().events;
+    let count = |kind| log.iter().filter(|e| e.kind == kind).count();
+    assert_eq!(
+        (count(EventKind::CacheMiss), count(EventKind::CacheHit)),
+        (8, 8)
+    );
+    assert_eq!((count(EventKind::CacheEvict), log.len()), (8, 24));
+    assert!(log.iter().all(|e| is_sampled(e.key)));
 }

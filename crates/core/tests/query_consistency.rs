@@ -15,13 +15,10 @@
 //! 3. **Cross-backend agreement** — the snapshot answer set (and the leaf
 //!    checksum) is bit-identical across all seven backends, so a reader can
 //!    switch backends without observing any difference.
-//!
-//! `OCTO_TEST_ITERS` scales the scenario count, as in the differential
-//! suite.
 
 mod common;
 
-use common::{backends, grid, num_scenarios, scenario, Scan};
+use common::{backends, grid, scenario, Scan, SCENARIOS};
 use octocache::pipeline::MappingSystem;
 use octocache::MapSnapshot;
 use octocache_geom::{Aabb, Point3, VoxelKey};
@@ -115,7 +112,7 @@ fn sorted_leaves(mut leaves: Vec<LeafEntry>) -> Vec<(VoxelKey, u8, u32)> {
 /// map at that scan boundary, for every backend.
 #[test]
 fn snapshot_tracks_live_map_at_every_scan_boundary() {
-    for seed in 0..num_scenarios() {
+    for seed in 0..SCENARIOS {
         let scans = scenario(seed * 3571 + 5);
         let probes = probe_keys(&scans);
         for (label, mut backend) in backends() {
@@ -171,7 +168,7 @@ fn final_snapshot_and_tree(
 /// tree's own query functions, query-for-query and bit-for-bit.
 #[test]
 fn every_query_kind_matches_flushed_tree() {
-    for seed in 0..num_scenarios() {
+    for seed in 0..SCENARIOS {
         let scans = scenario(seed * 9173 + 11);
         let probes = probe_keys(&scans);
         let boxes = probe_boxes(&scans);
@@ -250,7 +247,7 @@ fn every_query_kind_matches_flushed_tree() {
 /// one map, not seven.
 #[test]
 fn snapshot_answers_agree_across_backends() {
-    for seed in 0..num_scenarios() {
+    for seed in 0..SCENARIOS {
         let scans = scenario(seed * 4099 + 3);
         let probes = probe_keys(&scans);
         let fan = ray_fan();

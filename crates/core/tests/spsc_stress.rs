@@ -6,21 +6,13 @@
 //! checking a sequence oracle: items must arrive exactly once, in order,
 //! with no loss, duplication or reordering — the property the pipeline's
 //! batch protocol depends on.
-//!
-//! Iteration counts scale with the `OCTO_TEST_ITERS` env knob so CI can
-//! crank repetitions (see `.github/workflows/ci.yml`).
 
 use std::thread;
 
 use octocache::spsc::{channel, Full};
 
-/// Repetitions of each capacity sweep; CI raises this via the env knob.
-fn repeats() -> usize {
-    std::env::var("OCTO_TEST_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
+/// Repetitions of each capacity sweep.
+const REPEATS: usize = 6;
 
 /// Items pushed per (capacity, repeat) cell. Small enough that the full
 /// 64-capacity sweep stays fast at the default repeat count.
@@ -30,7 +22,7 @@ const ITEMS: u64 = 2_000;
 /// `try_pop`; every value must come out exactly once, in order.
 #[test]
 fn blocking_push_preserves_sequence_across_capacities() {
-    for rep in 0..repeats() {
+    for rep in 0..REPEATS {
         for capacity in 1..=64usize {
             let (mut tx, mut rx) = channel::<u64>(capacity);
             // Capacity rounds up to the next power of two.
@@ -69,7 +61,7 @@ fn blocking_push_preserves_sequence_across_capacities() {
 /// still hold. The consumer drains in bursts to vary queue fill levels.
 #[test]
 fn non_blocking_push_returns_rejected_item_and_keeps_order() {
-    for rep in 0..repeats() {
+    for rep in 0..REPEATS {
         for capacity in [1usize, 2, 3, 7, 16, 64] {
             let (mut tx, mut rx) = channel::<u64>(capacity);
 
@@ -143,7 +135,7 @@ fn teardown_mid_stream_drops_every_item_exactly_once() {
     }
 
     const TOTAL: u64 = 500;
-    for rep in 0..repeats() {
+    for rep in 0..REPEATS {
         for capacity in [1usize, 2, 8, 64] {
             // Drain strictly fewer items than the producer offers, so the
             // ring still holds (or will receive) items when the consumer

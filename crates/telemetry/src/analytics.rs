@@ -1,13 +1,16 @@
 //! Analytics over a recorded [`Event`](crate::Event) stream.
 //!
 //! [`EventAnalytics::from_events`] folds a raw sub-scan event stream into
-//! the locality evidence the paper argues from (§3–§4):
+//! the locality evidence the paper argues from (§3–§4). Its cache sections
+//! see the sampled voxels only — the 4×4×4 lattice, one voxel in 64
+//! ([`crate::is_sampled`]) — and it applies that filter itself, so a file
+//! recorded before the stream was sampled gives the same tables:
 //!
-//! * **Reuse-distance histogram** — for each cache access, the number of
-//!   *distinct* voxels touched since the previous access to the same voxel
-//!   (exact, computed with a Fenwick tree in `O(n log n)`); first-touch
-//!   accesses are counted separately as *cold*. Small distances are what
-//!   make a τ-cell bucket cache effective.
+//! * **Shadow caches** — the sampled accesses replayed, in stream order,
+//!   through keys-only [`Shadow`]s of Fig 23's sizes at τ′ = 4. Each
+//!   reproduces the sampled buckets of that cache exactly, so the curve is
+//!   the hit ratio and eviction count those caches would have had on the
+//!   sampled sets, from one recorded run.
 //! * **Cache residency** — for each evicted cell, the number of scans
 //!   between its insertion and its eviction, plus the hits it absorbed
 //!   while resident (the paper's duplication argument, measured). Both
@@ -15,14 +18,15 @@
 //! * **Per-octant hit ratios** — accesses bucketed by top-level octant of
 //!   the *observed* key space (depth inferred from the largest Morton code
 //!   in the stream), showing which spatial regions drive the hit ratio.
-//! * **Bucket heatmap** — per-bucket access/hit/eviction counts, i.e. the
-//!   occupancy/conflict picture of the `w × τ` cache itself.
+//! * **Bucket heatmap** — per-bucket access/hit/eviction counts of the
+//!   sampled buckets (`b ≡ 0 mod 64`), i.e. the occupancy/conflict picture
+//!   of the `w × τ` cache itself on those sets.
 //! * **Worker timelines** — batch spans, queue traffic and stall time per
 //!   thread lane (also the input to [`crate::chrome_trace_json`]).
 
 use std::collections::HashMap;
 
-use crate::event::{Event, EventKind};
+use crate::event::{is_sampled, Event, EventKind};
 use crate::hist::Histogram;
 
 /// A matched `BatchBegin`/`BatchEnd` pair on one worker lane.
@@ -74,19 +78,30 @@ impl WorkerTimeline {
     }
 }
 
-/// Access/hit/eviction counts of one top-level octant.
+/// Cache accesses, hits and evictions over some part of a stream: the
+/// whole of it, one top-level octant, one bucket, one shadow.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OctantStats {
-    /// Cache accesses whose key falls in this octant.
+pub struct CacheCounts {
+    /// `CacheHit`s and `CacheMiss`es.
     pub accesses: u64,
     /// Accesses absorbed by a resident cell.
     pub hits: u64,
-    /// Cells evicted out of this octant.
+    /// `CacheEvict`s.
     pub evictions: u64,
 }
 
-impl OctantStats {
-    /// Hit ratio of this octant (0 when it saw no accesses).
+impl CacheCounts {
+    /// Counts one cache event; other kinds change nothing.
+    fn count(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::CacheHit => (self.accesses, self.hits) = (self.accesses + 1, self.hits + 1),
+            EventKind::CacheMiss => self.accesses += 1,
+            EventKind::CacheEvict => self.evictions += 1,
+            _ => {}
+        }
+    }
+
+    /// Hits per access (0 when there were none).
     pub fn hit_ratio(&self) -> f64 {
         if self.accesses == 0 {
             0.0
@@ -96,17 +111,13 @@ impl OctantStats {
     }
 }
 
-/// Per-bucket counters for the occupancy/conflict heatmap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BucketStats {
-    /// Bucket index in the cache.
-    pub bucket: u32,
-    /// Cache accesses that indexed this bucket.
-    pub accesses: u64,
-    /// Accesses absorbed by a cell already in this bucket.
-    pub hits: u64,
-    /// τ-evictions this bucket triggered.
-    pub evictions: u64,
+/// Whether `e` is a cache event of a voxel on the sampling lattice — the
+/// only events the cache sections read.
+fn sampled_cache_event(e: &Event) -> bool {
+    matches!(
+        e.kind,
+        EventKind::CacheHit | EventKind::CacheMiss | EventKind::CacheEvict
+    ) && is_sampled(e.key)
 }
 
 /// How long one cell stayed in the cache: from the `CacheMiss` that
@@ -166,57 +177,155 @@ impl Residents {
     }
 }
 
-/// Fenwick (binary indexed) tree over access positions; `O(log n)` prefix
-/// sums give exact reuse distances.
-#[derive(Debug)]
-struct Fenwick {
-    tree: Vec<u64>,
+/// The cache sizes `analyze` replays: Fig 23's `w′`, all at
+/// [`SHADOW_TAU`].
+pub const SHADOW_BUCKETS: [usize; 5] = [1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20];
+
+/// The bucket depth `τ′` of every shadow `analyze` replays.
+pub const SHADOW_TAU: usize = 4;
+
+/// What a `(w′, τ′)` cache does on the sampled sets of one event stream.
+/// Its evictions are the keys trimmed at scan boundaries; the final drain
+/// is not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShadowPoint {
+    /// `w′`, the shadowed cache's bucket count.
+    pub buckets: usize,
+    /// `τ′`, its cells per bucket after a trim.
+    pub tau: usize,
+    /// The sampled accesses replayed, the hits among them, and the trims.
+    pub counts: CacheCounts,
 }
 
-impl Fenwick {
-    fn new(n: usize) -> Self {
-        Fenwick {
-            tree: vec![0; n + 1],
+/// A keys-only replay of the sampled buckets of a `(w′, τ′)` cache.
+///
+/// At `w′ ≥ 64` the sampled voxels fill exactly the buckets
+/// `b ≡ 0 (mod 64)`, and every voxel in them is sampled. Nothing is evicted
+/// within a batch, and a bucket's trim depends only on its own keys in
+/// insertion order, so a table of `w′ / 64` key lists fed the sampled
+/// accesses in stream order, trimmed oldest-first to `τ′` at each scan
+/// boundary, holds exactly what those buckets of the real cache hold. No
+/// values and no octree are needed.
+#[derive(Debug, Clone)]
+pub struct Shadow {
+    point: ShadowPoint,
+    mask: u64,
+    /// Sampled bucket `b` is entry `b / 64`: its keys, oldest first.
+    sets: Vec<Vec<u64>>,
+    /// Entries past `τ′` since the last trim.
+    over: Vec<usize>,
+    /// The last trim's or drain's keys, before they are sorted.
+    taken: Vec<u64>,
+}
+
+impl Shadow {
+    /// An empty shadow of a `buckets × tau` cache.
+    ///
+    /// # Panics
+    ///
+    /// When `buckets` is not a power of two of at least 64: below that a
+    /// sampled bucket also holds unsampled voxels, and the replay would not
+    /// be exact.
+    pub fn new(buckets: usize, tau: usize) -> Self {
+        assert!(
+            buckets.is_power_of_two() && buckets >= 64,
+            "a shadow needs a power-of-two w of at least 64, got {buckets}"
+        );
+        Shadow {
+            point: ShadowPoint {
+                buckets,
+                tau,
+                counts: CacheCounts::default(),
+            },
+            mask: buckets as u64 - 1,
+            sets: vec![Vec::new(); buckets / 64],
+            over: Vec::new(),
+            taken: Vec::new(),
         }
     }
 
-    fn add(&mut self, mut i: usize, delta: i64) {
-        i += 1;
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta) as u64;
-            i += i & i.wrapping_neg();
-        }
+    /// The counts so far.
+    pub fn point(&self) -> ShadowPoint {
+        self.point
     }
 
-    /// Sum of positions `0..=i`.
-    fn prefix(&self, mut i: usize) -> u64 {
-        i += 1;
-        let mut s = 0;
-        while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
+    /// Replays the sampled `CacheHit`/`CacheMiss` events of `events` in
+    /// order, trimming before each access whose scan differs from the one
+    /// before it and once after the last, and hands `emit` what this cache
+    /// would record: `(kind, key, bucket)` per access and per trimmed key,
+    /// a trim's keys in Morton order. Recorded `CacheEvict`s are ignored.
+    pub fn replay(&mut self, events: &[Event], mut emit: impl FnMut(EventKind, u64, u32)) {
+        let mut scan = None;
+        let accesses =
+            (events.iter()).filter(|e| sampled_cache_event(e) && e.kind != EventKind::CacheEvict);
+        for e in accesses {
+            if scan.is_some_and(|s| s != e.scan) {
+                self.trim(&mut emit);
+            }
+            scan = Some(e.scan);
+            emit(self.access(e.key), e.key, self.bucket(e.key));
         }
-        s
+        self.trim(&mut emit);
+    }
+
+    /// Empties the shadow, handing `emit` every resident key in Morton
+    /// order, as the final drain of a run does.
+    pub fn drain(&mut self, mut emit: impl FnMut(EventKind, u64, u32)) {
+        self.over.clear();
+        for set in &mut self.sets {
+            self.taken.append(set);
+        }
+        self.emit_taken(&mut emit);
+    }
+
+    fn bucket(&self, code: u64) -> u32 {
+        (code & self.mask) as u32
+    }
+
+    fn access(&mut self, code: u64) -> EventKind {
+        let at = self.bucket(code) as usize >> 6;
+        let set = &mut self.sets[at];
+        let kind = if set.contains(&code) {
+            EventKind::CacheHit
+        } else {
+            set.push(code);
+            if set.len() == self.point.tau + 1 {
+                self.over.push(at);
+            }
+            EventKind::CacheMiss
+        };
+        self.point.counts.count(kind);
+        kind
+    }
+
+    fn trim(&mut self, emit: &mut impl FnMut(EventKind, u64, u32)) {
+        for at in self.over.drain(..) {
+            let set = &mut self.sets[at];
+            let excess = set.len() - self.point.tau;
+            self.taken.extend(set.drain(..excess));
+        }
+        self.point.counts.evictions += self.taken.len() as u64;
+        self.emit_taken(emit);
+    }
+
+    fn emit_taken(&mut self, emit: &mut impl FnMut(EventKind, u64, u32)) {
+        self.taken.sort_unstable();
+        for &code in &self.taken {
+            emit(EventKind::CacheEvict, code, self.bucket(code));
+        }
+        self.taken.clear();
     }
 }
 
 /// The folded analytics of one event stream.
 #[derive(Debug, Default)]
 pub struct EventAnalytics {
-    /// Total cache accesses (`CacheHit` + `CacheMiss`).
-    pub accesses: u64,
-    /// Accesses absorbed by the cache.
-    pub hits: u64,
-    /// Accesses that allocated a new cell.
-    pub misses: u64,
-    /// Cells evicted to the octree.
-    pub evictions: u64,
-    /// First-touch accesses (infinite reuse distance, excluded from the
-    /// reuse histogram).
-    pub cold_accesses: u64,
-    /// Exact reuse distances (distinct voxels between successive accesses
-    /// to the same voxel).
-    pub reuse: Histogram,
+    /// The sampled cache events, counted (evictions include the final
+    /// drain).
+    pub cache: CacheCounts,
+    /// The sampled accesses replayed through a [`Shadow`] at each of
+    /// [`SHADOW_BUCKETS`] (τ′ = [`SHADOW_TAU`]), smallest first.
+    pub shadows: Vec<ShadowPoint>,
     /// Scans between a cell's insertion and its eviction.
     pub residency_scans: Histogram,
     /// Hits a cell absorbed while resident (sampled at eviction).
@@ -225,116 +334,73 @@ pub struct EventAnalytics {
     /// evicted).
     pub still_resident: u64,
     /// `CacheEvict`s whose `CacheMiss` the stream does not hold: zero on
-    /// any stream a backend records, complete or truncated (truncation
-    /// keeps a prefix); residency and hits are not sampled for them.
+    /// any stream a backend records (older files, cut to a prefix, may
+    /// have some); residency and hits are not sampled for them.
     pub orphan_evictions: u64,
     /// Tree depth inferred from the largest Morton code in the stream
     /// (levels needed to contain the observed key space).
     pub inferred_depth: u8,
-    /// Top-level octant statistics, indexed by the 3-bit octant.
-    pub octants: [OctantStats; 8],
-    /// Bucket heatmap, sorted by descending access count.
-    pub buckets: Vec<BucketStats>,
+    /// Counts per top-level octant, indexed by the 3-bit octant.
+    pub octants: [CacheCounts; 8],
+    /// Heatmap of the sampled buckets, `(bucket, counts)` by descending
+    /// access count.
+    pub buckets: Vec<(u32, CacheCounts)>,
     /// Per-lane timelines, sorted by lane id.
     pub workers: Vec<WorkerTimeline>,
-    /// Total scans spanned by the stream (max scan index + 1).
+    /// Scans the producer lane (0) spans: its largest scan stamp + 1.
+    /// Worker lanes stamp batch indices, to which a run's final flush adds
+    /// batches of no scan.
     pub scans: u64,
 }
 
 impl EventAnalytics {
-    /// Folds a raw event stream into analytics. Events are processed in
-    /// stream order for cache semantics (the cache is accessed by one
-    /// thread, so stream order is access order) and per-lane order for
-    /// span matching.
+    /// Folds a raw event stream into analytics. Cache events off the
+    /// sampling lattice are skipped (a file recorded before the stream was
+    /// sampled holds them). Events are processed in stream order for cache
+    /// semantics (the cache is accessed by one thread, so stream order is
+    /// access order) and per-lane order for span matching.
     pub fn from_events(events: &[Event]) -> Self {
         let mut a = EventAnalytics::default();
         if events.is_empty() {
             return a;
         }
 
-        a.scans = events.iter().map(|e| e.scan).max().unwrap_or(0) + 1;
+        a.scans = (events.iter().filter(|e| e.worker == 0))
+            .map(|e| e.scan + 1)
+            .max()
+            .unwrap_or(0);
         a.inferred_depth = infer_depth(events);
         let octant_shift = 3 * (a.inferred_depth.saturating_sub(1)) as u32;
 
-        // -- Cache-side passes (reuse, residency, octants, buckets) --
-        let cache_accesses = events
+        // -- Cache-side passes (shadows, residency, octants, buckets) --
+        a.shadows = SHADOW_BUCKETS
             .iter()
-            .filter(|e| matches!(e.kind, EventKind::CacheHit | EventKind::CacheMiss))
-            .count();
-        let mut fenwick = Fenwick::new(cache_accesses);
-        let mut last_pos: HashMap<u64, usize> = HashMap::new();
+            .map(|&w| {
+                let mut shadow = Shadow::new(w, SHADOW_TAU);
+                shadow.replay(events, |_, _, _| {});
+                shadow.point()
+            })
+            .collect();
         let mut residents = Residents::default();
-        let mut buckets: HashMap<u32, BucketStats> = HashMap::new();
-        let mut pos = 0usize;
-
-        for e in events {
-            match e.kind {
-                EventKind::CacheHit | EventKind::CacheMiss => {
-                    a.accesses += 1;
-                    let hit = e.kind == EventKind::CacheHit;
-                    residents.follow(e);
-                    if hit {
-                        a.hits += 1;
-                    } else {
-                        a.misses += 1;
-                    }
-                    let oct = ((e.key >> octant_shift) & 7) as usize;
-                    a.octants[oct].accesses += 1;
-                    if hit {
-                        a.octants[oct].hits += 1;
-                    }
-                    let b = buckets.entry(e.bucket).or_insert(BucketStats {
-                        bucket: e.bucket,
-                        ..Default::default()
-                    });
-                    b.accesses += 1;
-                    if hit {
-                        b.hits += 1;
-                    }
-                    // Exact reuse distance: distinct keys accessed strictly
-                    // between the previous access to this key and now.
-                    match last_pos.insert(e.key, pos) {
-                        Some(prev) => {
-                            let between = if pos == 0 {
-                                0
-                            } else {
-                                fenwick.prefix(pos - 1) - fenwick.prefix(prev)
-                            };
-                            a.reuse.record(between);
-                            fenwick.add(prev, -1);
-                        }
-                        None => a.cold_accesses += 1,
-                    }
-                    fenwick.add(pos, 1);
-                    pos += 1;
+        let mut buckets: HashMap<u32, CacheCounts> = HashMap::new();
+        for e in events.iter().filter(|e| sampled_cache_event(e)) {
+            a.cache.count(e.kind);
+            a.octants[((e.key >> octant_shift) & 7) as usize].count(e.kind);
+            buckets.entry(e.bucket).or_default().count(e.kind);
+            match residents.follow(e) {
+                Some(stay) => {
+                    a.residency_scans.record(stay.scans);
+                    a.hits_at_eviction.record(stay.hits);
                 }
-                EventKind::CacheEvict => {
-                    a.evictions += 1;
-                    let oct = ((e.key >> octant_shift) & 7) as usize;
-                    a.octants[oct].evictions += 1;
-                    buckets
-                        .entry(e.bucket)
-                        .or_insert(BucketStats {
-                            bucket: e.bucket,
-                            ..Default::default()
-                        })
-                        .evictions += 1;
-                    match residents.follow(e) {
-                        Some(stay) => {
-                            a.residency_scans.record(stay.scans);
-                            a.hits_at_eviction.record(stay.hits);
-                        }
-                        None => a.orphan_evictions += 1,
-                    }
-                }
-                _ => {}
+                None if e.kind == EventKind::CacheEvict => a.orphan_evictions += 1,
+                None => {}
             }
         }
         a.still_resident = residents.len() as u64;
 
-        a.buckets = buckets.into_values().collect();
+        a.buckets = buckets.into_iter().collect();
         a.buckets
-            .sort_by(|x, y| y.accesses.cmp(&x.accesses).then(x.bucket.cmp(&y.bucket)));
+            .sort_by(|(xb, x), (yb, y)| y.accesses.cmp(&x.accesses).then(xb.cmp(yb)));
 
         // -- Per-lane timelines --
         let mut lanes: HashMap<u32, WorkerTimeline> = HashMap::new();
@@ -387,53 +453,45 @@ impl EventAnalytics {
         a
     }
 
-    /// Overall hit ratio of the stream.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-
     /// Renders the analytics as the human tables `octocache analyze`
     /// prints.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "event analytics");
+        let _ = writeln!(
+            out,
+            "event analytics (cache events of the voxels on the 4×4×4 lattice, 1 in 64)"
+        );
         let _ = writeln!(
             out,
             "  scans {}  accesses {}  hits {}  misses {}  evictions {}  hit-ratio {:.4}",
             self.scans,
-            self.accesses,
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.hit_ratio()
+            self.cache.accesses,
+            self.cache.hits,
+            self.cache.accesses - self.cache.hits,
+            self.cache.evictions,
+            self.cache.hit_ratio()
         );
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "reuse distance (distinct voxels between accesses; {} cold first-touches)",
-            self.cold_accesses
+            "shadow caches (the sampled sets replayed exactly at τ′ = {SHADOW_TAU}; evictions before the final drain)"
         );
-        if self.reuse.is_empty() {
-            let _ = writeln!(out, "  (no repeated accesses)");
-        } else {
+        let _ = writeln!(
+            out,
+            "  {:>10} {:>12} {:>12} {:>12} {:>9}",
+            "buckets", "accesses", "hits", "evictions", "hit-ratio"
+        );
+        for p in &self.shadows {
+            let c = p.counts;
             let _ = writeln!(
                 out,
-                "  {:>10} {:>10} {:>10} {:>10} {:>10}",
-                "count", "p50", "p90", "p99", "max"
-            );
-            let _ = writeln!(
-                out,
-                "  {:>10} {:>10} {:>10} {:>10} {:>10}",
-                self.reuse.count(),
-                self.reuse.p50(),
-                self.reuse.p90(),
-                self.reuse.p99(),
-                self.reuse.max()
+                "  {:>10} {:>12} {:>12} {:>12} {:>9.4}",
+                p.buckets,
+                c.accesses,
+                c.hits,
+                c.evictions,
+                c.hit_ratio()
             );
         }
         let _ = writeln!(out);
@@ -498,7 +556,7 @@ impl EventAnalytics {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "bucket heatmap ({} buckets touched; top {} by accesses)",
+            "bucket heatmap (sampled buckets, b ≡ 0 mod 64: {} touched; top {} by accesses)",
             self.buckets.len(),
             self.buckets.len().min(10)
         );
@@ -507,11 +565,11 @@ impl EventAnalytics {
             "  {:>8} {:>12} {:>12} {:>12}",
             "bucket", "accesses", "hits", "evictions"
         );
-        for b in self.buckets.iter().take(10) {
+        for (bucket, b) in self.buckets.iter().take(10) {
             let _ = writeln!(
                 out,
                 "  {:>8} {:>12} {:>12} {:>12}",
-                b.bucket, b.accesses, b.hits, b.evictions
+                bucket, b.accesses, b.hits, b.evictions
             );
         }
         let _ = writeln!(out);
@@ -541,14 +599,7 @@ impl EventAnalytics {
 
 /// Depth (levels) needed to contain every Morton code in the stream.
 fn infer_depth(events: &[Event]) -> u8 {
-    let max_key = events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.kind,
-                EventKind::CacheHit | EventKind::CacheMiss | EventKind::CacheEvict
-            )
-        })
+    let max_key = (events.iter().filter(|e| sampled_cache_event(e)))
         .map(|e| e.key)
         .max()
         .unwrap_or(0);
@@ -575,58 +626,95 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reuse_distance_is_exact() {
-        // Access pattern: A B C A  -> reuse(A) = 2 distinct (B, C).
-        //                 then B   -> reuse(B) = 2 distinct (C, A).
-        //                 then A   -> reuse(A) = 1 distinct (B).
-        let keys = [10u64, 20, 30, 10, 20, 10];
-        let events: Vec<Event> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                let kind = if keys[..i].contains(&k) {
-                    EventKind::CacheHit
-                } else {
-                    EventKind::CacheMiss
-                };
-                cache_event(kind, k, 0, 0)
-            })
-            .collect();
-        let a = EventAnalytics::from_events(&events);
-        assert_eq!(a.cold_accesses, 3);
-        assert_eq!(a.reuse.count(), 3);
-        // Log-bucketed: distances 2, 2, 1 -> max bucket holds 2.
-        assert_eq!(a.reuse.max(), 2);
-        assert_eq!(a.reuse.quantile(0.0), 1);
-        assert_eq!(a.accesses, 6);
-        assert_eq!(a.hits, 3);
-        assert_eq!(a.misses, 3);
+    /// A cache event on the sampled lattice: `n` is the Morton code's
+    /// high part above its 6 zero bits.
+    fn sampled(kind: EventKind, n: u64, scan: u64) -> Event {
+        cache_event(kind, n << 6, (n << 6) as u32, scan)
     }
 
     #[test]
-    fn immediate_reuse_has_distance_zero() {
+    fn a_shadow_trims_each_set_oldest_first_at_scan_boundaries() {
+        // w′ = 128: two sampled sets, codes with bit 6 clear (set 0) and
+        // set (set 1). τ′ = 2.
+        let access = |n: u64, scan| sampled(EventKind::CacheMiss, n, scan);
         let events = vec![
-            cache_event(EventKind::CacheMiss, 5, 0, 0),
-            cache_event(EventKind::CacheHit, 5, 0, 0),
+            access(0, 0),
+            access(2, 0),
+            access(4, 0), // set 0 holds 0 2 4: one over τ′
+            access(1, 0),
+            access(0, 0), // a hit within the scan, before any trim
+            access(4, 1), // the trim took 0, 4 is still resident
+            access(0, 1), // re-inserted: a miss
+            access(3, 1),
         ];
+        let mut shadow = Shadow::new(128, 2);
+        let mut seen = Vec::new();
+        shadow.replay(&events, |kind, key, bucket| {
+            seen.push((kind, key >> 6, bucket))
+        });
+        shadow.drain(|kind, key, bucket| seen.push((kind, key >> 6, bucket)));
+        use EventKind::{CacheEvict as E, CacheHit as H, CacheMiss as M};
+        let expect = [
+            (M, 0, 0),
+            (M, 2, 0),
+            (M, 4, 0),
+            (M, 1, 64),
+            (H, 0, 0),
+            (E, 0, 0), // scan 1 begins: set 0 trimmed to its newest two
+            (H, 4, 0),
+            (M, 0, 0),
+            (M, 3, 64),
+            (E, 2, 0), // the end of the stream trims set 0 again
+            (E, 0, 0), // the drain, in Morton order
+            (E, 1, 64),
+            (E, 3, 64),
+            (E, 4, 0),
+        ];
+        assert_eq!(seen, expect);
+        let counts = shadow.point().counts;
+        assert_eq!((counts.accesses, counts.hits, counts.evictions), (8, 2, 2));
+        assert_eq!(counts.hit_ratio(), 0.25);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 64")]
+    fn a_shadow_below_64_buckets_is_refused() {
+        Shadow::new(32, 4);
+    }
+
+    #[test]
+    fn analytics_skip_cache_events_off_the_lattice_and_replay_every_size() {
+        let mut events = vec![
+            sampled(EventKind::CacheMiss, 1, 0),
+            sampled(EventKind::CacheHit, 1, 0),
+        ];
+        // What a file recorded before sampling also holds.
+        events.push(cache_event(EventKind::CacheMiss, 65, 1, 0));
+        events.push(cache_event(EventKind::CacheEvict, 65, 1, 1));
         let a = EventAnalytics::from_events(&events);
-        assert_eq!(a.reuse.count(), 1);
-        assert_eq!(a.reuse.max(), 0);
+        assert_eq!(
+            (a.cache.accesses, a.cache.hits, a.cache.evictions),
+            (2, 1, 0)
+        );
+        let sizes: Vec<usize> = a.shadows.iter().map(|p| p.buckets).collect();
+        assert_eq!(sizes, SHADOW_BUCKETS);
+        for p in &a.shadows {
+            assert_eq!((p.tau, p.counts), (SHADOW_TAU, a.cache));
+        }
     }
 
     #[test]
     fn residency_spans_insert_to_evict() {
-        let mut events = vec![cache_event(EventKind::CacheMiss, 9, 3, 2)];
-        events.extend((0..4).map(|_| cache_event(EventKind::CacheHit, 9, 3, 4)));
-        events.push(cache_event(EventKind::CacheEvict, 9, 3, 7));
+        let mut events = vec![sampled(EventKind::CacheMiss, 9, 2)];
+        events.extend((0..4).map(|_| sampled(EventKind::CacheHit, 9, 4)));
+        events.push(sampled(EventKind::CacheEvict, 9, 7));
         // Re-inserted: its hits start again from zero.
-        events.push(cache_event(EventKind::CacheMiss, 9, 3, 8));
-        events.push(cache_event(EventKind::CacheEvict, 9, 3, 8));
+        events.push(sampled(EventKind::CacheMiss, 9, 8));
+        events.push(sampled(EventKind::CacheEvict, 9, 8));
         // Never inserted as far as the stream knows.
-        events.push(cache_event(EventKind::CacheEvict, 5, 1, 8));
+        events.push(sampled(EventKind::CacheEvict, 5, 8));
         let a = EventAnalytics::from_events(&events);
-        assert_eq!(a.evictions, 3);
+        assert_eq!(a.cache.evictions, 3);
         assert_eq!(a.orphan_evictions, 1);
         assert_eq!(a.residency_scans.count(), 2);
         assert_eq!(a.residency_scans.max(), 5);
@@ -639,14 +727,14 @@ mod tests {
 
     #[test]
     fn octant_split_uses_top_morton_bits() {
-        // Depth-2 key space: codes 0..64. Octant = bits 3..6.
+        // Depth-4 key space: codes below 2¹². Octant = bits 9..12.
         let events = vec![
-            cache_event(EventKind::CacheMiss, 0b000_001, 0, 0), // octant 0
-            cache_event(EventKind::CacheHit, 0b000_001, 0, 0),  // octant 0
-            cache_event(EventKind::CacheMiss, 0b101_000, 0, 0), // octant 5
+            sampled(EventKind::CacheMiss, 0b001, 0),     // octant 0
+            sampled(EventKind::CacheHit, 0b001, 0),      // octant 0
+            sampled(EventKind::CacheMiss, 0b101_000, 0), // octant 5
         ];
         let a = EventAnalytics::from_events(&events);
-        assert_eq!(a.inferred_depth, 2);
+        assert_eq!(a.inferred_depth, 4);
         assert_eq!(a.octants[0].accesses, 2);
         assert_eq!(a.octants[0].hits, 1);
         assert_eq!(a.octants[5].accesses, 1);
@@ -691,26 +779,26 @@ mod tests {
     #[test]
     fn bucket_heatmap_sorted_by_accesses() {
         let events = vec![
-            cache_event(EventKind::CacheMiss, 1, 7, 0),
-            cache_event(EventKind::CacheMiss, 2, 3, 0),
-            cache_event(EventKind::CacheHit, 2, 3, 0),
-            cache_event(EventKind::CacheEvict, 2, 3, 1),
+            cache_event(EventKind::CacheMiss, 64, 7, 0),
+            cache_event(EventKind::CacheMiss, 128, 3, 0),
+            cache_event(EventKind::CacheHit, 128, 3, 0),
+            cache_event(EventKind::CacheEvict, 128, 3, 1),
         ];
         let a = EventAnalytics::from_events(&events);
-        assert_eq!(a.buckets[0].bucket, 3);
-        assert_eq!(a.buckets[0].accesses, 2);
-        assert_eq!(a.buckets[0].evictions, 1);
-        assert_eq!(a.buckets[1].bucket, 7);
+        assert_eq!(a.buckets[0].0, 3);
+        assert_eq!(a.buckets[0].1.accesses, 2);
+        assert_eq!(a.buckets[0].1.evictions, 1);
+        assert_eq!(a.buckets[1].0, 7);
     }
 
     #[test]
     fn render_mentions_all_sections() {
         let events = vec![
-            cache_event(EventKind::CacheMiss, 1, 0, 0),
-            cache_event(EventKind::CacheHit, 1, 0, 1),
+            sampled(EventKind::CacheMiss, 1, 0),
+            sampled(EventKind::CacheHit, 1, 1),
         ];
         let text = EventAnalytics::from_events(&events).render();
-        assert!(text.contains("reuse distance"));
+        assert!(text.contains("shadow caches"));
         assert!(text.contains("cache residency"));
         assert!(text.contains("per-octant hit ratio"));
         assert!(text.contains("bucket heatmap"));
@@ -720,8 +808,8 @@ mod tests {
     #[test]
     fn empty_stream_is_benign() {
         let a = EventAnalytics::from_events(&[]);
-        assert_eq!(a.accesses, 0);
-        assert_eq!(a.hit_ratio(), 0.0);
+        assert_eq!(a.cache, CacheCounts::default());
+        assert_eq!(a.cache.hit_ratio(), 0.0);
         assert!(!a.render().is_empty());
     }
 }

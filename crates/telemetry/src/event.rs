@@ -9,12 +9,17 @@
 //! boundaries. The cache itself records nothing: an executor derives its
 //! cache events from the batch it offers and the cells it gets back.
 //!
-//! Recording is **bounded, and truncates to a prefix**: both the per-thread
-//! buffers and the shared sink have capacity caps; the first event a lane
-//! cannot keep stops that lane, and every event after it is *counted*
-//! (never silently discarded) in [`EventLog::dropped`]. Emitting an event
-//! is a `Vec` push — no locks, no I/O; the mutex is only taken when a
-//! buffer drains (once per scan or batch).
+//! Cache events are a **spatial sample**: an executor records a
+//! `CacheHit`, `CacheMiss` or `CacheEvict` only for a voxel on the 4×4×4
+//! lattice, `(x | y | z) & 3 == 0` — a Morton code whose low 6 bits are
+//! zero ([`is_sampled`]). Bucket `b` is `code & (w − 1)`, so at any
+//! `w ≥ 64` those voxels fill exactly the buckets `b ≡ 0 (mod 64)`, and
+//! every voxel of those buckets is sampled: the stream holds whole cache
+//! sets, complete over the run, at about 1/64 of one event per access.
+//! That is what lets [`crate::Shadow`] replay it exactly. Queue and span
+//! events are not sampled. Nothing is capped and nothing is dropped.
+//! Emitting an event is a `Vec` push — no locks, no I/O; the mutex is only
+//! taken when a buffer drains (once per scan or batch).
 //!
 //! The analytics pass over a recorded stream lives in
 //! [`crate::EventAnalytics`]; the Chrome Trace Event export in
@@ -27,17 +32,13 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-/// Default cap on events held by one [`EventSink`] (~4M events, 192 MiB at
-/// 48 B an event): a bound on memory, not a size a run fits in. The
-/// benchmark's recorded passes exceed it and drop 0.61 (`corridor_hot`) to
-/// 0.77 (`mission_cycle`) of their events; overflow is drop-counted, never
-/// silent.
-pub(crate) const DEFAULT_SINK_CAPACITY: usize = 1 << 22;
-
-/// Default cap on events buffered by one [`EventBuffer`] between drains
-/// (one scan or batch worth of events); a scan that records more stops its
-/// lane there.
-pub(crate) const DEFAULT_BUFFER_CAPACITY: usize = 1 << 20;
+/// Whether the cache event of the voxel whose Morton code is `code` is
+/// recorded: the voxel lies on the 4×4×4 lattice, which is the code's low
+/// 6 bits being zero (`(x | y | z) & 3 == 0` on the key).
+#[inline]
+pub fn is_sampled(code: u64) -> bool {
+    code & 63 == 0
+}
 
 /// What one [`Event`] describes.
 ///
@@ -131,13 +132,14 @@ impl Default for Event {
     }
 }
 
-/// The merged event stream of one run plus its loss accounting.
+/// The merged event stream of one run.
 #[derive(Debug, Default)]
 pub struct EventLog {
     /// Events in drain order (per-thread order preserved within a drain;
     /// sort by [`Event::t_ns`] for a global timeline).
     pub events: Vec<Event>,
-    /// Events lost to buffer or sink capacity caps.
+    /// Events lost: always 0, since nothing caps the stream. Kept so
+    /// readers of the field keep building.
     pub dropped: u64,
 }
 
@@ -149,40 +151,15 @@ pub struct EventLog {
 #[derive(Debug)]
 pub struct EventSink {
     epoch: Instant,
-    capacity: usize,
-    log: Mutex<SinkLog>,
+    events: Mutex<Vec<Event>>,
 }
-
-/// Sink internals: drained buffers are kept as whole segments (a pointer
-/// move per drain, never an element copy — the copy that would otherwise
-/// dominate recording overhead on event-heavy runs) and flattened once in
-/// [`EventSink::take`]. Emptied segments go to a small spare pool so
-/// buffers get their warmed allocation back instead of re-faulting fresh
-/// pages every drain.
-#[derive(Debug, Default)]
-struct SinkLog {
-    segments: Vec<Vec<Event>>,
-    len: usize,
-    dropped: u64,
-    spare: Vec<Vec<Event>>,
-}
-
-/// Cap on recycled segment allocations retained by a sink.
-const SPARE_POOL_LIMIT: usize = 16;
 
 impl EventSink {
-    /// A sink with the default capacity cap.
+    /// An empty sink whose epoch is now.
     pub fn new() -> Arc<Self> {
-        Self::with_capacity(DEFAULT_SINK_CAPACITY)
-    }
-
-    /// A sink capped at `capacity` retained events (extra events are
-    /// counted in [`EventLog::dropped`]).
-    pub fn with_capacity(capacity: usize) -> Arc<Self> {
         Arc::new(EventSink {
             epoch: Instant::now(),
-            capacity,
-            log: Mutex::new(SinkLog::default()),
+            events: Mutex::new(Vec::new()),
         })
     }
 
@@ -192,65 +169,23 @@ impl EventSink {
             sink: Arc::clone(self),
             worker,
             scan: 0,
-            capacity: DEFAULT_BUFFER_CAPACITY,
-            dropped: 0,
-            stopped: false,
             events: Vec::new(),
         }
     }
 
-    /// Moves `events` (and `dropped`) into the shared log, honouring the
-    /// sink capacity cap. The filled vector is stored whole (a segment)
-    /// and `events` is replaced with a recycled empty allocation. Returns
-    /// `true` once the sink is full: the lane stops there, so what it kept
-    /// stays a prefix.
-    fn absorb(&self, events: &mut Vec<Event>, dropped: u64) -> bool {
-        let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
-        log.dropped += dropped;
-        let room = self.capacity.saturating_sub(log.len);
-        if events.len() > room {
-            log.dropped += (events.len() - room) as u64;
-            events.truncate(room);
-        }
-        if !events.is_empty() {
-            log.len += events.len();
-            let recycled = log.spare.pop().unwrap_or_default();
-            let full = std::mem::replace(events, recycled);
-            log.segments.push(full);
-        }
-        log.len >= self.capacity
-    }
-
     /// Takes the collected log, leaving the sink empty. Call after the
-    /// backend has finished (all buffers drained). This is where segments
-    /// are flattened into one stream — a single pass outside every hot
-    /// loop.
+    /// backend has finished (all buffers drained).
     pub fn take(&self) -> EventLog {
-        let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
-        let mut events = Vec::with_capacity(log.len);
-        let segments = std::mem::take(&mut log.segments);
-        for mut seg in segments {
-            events.append(&mut seg);
-            if log.spare.len() < SPARE_POOL_LIMIT {
-                log.spare.push(seg);
-            }
-        }
-        log.len = 0;
+        let mut events = self.events.lock().unwrap_or_else(|e| e.into_inner());
         EventLog {
-            events,
-            dropped: std::mem::take(&mut log.dropped),
+            events: std::mem::take(&mut *events),
+            dropped: 0,
         }
     }
 }
 
 /// A per-thread event buffer: lock-free emission, periodic drain into the
 /// owning [`EventSink`].
-///
-/// Truncation is a prefix: the first event the lane cannot keep — its
-/// buffer cap or the sink's is reached — stops it, and every later event is
-/// only counted. What a lane kept is therefore exactly the start of what it
-/// was asked to record, so state derived from the stream (a cell's
-/// insertion scan, its hits) is never missing a middle piece.
 ///
 /// Dropping the buffer drains it, so no events are lost when a worker
 /// thread exits.
@@ -259,18 +194,10 @@ pub struct EventBuffer {
     sink: Arc<EventSink>,
     worker: u32,
     scan: u64,
-    capacity: usize,
-    dropped: u64,
-    stopped: bool,
     events: Vec<Event>,
 }
 
 impl EventBuffer {
-    /// Overrides the per-drain capacity cap (tests use tiny caps).
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-    }
-
     /// Another lane's buffer on the same sink (a worker thread's).
     pub fn lane(&self, worker: u32) -> EventBuffer {
         self.sink.buffer(worker)
@@ -286,18 +213,6 @@ impl EventBuffer {
     #[inline]
     fn now_ns(&self) -> u64 {
         self.sink.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Appends one event unless the lane has stopped; the first event that
-    /// does not fit stops it.
-    #[inline]
-    fn push(&mut self, event: Event) {
-        self.stopped |= self.events.len() >= self.capacity;
-        if self.stopped {
-            self.dropped += 1;
-        } else {
-            self.events.push(event);
-        }
     }
 
     /// Emits a queue or span event (no voxel payload) on this lane with an
@@ -320,43 +235,35 @@ impl EventBuffer {
             value,
             ..Event::default()
         };
-        self.push(event);
+        self.events.push(event);
     }
 
     /// Emits a run of cache events — `(kind, Morton key, bucket)` each — in
     /// order, under one clock reading: the analytics over cache events are
     /// order- and scan-based, and a clock read per event would cost more
-    /// than the push. A stopped lane counts the run without producing it.
-    pub fn emit_cache_run(&mut self, run: impl ExactSizeIterator<Item = (EventKind, u64, u32)>) {
-        if self.stopped {
-            self.dropped += run.len() as u64;
-            return;
-        }
-        let t_ns = self.now_ns();
-        for (kind, key, bucket) in run {
-            let event = Event {
+    /// than the push.
+    pub fn emit_cache_run(&mut self, run: impl IntoIterator<Item = (EventKind, u64, u32)>) {
+        let (t_ns, scan, worker) = (self.now_ns(), self.scan, self.worker);
+        self.events
+            .extend(run.into_iter().map(|(kind, key, bucket)| Event {
                 t_ns,
-                scan: self.scan,
-                worker: self.worker,
+                scan,
+                worker,
                 kind,
                 key,
                 bucket,
                 value: 0,
-            };
-            self.push(event);
-        }
+            }));
     }
 
     /// Drains buffered events into the sink (called at scan/batch
-    /// boundaries so the emission path itself never locks). A drain the
-    /// sink cannot hold in full stops the lane, as does a full sink.
+    /// boundaries so the emission path itself never locks). The buffer
+    /// keeps its allocation for the next scan.
     pub fn drain(&mut self) {
-        if self.events.is_empty() && self.dropped == 0 {
-            return;
+        if !self.events.is_empty() {
+            let mut sink = self.sink.events.lock().unwrap_or_else(|e| e.into_inner());
+            sink.append(&mut self.events);
         }
-        let dropped = std::mem::take(&mut self.dropped);
-        self.stopped |= self.sink.absorb(&mut self.events, dropped);
-        self.events.clear();
     }
 
     /// Drains this buffer and takes the sink's whole log — every lane's
@@ -446,7 +353,7 @@ mod tests {
         let sink = EventSink::new();
         let mut b = sink.buffer(1);
         b.set_scan(4);
-        b.emit_cache_run([(EventKind::CacheHit, 7, 2)].into_iter());
+        b.emit_cache_run([(EventKind::CacheHit, 7, 2)]);
         b.emit_plain(EventKind::QueueStall, 99);
         b.drain();
         let log = sink.take();
@@ -458,46 +365,6 @@ mod tests {
         assert_eq!(log.events[1].kind, EventKind::QueueStall);
         assert_eq!(log.events[1].value, 99);
         assert!(log.events[1].t_ns >= log.events[0].t_ns);
-    }
-
-    #[test]
-    fn buffer_cap_counts_drops() {
-        let sink = EventSink::new();
-        let mut b = sink.buffer(0);
-        b.set_capacity(2);
-        for i in 0..5 {
-            b.emit_plain(EventKind::QueueEnqueue, i);
-        }
-        b.drain();
-        // The lane stopped at its first drop: a later drain with room keeps
-        // nothing, so what was kept stays a prefix.
-        b.emit_plain(EventKind::QueueEnqueue, 5);
-        let log = b.take_log();
-        assert_eq!(log.events.len(), 2);
-        assert_eq!(log.events[1].value, 1);
-        assert_eq!(log.dropped, 4);
-    }
-
-    #[test]
-    fn sink_cap_counts_drops() {
-        let sink = EventSink::with_capacity(3);
-        let mut b = sink.buffer(0);
-        let mut other = b.lane(1);
-        for i in 0..5 {
-            b.emit_plain(EventKind::QueueDequeue, i);
-        }
-        b.drain();
-        // A full sink stops every lane, even one that had not drained yet.
-        other.emit_plain(EventKind::BatchBegin, 0);
-        other.drain();
-        other.emit_plain(EventKind::BatchEnd, 0);
-        let log = other.take_log();
-        assert_eq!(log.events.len(), 3);
-        assert_eq!(log.dropped, 4);
-        // Retained events are the earliest ones.
-        assert_eq!(log.events[0].value, 0);
-        assert_eq!(log.events[2].value, 2);
-        assert!(log.events.iter().all(|e| e.worker == 0));
     }
 
     #[test]

@@ -18,12 +18,15 @@
 //!    and [`TraceSummary`] folds it into per-phase percentile tables and a
 //!    cache hit-ratio time series (the `octocache report` subcommand).
 //! 4. **Sub-scan events** — an [`Event`] stream beneath the per-scan layer:
-//!    cache hit/miss/evict (with bucket and Morton key), queue traffic, and
-//!    worker batch spans, collected through per-thread [`EventBuffer`]s into
-//!    an [`EventSink`]. [`EventAnalytics`] computes reuse-distance and
-//!    residency histograms, per-octant hit ratios, bucket heatmaps and
-//!    worker timelines; [`chrome_trace_json`] exports the stream for
-//!    `chrome://tracing` (the `octocache analyze` subcommand).
+//!    cache hit/miss/evict (with bucket and Morton key) of the voxels on
+//!    the 4×4×4 lattice ([`is_sampled`], whole cache sets, 1 voxel in 64),
+//!    queue traffic, and worker batch spans, collected through per-thread
+//!    [`EventBuffer`]s into an [`EventSink`], uncapped. [`EventAnalytics`]
+//!    replays the sampled sets through exact keys-only [`Shadow`] caches of
+//!    Fig 23's sizes, and computes residency histograms, per-octant hit
+//!    ratios, the sampled buckets' heatmap and worker timelines;
+//!    [`chrome_trace_json`] exports the stream for `chrome://tracing` (the
+//!    `octocache analyze` subcommand).
 //!
 //! The paper's evaluation (Figures 13/22/23, Table 3) reports exactly these
 //! quantities; the field mapping is documented in `DESIGN.md`.
@@ -56,11 +59,13 @@ mod recorder;
 mod trace;
 
 pub use analytics::{
-    BatchSpan, BucketStats, EventAnalytics, OctantStats, Residents, Stay, WorkerTimeline,
+    BatchSpan, CacheCounts, EventAnalytics, Residents, Shadow, ShadowPoint, Stay, WorkerTimeline,
+    SHADOW_BUCKETS, SHADOW_TAU,
 };
 pub use chrome::chrome_trace_json;
 pub use event::{
-    read_events_jsonl_path, write_events_jsonl, Event, EventBuffer, EventKind, EventLog, EventSink,
+    is_sampled, read_events_jsonl_path, write_events_jsonl, Event, EventBuffer, EventKind,
+    EventLog, EventSink,
 };
 pub use hist::Histogram;
 pub use phase::{Phase, PhaseHistograms, PhaseTimes};

@@ -20,7 +20,8 @@ use crate::phase::PhaseTimes;
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScanRecord {
     /// Scan index within the run (0-based, assigned by
-    /// [`crate::Telemetry`]).
+    /// [`crate::Telemetry`]); a trailing record carries the index the next
+    /// scan would have had.
     pub seq: u64,
     /// Backend name (e.g. `octocache-serial`), assigned by
     /// [`crate::Telemetry`].
@@ -98,6 +99,12 @@ pub struct ScanRecord {
     /// next applied scan carries the count, and refusals after the last one
     /// ride a trailing record with no observations).
     pub sheds: u64,
+    /// True on the one record that carries no scan: the refusals after
+    /// the last applied scan, recorded at `finish`
+    /// ([`crate::Telemetry::record_trailing`]). Absent, and so false, in
+    /// traces written before it existed.
+    #[serde(default)]
+    pub trailing: bool,
     /// `"normal"` when a memory budget is configured (every recorded scan
     /// was admitted under it), empty otherwise. Traces written while the
     /// budget walked a pressure ladder may also carry `"elevated"`,
@@ -179,6 +186,7 @@ mod tests {
             heals: 1,
             restart_ns: 42_000,
             sheds: 2,
+            trailing: false,
             pressure_level: "elevated".to_string(),
             snapshot_publish_ns: 52_000,
             snapshot_age_ns: 1_400_000,

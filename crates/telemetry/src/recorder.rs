@@ -170,17 +170,23 @@ impl Telemetry {
     pub fn record(&mut self, record: ScanRecord) {
         self.totals += record.times;
         self.hists.record_times(&record.times);
-        self.record_trailing(record);
+        self.forward(record);
+        self.seq += 1;
     }
 
-    /// Stamps `seq` and `backend` on a record that carries no scan — the
-    /// refusals after the last applied one — and forwards it to the
-    /// recorder. The totals and histograms, which describe scans, stay as
-    /// they are.
+    /// Marks a record that carries no scan — the refusals after the last
+    /// applied one — as [`ScanRecord::trailing`], stamps `seq` and
+    /// `backend` on it and forwards it to the recorder. It is not a scan:
+    /// [`Telemetry::scans`], the totals and the histograms stay as they
+    /// are.
     pub fn record_trailing(&mut self, mut record: ScanRecord) {
+        record.trailing = true;
+        self.forward(record);
+    }
+
+    fn forward(&mut self, mut record: ScanRecord) {
         record.seq = self.seq;
         record.backend.clone_from(&self.backend);
-        self.seq += 1;
         if let Some(r) = self.recorder.as_mut() {
             r.record_scan(&record);
         }
@@ -192,7 +198,7 @@ impl Telemetry {
         self.totals += times;
     }
 
-    /// Scans recorded so far.
+    /// Scans recorded so far (a trailing record is not one).
     pub fn scans(&self) -> u64 {
         self.seq
     }
@@ -250,11 +256,18 @@ mod tests {
         t.set_recorder(Box::new(shared.clone()));
         t.record(scan(100, 10, 5));
         t.record(scan(300, 20, 9));
+        // Refusals after the last scan: a record, not a scan.
+        t.record_trailing(ScanRecord {
+            sheds: 2,
+            ..Default::default()
+        });
         t.flush();
         let records = shared.records();
-        assert_eq!(records.len(), 2);
+        assert_eq!(records.len(), 3);
         assert_eq!(records[0].seq, 0);
         assert_eq!(records[1].seq, 1);
+        assert_eq!((records[2].seq, records[2].trailing), (2, true));
+        assert!(!records[0].trailing && !records[1].trailing);
         assert!(records.iter().all(|r| r.backend == "test-backend"));
         assert_eq!(t.scans(), 2);
         assert_eq!(t.totals().ray_tracing, Duration::from_micros(400));

@@ -101,8 +101,12 @@ pub struct TraceSummary {
     pub backend: String,
     /// Largest octree-storage footprint sampled across the trace, bytes.
     pub peak_memory_bytes: u64,
-    /// Scans in the trace.
+    /// Scans in the trace (the trailing record is not one).
     pub scans: u64,
+    /// Trailing records: the refusals after the last applied scan, carried
+    /// by one record with no scan of its own ([`ScanRecord::trailing`]);
+    /// 0 or 1 per run.
+    pub trailing_records: u64,
     /// Total voxel observations.
     pub observations: u64,
     /// Total cache hits.
@@ -176,10 +180,11 @@ impl TraceSummary {
                 .first()
                 .map(|r| r.backend.clone())
                 .unwrap_or_default(),
-            scans: records.len() as u64,
             ..Default::default()
         };
         for r in records {
+            s.scans += u64::from(!r.trailing);
+            s.trailing_records += u64::from(r.trailing);
             s.observations += r.observations;
             s.cache_hits += r.cache_hits;
             s.cache_evictions += r.cache_evictions;
@@ -357,6 +362,7 @@ impl TraceSummary {
         let doc = obj(vec![
             ("backend", Value::Str(self.backend.clone())),
             ("scans", Value::U64(self.scans)),
+            ("trailing_records", Value::U64(self.trailing_records)),
             ("observations", Value::U64(self.observations)),
             ("cache_hits", Value::U64(self.cache_hits)),
             ("hit_ratio", Value::F64(self.hit_ratio())),
@@ -405,9 +411,13 @@ impl TraceSummary {
     /// followed by the hit-ratio time series.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        let trailing = match self.trailing_records {
+            0 => String::new(),
+            n => format!(" + {n} trailing record (refusals after the last scan)"),
+        };
         let _ = writeln!(
             out,
-            "trace: {} scans, backend {}",
+            "trace: {} scans{trailing}, backend {}",
             self.scans,
             if self.backend.is_empty() {
                 "?"
@@ -778,13 +788,15 @@ mod tests {
         recs[1].restart_ns = 2_000_000;
         recs[2].sheds = 3;
         // The trailing record of refusals after the last applied scan: it
-        // counts its sheds, and plots no hit ratio.
+        // counts its sheds, is no scan, and plots no hit ratio.
         recs.push(ScanRecord {
             seq: 5,
             sheds: 2,
+            trailing: true,
             ..ScanRecord::default()
         });
         let s = TraceSummary::from_records(&recs);
+        assert_eq!((s.scans, s.trailing_records), (5, 1));
         assert_eq!(s.restarts, 1);
         assert_eq!(s.heals, 1);
         assert_eq!(s.restart_ns, 2_000_000);
@@ -795,7 +807,21 @@ mod tests {
         let text = s.render();
         assert!(text.contains("supervisor: 1 restarts"), "{text}");
         assert!(text.contains("5 shed scans"), "{text}");
+        assert!(
+            text.starts_with("trace: 5 scans + 1 trailing record (refusals after the last scan)"),
+            "{text}"
+        );
         let v: serde::Value = serde::json::from_str(&s.to_json()).unwrap();
+        assert_eq!(v.get("scans").and_then(serde::Value::as_u64), Some(5));
+        assert_eq!(
+            v.get("trailing_records").and_then(serde::Value::as_u64),
+            Some(1)
+        );
+        // A record written before the flag existed reads as a scan.
+        let old = serde::json::to_string(&recs[0]).replace(r#""trailing":false,"#, "");
+        assert!(!old.contains("trailing"), "{old}");
+        let back: ScanRecord = serde::json::from_str(&old).unwrap();
+        assert_eq!(back, recs[0]);
         assert_eq!(v.get("heals").and_then(serde::Value::as_u64), Some(1));
         assert_eq!(v.get("sheds").and_then(serde::Value::as_u64), Some(5));
         // A trace with no supervisor activity renders no supervisor line,
