@@ -1082,6 +1082,13 @@ fn cmd_diff(cmd: &Command, pos: &[&str], _flags: &[(&str, &str)]) -> Result<Stri
 mod tests {
     use super::*;
 
+    /// The resident bytes of the cache `build` makes without `--buckets` or
+    /// `--tau`.
+    fn default_cache_bytes() -> usize {
+        let (.., cache) = backend_flags(&[]).unwrap();
+        cache.build().unwrap().resident_bytes()
+    }
+
     fn s(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|p| p.to_string()).collect()
     }
@@ -1700,12 +1707,16 @@ mod tests {
         let map = temp_path("supervisor.map");
 
         // Bad supervisor values are usage errors, and so is a budget below
-        // the default cache's own 917 504 resident bytes: it would refuse
-        // every scan.
-        for budget in ["0", "200000"] {
+        // the default cache's own resident bytes (1 507 392): it would
+        // refuse every scan.
+        let cache_bytes = default_cache_bytes();
+        for budget in ["0", "200000", &(cache_bytes - 1).to_string()] {
             let err = run(&s(&["build", &log, &map, "--mem-budget", budget])).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{err}");
-            assert!(err.to_string().contains("917504 B"), "{err}");
+            assert!(
+                err.to_string().contains(&format!("{cache_bytes} B")),
+                "{err}"
+            );
         }
         let err = run(&s(&["build", &log, &map, "--shed-deadline", "-1"])).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
@@ -1760,10 +1771,11 @@ mod tests {
     /// A refused scan is one diagnostic line, whichever check refused it.
     /// Scan 0 is always admitted (the latency average starts empty, and
     /// the tree is empty), and scan 1 never is: every real scan takes
-    /// longer than 1 µs, and after one scan the cache's slab and fold
-    /// scratch alone exceed 1 000 000 B. `--strict` makes the refusal
-    /// fatal (exit 7). The trace line counts the records actually written,
-    /// the trailing one that carries the refusals included.
+    /// longer than 1 µs, and the budget is one byte over the default
+    /// cache's resident bytes, which its fold scratch alone passes after
+    /// one scan. `--strict` makes the refusal fatal (exit 7). The trace
+    /// line counts the records actually written, the trailing one that
+    /// carries the refusals included.
     #[test]
     fn build_sheds_on_the_deadline_and_the_budget() {
         let log = temp_path("shed.scanlog");
@@ -1771,9 +1783,10 @@ mod tests {
         let scans = load_scanlog(&log).unwrap().scans().len();
         let map = temp_path("shed.map");
         let trace = temp_path("shed.jsonl");
+        let budget = (default_cache_bytes() + 1).to_string();
         for (knob, value, reason) in [
             ("--shed-deadline", "0.001", "deadline exceeded"),
-            ("--mem-budget", "1000000", "over memory budget"),
+            ("--mem-budget", budget.as_str(), "over memory budget"),
         ] {
             let out = run(&s(&["build", &log, &map, knob, value, "--trace", &trace])).unwrap();
             let shed: Vec<&str> = out

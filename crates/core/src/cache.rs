@@ -1,26 +1,36 @@
 //! The flattened, table-based voxel cache (paper §4.2–4.3).
 //!
-//! The cache is one slab of `w × τ` cells `(voxel key, accumulated
-//! log-odds)`, allocated once: bucket `b` owns slots `b·τ .. (b+1)·τ`,
-//! oldest first, and an 8-byte header (cell count, spill head). A voxel maps
-//! to bucket `morton(v) & (w-1)`. Because cells store the *accumulated*
-//! occupancy — seeded from the octree on a miss — a cache hit answers queries
-//! with exactly the value vanilla OctoMap would return, which is the paper's
-//! query-consistency guarantee.
+//! The cache is one array of `w` bucket records, allocated zeroed when it is
+//! built and never resized. A voxel maps to bucket `morton(v) & (w-1)`, so a
+//! record need not keep those low log₂w bits of the code: a resident cell
+//! is `(tag, accumulated log-odds)` with `tag = morton(v) >> log₂w`, and the
+//! key comes back as `morton::decode(tag << log₂w | bucket)`, once per
+//! evicted cell. A record is a header (cell count, spill head) and `τ + 3`
+//! cells, oldest first. From 2¹⁶ buckets on a tag fits 32 bits, and at
+//! τ = 4 the record is exactly one 64-byte cache line; the array starts on a
+//! line boundary, so a probe compares the tags of one line. Below 2¹⁶
+//! buckets a tag needs up to 48 bits: the table is generic over the tag's
+//! width, chosen once when the cache is built. An all-zero record is an
+//! empty bucket, so the array comes from zeroed memory. Because cells store
+//! the *accumulated* occupancy — seeded from the octree on a miss — a cache
+//! hit answers queries with exactly the value vanilla OctoMap would return,
+//! which is the paper's query-consistency guarantee.
 //!
 //! Eviction (paper §4.2.2) bounds memory: after processing a batch, any
 //! bucket holding more than `τ` cells evicts its oldest cells until `τ`
 //! remain. Between two passes a bucket may therefore exceed `τ` (the paper's
-//! one-batch overshoot); the cells past its `τ`-th go to one shared spill
-//! vector, chained per bucket in insertion order. A pass trims every bucket
-//! to `τ`, so it rewrites each spilled bucket's newest `τ` cells into the
-//! inline slots and leaves the spill empty — there is no free list and no
-//! per-bucket heap block. Each evicted run leaves in full Morton order: the
-//! octree applies a run with its root-to-leaf path held open between
-//! consecutive cells, so Morton order — the minimiser of the paper's
-//! locality functional 𝓕 (§4.3) — is the cheapest to apply. That order costs
-//! no sort: the bucket walk is already ascending in the code's low bits, and
-//! a counting pass over the high parts places every cell at its final index.
+//! one-batch overshoot). The record holds three cells past `τ`, which is
+//! where the benchmark's datasets end almost every overshoot; only cells
+//! past those go to one shared spill vector, chained per bucket in insertion
+//! order. A pass trims every over-full bucket to `τ`, writing back only the
+//! cells it keeps and the header, and leaves the spill empty — there is no
+//! free list and no per-bucket heap block. Each evicted run leaves in full
+//! Morton order: the octree applies a run with its root-to-leaf path held
+//! open between consecutive cells, so Morton order — the minimiser of the
+//! paper's locality functional 𝓕 (§4.3) — is the cheapest to apply. That
+//! order costs no sort: the bucket walk is already ascending in the code's
+//! low bits, and a counting pass over the tags, the high parts, places every
+//! cell at its final index.
 //!
 //! Insertion touches the table once per voxel, not once per observation. A
 //! scan's observations are offered as one batch
@@ -37,7 +47,7 @@
 //! 2¹⁶ − 1 voxels in a 1 MiB hash, only when those first voxels drew 8
 //! observations each or more. Whatever a batch does not fold streams
 //! through the per-observation loop, with the index codes computed a block
-//! ahead and the lines their probes will touch prefetched.
+//! ahead and the record each probe will read prefetched.
 //!
 //! The cache records nothing about itself beyond [`CacheStats`]: an
 //! executor that records events derives them from the batch it offers
@@ -66,22 +76,34 @@ pub struct EvictedCell {
     pub log_odds: f32,
 }
 
-/// A resident cell: exactly what eviction hands to the octree.
-type Cell = EvictedCell;
-
-impl Cell {
-    /// What an unoccupied slot holds.
-    const EMPTY: Cell = Cell {
+impl EvictedCell {
+    /// What a drain's output holds before the cell that belongs there.
+    const EMPTY: EvictedCell = EvictedCell {
         key: VoxelKey::new(0, 0, 0),
         log_odds: 0.0,
     };
 }
 
-/// The slab's footprint is `w × τ` of these ([`CacheConfig::resident_bytes`]).
-const _: () = assert!(std::mem::size_of::<Cell>() == 12);
+/// Cells a record holds past its `τ`: the overshoot one batch leaves in a
+/// bucket fits them in ≈ 98 % of over-full buckets on the benchmark's
+/// datasets, and under 1 % of spill steps go past them
+/// (`overshoot_fits_the_record_on_the_benchmark_datasets`).
+const OVERSHOOT: usize = 3;
 
-/// End of a spill chain.
-const NIL: u32 = u32::MAX;
+/// Buckets from which a tag fits 32 bits: a Morton code has 48, and the
+/// bucket index keeps log₂w of them.
+const NARROW_FROM: usize = 1 << 16;
+
+/// A record's header words: the cell count, then the spill head (read
+/// only while the count passes the record's cells).
+const HEADER: usize = 2;
+
+/// Words the record array is allocated beyond its records, so that the
+/// first record can start on a 64-byte line inside a plain zeroed `u32`
+/// allocation. An over-aligned one would come from `posix_memalign` and a
+/// `memset` instead of `calloc`, which raised the benchmark's peak RSS by
+/// 45–74 % on three workloads.
+const SLACK: usize = 64 / 4;
 
 /// Observations [`VoxelCache::insert_batch`] stages ahead of the ones it is
 /// inserting: enough probes in flight to cover a memory round trip, few
@@ -115,21 +137,86 @@ const WIDEN_AT: usize = 8;
 /// stays below `WIDE_GROUPS`, which is 65535.
 const FOLD_EMPTY: u64 = u64::MAX;
 
-/// Per-bucket header: the bucket's first `min(len, τ)` cells are inline,
-/// the rest hang off `spill` in insertion order.
-#[derive(Debug, Clone, Copy)]
-struct Header {
-    len: u32,
-    spill: u32,
+/// A cell's tag: the bits of its Morton code above the bucket index, which
+/// the bucket supplies. `u32` holds them from [`NARROW_FROM`] buckets on,
+/// `u64` below. A record stores a tag in `WORDS` `u32` words.
+trait Tag: Copy + Eq + std::fmt::Debug {
+    /// `u32` words a tag takes in a record.
+    const WORDS: usize;
+
+    /// The tag of `code` in a table of `2^shift` buckets.
+    fn of(code: u64, shift: u32) -> Self;
+
+    /// The code's bits it holds, shifted down: a counting drain's run key.
+    fn high(self) -> u64;
+
+    /// The tag stored at the front of `words`.
+    fn load(words: &[u32]) -> Self;
+
+    /// Stores the tag at the front of `words`.
+    fn store(self, words: &mut [u32]);
 }
 
+impl Tag for u32 {
+    const WORDS: usize = 1;
+
+    #[inline]
+    fn of(code: u64, shift: u32) -> u32 {
+        debug_assert!(code >> shift <= u64::from(u32::MAX), "a narrow table");
+        (code >> shift) as u32
+    }
+
+    #[inline]
+    fn high(self) -> u64 {
+        u64::from(self)
+    }
+
+    #[inline]
+    fn load(words: &[u32]) -> u32 {
+        words[0]
+    }
+
+    #[inline]
+    fn store(self, words: &mut [u32]) {
+        words[0] = self;
+    }
+}
+
+impl Tag for u64 {
+    const WORDS: usize = 2;
+
+    #[inline]
+    fn of(code: u64, shift: u32) -> u64 {
+        code >> shift
+    }
+
+    #[inline]
+    fn high(self) -> u64 {
+        self
+    }
+
+    #[inline]
+    fn load(words: &[u32]) -> u64 {
+        u64::from(words[0]) | u64::from(words[1]) << 32
+    }
+
+    #[inline]
+    fn store(self, words: &mut [u32]) {
+        words[0] = self as u32;
+        words[1] = (self >> 32) as u32;
+    }
+}
+
+/// A cell past its record's last, chained to its bucket's next.
 #[derive(Debug, Clone, Copy)]
-struct Spilled {
-    cell: Cell,
+struct Spilled<T> {
+    tag: T,
+    log_odds: f32,
     next: u32,
 }
 
-/// Where a resident cell lives: an index into the slab or into the spill.
+/// Where a resident cell's log-odds live: a word of the records or an
+/// index into the spill.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
     Inline(usize),
@@ -195,44 +282,117 @@ impl CacheStats {
     }
 }
 
-/// The cache's storage: the slab, the bucket headers and the spill.
-#[derive(Debug)]
-struct Table {
-    tau: usize,
-    /// `w × τ` slots; bucket `b` owns `b·τ .. (b+1)·τ`, oldest first.
-    cells: Vec<Cell>,
-    heads: Vec<Header>,
-    /// Cells past their bucket's `τ`-th since the last eviction pass.
-    spill: Vec<Spilled>,
-    /// The buckets that own a spill chain.
-    spilled: Vec<u32>,
+/// The bytes of a table of `w` records for `τ` ([`CacheConfig::resident_bytes`]):
+/// `4 · (w · (2 + (τ + 3) · 2) + 16)` from 2¹⁶ buckets on, where a tag is one
+/// word, and `4 · (w · (2 + (τ + 3) · 3) + 16)` below.
+pub(crate) fn table_bytes(w: usize, tau: usize) -> usize {
+    let stride = if w >= NARROW_FROM {
+        Table::<u32>::stride(tau)
+    } else {
+        Table::<u64>::stride(tau)
+    };
+    4 * (w * stride + SLACK)
 }
 
-impl Table {
+/// The cache's storage: `w` bucket records in one zeroed array, and the
+/// spill for the cells past a record's last.
+///
+/// A record is `HEADER + (τ + OVERSHOOT) · (T::WORDS + 1)` `u32` words: the
+/// cell count and the spill head, the cells' tags, then their log-odds
+/// bits, cell `i` the bucket's `i`-th oldest. Cells past the record's last
+/// hang off the spill head, `count − τ − OVERSHOOT` of them.
+#[derive(Debug)]
+struct Table<T> {
+    tau: usize,
+    /// Cells a record holds: `τ + OVERSHOOT`.
+    inline: usize,
+    /// `u32` words per record.
+    stride: usize,
+    /// log₂w: the code bits the bucket index keeps.
+    shift: u32,
+    /// The records, the first at word `base`, on a 64-byte boundary.
+    words: Vec<u32>,
+    base: usize,
+    /// Cells past their record's last since the last eviction pass.
+    spill: Vec<Spilled<T>>,
+    /// The buckets holding more than `τ` cells since the last pass.
+    over_full: Vec<u32>,
+}
+
+impl<T: Tag> Table<T> {
+    /// `u32` words a record of a table for `τ` takes.
+    fn stride(tau: usize) -> usize {
+        HEADER + (tau + OVERSHOOT) * (T::WORDS + 1)
+    }
+
     fn new(config: &CacheConfig) -> Self {
+        let (w, tau) = (config.num_buckets(), config.tau());
+        let stride = Self::stride(tau);
+        // `vec![0; n]` of an integer allocates zeroed (`calloc`), and an
+        // all-zero record is an empty bucket.
+        let words = vec![0u32; w * stride + SLACK];
+        let base = words.as_ptr().align_offset(64);
+        assert!(base < SLACK, "a u32 allocation is 4-byte aligned");
         Table {
-            tau: config.tau(),
-            cells: vec![Cell::EMPTY; config.capacity_after_eviction()],
-            heads: vec![Header { len: 0, spill: NIL }; config.num_buckets()],
+            tau,
+            inline: tau + OVERSHOOT,
+            stride,
+            shift: w.trailing_zeros(),
+            words,
+            base,
             spill: Vec::new(),
-            spilled: Vec::new(),
+            over_full: Vec::new(),
         }
     }
 
-    /// The slot holding `key` in `bucket`, or the tail of the bucket's spill
-    /// chain (`NIL` without one) for [`Table::push`] to append after.
+    /// The first word of `bucket`'s record.
     #[inline]
-    fn find(&self, bucket: usize, key: VoxelKey) -> Result<Slot, u32> {
-        let head = self.heads[bucket];
-        let base = bucket * self.tau;
-        let inline = &self.cells[base..base + (head.len as usize).min(self.tau)];
-        if let Some(i) = inline.iter().position(|c| c.key == key) {
-            return Ok(Slot::Inline(base + i));
+    fn record(&self, bucket: usize) -> usize {
+        self.base + bucket * self.stride
+    }
+
+    /// The number of cells `bucket` holds.
+    #[inline]
+    fn len(&self, bucket: usize) -> usize {
+        self.words[self.record(bucket)] as usize
+    }
+
+    /// The word of the first log-odds in the record at `record`.
+    #[inline]
+    fn values(&self, record: usize) -> usize {
+        record + HEADER + self.inline * T::WORDS
+    }
+
+    /// The `i`-th cell of the record at `record`.
+    #[inline]
+    fn cell(&self, record: usize, i: usize) -> (T, f32) {
+        let tag = T::load(&self.words[record + HEADER + i * T::WORDS..]);
+        (tag, f32::from_bits(self.words[self.values(record) + i]))
+    }
+
+    /// Writes the `i`-th cell of the record at `record`.
+    #[inline]
+    fn put(&mut self, record: usize, i: usize, tag: T, log_odds: f32) {
+        let values = self.values(record);
+        tag.store(&mut self.words[record + HEADER + i * T::WORDS..]);
+        self.words[values + i] = log_odds.to_bits();
+    }
+
+    /// The slot holding `tag` in `bucket`, or the tail of the bucket's spill
+    /// chain for [`Table::push`] to append after (meaningless without one).
+    #[inline]
+    fn find(&self, bucket: usize, tag: T) -> Result<Slot, u32> {
+        let record = self.record(bucket);
+        let len = self.words[record] as usize;
+        let inline = len.min(self.inline);
+        let tags = &self.words[record + HEADER..record + HEADER + inline * T::WORDS];
+        if let Some(i) = tags.chunks_exact(T::WORDS).position(|t| T::load(t) == tag) {
+            return Ok(Slot::Inline(self.values(record) + i));
         }
-        let (mut tail, mut next) = (NIL, head.spill);
-        while next != NIL {
+        let (mut tail, mut next) = (0, self.words[record + 1]);
+        for _ in inline..len {
             let spilled = &self.spill[next as usize];
-            if spilled.cell.key == key {
+            if spilled.tag == tag {
                 return Ok(Slot::Spill(next as usize));
             }
             (tail, next) = (next, spilled.next);
@@ -240,95 +400,124 @@ impl Table {
         Err(tail)
     }
 
-    /// The cell in `slot`.
+    /// The log-odds in `slot`.
     #[inline]
-    fn at(&self, slot: Slot) -> Cell {
+    fn at(&self, slot: Slot) -> f32 {
         match slot {
-            Slot::Inline(i) => self.cells[i],
-            Slot::Spill(i) => self.spill[i].cell,
+            Slot::Inline(i) => f32::from_bits(self.words[i]),
+            Slot::Spill(i) => self.spill[i].log_odds,
         }
     }
 
     #[inline]
-    fn at_mut(&mut self, slot: Slot) -> &mut Cell {
+    fn set(&mut self, slot: Slot, log_odds: f32) {
         match slot {
-            Slot::Inline(i) => &mut self.cells[i],
-            Slot::Spill(i) => &mut self.spill[i].cell,
+            Slot::Inline(i) => self.words[i] = log_odds.to_bits(),
+            Slot::Spill(i) => self.spill[i].log_odds = log_odds,
         }
     }
 
-    /// Appends a cell as `bucket`'s newest; `tail` is what
-    /// [`Table::find`] returned for its key.
+    /// Appends a cell as `bucket`'s newest; `tail` is what [`Table::find`]
+    /// returned for its tag.
     #[inline]
-    fn push(&mut self, bucket: usize, tail: u32, cell: Cell) {
-        let head = &mut self.heads[bucket];
-        let len = head.len as usize;
-        head.len += 1;
-        if len < self.tau {
-            self.cells[bucket * self.tau + len] = cell;
+    fn push(&mut self, bucket: usize, tail: u32, tag: T, log_odds: f32) {
+        let record = self.record(bucket);
+        let len = self.words[record] as usize;
+        self.words[record] += 1;
+        if len == self.tau {
+            self.over_full.push(bucket as u32);
+        }
+        if len < self.inline {
+            self.put(record, len, tag, log_odds);
             return;
         }
-        // Chains index with `u32`, and a bucket's length (≤ τ + the spill's)
-        // must fit one too.
+        // Chains index with `u32`, and a bucket's count (≤ τ + 3 + the
+        // spill's) must fit one too.
         let at = self.spill.len();
-        assert!(at < NIL as usize - CacheConfig::MAX_CELLS, "spill overflow");
+        assert!(
+            at < u32::MAX as usize - CacheConfig::MAX_CELLS,
+            "spill overflow"
+        );
         let at = at as u32;
-        self.spill.push(Spilled { cell, next: NIL });
-        if tail == NIL {
-            head.spill = at;
-            self.spilled.push(bucket as u32);
+        self.spill.push(Spilled {
+            tag,
+            log_odds,
+            next: 0,
+        });
+        if len == self.inline {
+            self.words[record + 1] = at;
         } else {
             self.spill[tail as usize].next = at;
         }
     }
 
+    /// The cells of `bucket`, oldest first: the record's, then its chain.
+    #[inline]
+    fn cells(&self, bucket: usize) -> impl Iterator<Item = (T, f32)> + '_ {
+        let record = self.record(bucket);
+        let len = self.words[record] as usize;
+        let mut next = self.words[record + 1] as usize;
+        let chain = (self.inline..len).map(move |_| {
+            let spilled = self.spill[next];
+            next = spilled.next as usize;
+            (spilled.tag, spilled.log_odds)
+        });
+        (0..len.min(self.inline))
+            .map(move |i| self.cell(record, i))
+            .chain(chain)
+    }
+
+    /// The key of the cell tagged `tag` in `bucket`.
+    #[inline]
+    fn key(&self, bucket: usize, tag: T) -> VoxelKey {
+        morton::decode(tag.high() << self.shift | bucket as u64)
+    }
+
     /// Takes `bucket`'s oldest cells down to `keep` (at most `τ`), handing
     /// each to `taken`, and moves the cells it keeps to the front of the
-    /// inline slots. The bucket's chain is dead afterwards: the caller ends
-    /// its pass with [`Table::clear_spill`].
-    fn trim(&mut self, bucket: usize, keep: usize, mut taken: impl FnMut(Cell)) {
-        let head = self.heads[bucket];
-        let excess = (head.len as usize).saturating_sub(keep);
-        let base = bucket * self.tau;
-        for (age, slot) in slots(self.tau, bucket, head, &self.spill).enumerate() {
-            let cell = self.at(slot);
+    /// record; only those and the count are written. The bucket's chain is
+    /// dead afterwards: the caller ends its pass with
+    /// [`Table::clear_spill`].
+    #[inline]
+    fn trim(&mut self, bucket: usize, keep: usize, mut taken: impl FnMut(T, f32)) {
+        let record = self.record(bucket);
+        let len = self.words[record] as usize;
+        let excess = len.saturating_sub(keep);
+        if excess == 0 {
+            return;
+        }
+        let mut next = self.words[record + 1] as usize;
+        for age in 0..len {
+            let (tag, log_odds) = if age < self.inline {
+                self.cell(record, age)
+            } else {
+                let spilled = self.spill[next];
+                next = spilled.next as usize;
+                (spilled.tag, spilled.log_odds)
+            };
+            // A kept cell moves to a slot its walk has passed.
             match age.checked_sub(excess) {
-                None => taken(cell),
-                Some(kept) => self.cells[base + kept] = cell,
+                None => taken(tag, log_odds),
+                Some(kept) => self.put(record, kept, tag, log_odds),
             }
         }
-        self.heads[bucket] = Header {
-            len: head.len - excess as u32,
-            spill: NIL,
-        };
+        self.words[record] = (len - excess) as u32;
     }
 
-    /// Forgets every spill chain once a pass has trimmed the buckets that
-    /// owned one; the capacity stays for the next batch.
+    /// Forgets every spill chain and over-full bucket once a pass has
+    /// trimmed them; the capacity stays for the next batch.
     fn clear_spill(&mut self) {
         self.spill.clear();
-        self.spilled.clear();
+        self.over_full.clear();
     }
-}
 
-/// The one bucket walk: the slots of `bucket`, oldest cell first. Borrows
-/// only the spill, so an eviction pass can rewrite the inline slots while it
-/// walks.
-#[inline]
-fn slots(
-    tau: usize,
-    bucket: usize,
-    head: Header,
-    spill: &[Spilled],
-) -> impl Iterator<Item = Slot> + '_ {
-    let mut next = head.spill;
-    let chain = std::iter::from_fn(move || {
-        let at = (next != NIL).then_some(next as usize)?;
-        next = spill[at].next;
-        Some(Slot::Spill(at))
-    });
-    let inline = bucket * tau..bucket * tau + (head.len as usize).min(tau);
-    inline.map(Slot::Inline).chain(chain)
+    /// Heap bytes of the records, the spill and the over-full list.
+    fn memory_usage(&self) -> usize {
+        use std::mem::size_of;
+        self.words.capacity() * size_of::<u32>()
+            + self.spill.capacity() * size_of::<Spilled<T>>()
+            + self.over_full.capacity() * size_of::<u32>()
+    }
 }
 
 /// The scratch [`VoxelCache::insert_batch`] folds a batch through: an
@@ -556,29 +745,39 @@ impl Fold {
 #[derive(Debug)]
 pub struct VoxelCache {
     config: CacheConfig,
-    params: OccupancyParams,
-    table: Table,
-    mask: u64,
-    len: usize,
-    peak_len: usize,
-    stats: CacheStats,
-    fold: Fold,
+    tags: Tags,
+}
+
+/// The cache at the tag width its bucket count needs, chosen once.
+#[derive(Debug)]
+enum Tags {
+    /// From 2¹⁶ buckets on: 32-bit tags, one line a record at τ = 4.
+    Narrow(Cache<u32>),
+    /// Below 2¹⁶ buckets: tags of up to 48 bits.
+    Wide(Cache<u64>),
+}
+
+/// `$body` with `$cache` bound to the cache inside `$tags`, whichever its
+/// tag width.
+macro_rules! each {
+    ($tags:expr, $cache:ident => $body:expr) => {
+        match $tags {
+            Tags::Narrow($cache) => $body,
+            Tags::Wide($cache) => $body,
+        }
+    };
 }
 
 impl VoxelCache {
-    /// Creates an empty cache, allocating its whole `w × τ` slab
+    /// Creates an empty cache, allocating its whole table
     /// ([`CacheConfig::resident_bytes`]).
     pub fn new(config: CacheConfig, params: OccupancyParams) -> Self {
-        VoxelCache {
-            config,
-            params,
-            table: Table::new(&config),
-            mask: (config.num_buckets() - 1) as u64,
-            len: 0,
-            peak_len: 0,
-            stats: CacheStats::default(),
-            fold: Fold::default(),
-        }
+        let tags = if config.num_buckets() >= NARROW_FROM {
+            Tags::Narrow(Cache::new(&config, params))
+        } else {
+            Tags::Wide(Cache::new(&config, params))
+        };
+        VoxelCache { config, tags }
     }
 
     /// The configuration this cache was built with.
@@ -588,40 +787,34 @@ impl VoxelCache {
 
     /// Counters of cache behaviour.
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        each!(&self.tags, c => &c.stats)
     }
 
     /// Number of cells currently held.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        each!(&self.tags, c => c.len)
     }
 
     /// True when the cache holds no cells.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Maximum cell count ever held (between evictions the cache may exceed
     /// `w × τ`; the paper bounds this overshoot by one update batch).
     pub fn peak_len(&self) -> usize {
-        self.peak_len
+        each!(&self.tags, c => c.peak_len)
     }
 
-    /// Heap bytes the cache owns right now: the slab and the headers
+    /// Heap bytes the cache owns right now: the records
     /// ([`CacheConfig::resident_bytes`], fixed at construction), the
     /// largest spill any batch has needed so far, and the fold's scratch
     /// once a batch has been folded. Recording events adds nothing here:
     /// the recorder is the executor's.
     pub fn memory_usage(&self) -> usize {
-        use std::mem::size_of;
-        let t = &self.table;
-        t.cells.capacity() * size_of::<Cell>()
-            + t.heads.capacity() * size_of::<Header>()
-            + t.spill.capacity() * size_of::<Spilled>()
-            + t.spilled.capacity() * size_of::<u32>()
-            + self.fold.memory_usage()
+        each!(&self.tags, c => c.table.memory_usage() + c.fold.memory_usage())
     }
 
     /// The bucket a key maps to: the low log₂w bits of its Morton code
@@ -634,7 +827,7 @@ impl VoxelCache {
     /// The bucket of the voxel whose Morton code is `code`.
     #[inline]
     pub(crate) fn bucket_of_code(&self, code: u64) -> usize {
-        (code & self.mask) as usize
+        (code & (self.config.num_buckets() as u64 - 1)) as usize
     }
 
     /// Offers one occupancy observation to the cache (paper §4.2.1).
@@ -649,7 +842,8 @@ impl VoxelCache {
     where
         F: FnOnce(VoxelKey) -> Option<f32>,
     {
-        self.insert_coded(key, occupied, morton::encode(key), octree_lookup)
+        let code = morton::encode(key);
+        each!(&mut self.tags, c => c.insert_coded(key, occupied, code, octree_lookup))
     }
 
     /// Offers a run of observations, in order: contents, statistics and
@@ -666,15 +860,128 @@ impl VoxelCache {
     /// 2¹⁴ voxels, and up to 2¹⁶ − 1 when those drew 8 observations each or
     /// more (the scratch then widens to 1 MiB and stays so); it streams the
     /// rest. The stream stages its probes: the Morton codes of the next 16
-    /// observations are computed once and their bucket header and slot
-    /// lines prefetched. This is the one insert path, whether or not the
-    /// caller records events.
+    /// observations are computed once and their bucket records prefetched.
+    /// This is the one insert path, whether or not the caller records
+    /// events.
     pub fn insert_batch<F>(&mut self, batch: &[VoxelUpdate], mut octree_lookup: F)
     where
         F: FnMut(VoxelKey) -> Option<f32>,
     {
-        let folded = self.insert_folded(batch, &mut octree_lookup);
-        self.insert_streamed(&batch[folded..], octree_lookup);
+        each!(&mut self.tags, c => {
+            let folded = c.insert_folded(batch, &mut octree_lookup);
+            c.insert_streamed(&batch[folded..], octree_lookup);
+        })
+    }
+
+    /// Looks up the accumulated log-odds for a voxel. `None` means the
+    /// caller must fall through to the octree (cache miss).
+    pub fn get(&mut self, key: VoxelKey) -> Option<f32> {
+        let found = self.peek(key);
+        let stats = each!(&mut self.tags, c => &mut c.stats);
+        match found {
+            Some(_) => stats.query_hits += 1,
+            None => stats.query_misses += 1,
+        }
+        found
+    }
+
+    /// Read-only lookup that does not touch the query counters.
+    pub fn peek(&self, key: VoxelKey) -> Option<f32> {
+        self.peek_coded(morton::encode(key))
+    }
+
+    /// [`peek`](Self::peek) by the voxel's Morton code.
+    #[inline]
+    pub(crate) fn peek_coded(&self, code: u64) -> Option<f32> {
+        each!(&self.tags, c => c.peek_coded(code))
+    }
+
+    /// Evicts the oldest cells of every over-full bucket down to `τ`
+    /// (paper §4.2.2), appending them to `out` in Morton order. Returns the
+    /// number of cells evicted.
+    ///
+    /// Only the buckets that passed `τ` since the last pass are over-full:
+    /// the pass emits each one's oldest cells, moves its newest `τ` to the
+    /// front of its record and ends with an empty spill.
+    pub fn evict_into(&mut self, out: &mut Vec<EvictedCell>) -> usize {
+        each!(&mut self.tags, c => c.evict_into(out))
+    }
+
+    /// Evicts per [`VoxelCache::evict_into`] into a fresh vector.
+    pub fn evict(&mut self) -> Vec<EvictedCell> {
+        let mut out = Vec::new();
+        self.evict_into(&mut out);
+        out
+    }
+
+    /// Drains *every* cell, in Morton order, leaving the cache empty. Used
+    /// to flush pending state into the octree at the end of a run.
+    pub fn drain_all(&mut self) -> Vec<EvictedCell> {
+        let mut out = Vec::new();
+        self.drain_into(&mut out);
+        out
+    }
+
+    /// Drains per [`VoxelCache::drain_all`], appending to `out`: an
+    /// executor drains into the buffer its passes reuse, so the final flush
+    /// allocates nothing the heap has not already handed out. Returns the
+    /// number of cells drained.
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<EvictedCell>) -> usize {
+        if out.is_empty() && out.capacity() < self.len() {
+            // Freed before the larger buffer is allocated: `realloc` would
+            // grow it in place at the heap's top, past the blocks the
+            // octree's pool freed as it grew, where a fresh allocation lands
+            // (glibc; `campus_miss` peak RSS +8 %).
+            *out = Vec::new();
+        }
+        out.reserve_exact(self.len());
+        each!(&mut self.tags, c => c.drain_into(out))
+    }
+
+    /// Histogram of bucket occupancies (index = cell count, value = number
+    /// of buckets with that count). Useful for τ tuning (paper §6.2.4).
+    pub fn bucket_occupancy_histogram(&self) -> Vec<usize> {
+        each!(&self.tags, c => c.bucket_occupancy_histogram())
+    }
+
+    /// Iterates over all cached voxels (bucket order) without removing them.
+    pub fn iter(&self) -> impl Iterator<Item = EvictedCell> + '_ {
+        let cells: Box<dyn Iterator<Item = EvictedCell> + '_> =
+            each!(&self.tags, c => Box::new(c.iter()));
+        cells
+    }
+}
+
+/// The cache over a table of tag `T`: everything [`VoxelCache`] holds but
+/// its config.
+#[derive(Debug)]
+struct Cache<T> {
+    params: OccupancyParams,
+    table: Table<T>,
+    mask: u64,
+    len: usize,
+    peak_len: usize,
+    stats: CacheStats,
+    fold: Fold,
+}
+
+impl<T: Tag> Cache<T> {
+    fn new(config: &CacheConfig, params: OccupancyParams) -> Self {
+        Cache {
+            params,
+            table: Table::new(config),
+            mask: (config.num_buckets() - 1) as u64,
+            len: 0,
+            peak_len: 0,
+            stats: CacheStats::default(),
+            fold: Fold::default(),
+        }
+    }
+
+    /// The bucket and the tag of the voxel whose Morton code is `code`.
+    #[inline]
+    fn locate(&self, code: u64) -> (usize, T) {
+        ((code & self.mask) as usize, T::of(code, self.table.shift))
     }
 
     /// Folds the longest prefix of `batch` that the scratch holds into the
@@ -720,7 +1027,7 @@ impl VoxelCache {
     }
 
     /// Computes the Morton codes of `block` into `codes` and prefetches the
-    /// lines their probes will read.
+    /// records their probes will read.
     #[inline]
     fn stage(&self, block: &[VoxelUpdate], codes: &mut [u64; STAGE]) {
         for (u, code) in block.iter().zip(codes) {
@@ -729,12 +1036,12 @@ impl VoxelCache {
         }
     }
 
-    /// Prefetches the header and first slot line of the bucket of `code`.
+    /// Prefetches the first line of the record of `code`'s bucket: the
+    /// whole record at τ = 4 and 32-bit tags.
     #[inline]
     fn prefetch_bucket(&self, code: u64) {
-        let bucket = (code & self.mask) as usize;
-        prefetch(&self.table.heads[bucket]);
-        prefetch(&self.table.cells[bucket * self.table.tau]);
+        let record = self.table.record((code & self.mask) as usize);
+        prefetch(&self.table.words[record]);
     }
 
     /// The per-observation insertion body: `code` is the Morton code of
@@ -751,11 +1058,11 @@ impl VoxelCache {
         F: FnOnce(VoxelKey) -> Option<f32>,
     {
         self.stats.insertions += 1;
-        let bucket = (code & self.mask) as usize;
-        let tail = match self.table.find(bucket, key) {
+        let (bucket, tag) = self.locate(code);
+        let tail = match self.table.find(bucket, tag) {
             Ok(slot) => {
-                let cell = self.table.at_mut(slot);
-                cell.log_odds = self.params.apply(cell.log_odds, occupied);
+                let log_odds = self.params.apply(self.table.at(slot), occupied);
+                self.table.set(slot, log_odds);
                 self.stats.hits += 1;
                 return true;
             }
@@ -763,7 +1070,7 @@ impl VoxelCache {
         };
         let seed = self.seed(key, octree_lookup);
         let log_odds = self.params.apply(seed, occupied);
-        self.append(bucket, tail, Cell { key, log_odds });
+        self.append(bucket, tail, tag, log_odds);
         false
     }
 
@@ -778,18 +1085,18 @@ impl VoxelCache {
     {
         let observed = u64::from(count);
         self.stats.insertions += observed;
-        let bucket = (morton::encode(key) & self.mask) as usize;
-        match self.table.find(bucket, key) {
+        let (bucket, tag) = self.locate(morton::encode(key));
+        match self.table.find(bucket, tag) {
             Ok(slot) => {
-                let cell = self.table.at_mut(slot);
-                cell.log_odds = advance(&self.params, cell.log_odds, count, hits);
+                let log_odds = advance(&self.params, self.table.at(slot), count, hits);
+                self.table.set(slot, log_odds);
                 self.stats.hits += observed;
             }
             Err(tail) => {
                 self.stats.hits += observed - 1;
                 let seed = self.seed(key, octree_lookup);
                 let log_odds = advance(&self.params, seed, count, hits);
-                self.append(bucket, tail, Cell { key, log_odds });
+                self.append(bucket, tail, tag, log_odds);
             }
         }
     }
@@ -813,51 +1120,28 @@ impl VoxelCache {
 
     /// Appends a missed cell as its bucket's newest.
     #[inline]
-    fn append(&mut self, bucket: usize, tail: u32, cell: Cell) {
-        self.table.push(bucket, tail, cell);
+    fn append(&mut self, bucket: usize, tail: u32, tag: T, log_odds: f32) {
+        self.table.push(bucket, tail, tag, log_odds);
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
     }
 
-    /// Looks up the accumulated log-odds for a voxel. `None` means the
-    /// caller must fall through to the octree (cache miss).
-    pub fn get(&mut self, key: VoxelKey) -> Option<f32> {
-        let found = self.peek(key);
-        match found {
-            Some(_) => self.stats.query_hits += 1,
-            None => self.stats.query_misses += 1,
-        }
-        found
-    }
-
-    /// Read-only lookup that does not touch the query counters.
-    pub fn peek(&self, key: VoxelKey) -> Option<f32> {
-        self.peek_coded(key, morton::encode(key))
-    }
-
-    /// [`peek`](Self::peek) with the Morton code of `key` already at hand.
     #[inline]
-    pub(crate) fn peek_coded(&self, key: VoxelKey, code: u64) -> Option<f32> {
-        let slot = self.table.find(self.bucket_of_code(code), key).ok()?;
-        Some(self.table.at(slot).log_odds)
+    fn peek_coded(&self, code: u64) -> Option<f32> {
+        let (bucket, tag) = self.locate(code);
+        let slot = self.table.find(bucket, tag).ok()?;
+        Some(self.table.at(slot))
     }
 
-    /// Evicts the oldest cells of every over-full bucket down to `τ`
-    /// (paper §4.2.2), appending them to `out` in Morton order. Returns the
-    /// number of cells evicted.
-    ///
-    /// Only the buckets that spilled are over-full, and each one's chain is
-    /// as long as its excess: the pass emits a bucket's oldest cells, moves
-    /// its newest `τ` into the inline slots and ends with an empty spill.
-    pub fn evict_into(&mut self, out: &mut Vec<EvictedCell>) -> usize {
+    fn evict_into(&mut self, out: &mut Vec<EvictedCell>) -> usize {
         let start = out.len();
         // Ascending, as the counting drain needs them.
-        self.table.spilled.sort_unstable();
-        let spilled = std::mem::take(&mut self.table.spilled);
-        let over_full = spilled.iter().map(|&bucket| bucket as usize);
-        self.take_oldest_counted(over_full, self.table.tau, out);
+        self.table.over_full.sort_unstable();
+        let over_full = std::mem::take(&mut self.table.over_full);
+        let buckets = over_full.iter().map(|&bucket| bucket as usize);
+        self.take_oldest_counted(buckets, self.table.tau, out);
         // Emptied with the chains below; its capacity serves the next batch.
-        self.table.spilled = spilled;
+        self.table.over_full = over_full;
         self.table.clear_spill();
         let evicted = out.len() - start;
         self.len -= evicted;
@@ -865,22 +1149,13 @@ impl VoxelCache {
         evicted
     }
 
-    /// Evicts per [`VoxelCache::evict_into`] into a fresh vector.
-    pub fn evict(&mut self) -> Vec<EvictedCell> {
-        let mut out = Vec::new();
-        self.evict_into(&mut out);
-        out
-    }
-
-    /// Drains *every* cell, in Morton order, leaving the cache empty. Used
-    /// to flush pending state into the octree at the end of a run.
-    pub fn drain_all(&mut self) -> Vec<EvictedCell> {
-        let mut out = Vec::with_capacity(self.len);
-        self.take_oldest_counted(0..self.table.heads.len(), 0, &mut out);
+    fn drain_into(&mut self, out: &mut Vec<EvictedCell>) -> usize {
+        let buckets = self.mask as usize + 1;
+        self.take_oldest_counted(0..buckets, 0, out);
         self.table.clear_spill();
-        self.stats.evictions += out.len() as u64;
-        self.len = 0;
-        out
+        let drained = std::mem::take(&mut self.len);
+        self.stats.evictions += drained as u64;
+        drained
     }
 
     /// The one drain: takes the cells of each of `buckets` (ascending) older
@@ -889,11 +1164,12 @@ impl VoxelCache {
     ///
     /// Morton order costs no sort. The bucket is the code's low log₂w bits,
     /// so the walk meets the cells in ascending order of those bits, and the
-    /// cells of one bucket differ in the high part: placing each cell, in
-    /// walk order, into the run of its high part *is* the sorted order. A
+    /// cells of one bucket differ in the high part, their tag: placing each
+    /// cell, in walk order, into the run of its tag *is* the sorted order. A
     /// first walk only counts the runs; the second fills them straight from
-    /// the slab — no comparisons, and no scratch the size of the run to show
-    /// up in peak RSS at a full-cache flush.
+    /// the records, decoding each key once — no comparisons, no
+    /// `morton::encode`, and no scratch the size of the run to show up in
+    /// peak RSS at a full-cache flush.
     fn take_oldest_counted(
         &mut self,
         buckets: impl Iterator<Item = usize> + Clone,
@@ -901,17 +1177,18 @@ impl VoxelCache {
         out: &mut Vec<EvictedCell>,
     ) {
         let t = &mut self.table;
-        let shift = self.mask.count_ones();
-        let high = |cell: &Cell| morton::encode(cell.key) >> shift;
-        // Next free index of each high part's run. The parts are few (one
-        // per 128 × 64 × 64 voxels at 2¹⁹ buckets) but up to 48 − log₂w bits
+        // Next free index of each tag's run. The tags are few (one per
+        // 128 × 64 × 64 voxels at 2¹⁹ buckets) but up to 48 − log₂w bits
         // wide, so they key a map instead of indexing a table.
         let mut runs: HashMap<u64, usize, BuildHasherDefault<CodeHasher>> = HashMap::default();
+        let mut ahead = buckets.clone().skip(STAGE);
         for bucket in buckets.clone() {
-            let head = t.heads[bucket];
-            let excess = (head.len as usize).saturating_sub(keep);
-            for slot in slots(t.tau, bucket, head, &t.spill).take(excess) {
-                *runs.entry(high(&t.at(slot))).or_default() += 1;
+            if let Some(next) = ahead.next() {
+                prefetch(&t.words[t.record(next)]);
+            }
+            let excess = t.len(bucket).saturating_sub(keep);
+            for (tag, _) in t.cells(bucket).take(excess) {
+                *runs.entry(tag.high()).or_default() += 1;
             }
         }
         let mut parts: Vec<u64> = runs.keys().copied().collect();
@@ -930,36 +1207,44 @@ impl VoxelCache {
             // power-of-two ones are recycled.
             out.reserve_exact(end.next_power_of_two() - out.len());
         }
-        out.resize(end, Cell::EMPTY);
+        out.resize(end, EvictedCell::EMPTY);
+        let shift = t.shift;
+        let mut ahead = buckets.clone().skip(STAGE);
         for bucket in buckets {
-            t.trim(bucket, keep, |cell| {
-                let next = runs.get_mut(&high(&cell)).expect("counted above");
-                out[*next] = cell;
+            if let Some(next) = ahead.next() {
+                prefetch(&t.words[t.record(next)]);
+            }
+            t.trim(bucket, keep, |tag, log_odds| {
+                let high = tag.high();
+                let next = runs.get_mut(&high).expect("counted above");
+                out[*next] = EvictedCell {
+                    key: morton::decode(high << shift | bucket as u64),
+                    log_odds,
+                };
                 *next += 1;
             });
         }
     }
 
-    /// Histogram of bucket occupancies (index = cell count, value = number
-    /// of buckets with that count). Useful for τ tuning (paper §6.2.4).
-    pub fn bucket_occupancy_histogram(&self) -> Vec<usize> {
-        let heads = &self.table.heads;
-        let max = heads.iter().map(|h| h.len).max().unwrap_or(0);
-        let mut hist = vec![0usize; max as usize + 1];
-        for head in heads {
-            hist[head.len as usize] += 1;
+    fn bucket_occupancy_histogram(&self) -> Vec<usize> {
+        let t = &self.table;
+        let buckets = self.mask as usize + 1;
+        let max = (0..buckets).map(|b| t.len(b)).max().unwrap_or(0);
+        let mut hist = vec![0usize; max + 1];
+        for bucket in 0..buckets {
+            hist[t.len(bucket)] += 1;
         }
         hist
     }
 
-    /// Iterates over all cached voxels (bucket order) without removing them.
-    pub fn iter(&self) -> impl Iterator<Item = EvictedCell> + '_ {
+    fn iter(&self) -> impl Iterator<Item = EvictedCell> + '_ {
         let t = &self.table;
-        t.heads
-            .iter()
-            .enumerate()
-            .flat_map(move |(bucket, &head)| slots(t.tau, bucket, head, &t.spill))
-            .map(move |slot| t.at(slot))
+        (0..self.mask as usize + 1).flat_map(move |bucket| {
+            t.cells(bucket).map(move |(tag, log_odds)| EvictedCell {
+                key: t.key(bucket, tag),
+                log_odds,
+            })
+        })
     }
 }
 
@@ -1046,6 +1331,21 @@ mod tests {
 
     fn k(x: u16, y: u16, z: u16) -> VoxelKey {
         VoxelKey::new(x, y, z)
+    }
+
+    /// The fold scratch of `c`.
+    fn fold(c: &VoxelCache) -> &Fold {
+        each!(&c.tags, c => &c.fold)
+    }
+
+    /// The heap bytes of `c`'s spill and over-full list, and whether both
+    /// are empty.
+    fn spill(c: &VoxelCache) -> (usize, bool) {
+        each!(&c.tags, c => {
+            let t = &c.table;
+            let bytes = t.memory_usage() - t.words.capacity() * 4;
+            (bytes, t.spill.is_empty() && t.over_full.is_empty())
+        })
     }
 
     #[test]
@@ -1224,21 +1524,51 @@ mod tests {
 
     #[test]
     fn fresh_cache_owns_exactly_the_configured_resident_bytes() {
-        let mut c = cache(16, 2);
-        let resident = c.config().resident_bytes();
-        assert_eq!(resident, 16 * 2 * 12 + 16 * 8);
-        assert_eq!(c.memory_usage(), resident);
-        // Filling the inline slots allocates nothing…
-        for x in 0..2u16 {
-            c.insert(k(16 * x, 0, 0), true, |_| None);
+        // 16 buckets: 8-byte tags, a record of 8 + 12 · (τ + 3) bytes; 2¹⁶:
+        // 4-byte tags, at τ = 4 one 64-byte line. Both with the 64 bytes
+        // that align the first record.
+        for (w, tau, record) in [(16, 2, 8 + 12 * 5), (1 << 16, 4, 64)] {
+            let mut c = cache(w, tau);
+            let resident = c.config().resident_bytes();
+            assert_eq!(resident, record * w + 64);
+            assert_eq!(c.memory_usage(), resident);
+            // Filling one bucket's record allocates nothing: its τ cells
+            // leave the over-full list empty, and its 3 overshoot cells
+            // add one entry there…
+            let key = |x: u16| k(x << w.trailing_zeros().div_ceil(3), 0, 0);
+            for x in 0..tau as u16 {
+                c.insert(key(x), true, |_| None);
+            }
+            assert_eq!(c.memory_usage(), resident);
+            for x in tau as u16..tau as u16 + 3 {
+                c.insert(key(x), true, |_| None);
+            }
+            assert_eq!(c.bucket_occupancy_histogram()[tau + 3], 1);
+            let (over_full, _) = spill(&c);
+            assert!(over_full > 0);
+            assert_eq!(c.memory_usage(), resident + over_full);
+            // …and only cells past the record go to the spill.
+            c.insert(key(tau as u16 + 3), true, |_| None);
+            let (spilled, _) = spill(&c);
+            assert!(spilled > over_full);
+            assert_eq!(c.memory_usage(), resident + spilled);
+            c.evict();
+            assert_eq!(spill(&c), (spilled, true));
         }
-        assert_eq!(c.memory_usage(), resident);
-        // …only cells past a bucket's τ-th do, and only in the spill.
-        c.insert(k(32, 0, 0), true, |_| None);
+    }
+
+    /// A record is one 64-byte line at τ = 4 from 2¹⁶ buckets on, and the
+    /// first starts on a line: a probe reads one line.
+    #[test]
+    fn narrow_records_are_line_aligned_lines() {
+        let c = cache(1 << 16, 4);
+        let Tags::Narrow(c) = &c.tags else {
+            panic!("2¹⁶ buckets take 32-bit tags")
+        };
         let t = &c.table;
-        let spill = t.spill.capacity() * 16 + t.spilled.capacity() * 4;
-        assert!(spill > 0);
-        assert_eq!(c.memory_usage(), resident + spill);
+        assert_eq!(t.stride * 4, 64);
+        assert_eq!(t.words[t.base..].as_ptr() as usize % 64, 0);
+        assert!(matches!(cache(1 << 15, 4).tags, Tags::Wide(_)));
     }
 
     /// `voxels` distinct voxels from the `first`-th of a 64 × 64 × 64 block,
@@ -1277,7 +1607,7 @@ mod tests {
             })
             .collect();
         c.insert_batch(&batch, |_| None);
-        let f = &c.fold;
+        let f = fold(&c);
         assert_eq!(f.slots.len(), FOLD_SLOTS);
         // 14 of the 40 observations are occupied.
         assert!(f.groups.capacity() >= 8 && f.hits.capacity() >= 14 && f.indices.capacity() >= 14);
@@ -1285,17 +1615,17 @@ mod tests {
         // Kept, and emptied, for the next batch.
         assert!(f.groups.is_empty() && f.slots.iter().all(|&s| s == FOLD_EMPTY));
         c.insert_batch(&batch, |_| None);
-        assert_eq!(c.memory_usage(), resident + scratch(&c.fold));
+        assert_eq!(c.memory_usage(), resident + scratch(fold(&c)));
         // A batch that widens leaves the wide scratch, 1 MiB of slots, in
         // the narrow one's place, and a later batch keeps it.
         let mut c = cache(1 << 16, 2);
         let resident = c.config().resident_bytes();
         for batch in [dense(0, 2 * FOLD_GROUPS, WIDEN_AT), batch] {
             c.insert_batch(&batch, |_| None);
-            let (f, t) = (&c.fold, &c.table);
+            let f = fold(&c);
             assert_eq!(f.slots.len(), WIDE_SLOTS);
             assert!(f.groups.capacity() >= 2 * FOLD_GROUPS);
-            let spill = t.spill.capacity() * 16 + t.spilled.capacity() * 4;
+            let (spill, _) = spill(&c);
             assert_eq!(c.memory_usage(), resident + spill + scratch(f));
             c.evict();
         }
@@ -1427,24 +1757,112 @@ mod tests {
         }
     }
 
+    /// The overshoot a record holds, on the benchmark's datasets: each
+    /// workload's scans (`campus_*`'s 8, `corridor_hot`'s 66,
+    /// `college_readers`' 16) at its scale, resolution and bucket count, the
+    /// workloads' scene seed and τ = 4, through a cache and beside a
+    /// keys-only model of its buckets that counts where each probe stops —
+    /// the fold's groups first, then the streamed rest, as `insert_batch`
+    /// probes. Each prints a `spill:` line: the share of over-full buckets
+    /// at a pass whose overshoot fits the record's 3 cells past τ, and the
+    /// share of the probe steps past τ (all of them spill steps in a
+    /// record of τ cells) that go past the record too. That share must
+    /// stay under 1 %, or `OVERSHOOT` no longer fits the data.
+    #[test]
+    fn overshoot_fits_the_record_on_the_benchmark_datasets() {
+        use octocache_datasets::{Dataset, DatasetConfig};
+        use octocache_geom::VoxelGrid;
+        use octocache_octomap::insert::{compute_update, VoxelBatch};
+        const TAU: usize = 4;
+        for (dataset, scale, resolution, buckets, scans) in [
+            (Dataset::FreiburgCampus, 0.25, 0.1, 1 << 19, 8),
+            (Dataset::Fr079Corridor, 1.0, 0.1, 1 << 16, 66),
+            (Dataset::NewCollege, 0.25, 0.2, 1 << 16, 16),
+        ] {
+            let seq = dataset.generate(&DatasetConfig {
+                scale,
+                seed: 0xC0FFEE,
+            });
+            let grid = VoxelGrid::new(resolution, 16).unwrap();
+            let mut c = cache(buckets, TAU);
+            let mut model = vec![Vec::<VoxelKey>::new(); buckets];
+            let (mut fold, mut batch) = (Fold::default(), VoxelBatch::new());
+            // Over-full buckets at the passes and those the record holds;
+            // probe steps past τ and past the record.
+            let (mut over_full, mut held, mut steps, mut past) = (0u64, 0u64, 0u64, 0u64);
+            for scan in &seq.scans()[..scans] {
+                compute_update(
+                    &grid,
+                    scan.origin,
+                    &scan.points,
+                    seq.max_range(),
+                    &mut batch,
+                )
+                .unwrap();
+                let updates = batch.updates();
+                let folded = fold.group(updates);
+                let grouped = fold.groups.iter().map(|g| g.key);
+                for key in grouped.chain(updates[folded..].iter().map(|u| u.key)) {
+                    let cells = &mut model[c.bucket_index(key)];
+                    // A hit stops at its cell; a miss walks them all.
+                    let walked = match cells.iter().position(|&k| k == key) {
+                        Some(at) => at + 1,
+                        None => {
+                            cells.push(key);
+                            cells.len() - 1
+                        }
+                    };
+                    steps += walked.saturating_sub(TAU) as u64;
+                    past += walked.saturating_sub(TAU + OVERSHOOT) as u64;
+                }
+                fold.clear();
+                c.insert_batch(updates, |_| None);
+                let mut hist = vec![0; c.bucket_occupancy_histogram().len()];
+                for cells in &mut model {
+                    hist[cells.len()] += 1;
+                    if cells.len() > TAU {
+                        over_full += 1;
+                        held += u64::from(cells.len() <= TAU + OVERSHOOT);
+                        cells.drain(..cells.len() - TAU);
+                    }
+                }
+                assert_eq!(hist, c.bucket_occupancy_histogram(), "{dataset}: the model");
+                c.evict();
+            }
+            let share = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+            println!(
+                "spill: {dataset} scale {scale} at {resolution} m, 2^{} buckets, {scans} scans: \
+                 {:.1} % of {over_full} over-full buckets within {OVERSHOOT} overshoot cells, \
+                 {:.2} % of {steps} spill steps past the record",
+                buckets.trailing_zeros(),
+                share(held, over_full),
+                share(past, steps),
+            );
+            assert!(
+                share(past, steps) < 1.0,
+                "{dataset}: {past} of {steps} spill steps past the record"
+            );
+        }
+    }
+
     #[test]
     fn hit_on_a_spilled_cell_accumulates_in_place() {
         let mut c = cache(1, 2);
         let params = OccupancyParams::default();
-        for x in 0..4u16 {
+        for x in 0..7u16 {
             assert!(!c.insert(k(x, 0, 0), true, |_| None));
         }
-        // k(3) sits second in the chain.
-        assert!(c.insert(k(3, 0, 0), true, |_| None));
+        // The record holds τ + 3 = 5 cells; k(6) sits second in the chain.
+        assert!(c.insert(k(6, 0, 0), true, |_| None));
         let twice = params.apply(params.apply(params.threshold, true), true);
-        assert_eq!(c.peek(k(3, 0, 0)), Some(twice));
-        assert_eq!(c.get(k(3, 0, 0)), Some(twice));
-        assert_eq!(c.len(), 4);
+        assert_eq!(c.peek(k(6, 0, 0)), Some(twice));
+        assert_eq!(c.get(k(6, 0, 0)), Some(twice));
+        assert_eq!(c.len(), 7);
         let evicted: Vec<u16> = c.evict().iter().map(|e| e.key.x).collect();
-        assert_eq!(evicted, vec![0, 1]);
-        // The pass moved it inline with its value.
-        assert_eq!(c.peek(k(3, 0, 0)), Some(twice));
-        assert!(c.insert(k(3, 0, 0), false, |_| None));
+        assert_eq!(evicted, vec![0, 1, 2, 3, 4]);
+        // The pass moved it into the record with its value.
+        assert_eq!(c.peek(k(6, 0, 0)), Some(twice));
+        assert!(c.insert(k(6, 0, 0), false, |_| None));
     }
 
     #[test]
@@ -1471,7 +1889,7 @@ mod tests {
                     "excess {excess}"
                 );
                 assert_eq!(c.len(), tau as usize);
-                assert!(c.table.spill.is_empty() && c.table.spilled.is_empty());
+                assert!(spill(&c).1);
             }
         }
     }
@@ -1479,15 +1897,16 @@ mod tests {
     #[test]
     fn drain_all_walks_live_chains() {
         let mut c = cache(2, 1);
-        for x in 0..8u16 {
+        for x in 0..12u16 {
             c.insert(k(x, x / 2, 0), x % 3 == 0, |_| None);
         }
-        // Both buckets (even and odd x) hang three cells off a chain.
+        // Both buckets (even and odd x) fill their record's τ + 3 = 4 cells
+        // and hang two more off a chain.
         let resident: Vec<u16> = c.iter().map(|e| e.key.x).collect();
-        assert_eq!(resident, vec![0, 2, 4, 6, 1, 3, 5, 7]);
+        assert_eq!(resident, vec![0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11]);
         let drained: Vec<u16> = c.drain_all().iter().map(|e| e.key.x).collect();
-        assert_eq!(drained, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        assert!(c.is_empty() && c.table.spill.is_empty());
+        assert_eq!(drained, (0..12).collect::<Vec<u16>>());
+        assert!(c.is_empty() && spill(&c).1);
         assert_eq!(c.iter().count(), 0);
         assert!(
             !c.insert(k(0, 0, 0), true, |_| None),
@@ -1504,9 +1923,9 @@ mod tests {
             for x in 0..40u16 {
                 c.insert(k(x, x / 2, round), true, |_| None);
             }
-            assert!(!c.table.spill.is_empty());
+            assert!(!spill(&c).1);
             c.evict();
-            assert!(c.table.spill.is_empty() && c.table.spilled.is_empty());
+            assert!(spill(&c).1);
             assert_eq!(c.len(), 8);
             // From the second batch on (full buckets) every batch overshoots
             // by the same 40 cells: that one sized the spill for all.

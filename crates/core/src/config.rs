@@ -120,8 +120,8 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// The largest `num_buckets × tau` a config accepts: 2²⁸ cells, a 3 GiB
-    /// slab (the paper's 512 K × 4 table is 2²¹ cells).
+    /// The largest `num_buckets × tau` a config accepts: 2²⁸ cells, 4 GiB
+    /// of records at τ = 4 (the paper's 512 K × 4 table is 2²¹ cells).
     pub(crate) const MAX_CELLS: usize = 1 << 28;
 
     /// Starts building a config.
@@ -232,13 +232,17 @@ impl CacheConfig {
     }
 
     /// The bytes a [`VoxelCache`](crate::VoxelCache) of this geometry
-    /// allocates when it is built and keeps for life: `w × τ` 12-byte cells
-    /// plus one 8-byte header per bucket. Exactly its
+    /// allocates when it is built and keeps for life: `w` bucket records of
+    /// an 8-byte header and `τ + 3` cells, plus 64 bytes that let the first
+    /// record start on a cache line. A cell is a 4-byte tag and 4-byte
+    /// log-odds from 2¹⁶ buckets on (`64·w + 64` at τ = 4, one line a
+    /// record) and an 8-byte tag below: `(8 + 8·(τ + 3))·w + 64` and
+    /// `(8 + 12·(τ + 3))·w + 64` bytes. Exactly its
     /// [`memory_usage`](crate::VoxelCache::memory_usage) until a batch
-    /// overshoots `τ` somewhere (the spill) or is folded (the scratch).
+    /// overshoots `τ + 3` somewhere (the spill) or is folded (the scratch).
     #[inline]
     pub fn resident_bytes(&self) -> usize {
-        12 * self.capacity_after_eviction() + 8 * self.num_buckets
+        crate::cache::table_bytes(self.num_buckets, self.tau)
     }
 }
 
@@ -434,8 +438,17 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(7 * c.capacity_after_eviction(), 14 * 1024 * 1024);
-        // Ours: 12-byte cells and an 8-byte header per bucket, 28 MiB.
-        assert_eq!(c.resident_bytes(), (24 + 4) * 1024 * 1024);
+        // Ours: one 64-byte record per bucket — an 8-byte header and seven
+        // 8-byte cells, τ = 4 of them plus 3 for the overshoot — 32 MiB,
+        // and the 64 bytes that align the first record.
+        assert_eq!(c.resident_bytes(), 32 * 1024 * 1024 + 64);
+        // Below 2¹⁶ buckets a cell's tag takes 8 bytes, the cell 12.
+        let small = CacheConfig::builder()
+            .num_buckets(1 << 12)
+            .tau(4)
+            .build()
+            .unwrap();
+        assert_eq!(small.resident_bytes(), (8 + 12 * 7) * (1 << 12) + 64);
     }
 
     #[test]

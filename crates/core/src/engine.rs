@@ -822,7 +822,7 @@ pub fn record_accesses(events: &mut EventBuffer, cache: &VoxelCache, batch: &[Vo
     let mut seen: HashSet<u64, BuildHasherDefault<CodeHasher>> = HashSet::default();
     events.emit_cache_run(batch.iter().filter(|u| sampled(u.key)).map(|u| {
         let code = morton::encode(u.key);
-        let hit = !seen.insert(code) || cache.peek_coded(u.key, code).is_some();
+        let hit = !seen.insert(code) || cache.peek_coded(code).is_some();
         let kind = if hit {
             EventKind::CacheHit
         } else {

@@ -782,9 +782,12 @@ impl ScanExecutor for ParallelExecutor {
         let wait1 = t_w.elapsed();
         // …then drain everything left in the cache as a final batch.
         let t0 = Instant::now();
-        self.evict_buf = Arc::new(self.cache.drain_all());
+        // Into the retained buffer, reclaimed in place as the passes do.
+        let buf = Arc::make_mut(&mut self.evict_buf);
+        buf.clear();
+        self.cache.drain_into(buf);
         if let Some(events) = &mut self.events {
-            engine::record_evictions(events, &self.cache, &self.evict_buf);
+            engine::record_evictions(events, &self.cache, buf);
         }
         let evict2 = t0.elapsed();
         let enq2 = self.send_batch();

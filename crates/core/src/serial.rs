@@ -205,10 +205,16 @@ impl ScanExecutor for SerialExecutor {
 
     fn flush(&mut self) -> FlushTimes {
         let t0 = Instant::now();
-        let drained = self.cache.drain_all();
+        self.evict_buf.clear();
+        self.cache.drain_into(&mut self.evict_buf);
         let cache_evict = t0.elapsed();
         let t1 = Instant::now();
-        engine::apply_evictions(self.events.as_mut(), &self.cache, &mut self.tree, &drained);
+        engine::apply_evictions(
+            self.events.as_mut(),
+            &self.cache,
+            &mut self.tree,
+            &self.evict_buf,
+        );
         let octree_update = t1.elapsed();
         let times = PhaseTimes {
             cache_evict,

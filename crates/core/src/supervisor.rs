@@ -13,8 +13,8 @@
 //! * [`CacheConfig::mem_budget`] is one threshold at the scan boundary:
 //!   the engine admits a scan iff the executor's resident bytes are below
 //!   it, and otherwise sheds it with [`ShedReason::OverBudget`]. The
-//!   footprint never shrinks (the octree pool only grows, the cache slab
-//!   is allocated once), so once the budget refuses a scan the map stops
+//!   footprint never shrinks (the octree pool only grows, the cache's
+//!   records are allocated once), so once the budget refuses a scan the map stops
 //!   growing for the rest of the run.
 //! * `AdmissionGate` sheds scans when the moving average of recent
 //!   scan latencies exceeds the configured deadline

@@ -8,8 +8,8 @@
 //! 3. Bucket membership: every key lands in exactly one in-range bucket, is
 //!    found there again, and the occupancy histogram accounts for every
 //!    resident cell.
-//! 4. The slab-and-spill storage behaves exactly as the bucket-of-vectors
-//!    layout it replaced ([`ModelCache`]): same hits, values, evicted
+//! 4. The bucket records behave exactly as the bucket-of-vectors
+//!    layout they replaced ([`ModelCache`]): same hits, values, evicted
 //!    sequences and iteration order — whether observations arrive one
 //!    `insert` at a time or through `insert_batch` — and the events an
 //!    executor records beside it (`engine::record_accesses` /
@@ -132,6 +132,20 @@ fn morton_sorted(mut run: ModelRun) -> Vec<EvictedCell> {
     run.sort_by(|a, b| morton::cmp_keys(a.1, b.1));
     let cell = |(_, key, log_odds, _)| EvictedCell { key, log_odds };
     run.into_iter().map(cell).collect()
+}
+
+/// `key` spread over the Morton bits that a table of 2¹² or 2¹⁶ buckets
+/// keeps in its tags, so that small keys collide there as they do at a
+/// handful of buckets. Each coordinate keeps its low bit (8 buckets at
+/// either size); its next bit moves to x bit 6, y bit 5 or z bit 5 (code
+/// bits 18, 16, 17: just past a 2¹⁶ index), the next to bit 15 (code bits
+/// 45–47: past 32 bits of a 2¹² tag, and the top of a 2¹⁶ one), and the rest
+/// lands above bit 6. Keys on the 4×4×4 lattice stay on it.
+fn spread(key: VoxelKey) -> VoxelKey {
+    let spread = |c: u16, second: u16| {
+        (c & 1) | ((c >> 1 & 1) * second) | ((c >> 2 & 1) << 15) | ((c >> 3) << 7)
+    };
+    VoxelKey::new(spread(key.x, 64), spread(key.y, 32), spread(key.z, 32))
 }
 
 /// Ops driving the storage-exactness property.
@@ -257,9 +271,11 @@ proptest! {
         }
     }
 
-    /// The slab behaves exactly as the layout it replaced: under any
+    /// The records behave exactly as the layout they replaced: under any
     /// interleaving of insert / evict / drain_all, every answer the cache
-    /// gives equals the reference model's, order included. Half the cases
+    /// gives equals the reference model's, order included — at a few
+    /// buckets (64-bit tags), and at 2¹² and 2¹⁶ with the keys
+    /// [`spread`] to collide there (64- and 32-bit tags). Half the cases
     /// offer their observations through `insert_batch`, in batches of
     /// `batch` (0: an empty batch before every single `insert`), and must
     /// end with the statistics of a twin cache that took them one `insert`
@@ -271,7 +287,7 @@ proptest! {
     fn slab_storage_matches_the_bucket_of_vectors_model(
         ops in proptest::collection::vec(arb_storage_op(), 1..250),
         tau in 1usize..5,
-        buckets in prop_oneof![Just(1usize), Just(2), Just(16)],
+        buckets in prop_oneof![Just(1usize), Just(2), Just(16), Just(1 << 12), Just(1 << 16)],
         batch in prop_oneof![
             6 => Just(None),
             1 => Just(Some(0usize)),
@@ -308,6 +324,7 @@ proptest! {
         for op in ops.iter().chain([&StorageOp::Evict]) {
             let at = format!("{batch:?} {op:?}");
             if let StorageOp::Insert(key, occupied) = *op {
+                let key = if buckets >= 1 << 12 { spread(key) } else { key };
                 offered.push(key);
                 pending.push(VoxelUpdate { key, occupied });
                 if pending.len() < batch.unwrap_or(1) {
@@ -425,7 +442,7 @@ proptest! {
                 .prop_map(|((x, i), (y, j), (z, k))| VoxelKey::new(x + 128 * i, y + 128 * j, z + 128 * k)),
             1..200,
         ),
-        buckets in prop_oneof![Just(1usize), Just(2), Just(64), Just(1 << 19)],
+        buckets in prop_oneof![Just(1usize), Just(2), Just(64), Just(1 << 16), Just(1 << 19)],
         tau in 1usize..3,
         split in 0usize..200,
     ) {
@@ -629,11 +646,16 @@ proptest! {
             ],
             POOL..POOL + 1,
         ),
-        buckets in prop_oneof![Just(1usize), Just(16), Just(4096)],
+        buckets in prop_oneof![Just(1usize), Just(16), Just(4096), Just(1 << 16)],
         tau in 1usize..5,
     ) {
         let params = OccupancyParams::default();
-        let pool: Vec<VoxelKey> = pool_keys.iter().map(|&(x, y, z)| VoxelKey::new(x, y, z)).collect();
+        // At 2¹⁶ buckets the pool collides only where it is spread.
+        let pool: Vec<VoxelKey> = pool_keys
+            .iter()
+            .map(|&(x, y, z)| VoxelKey::new(x, y, z))
+            .map(|key| if buckets == 1 << 16 { spread(key) } else { key })
+            .collect();
         let clamp = |v: f32| v.clamp(params.clamp_min, params.clamp_max);
         let mut octree: HashMap<VoxelKey, f32> = pool
             .iter()
@@ -709,7 +731,7 @@ fn interleaved(voxels: &[VoxelKey], phases: &[(usize, u64)], seed: u64) -> Vec<V
 /// contents and values (bits), statistics, octree lookups and evicted runs
 /// after each. Returns, after each batch, the folding cache's value of
 /// every one of `voxels` and its fold scratch's bytes: its footprint over
-/// the twin's, whose slab and spill are the same.
+/// the twin's, whose records and spill are the same.
 fn fold_against_the_loop(
     buckets: usize,
     voxels: &[VoxelKey],

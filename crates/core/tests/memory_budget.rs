@@ -1,8 +1,8 @@
 //! The memory budget against a footprint that never shrinks.
 //!
 //! `resident_bytes()` is the octree pool's capacity plus the cache's, and
-//! neither goes down during a run: the arena pool only grows and the cache
-//! slab is allocated once. So once a budget refuses a scan, it refuses
+//! neither goes down during a run: the arena pool only grows and the cache's
+//! record array is allocated once. So once a budget refuses a scan, it refuses
 //! every later one — the map stops growing at the cap. For the serial and
 //! the parallel backend, through `insert_scan` (the one way in), with a
 //! budget the tree pool crosses mid-run:
@@ -249,7 +249,7 @@ fn fans() -> Vec<Scan> {
 }
 
 /// The scratch `insert_batch` folds a scan through is resident like the
-/// slab and the spill: the first batch allocates it, and the verdict before
+/// records and the spill: the first batch allocates it, and the verdict before
 /// the second scan counts it — the narrow scratch after the blob walk's
 /// first scan, the wide one after the fan's. A budget of exactly the tree
 /// plus the whole cache after one scan refuses the second scan; one byte
@@ -267,7 +267,7 @@ fn the_fold_scratch_counts_toward_the_budget() {
     };
     // The narrow scratch's 2¹⁵ slots and the wide one's 2¹⁷, 8 B each. The
     // fan's cache has a bucket for each voxel of any 64 × 64 × 64 block, so
-    // nothing spills and the footprint over the slab is the scratch alone.
+    // nothing spills and the footprint over the records is the scratch alone.
     let cases = [
         ("blob walk", scans(), 1 << 7, 1u64 << 18),
         ("fan", fans(), 1 << 18, 1 << 20),
@@ -277,12 +277,12 @@ fn the_fold_scratch_counts_toward_the_budget() {
         probe
             .insert_scan(scans[0].origin, &scans[0].points, MAX_RANGE)
             .expect("first scan");
-        let slab = cache_of(buckets, None).resident_bytes() as u64;
+        let records = cache_of(buckets, None).resident_bytes() as u64;
         let cache = probe.cache().memory_usage() as u64;
         assert!(
-            cache >= slab + scratch,
+            cache >= records + scratch,
             "{label}: one batch must leave the fold's {scratch} B of slots resident: \
-             {cache} B over a {slab} B slab"
+             {cache} B over {records} B of records"
         );
         let resident = probe.tree().memory_usage() as u64 + cache;
         for (budget, refused) in [(resident, true), (resident + 1, false)] {

@@ -213,7 +213,7 @@ fn chaos_soak(seed: u64) {
     );
     // Every applied scan was admitted on a footprint under the budget: a
     // scan's record carries the tree its successor was admitted on, and
-    // the cache adds at least its fixed slab. The run ends refusing, so
+    // the cache adds at least its fixed records. The run ends refusing, so
     // one trailing record with no observations carries those refusals.
     let cache_bytes = config.resident_bytes() as u64;
     assert_eq!(
