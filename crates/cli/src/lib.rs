@@ -1818,8 +1818,8 @@ mod tests {
         }
     }
 
-    /// Campus at scale 0.25 under a 20 MB budget applies scans 0–14 and
-    /// sheds 15–19 on `serial`: the refusals after the last applied scan
+    /// Campus at scale 0.25 under a 15 MB budget applies scans 0–15 and
+    /// sheds 16–19 on `serial`: the refusals after the last applied scan
     /// ride one trailing record, which `report` names apart instead of
     /// counting it as a sixteenth scan.
     #[test]
@@ -1840,7 +1840,7 @@ mod tests {
             &log,
             &map,
             "--mem-budget",
-            "20000000",
+            "15000000",
             "--trace",
             &trace,
         ]))

@@ -477,6 +477,67 @@ mod tests {
         }
     }
 
+    /// Builds each dataset's map at its benchmark workload's parameters
+    /// (scale, scans, resolution, buckets, τ = 4) through this backend and
+    /// prints one `pool:` line each: live nodes, inner blocks (64 bytes)
+    /// and leaf bricks (32 bytes) in use, what sits on the free lists, and
+    /// the bytes of the map's copy per live node (`map_mb` is that copy's
+    /// `memory_usage`). The campus must stay at ≤ 9 bytes a node: 8-byte
+    /// inner nodes with four-byte leaves in bricks, against 12-byte nodes
+    /// with 96-byte blocks before the pools split.
+    #[test]
+    fn pool_census_on_the_benchmark_datasets() {
+        use octocache_datasets::{Dataset, DatasetConfig};
+        for (dataset, scale, scans, resolution, buckets) in [
+            (Dataset::FreiburgCampus, 0.25, 8, 0.1, 1 << 19),
+            (Dataset::Fr079Corridor, 1.0, 66, 0.1, 1 << 16),
+            (Dataset::NewCollege, 0.25, 16, 0.2, 1 << 16),
+        ] {
+            let seq = dataset.generate(&DatasetConfig {
+                scale,
+                seed: 0xC0FFEE,
+            });
+            let grid = VoxelGrid::new(resolution, 16).unwrap();
+            let config = CacheConfig::builder()
+                .num_buckets(buckets)
+                .tau(4)
+                .build()
+                .unwrap();
+            let mut system = SerialOctoCache::new(grid, OccupancyParams::default(), config);
+            for scan in &seq.scans()[..scans] {
+                system
+                    .insert_scan(scan.origin, &scan.points, seq.max_range())
+                    .unwrap();
+            }
+            let tree = system.into_tree().deep_clone();
+            let census = tree.pool_census();
+            assert_eq!(census.bytes, tree.memory_usage());
+            assert_eq!(
+                census.bytes,
+                64 * (census.inner_blocks + census.free_inner_blocks)
+                    + 32 * (census.bricks + census.free_bricks)
+                    + 4 * (census.free_inner_blocks + census.free_bricks),
+                "{dataset}: the copy's bytes are its blocks, bricks and free lists"
+            );
+            let per_node = census.bytes as f64 / census.nodes as f64;
+            println!(
+                "pool: {dataset} scale {scale}, {scans} scans at {resolution} m: {} nodes \
+                 ({} leaves), {} inner blocks + {} free, {} bricks + {} free, \
+                 {:.2} MB, {per_node:.2} bytes per live node",
+                census.nodes,
+                census.leaves,
+                census.inner_blocks,
+                census.free_inner_blocks,
+                census.bricks,
+                census.free_bricks,
+                census.bytes as f64 / 1e6,
+            );
+            if dataset == Dataset::FreiburgCampus {
+                assert!(per_node <= 9.0, "{dataset}: {per_node:.2} bytes per node");
+            }
+        }
+    }
+
     #[test]
     fn phase_times_accumulate() {
         let mut s = system(1 << 8, 4);

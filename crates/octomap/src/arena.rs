@@ -3,23 +3,37 @@
 //! Reference OctoMap boxes every node and chases a pointer per level — the
 //! root-to-leaf walk the paper costs out in §3.2. This module is the layout
 //! the related work advocates (OpenVDB-style occupancy mapping, VoxelCache):
-//! all nodes live in one `Vec`-backed pool addressed by `u32` indices. The
+//! all nodes live in two `Vec`-backed pools addressed by `u32` indices. The
 //! walk visits the same nodes in the same order; only the bytes per node
 //! and the cost per visit differ.
 //!
 //! Layout rules:
 //!
-//! * slot 0 is the root; a tree with an empty pool has no root;
-//! * the eight children of a node are allocated as one contiguous block of
-//!   eight slots, so a child is `block + child_index` — one add, no pointer
-//!   dereference — and siblings share cache lines;
-//! * pruning pushes the freed child block onto a free-list instead of
-//!   returning memory to the allocator; the next expansion or insertion
-//!   reuses it (recycled slots are written before they are ever read, so
-//!   blocks are recycled without clearing);
+//! * the **inner pool** holds every node above the finest level as an
+//!   8-byte `{log_odds, block}`, in blocks of eight siblings (64 bytes);
+//!   slot 0 of block 0 is the root, and a tree with an empty pool has no
+//!   root;
+//! * the **brick pool** holds the finest level: the children of a level-1
+//!   node are always leaves, so they live in a 32-byte brick of eight
+//!   `f32`s;
+//! * child `i` of a node whose `block` is `b` is slot (or leaf) `b · 8 + i`
+//!   — a shift and an add, no pointer dereference — and siblings share a
+//!   cache line or two;
+//! * child presence is stored in the child slots, not in the parent: an
+//!   inner slot whose `block` is [`ABSENT`] holds no child, and a brick slot
+//!   holding the [`ABSENT_LEAF`] bit pattern (a NaN no tree write stores)
+//!   holds no leaf. A traversal reads the child slot next anyway, so
+//!   presence costs no access of its own;
+//! * a node's `block` is [`NO_BLOCK`] while it is childless; a block in use
+//!   always holds at least one present child;
+//! * every traversal knows its level, and picks the pool by it: a level-1
+//!   node's `block` indexes the brick pool, any other's the inner pool;
+//! * pruning pushes the freed block or brick onto its pool's free-list
+//!   instead of returning memory to the allocator; the next expansion or
+//!   insertion reuses it, writing all eight slots first;
 //! * update, search and prune are iterative — no recursion on the hot path.
 //!
-//! The pool is append-only apart from the free-list, so node indices are
+//! The pools are append-only apart from the free-lists, so node indices are
 //! stable across updates: an in-flight traversal's path array stays valid
 //! while ancestors prune below it.
 
@@ -29,39 +43,94 @@ use crate::occupancy::OccupancyParams;
 use crate::stats::TreeStats;
 use crate::tree::LeafOp;
 
-/// Sentinel for "no child block".
+/// `block` of a childless node.
 const NO_BLOCK: u32 = u32::MAX;
+/// `block` of an inner slot that holds no child. The pools are kept far
+/// below it ([`MAX_BLOCKS`]), so no block index is it.
+const ABSENT: u32 = u32::MAX - 1;
+/// Bits of a brick slot that holds no leaf: a NaN, compared by bits. Every
+/// tree write stores a finite value ([`OccupancyParams::clamp`]), so no
+/// leaf ever holds it.
+const ABSENT_LEAF: u32 = u32::MAX;
+/// Blocks (and bricks) per pool: a slot (leaf) index is `block · 8 + i`,
+/// which must fit a `u32` and stay clear of [`ABSENT`].
+const MAX_BLOCKS: usize = 1 << 29;
 
-/// One pooled node: 12 bytes instead of a heap box plus a 64-byte child
-/// array.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ArenaNode {
+/// One inner node: 8 bytes, so a block of eight siblings is 64.
+#[derive(Debug, Clone, Copy)]
+struct Inner {
     log_odds: f32,
-    /// Pool index of the first of this node's eight child slots, or
-    /// [`NO_BLOCK`] for a childless node.
+    /// [`NO_BLOCK`] for a childless node, [`ABSENT`] for a slot holding no
+    /// child, else the index of this node's children — a brick for a
+    /// level-1 node, an inner block above.
     block: u32,
-    /// Child-presence bitmask (bit `i` set ⇔ child `i` exists).
-    mask: u8,
 }
 
-impl ArenaNode {
+impl Inner {
+    /// A slot holding no child. Its value, −∞, never wins a maximum.
+    const ABSENT: Inner = Inner {
+        log_odds: f32::NEG_INFINITY,
+        block: ABSENT,
+    };
+
     #[inline]
-    fn leaf(log_odds: f32) -> ArenaNode {
-        ArenaNode {
+    fn childless(log_odds: f32) -> Inner {
+        Inner {
             log_odds,
             block: NO_BLOCK,
-            mask: 0,
         }
     }
+}
+
+/// Eight sibling inner slots: child `i` of a node whose `block` is `b` is
+/// slot `b · 8 + i`. Block 0 holds the root in slot 0 and nothing else.
+///
+/// Neither pool is over-aligned: a type aligned past 16 bytes makes std
+/// grow a `Vec` by allocate-copy-free instead of `realloc`, which keeps
+/// both copies resident while the pool grows (`peak_rss_mb` on
+/// `campus_baseline` read 77 MB against 44 so, on a 2-vCPU x86-64 host),
+/// and aligned blocks read no faster.
+type Block = [Inner; 8];
+
+/// The eight leaves under one level-1 node: 32 bytes. Leaf `i` of brick
+/// `b` is leaf `b · 8 + i`.
+type Brick = [f32; 8];
+
+#[inline]
+fn is_absent(leaf: f32) -> bool {
+    leaf.to_bits() == ABSENT_LEAF
+}
+
+/// Where an octree's pool bytes go: see
+/// [`OccupancyOcTree::pool_census`](crate::OccupancyOcTree::pool_census).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolCensus {
+    /// Live nodes.
+    pub nodes: usize,
+    /// Live leaves (pruned cubes count once).
+    pub leaves: usize,
+    /// Inner blocks in use, the root's own block included: 64 bytes each.
+    pub inner_blocks: usize,
+    /// Leaf bricks in use: 32 bytes each.
+    pub bricks: usize,
+    /// Inner blocks on the free list.
+    pub free_inner_blocks: usize,
+    /// Bricks on the free list.
+    pub free_bricks: usize,
+    /// [`OccupancyOcTree::memory_usage`](crate::OccupancyOcTree::memory_usage).
+    pub bytes: usize,
 }
 
 /// A `Vec`-backed occupancy octree: the storage behind
 /// [`crate::OccupancyOcTree`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ArenaTree {
-    nodes: Vec<ArenaNode>,
-    /// Recycled child blocks (base indices), most recently freed last.
-    free_blocks: Vec<u32>,
+    inner: Vec<Block>,
+    bricks: Vec<Brick>,
+    /// Recycled inner blocks, most recently freed last.
+    free_inner: Vec<u32>,
+    /// Recycled bricks, most recently freed last.
+    free_bricks: Vec<u32>,
 }
 
 impl ArenaTree {
@@ -71,60 +140,115 @@ impl ArenaTree {
 
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.inner.is_empty()
     }
 
     #[inline]
-    pub(crate) fn log_odds(&self, idx: u32) -> f32 {
-        self.nodes[idx as usize].log_odds
+    fn node(&self, idx: u32) -> Inner {
+        self.inner[(idx >> 3) as usize][(idx & 7) as usize]
     }
 
     #[inline]
-    pub(crate) fn child_mask(&self, idx: u32) -> u8 {
-        self.nodes[idx as usize].mask
+    fn node_mut(&mut self, idx: u32) -> &mut Inner {
+        &mut self.inner[(idx >> 3) as usize][(idx & 7) as usize]
     }
 
-    /// Pool index of child `i` of `idx`, if present.
     #[inline]
-    pub(crate) fn child_of(&self, idx: u32, i: usize) -> Option<u32> {
-        let n = &self.nodes[idx as usize];
-        if n.mask & (1 << i) == 0 {
-            None
+    fn leaf(&self, idx: u32) -> f32 {
+        self.bricks[(idx >> 3) as usize][(idx & 7) as usize]
+    }
+
+    #[inline]
+    fn leaf_mut(&mut self, idx: u32) -> &mut f32 {
+        &mut self.bricks[(idx >> 3) as usize][(idx & 7) as usize]
+    }
+
+    /// The value of node `idx` at `level` (0 = a leaf in the brick pool).
+    #[inline]
+    pub(crate) fn log_odds(&self, idx: u32, level: u8) -> f32 {
+        if level == 0 {
+            self.leaf(idx)
         } else {
-            Some(n.block + i as u32)
+            self.node(idx).log_odds
         }
     }
 
-    /// Drops every node *and* the pool's capacity (so
-    /// `memory_usage` reflects the release).
+    #[inline]
+    pub(crate) fn has_children(&self, idx: u32, level: u8) -> bool {
+        level > 0 && self.node(idx).block != NO_BLOCK
+    }
+
+    /// Child-presence bitmask of node `idx` at `level` (bit `i` set ⇔
+    /// child `i` exists), read from the child slots.
+    pub(crate) fn child_mask(&self, idx: u32, level: u8) -> u8 {
+        (0..8).fold(0u8, |mask, i| {
+            mask | u8::from(self.child_of(idx, level, i).is_some()) << i
+        })
+    }
+
+    /// Index of child `i` of node `idx` at `level`, if present (a leaf
+    /// index when `level` is 1).
+    #[inline]
+    pub(crate) fn child_of(&self, idx: u32, level: u8, i: usize) -> Option<u32> {
+        if !self.has_children(idx, level) {
+            return None;
+        }
+        let child = self.node(idx).block * 8 + i as u32;
+        let present = if level == 1 {
+            !is_absent(self.leaf(child))
+        } else {
+            self.node(child).block != ABSENT
+        };
+        present.then_some(child)
+    }
+
+    /// Drops every node *and* the pools' capacity (so `memory_usage`
+    /// reflects the release).
     pub(crate) fn clear(&mut self) {
         *self = ArenaTree::new();
     }
 
-    /// Pool footprint in bytes: allocated capacity of the node pool
-    /// (free-list slack included — recycled blocks stay resident) plus the
-    /// free-list itself.
+    /// Pool footprint in bytes: allocated capacity of both pools (free-list
+    /// slack included — recycled blocks stay resident) plus the free-lists.
     pub(crate) fn memory_usage(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<ArenaNode>()
-            + self.free_blocks.capacity() * std::mem::size_of::<u32>()
+        use std::mem::size_of;
+        self.inner.capacity() * size_of::<Block>()
+            + self.bricks.capacity() * size_of::<Brick>()
+            + (self.free_inner.capacity() + self.free_bricks.capacity()) * size_of::<u32>()
     }
 
-    /// Grabs a child block: recycles the most recently freed one, else grows
-    /// the pool by eight slots.
-    fn alloc_block(&mut self) -> u32 {
-        if let Some(b) = self.free_blocks.pop() {
+    /// Grabs an inner block with all eight slots set to `fill`: recycles
+    /// the most recently freed one, else grows the pool by one block.
+    fn alloc_inner(&mut self, fill: Inner) -> u32 {
+        let block: Block = [fill; 8];
+        if let Some(b) = self.free_inner.pop() {
+            self.inner[b as usize] = block;
             return b;
         }
         // Map streams grow the pool too, so the index space is checked
-        // rather than wrapped: `b + 7` must stay below `NO_BLOCK`.
+        // rather than wrapped: a slot index is `block · 8 + i`.
         assert!(
-            self.nodes.len() < (NO_BLOCK - 8) as usize,
+            self.inner.len() < MAX_BLOCKS,
             "octree pool exceeds the u32 index space"
         );
-        let b = self.nodes.len() as u32;
-        self.nodes
-            .resize(self.nodes.len() + 8, ArenaNode::leaf(0.0));
-        b
+        self.inner.push(block);
+        self.inner.len() as u32 - 1
+    }
+
+    /// Grabs a brick with all eight leaves set to `fill`: recycles the most
+    /// recently freed one, else grows the brick pool by one.
+    fn alloc_brick(&mut self, fill: f32) -> u32 {
+        let brick: Brick = [fill; 8];
+        if let Some(b) = self.free_bricks.pop() {
+            self.bricks[b as usize] = brick;
+            return b;
+        }
+        assert!(
+            self.bricks.len() < MAX_BLOCKS,
+            "octree brick pool exceeds the u32 index space"
+        );
+        self.bricks.push(brick);
+        self.bricks.len() as u32 - 1
     }
 
     /// Opens a write path on the tree: see [`OpenPath`].
@@ -148,58 +272,99 @@ impl ArenaTree {
         }
     }
 
-    /// One level of the descent: from inner node `idx` into child `child`,
-    /// expanding `idx` first when it is a pruned aggregate (childless and
-    /// not `fresh`, i.e. not created by this very descent) so the sibling
-    /// octants keep their value, and creating the child when it is missing.
-    /// Returns the child's index and whether it was just created.
+    /// The block under inner node `idx` — a brick when `leaves`, i.e. at
+    /// level 1 — whose value `node` the descent has already read: a pruned
+    /// aggregate (childless and not `fresh`, i.e. not created by this very
+    /// descent) first expands into eight copies of itself so the sibling
+    /// octants keep their value, and a fresh node gets a block of absent
+    /// slots.
+    #[inline]
+    fn block_below(
+        &mut self,
+        idx: u32,
+        node: Inner,
+        leaves: bool,
+        fresh: bool,
+        stats: &mut TreeStats,
+    ) -> u32 {
+        if node.block != NO_BLOCK {
+            return node.block;
+        }
+        let block = match (leaves, fresh) {
+            (true, false) => self.alloc_brick(node.log_odds),
+            (true, true) => self.alloc_brick(f32::from_bits(ABSENT_LEAF)),
+            (false, false) => self.alloc_inner(Inner::childless(node.log_odds)),
+            (false, true) => self.alloc_inner(Inner::ABSENT),
+        };
+        self.node_mut(idx).block = block;
+        if !fresh {
+            *stats.expansions.get_mut() += 1;
+            *stats.node_visits.get_mut() += 8;
+        }
+        block
+    }
+
+    /// One level of the descent above level 1: from inner node `idx`
+    /// (value `node`) into child `child`, creating the child when it is
+    /// missing. Returns the child's index and value, which the next step
+    /// reads instead of loading the slot again, and whether it was just
+    /// created.
     #[inline]
     fn step_down(
         &mut self,
         idx: u32,
+        node: Inner,
         child: usize,
         fresh: bool,
         params: &OccupancyParams,
         stats: &mut TreeStats,
-    ) -> (u32, bool) {
-        let bit = 1u8 << child;
-        let node = self.nodes[idx as usize];
-        if !fresh && node.mask == 0 {
-            let block = self.alloc_block();
-            for s in 0..8u32 {
-                self.nodes[(block + s) as usize] = ArenaNode::leaf(node.log_odds);
-            }
-            let n = &mut self.nodes[idx as usize];
-            n.block = block;
-            n.mask = 0xff;
-            *stats.expansions.get_mut() += 1;
-            *stats.node_visits.get_mut() += 8;
-        }
-        let mut created = false;
-        if self.nodes[idx as usize].mask & bit == 0 {
-            if self.nodes[idx as usize].block == NO_BLOCK {
-                let b = self.alloc_block();
-                self.nodes[idx as usize].block = b;
-            }
-            let b = self.nodes[idx as usize].block;
-            self.nodes[(b + child as u32) as usize] = ArenaNode::leaf(params.threshold);
-            self.nodes[idx as usize].mask |= bit;
+    ) -> (u32, Inner, bool) {
+        let c = self.block_below(idx, node, false, fresh, stats) * 8 + child as u32;
+        let slot = self.node_mut(c);
+        let created = slot.block == ABSENT;
+        if created {
+            *slot = Inner::childless(params.threshold);
             *stats.nodes_created.get_mut() += 1;
-            created = true;
         }
-        (self.nodes[idx as usize].block + child as u32, created)
+        (c, *slot, created)
     }
 
-    /// Closes inner node `idx` once everything below it is final: merges
-    /// eight equal childless children into it, else refreshes its value to
-    /// the max of its children.
+    /// The last level of the descent: from level-1 node `idx` (value
+    /// `node`) into leaf `child` of its brick, creating the leaf when it is
+    /// missing. Returns the leaf's index.
     #[inline]
-    fn close_node(&mut self, idx: u32, auto_prune: bool, stats: &mut TreeStats) {
-        if auto_prune && self.is_prunable(idx) {
-            self.prune_node(idx);
+    fn step_to_leaf(
+        &mut self,
+        idx: u32,
+        node: Inner,
+        child: usize,
+        fresh: bool,
+        params: &OccupancyParams,
+        stats: &mut TreeStats,
+    ) -> u32 {
+        let leaf = self.block_below(idx, node, true, fresh, stats) * 8 + child as u32;
+        let slot = self.leaf_mut(leaf);
+        if is_absent(*slot) {
+            *slot = params.threshold;
+            *stats.nodes_created.get_mut() += 1;
+        }
+        leaf
+    }
+
+    /// Closes inner node `idx` at `level` once everything below it is
+    /// final: merges eight equal childless children into it, else refreshes
+    /// its value to the max of its children.
+    #[inline]
+    fn close_node(&mut self, idx: u32, level: u8, auto_prune: bool, stats: &mut TreeStats) {
+        let block = self.node(idx).block;
+        if block == NO_BLOCK {
+            return;
+        }
+        if let Some(v) = self.uniform_children(block, level).filter(|_| auto_prune) {
+            self.prune_node(idx, level, v);
             *stats.prunes.get_mut() += 1;
         } else {
-            self.refresh_from_children(idx);
+            self.node_mut(idx).log_odds = self.max_of(block, level);
         }
     }
 
@@ -219,202 +384,282 @@ impl ArenaTree {
         }
     }
 
-    /// Full bottom-up prune (iterative post-order): freed child blocks go to
-    /// the free-list for recycling.
+    /// Full bottom-up prune (iterative post-order): freed blocks and bricks
+    /// go to their free-lists for recycling.
     pub(crate) fn prune(&mut self, depth: u8, stats: &mut TreeStats) {
-        if self.nodes.is_empty() {
+        if self.inner.is_empty() {
             return;
         }
         let mut stack: Vec<(u32, u8, bool)> = vec![(0, depth, false)];
         while let Some((idx, level, children_done)) = stack.pop() {
-            let n = self.nodes[idx as usize];
-            if level == 0 || n.mask == 0 {
+            if !self.has_children(idx, level) {
                 continue;
             }
-            if !children_done {
-                stack.push((idx, level, true));
-                for c in 0..8u32 {
-                    if n.mask & (1 << c) != 0 {
-                        stack.push((n.block + c, level - 1, false));
+            if children_done {
+                self.close_node(idx, level, true, stats);
+                continue;
+            }
+            stack.push((idx, level, true));
+            if level > 1 {
+                let block = self.node(idx).block;
+                for c in block * 8..block * 8 + 8 {
+                    if self.node(c).block != ABSENT {
+                        stack.push((c, level - 1, false));
                     }
                 }
+            }
+        }
+    }
+
+    /// The value all eight children in `block` (under a node at `level`)
+    /// share, when all eight exist, are childless and are equal (`==`; an
+    /// absent leaf is a NaN, which equals nothing). Most blocks fail at the
+    /// first or second slot.
+    #[inline]
+    fn uniform_children(&self, block: u32, level: u8) -> Option<f32> {
+        if level == 1 {
+            let brick = &self.bricks[block as usize];
+            let v = brick[0];
+            brick.iter().all(|&c| c == v).then_some(v)
+        } else {
+            let slots = &self.inner[block as usize];
+            let v = slots[0].log_odds;
+            slots
+                .iter()
+                .all(|c| c.block == NO_BLOCK && c.log_odds == v)
+                .then_some(v)
+        }
+    }
+
+    /// The maximum over the present children in `block` (under a node at
+    /// `level`): an absent inner slot holds −∞, and an absent leaf reads as
+    /// −∞ here. The eight values reduce as a tree, three comparisons deep:
+    /// the closes up a path form one dependency chain (each reads the value
+    /// the one below wrote), and a left fold made every level of it eight
+    /// maxima long.
+    #[inline]
+    fn max_of(&self, block: u32, level: u8) -> f32 {
+        let v = if level == 1 {
+            let absent_low = |v: f32| if is_absent(v) { f32::NEG_INFINITY } else { v };
+            self.bricks[block as usize].map(absent_low)
+        } else {
+            self.inner[block as usize].map(|c| c.log_odds)
+        };
+        // No NaN reaches here, so one comparison is a maximum.
+        let max = |a: f32, b: f32| if a > b { a } else { b };
+        max(
+            max(max(v[0], v[1]), max(v[2], v[3])),
+            max(max(v[4], v[5]), max(v[6], v[7])),
+        )
+    }
+
+    /// Merges the children of inner node `idx` at `level` into it with
+    /// value `v`, recycling their block or brick. Caller must have checked
+    /// that all eight are equal and childless.
+    fn prune_node(&mut self, idx: u32, level: u8, v: f32) {
+        let n = self.node_mut(idx);
+        let block = std::mem::replace(n, Inner::childless(v)).block;
+        if level == 1 {
+            self.free_bricks.push(block);
+        } else {
+            self.free_inner.push(block);
+        }
+    }
+
+    /// The maximum value over the children of node `idx` at `level`, if it
+    /// has any.
+    pub(crate) fn max_child(&self, idx: u32, level: u8) -> Option<f32> {
+        self.has_children(idx, level)
+            .then(|| self.max_of(self.node(idx).block, level))
+    }
+
+    /// Refreshes inner node `idx` at `level` to the maximum over its
+    /// children (no-op on a childless node).
+    pub(crate) fn refresh_from_children(&mut self, idx: u32, level: u8) {
+        if let Some(max) = self.max_child(idx, level) {
+            self.node_mut(idx).log_odds = max;
+        }
+    }
+
+    /// Counts the live nodes, blocks and bricks of a tree of `depth`
+    /// levels.
+    pub(crate) fn census(&self, depth: u8) -> PoolCensus {
+        let mut census = PoolCensus {
+            nodes: 0,
+            leaves: 0,
+            inner_blocks: 0,
+            bricks: 0,
+            free_inner_blocks: self.free_inner.len(),
+            free_bricks: self.free_bricks.len(),
+            bytes: self.memory_usage(),
+        };
+        if self.inner.is_empty() {
+            return census;
+        }
+        // The root's own block.
+        census.inner_blocks = 1;
+        let mut stack = vec![(0u32, depth)];
+        while let Some((idx, level)) = stack.pop() {
+            census.nodes += 1;
+            let block = self.node(idx).block;
+            if block == NO_BLOCK {
+                census.leaves += 1;
+            } else if level == 1 {
+                let present = self.bricks[block as usize]
+                    .iter()
+                    .filter(|&&v| !is_absent(v))
+                    .count();
+                census.bricks += 1;
+                census.nodes += present;
+                census.leaves += present;
             } else {
-                self.close_node(idx, true, stats);
-            }
-        }
-    }
-
-    /// True when all eight children exist, all are childless and all carry
-    /// the same value.
-    fn is_prunable(&self, idx: u32) -> bool {
-        let n = self.nodes[idx as usize];
-        if n.mask != 0xff {
-            return false;
-        }
-        let b = n.block as usize;
-        let first = self.nodes[b];
-        if first.mask != 0 {
-            return false;
-        }
-        let v = first.log_odds;
-        for s in 1..8 {
-            let c = self.nodes[b + s];
-            if c.mask != 0 || c.log_odds != v {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Merges eight equal childless children into their parent, recycling
-    /// the child block. Caller must have checked `is_prunable`.
-    fn prune_node(&mut self, idx: u32) {
-        let block = self.nodes[idx as usize].block;
-        let v = self.nodes[block as usize].log_odds;
-        self.free_blocks.push(block);
-        let n = &mut self.nodes[idx as usize];
-        n.log_odds = v;
-        n.block = NO_BLOCK;
-        n.mask = 0;
-    }
-
-    /// The maximum value over the children of `idx`, if it has any.
-    pub(crate) fn max_child(&self, idx: u32) -> Option<f32> {
-        let n = self.nodes[idx as usize];
-        if n.mask == 0 {
-            return None;
-        }
-        let mut max = f32::NEG_INFINITY;
-        for c in 0..8u32 {
-            if n.mask & (1 << c) != 0 {
-                max = max.max(self.nodes[(n.block + c) as usize].log_odds);
-            }
-        }
-        Some(max)
-    }
-
-    /// Refreshes inner node `idx` to the maximum over its children (no-op on
-    /// a childless node).
-    pub(crate) fn refresh_from_children(&mut self, idx: u32) {
-        if let Some(max) = self.max_child(idx) {
-            self.nodes[idx as usize].log_odds = max;
-        }
-    }
-
-    pub(crate) fn count_nodes(&self) -> usize {
-        self.walk().0
-    }
-
-    pub(crate) fn count_leaves(&self) -> usize {
-        self.walk().1
-    }
-
-    /// Counts the live nodes: `(nodes, leaves)`.
-    fn walk(&self) -> (usize, usize) {
-        if self.nodes.is_empty() {
-            return (0, 0);
-        }
-        let (mut nodes, mut leaves) = (0usize, 0usize);
-        let mut stack = vec![0u32];
-        while let Some(idx) = stack.pop() {
-            nodes += 1;
-            let n = self.nodes[idx as usize];
-            if n.mask == 0 {
-                leaves += 1;
-                continue;
-            }
-            for c in 0..8u32 {
-                if n.mask & (1 << c) != 0 {
-                    stack.push(n.block + c);
+                census.inner_blocks += 1;
+                for c in block * 8..block * 8 + 8 {
+                    if self.node(c).block != ABSENT {
+                        stack.push((c, level - 1));
+                    }
                 }
             }
         }
-        (nodes, leaves)
+        census
+    }
+
+    /// Starts an empty pool with a childless root: block 0, whose other
+    /// slots stay absent.
+    fn push_root_block(&mut self, log_odds: f32) {
+        let mut root: Block = [Inner::ABSENT; 8];
+        root[0] = Inner::childless(log_odds);
+        self.inner.push(root);
     }
 
     /// Decoder primitive: starts an empty pool with a childless root.
     pub(crate) fn push_root(&mut self, log_odds: f32) {
-        debug_assert!(self.nodes.is_empty());
-        self.nodes.push(ArenaNode::leaf(log_odds));
+        debug_assert!(self.inner.is_empty());
+        self.push_root_block(log_odds);
     }
 
-    /// Decoder primitive: gives childless node `idx` a child block holding
-    /// the children named in `mask` and returns the block's base index. The
-    /// caller sets every named child's value; the slots start childless
-    /// because a pool being decoded has never freed a block.
-    pub(crate) fn add_children(&mut self, idx: u32, mask: u8) -> u32 {
-        debug_assert!(self.free_blocks.is_empty());
-        let block = self.alloc_block();
-        let n = &mut self.nodes[idx as usize];
-        n.block = block;
-        n.mask = mask;
-        block
+    /// Decoder primitive: gives childless inner node `idx` at `level` a
+    /// block holding the children named in `mask` (non-zero) and returns
+    /// the index of its child 0 (a leaf index when `level` is 1). The
+    /// caller sets every named child's value; named inner children start
+    /// childless.
+    pub(crate) fn add_children(&mut self, idx: u32, level: u8, mask: u8) -> u32 {
+        debug_assert!(mask != 0 && level > 0);
+        let named = |i: u32| mask & (1 << i) != 0;
+        let block = if level == 1 {
+            let b = self.alloc_brick(f32::from_bits(ABSENT_LEAF));
+            for i in (0..8).filter(|&i| named(i)) {
+                *self.leaf_mut(b * 8 + i) = 0.0;
+            }
+            b
+        } else {
+            let b = self.alloc_inner(Inner::ABSENT);
+            for i in (0..8).filter(|&i| named(i)) {
+                *self.node_mut(b * 8 + i) = Inner::childless(0.0);
+            }
+            b
+        };
+        self.node_mut(idx).block = block;
+        block * 8
     }
 
-    /// Decoder primitive: overwrites one node's value.
-    pub(crate) fn set_log_odds(&mut self, idx: u32, log_odds: f32) {
-        self.nodes[idx as usize].log_odds = log_odds;
+    /// Decoder primitive: overwrites the value of node `idx` at `level`.
+    pub(crate) fn set_log_odds(&mut self, idx: u32, level: u8, log_odds: f32) {
+        if level == 0 {
+            *self.leaf_mut(idx) = log_odds;
+        } else {
+            self.node_mut(idx).log_odds = log_odds;
+        }
     }
 
-    /// Structural self-check: every reachable childless node holds no block,
-    /// every block index is well-formed, and every allocated block is either
-    /// reachable or on the free-list — exactly once.
-    pub(crate) fn check_structure(&self) -> Result<(), String> {
-        if self.nodes.is_empty() {
-            if !self.free_blocks.is_empty() {
-                return Err("free list non-empty in an empty tree".into());
+    /// Structural self-check of a tree of `depth` levels: every reached
+    /// childless node holds no block, every block and brick index is
+    /// well-formed, every block in use holds a present child and every
+    /// brick in use a present leaf, no leaf is a NaN, and every allocated
+    /// block and brick is either reached or on its free-list — exactly once.
+    pub(crate) fn check_structure(&self, depth: u8) -> Result<(), String> {
+        if self.inner.is_empty() {
+            if !(self.bricks.is_empty()
+                && self.free_inner.is_empty()
+                && self.free_bricks.is_empty())
+            {
+                return Err("bricks or free blocks in an empty tree".into());
             }
             return Ok(());
         }
-        if !(self.nodes.len() - 1).is_multiple_of(8) {
-            return Err(format!("pool size {} is not 1 + 8k", self.nodes.len()));
-        }
-        let total_blocks = (self.nodes.len() - 1) / 8;
-        let block_slot = |b: u32| -> Result<usize, String> {
-            let b = b as usize;
-            if b == 0 || !(b - 1).is_multiple_of(8) || b + 8 > self.nodes.len() {
+        let total_inner = self.inner.len() - 1;
+        // Block 0 is the root's, never freed and never a child block.
+        let inner_slot = |b: u32| -> Result<usize, String> {
+            if b == 0 || b as usize >= self.inner.len() {
                 Err(format!("bad block index {b}"))
             } else {
-                Ok((b - 1) / 8)
+                Ok(b as usize - 1)
             }
         };
-        let mut seen = vec![false; total_blocks];
-        for &b in &self.free_blocks {
-            let s = block_slot(b)?;
-            if seen[s] {
-                return Err(format!("block {b} freed twice"));
+        let brick_slot = |b: u32| -> Result<usize, String> {
+            if (b as usize) < self.bricks.len() {
+                Ok(b as usize)
+            } else {
+                Err(format!("bad brick index {b}"))
             }
-            seen[s] = true;
+        };
+        let mut seen_inner = vec![false; total_inner];
+        let mut seen_bricks = vec![false; self.bricks.len()];
+        let mark = |seen: &mut Vec<bool>, s: usize, what: &str, b: u32| {
+            if std::mem::replace(&mut seen[s], true) {
+                Err(format!("{what} {b} reached twice or also on a free list"))
+            } else {
+                Ok(())
+            }
+        };
+        for &b in &self.free_inner {
+            mark(&mut seen_inner, inner_slot(b)?, "block", b)?;
         }
-        let mut live = 0usize;
-        let mut stack = vec![0u32];
-        while let Some(i) = stack.pop() {
-            let n = self.nodes[i as usize];
-            if n.mask == 0 {
-                if n.block != NO_BLOCK {
-                    return Err(format!("childless node {i} keeps block {}", n.block));
+        for &b in &self.free_bricks {
+            mark(&mut seen_bricks, brick_slot(b)?, "brick", b)?;
+        }
+        let root = &self.inner[0];
+        if root[0].block == ABSENT || root[1..].iter().any(|s| s.block != ABSENT) {
+            return Err("block 0 holds something besides the root".into());
+        }
+        let (mut live_inner, mut live_bricks) = (0usize, 0usize);
+        let mut stack = vec![(0u32, depth)];
+        while let Some((i, level)) = stack.pop() {
+            let b = self.node(i).block;
+            if b == NO_BLOCK {
+                continue;
+            }
+            if level == 1 {
+                mark(&mut seen_bricks, brick_slot(b)?, "brick", b)?;
+                live_bricks += 1;
+                let brick = &self.bricks[b as usize];
+                if brick.iter().all(|&v| is_absent(v)) {
+                    return Err(format!("brick {b} under node {i} holds no leaf"));
+                }
+                if brick.iter().any(|&v| v.is_nan() && !is_absent(v)) {
+                    return Err(format!("brick {b} under node {i} holds a NaN leaf"));
                 }
                 continue;
             }
-            let s = block_slot(n.block)?;
-            if seen[s] {
-                return Err(format!(
-                    "block {} reached twice or also on free list",
-                    n.block
-                ));
+            mark(&mut seen_inner, inner_slot(b)?, "block", b)?;
+            live_inner += 1;
+            let present: Vec<u32> = (b * 8..b * 8 + 8)
+                .filter(|&c| self.node(c).block != ABSENT)
+                .collect();
+            if present.is_empty() {
+                return Err(format!("block {b} under node {i} holds no child"));
             }
-            seen[s] = true;
-            live += 1;
-            for c in 0..8u32 {
-                if n.mask & (1 << c) != 0 {
-                    stack.push(n.block + c);
-                }
-            }
+            stack.extend(present.into_iter().map(|c| (c, level - 1)));
         }
-        if live + self.free_blocks.len() != total_blocks {
+        if live_inner + self.free_inner.len() != total_inner
+            || live_bricks + self.free_bricks.len() != self.bricks.len()
+        {
             return Err(format!(
-                "leaked blocks: {live} live + {} free != {total_blocks} allocated",
-                self.free_blocks.len()
+                "leaked blocks: {live_inner} live + {} free != {total_inner} allocated, \
+                 {live_bricks} live + {} free != {} bricks",
+                self.free_inner.len(),
+                self.free_bricks.len(),
+                self.bricks.len()
             ));
         }
         Ok(())
@@ -446,8 +691,9 @@ pub(crate) struct OpenPath<'a> {
     depth: u8,
     auto_prune: bool,
     /// `path[depth - l]` is the open node at level `l` (the root is level
-    /// `depth`, a leaf level 0). Indices are stable (the pool never
-    /// compacts), so entries stay valid while nodes below them prune.
+    /// `depth`, a leaf level 0, indexed in the brick pool). Indices are
+    /// stable (the pools never compact), so entries stay valid while nodes
+    /// below them prune.
     path: [u32; 17],
     /// Level of the deepest open node; `depth + 1` while nothing is open.
     level: u8,
@@ -463,8 +709,8 @@ impl OpenPath<'_> {
         let depth = self.depth;
         let mut fresh = false;
         if self.level > depth {
-            if self.tree.nodes.is_empty() {
-                self.tree.nodes.push(ArenaNode::leaf(self.params.threshold));
+            if self.tree.inner.is_empty() {
+                self.tree.push_root_block(self.params.threshold);
                 *self.stats.nodes_created.get_mut() += 1;
                 fresh = true;
             }
@@ -476,22 +722,34 @@ impl OpenPath<'_> {
         let mut idx = self.path[(depth - self.level) as usize];
         // One visit per node on the way down, the leaf included.
         *self.stats.node_visits.get_mut() += u64::from(self.level) + 1;
-        while self.level > 0 {
-            let child = key.child_index(self.level - 1).as_usize();
-            (idx, fresh) = self
+        if self.level > 0 {
+            // Each step hands the child's value to the next, so a level
+            // costs one load.
+            let mut node = self.tree.node(idx);
+            while self.level > 1 {
+                let child = key.child_index(self.level - 1).as_usize();
+                (idx, node, fresh) =
+                    self.tree
+                        .step_down(idx, node, child, fresh, self.params, self.stats);
+                self.level -= 1;
+                self.path[(depth - self.level) as usize] = idx;
+            }
+            let child = key.child_index(0).as_usize();
+            idx = self
                 .tree
-                .step_down(idx, child, fresh, self.params, self.stats);
-            self.level -= 1;
-            self.path[(depth - self.level) as usize] = idx;
+                .step_to_leaf(idx, node, child, fresh, self.params, self.stats);
+            self.level = 0;
+            self.path[depth as usize] = idx;
         }
         self.key = key;
 
-        let leaf = &mut self.tree.nodes[idx as usize];
+        let leaf = self.tree.leaf_mut(idx);
         let new = match op {
-            LeafOp::Observe { occupied } => self.params.apply(leaf.log_odds, occupied),
+            LeafOp::Observe { occupied } => self.params.apply(*leaf, occupied),
             LeafOp::Set { value } => self.params.clamp(value),
         };
-        leaf.log_odds = new;
+        debug_assert!(!is_absent(new), "a leaf write stored the absent pattern");
+        *leaf = new;
         *self.stats.leaf_updates.get_mut() += 1;
         new
     }
@@ -513,7 +771,8 @@ impl OpenPath<'_> {
         while self.level < upto {
             if self.level > 0 {
                 let idx = self.path[(self.depth - self.level) as usize];
-                self.tree.close_node(idx, self.auto_prune, self.stats);
+                self.tree
+                    .close_node(idx, self.level, self.auto_prune, self.stats);
             }
             self.level += 1;
         }
@@ -553,8 +812,9 @@ pub struct ReadCursor<'a> {
     stats: &'a TreeStats,
     depth: u8,
     /// `path[i]` is the node at level `depth - i` along the last lookup's
-    /// descent (`path[0]` the root), for `i < len`. A descent that met a
-    /// missing child or a pruned aggregate leaves a shorter path.
+    /// descent (`path[0]` the root; a leaf is indexed in the brick pool),
+    /// for `i < len`. A descent that met a missing child or a pruned
+    /// aggregate leaves a shorter path.
     path: [u32; 17],
     len: u8,
     /// The last key looked up, once `len > 0`.
@@ -569,8 +829,8 @@ impl ReadCursor<'_> {
     #[inline]
     pub fn search(&mut self, key: VoxelKey) -> Option<f32> {
         self.queries += 1;
-        let nodes = &self.tree.nodes;
-        if nodes.is_empty() {
+        let tree = self.tree;
+        if tree.inner.is_empty() {
             return None;
         }
         let depth = self.depth;
@@ -587,24 +847,37 @@ impl ReadCursor<'_> {
         self.key = key;
         let mut idx = self.path[self.len as usize - 1];
         let mut level = depth + 1 - self.len;
-        // One index add per level, no pointer dereference.
-        while level > 0 {
-            let n = nodes[idx as usize];
-            if n.mask == 0 {
+        if level == 0 {
+            return Some(tree.leaf(idx));
+        }
+        // One index add per level, no pointer dereference; a child's
+        // presence is read from the child's own slot.
+        let mut n = tree.node(idx);
+        loop {
+            if n.block == NO_BLOCK {
                 // Pruned aggregate covering this voxel.
                 return Some(n.log_odds);
             }
-            let c = key.child_index(level - 1).as_usize();
-            if n.mask & (1 << c) == 0 {
+            idx = n.block * 8 + key.child_index(level - 1).as_usize() as u32;
+            if level == 1 {
+                let leaf = tree.leaf(idx);
+                if is_absent(leaf) {
+                    return None;
+                }
+                self.path[self.len as usize] = idx;
+                self.len += 1;
+                self.visited += 1;
+                return Some(leaf);
+            }
+            n = tree.node(idx);
+            if n.block == ABSENT {
                 return None;
             }
-            idx = n.block + c as u32;
             self.path[self.len as usize] = idx;
             self.len += 1;
             self.visited += 1;
             level -= 1;
         }
-        Some(nodes[idx as usize].log_odds)
     }
 
     /// Nodes descended into so far (what the drop adds to
@@ -631,16 +904,33 @@ impl Drop for ReadCursor<'_> {
 mod tests {
     use super::*;
 
+    const DEPTH: u8 = 4;
+
     fn params() -> OccupancyParams {
         OccupancyParams::default()
     }
 
     fn observe(t: &mut ArenaTree, key: VoxelKey, occupied: bool, stats: &mut TreeStats) -> f32 {
         let params = params();
-        let mut path = t.open_path(4, &params, stats, true);
+        let mut path = t.open_path(DEPTH, &params, stats, true);
         let new = path.apply(key, LeafOp::Observe { occupied });
         path.close();
         new
+    }
+
+    /// Saturates the `2^level`-voxel cube at the origin, which prunes it
+    /// to one aggregate.
+    fn saturate(t: &mut ArenaTree, level: u8, stats: &mut TreeStats) {
+        let edge = 1u16 << level;
+        for x in 0..edge {
+            for y in 0..edge {
+                for z in 0..edge {
+                    for _ in 0..10 {
+                        observe(t, VoxelKey::new(x, y, z), true, stats);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -649,36 +939,107 @@ mod tests {
         let mut stats = TreeStats::new();
         let key = VoxelKey::new(3, 7, 11);
         let v = observe(&mut t, key, true, &mut stats);
-        assert_eq!(t.read_cursor(4, &stats).search(key), Some(v));
+        assert_eq!(t.read_cursor(DEPTH, &stats).search(key), Some(v));
         assert_eq!(
-            t.read_cursor(4, &stats).search(VoxelKey::new(0, 0, 0)),
+            t.read_cursor(DEPTH, &stats).search(VoxelKey::new(0, 0, 0)),
             None
         );
-        t.check_structure().unwrap();
+        t.check_structure(DEPTH).unwrap();
     }
 
     #[test]
     fn prune_recycles_blocks() {
         let mut t = ArenaTree::new();
         let mut stats = TreeStats::new();
-        // Saturate a full octant so its eight leaves prune to one aggregate.
-        for x in 0..2u16 {
-            for y in 0..2u16 {
-                for z in 0..2u16 {
-                    for _ in 0..10 {
-                        observe(&mut t, VoxelKey::new(x, y, z), true, &mut stats);
-                    }
-                }
-            }
-        }
+        // A full octant's eight leaves prune to one aggregate.
+        saturate(&mut t, 1, &mut stats);
         assert!(stats.prunes() > 0);
-        assert!(!t.free_blocks.is_empty(), "prune must feed the free list");
-        t.check_structure().unwrap();
-        let len_before = t.nodes.len();
-        // The next expansion must reuse a recycled block, not grow the pool.
+        assert!(!t.free_bricks.is_empty(), "prune must feed the free list");
+        t.check_structure(DEPTH).unwrap();
+        let len_before = t.bricks.len();
+        // The next expansion must reuse a recycled brick, not grow the pool.
         observe(&mut t, VoxelKey::new(0, 0, 0), false, &mut stats);
-        assert_eq!(t.nodes.len(), len_before);
-        t.check_structure().unwrap();
+        assert_eq!(t.bricks.len(), len_before);
+        t.check_structure(DEPTH).unwrap();
+    }
+
+    #[test]
+    fn both_free_lists_recycle() {
+        let mut t = ArenaTree::new();
+        let mut stats = TreeStats::new();
+        // A saturated 4³ cube prunes its bricks (each octant's, recycled
+        // by the next), then the inner block above them.
+        saturate(&mut t, 2, &mut stats);
+        t.check_structure(DEPTH).unwrap();
+        assert_eq!(t.free_inner.len(), 1);
+        assert!(!t.free_bricks.is_empty());
+        let (inner, bricks) = (t.inner.len(), t.bricks.len());
+        // Writing one voxel inside expands both levels from the free lists.
+        observe(&mut t, VoxelKey::new(3, 3, 3), false, &mut stats);
+        assert_eq!((t.inner.len(), t.bricks.len()), (inner, bricks));
+        assert!(t.free_inner.is_empty());
+        t.check_structure(DEPTH).unwrap();
+        let cursor = &mut t.read_cursor(DEPTH, &stats);
+        assert_eq!(
+            cursor.search(VoxelKey::new(0, 0, 0)),
+            Some(params().clamp_max)
+        );
+        assert!(cursor.search(VoxelKey::new(3, 3, 3)).unwrap() < params().clamp_max);
+        assert_eq!(cursor.search(VoxelKey::new(4, 0, 0)), None);
+    }
+
+    #[test]
+    fn memory_usage_is_eight_bytes_a_slot_and_thirty_two_a_brick() {
+        assert_eq!(std::mem::size_of::<Inner>(), 8);
+        assert_eq!(std::mem::size_of::<Block>(), 64);
+        assert_eq!(std::mem::size_of::<Brick>(), 32);
+        let mut t = ArenaTree::new();
+        let mut stats = TreeStats::new();
+        // One voxel at depth 4: the root's block, inner blocks under
+        // levels 4, 3 and 2, and one brick under level 1.
+        observe(&mut t, VoxelKey::new(1, 2, 3), true, &mut stats);
+        let copy = t.clone();
+        assert_eq!(copy.memory_usage(), 8 * 8 * (1 + 3) + 32);
+        // Free lists count at 4 bytes an entry.
+        saturate(&mut t, 2, &mut stats);
+        let copy = t.clone();
+        assert!(!copy.free_inner.is_empty() && !copy.free_bricks.is_empty());
+        assert_eq!(
+            copy.memory_usage(),
+            8 * 8 * copy.inner.len()
+                + 32 * copy.bricks.len()
+                + 4 * (copy.free_inner.len() + copy.free_bricks.len())
+        );
+    }
+
+    #[test]
+    fn check_structure_rejects_empty_blocks_and_stray_nans() {
+        let mut t = ArenaTree::new();
+        let mut stats = TreeStats::new();
+        observe(&mut t, VoxelKey::new(1, 2, 3), true, &mut stats);
+        t.check_structure(DEPTH).unwrap();
+        let root_block = t.node(0).block as usize;
+        assert_eq!(t.bricks.len(), 1);
+
+        let mut no_child = t.clone();
+        no_child.inner[root_block] = [Inner::ABSENT; 8];
+        let err = no_child.check_structure(DEPTH).unwrap_err();
+        assert!(err.contains("holds no child"), "{err}");
+
+        let mut no_leaf = t.clone();
+        no_leaf.bricks[0] = [f32::from_bits(ABSENT_LEAF); 8];
+        let err = no_leaf.check_structure(DEPTH).unwrap_err();
+        assert!(err.contains("holds no leaf"), "{err}");
+
+        let mut nan_leaf = t.clone();
+        nan_leaf.bricks[0][0] = f32::NAN;
+        let err = nan_leaf.check_structure(DEPTH).unwrap_err();
+        assert!(err.contains("NaN leaf"), "{err}");
+
+        let mut leaked = t.clone();
+        leaked.bricks.push([0.0; 8]);
+        let err = leaked.check_structure(DEPTH).unwrap_err();
+        assert!(err.contains("leaked"), "{err}");
     }
 
     #[test]

@@ -303,14 +303,10 @@ fn read_payload(bytes: &[u8]) -> Result<OccupancyOcTree, ReadError> {
     Ok(OccupancyOcTree::from_pool(grid, params, pool))
 }
 
-/// Decodes the depth-first node stream straight into pool slot `idx`. The
-/// recursion is bounded by the header's tree depth (at most 16 levels).
-fn read_node(
-    buf: &mut &[u8],
-    pool: &mut ArenaTree,
-    idx: u32,
-    levels_left: u8,
-) -> Result<(), ReadError> {
+/// Decodes the depth-first node stream straight into node `idx` at
+/// `level`. The recursion is bounded by the header's tree depth (at most 16
+/// levels).
+fn read_node(buf: &mut &[u8], pool: &mut ArenaTree, idx: u32, level: u8) -> Result<(), ReadError> {
     if buf.remaining() < 5 {
         return Err(ReadError::Truncated);
     }
@@ -319,15 +315,15 @@ fn read_node(
         return Err(ReadError::NotFinite);
     }
     let mask = buf.get_u8();
-    pool.set_log_odds(idx, log_odds);
+    pool.set_log_odds(idx, level, log_odds);
     if mask != 0 {
-        if levels_left == 0 {
+        if level == 0 {
             return Err(ReadError::DepthOverflow);
         }
-        let block = pool.add_children(idx, mask);
+        let first = pool.add_children(idx, level, mask);
         for i in 0..8u32 {
             if mask & (1 << i) != 0 {
-                read_node(buf, pool, block + i, levels_left - 1)?;
+                read_node(buf, pool, first + i, level - 1)?;
             }
         }
     }

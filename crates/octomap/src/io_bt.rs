@@ -144,16 +144,16 @@ fn read_payload(bytes: &[u8]) -> Result<OccupancyOcTree, ReadError> {
     Ok(OccupancyOcTree::from_pool(grid, params, pool))
 }
 
-/// Decodes one node's child codes straight into the pool: leaf children get
-/// their maximum-likelihood value, inner children recurse (bounded by the
-/// header's tree depth), and the node is then refreshed to the maximum over
-/// its children.
+/// Decodes the child codes of node `idx` at `level` straight into the pool:
+/// leaf children get their maximum-likelihood value, inner children recurse
+/// (bounded by the header's tree depth), and the node is then refreshed to
+/// the maximum over its children.
 fn read_node(
     buf: &mut &[u8],
     pool: &mut ArenaTree,
     idx: u32,
     params: &OccupancyParams,
-    levels_left: u8,
+    level: u8,
 ) -> Result<(), ReadError> {
     if buf.remaining() < 2 {
         return Err(ReadError::Truncated);
@@ -164,22 +164,23 @@ fn read_node(
     if mask == 0 {
         return Ok(());
     }
-    let block = pool.add_children(idx, mask);
+    let first = pool.add_children(idx, level, mask);
+    let child_level = level - 1;
     for i in 0..8u32 {
         match code(i) {
             0b00 => {}
-            0b01 => pool.set_log_odds(block + i, params.clamp_min),
-            0b10 => pool.set_log_odds(block + i, params.clamp_max),
+            0b01 => pool.set_log_odds(first + i, child_level, params.clamp_min),
+            0b10 => pool.set_log_odds(first + i, child_level, params.clamp_max),
             _ => {
-                if levels_left <= 1 {
+                if child_level == 0 {
                     return Err(ReadError::DepthOverflow);
                 }
-                pool.set_log_odds(block + i, params.threshold);
-                read_node(buf, pool, block + i, params, levels_left - 1)?;
+                pool.set_log_odds(first + i, child_level, params.threshold);
+                read_node(buf, pool, first + i, params, child_level)?;
             }
         }
     }
-    pool.refresh_from_children(idx);
+    pool.refresh_from_children(idx, level);
     Ok(())
 }
 

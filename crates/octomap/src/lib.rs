@@ -10,9 +10,10 @@
 //! * [`OccupancyOcTree`] — an octree storing clamped log-odds occupancy per
 //!   node; inner nodes hold the **maximum** of their children (the
 //!   conservative policy the paper assumes in §2.2); equal-valued leaf sets
-//!   are pruned. Nodes live in an index-addressed arena pool in the style
-//!   of the related flat-layout work: the same root-to-leaf walk and visit
-//!   counts as reference OctoMap's boxed nodes, at 12 bytes per node.
+//!   are pruned. Nodes live in index-addressed pools in the style of the
+//!   related flat-layout work: the same root-to-leaf walk and visit counts
+//!   as reference OctoMap's boxed nodes, at 8 bytes per inner node and a
+//!   32-byte brick for the leaves under each level-1 node.
 //! * [`OccupancyParams`] — the sensor model: per-hit/per-miss log-odds deltas
 //!   (`δ_occupied` / `δ_free`), clamping bounds and the occupancy threshold.
 //! * [`insert`] — point-cloud insertion: ray tracing each beam into free and
@@ -56,6 +57,6 @@ pub mod rt;
 pub mod stats;
 mod tree;
 
-pub use arena::ReadCursor;
+pub use arena::{PoolCensus, ReadCursor};
 pub use occupancy::{logodds_to_prob, prob_to_logodds, OccupancyParams};
 pub use tree::{LeafEntry, OccupancyOcTree, TreeLayout};

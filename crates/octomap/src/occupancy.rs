@@ -73,9 +73,9 @@ impl Default for OccupancyParams {
 }
 
 impl OccupancyParams {
-    /// Validates internal consistency (positive deltas, ordered clamps,
-    /// threshold within the clamp range). Useful when constructing params
-    /// from configuration files.
+    /// Validates internal consistency (positive deltas, finite ordered
+    /// clamps, threshold within the clamp range). Useful when constructing
+    /// params from configuration files.
     pub fn validate(&self) -> Result<(), String> {
         if self.delta_occupied.is_nan() || self.delta_occupied <= 0.0 {
             return Err(format!(
@@ -86,13 +86,16 @@ impl OccupancyParams {
         if self.delta_free.is_nan() || self.delta_free <= 0.0 {
             return Err(format!("delta_free must be > 0, got {}", self.delta_free));
         }
-        if self.clamp_min.is_nan() || self.clamp_max.is_nan() || self.clamp_min >= self.clamp_max {
+        if !self.clamp_min.is_finite()
+            || !self.clamp_max.is_finite()
+            || self.clamp_min >= self.clamp_max
+        {
             return Err(format!(
                 "clamp_min {} must be below clamp_max {}",
                 self.clamp_min, self.clamp_max
             ));
         }
-        if self.threshold < self.clamp_min || self.threshold > self.clamp_max {
+        if !(self.clamp_min..=self.clamp_max).contains(&self.threshold) {
             return Err(format!(
                 "threshold {} outside clamp range [{}, {}]",
                 self.threshold, self.clamp_min, self.clamp_max
@@ -125,9 +128,16 @@ impl OccupancyParams {
         }
     }
 
-    /// Clamps an arbitrary log-odds value into the allowed range.
+    /// Clamps an arbitrary log-odds value into the allowed range. A NaN
+    /// carries no evidence either way, so it clamps to the prior,
+    /// `threshold`. Every tree write stores its value through this (or
+    /// through [`apply`](Self::apply)), so under validated params a tree
+    /// holds only finite values: a map the library writes it can read back.
     #[inline]
     pub fn clamp(&self, log_odds: f32) -> f32 {
+        if log_odds.is_nan() {
+            return self.threshold;
+        }
         log_odds.clamp(self.clamp_min, self.clamp_max)
     }
 
@@ -211,6 +221,32 @@ mod tests {
         }
         .validate()
         .is_err());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for params in [
+                OccupancyParams {
+                    clamp_min: bad,
+                    ..good
+                },
+                OccupancyParams {
+                    clamp_max: bad,
+                    ..good
+                },
+                OccupancyParams {
+                    threshold: bad,
+                    ..good
+                },
+            ] {
+                assert!(params.validate().is_err(), "{params:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn clamp_stores_the_prior_for_nan() {
+        let p = OccupancyParams::default();
+        assert_eq!(p.clamp(f32::NAN), p.threshold);
+        assert_eq!(p.clamp(f32::INFINITY), p.clamp_max);
+        assert_eq!(p.clamp(f32::NEG_INFINITY), p.clamp_min);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use octocache_geom::{ChildIndex, GeomError, Point3, VoxelGrid, VoxelKey};
 
-use crate::arena::{ArenaTree, ClosedOnDrop, OpenPath, ReadCursor};
+use crate::arena::{ArenaTree, ClosedOnDrop, OpenPath, PoolCensus, ReadCursor};
 use crate::occupancy::OccupancyParams;
 use crate::stats::TreeStats;
 
@@ -42,11 +42,12 @@ impl LeafEntry {
 /// [`set_log_odds_batch`](Self::set_log_odds_batch) shares that trip
 /// between consecutive cells.
 ///
-/// Nodes live in a `Vec`-backed pool addressed by `u32` indices: the eight
-/// children of a node sit in one contiguous block, and pruning recycles
-/// blocks through a free-list instead of returning them to the allocator.
-/// Maps and node-visit counts are those of reference OctoMap's boxed nodes;
-/// a node costs 12 bytes.
+/// Nodes live in two `Vec`-backed pools addressed by `u32` indices: inner
+/// nodes take 8 bytes each, their eight children sitting in one contiguous
+/// block, and the leaves under a level-1 node share one 32-byte brick.
+/// Pruning recycles blocks and bricks through free-lists instead of
+/// returning them to the allocator. Maps and node-visit counts are those of
+/// reference OctoMap's boxed nodes.
 ///
 /// # Example
 ///
@@ -132,14 +133,15 @@ impl OccupancyOcTree {
         (!self.nodes.is_empty()).then_some(NodeRef {
             tree: &self.nodes,
             idx: 0,
+            level: self.grid.depth(),
         })
     }
 
     /// Deep-copies the tree: an independent, observationally identical map.
     ///
     /// This is the snapshot-publication primitive of the read path
-    /// (`octocache::query`): the flat node pool is copied in one `Vec`
-    /// clone (plus the free list). Instrumentation counters start at zero
+    /// (`octocache::query`): each of the two flat pools is copied in one
+    /// `Vec` clone (plus the free lists). Instrumentation counters start at zero
     /// in the copy — queries against a snapshot are counted on the
     /// snapshot, not on the live tree it was taken from.
     pub fn deep_clone(&self) -> OccupancyOcTree {
@@ -154,19 +156,26 @@ impl OccupancyOcTree {
 
     /// Total number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.count_nodes()
+        self.pool_census().nodes
     }
 
     /// Number of leaves (pruned cubes count once).
     pub fn num_leaves(&self) -> usize {
-        self.nodes.count_leaves()
+        self.pool_census().leaves
     }
 
-    /// Heap footprint in bytes: the node pool's allocated capacity
-    /// (free-list slack included) plus the free-list. O(1), safe to sample
-    /// every scan.
+    /// Heap footprint in bytes: the node pools' allocated capacity — 8
+    /// bytes an inner slot, 32 a leaf brick, free-list slack included —
+    /// plus the free-lists. O(1), safe to sample every scan.
     pub fn memory_usage(&self) -> usize {
         self.nodes.memory_usage()
+    }
+
+    /// Counts the live nodes, inner blocks and leaf bricks (a walk over the
+    /// tree) beside the pools' bytes and free lists: what a map's
+    /// [`memory_usage`](Self::memory_usage) is made of.
+    pub fn pool_census(&self) -> PoolCensus {
+        self.nodes.census(self.grid.depth())
     }
 
     /// Integrates one occupancy observation at `key` (the paper's per-voxel
@@ -175,8 +184,9 @@ impl OccupancyOcTree {
         self.apply_at_leaf(key, LeafOp::Observe { occupied })
     }
 
-    /// Overwrites the log-odds at `key` (clamped) and returns the stored
-    /// value. Used when evicted cache entries already carry the *absolute*
+    /// Overwrites the log-odds at `key` (clamped by
+    /// [`OccupancyParams::clamp`], so a NaN stores the prior) and returns
+    /// the stored value. Used when evicted cache entries already carry the *absolute*
     /// accumulated occupancy (paper §4.2: "any voxel evicted from the cache
     /// will overwrite its occupancy value to the octree").
     pub fn set_node_log_odds(&mut self, key: VoxelKey, value: f32) -> f32 {
@@ -291,8 +301,8 @@ impl OccupancyOcTree {
     /// Validates the tree's structural invariants, returning a description
     /// of the first violation found:
     ///
-    /// * every child block of the pool is reachable or on the free-list,
-    ///   exactly once;
+    /// * every child block and leaf brick of the pools is reachable or on
+    ///   its free-list, exactly once, and holds a present child;
     /// * every inner node's value equals the maximum over its children;
     /// * every value lies within the clamping bounds;
     /// * no node sits below the finest level.
@@ -325,7 +335,7 @@ impl OccupancyOcTree {
             Ok(())
         }
         // Pool structure first: block bookkeeping must balance.
-        self.nodes.check_structure()?;
+        self.nodes.check_structure(self.grid.depth())?;
         match self.root_ref() {
             None => Ok(()),
             Some(root) => {
@@ -370,34 +380,38 @@ pub(crate) enum LeafOp {
     Set { value: f32 },
 }
 
-/// A shared reference to one tree node: the pool plus the node's index.
+/// A shared reference to one tree node: the pools plus the node's index
+/// and level.
 /// `Copy`, so read-only traversals (leaves, io, invariant checks,
 /// multi-resolution queries) pass it by value.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeRef<'a> {
     tree: &'a ArenaTree,
     idx: u32,
+    /// The node's level, which picks its pool (0: a leaf brick).
+    level: u8,
 }
 
 impl<'a> NodeRef<'a> {
     pub(crate) fn log_odds(self) -> f32 {
-        self.tree.log_odds(self.idx)
+        self.tree.log_odds(self.idx, self.level)
     }
 
     pub(crate) fn child_mask(self) -> u8 {
-        self.tree.child_mask(self.idx)
+        self.tree.child_mask(self.idx, self.level)
     }
 
     pub(crate) fn has_children(self) -> bool {
-        self.child_mask() != 0
+        self.tree.has_children(self.idx, self.level)
     }
 
     pub(crate) fn child(self, i: ChildIndex) -> Option<NodeRef<'a>> {
         self.tree
-            .child_of(self.idx, i.as_usize())
+            .child_of(self.idx, self.level, i.as_usize())
             .map(|idx| NodeRef {
                 tree: self.tree,
                 idx,
+                level: self.level - 1,
             })
     }
 
@@ -406,7 +420,7 @@ impl<'a> NodeRef<'a> {
     }
 
     pub(crate) fn max_child_log_odds(self) -> Option<f32> {
-        self.tree.max_child(self.idx)
+        self.tree.max_child(self.idx, self.level)
     }
 }
 
@@ -605,6 +619,24 @@ mod tests {
         assert_eq!(tree.search(key), Some(-1.0));
         // Setting beyond the clamp range clamps.
         assert_eq!(tree.set_node_log_odds(key, 100.0), tree.params().clamp_max);
+    }
+
+    #[test]
+    fn nan_writes_store_the_prior_and_the_map_reads_back() {
+        let mut tree = small_tree();
+        let prior = tree.params().threshold;
+        let key = VoxelKey::new(2, 3, 4);
+        assert_eq!(tree.set_node_log_odds(key, f32::NAN), prior);
+        let other = VoxelKey::new(9, 9, 9);
+        tree.set_log_odds_batch([(other, f32::NAN), (key, 1.0), (key, f32::NAN)]);
+        tree.check_invariants().unwrap();
+        assert_eq!(tree.search(key), Some(prior));
+        assert_eq!(tree.search(other), Some(prior));
+        let restored = crate::io::read_tree(&crate::io::write_tree(&tree)).unwrap();
+        restored.check_invariants().unwrap();
+        assert_eq!(restored.search(key), Some(prior));
+        assert_eq!(restored.leaf_checksum(), tree.leaf_checksum());
+        assert!(crate::io::read_tree(&crate::io::write_tree_v2(&tree, 7)).is_ok());
     }
 
     #[test]
@@ -904,14 +936,15 @@ mod tests {
         *e
     }
 
-    /// `(nodes, leaves)` of the fully pruned octree over the flat map: eight
-    /// equal-valued sibling leaves merge into their parent, level by level.
-    fn model_structure(reference: &HashMap<VoxelKey, f32>) -> (usize, usize) {
+    /// `(nodes, leaves)` of the fully pruned octree of `depth` levels over
+    /// the flat map: eight equal-valued sibling leaves merge into their
+    /// parent, level by level.
+    fn model_structure(reference: &HashMap<VoxelKey, f32>, depth: u8) -> (usize, usize) {
         // `Some(v)` is a leaf holding `v`, `None` an inner node.
         let mut level: HashMap<VoxelKey, Option<f32>> =
             reference.iter().map(|(k, v)| (*k, Some(*v))).collect();
         let (mut nodes, mut leaves) = (0, 0);
-        for l in 0..DEPTH {
+        for l in 0..depth {
             let mut families: HashMap<VoxelKey, Vec<Option<f32>>> = HashMap::new();
             for (key, node) in &level {
                 families
@@ -1053,7 +1086,7 @@ mod tests {
             tree.check_invariants().unwrap();
             prop_assert_eq!(
                 (tree.num_nodes(), tree.num_leaves()),
-                model_structure(&reference)
+                model_structure(&reference, DEPTH)
             );
 
             let ot = crate::io::write_tree(&tree);
@@ -1070,6 +1103,90 @@ mod tests {
             for key in reference.keys() {
                 prop_assert_eq!(ml.is_occupied(*key), tree.is_occupied(*key));
             }
+        }
+
+        /// Both pools against the flat model at depths 4–8: steps work in
+        /// one 8³ region so siblings meet — observations, sets (a NaN among
+        /// them), saturated 2³ octants and 4³ cubes (which prune a brick,
+        /// then an inner block, onto their free lists), whole-tree prunes —
+        /// and later writes into a saturated region expand it again from
+        /// the free lists. After every step the invariants hold (no empty
+        /// block, no reached absent slot, no leaked block); at the end every
+        /// voxel of the region reads as the model says, the pruned structure
+        /// has the model's node and leaf counts, and the `.ot` stream
+        /// re-serialises byte-identically.
+        #[test]
+        fn prop_both_pools_match_flat_reference(
+            depth in 4u8..9,
+            corner in (0u16..256, 0u16..256, 0u16..256),
+            steps in proptest::collection::vec(
+                ((0u16..8, 0u16..8, 0u16..8), 0u8..5, -3.0f32..3.0),
+                1..120
+            ),
+            lazy in proptest::bool::ANY,
+        ) {
+            let grid = VoxelGrid::new(1.0, depth).unwrap();
+            let mut tree = OccupancyOcTree::new(grid, OccupancyParams::default());
+            tree.set_auto_prune(!lazy);
+            let params = *tree.params();
+            let edge = 1u16 << depth;
+            let base = |c: u16| (c % edge) & !7;
+            let (bx, by, bz) = (base(corner.0), base(corner.1), base(corner.2));
+            let mut reference: HashMap<VoxelKey, f32> = HashMap::new();
+            for ((x, y, z), kind, value) in steps {
+                let key = VoxelKey::new(bx + x, by + y, bz + z);
+                // The `2^level` cube around `key`, every voxel set to `value`.
+                let cube = |level: u8, value: f32| {
+                    let m = !((1u16 << level) - 1);
+                    let n = 1u16 << level;
+                    let (cx, cy, cz) = (key.x & m, key.y & m, key.z & m);
+                    (0..n * n * n).map(move |i| {
+                        (VoxelKey::new(cx + i % n, cy + (i / n) % n, cz + i / (n * n)), value)
+                    })
+                };
+                let cells: Vec<(VoxelKey, f32)> = match kind {
+                    0 => {
+                        let op = LeafOp::Observe { occupied: value > 0.0 };
+                        let expected = model_apply(&mut reference, &params, key, op);
+                        prop_assert_eq!(tree.apply_at_leaf(key, op), expected);
+                        Vec::new()
+                    }
+                    1 => vec![(key, if value > 2.5 { f32::NAN } else { value })],
+                    2 => cube(1, params.clamp_max).collect(),
+                    3 => cube(2, params.clamp_max).collect(),
+                    _ => {
+                        tree.prune();
+                        Vec::new()
+                    }
+                };
+                tree.set_log_odds_batch(cells.iter().copied());
+                for &(k, value) in &cells {
+                    model_apply(&mut reference, &params, k, LeafOp::Set { value });
+                }
+                tree.check_invariants().unwrap();
+                if kind == 2 || kind == 3 {
+                    prop_assert_eq!(tree.search(key), Some(params.clamp_max));
+                }
+            }
+            for x in bx.saturating_sub(1)..(bx + 9).min(edge) {
+                for y in by.saturating_sub(1)..(by + 9).min(edge) {
+                    for z in bz.saturating_sub(1)..(bz + 9).min(edge) {
+                        let key = VoxelKey::new(x, y, z);
+                        prop_assert_eq!(tree.search(key), reference.get(&key).copied());
+                    }
+                }
+            }
+            tree.prune();
+            tree.check_invariants().unwrap();
+            prop_assert_eq!(
+                (tree.num_nodes(), tree.num_leaves()),
+                model_structure(&reference, depth)
+            );
+            let ot = crate::io::write_tree(&tree);
+            let restored = crate::io::read_tree(&ot).unwrap();
+            restored.check_invariants().unwrap();
+            prop_assert_eq!(restored.leaf_checksum(), tree.leaf_checksum());
+            prop_assert_eq!(&crate::io::write_tree(&restored), &ot);
         }
 
         /// Invariants hold after any interleaving of observe / set
