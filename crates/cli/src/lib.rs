@@ -183,7 +183,6 @@ const COMMANDS: &[Command] = &[
             "--journal DIR",
             "--checkpoint-every N",
             "--mem-budget BYTES",
-            "--max-restarts N",
             "--shed-deadline MS",
         ],
         exec: cmd_build,
@@ -428,14 +427,10 @@ fn cmd_build(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<Stri
     let (backend_name, executor, ray_tracer, mut cache_builder) = backend_flags(flags)?;
     // Supervisor knobs: a resident-memory budget that refuses scans once
     // the map reaches it (`build()` rejects one below the cache's own
-    // footprint), a worker-respawn budget, and the admission gate's latency
-    // deadline. All default off — an unconfigured build behaves exactly as
-    // before.
+    // footprint), and the admission gate's latency deadline. Both default
+    // off — an unconfigured build behaves exactly as before.
     if let Some(s) = flag(flags, "mem-budget") {
         cache_builder.mem_budget(parse_usize(s, "--mem-budget")? as u64);
-    }
-    if let Some(s) = flag(flags, "max-restarts") {
-        cache_builder.max_restarts(parse_usize(s, "--max-restarts")? as u32);
     }
     if let Some(s) = flag(flags, "shed-deadline") {
         let ms = parse_f64(s, "--shed-deadline")?;
@@ -461,7 +456,7 @@ fn cmd_build(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<Stri
     if let Some(spec) = flag(flags, "fault") {
         let plan = FaultPlan::from_spec(spec).ok_or_else(|| {
             CliError::Usage(format!(
-                "malformed --fault spec `{spec}` (kill:<w>@<b> | killevery:<w>@<n> | stall:<w>@<b>:<us> | spawn:<w> | seed:<n>)"
+                "malformed --fault spec `{spec}` (kill:<w>@<b> | killevery:<w>@<n> | spawn:<w> | seed:<n>)"
             ))
         })?;
         if executor != Executor::Parallel {
@@ -547,10 +542,11 @@ fn cmd_build(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<Stri
     let t0 = std::time::Instant::now();
     let mut observations = 0usize;
     let mut hits = 0u64;
-    // Worker faults degrade the build rather than abort it (the pipeline
-    // reroutes the dead worker's share inline), and a scan the supervisor
-    // sheds (deadline or memory budget) leaves the map as it was; each is
-    // reported as a diagnostic line. `--strict` makes the first one fatal.
+    // An octree-thread panic does not abort the build (the pipeline
+    // re-applies its batch inline, so the map stays exact), and a scan the
+    // supervisor sheds (deadline or memory budget) leaves the map as it
+    // was; each is reported as a diagnostic line. `--strict` makes the
+    // first one fatal.
     // Geometry errors always abort: the scan log itself is wrong.
     // Durability errors also always abort: the write-ahead contract is
     // broken.
@@ -590,9 +586,7 @@ fn cmd_build(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<Stri
     let times = backend.as_dyn().phase_times();
     let cache_stats = backend.as_dyn().cache_stats();
     let tree_stats = backend.as_dyn().tree_stats();
-    let integrity = backend.as_dyn().integrity();
     let fault_counters = backend.as_dyn().fault_counters();
-    let integrity_history = backend.as_dyn().integrity_transitions();
 
     let (tree, durable_stats) = match backend {
         BuildBackend::Plain(b) => (b.take_tree(), None),
@@ -675,44 +669,14 @@ fn cmd_build(cmd: &Command, pos: &[&str], flags: &[(&str, &str)]) -> Result<Stri
     for (i, e) in &scan_faults {
         let _ = writeln!(out, "  scan {i}: {e}");
     }
-    if integrity.is_degraded() {
+    if fault_counters.any() {
         let f = fault_counters;
         let _ = writeln!(
             out,
-            "  integrity: {integrity} — {} panics, {} spawn failures, {} stalls, \
-             {} partial batches, {} batches rerouted (use --strict to fail fast)",
-            f.worker_panics,
-            f.spawn_failures,
-            f.stall_timeouts,
-            f.partial_batches,
-            f.batches_rerouted
+            "  faults: {} worker panics, {} spawn failures, {} batches applied inline \
+             ({} cells); the map is exact",
+            f.worker_panics, f.spawn_failures, f.batches_rerouted, f.cells_reapplied
         );
-    } else if fault_counters != octocache::FaultCounters::default() {
-        // Faults occurred but the supervisor healed them: the sticky
-        // verdict alone would hide that anything happened, so print the
-        // full counter set here too.
-        let f = fault_counters;
-        let _ = writeln!(
-            out,
-            "  integrity: {integrity} (healed) — {} panics, {} spawn failures, {} stalls, \
-             {} partial batches, {} batches rerouted",
-            f.worker_panics,
-            f.spawn_failures,
-            f.stall_timeouts,
-            f.partial_batches,
-            f.batches_rerouted
-        );
-    }
-    if fault_counters.restarts + fault_counters.heals > 0 {
-        let _ = writeln!(
-            out,
-            "  supervisor: {} worker restarts, {} heals",
-            fault_counters.restarts, fault_counters.heals
-        );
-    }
-    if !integrity_history.is_empty() {
-        let hist: Vec<String> = integrity_history.iter().map(|t| t.to_string()).collect();
-        let _ = writeln!(out, "  integrity history: {}", hist.join("; "));
     }
     let _ = write!(
         out,
@@ -1566,6 +1530,19 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
         assert!(err.to_string().contains("malformed --fault"), "{err}");
+        // And the retired stall spec: no wait is bounded any more.
+        let err = run(&s(&[
+            "build",
+            &log,
+            &map,
+            "--backend",
+            "parallel",
+            "--fault",
+            "stall:0@1:100",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("malformed --fault"), "{err}");
         // So is a worker fault on a backend without a worker, named or
         // seeded: it would inject nothing.
         for backend in ["serial", "octomap"] {
@@ -1585,8 +1562,8 @@ mod tests {
             }
         }
 
-        // A killed worker degrades the build: it completes, reports the
-        // fault inline and flags the integrity downgrade.
+        // A killed octree thread costs only time: the build completes and
+        // reports the panic, its batch re-applied inline.
         let out = run(&s(&[
             "build",
             &log,
@@ -1599,8 +1576,8 @@ mod tests {
             "kill:0@1",
         ]))
         .unwrap();
-        assert!(out.contains("integrity: degraded"), "{out}");
-        assert!(out.contains("1 panics"), "{out}");
+        assert!(out.contains("faults: 1 worker panics"), "{out}");
+        assert!(out.contains("the map is exact"), "{out}");
 
         // --strict turns the same fault into a fatal pipeline error.
         let err = run(&s(&[
@@ -1701,7 +1678,7 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_flags_and_heal_reporting() {
+    fn supervisor_flags_are_validated_and_the_respawn_budget_is_gone() {
         let log = temp_path("supervisor.scanlog");
         run(&s(&["generate", "fr079-corridor", &log, "--scale", "0.05"])).unwrap();
         let map = temp_path("supervisor.map");
@@ -1722,7 +1699,7 @@ mod tests {
         assert_eq!(err.exit_code(), 2, "{err}");
 
         // Generous knobs leave a healthy build unchanged: no supervisor
-        // line, no integrity line, the map is written normally.
+        // line, no fault line, the map is written normally.
         let out = run(&s(&[
             "build",
             &log,
@@ -1731,41 +1708,28 @@ mod tests {
             "0.4",
             "--mem-budget",
             "1073741824",
-            "--max-restarts",
-            "2",
             "--shed-deadline",
             "50",
         ]))
         .unwrap();
         assert!(out.contains("built"), "{out}");
         assert!(!out.contains("supervisor:"), "{out}");
-        assert!(!out.contains("integrity"), "{out}");
+        assert!(!out.contains("faults:"), "{out}");
 
-        // With a restart budget the killed worker is respawned, the
-        // verdict heals back to intact, and the report shows the full
-        // story (counters + transition history) instead of nothing.
-        let out = run(&s(&[
-            "build",
-            &log,
-            &map,
-            "--backend",
-            "parallel",
-            "--resolution",
-            "0.4",
-            "--fault",
-            "kill:0@1",
-            "--max-restarts",
-            "2",
-        ]))
-        .unwrap();
-        assert!(out.contains("(healed)"), "{out}");
-        assert!(out.contains("1 panics"), "{out}");
-        assert!(
-            out.contains("supervisor: 1 worker restarts, 1 heals"),
-            "{out}"
-        );
-        assert!(out.contains("integrity history:"), "{out}");
-        assert!(out.contains("degraded"), "{out}");
+        // There is no worker to respawn: the budget flag is unknown.
+        for backend in ["serial", "parallel"] {
+            let err = run(&s(&[
+                "build",
+                &log,
+                &map,
+                "--backend",
+                backend,
+                "--max-restarts",
+                "1",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{backend}: {err}");
+        }
     }
 
     /// A refused scan is one diagnostic line, whichever check refused it.
@@ -1818,7 +1782,7 @@ mod tests {
         }
     }
 
-    /// Campus at scale 0.25 under a 15 MB budget applies scans 0–15 and
+    /// Campus at scale 0.25 under a 9.5 MB budget applies scans 0–15 and
     /// sheds 16–19 on `serial`: the refusals after the last applied scan
     /// ride one trailing record, which `report` names apart instead of
     /// counting it as a sixteenth scan.
@@ -1840,7 +1804,7 @@ mod tests {
             &log,
             &map,
             "--mem-budget",
-            "15000000",
+            "9500000",
             "--trace",
             &trace,
         ]))

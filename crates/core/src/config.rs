@@ -16,9 +16,6 @@ pub enum ConfigError {
     NoBuckets,
     /// `tau` must be at least 1.
     ZeroTau,
-    /// `stall_timeout` must be non-zero (it bounds every pipeline wait; a
-    /// zero deadline would fail scans spuriously).
-    ZeroStallTimeout,
     /// `mem_budget` must cover the cache's own footprint
     /// ([`CacheConfig::resident_bytes`], allocated when the cache is
     /// built): a smaller budget would refuse every scan.
@@ -46,9 +43,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::NoBuckets => write!(f, "num_buckets must be at least 1"),
             ConfigError::ZeroTau => write!(f, "tau must be at least 1"),
-            ConfigError::ZeroStallTimeout => {
-                write!(f, "stall_timeout must be non-zero")
-            }
             ConfigError::MemBudgetBelowCache {
                 budget,
                 cache_bytes,
@@ -86,10 +80,8 @@ impl std::error::Error for ConfigError {}
 pub struct CacheConfig {
     num_buckets: usize,
     tau: usize,
-    stall_timeout: Duration,
     checkpoint_every: u64,
     mem_budget: Option<u64>,
-    max_restarts: u32,
     shed_deadline: Option<Duration>,
     #[serde(skip)]
     fault_plan: Option<FaultPlan>,
@@ -97,21 +89,13 @@ pub struct CacheConfig {
     events: bool,
 }
 
-/// Default bound on every parallel-pipeline wait. Generous on purpose: a
-/// healthy worker clears a batch in microseconds, so ten seconds only
-/// trips when a worker is genuinely dead or wedged (and must stay far
-/// above CI scheduling noise).
-const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
-
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             num_buckets: 1 << 16,
             tau: 4,
-            stall_timeout: DEFAULT_STALL_TIMEOUT,
             checkpoint_every: 64,
             mem_budget: None,
-            max_restarts: 0,
             shed_deadline: None,
             fault_plan: None,
             events: false,
@@ -143,16 +127,6 @@ impl CacheConfig {
         self.tau
     }
 
-    /// Upper bound on any single wait inside the parallel pipeline
-    /// (producer back-pressure, worker completion). When it expires the
-    /// wait becomes a typed
-    /// [`PipelineError::QueueStalled`](crate::fault::PipelineError) instead
-    /// of a hang.
-    #[inline]
-    pub fn stall_timeout(&self) -> Duration {
-        self.stall_timeout
-    }
-
     /// The memory budget in bytes, if one is configured. When set, the
     /// engine admits a scan only while resident bytes (octree pool plus
     /// cache) are below it and sheds the rest with
@@ -163,15 +137,6 @@ impl CacheConfig {
     #[inline]
     pub fn mem_budget(&self) -> Option<u64> {
         self.mem_budget
-    }
-
-    /// How many times the supervisor may respawn the dead worker. `0`
-    /// (the default) means a dead worker degrades the pipeline
-    /// permanently: the producer applies every later eviction batch
-    /// inline.
-    #[inline]
-    pub fn max_restarts(&self) -> u32 {
-        self.max_restarts
     }
 
     /// The scan-admission deadline: when the exponentially-weighted
@@ -267,23 +232,10 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Bounds every parallel-pipeline wait; see
-    /// [`CacheConfig::stall_timeout`]. Must be non-zero.
-    pub fn stall_timeout(&mut self, timeout: Duration) -> &mut Self {
-        self.config.stall_timeout = timeout;
-        self
-    }
-
     /// Sets the memory budget in bytes (at least
     /// [`CacheConfig::resident_bytes`]); see [`CacheConfig::mem_budget`].
     pub fn mem_budget(&mut self, bytes: u64) -> &mut Self {
         self.config.mem_budget = Some(bytes);
-        self
-    }
-
-    /// Sets the worker respawn budget; see [`CacheConfig::max_restarts`].
-    pub fn max_restarts(&mut self, n: u32) -> &mut Self {
-        self.config.max_restarts = n;
         self
     }
 
@@ -354,9 +306,6 @@ impl CacheConfigBuilder {
                 tau: c.tau,
             });
         }
-        if c.stall_timeout.is_zero() {
-            return Err(ConfigError::ZeroStallTimeout);
-        }
         if let Some(budget) = c.mem_budget {
             let cache_bytes = c.resident_bytes() as u64;
             if budget < cache_bytes {
@@ -395,10 +344,6 @@ mod tests {
         assert_eq!(
             CacheConfig::builder().tau(0).build(),
             Err(ConfigError::ZeroTau)
-        );
-        assert_eq!(
-            CacheConfig::builder().stall_timeout(Duration::ZERO).build(),
-            Err(ConfigError::ZeroStallTimeout)
         );
         assert!(CacheConfig::builder()
             .num_buckets(64)
@@ -485,27 +430,22 @@ mod tests {
     }
 
     #[test]
-    fn stall_timeout_and_fault_plan_round_trip_through_builder() {
-        let plan = FaultPlan::from_seed(3);
+    fn fault_plan_round_trips_through_builder() {
+        let plan = FaultPlan::from_seed(1);
         let c = CacheConfig::builder()
             .num_buckets(64)
             .tau(2)
-            .stall_timeout(Duration::from_millis(50))
             .fault_plan(plan)
             .build()
             .unwrap();
-        assert_eq!(c.stall_timeout(), Duration::from_millis(50));
         assert_eq!(c.fault_plan(), Some(plan));
-        // Defaults: a generous bound and no injected faults.
-        let d = CacheConfig::default();
-        assert_eq!(d.stall_timeout(), Duration::from_secs(10));
-        assert_eq!(d.fault_plan(), None);
+        // Default: no injected faults.
+        assert_eq!(CacheConfig::default().fault_plan(), None);
         // The fault plan never reaches serialised configs.
         let json = serde::json::to_string(&c);
         assert!(!json.contains("fault"), "{json}");
         let back: CacheConfig = serde::json::from_str(&json).unwrap();
         assert_eq!(back.fault_plan(), None);
-        assert_eq!(back.stall_timeout(), c.stall_timeout());
         assert_eq!(back.num_buckets(), c.num_buckets());
     }
 
@@ -539,7 +479,8 @@ mod tests {
         // eviction order, a backoff shape and a respawn delay: whatever they
         // said, the one table is what a reader gets. It also carries the
         // checkpoint retention and journal fsync switch that are constants
-        // now.
+        // now, and the stall timeout and respawn budget of the retired
+        // long-lived worker.
         let c = CacheConfig::builder()
             .num_buckets(64)
             .mem_budget(1 << 20)
@@ -557,11 +498,11 @@ mod tests {
     }
 
     #[test]
-    fn default_config_serialises_exactly_these_seven_keys() {
+    fn default_config_serialises_exactly_these_five_keys() {
         // A new knob is a visible diff here.
         assert_eq!(
             serde::json::to_string(&CacheConfig::default()),
-            r#"{"num_buckets":65536,"tau":4,"stall_timeout":{"secs":10,"nanos":0},"checkpoint_every":64,"mem_budget":null,"max_restarts":0,"shed_deadline":null}"#
+            r#"{"num_buckets":65536,"tau":4,"checkpoint_every":64,"mem_budget":null,"shed_deadline":null}"#
         );
     }
 
@@ -578,7 +519,6 @@ mod tests {
     fn supervisor_knobs_default_off_validate_and_round_trip() {
         let d = CacheConfig::default();
         assert_eq!(d.mem_budget(), None);
-        assert_eq!(d.max_restarts(), 0);
         assert_eq!(d.shed_deadline(), None);
         let cache_bytes = d.resident_bytes() as u64;
         for budget in [0, 200_000, cache_bytes - 1] {
@@ -597,16 +537,13 @@ mod tests {
         let c = CacheConfig::builder()
             .num_buckets(64)
             .mem_budget(32 << 20)
-            .max_restarts(3)
             .shed_deadline(Duration::from_millis(40))
             .build()
             .unwrap();
         assert_eq!(c.mem_budget(), Some(32 << 20));
-        assert_eq!(c.max_restarts(), 3);
         assert_eq!(c.shed_deadline(), Some(Duration::from_millis(40)));
         let back: CacheConfig = serde::json::from_str(&serde::json::to_string(&c)).unwrap();
         assert_eq!(back.mem_budget(), Some(32 << 20));
-        assert_eq!(back.max_restarts(), 3);
         assert_eq!(back.shed_deadline(), Some(Duration::from_millis(40)));
     }
 
@@ -616,7 +553,6 @@ mod tests {
             ConfigError::BucketsNotPowerOfTwo(3),
             ConfigError::NoBuckets,
             ConfigError::ZeroTau,
-            ConfigError::ZeroStallTimeout,
             ConfigError::MemBudgetBelowCache {
                 budget: 0,
                 cache_bytes: 4096,

@@ -76,11 +76,11 @@ use std::time::Instant;
 use octocache_geom::{GeomError, Point3, VoxelGrid, VoxelKey};
 use octocache_octomap::stats::StatsSnapshot;
 use octocache_octomap::{insert, rt, OccupancyOcTree, OccupancyParams};
-use octocache_telemetry::{EventLog, PhaseHistograms, PhaseTimes, Recorder};
+use octocache_telemetry::{EventLog, PhaseTimes, Recorder};
 
 use crate::cache::CacheStats;
 use crate::config::CacheConfig;
-use crate::fault::{FaultCounters, Integrity, IntegrityTransition, PipelineError};
+use crate::fault::{FaultCounters, PipelineError};
 use crate::pipeline::{MappingSystem, OctoMapSystem, RayTracer, ScanReport};
 use crate::query::{MapSnapshot, QueryHandle};
 use crate::supervisor::ShedReason;
@@ -598,10 +598,6 @@ impl MappingSystem for DurableMap {
         self.inner.set_recorder(recorder);
     }
 
-    fn phase_histograms(&self) -> Option<&PhaseHistograms> {
-        self.inner.phase_histograms()
-    }
-
     fn cache_stats(&self) -> Option<CacheStats> {
         self.inner.cache_stats()
     }
@@ -612,14 +608,6 @@ impl MappingSystem for DurableMap {
 
     fn take_events(&mut self) -> Option<EventLog> {
         self.inner.take_events()
-    }
-
-    fn integrity(&self) -> Integrity {
-        self.inner.integrity()
-    }
-
-    fn integrity_transitions(&self) -> Vec<IntegrityTransition> {
-        self.inner.integrity_transitions()
     }
 
     fn fault_counters(&self) -> FaultCounters {

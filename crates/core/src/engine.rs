@@ -55,12 +55,12 @@ use octocache_octomap::insert::VoxelUpdate;
 use octocache_octomap::stats::StatsSnapshot;
 use octocache_octomap::{insert, rt, OccupancyOcTree};
 use octocache_telemetry::{
-    EventBuffer, EventKind, EventLog, PhaseHistograms, PhaseTimes, Recorder, ScanRecord, Telemetry,
+    EventBuffer, EventKind, EventLog, PhaseTimes, Recorder, ScanRecord, Telemetry,
 };
 
 use crate::cache::{CacheStats, CodeHasher, EvictedCell, VoxelCache};
 use crate::config::CacheConfig;
-use crate::fault::{FaultCounters, Integrity, IntegrityTransition, PipelineError};
+use crate::fault::{FaultCounters, PipelineError};
 use crate::pipeline::RayTracer;
 use crate::query::{MapSnapshot, QueryHandle, SnapshotPublisher};
 use crate::supervisor::{AdmissionGate, ShedReason};
@@ -95,18 +95,18 @@ pub trait MappingSystem {
     /// Ray-traces and integrates one sensor scan.
     ///
     /// Scan application is transactional at scan granularity: on `Ok` the
-    /// scan is applied voxel-for-voxel identically to the serial backend; on
-    /// `Err` the failure is typed and [`MappingSystem::integrity`] reports
-    /// whether the map may have diverged. The scan is first put to
-    /// [`MappingSystem::admit`]; a refused scan is never applied.
+    /// scan is applied voxel-for-voxel identically to the serial backend,
+    /// and so it is after [`PipelineError::WorkerPanicked`] (the batch was
+    /// re-applied inline); any other `Err` left the map as it was. The scan
+    /// is first put to [`MappingSystem::admit`]; a refused scan is never
+    /// applied.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Shed`] when the deadline gate or the memory budget
     /// refused the scan (the map is unchanged by it), and
     /// [`PipelineError::Geom`] for invalid origins; parallel backends
-    /// additionally surface worker panics, spawn failures, stalls and
-    /// batches left unapplied behind a wedged worker.
+    /// additionally surface octree-thread panics.
     fn insert_scan(
         &mut self,
         origin: Point3,
@@ -166,19 +166,12 @@ pub trait MappingSystem {
         drop(recorder);
     }
 
-    /// Per-phase latency histograms over every scan inserted so far, when
-    /// the backend tracks them.
-    fn phase_histograms(&self) -> Option<&PhaseHistograms> {
-        None
-    }
-
     /// Voxel-cache counters; `None` for cache-less backends.
     fn cache_stats(&self) -> Option<CacheStats> {
         None
     }
 
-    /// Octree instrumentation counters (read through the pipeline mutex
-    /// on the parallel backend), when the backend can reach them.
+    /// Octree instrumentation counters, when the backend can reach them.
     fn tree_stats(&self) -> Option<StatsSnapshot> {
         None
     }
@@ -192,33 +185,17 @@ pub trait MappingSystem {
         None
     }
 
-    /// Whether the backend has degraded after a fault, and if so how far.
-    ///
-    /// Backends without failure modes (everything single-threaded) are
-    /// always [`Integrity::Intact`].
-    fn integrity(&self) -> Integrity {
-        Integrity::Intact
-    }
-
-    /// Cumulative fault/degraded-mode counters over the backend's lifetime.
-    /// All-zero for backends without failure modes.
+    /// Cumulative fault counters over the backend's lifetime. All-zero
+    /// for backends without failure modes.
     fn fault_counters(&self) -> FaultCounters {
         FaultCounters::default()
-    }
-
-    /// Every [`Integrity`] transition the backend has taken, oldest first
-    /// — including heals, which the sticky [`MappingSystem::integrity`]
-    /// verdict alone cannot show. Empty for backends without failure
-    /// modes.
-    fn integrity_transitions(&self) -> Vec<IntegrityTransition> {
-        Vec::new()
     }
 
     /// A cloneable handle for lock-free concurrent reads
     /// ([`crate::query`]). The first call arms the backend's snapshot
     /// publisher (publishing the current map as epoch 0); every subsequent
     /// `insert_scan` then republishes at its scan boundary, so readers are
-    /// never more than one scan stale and never take the octree mutex.
+    /// never more than one scan stale and never touch the live octree.
     /// Backends without a publisher pay nothing until this is called.
     fn query_handle(&mut self) -> QueryHandle;
 
@@ -287,9 +264,6 @@ impl<M: MappingSystem + ?Sized> MappingSystem for Box<M> {
     fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
         (**self).set_recorder(recorder)
     }
-    fn phase_histograms(&self) -> Option<&PhaseHistograms> {
-        (**self).phase_histograms()
-    }
     fn cache_stats(&self) -> Option<CacheStats> {
         (**self).cache_stats()
     }
@@ -299,14 +273,8 @@ impl<M: MappingSystem + ?Sized> MappingSystem for Box<M> {
     fn take_events(&mut self) -> Option<EventLog> {
         (**self).take_events()
     }
-    fn integrity(&self) -> Integrity {
-        (**self).integrity()
-    }
     fn fault_counters(&self) -> FaultCounters {
         (**self).fault_counters()
-    }
-    fn integrity_transitions(&self) -> Vec<IntegrityTransition> {
-        (**self).integrity_transitions()
     }
     fn query_handle(&mut self) -> QueryHandle {
         (**self).query_handle()
@@ -329,8 +297,8 @@ impl<M: MappingSystem + ?Sized> MappingSystem for Box<M> {
 
 /// Phase times reported by [`ScanExecutor::flush`]: what the caller of
 /// [`MappingSystem::finish`] gets back, and what the telemetry totals
-/// absorb (the parallel executor folds otherwise-unattributed worker time
-/// into the totals only).
+/// absorb (the parallel executor folds its octree thread's time into the
+/// totals only).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FlushTimes {
     /// Residual phase times returned to the `finish` caller.
@@ -342,8 +310,8 @@ pub struct FlushTimes {
 
 /// One backend's scan-execution strategy.
 ///
-/// Implementations own the mapping state (cache, octree, worker
-/// pipeline) and the per-scan voxel work; the [`Engine`] owns everything
+/// Implementations own the mapping state (cache, octree) and the
+/// per-scan voxel work; the [`Engine`] owns everything
 /// around it (telemetry sequencing, snapshot republish, the pending
 /// record, durable stamping, the final flush ordering). Executors write
 /// their own fields of the engine's [`ScanRecord`], never construct one and
@@ -358,16 +326,15 @@ pub trait ScanExecutor {
 
     /// Executes one scan: ray tracing and voxel integration, setting the
     /// fields of `record` it measures (phase times, cache and octree
-    /// deltas, queue/worker samples, fault deltas) and no others. It
+    /// deltas, octree-thread samples, fault deltas) and no others. It
     /// assigns every field it owns on every scan, so nothing carries over
     /// from an aborted one. `record.seq` is the 0-based telemetry sequence
     /// of this scan, for stamping sub-scan event streams.
     ///
-    /// `Ok(Some(err))` is a fault that degraded this scan but did not abort
-    /// it (the parallel executor's worker faults): the engine records the
-    /// scan, republishes, and *then* returns `err` from `insert_scan` —
-    /// exactly once, with the map state described by
-    /// [`ScanExecutor::integrity`].
+    /// `Ok(Some(err))` is a fault the scan recovered from (the parallel
+    /// executor's octree-thread panic, its batch re-applied inline): the
+    /// engine records the scan, republishes, and *then* returns `err` from
+    /// `insert_scan` — exactly once.
     ///
     /// # Errors
     ///
@@ -396,17 +363,10 @@ pub trait ScanExecutor {
     fn is_occupied(&mut self, key: VoxelKey) -> Option<bool>;
 
     /// Flushes all pending mapping state into the backing octree (cache
-    /// drain, final worker batches) and reports the residual phase times.
+    /// drain, final octree batches) and reports the residual phase times.
     /// The engine folds [`FlushTimes::recorded`] into the telemetry
     /// totals and flushes the recorder afterwards.
     fn flush(&mut self) -> FlushTimes;
-
-    /// Executor time spent but not yet attributed to any scan or flush
-    /// (the parallel workers' in-flight batch time). Added to the
-    /// telemetry totals by [`MappingSystem::phase_times`].
-    fn residual_times(&self) -> PhaseTimes {
-        PhaseTimes::default()
-    }
 
     /// Voxel-cache counters; `None` for cache-less executors.
     fn cache_stats(&self) -> Option<CacheStats> {
@@ -423,20 +383,9 @@ pub trait ScanExecutor {
         None
     }
 
-    /// The map-consistency verdict after any faults.
-    fn integrity(&self) -> Integrity {
-        Integrity::Intact
-    }
-
-    /// Cumulative fault/degraded-mode counters.
+    /// Cumulative fault counters.
     fn fault_counters(&self) -> FaultCounters {
         FaultCounters::default()
-    }
-
-    /// Every integrity transition taken so far, when the executor tracks
-    /// them.
-    fn integrity_transitions(&self) -> Vec<IntegrityTransition> {
-        Vec::new()
     }
 
     /// The cache configuration, whose memory budget and admission
@@ -646,15 +595,11 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
     }
 
     fn phase_times(&self) -> PhaseTimes {
-        self.telemetry.totals() + self.exec.residual_times()
+        self.telemetry.totals()
     }
 
     fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
         self.telemetry.set_recorder(recorder);
-    }
-
-    fn phase_histograms(&self) -> Option<&PhaseHistograms> {
-        Some(self.telemetry.histograms())
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
@@ -669,16 +614,8 @@ impl<E: ScanExecutor> MappingSystem for Engine<E> {
         self.exec.take_events()
     }
 
-    fn integrity(&self) -> Integrity {
-        self.exec.integrity()
-    }
-
     fn fault_counters(&self) -> FaultCounters {
         self.exec.fault_counters()
-    }
-
-    fn integrity_transitions(&self) -> Vec<IntegrityTransition> {
-        self.exec.integrity_transitions()
     }
 
     fn query_handle(&mut self) -> QueryHandle {
@@ -733,7 +670,7 @@ impl std::ops::Deref for TracedBatch<'_> {
 /// The shared ray-tracing front-end: traces one scan into `batch` and
 /// applies the executor's dedup policy. Inline executors start
 /// `execute_scan` here; the parallel executor open-codes the same steps
-/// because its trace overlaps the workers' previous batch.
+/// because its trace overlaps the octree thread's batch.
 pub(crate) fn trace_scan<'a>(
     ray_tracer: RayTracer,
     grid: &VoxelGrid,
@@ -761,6 +698,25 @@ pub(crate) fn stamp_deltas(record: &mut ScanRecord, cache: &CacheStats, tree: &S
     record.octree_nodes_created = tree.nodes_created;
 }
 
+/// Offers a traced batch to `cache`, seeding its misses through one read
+/// cursor on `tree`, and records the batch's sampled cache accesses first
+/// when `events` is present ([`record_accesses`]). Returns the cursor's
+/// node visits.
+pub(crate) fn insert_seeded(
+    cache: &mut VoxelCache,
+    tree: &OccupancyOcTree,
+    events: Option<&mut EventBuffer>,
+    batch: &insert::VoxelBatch,
+) -> u64 {
+    if let Some(buf) = events {
+        record_accesses(buf, cache, batch.updates());
+    }
+    // The cursor adds its visits to the tree's counters as it drops.
+    let mut seeds = tree.read_cursor();
+    cache.insert_batch(batch.updates(), |k| seeds.search(k));
+    seeds.nodes_visited()
+}
+
 /// Overlays the cache's accumulated cells onto a read tree. Cells hold
 /// absolute log-odds — the same values eviction would write — so the
 /// overlaid tree answers exactly what the live cache→tree fall-through
@@ -772,7 +728,7 @@ pub(crate) fn overlay_cache(tree: &mut OccupancyOcTree, cache: &VoxelCache) {
 }
 
 /// Writes evicted cells to the tree — the one way an eviction reaches an
-/// octree, on the serial path, the workers and every fail-over. Cells hold
+/// octree, on the serial path, the octree thread and every re-apply. Cells hold
 /// absolute log-odds, so re-applying a share is idempotent; they arrive in
 /// Morton order ([`VoxelCache::evict_into`]), which is what makes the batch
 /// cheap, not what makes it correct.

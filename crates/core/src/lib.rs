@@ -11,8 +11,8 @@
 //!    maximises octree insertion locality — provably optimal for the tree
 //!    distance functional 𝓕(S) (paper §4.3, reproduced in [`locality`]).
 //! 3. **A two-thread pipeline** moves the octree update off the critical
-//!    path, overlapping it with ray tracing and cache eviction under a
-//!    single octree mutex (paper §4.4).
+//!    path: a scoped thread applies one scan's evictions while the caller
+//!    ray-traces the next (paper §4.4).
 //!
 //! Queries remain **consistent** with vanilla OctoMap: the cache stores the
 //! *accumulated* occupancy (seeded from the octree on a miss), hits are
@@ -59,13 +59,14 @@ pub mod pipeline;
 pub mod query;
 mod routing;
 pub mod serial;
+#[doc(hidden)]
 pub mod spsc;
 pub mod supervisor;
 
 pub use cache::{CacheStats, EvictedCell, VoxelCache};
 pub use config::{CacheConfig, CacheConfigBuilder, ConfigError};
 pub use durable::{DurableError, DurableMap, DurableStats, IoFaultPlan, KillPoint, RecoveryReport};
-pub use fault::{FaultCounters, FaultPlan, Integrity, IntegrityTransition, PipelineError};
+pub use fault::{FaultCounters, FaultPlan, PipelineError};
 pub use parallel::ParallelOctoCache;
 pub use pipeline::MappingSystem;
 pub use query::{LiveMap, MapSnapshot, OccupancyView, QueryHandle};
@@ -77,5 +78,5 @@ pub use supervisor::ShedReason;
 // re-exported here because it predates that crate and every downstream
 // consumer imports it from `octocache`.
 pub use octocache_telemetry::{
-    JsonlRecorder, NullRecorder, PhaseHistograms, PhaseTimes, Recorder, ScanRecord, SharedRecorder,
+    JsonlRecorder, NullRecorder, PhaseTimes, Recorder, ScanRecord, SharedRecorder,
 };

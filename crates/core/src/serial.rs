@@ -61,13 +61,7 @@ fn integrate(
     record: &mut ScanRecord,
 ) {
     let t1 = Instant::now();
-    if let Some(buf) = events.as_deref_mut() {
-        engine::record_accesses(buf, cache, batch.updates());
-    }
-    let mut seeds = tree.read_cursor();
-    cache.insert_batch(batch.updates(), |k| seeds.search(k));
-    record.octree_seed_visits = seeds.nodes_visited();
-    drop(seeds);
+    record.octree_seed_visits = engine::insert_seeded(cache, tree, events.as_deref_mut(), batch);
     record.times.cache_insert = t1.elapsed();
 
     let t2 = Instant::now();

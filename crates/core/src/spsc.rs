@@ -1,10 +1,13 @@
 //! A single-producer single-consumer ring queue.
 //!
-//! The parallel OctoCache pipeline (paper §4.4) connects thread 1 (cache
-//! eviction) to thread 2 (octree update) through a shared buffer; the paper
-//! uses the C++ `readerwriterqueue`. This module is the Rust equivalent: a
-//! bounded lock-free Lamport ring with acquire/release synchronisation —
-//! enqueue from exactly one thread, dequeue from exactly one other.
+//! The paper's parallel pipeline (§4.4) connects thread 1 (cache eviction)
+//! to thread 2 (octree update) through a shared buffer, the C++
+//! `readerwriterqueue`. This module is the Rust equivalent: a bounded
+//! lock-free Lamport ring with acquire/release synchronisation — enqueue
+//! from exactly one thread, dequeue from exactly one other. No backend uses
+//! it: the parallel backend hands each batch to a scoped thread. Only the
+//! frozen benchmark's `spsc.ns_per_item` probe and the `spsc_stress` test
+//! call it, and it goes with the `parallel` backend (ROADMAP item 3).
 //!
 //! # Example
 //!
@@ -19,60 +22,6 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Busy-spin steps a [`Backoff`] takes before its first clock read.
-const SPIN_ITERS: u32 = 64;
-
-/// A bounded spin → yield → deadline backoff for the pipeline's waits.
-///
-/// The first 64 steps are pure spins (no clock read, no syscall); after
-/// that each step checks the deadline and yields the CPU.
-/// [`Backoff::snooze`] returns `false` once the deadline has passed, which
-/// callers convert into a typed
-/// [`crate::fault::PipelineError::QueueStalled`] instead of spinning
-/// forever — the fault-tolerance contract of the parallel pipeline.
-#[derive(Debug)]
-pub(crate) struct Backoff {
-    spins: u32,
-    start: Option<Instant>,
-    deadline: Duration,
-}
-
-impl Backoff {
-    /// Creates a backoff that gives up after `deadline` of waiting (the
-    /// clock starts at the first post-spin step, so short waits never pay
-    /// for an `Instant` read).
-    pub fn new(deadline: Duration) -> Self {
-        Backoff {
-            spins: 0,
-            start: None,
-            deadline,
-        }
-    }
-
-    /// Performs one wait step. Returns `false` once the deadline has
-    /// elapsed; the caller should stop waiting and report a stall.
-    pub(crate) fn snooze(&mut self) -> bool {
-        if self.spins < SPIN_ITERS {
-            self.spins += 1;
-            std::hint::spin_loop();
-            return true;
-        }
-        let start = *self.start.get_or_insert_with(Instant::now);
-        if start.elapsed() >= self.deadline {
-            return false;
-        }
-        std::thread::yield_now();
-        true
-    }
-
-    /// How long this backoff has been yielding (zero while still in the
-    /// spin phase).
-    pub fn waited(&self) -> Duration {
-        self.start.map(|s| s.elapsed()).unwrap_or(Duration::ZERO)
-    }
-}
 
 struct Ring<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
@@ -360,34 +309,6 @@ mod tests {
         producer.join().unwrap();
         assert_eq!(expected, N);
         assert_eq!(sum, N * (N - 1) / 2);
-    }
-
-    #[test]
-    fn backoff_spins_then_expires() {
-        let mut b = Backoff::new(Duration::from_millis(5));
-        // The spin phase never expires and never reads the clock.
-        for _ in 0..SPIN_ITERS {
-            assert!(b.snooze());
-        }
-        assert_eq!(b.waited(), Duration::ZERO);
-        // Past the spin phase the deadline eventually trips.
-        let mut steps = 0u64;
-        while b.snooze() {
-            steps += 1;
-            assert!(steps < 100_000_000, "backoff never expired");
-        }
-        assert!(b.waited() >= Duration::from_millis(5));
-        // Once expired it stays expired.
-        assert!(!b.snooze());
-    }
-
-    #[test]
-    fn backoff_zero_deadline_expires_right_after_spin_phase() {
-        let mut b = Backoff::new(Duration::ZERO);
-        for _ in 0..SPIN_ITERS {
-            assert!(b.snooze());
-        }
-        assert!(!b.snooze());
     }
 
     #[test]

@@ -1,15 +1,5 @@
-//! The self-healing supervisor: restart policy, memory budget, and
-//! scan-admission gate.
+//! The supervisor: memory budget and scan-admission gate.
 //!
-//! PR 3 gave the parallel pipeline a *failure* model — typed faults, an
-//! integrity verdict, deterministic injection — whose answer to every
-//! fault was to degrade and limp: a dead worker's evictions are applied
-//! inline for the rest of the run. This module adds the *recovery* model
-//! (DESIGN.md §7):
-//!
-//! * [`CacheConfig::max_restarts`] bounds how often the pipeline may
-//!   respawn its dead worker. The respawn itself and the budget live in
-//!   `parallel.rs` (it needs the retained batch and the octree).
 //! * [`CacheConfig::mem_budget`] is one threshold at the scan boundary:
 //!   the engine admits a scan iff the executor's resident bytes are below
 //!   it, and otherwise sheds it with [`ShedReason::OverBudget`]. The
@@ -30,12 +20,10 @@
 //! `ScanRecord::sheds` (or, after the last applied scan, in the trailing
 //! record `finish` writes).
 //!
-//! All three are zero-cost when unconfigured: no budget means resident
-//! bytes are never measured, no deadline means the gate admits
-//! unconditionally on one `Option` branch, and `max_restarts = 0`
-//! short-circuits respawn before any worker state is inspected.
+//! Both are zero-cost when unconfigured: no budget means resident bytes
+//! are never measured, and no deadline means the gate admits
+//! unconditionally on one `Option` branch.
 //!
-//! [`CacheConfig::max_restarts`]: crate::CacheConfig::max_restarts
 //! [`CacheConfig::mem_budget`]: crate::CacheConfig::mem_budget
 //! [`CacheConfig::shed_deadline`]: crate::CacheConfig::shed_deadline
 

@@ -10,11 +10,12 @@
 //! match the writer's table, and each reader's epoch sequence must be
 //! monotone — snapshots never go backwards.
 //!
-//! The same harness also runs against a parallel pipeline whose worker
-//! is killed mid-run (a [`octocache::FaultPlan`] failpoint): the scan may
-//! surface a typed error, but the handle must keep serving consistent,
-//! untorn snapshots throughout — a dead worker must never wedge or
-//! corrupt the read path.
+//! The same harness also runs against a parallel pipeline whose octree
+//! thread is killed mid-run (a [`octocache::FaultPlan`] failpoint): the
+//! scan surfaces a typed error, but the handle must keep serving
+//! consistent, untorn snapshots throughout, each scan boundary's equal to
+//! a clean run's — a dead thread must never wedge or corrupt the read
+//! path.
 
 mod common;
 
@@ -158,34 +159,30 @@ fn readers_never_observe_torn_snapshots_on_parallel_backend() {
     assert_boundary_consistent("parallel", &table, &logs, scans.len() as u64);
 }
 
-/// A killed worker must not wedge the read path or publish a torn map:
+/// A killed octree thread must not wedge the read path or publish a torn
+/// or diverged map:
 /// scans may surface typed errors and the map may be degraded, but every
 /// published epoch still has exactly one digest and the handle keeps
 /// serving after the fault.
 #[test]
 fn killed_worker_does_not_wedge_or_corrupt_snapshots() {
     use octocache::{CacheConfig, FaultPlan};
-    use std::time::Duration;
 
     let scans = scenario(3301);
+    let mut clean = ParallelOctoCache::new(grid(), OccupancyParams::default(), cache());
+    let (clean_table, _, _) = hammer(&mut clean, &scans);
     for batch in [0u64, 2] {
         let plan = FaultPlan::from_spec(&format!("kill:1@{batch}")).expect("valid spec");
         let mut b = CacheConfig::builder();
-        b.num_buckets(1 << 7)
-            .tau(2)
-            .stall_timeout(Duration::from_secs(2))
-            .fault_plan(plan);
+        b.num_buckets(1 << 7).tau(2).fault_plan(plan);
         let config = b.build().unwrap();
         let mut backend = ParallelOctoCache::new(grid(), OccupancyParams::default(), config);
-        let (table, logs, _errors) = hammer(&mut backend, &scans);
-        // The kill may or may not surface depending on whether the target
-        // batch is reached; either way, the consistency contract holds.
-        assert_boundary_consistent(
-            &format!("parallel kill:1@{batch}"),
-            &table,
-            &logs,
-            scans.len() as u64,
-        );
+        let (table, logs, errors) = hammer(&mut backend, &scans);
+        let label = format!("parallel kill:1@{batch}");
+        assert_eq!(errors, 1, "{label}: the kill must surface once");
+        assert_boundary_consistent(&label, &table, &logs, scans.len() as u64);
+        // Every scan boundary publishes the clean run's map.
+        assert_eq!(table, clean_table, "{label}: a boundary diverged");
         // The handle still answers after the fault and the final map is
         // still queryable through it.
         let handle = backend.query_handle();

@@ -1,16 +1,17 @@
-//! Chaos soak for the self-healing supervised runtime, part of the plain
-//! `cargo test` run.
+//! Chaos soak for the supervised runtime, part of the plain `cargo test`
+//! run.
 //!
 //! Seeded long runs (hundreds of scans each, over three seeds) interleave
-//! periodic worker kills, a deliberately tight memory budget, and burst
-//! overload. The contract under test:
+//! periodic octree-thread kills, a deliberately tight memory budget, and
+//! burst overload. The contract under test:
 //!
-//! 1. The final map is voxel-for-voxel identical to a serial replay of
-//!    exactly the scans that were applied (shed scans excluded) — worker
-//!    respawn re-applies the retained batch idempotently.
-//! 2. Integrity re-converges to `Intact` after every heal: the transition
-//!    history strictly alternates degrade → heal, and each respawn is
-//!    matched by a heal while the restart budget lasts.
+//! 1. After every applied scan, the map answers every voxel that scan
+//!    traced exactly as a serial twin fed the same applied scans does, and
+//!    the final map is voxel-for-voxel identical to a serial replay of
+//!    exactly the scans that were applied (shed scans excluded) — a killed
+//!    thread's batch is re-applied inline, idempotently.
+//! 2. A kill costs only time: the scan after it spawns a thread again,
+//!    which does the work.
 //! 3. The budget is one threshold on a footprint that never shrinks: it
 //!    sheds at least one scan, every submission after the first shed is
 //!    shed too (the map stops growing at the cap), and every applied scan
@@ -23,10 +24,10 @@ use std::time::Duration;
 use common::Scan;
 use octocache::pipeline::MappingSystem;
 use octocache::{
-    CacheConfig, FaultPlan, Integrity, ParallelOctoCache, PipelineError, SerialOctoCache,
-    SharedRecorder, ShedReason,
+    CacheConfig, FaultPlan, ParallelOctoCache, PipelineError, SerialOctoCache, SharedRecorder,
+    ShedReason,
 };
-use octocache_octomap::{compare, OccupancyOcTree, OccupancyParams};
+use octocache_octomap::{compare, insert, OccupancyOcTree, OccupancyParams};
 use proptest::prelude::*;
 
 const MAX_RANGE: f64 = 40.0;
@@ -65,28 +66,31 @@ struct SoakOutcome {
 }
 
 struct MapSummary {
-    integrity: Integrity,
     counters: octocache::FaultCounters,
-    history: Vec<octocache::IntegrityTransition>,
     records: Vec<octocache::ScanRecord>,
 }
 
 /// Drives every scan through the supervised admission gate. A
-/// `WorkerPanicked` error is an *applied* scan (the retained batch was
-/// re-applied inline before the deferred fault surfaced); any other error
-/// fails the soak.
+/// `WorkerPanicked` error is an *applied* scan (the batch was re-applied
+/// inline before the deferred fault surfaced); any other error fails the
+/// soak. After each applied scan, every voxel it traced must read as it
+/// does in a serial twin fed the same applied scans.
 fn run_supervised(scans: &[Scan], config: CacheConfig) -> SoakOutcome {
-    let mut map = ParallelOctoCache::new(common::grid(), OccupancyParams::default(), config);
+    let grid = common::grid();
+    let mut map = ParallelOctoCache::new(grid, OccupancyParams::default(), config);
+    let mut twin = SerialOctoCache::new(grid, OccupancyParams::default(), common::cache());
     let recorder = SharedRecorder::new();
     map.set_recorder(Box::new(recorder.clone()));
     let mut applied = Vec::new();
     let mut sheds = Vec::new();
     let mut kill_errors = 0u64;
+    let mut traced = insert::VoxelBatch::new();
     for (i, scan) in scans.iter().enumerate() {
         match map.insert_scan(scan.origin, &scan.points, MAX_RANGE) {
             Ok(_) => applied.push(i),
             Err(PipelineError::Shed(ShedReason::OverBudget { resident_bytes, .. })) => {
-                sheds.push((i, resident_bytes))
+                sheds.push((i, resident_bytes));
+                continue;
             }
             Err(PipelineError::Shed(reason)) => {
                 panic!("scan {i}: unexpected shed reason {reason} (no deadline configured)")
@@ -97,12 +101,22 @@ fn run_supervised(scans: &[Scan], config: CacheConfig) -> SoakOutcome {
             }
             Err(e) => panic!("scan {i}: unexpected error {e}"),
         }
+        twin.insert_scan(scan.origin, &scan.points, MAX_RANGE)
+            .expect("twin scan");
+        insert::compute_update(&grid, scan.origin, &scan.points, MAX_RANGE, &mut traced)
+            .expect("traced scan");
+        for u in traced.updates() {
+            assert_eq!(
+                map.occupancy(u.key).map(f32::to_bits),
+                twin.occupancy(u.key).map(f32::to_bits),
+                "scan {i}: voxel {} differs from the serial twin",
+                u.key
+            );
+        }
     }
     map.finish();
     let map_summary = MapSummary {
-        integrity: map.integrity(),
         counters: map.fault_counters(),
-        history: map.integrity_transitions(),
         records: recorder.records(),
     };
     SoakOutcome {
@@ -130,37 +144,6 @@ fn assert_differential(label: &str, scans: &[Scan], o: &SoakOutcome) {
     );
 }
 
-/// Every degrade in the history is matched by a subsequent heal (the last
-/// degrade may be trailing when the final scans were killed or shed).
-fn assert_reconverges(label: &str, s: &MapSummary) {
-    let mut open_degrade = false;
-    for t in &s.history {
-        if t.to.is_degraded() {
-            assert!(
-                !open_degrade,
-                "{label}: two degrades without a heal between them: {:?}",
-                s.history
-            );
-            open_degrade = true;
-        } else {
-            assert!(
-                open_degrade,
-                "{label}: heal without a preceding degrade: {:?}",
-                s.history
-            );
-            open_degrade = false;
-        }
-    }
-    if !open_degrade {
-        assert_eq!(
-            s.integrity,
-            Integrity::Intact,
-            "{label}: history re-converged but the verdict is stuck: {:?}",
-            s.history
-        );
-    }
-}
-
 #[test]
 fn chaos_soak_heals_sheds_and_stays_differential_exact() {
     for seed in SOAK_SEEDS {
@@ -171,33 +154,43 @@ fn chaos_soak_heals_sheds_and_stays_differential_exact() {
 fn chaos_soak(seed: u64) {
     let scans = soak_scans(seed);
     assert!(scans.len() >= 200, "soak needs hundreds of scans");
-    // The budget is derived from the run itself: ~4/5 of the final
-    // serial tree footprint, so it trips as the map approaches completion
-    // without starving the whole run.
-    let all: Vec<&Scan> = scans.iter().collect();
-    let budget = (serial_reference(&all).memory_usage() as u64) * 4 / 5;
+    // The budget is derived from the run itself: the cache's own bytes
+    // (its records and fold scratch, which the budget counts too) plus
+    // ~4/5 of the final serial tree, so it trips as the map approaches
+    // completion without starving the whole run.
+    let mut full =
+        SerialOctoCache::new(common::grid(), OccupancyParams::default(), common::cache());
+    for scan in &scans {
+        full.insert_scan(scan.origin, &scan.points, MAX_RANGE)
+            .expect("reference scan");
+    }
+    let cache_footprint = full.cache().memory_usage() as u64;
+    let budget = cache_footprint + (full.into_tree().memory_usage() as u64) * 4 / 5;
     let label = format!("soak seed={seed}");
     let mut b = CacheConfig::builder();
-    b.num_buckets(1 << 7)
-        .tau(2)
-        .mem_budget(budget)
-        .max_restarts(10_000)
-        .stall_timeout(Duration::from_secs(10));
+    b.num_buckets(1 << 7).tau(2).mem_budget(budget);
     b.fault_plan(FaultPlan::from_spec("killevery:0@7").expect("spec"));
     let config = b.build().unwrap();
     let o = run_supervised(&scans, config);
     let s = &o.map_summary;
 
-    // Worker kills happened and every one of them was healed by a
-    // respawn (the restart budget is never exhausted here).
+    // Kills happened, each surfaced once, and every applied scan that met
+    // none had its batch applied on an octree thread.
     assert!(o.kill_errors >= 1, "{label}: the kill fault never fired");
-    assert!(s.counters.heals >= 1, "{label}: no heals recorded");
-    assert_eq!(
-        s.counters.restarts, s.counters.heals,
-        "{label}: a respawn failed to heal: {:?}",
+    assert!(
+        o.kill_errors <= s.counters.worker_panics,
+        "{label}: {} kill errors for {:?}",
+        o.kill_errors,
         s.counters
     );
-    assert_reconverges(&label, s);
+    for r in s.records.iter().filter(|r| !r.trailing) {
+        assert_eq!(
+            r.worker_busy_ns[0] > 0,
+            r.worker_panics == 0,
+            "{label}: scan {}: {r:?}",
+            r.seq
+        );
+    }
 
     // The budget tripped, and from then on it refused everything: the
     // footprint it measures never shrinks.
@@ -235,10 +228,10 @@ fn chaos_soak(seed: u64) {
         s.records.iter().all(|r| r.pressure_level == "normal"),
         "{label}"
     );
-    // Heals and restarts land in the per-scan records too.
+    // Panics land in the per-scan records too.
     assert_eq!(
-        s.records.iter().map(|r| r.heals).sum::<u64>(),
-        s.counters.heals,
+        s.records.iter().map(|r| r.worker_panics).sum::<u64>(),
+        o.kill_errors,
         "{label}"
     );
     assert_eq!(
@@ -257,7 +250,7 @@ fn burst_overload_sheds_and_reapplies_cleanly() {
     // An absurdly tight deadline forces the admission gate into its
     // shed/decay/re-admit cycle: most scans shed, some apply, and the map
     // must equal the serial replay of the applied subset. No faults are
-    // injected, so the verdict stays intact throughout.
+    // injected, so none are counted.
     let scans = soak_scans(SOAK_SEEDS[0]);
     let mut b = CacheConfig::builder();
     b.num_buckets(1 << 7)
@@ -280,7 +273,6 @@ fn burst_overload_sheds_and_reapplies_cleanly() {
     map.finish();
     assert!(sheds > 0, "overload never shed");
     assert!(!applied.is_empty(), "gate never re-admitted");
-    assert_eq!(map.integrity(), Integrity::Intact);
     assert!(!map.fault_counters().any());
     let applied_scans: Vec<&Scan> = applied.iter().map(|&i| &scans[i]).collect();
     let reference = serial_reference(&applied_scans);
@@ -298,33 +290,28 @@ fn burst_overload_sheds_and_reapplies_cleanly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Kills at arbitrary cadence (including mid-`BatchEnd` positions,
-    /// since the cadence is measured in batches): the retained-batch
-    /// re-apply must stay idempotent across every respawn — the healed map
-    /// always equals the serial reference.
+    /// Kills at arbitrary cadence (measured in batches, so `finish`'s two
+    /// batches are among the targets): the inline re-apply must stay
+    /// idempotent across every kill — the map always equals the serial
+    /// reference, scan by scan and at the end.
     #[test]
     fn respawn_reapply_is_idempotent(seed in 0u64..256, every in 1u64..6) {
         let scans: Vec<Scan> = (0..2)
             .flat_map(|i| common::scenario(seed.wrapping_mul(31).wrapping_add(i)))
             .collect();
         let mut b = CacheConfig::builder();
-        b.num_buckets(1 << 6)
-            .tau(1)
-            .max_restarts(10_000)
-            .stall_timeout(Duration::from_secs(10));
+        b.num_buckets(1 << 6).tau(1);
         b.fault_plan(FaultPlan::from_spec(&format!("killevery:0@{every}")).unwrap());
         let o = run_supervised(&scans, b.build().unwrap());
         prop_assert!(o.sheds.is_empty()); // no budget configured
-        let s = &o.map_summary;
-        prop_assert_eq!(s.counters.restarts, s.counters.heals);
+        prop_assert!(o.map_summary.counters.worker_panics >= o.kill_errors);
         let applied: Vec<&Scan> = o.applied.iter().map(|&i| &scans[i]).collect();
         let reference = serial_reference(&applied);
         let d = compare::diff(&reference, &o.tree, 0.0);
         prop_assert!(
             d.is_identical(),
-            "seed={} every={}: {} value / {} coverage mismatches ({} kills, {} restarts)",
-            seed, every, d.value_mismatches, d.coverage_mismatches,
-            o.kill_errors, s.counters.restarts
+            "seed={} every={}: {} value / {} coverage mismatches ({} kills)",
+            seed, every, d.value_mismatches, d.coverage_mismatches, o.kill_errors
         );
     }
 }

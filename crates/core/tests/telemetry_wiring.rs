@@ -174,22 +174,6 @@ fn parallel_records_queue_depth_and_worker_time() {
 }
 
 #[test]
-fn phase_histograms_count_scans() {
-    let mut map = SerialOctoCache::new(grid(), OccupancyParams::default(), cache_config());
-    let n = scans().len() as u64;
-    for (origin, cloud) in scans() {
-        map.insert_scan(origin, &cloud, 30.0).unwrap();
-    }
-    let hists = map
-        .phase_histograms()
-        .expect("serial backend has histograms");
-    let ray = hists.get(octocache_telemetry::Phase::RayTracing);
-    assert_eq!(ray.count(), n);
-    assert!(ray.p50() <= ray.p99());
-    assert!(ray.p99() <= ray.max());
-}
-
-#[test]
 fn cache_stats_since_and_merge() {
     let base = CacheStats {
         insertions: 100,

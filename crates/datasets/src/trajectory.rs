@@ -67,7 +67,7 @@ impl Trajectory {
 
     /// An arc of a circle from `start_angle` to `end_angle` (radians) with
     /// `steps` poses, looking outward or along the tangent.
-    pub fn arc(
+    pub(crate) fn arc(
         center: Point3,
         radius: f64,
         start_angle: f64,

@@ -208,13 +208,15 @@ impl ArenaTree {
         *self = ArenaTree::new();
     }
 
-    /// Pool footprint in bytes: allocated capacity of both pools (free-list
-    /// slack included — recycled blocks stay resident) plus the free-lists.
+    /// The bytes the pools hold: 64 an inner block and 32 a brick, in use
+    /// or on a free list (recycled entries stay resident), plus 4 a
+    /// free-list entry. Counted by length, not capacity: the spare room a
+    /// pool keeps after doubling is not the map's.
     pub(crate) fn memory_usage(&self) -> usize {
         use std::mem::size_of;
-        self.inner.capacity() * size_of::<Block>()
-            + self.bricks.capacity() * size_of::<Brick>()
-            + (self.free_inner.capacity() + self.free_bricks.capacity()) * size_of::<u32>()
+        self.inner.len() * size_of::<Block>()
+            + self.bricks.len() * size_of::<Brick>()
+            + (self.free_inner.len() + self.free_bricks.len()) * size_of::<u32>()
     }
 
     /// Grabs an inner block with all eight slots set to `fill`: recycles
@@ -1010,6 +1012,28 @@ mod tests {
                 + 32 * copy.bricks.len()
                 + 4 * (copy.free_inner.len() + copy.free_bricks.len())
         );
+    }
+
+    #[test]
+    fn a_grown_pool_counts_its_entries_not_its_capacity() {
+        let mut t = ArenaTree::new();
+        let mut stats = TreeStats::new();
+        // Past a doubling of both pools, with entries on both free lists.
+        for i in 0..64u16 {
+            observe(&mut t, VoxelKey::new(4 * i, 300, 7 * i), true, &mut stats);
+        }
+        saturate(&mut t, 2, &mut stats);
+        assert!(t.inner.capacity() > t.inner.len() && t.bricks.capacity() > t.bricks.len());
+        let c = t.census(DEPTH);
+        assert!(c.free_inner_blocks > 0 && c.free_bricks > 0, "{c:?}");
+        // Every pool entry is in the tree or on its free list.
+        assert_eq!(t.inner.len(), c.inner_blocks + c.free_inner_blocks);
+        assert_eq!(t.bricks.len(), c.bricks + c.free_bricks);
+        assert_eq!(
+            c.bytes,
+            64 * t.inner.len() + 32 * t.bricks.len() + 4 * (c.free_inner_blocks + c.free_bricks)
+        );
+        assert_eq!(c.bytes, t.memory_usage());
     }
 
     #[test]

@@ -164,9 +164,10 @@ impl OccupancyOcTree {
         self.pool_census().leaves
     }
 
-    /// Heap footprint in bytes: the node pools' allocated capacity — 8
-    /// bytes an inner slot, 32 a leaf brick, free-list slack included —
-    /// plus the free-lists. O(1), safe to sample every scan.
+    /// The bytes the map holds: 64 an inner block of eight 8-byte slots
+    /// and 32 a leaf brick, recycled ones on the free lists included, plus
+    /// 4 a free-list entry. The pools' spare capacity is not counted. O(1),
+    /// safe to sample every scan.
     pub fn memory_usage(&self) -> usize {
         self.nodes.memory_usage()
     }

@@ -418,8 +418,8 @@ mod tests {
 
     #[test]
     fn supervised_mission_completes_without_shedding() {
-        // A supervised backend (memory budget + restart budget + deadline)
-        // flying a calm mission must behave exactly like an unsupervised
+        // A supervised backend (memory budget + deadline) flying a calm
+        // mission must behave exactly like an unsupervised
         // one: goal reached, nothing shed, no collisions.
         let grid = VoxelGrid::new(Environment::Room.baseline_params().resolution, 16).unwrap();
         let mut builder = CacheConfig::builder();
@@ -427,7 +427,6 @@ mod tests {
             .num_buckets(1 << 12)
             .tau(4)
             .mem_budget(1 << 30)
-            .max_restarts(2)
             .shed_deadline(std::time::Duration::from_secs(5));
         let map = SerialOctoCache::new(grid, OccupancyParams::default(), builder.build().unwrap());
         let mission = Mission::new(

@@ -26,13 +26,13 @@ pub struct PhaseTimes {
     /// Octree updates (on the critical thread for serial backends, on
     /// thread 2 for the parallel ones).
     pub octree_update: Duration,
-    /// Shared-buffer enqueue on thread 1 (parallel only).
+    /// Hand-off on thread 1: spawning the octree thread (parallel only).
     pub enqueue: Duration,
-    /// Shared-buffer dequeue on thread 2 (parallel only).
+    /// Hand-off on thread 2: from the spawn to the octree thread running
+    /// (parallel only).
     pub dequeue: Duration,
-    /// Thread 1 time spent waiting for the octree worker to finish the
-    /// batch in flight (parallel only). The wait for the octree mutex
-    /// itself is `ScanRecord::mutex_wait`.
+    /// Thread 1 time spent joining the octree thread that applies the
+    /// batch in flight (parallel only).
     pub wait: Duration,
 }
 
@@ -159,10 +159,11 @@ impl fmt::Display for Phase {
 
 /// One latency [`Histogram`] per workflow phase.
 ///
-/// This is the histogram-backed replacement for mean-only [`PhaseTimes`]
-/// accumulation: backends record each scan's per-phase durations here, so
-/// p50/p90/p99 survive aggregation (a mean hides the tail that gates the
-/// UAV control loop). [`PhaseTimes`] remains the cheap summary view.
+/// The histogram-backed counterpart of mean-only [`PhaseTimes`]
+/// accumulation: a [`crate::TraceSummary`] records each scan's per-phase
+/// durations here, so p50/p90/p99 survive aggregation (a mean hides the
+/// tail that gates the UAV control loop). [`PhaseTimes`] remains the cheap
+/// summary view a backend keeps live.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseHistograms {
     hists: [Histogram; 7],
@@ -195,13 +196,6 @@ impl PhaseHistograms {
             if !d.is_zero() {
                 self.record(phase, d);
             }
-        }
-    }
-
-    /// Merges another set of histograms (multi-run aggregation).
-    pub fn merge(&mut self, other: &PhaseHistograms) {
-        for (a, b) in self.hists.iter_mut().zip(other.hists.iter()) {
-            a.merge(b);
         }
     }
 

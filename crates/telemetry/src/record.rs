@@ -1,7 +1,5 @@
 //! The per-scan trace event emitted by every mapping backend.
 
-use std::time::Duration;
-
 use serde::{Deserialize, Serialize};
 
 use crate::phase::PhaseTimes;
@@ -48,52 +46,34 @@ pub struct ScanRecord {
     pub octree_leaf_updates: u64,
     /// Octree nodes created this scan.
     pub octree_nodes_created: u64,
-    /// Bytes resident in the backend's octree storage after this scan
-    /// O(1) to sample: it is the node pool's allocated capacity.
+    /// Bytes the backend's octree storage holds after this scan: its
+    /// pools' live entries and free lists, not their spare capacity.
     pub memory_bytes: u64,
-    /// SPSC queue depth sampled right after this scan's enqueue
-    /// (parallel backend only).
+    /// Batches this scan handed to an octree thread: 1, or 0 when the
+    /// spawn failed (parallel backend only).
     pub queue_depth_enqueue: u64,
-    /// SPSC queue depth sampled by the worker when it dequeued a batch
+    /// Batches the octree thread took this scan, as `queue_depth_enqueue`
     /// (parallel backend only).
     pub queue_depth_dequeue: u64,
-    /// Time thread 1 spent blocked acquiring the octree mutex this scan
-    /// (parallel backend only; the serial backends have no mutex).
-    pub mutex_wait: Duration,
-    /// Producer-side queue depth per worker right after this scan's
-    /// hand-off (one element on the parallel backend, which has one
-    /// worker; empty elsewhere).
+    /// `queue_depth_enqueue` per octree thread (one element on the
+    /// parallel backend, which has one; empty elsewhere).
     pub worker_queue_depths: Vec<u64>,
-    /// Per-worker busy time (dequeue + octree update) attributed to this
-    /// scan, in nanoseconds (one element on the parallel backend; empty
-    /// elsewhere).
+    /// Per-thread busy time (dequeue + octree update) of the batch this
+    /// scan applied, in nanoseconds (one element on the parallel backend;
+    /// empty elsewhere).
     pub worker_busy_ns: Vec<u64>,
-    /// Per-worker idle time attributed to this scan, in nanoseconds
-    /// (one element on the parallel backend; empty elsewhere).
+    /// Per-thread idle time: the scan's wall time minus
+    /// `worker_busy_ns`, in nanoseconds (one element on the parallel
+    /// backend; empty elsewhere).
     pub worker_idle_ns: Vec<u64>,
-    /// Worker threads observed dead by panic during this scan (parallel
-    /// backend; fault counters are deltas, zero on healthy scans).
+    /// Octree threads that panicked during this scan (parallel backend;
+    /// fault counters are deltas, zero on healthy scans).
     pub worker_panics: u64,
-    /// Worker threads that failed to spawn (reported on the first scan).
+    /// Octree threads that failed to spawn during this scan.
     pub spawn_failures: u64,
-    /// Bounded waits that expired into `QueueStalled` during this scan.
-    pub stall_timeouts: u64,
-    /// Batches left unapplied during this scan: a wedged worker held the
-    /// octree mutex, so the inline apply could not run.
-    pub partial_batches: u64,
-    /// Batches applied inline on the producer because the worker was out of
-    /// rotation.
+    /// Batches applied inline on the caller's thread after a panic or a
+    /// failed spawn.
     pub batches_rerouted: u64,
-    /// True once the backend has left the intact state (any fault so far —
-    /// sticky, unlike the per-scan counters above).
-    pub degraded: bool,
-    /// Dead workers respawned by the supervisor during this scan (delta).
-    pub restarts: u64,
-    /// Integrity transitions back to intact during this scan (delta).
-    pub heals: u64,
-    /// Time the supervisor spent respawning workers before this scan, in
-    /// nanoseconds (thread spawn).
-    pub restart_ns: u64,
     /// Scans shed by the admission gate or memory budget since the
     /// previous applied scan (shed scans get no record of their own; the
     /// next applied scan carries the count, and refusals after the last one
@@ -148,6 +128,8 @@ impl ScanRecord {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -172,19 +154,12 @@ mod tests {
             memory_bytes: 1_234_567,
             queue_depth_enqueue: 3,
             queue_depth_dequeue: 1,
-            mutex_wait: Duration::from_nanos(90),
             worker_queue_depths: vec![3, 1],
             worker_busy_ns: vec![900, 450],
             worker_idle_ns: vec![10, 460],
             worker_panics: 1,
             spawn_failures: 0,
-            stall_timeouts: 2,
-            partial_batches: 1,
             batches_rerouted: 3,
-            degraded: true,
-            restarts: 1,
-            heals: 1,
-            restart_ns: 42_000,
             sheds: 2,
             trailing: false,
             pressure_level: "elevated".to_string(),

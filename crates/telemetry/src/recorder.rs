@@ -5,7 +5,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::phase::{PhaseHistograms, PhaseTimes};
+use crate::phase::PhaseTimes;
 use crate::record::ScanRecord;
 
 /// A sink for per-scan trace events.
@@ -132,19 +132,18 @@ impl<W: Write + Send> Drop for JsonlRecorder<W> {
     }
 }
 
-/// Per-backend telemetry state: cumulative [`PhaseTimes`], per-phase
-/// latency [`PhaseHistograms`], and an optional attached [`Recorder`].
+/// Per-backend telemetry state: cumulative [`PhaseTimes`] and an optional
+/// attached [`Recorder`].
 ///
 /// Backends own one of these instead of a bare `PhaseTimes` accumulator.
 /// [`Telemetry::record`] stamps the scan sequence number and backend name
-/// onto the event, folds it into the totals and histograms, and forwards it
-/// to the recorder (if any). With no recorder attached the cost is a few
-/// histogram increments per scan and mapping behaviour is unchanged.
+/// onto the event, folds it into the totals, and forwards it to the
+/// recorder (if any). Per-phase percentiles are computed from a recorded
+/// trace ([`crate::TraceSummary`]), not kept live.
 pub struct Telemetry {
     backend: String,
     seq: u64,
     totals: PhaseTimes,
-    hists: PhaseHistograms,
     recorder: Option<Box<dyn Recorder>>,
 }
 
@@ -155,7 +154,6 @@ impl Telemetry {
             backend: backend.into(),
             seq: 0,
             totals: PhaseTimes::default(),
-            hists: PhaseHistograms::new(),
             recorder: None,
         }
     }
@@ -165,11 +163,10 @@ impl Telemetry {
         self.recorder = Some(recorder);
     }
 
-    /// Records one scan: stamps `seq` and `backend`, accumulates totals and
-    /// per-phase histograms, and forwards the event to the recorder.
+    /// Records one scan: stamps `seq` and `backend`, accumulates the
+    /// totals, and forwards the event to the recorder.
     pub fn record(&mut self, record: ScanRecord) {
         self.totals += record.times;
-        self.hists.record_times(&record.times);
         self.forward(record);
         self.seq += 1;
     }
@@ -177,8 +174,7 @@ impl Telemetry {
     /// Marks a record that carries no scan — the refusals after the last
     /// applied one — as [`ScanRecord::trailing`], stamps `seq` and
     /// `backend` on it and forwards it to the recorder. It is not a scan:
-    /// [`Telemetry::scans`], the totals and the histograms stay as they
-    /// are.
+    /// [`Telemetry::scans`] and the totals stay as they are.
     pub fn record_trailing(&mut self, mut record: ScanRecord) {
         record.trailing = true;
         self.forward(record);
@@ -206,11 +202,6 @@ impl Telemetry {
     /// Cumulative phase times (the historical `PhaseTimes` summary view).
     pub fn totals(&self) -> PhaseTimes {
         self.totals
-    }
-
-    /// Per-phase latency histograms over the recorded scans.
-    pub fn histograms(&self) -> &PhaseHistograms {
-        &self.hists
     }
 
     /// Flushes the attached recorder, if any.
@@ -271,11 +262,10 @@ mod tests {
         assert!(records.iter().all(|r| r.backend == "test-backend"));
         assert_eq!(t.scans(), 2);
         assert_eq!(t.totals().ray_tracing, Duration::from_micros(400));
-        assert_eq!(t.histograms().get(crate::Phase::RayTracing).count(), 2);
     }
 
     #[test]
-    fn add_times_skips_histograms() {
+    fn add_times_adds_to_the_totals_only() {
         let mut t = Telemetry::new("x");
         t.add_times(PhaseTimes {
             octree_update: Duration::from_millis(3),
@@ -283,7 +273,6 @@ mod tests {
         });
         assert_eq!(t.scans(), 0);
         assert_eq!(t.totals().octree_update, Duration::from_millis(3));
-        assert_eq!(t.histograms().samples(), 0);
     }
 
     #[test]

@@ -128,26 +128,12 @@ pub struct TraceSummary {
     /// Per-worker idle nanoseconds summed over the trace (as
     /// `worker_busy_ns`).
     pub worker_idle_ns: Vec<u64>,
-    /// Total worker panics over the trace.
+    /// Total octree-thread panics over the trace.
     pub worker_panics: u64,
-    /// Total worker spawn failures over the trace.
+    /// Total octree-thread spawn failures over the trace.
     pub spawn_failures: u64,
-    /// Total expired bounded waits (`QueueStalled`) over the trace.
-    pub stall_timeouts: u64,
-    /// Total batches left unapplied (a wedged worker held the octree
-    /// mutex) over the trace.
-    pub partial_batches: u64,
-    /// Total batches applied inline (degraded mode) over the trace.
+    /// Total batches applied inline after a panic or a failed spawn.
     pub batches_rerouted: u64,
-    /// Scans recorded while the backend was in a degraded state.
-    pub degraded_scans: u64,
-    /// Total worker respawns performed by the supervisor over the trace.
-    pub restarts: u64,
-    /// Total integrity heals (Degraded → Intact after respawn) over the
-    /// trace.
-    pub heals: u64,
-    /// Total nanoseconds spent respawning workers over the trace.
-    pub restart_ns: u64,
     /// Total scans shed by admission control over the trace.
     pub sheds: u64,
     /// Total nanoseconds spent journaling scans (0 for non-durable runs).
@@ -207,13 +193,7 @@ impl TraceSummary {
             }
             s.worker_panics += r.worker_panics;
             s.spawn_failures += r.spawn_failures;
-            s.stall_timeouts += r.stall_timeouts;
-            s.partial_batches += r.partial_batches;
             s.batches_rerouted += r.batches_rerouted;
-            s.degraded_scans += u64::from(r.degraded);
-            s.restarts += r.restarts;
-            s.heals += r.heals;
-            s.restart_ns += r.restart_ns;
             s.sheds += r.sheds;
             s.journal_append_ns += r.journal_append_ns;
             s.checkpoint_write_ns += r.checkpoint_write_ns;
@@ -260,21 +240,9 @@ impl TraceSummary {
         }
     }
 
-    /// True when any fault or degraded scan was recorded in the trace.
+    /// True when any fault was recorded in the trace.
     pub(crate) fn any_faults(&self) -> bool {
-        self.worker_panics
-            + self.spawn_failures
-            + self.stall_timeouts
-            + self.partial_batches
-            + self.batches_rerouted
-            + self.degraded_scans
-            > 0
-    }
-
-    /// True when the supervisor did anything worth reporting: a respawn, a
-    /// heal or a shed scan.
-    pub(crate) fn any_supervisor_activity(&self) -> bool {
-        self.restarts + self.heals + self.sheds > 0
+        self.worker_panics + self.spawn_failures + self.batches_rerouted > 0
     }
 
     /// Per-worker utilization over the trace: busy / (busy + idle), in
@@ -386,13 +354,7 @@ impl TraceSummary {
             ),
             ("worker_panics", Value::U64(self.worker_panics)),
             ("spawn_failures", Value::U64(self.spawn_failures)),
-            ("stall_timeouts", Value::U64(self.stall_timeouts)),
-            ("partial_batches", Value::U64(self.partial_batches)),
             ("batches_rerouted", Value::U64(self.batches_rerouted)),
-            ("degraded_scans", Value::U64(self.degraded_scans)),
-            ("restarts", Value::U64(self.restarts)),
-            ("heals", Value::U64(self.heals)),
-            ("restart_ns", Value::U64(self.restart_ns)),
             ("sheds", Value::U64(self.sheds)),
             ("journal_append_ns", Value::U64(self.journal_append_ns)),
             ("checkpoint_write_ns", Value::U64(self.checkpoint_write_ns)),
@@ -477,25 +439,12 @@ impl TraceSummary {
         if self.any_faults() {
             let _ = writeln!(
                 out,
-                "  faults: {} panics, {} spawn failures, {} stalls, {} partial batches, \
-                 {} rerouted; {} degraded scans",
-                self.worker_panics,
-                self.spawn_failures,
-                self.stall_timeouts,
-                self.partial_batches,
-                self.batches_rerouted,
-                self.degraded_scans
+                "  faults: {} panics, {} spawn failures, {} batches applied inline",
+                self.worker_panics, self.spawn_failures, self.batches_rerouted
             );
         }
-        if self.any_supervisor_activity() {
-            let _ = writeln!(
-                out,
-                "  supervisor: {} restarts ({:.2} ms), {} heals, {} shed scans",
-                self.restarts,
-                self.restart_ns as f64 / 1e6,
-                self.heals,
-                self.sheds
-            );
+        if self.sheds > 0 {
+            let _ = writeln!(out, "  supervisor: {} shed scans", self.sheds);
         }
 
         let _ = writeln!(out, "\nper-phase latency percentiles (per scan):");
@@ -759,21 +708,29 @@ mod tests {
         let mut recs = records(4);
         recs[1].worker_panics = 1;
         recs[1].batches_rerouted = 2;
-        recs[1].degraded = true;
-        recs[2].stall_timeouts = 1;
-        recs[2].partial_batches = 1;
-        recs[2].degraded = true;
-        recs[3].degraded = true;
+        recs[2].spawn_failures = 1;
+        recs[2].batches_rerouted = 1;
         let s = TraceSummary::from_records(&recs);
         assert_eq!(s.worker_panics, 1);
-        assert_eq!(s.stall_timeouts, 1);
-        assert_eq!(s.partial_batches, 1);
-        assert_eq!(s.batches_rerouted, 2);
-        assert_eq!(s.degraded_scans, 3);
+        assert_eq!(s.spawn_failures, 1);
+        assert_eq!(s.batches_rerouted, 3);
         assert!(s.any_faults());
         let text = s.render();
-        assert!(text.contains("faults: 1 panics"), "{text}");
-        assert!(text.contains("3 degraded scans"), "{text}");
+        assert!(
+            text.contains("faults: 1 panics, 1 spawn failures, 3 batches applied inline"),
+            "{text}"
+        );
+        // A record from a trace written while the long-lived worker had a
+        // stall timeout, a respawn budget and an integrity verdict loads,
+        // its retired keys ignored.
+        let old = serde::json::to_string(&recs[1]).replacen(
+            r#""batches_rerouted":2,"#,
+            r#""stall_timeouts":1,"partial_batches":1,"batches_rerouted":2,"degraded":true,"restarts":1,"heals":1,"restart_ns":42000,"#,
+            1,
+        );
+        assert!(old.contains("heals"), "{old}");
+        let back: ScanRecord = serde::json::from_str(&old).unwrap();
+        assert_eq!(back, recs[1]);
         // A healthy trace prints no fault line.
         let healthy = TraceSummary::from_records(&records(4));
         assert!(!healthy.any_faults());
@@ -783,9 +740,6 @@ mod tests {
     #[test]
     fn summary_aggregates_supervisor_fields() {
         let mut recs = records(5);
-        recs[1].restarts = 1;
-        recs[1].heals = 1;
-        recs[1].restart_ns = 2_000_000;
         recs[2].sheds = 3;
         // The trailing record of refusals after the last applied scan: it
         // counts its sheds, is no scan, and plots no hit ratio.
@@ -797,16 +751,11 @@ mod tests {
         });
         let s = TraceSummary::from_records(&recs);
         assert_eq!((s.scans, s.trailing_records), (5, 1));
-        assert_eq!(s.restarts, 1);
-        assert_eq!(s.heals, 1);
-        assert_eq!(s.restart_ns, 2_000_000);
         assert_eq!(s.sheds, 5);
         assert_eq!(s.hit_ratio_series.len(), 5);
         assert!(s.hit_ratio_series.iter().all(|p| p.observations > 0));
-        assert!(s.any_supervisor_activity());
         let text = s.render();
-        assert!(text.contains("supervisor: 1 restarts"), "{text}");
-        assert!(text.contains("5 shed scans"), "{text}");
+        assert!(text.contains("supervisor: 5 shed scans"), "{text}");
         assert!(
             text.starts_with("trace: 5 scans + 1 trailing record (refusals after the last scan)"),
             "{text}"
@@ -822,7 +771,6 @@ mod tests {
         assert!(!old.contains("trailing"), "{old}");
         let back: ScanRecord = serde::json::from_str(&old).unwrap();
         assert_eq!(back, recs[0]);
-        assert_eq!(v.get("heals").and_then(serde::Value::as_u64), Some(1));
         assert_eq!(v.get("sheds").and_then(serde::Value::as_u64), Some(5));
         // A trace with no supervisor activity renders no supervisor line,
         // whatever pressure label its records carry: "normal" for an armed
@@ -831,7 +779,7 @@ mod tests {
         quiet[0].pressure_level = "normal".to_string();
         quiet[1].pressure_level = "critical".to_string();
         let q = TraceSummary::from_records(&quiet);
-        assert!(!q.any_supervisor_activity());
+        assert_eq!(q.sheds, 0);
         assert!(!q.render().contains("supervisor:"));
         assert!(!q.to_json().contains("pressure"));
     }
